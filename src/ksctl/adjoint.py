@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, inner, mass
-from .ks_model import Control, KSParams, StateTrajectory, _speye
+from .ks_model import Control, KSParams, StateTrajectory
 
 __all__ = [
     "AdjointTrajectory",
@@ -69,7 +69,7 @@ def adjoint_block_matrix(p: KSParams, grid: Grid) -> sp.csc_matrix:
     """
     A = grid.laplacian_matrix
     nn = grid.num_nodes
-    I = _speye(nn)
+    I = sp.identity(nn, format="csr")
     dt = grid.dt
     return sp.bmat(
         [
@@ -143,7 +143,7 @@ def solve_backward_heat(phiT: np.ndarray, source: np.ndarray, grid: Grid) -> np.
         raise ValueError("source must have shape (m+1, nodes)")
     key = ("bheat",)
     if key not in grid._cache:
-        M = _speye(nn) - grid.dt * grid.laplacian_matrix
+        M = sp.identity(nn, format="csr") - grid.dt * grid.laplacian_matrix
         grid._cache[key] = spla.splu(M.tocsc())
     lu = grid._cache[key]
     phi = np.empty((m + 1, nn))

@@ -5,9 +5,9 @@ Usage:  ksctl <command> --config <path> [--section.key=value ...]
 Commands: simulate, carleman, control-linear, control-nonlinear, eps-sweep.
 Outputs land in ``<outdir>/<command>-<hash>.csv`` and ``.json`` where the
 hash digests the fully resolved configuration; rerunning an identical
-config at a fixed thread count reproduces the CSV byte for byte (timings
-live only in the JSON record).  Exit codes: 0 success, 1 configuration or
-usage error, 2 solver non-convergence, 3 invariant falsification.
+config reproduces the CSV byte for byte (timings live only in the JSON
+record).  Exit codes: 0 success, 1 configuration or usage error, 2 solver
+non-convergence, 3 invariant falsification.
 """
 
 from __future__ import annotations
@@ -156,10 +156,13 @@ def _validate(cfg: dict) -> list:
     g, ph, w, s = cfg["grid"], cfg["physics"], cfg["weights"], cfg["solver"]
     if g["dim"] not in (1, 2):
         v.append(f"grid.dim must be 1 or 2, got {g['dim']}")
-    for name, lo in (("T", 0.0),):
-        if not g[name] > lo:
-            v.append(f"grid.{name} must be > {lo}")
+    if not g["T"] > 0.0:
+        v.append("grid.T must be > 0.0")
     ns = np.atleast_1d(g["n"])
+    if g["dim"] in (1, 2):
+        for name in ("n", "L"):
+            if len(np.atleast_1d(g[name])) not in (1, g["dim"]):
+                v.append(f"grid.{name} must have one entry per axis (dim={g['dim']})")
     if np.any(ns < 8):
         v.append("grid.n must be at least 8 intervals per axis")
     if g["m"] < 16:
@@ -211,9 +214,12 @@ def _validate(cfg: dict) -> list:
 
     boxes_ok()
 
-    for name in ("tol", "tau", "cg_tol", "weight_floor"):
+    for name in ("tol", "cg_tol"):
         if not s[name] >= 0:
             v.append(f"solver.{name} must be nonnegative")
+    for name in ("tau", "weight_floor"):
+        if not s[name] > 0:
+            v.append(f"solver.{name} must be positive")
     for name in ("maxit", "cg_maxit", "n_samples"):
         if not s[name] >= 1:
             v.append(f"solver.{name} must be at least 1")
@@ -301,13 +307,6 @@ def _jsonify(obj):
     return obj
 
 
-def _threads() -> int:
-    env = os.environ.get("KSCTL_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 class _Runner:
     def __init__(self, command: str, cfg: ExperimentConfig):
         self.command = command
@@ -334,7 +333,6 @@ class _Runner:
                 "config": cfg.as_dict(),
                 "config_hash": cfg.content_hash,
                 "kernel_backend": _kernels.backend_name(),
-                "threads": _threads(),
                 "wall_seconds": time.time() - self.t_start,
                 "phase_marks": {
                     k: v - self.t_start for k, v in self.phases.items()
@@ -536,7 +534,7 @@ def _cmd_eps_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     runner.phase("setup")
     report = eps_sweep(
         p, u0, v0, wt, chi, grid, eps_list=cfg.physics["eps_list"],
-        max_workers=_threads(), tol=s["tol"], maxit=s["maxit"],
+        tol=s["tol"], maxit=s["maxit"],
         damping=s["damping"], tau=s["tau"], cg_tol=s["cg_tol"],
         cg_maxit=s["cg_maxit"], weight_floor=s["weight_floor"],
     )

@@ -138,12 +138,6 @@ class Grid:
             self._cache["lap"] = A
         return self._cache["lap"]
 
-    @property
-    def laplacian_matrix_T(self) -> sp.csr_matrix:
-        if self._cache.get("lapT") is None:
-            self._cache["lapT"] = self.laplacian_matrix.T.tocsr()
-        return self._cache["lapT"]
-
 
 def build_grid(dim, L, n, T, m) -> Grid:
     """Validate sizes and assemble a :class:`Grid`.

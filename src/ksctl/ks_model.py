@@ -8,6 +8,10 @@ chemical gradient lagged one step.  Every operator involved has exactly zero
 weighted sum, so the cell-density mass is conserved to solver roundoff by
 construction, with or without control.
 
+Each density step fills its matrix in place on a stencil pattern cached per
+grid (the chemotaxis matrix N(v) goes face by face, in 1D and 2D alike, into
+the data slots of the Laplacian's CSC pattern), then makes one sparse solve.
+
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix is assembled here and
 reused (factorized once per parameter set).
@@ -28,6 +32,7 @@ __all__ = [
     "Control",
     "StateTrajectory",
     "BlowUpError",
+    "InnerIterationError",
     "smooth_cutoff",
     "solve_forward_pp",
     "solve_forward_pe",
@@ -48,6 +53,15 @@ class BlowUpError(RuntimeError):
         self.step = step
         self.value = value
         self.cap = cap
+
+
+class InnerIterationError(RuntimeError):
+    """The implicit-coupling fixed point hit ``inner_maxit`` within one step."""
+
+    def __init__(self, step: int, delta: float, maxit: int):
+        super().__init__(f"implicit coupling unconverged at step {step}: last "
+                         f"delta = {delta:.3e} after {maxit} inner iterations")
+        self.step, self.delta = step, delta
 
 
 @dataclass(frozen=True)
@@ -114,60 +128,63 @@ class StateTrajectory:
     grid: Grid
 
 
-def _speye(n: int) -> sp.csr_matrix:
-    return sp.identity(n, format="csr")
+@dataclass(frozen=True)
+class _ChemStencil:
+    """N(v) on the Laplacian's sorted CSC pattern.  Face (l, r) carries the
+    flux 0.5 (u_l + u_r) dv/h into slots (l,l), (l,r) over +cw_l and (r,l),
+    (r,r) over -cw_r; faces run axis by axis in C order, so each diagonal
+    sums in the order of the COO build this replaces."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    lap: np.ndarray    # Laplacian data on the pattern
+    eye: np.ndarray    # identity data on the pattern
+    left: np.ndarray   # per face
+    right: np.ndarray
+    h: np.ndarray
+    cw4: np.ndarray    # per slot: signed cell width
+    slots: np.ndarray
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.indptr.size - 1,) * 2)
+
+    def chem_data(self, v: np.ndarray) -> np.ndarray:
+        coeff = 0.5 * ((v[self.right] - v[self.left]) / self.h)
+        return np.bincount(self.slots, np.repeat(coeff, 4) / self.cw4,
+                           minlength=len(self.lap))
 
 
-def _chem_matrix(v: np.ndarray, grid: Grid) -> sp.csr_matrix:
-    """Sparse matrix N(v) with N(v) u = div(u grad v), u at the new level."""
-    nn = grid.num_nodes
-    if grid.dim == 1:
-        h = grid.h[0]
-        cw = grid.axis_weights(0)
-        dv = (v[1:] - v[:-1]) / h          # faces 0..n-1
-        lower = np.zeros(nn - 1)
-        upper = np.zeros(nn - 1)
-        main = np.zeros(nn)
-        # out[i] = (G_{i+1/2} - G_{i-1/2}) / cw[i],  G = 0.5 (u_i + u_{i+1}) dv
-        main[:-1] += 0.5 * dv / cw[:-1]
-        upper[:] += 0.5 * dv / cw[:-1]
-        main[1:] -= 0.5 * dv / cw[1:]
-        lower[:] -= 0.5 * dv / cw[1:]
-        return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
-    # 2D: build rows via COO; same flux form per axis
-    v2 = v.reshape(grid.shape)
-    nx, ny = grid.shape
-    cwx, cwy = grid.axis_weights(0), grid.axis_weights(1)
-    rows, cols, vals = [], [], []
-
-    def flat(i, j):
-        return i * ny + j
-
-    dvx = (v2[1:, :] - v2[:-1, :]) / grid.h[0]
-    for i in range(nx - 1):
-        for j in range(ny):
-            coeff = 0.5 * dvx[i, j]
-            rows += [flat(i, j), flat(i, j), flat(i + 1, j), flat(i + 1, j)]
-            cols += [flat(i, j), flat(i + 1, j), flat(i, j), flat(i + 1, j)]
-            vals += [coeff / cwx[i], coeff / cwx[i],
-                     -coeff / cwx[i + 1], -coeff / cwx[i + 1]]
-    dvy = (v2[:, 1:] - v2[:, :-1]) / grid.h[1]
-    for i in range(nx):
-        for j in range(ny - 1):
-            coeff = 0.5 * dvy[i, j]
-            rows += [flat(i, j), flat(i, j), flat(i, j + 1), flat(i, j + 1)]
-            cols += [flat(i, j), flat(i, j + 1), flat(i, j), flat(i, j + 1)]
-            vals += [coeff / cwy[j], coeff / cwy[j],
-                     -coeff / cwy[j + 1], -coeff / cwy[j + 1]]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
+def _chem_stencil(grid: Grid) -> _ChemStencil:
+    if "chem" not in grid._cache:
+        A = grid.laplacian_matrix.tocsc()
+        A.sort_indices()
+        nn = grid.num_nodes
+        cols = np.repeat(np.arange(nn), np.diff(A.indptr))
+        ijk = np.indices(grid.shape).reshape(grid.dim, nn)
+        faces = []
+        for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
+            l = np.flatnonzero(ijk[ax] < n)     # left nodes, C order
+            i, cw = ijk[ax][l], grid.axis_weights(ax)
+            stride = int(np.prod(grid.shape[ax + 1:]))
+            faces.append((l, l + stride, np.full(l.size, h), cw[i], cw[i + 1]))
+        l, r, h, cwl, cwr = map(np.concatenate, zip(*faces))
+        grid._cache["chem"] = _ChemStencil(
+            indices=A.indices, indptr=A.indptr, lap=A.data,
+            eye=np.where(cols == A.indices, 1.0, 0.0), left=l, right=r, h=h,
+            cw4=np.column_stack([cwl, cwl, -cwr, -cwr]).ravel(),
+            slots=np.searchsorted(cols * nn + A.indices,   # ascending keys
+                                  (np.column_stack([l, r, l, r]) * nn
+                                   + np.column_stack([l, l, r, r])).ravel()),
+        )
+    return grid._cache["chem"]
 
 
 def _v_step_factor(p: KSParams, grid: Grid, theta: float):
     key = ("vstep", p.a, p.b, p.eps, theta)
     if key not in grid._cache:
         A = grid.laplacian_matrix
-        nn = grid.num_nodes
-        M = p.eps * _speye(nn) - theta * grid.dt * A + theta * grid.dt * p.b * _speye(nn)
+        I = sp.identity(grid.num_nodes, format="csr")
+        M = p.eps * I - theta * grid.dt * A + theta * grid.dt * p.b * I
         grid._cache[key] = spla.splu(M.tocsc())
     return grid._cache[key]
 
@@ -176,7 +193,7 @@ def _elliptic_factor(p: KSParams, grid: Grid):
     key = ("ell", p.a, p.b)
     if key not in grid._cache:
         A = grid.laplacian_matrix
-        M = -A + p.b * _speye(grid.num_nodes)
+        M = -A + p.b * sp.identity(grid.num_nodes, format="csr")
         grid._cache[key] = spla.splu(M.tocsc())
     return grid._cache[key]
 
@@ -190,15 +207,15 @@ def _check_traj_shape(f, grid: Grid, name: str):
 
 def _u_advance(u: np.ndarray, v: np.ndarray, grid: Grid, theta: float) -> np.ndarray:
     """One density step: implicit diffusion + semi-implicit chemotaxis, grad v lagged."""
-    A = grid.laplacian_matrix
-    N = _chem_matrix(v, grid)
-    nn = grid.num_nodes
-    M = _speye(nn) - theta * grid.dt * (A - N)
+    st = _chem_stencil(grid)
+    n_data = st.chem_data(v)
+    M = st.matrix(st.eye - theta * grid.dt * (st.lap - n_data))
     if theta < 1.0:
-        rhs = u + (1.0 - theta) * grid.dt * (A @ u - N @ u)
+        N = st.matrix(n_data)
+        rhs = u + (1.0 - theta) * grid.dt * (grid.laplacian_matrix @ u - N @ u)
     else:
         rhs = u
-    return spla.spsolve(M.tocsc(), rhs)
+    return spla.spsolve(M, rhs)
 
 
 def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
@@ -214,7 +231,9 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
     the density coupling sit at the new level; this is the stepper whose
     linearization around the constant state equals the linearized block
     stepper exactly, which is what the nonlinear control verification
-    requires (the lagged variant differs at O(dt) in the coupling).
+    requires (the lagged variant differs at O(dt) in the coupling).  A step
+    whose fixed point is still above ``inner_tol`` after ``inner_maxit``
+    iterations raises :class:`InnerIterationError`.
     """
     if np.any(u0 < 0) or np.any(v0 < 0):
         raise ValueError("initial data must be nonnegative")
@@ -240,10 +259,9 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
             v[k + 1] = lu_v.solve(rhs)
         else:
             uk1, vk1 = u[k].copy(), v[k].copy()
+            delta = np.inf
             for _ in range(inner_maxit):
-                N = _chem_matrix(vk1, grid)
-                M = _speye(nn) - dt * (A - N)
-                uk1_new = spla.spsolve(M.tocsc(), u[k])
+                uk1_new = _u_advance(u[k], vk1, grid, 1.0)
                 vk1_new = lu_v.solve(
                     p.eps * v[k] + dt * (p.a * uk1_new + c.g[k + 1] * c.chi)
                 )
@@ -254,6 +272,8 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
                 uk1, vk1 = uk1_new, vk1_new
                 if delta < inner_tol:
                     break
+            else:
+                raise InnerIterationError(k + 1, delta, inner_maxit)
             u[k + 1], v[k + 1] = uk1, vk1
         peak = np.abs(u[k + 1]).max()
         if peak > blowup_cap:
@@ -287,7 +307,7 @@ def linearized_block_matrix(p: KSParams, grid: Grid) -> sp.csc_matrix:
     C X^{k+1} = diag(I, eps I) X^k + dt (h1, g chi + h2)^{k+1}."""
     A = grid.laplacian_matrix
     nn = grid.num_nodes
-    I = _speye(nn)
+    I = sp.identity(nn, format="csr")
     dt = grid.dt
     return sp.bmat(
         [

@@ -168,30 +168,18 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
 
 def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
               weights: RefinedWeightTable, chi: np.ndarray, grid: Grid,
-              eps_list=(1.0, 0.5, 0.1, 0.01, 0.001), max_workers: int = 1,
+              eps_list=(1.0, 0.5, 0.1, 0.01, 0.001),
               **picard_kwargs) -> SweepReport:
     """Run the Picard control per eps with identical weights and tolerances.
 
     The weight tables never depend on eps, so they are shared.  Entries that
     fail to converge are excluded from the uniformity ratio and flagged.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     report = SweepReport()
-
-    def one(eps: float):
+    for eps in eps_list:
         p = KSParams(a=p_template.a, b=p_template.b, eps=float(eps),
                      M1=p_template.M1, M2=p_template.M2)
-        return picard_solve(p, u0, v0, weights, chi, grid, **picard_kwargs)
-
-    eps_list = list(eps_list)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one, eps_list))
-    else:
-        results = [one(e) for e in eps_list]
-
-    for eps, r in zip(eps_list, results):
+        r = picard_solve(p, u0, v0, weights, chi, grid, **picard_kwargs)
         row = {
             "eps": float(eps), "g_l2h1": r.g_l2h1, "iterations": r.iterations,
             "terminal_residual": r.terminal_history[-1] if r.terminal_history else 0.0,

@@ -1,0 +1,127 @@
+"""The chemotaxis matrix N(v), assembled face by face on the cached stencil
+pattern, against the COO double-loop build it replaced (kept here as the
+oracle) in 1D, 2D square and 2D non-square."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from ksctl import ks_model
+from ksctl.grid import build_grid, chemotaxis_divergence
+from ksctl.ks_model import Control, KSParams, smooth_cutoff, solve_forward_pp
+
+GRIDS = {
+    "1d": (1, 1.0, 40, 1.0, 16),
+    "2d-square": (2, (1.0, 1.0), (10, 10), 1.0, 16),
+    "2d-nonsquare": (2, (1.0, 0.8), (12, 9), 1.0, 16),
+}
+
+
+def chem_matrix_oracle(v, grid):
+    """The per-step build the stencil replaces: diagonals in 1D, a COO
+    double loop in 2D."""
+    nn = grid.num_nodes
+    if grid.dim == 1:
+        h = grid.h[0]
+        cw = grid.axis_weights(0)
+        dv = (v[1:] - v[:-1]) / h
+        lower = np.zeros(nn - 1)
+        upper = np.zeros(nn - 1)
+        main = np.zeros(nn)
+        main[:-1] += 0.5 * dv / cw[:-1]
+        upper[:] += 0.5 * dv / cw[:-1]
+        main[1:] -= 0.5 * dv / cw[1:]
+        lower[:] -= 0.5 * dv / cw[1:]
+        return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    v2 = v.reshape(grid.shape)
+    nx, ny = grid.shape
+    cwx, cwy = grid.axis_weights(0), grid.axis_weights(1)
+    rows, cols, vals = [], [], []
+
+    def flat(i, j):
+        return i * ny + j
+
+    dvx = (v2[1:, :] - v2[:-1, :]) / grid.h[0]
+    for i in range(nx - 1):
+        for j in range(ny):
+            coeff = 0.5 * dvx[i, j]
+            rows += [flat(i, j), flat(i, j), flat(i + 1, j), flat(i + 1, j)]
+            cols += [flat(i, j), flat(i + 1, j), flat(i, j), flat(i + 1, j)]
+            vals += [coeff / cwx[i], coeff / cwx[i],
+                     -coeff / cwx[i + 1], -coeff / cwx[i + 1]]
+    dvy = (v2[:, 1:] - v2[:, :-1]) / grid.h[1]
+    for i in range(nx):
+        for j in range(ny - 1):
+            coeff = 0.5 * dvy[i, j]
+            rows += [flat(i, j), flat(i, j), flat(i, j + 1), flat(i, j + 1)]
+            cols += [flat(i, j), flat(i, j + 1), flat(i, j), flat(i, j + 1)]
+            vals += [coeff / cwy[j], coeff / cwy[j],
+                     -coeff / cwy[j + 1], -coeff / cwy[j + 1]]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
+
+
+def chem_matrix(v, grid):
+    """N(v) as the density step assembles it, from the grid's cached stencil."""
+    st = ks_model._chem_stencil(grid)
+    return st.matrix(st.chem_data(v))
+
+
+def u_advance_oracle(u, v, grid, theta):
+    """The density step as it was built before the cached stencil."""
+    A = grid.laplacian_matrix
+    N = chem_matrix_oracle(v, grid)
+    M = sp.identity(grid.num_nodes, format="csr") - theta * grid.dt * (A - N)
+    rhs = u + (1.0 - theta) * grid.dt * (A @ u - N @ u) if theta < 1.0 else u
+    return spla.spsolve(M.tocsc(), rhs)
+
+
+@pytest.fixture(params=sorted(GRIDS))
+def grid(request):
+    return build_grid(*GRIDS[request.param])
+
+
+def fields(grid, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(grid.num_nodes), rng.standard_normal(grid.num_nodes)
+
+
+def test_chem_matrix_matches_coo_oracle(grid):
+    _, v = fields(grid)
+    # same terms summed in the same order: equal, not just close
+    assert np.array_equal(chem_matrix(v, grid).toarray(),
+                          chem_matrix_oracle(v, grid).toarray())
+
+
+def test_chem_matrix_applies_chemotaxis_divergence(grid):
+    u, v = fields(grid, seed=1)
+    out = chem_matrix(v, grid) @ u
+    ref = chemotaxis_divergence(u, v, grid)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_chem_matrix_columns_have_zero_weighted_sum(grid):
+    # W N(v) = 0 column by column: every density conserves mass
+    _, v = fields(grid, seed=2)
+    N = chem_matrix(v, grid)
+    colsum = grid.quad_weights @ N.toarray()
+    scale = np.abs(N.toarray()).max() * grid.quad_weights.max()
+    assert np.abs(colsum).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"coupling": "lagged"}, {"coupling": "implicit"}, {"theta": 0.5},
+], ids=["lagged", "implicit", "theta=0.5"])
+def test_forward_pp_matches_oracle_stepper(grid, kwargs, monkeypatch):
+    p = KSParams(a=10.0, b=1.0, eps=0.5, M1=1.0, M2=10.0)
+    box = [[0.25, 0.45]] * grid.dim
+    chi = smooth_cutoff(grid, box, [[0.20, 0.50]] * grid.dim)
+    rng = np.random.default_rng(3)
+    x = grid.node_coords
+    u0 = p.M1 + 0.05 * np.cos(np.pi * x[:, 0])
+    v0 = p.M2 + 0.1 * np.cos(np.pi * x[:, -1])
+    c = Control(g=0.1 * rng.standard_normal((grid.m + 1, grid.num_nodes)), chi=chi)
+    new = solve_forward_pp(p, u0, v0, c, grid, **kwargs)
+    monkeypatch.setattr(ks_model, "_u_advance", u_advance_oracle)
+    ref = solve_forward_pp(p, u0, v0, c, grid, **kwargs)
+    assert np.array_equal(new.u, ref.u) and np.array_equal(new.v, ref.v)

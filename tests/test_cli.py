@@ -79,6 +79,17 @@ def test_config_error_exits_1(tmp_path, capsys):
     assert "steady-state compatibility" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "--solver.tau=0",           # the dual solve needs a positive penalty
+    "--solver.weight_floor=0",  # the weight profiles need a positive floor
+    "--grid.n=[8,8]",           # two axes' worth of intervals with dim 1
+])
+def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
+    path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
+    assert main(["simulate", "--config", path, override]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_simulate_steady_state_columns(tmp_path):
     outdir = tmp_path / "out"
     path = write_cfg(tmp_path, **small_sections(outdir,

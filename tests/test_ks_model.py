@@ -6,6 +6,7 @@ from ksctl.grid import build_grid, l2_norm, mass
 from ksctl.ks_model import (
     BlowUpError,
     Control,
+    InnerIterationError,
     KSParams,
     smooth_cutoff,
     solve_forward_pe,
@@ -95,6 +96,21 @@ def test_blowup_guard_raises():
     v0 = np.full(g.num_nodes, p.M2)
     with pytest.raises(BlowUpError):
         solve_forward_pp(p, u0, v0, Control.zero(g, chi), g, blowup_cap=1.2)
+
+
+def test_implicit_coupling_raises_at_inner_cap(params):
+    # one inner iteration cannot resolve a step of a perturbed state: the
+    # march must say so instead of returning the unconverged step
+    g = build_grid(1, 1.0, 32, 1.0, 32)
+    chi = smooth_cutoff(g, OMEGA_PRIME, OMEGA)
+    x = g.axes[0]
+    u0 = params.M1 + 0.05 * np.cos(np.pi * x)
+    v0 = np.full(g.num_nodes, params.M2)
+    with pytest.raises(InnerIterationError, match="at step 1:") as err:
+        solve_forward_pp(params, u0, v0, Control.zero(g, chi), g,
+                         coupling="implicit", inner_maxit=1)
+    assert err.value.step == 1
+    assert err.value.delta >= 1e-13
 
 
 def test_crank_nicolson_flag_keeps_steady_state(params):
