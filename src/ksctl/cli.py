@@ -167,12 +167,14 @@ def _validate(cfg: dict) -> list:
         v.append("grid.n must be at least 8 intervals per axis")
     if g["m"] < 16:
         v.append("grid.m must be at least 16 time steps")
-    Ls = np.atleast_1d(g["L"])
-    if np.any(np.asarray(Ls, dtype=float) <= 0):
+    Ls = np.atleast_1d(np.asarray(g["L"], dtype=float))
+    if np.any(Ls <= 0):
         v.append("grid.L must be positive")
 
     if not (ph["a"] > 0 and ph["b"] > 0):
         v.append("physics.a and physics.b must be positive")
+    if not ph["eps_list"]:
+        v.append("physics.eps_list must not be empty")
     all_eps = [ph["eps"]] + list(ph["eps_list"])
     if any(not (0.0 < e <= 1.0) for e in all_eps):
         v.append("every relaxation parameter must lie in (0, 1]")
@@ -183,11 +185,19 @@ def _validate(cfg: dict) -> list:
         )
     if ph["delta"] < 0:
         v.append("physics.delta must be nonnegative")
+    if not (ph["mode"] >= 1 and float(ph["mode"]).is_integer()):
+        v.append("physics.mode must be a positive integer")
 
     if w["lambda"] < 1.0:
         v.append("weights.lambda must be >= 1")
     if w.get("s") is None and not w["sigma0"] > 0:
         v.append("weights.sigma0 must be positive when s is not given")
+    try:
+        s_bad = w.get("s") is not None and not float(w["s"]) > 0
+    except (TypeError, ValueError):  # '--weights.s=1e3' arrives as a string
+        s_bad = True
+    if s_bad:
+        v.append("weights.s must be a positive number when given")
 
     def boxes_ok():
         dim = g["dim"] if g["dim"] in (1, 2) else 1
@@ -195,16 +205,15 @@ def _validate(cfg: dict) -> list:
             b0 = np.atleast_2d(np.asarray(w["omega0"], dtype=float))
             bp = np.atleast_2d(np.asarray(w["omega_prime"], dtype=float))
             bw = np.atleast_2d(np.asarray(w["omega"], dtype=float))
-            dom = np.array([[0.0, L] for L in np.broadcast_to(
-                np.atleast_1d(np.asarray(g["L"], dtype=float)), (dim,))])
-        except Exception:
+        except (TypeError, ValueError):
             v.append("control-region boxes must be (lo, hi) pairs per axis")
             return
-        for inner_b, outer_b, msg in (
-            (b0, bp, "omega0 strictly inside omega_prime"),
-            (bp, bw, "omega_prime strictly inside omega"),
-            (bw, dom, "omega strictly inside the domain"),
-        ):
+        nests = [(b0, bp, "omega0 strictly inside omega_prime"),
+                 (bp, bw, "omega_prime strictly inside omega")]
+        if Ls.size in (1, dim):  # a wrong L length is reported above
+            dom = np.array([[0.0, L] for L in np.broadcast_to(Ls, (dim,))])
+            nests.append((bw, dom, "omega strictly inside the domain"))
+        for inner_b, outer_b, msg in nests:
             if inner_b.shape != (dim, 2) or outer_b.shape[-1] != 2:
                 v.append(f"box shapes invalid for dim={dim}")
                 return
@@ -399,7 +408,7 @@ def _cmd_carleman(cfg: ExperimentConfig, runner: _Runner) -> int:
     s_list = [mult * s_base for mult in cfg.weights["s_scan"]]
     n_samples = cfg.solver["n_samples"]
     seed = cfg.solver["seed"]
-    eps_list = tuple(cfg.physics["eps_list"][:3]) or (cfg.physics["eps"],)
+    eps_list = tuple(cfg.physics["eps_list"][:3])
     runner.phase("setup")
 
     reports = []

@@ -27,7 +27,9 @@ of the discrete form and is reported as such.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -177,9 +179,11 @@ class _DualOperator:
 
     The operator is genuinely sparse: the two least-squares blocks couple at
     most adjacent time slices through the spatial stencil, and the
-    observation and terminal blocks are diagonal.  The assembled matrix
-    backs the dense small-instance oracle and definiteness diagnostics; the
-    production solver works in transformed coordinates (see
+    observation and terminal blocks are diagonal.  The matrix is assembled
+    only on demand, on first access to :attr:`matrix`, for the dense
+    small-instance oracle and definiteness diagnostics.  The production
+    solver reads only the weight profiles, :meth:`rhs`, :meth:`project` and
+    :meth:`lstar`: it works in transformed coordinates (see
     :class:`_SourceTerminalSystem`) because in these raw coordinates the
     weight profiles put the dual directions so many orders of magnitude
     apart that neither a diagonal preconditioner nor a sparse factorization
@@ -196,38 +200,34 @@ class _DualOperator:
             log_weight_profile(wt, "beta_star", k)[:m] for k in LSTAR_POWERS
         ]
         self.log_c = float(max(lp.max() for lp in log_profiles))
-        self.log_rho_raw = [lp - self.log_c for lp in log_profiles]
         imbalance = self.log_c - min(lp.max() for lp in log_profiles)
         if imbalance > 25.0:  # families more than ~e^25 apart
-            import warnings
-
             warnings.warn(
                 f"weighted blocks are {imbalance:.0f} nats apart; the dual "
                 "solve degrades when gamma* strays far from 1 (pick T so "
                 "that e^lambda (4/T^2)^4 is order one)",
                 stacklevel=3,
             )
-        self.rho = []
-        for lr in self.log_rho_raw:
-            r = np.exp(lr)
-            if prob.weight_floor > 0.0:
-                r = np.maximum(r, prob.weight_floor * r.max())
-            self.rho.append(r)
+        self.rho = [np.exp(lp - self.log_c) for lp in log_profiles]
+        if prob.weight_floor > 0.0:
+            self.rho = [np.maximum(r, prob.weight_floor * r.max()) for r in self.rho]
         self.rho1, self.rho2, self.rho3 = self.rho
 
-        self.A = grid.laplacian_matrix
         self.W = grid.quad_weights
-        self.chi2W = self.W * prob.chi**2
         self.dt = grid.dt
         self.shape3 = (2, m + 1, grid.num_nodes)
-        self.matrix = self._assemble()
-        self.constraint = np.zeros(self.shape3)
-        self.constraint[0, -1] = self.W
 
-    def _assemble(self) -> sp.csr_matrix:
+    @cached_property
+    def constraint(self) -> np.ndarray:
+        c = np.zeros(self.shape3)
+        c[0, -1] = self.W
+        return c
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
         p, grid, dt, W = self.p, self.grid, self.dt, self.W
         m, nn = grid.m, grid.num_nodes
-        A = self.A
+        A = grid.laplacian_matrix
         I = sp.identity(nn, format="csr")
         K_cur = sp.eye(m, m + 1, k=0, format="csr")
         K_nxt = sp.eye(m, m + 1, k=1, format="csr")
@@ -250,7 +250,7 @@ class _DualOperator:
         A_e = (M1.T @ D1 @ M1 + M2.T @ D2 @ M2).tocsr()
 
         extra = np.zeros((2, m + 1, nn))
-        extra[1, :m] = (dt * self.rho3)[:, None] * self.chi2W[None, :]
+        extra[1, :m] = (dt * self.rho3)[:, None] * (W * self.prob.chi**2)[None, :]
         extra[0, -1] = self.prob.tau * W
         extra[1, -1] = self.prob.tau * p.eps * W
         return (A_e + sp.diags(extra.reshape(-1))).tocsr()
@@ -259,9 +259,6 @@ class _DualOperator:
 
     def lstar(self, Z: np.ndarray):
         return apply_Lstar(Z[0], Z[1], self.p, self.grid)
-
-    def apply(self, Z: np.ndarray) -> np.ndarray:
-        return (self.matrix @ Z.reshape(-1)).reshape(self.shape3)
 
     def rhs(self) -> np.ndarray:
         prob, grid = self.prob, self.grid
@@ -281,9 +278,6 @@ class _DualOperator:
         Z[0, -1] -= (W @ Z[0, -1]) / (W @ W) * W
         return Z
 
-    def diagonal(self) -> np.ndarray:
-        return np.asarray(self.matrix.diagonal()).reshape(self.shape3)
-
     def dense_kkt_solve(self) -> np.ndarray:
         """Dense direct solution of the constrained normal equations.
 
@@ -291,13 +285,9 @@ class _DualOperator:
         augments the zero-mean constraint as a KKT border and solves with a
         dense factorization (a solution path sharing nothing with the CG
         solver beyond the quadratic form itself)."""
-        A = self.matrix.toarray()
-        c = self.constraint.reshape(-1)
-        dim = A.shape[0]
-        kkt = np.zeros((dim + 1, dim + 1))
-        kkt[:dim, :dim] = A
-        kkt[:dim, dim] = c
-        kkt[dim, :dim] = c
+        c = self.constraint.reshape(1, -1)
+        dim = c.size
+        kkt = np.block([[self.matrix.toarray(), c.T], [c, np.zeros((1, 1))]])
         # symmetric diagonal equilibration for the dense factorization
         d = np.sqrt(np.abs(np.diag(kkt)))
         d[d == 0] = 1.0
@@ -440,12 +430,9 @@ def dense_dual_solve(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
         H[:, i] = gty
         e[i] = 0.0
     H += np.eye(dim)
-    chat_full = np.zeros(dim)
-    chat_full[2 * m * nn: 2 * m * nn + nn] = sys_.chat
-    kkt = np.zeros((dim + 1, dim + 1))
-    kkt[:dim, :dim] = H
-    kkt[:dim, dim] = chat_full
-    kkt[dim, :dim] = chat_full
+    chat_full = np.zeros((1, dim))
+    chat_full[0, 2 * m * nn: 2 * m * nn + nn] = sys_.chat
+    kkt = np.block([[H, chat_full.T], [chat_full, np.zeros((1, 1))]])
     rhs = np.concatenate([sys_.march_T(op.rhs()), [0.0]])
     y = np.linalg.solve(kkt, rhs)[:dim]
     Z = op.project(sys_.march(sys_.project(y)))

@@ -338,7 +338,7 @@ def delta_radius(p: KSParams, weights: RefinedWeightTable, chi: np.ndarray,
             return False
         try:
             r = picard_solve(p, u0, v0, weights, chi, grid, **picard_kwargs)
-        except Exception:
+        except RuntimeError:  # blow-up, inner cap, extraction, singular factor
             return False
         probes.append({"delta": delta, "converged": r.converged,
                        "iterations": r.iterations})

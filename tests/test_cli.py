@@ -48,6 +48,13 @@ def test_all_violations_reported_at_once(tmp_path):
     assert "(0, 1]" in text
 
 
+def test_wrong_L_length_is_one_violation(tmp_path):
+    # the domain-box nesting check is skipped, not failed, when L is invalid
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_cfg(tmp_path), {"grid.L": [1, 1]})
+    assert err.value.violations == ["grid.L must have one entry per axis (dim=1)"]
+
+
 def test_unknown_keys_rejected(tmp_path):
     path = write_cfg(tmp_path, grid={"dx": 0.1})
     with pytest.raises(ConfigError, match="unknown key"):
@@ -83,6 +90,9 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--solver.tau=0",           # the dual solve needs a positive penalty
     "--solver.weight_floor=0",  # the weight profiles need a positive floor
     "--grid.n=[8,8]",           # two axes' worth of intervals with dim 1
+    "--weights.s=-1",           # the Carleman parameter must be positive
+    "--physics.mode=0",         # mode 0 is no perturbation, u0 mean != M1
+    "--physics.eps_list=[]",    # an empty sweep would report vacuous rows
 ])
 def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))

@@ -102,6 +102,20 @@ def test_quadratic_form_is_positive(params, grid_small, weights_small, chi_small
         assert q >= 0.0
 
 
+def test_production_path_never_assembles_the_raw_matrix(
+        params, grid_small, weights_small, chi_small, monkeypatch):
+    def boom(self):
+        raise AssertionError("raw-coordinate assembly on the production path")
+
+    monkeypatch.setattr(_DualOperator, "matrix", property(boom))
+    monkeypatch.setattr(_DualOperator, "constraint", property(boom))
+    prob = _problem(grid_small, weights_small, chi_small, params)
+    dual = solve_dual(prob)
+    assert dual.converged and dual.curvature_ok
+    res = extract_control(dual, prob)
+    assert res.crossval_rel <= 1e-8
+
+
 def test_dense_oracle_small_instance(params, grid_small, weights_small, chi_small):
     # well-scaled instance: the floor caps the profile range so both solution
     # paths resolve the same dual vector (see README on conditioning)

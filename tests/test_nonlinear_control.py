@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import ksctl.nonlinear_control as nlc
 from ksctl.grid import chemotaxis_divergence, mass
+from ksctl.ks_model import BlowUpError
 from ksctl.nonlinear_control import (
     bilinear_continuity_ratio,
     delta_radius,
@@ -152,3 +154,23 @@ def test_delta_radius_brackets_the_working_amplitude(params, grid_small,
     # entirely below it unless the probe at 0.02 already succeeded
     assert rep["radius_hi"] == float("inf") or rep["radius_lo"] >= 0.0
     assert rep["probes"]
+
+
+def test_delta_radius_counts_only_solver_failures(params, grid_small,
+                                                  weights_small, chi_small,
+                                                  monkeypatch):
+    def blow_up(*args, **kwargs):
+        raise BlowUpError(3, 1e9, 1e8)
+
+    monkeypatch.setattr(nlc, "picard_solve", blow_up)
+    rep = delta_radius(params, weights_small, chi_small, grid_small,
+                       delta_hi=0.64, bisections=2)
+    # every probe fails, so the bracket shrinks onto delta_lo
+    assert rep == {"radius_lo": 0.0, "radius_hi": 0.16, "probes": []}
+
+    def broken(*args, **kwargs):
+        raise TypeError("programming error")
+
+    monkeypatch.setattr(nlc, "picard_solve", broken)
+    with pytest.raises(TypeError, match="programming error"):
+        delta_radius(params, weights_small, chi_small, grid_small)
