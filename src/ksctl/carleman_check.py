@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .adjoint import solve_adjoint, solve_backward_heat
 from .grid import Grid, box_mask, l2_norm, mass
@@ -27,6 +26,7 @@ from .ks_model import KSParams
 from .weights import (
     Eta0,
     WeightTable,
+    _logsumexp,
     carleman_weights,
     log_weight_profile,
     refined_weights,
@@ -158,7 +158,7 @@ def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, grid: Grid,
     keep = (coeff > 0.0) & np.isfinite(logw_b)
     if not np.any(keep):
         return float("-inf")
-    return float(logsumexp(logw_b[keep], b=coeff[keep]))
+    return _logsumexp(logw_b[keep], coeff[keep])
 
 
 def _log_l2_sq(f: np.ndarray, grid: Grid) -> float:
@@ -166,22 +166,24 @@ def _log_l2_sq(f: np.ndarray, grid: Grid) -> float:
     return float("-inf") if v == 0.0 else 2.0 * float(np.log(v))
 
 
-def _log_i_beta_terms(q: np.ndarray, beta_exp: float, sigma: float,
-                      table: WeightTable, grid: Grid) -> list[float]:
-    s = table.params.s
-    logs = np.log(s)
-    parts = [
-        (beta_exp + 3.0) * logs + log_space_time_integral(
-            log_weight_profile(table, "alpha", beta_exp + 3.0), q * q, grid, table),
-        (beta_exp + 1.0) * logs + log_space_time_integral(
-            log_weight_profile(table, "alpha", beta_exp + 1.0),
-            gradient_sq(q, grid), grid, table),
-        (beta_exp - 1.0) * logs + log_space_time_integral(
-            log_weight_profile(table, "alpha", beta_exp - 1.0),
-            sigma**2 * time_derivative(q, grid) ** 2 + hessian_sq(q, grid),
-            grid, table),
-    ]
-    return parts
+def _i_beta_integrands(q: np.ndarray, sigma: float, grid: Grid) -> tuple:
+    """The s-invariant integrands of I_beta: q^2, |grad q|^2 and
+    sigma^2 q_t^2 + |D^2 q|^2."""
+    return (q * q, gradient_sq(q, grid),
+            sigma**2 * time_derivative(q, grid) ** 2 + hessian_sq(q, grid))
+
+
+def _i_beta_profiles(table: WeightTable, beta_exp: float) -> list:
+    """(power of s, log weight) of each I_beta term, in integrand order."""
+    return [(k, log_weight_profile(table, "alpha", k))
+            for k in (beta_exp + 3.0, beta_exp + 1.0, beta_exp - 1.0)]
+
+
+def _log_i_beta_terms(integrands: tuple, profiles: list, table: WeightTable,
+                      grid: Grid) -> list[float]:
+    logs = np.log(table.params.s)
+    return [k * logs + log_space_time_integral(w, sq, grid, table)
+            for (k, w), sq in zip(profiles, integrands)]
 
 
 def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
@@ -194,7 +196,9 @@ def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
     """
     if not (0.0 < sigma <= 1.0):
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    return float(np.exp(logsumexp(_log_i_beta_terms(q, beta_exp, sigma, table, grid))))
+    return float(np.exp(_logsumexp(_log_i_beta_terms(
+        _i_beta_integrands(q, sigma, grid), _i_beta_profiles(table, beta_exp),
+        table, grid))))
 
 
 # ---------------------------------------------------------------------------
@@ -324,32 +328,33 @@ def theorem22_report(p: KSParams, grid: Grid, eta0: Eta0, s_list,
     )
     omega_prime_mask = box_mask(grid, eta0.omega_prime).astype(float)
     A = grid.laplacian_matrix
+    tables = []
+    for s in s_list:
+        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s), grid)
+        tables.append((table, np.log(s), _i_beta_profiles(table, 1.0),
+                       *(log_weight_profile(table, "alpha", k) for k in (3.0, 10.0, 18.0))))
 
-    samples = []
+    # sample-outer, so only one sample's s-invariant integrands are live
+    logs_by_s = [[] for _ in tables]
     for _ in range(n_samples):
         phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng, n_modes)
         adj = solve_adjoint(p, phiT, xiT, f1, f2, grid)
         lap_phi = (A @ adj.phi.T).T
-        samples.append((adj, lap_phi))
-
-    for s in s_list:
-        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s), grid)
-        logs = np.log(s)
-        w3 = log_weight_profile(table, "alpha", 3.0)
-        w10 = log_weight_profile(table, "alpha", 10.0)
-        w18 = log_weight_profile(table, "alpha", 18.0)
-        for i, (adj, lap_phi) in enumerate(samples):
-            lhs_parts = [3.0 * logs + log_space_time_integral(
-                w3, lap_phi * lap_phi, grid, table)]
-            lhs_parts += _log_i_beta_terms(adj.xi, 1.0, p.eps, table, grid)
+        lap_sq, xi_terms = lap_phi * lap_phi, _i_beta_integrands(adj.xi, p.eps, grid)
+        f1_sq, f2_sq = adj.f1**2, adj.f2**2
+        for out, (table, logs, i_beta_w, w3, w10, w18) in zip(logs_by_s, tables):
+            lhs_parts = [3.0 * logs + log_space_time_integral(w3, lap_sq, grid, table)]
+            lhs_parts += _log_i_beta_terms(xi_terms, i_beta_w, table, grid)
             rhs_parts = [
                 18.0 * logs + log_space_time_integral(
-                    w18, adj.xi**2, grid, table, node_mask=omega_prime_mask),
-                10.0 * logs + log_space_time_integral(w10, adj.f1**2, grid, table),
-                3.0 * logs + log_space_time_integral(w3, adj.f2**2, grid, table),
+                    w18, xi_terms[0], grid, table, node_mask=omega_prime_mask),
+                10.0 * logs + log_space_time_integral(w10, f1_sq, grid, table),
+                3.0 * logs + log_space_time_integral(w3, f2_sq, grid, table),
             ]
-            rep.add(i, float(s), lam, p.eps,
-                    float(logsumexp(lhs_parts)), float(logsumexp(rhs_parts)))
+            out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
+    for s, out in zip(s_list, logs_by_s):
+        for i, (log_lhs, log_rhs) in enumerate(out):
+            rep.add(i, float(s), lam, p.eps, log_lhs, log_rhs)
     return rep
 
 
@@ -364,43 +369,46 @@ def lemma31_report(p_template: KSParams, grid: Grid, eta0: Eta0, s_list,
         {"n": grid.n, "m": grid.m, "T": grid.T, "lambda": lam,
          "eps_list": tuple(eps_list)},
     )
+    tables = []
+    for s in s_list:
+        rt = refined_weights(eta0, weight_params(grid.T, lam, s=s), grid)
+        tables.append((rt, *(log_weight_profile(rt, kind, k) for kind, k in (
+            ("beta", 4.0), ("beta", 2.0), ("beta_hat", 3.0),
+            ("beta_star", 10.0), ("beta_star", 3.0), ("beta_star", 18.0)))))
+    chi_sq = (chi**2)[None, :]
     for eps in eps_list:
         rng = np.random.default_rng(seed)
         p = KSParams(a=p_template.a, b=p_template.b, eps=eps,
                      M1=p_template.M1, M2=p_template.M2)
-        samples = []
+        # sample-outer, so only one sample's s-invariant integrands are live
+        logs_by_s = [[] for _ in tables]
         for _ in range(n_samples):
             phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng, n_modes)
-            samples.append(solve_adjoint(p, phiT, xiT, f1, f2, grid))
-        for s in s_list:
-            rt = refined_weights(eta0, weight_params(grid.T, lam, s=s), grid)
-            wb4 = log_weight_profile(rt, "beta", 4.0)
-            wb2 = log_weight_profile(rt, "beta", 2.0)
-            wh3 = log_weight_profile(rt, "beta_hat", 3.0)
-            ws10 = log_weight_profile(rt, "beta_star", 10.0)
-            ws3 = log_weight_profile(rt, "beta_star", 3.0)
-            ws18 = log_weight_profile(rt, "beta_star", 18.0)
-            for i, adj in enumerate(samples):
-                phi_mean = np.array(
-                    [mass(adj.phi[k], grid) for k in range(grid.m + 1)]
-                ) / grid.volume
-                phi_osc = adj.phi - phi_mean[:, None]
+            adj = solve_adjoint(p, phiT, xiT, f1, f2, grid)
+            phi_mean = np.array([mass(f, grid) for f in adj.phi]) / grid.volume
+            phi_osc = adj.phi - phi_mean[:, None]
+            xi_sq, xi_grad, osc_sq = adj.xi**2, gradient_sq(adj.xi, grid), phi_osc**2
+            phi_grad, f1_sq, f2_sq = gradient_sq(adj.phi, grid), adj.f1**2, adj.f2**2
+            obs_sq = chi_sq * xi_sq
+            log_t0 = [_log_l2_sq(phi_osc[0], grid),
+                      np.log(eps) + _log_l2_sq(adj.xi[0], grid)]
+            for out, (rt, wb4, wb2, wh3, ws10, ws3, ws18) in zip(logs_by_s, tables):
                 lhs_parts = [
-                    log_space_time_integral(wb4, adj.xi**2, grid, rt),
-                    log_space_time_integral(wb2, gradient_sq(adj.xi, grid), grid, rt),
-                    log_space_time_integral(wh3, phi_osc**2, grid, rt),
-                    log_space_time_integral(wh3, gradient_sq(adj.phi, grid), grid, rt),
-                    _log_l2_sq(phi_osc[0], grid),
-                    np.log(eps) + _log_l2_sq(adj.xi[0], grid),
+                    log_space_time_integral(wb4, xi_sq, grid, rt),
+                    log_space_time_integral(wb2, xi_grad, grid, rt),
+                    log_space_time_integral(wh3, osc_sq, grid, rt),
+                    log_space_time_integral(wh3, phi_grad, grid, rt),
+                    *log_t0,
                 ]
                 rhs_parts = [
-                    log_space_time_integral(ws10, adj.f1**2, grid, rt),
-                    log_space_time_integral(ws3, adj.f2**2, grid, rt),
-                    log_space_time_integral(
-                        ws18, (chi**2)[None, :] * adj.xi**2, grid, rt),
+                    log_space_time_integral(ws10, f1_sq, grid, rt),
+                    log_space_time_integral(ws3, f2_sq, grid, rt),
+                    log_space_time_integral(ws18, obs_sq, grid, rt),
                 ]
-                rep.add(i, float(s), lam, eps,
-                        float(logsumexp(lhs_parts)), float(logsumexp(rhs_parts)))
+                out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
+        for s, out in zip(s_list, logs_by_s):
+            for i, (log_lhs, log_rhs) in enumerate(out):
+                rep.add(i, float(s), lam, eps, log_lhs, log_rhs)
     return rep
 
 
@@ -436,5 +444,5 @@ def lemmaA1_report(grid: Grid, eta0: Eta0, s_list, lam: float = 1.5,
                     w3, phi * phi, grid, table, node_mask=omega_mask),
                 4.0 * logs + log_space_time_integral(w4, gfield**2, grid, table),
             ]
-            rep.add(i, float(s), lam, 0.0, log_lhs, float(logsumexp(rhs_parts)))
+            rep.add(i, float(s), lam, 0.0, log_lhs, _logsumexp(rhs_parts))
     return rep

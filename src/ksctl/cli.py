@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -123,16 +124,32 @@ class ExperimentConfig:
         return u0, v0
 
 
+# numeric fields that take a list of numbers (per axis, or one per run)
+_NUMBER_LISTS = ("grid.n", "grid.L", "physics.eps_list", "weights.s_scan")
+
+
 def _coerce(default, value, key: str, violations: list):
     """Type-guided coercion: YAML reads '1e-14' as a string, so numeric
-    fields convert string leaves back to numbers."""
-    if isinstance(value, str) and isinstance(default, (int, float)) and not isinstance(default, bool):
+    fields convert string leaves back to numbers; a value of another type
+    (a list, a mapping, a word) is a violation, reported before any use."""
+    if key in _NUMBER_LISTS and isinstance(value, list):
+        item = default[0] if isinstance(default, list) else default
+        return [_coerce(item, x, key, violations) for x in value]
+    if isinstance(default, list) and key in _NUMBER_LISTS:
+        violations.append(f"'{key}' must be a list of numbers, got {value!r}")
+        return default
+    if not isinstance(default, (int, float)) or isinstance(default, bool):
+        return value
+    if isinstance(value, str):
         try:
             num = float(value)
         except ValueError:
             violations.append(f"'{key}' must be a number, got {value!r}")
             return default
         return int(num) if isinstance(default, int) and num == int(num) else num
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        violations.append(f"'{key}' must be a number, got {value!r}")
+        return default
     return value
 
 
@@ -198,6 +215,8 @@ def _validate(cfg: dict) -> list:
         s_bad = True
     if s_bad:
         v.append("weights.s must be a positive number when given")
+    if not (w["s_scan"] and all(x > 0 for x in w["s_scan"])):
+        v.append("weights.s_scan must be a non-empty list of positive numbers")
 
     def boxes_ok():
         dim = g["dim"] if g["dim"] in (1, 2) else 1

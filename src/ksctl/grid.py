@@ -52,20 +52,16 @@ class Grid:
     m: int
     h: tuple[float, ...] = field(init=False)
     dt: float = field(init=False)
+    shape: tuple[int, ...] = field(init=False)
+    num_nodes: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h", tuple(Li / ni for Li, ni in zip(self.L, self.n)))
         object.__setattr__(self, "dt", self.T / self.m)
+        object.__setattr__(self, "shape", tuple(ni + 1 for ni in self.n))
+        object.__setattr__(self, "num_nodes", int(np.prod(self.shape)))
 
     # -- static geometry -------------------------------------------------
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(ni + 1 for ni in self.n)
-
-    @property
-    def num_nodes(self) -> int:
-        return int(np.prod(self.shape))
 
     @property
     def axes(self) -> list[np.ndarray]:

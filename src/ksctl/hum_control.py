@@ -34,11 +34,10 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.special import logsumexp
 
 from .grid import Grid, h1_seminorm_sq, inner, l2_norm, mass
 from .ks_model import Control, KSParams, solve_linearized
-from .weights import RefinedWeightTable, log_weight_profile
+from .weights import RefinedWeightTable, _logsumexp, log_weight_profile
 
 __all__ = [
     "ControlProblem",
@@ -526,7 +525,7 @@ def _log_block_norm(op: _DualOperator, idx: int, Fsq_slices: np.ndarray) -> floa
     keep = np.isfinite(logs)
     if not np.any(keep):
         return float("-inf")
-    return float(logsumexp(logs[keep]))
+    return _logsumexp(logs[keep])
 
 
 def extract_control(dual: DualSolution, problem: ControlProblem,

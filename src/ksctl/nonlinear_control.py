@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .grid import Grid, chemotaxis_divergence, l2_norm, mass
 from .hum_control import ControlProblem, apply_L, extract_control, solve_dual
 from .ks_model import Control, KSParams, solve_forward_pp, solve_linearized
-from .weights import RefinedWeightTable
+from .weights import RefinedWeightTable, _logsumexp
 
 __all__ = [
     "NonlinearControlResult",
@@ -216,7 +215,7 @@ def _log_l2q(log_w: np.ndarray, sq_slices: np.ndarray, dt: float) -> float:
     keep = np.isfinite(logs)
     if not np.any(keep):
         return float("-inf")
-    return float(logsumexp(logs[keep]))
+    return _logsumexp(logs[keep])
 
 
 def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
@@ -315,7 +314,7 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     else:
         finite = [t for t in logs if np.isfinite(t)]
         out["total"] = {
-            "log": float(logsumexp(finite)) if finite else float("-inf"),
+            "log": _logsumexp(finite) if finite else float("-inf"),
             "value": float(sum(v["value"] for v in out.values())),
         }
     return out

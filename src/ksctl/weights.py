@@ -324,19 +324,6 @@ _KINDS = {
 }
 
 
-def _two_s_extremum(table, kind: str) -> np.ndarray:
-    s2 = 2.0 * table.params.s
-    if kind == "alpha_star":
-        return s2 * table.alpha_star
-    if kind == "alpha_hat":
-        return s2 * table.alpha_hat
-    if kind == "beta_star":
-        return s2 * table.beta_star
-    if kind == "beta_hat":
-        return s2 * table.beta_hat
-    raise KeyError(kind)
-
-
 def _check_power(power: float) -> None:
     if not (POWER_RANGE[0] <= power <= POWER_RANGE[1]):
         raise ValueError(
@@ -359,7 +346,7 @@ def log_weight(table, kind: str, power: float, node: int, step: int) -> float:
         return float("-inf")
     expname, logname, per_step = _KINDS[kind]
     if per_step:
-        base = _two_s_extremum(table, kind)[step]
+        base = 2.0 * table.params.s * getattr(table, kind)[step]
         lw = getattr(table, logname)[step]
     else:
         base = getattr(table, expname)[step, node]
@@ -376,9 +363,25 @@ def log_weight_profile(table, kind: str, power: float) -> np.ndarray:
     expname, logname, per_step = _KINDS[kind]
     with np.errstate(invalid="ignore"):
         if per_step:
-            out = _two_s_extremum(table, kind) + power * getattr(table, logname)
+            out = 2.0 * table.params.s * getattr(table, kind)  # the per-step extremum
+            out = out + power * getattr(table, logname)
         else:
             out = getattr(table, expname) + power * getattr(table, logname)
     for k in table.singular_steps:
         out[k] = -np.inf
     return out
+
+
+def _logsumexp(a, b=None) -> float:
+    """log(sum(b * exp(a))) of a 1-D ``a`` (``-inf`` entries allowed), ``b > 0``:
+    scipy.special.logsumexp's algorithm step for step, so bit for bit its result
+    (the terms at the max are summed separately into ``m``)."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    if a_max == -np.inf:
+        return float("-inf")
+    at_max = a == a_max
+    m = (at_max if b is None else b * at_max).sum(dtype=float)
+    e = np.exp(np.where(at_max, -np.inf, a) - a_max)
+    s = (e if b is None else b * e).sum()
+    return float(np.log1p(s if s == 0 else s / m) + np.log(m) + a_max)

@@ -93,6 +93,13 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--weights.s=-1",           # the Carleman parameter must be positive
     "--physics.mode=0",         # mode 0 is no perturbation, u0 mean != M1
     "--physics.eps_list=[]",    # an empty sweep would report vacuous rows
+    "--grid.m=[20]",            # a list where a number belongs
+    "--physics.delta=[1]",
+    "--physics.mode=[1]",
+    "--grid.L=[a,1]",           # a word among the per-axis lengths
+    "--weights.s_scan=[]",      # carleman would write a header-only CSV
+    "--weights.s_scan=[0]",     # each scanned multiple of s must be > 0
+    "--weights.s_scan=[-1]",
 ])
 def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))

@@ -1,0 +1,287 @@
+"""The numpy log-domain reduction against scipy.special.logsumexp, and the
+Carleman reports against the s-outer loops they replaced.
+
+scipy is the oracle here only: the package reduces with
+``weights._logsumexp``, which must reproduce scipy's result bit for bit,
+and the sample-outer reports must reproduce every row of the old s-outer
+loops (kept below as the oracle) exactly, in 1D and 2D.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
+
+from ksctl.adjoint import solve_adjoint, solve_backward_heat
+from ksctl.carleman_check import (
+    CarlemanReport,
+    _time_weights,
+    gradient_sq,
+    hessian_sq,
+    lemma31_report,
+    lemmaA1_report,
+    log_space_time_integral,
+    sample_adjoint_data,
+    sample_space_time,
+    theorem22_report,
+    time_derivative,
+)
+from ksctl.grid import box_mask, l2_norm, mass
+from ksctl.ks_model import KSParams, smooth_cutoff
+from ksctl.weights import (
+    _logsumexp,
+    build_eta0,
+    carleman_weights,
+    log_weight_profile,
+    refined_weights,
+    weight_params,
+)
+
+NEG_INF = float("-inf")
+
+
+def bits(x) -> bytes:
+    return struct.pack("<d", float(x))
+
+
+# a few shared values make ties at the max common, at scattered positions
+_POOL = [-3.5, 0.0, 1e-3, 2.25, 700.0, -700.0]
+_ENTRY = st.one_of(st.sampled_from(_POOL), st.just(NEG_INF),
+                   st.floats(-745.0, 709.0, allow_nan=False))
+
+
+@st.composite
+def log_terms(draw):
+    """Either a generic list, or one whose result is near 0 in the log, where
+    the last bit of every sum shows: ties at a max of 0 with weights summing
+    to about 1, over up to 200 terms below it (all summation orders differ)."""
+    if draw(st.booleans()):
+        a = draw(st.lists(_ENTRY, min_size=1, max_size=64))
+        b_entry = st.floats(1e-300, 1e5)
+    else:
+        a = draw(st.lists(st.one_of(st.floats(-30.0, -1e-3), st.just(NEG_INF)),
+                          min_size=8, max_size=200))
+        for i in draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=6)):
+            a[i] = 0.0
+        b_entry = st.floats(0.05, 0.5)
+    if draw(st.booleans()):
+        return a, None
+    return a, draw(st.lists(b_entry, min_size=len(a), max_size=len(a)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(log_terms())
+@example(([NEG_INF], None))
+@example(([NEG_INF, NEG_INF, NEG_INF], [1e-300, 1.0, 1e5]))
+@example(([2.0], [1e-300]))
+@example(([5.0] * 17 + [NEG_INF, 1.0], [float(k + 1) / 3.0 for k in range(19)]))
+def test_logsumexp_matches_scipy_bit_for_bit(terms):
+    a, b = terms
+    expected = logsumexp(np.asarray(a), b=None if b is None else np.asarray(b))
+    assert bits(_logsumexp(np.asarray(a), None if b is None else np.asarray(b))) \
+        == bits(expected)
+
+
+def test_logsumexp_takes_lists_and_large_arrays():
+    rng = np.random.default_rng(4)
+    a = rng.normal(scale=200.0, size=5151)
+    b = rng.uniform(1e-12, 1e3, size=a.size)
+    assert bits(_logsumexp(a, b)) == bits(logsumexp(a, b=b))
+    assert bits(_logsumexp([-3.0, NEG_INF, 2.0])) == bits(logsumexp([-3.0, NEG_INF, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the s-outer report loops, reducing with scipy's logsumexp
+# ---------------------------------------------------------------------------
+
+
+def oracle_integral(log_w, sq, grid, table, node_mask=None):
+    tw = _time_weights(grid, table)
+    w = grid.quad_weights
+    if node_mask is not None:
+        w = w * node_mask
+    coeff = tw[:, None] * w[None, :] * sq
+    if log_w.ndim == 1:
+        log_w = log_w[:, None]
+    logw_b = np.broadcast_to(log_w, coeff.shape)
+    keep = (coeff > 0.0) & np.isfinite(logw_b)
+    if not np.any(keep):
+        return NEG_INF
+    return float(logsumexp(logw_b[keep], b=coeff[keep]))
+
+
+def oracle_l2_sq(f, grid):
+    v = l2_norm(f, grid)
+    return NEG_INF if v == 0.0 else 2.0 * float(np.log(v))
+
+
+def oracle_i_beta_terms(q, beta_exp, sigma, table, grid):
+    logs = np.log(table.params.s)
+    return [
+        (beta_exp + 3.0) * logs + oracle_integral(
+            log_weight_profile(table, "alpha", beta_exp + 3.0), q * q, grid, table),
+        (beta_exp + 1.0) * logs + oracle_integral(
+            log_weight_profile(table, "alpha", beta_exp + 1.0),
+            gradient_sq(q, grid), grid, table),
+        (beta_exp - 1.0) * logs + oracle_integral(
+            log_weight_profile(table, "alpha", beta_exp - 1.0),
+            sigma**2 * time_derivative(q, grid) ** 2 + hessian_sq(q, grid),
+            grid, table),
+    ]
+
+
+def oracle_theorem22(p, grid, eta0, s_list, lam, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    rep = CarlemanReport("thm2.2", {})
+    omega_prime_mask = box_mask(grid, eta0.omega_prime).astype(float)
+    A = grid.laplacian_matrix
+    samples = []
+    for _ in range(n_samples):
+        phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng)
+        adj = solve_adjoint(p, phiT, xiT, f1, f2, grid)
+        samples.append((adj, (A @ adj.phi.T).T))
+    for s in s_list:
+        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s), grid)
+        logs = np.log(s)
+        w3 = log_weight_profile(table, "alpha", 3.0)
+        w10 = log_weight_profile(table, "alpha", 10.0)
+        w18 = log_weight_profile(table, "alpha", 18.0)
+        for i, (adj, lap_phi) in enumerate(samples):
+            lhs = [3.0 * logs + oracle_integral(w3, lap_phi * lap_phi, grid, table)]
+            lhs += oracle_i_beta_terms(adj.xi, 1.0, p.eps, table, grid)
+            rhs = [
+                18.0 * logs + oracle_integral(
+                    w18, adj.xi**2, grid, table, node_mask=omega_prime_mask),
+                10.0 * logs + oracle_integral(w10, adj.f1**2, grid, table),
+                3.0 * logs + oracle_integral(w3, adj.f2**2, grid, table),
+            ]
+            rep.add(i, float(s), lam, p.eps,
+                    float(logsumexp(lhs)), float(logsumexp(rhs)))
+    return rep
+
+
+def oracle_lemma31(p_template, grid, eta0, s_list, chi, lam, eps_list,
+                   n_samples, seed):
+    rep = CarlemanReport("lem3.1", {})
+    for eps in eps_list:
+        rng = np.random.default_rng(seed)
+        p = KSParams(a=p_template.a, b=p_template.b, eps=eps,
+                     M1=p_template.M1, M2=p_template.M2)
+        samples = []
+        for _ in range(n_samples):
+            phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng)
+            samples.append(solve_adjoint(p, phiT, xiT, f1, f2, grid))
+        for s in s_list:
+            rt = refined_weights(eta0, weight_params(grid.T, lam, s=s), grid)
+            wb4 = log_weight_profile(rt, "beta", 4.0)
+            wb2 = log_weight_profile(rt, "beta", 2.0)
+            wh3 = log_weight_profile(rt, "beta_hat", 3.0)
+            ws10 = log_weight_profile(rt, "beta_star", 10.0)
+            ws3 = log_weight_profile(rt, "beta_star", 3.0)
+            ws18 = log_weight_profile(rt, "beta_star", 18.0)
+            for i, adj in enumerate(samples):
+                phi_mean = np.array(
+                    [mass(adj.phi[k], grid) for k in range(grid.m + 1)]
+                ) / grid.volume
+                phi_osc = adj.phi - phi_mean[:, None]
+                lhs = [
+                    oracle_integral(wb4, adj.xi**2, grid, rt),
+                    oracle_integral(wb2, gradient_sq(adj.xi, grid), grid, rt),
+                    oracle_integral(wh3, phi_osc**2, grid, rt),
+                    oracle_integral(wh3, gradient_sq(adj.phi, grid), grid, rt),
+                    oracle_l2_sq(phi_osc[0], grid),
+                    np.log(eps) + oracle_l2_sq(adj.xi[0], grid),
+                ]
+                rhs = [
+                    oracle_integral(ws10, adj.f1**2, grid, rt),
+                    oracle_integral(ws3, adj.f2**2, grid, rt),
+                    oracle_integral(ws18, (chi**2)[None, :] * adj.xi**2, grid, rt),
+                ]
+                rep.add(i, float(s), lam, eps,
+                        float(logsumexp(lhs)), float(logsumexp(rhs)))
+    return rep
+
+
+def oracle_lemmaA1(grid, eta0, s_list, lam, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    rep = CarlemanReport("lemA.1", {})
+    omega_mask = box_mask(grid, eta0.omega).astype(float)
+    A = grid.laplacian_matrix
+    samples = []
+    for _ in range(n_samples):
+        gfield = sample_space_time(grid, rng)
+        phi = solve_backward_heat(np.zeros(grid.num_nodes), (A @ gfield.T).T, grid)
+        samples.append((phi, gfield))
+    for s in s_list:
+        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s), grid)
+        logs = np.log(s)
+        w3 = log_weight_profile(table, "alpha", 3.0)
+        w4 = log_weight_profile(table, "alpha", 4.0)
+        for i, (phi, gfield) in enumerate(samples):
+            log_lhs = 3.0 * logs + oracle_integral(w3, phi * phi, grid, table)
+            rhs = [
+                3.0 * logs + oracle_integral(
+                    w3, phi * phi, grid, table, node_mask=omega_mask),
+                4.0 * logs + oracle_integral(w4, gfield**2, grid, table),
+            ]
+            rep.add(i, float(s), lam, 0.0, log_lhs, float(logsumexp(rhs)))
+    return rep
+
+
+BOXES_1D = ((0.30, 0.40), (0.25, 0.45), (0.20, 0.50))
+BOXES_2D = (((0.30, 0.40), (0.30, 0.45)),
+            ((0.25, 0.45), (0.25, 0.50)),
+            ((0.20, 0.50), (0.20, 0.55)))
+
+
+@pytest.mark.parametrize("name, boxes", [("grid_small", BOXES_1D),
+                                         ("grid_2d", BOXES_2D)])
+def test_reports_equal_the_s_outer_oracle(request, name, boxes):
+    grid = request.getfixturevalue(name)
+    eta = build_eta0(grid, *boxes)
+    chi = smooth_cutoff(grid, boxes[1], boxes[2])
+    p = KSParams(a=10.0, b=1.0, eps=0.1, M1=1.0, M2=10.0)
+    s_base = 0.05 * (grid.T**4 + grid.T**8)
+    s_list = [s_base, 2.0 * s_base, 4.0 * s_base]
+    lam, n, seed = 1.5, 4, 11
+    pairs = [
+        (theorem22_report(p, grid, eta, s_list, lam=lam, n_samples=n, seed=seed),
+         oracle_theorem22(p, grid, eta, s_list, lam, n, seed)),
+        (lemma31_report(p, grid, eta, s_list, chi, lam=lam, eps_list=(1.0, 0.01),
+                        n_samples=n, seed=seed),
+         oracle_lemma31(p, grid, eta, s_list, chi, lam, (1.0, 0.01), n, seed)),
+        (lemmaA1_report(grid, eta, s_list, lam=lam, n_samples=n, seed=seed),
+         oracle_lemmaA1(grid, eta, s_list, lam, n, seed)),
+    ]
+    for new, old in pairs:
+        assert len(new.rows) == len(old.rows) > 0
+        for r_new, r_old in zip(new.rows, old.rows):
+            assert r_new.keys() == r_old.keys()
+            assert {k: bits(v) for k, v in r_new.items()} \
+                == {k: bits(v) for k, v in r_old.items()}
+        assert new.falsifications == old.falsifications
+
+
+@pytest.mark.parametrize("name, boxes", [("grid_small", BOXES_1D),
+                                         ("grid_2d", BOXES_2D)])
+def test_integral_reduction_order_is_pinned(request, name, boxes):
+    # report rows hide the last bit of most sums (the log of a large weight
+    # swamps it); a flat weight and a sample scaled to a total of about 1
+    # put the log near 0, where every bit of the sum over kept terms shows
+    grid = request.getfixturevalue(name)
+    eta = build_eta0(grid, *boxes)
+    table = carleman_weights(eta, weight_params(grid.T, 1.5, sigma0=0.05), grid)
+    mask = box_mask(grid, eta.omega).astype(float)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        sq = sample_space_time(grid, rng) ** 2
+        for flat in (np.zeros(grid.m + 1), np.zeros(sq.shape)):
+            for node_mask in (None, mask):
+                sq_1 = sq / np.exp(oracle_integral(flat, sq, grid, table, node_mask))
+                got = log_space_time_integral(flat, sq_1, grid, table, node_mask)
+                want = oracle_integral(flat, sq_1, grid, table, node_mask)
+                assert abs(want) < 1e-14
+                assert bits(got) == bits(want)
