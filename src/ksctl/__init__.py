@@ -1,7 +1,6 @@
 """Null-control synthesis for the Keller-Segel system, uniform in the
 relaxation parameter, via Carleman-weighted space-time least squares."""
 
-from ._kernels import backend_name
 from .grid import Grid, build_grid, chemotaxis_divergence, mass, neumann_laplacian
 from .ks_model import (
     Control,
@@ -16,6 +15,12 @@ from .hum_control import ControlProblem, extract_control, solve_dual
 from .nonlinear_control import eps_sweep, picard_solve
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """The array backend every operator runs on; there is one, numpy."""
+    return "numpy"
+
 
 __all__ = [
     "AdjointTrajectory",

@@ -7,7 +7,8 @@ Outputs land in ``<outdir>/<command>-<hash>.csv`` and ``.json`` where the
 hash digests the fully resolved configuration; rerunning an identical
 config reproduces the CSV byte for byte (timings live only in the JSON
 record).  Exit codes: 0 success, 1 configuration or usage error, 2 solver
-non-convergence, 3 invariant falsification.
+non-convergence or input rejected by the solvers, 3 invariant
+falsification, 4 internal error (traceback printed).
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import numbers
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from . import _kernels
 from .carleman_check import lemma31_report, lemmaA1_report, theorem22_report
 from .grid import Grid, build_grid, l2_norm, mass
 from .hum_control import ControlProblem, extract_control, solve_dual
@@ -360,7 +361,6 @@ class _Runner:
                 "command": self.command,
                 "config": cfg.as_dict(),
                 "config_hash": cfg.content_hash,
-                "kernel_backend": _kernels.backend_name(),
                 "wall_seconds": time.time() - self.t_start,
                 "phase_marks": {
                     k: v - self.t_start for k, v in self.phases.items()
@@ -634,9 +634,13 @@ def main(argv=None) -> int:
         return 1
     try:
         return run(args.command, cfg)
-    except Exception as exc:  # solver-level failures map to exit 2
+    except (RuntimeError, ValueError) as exc:  # solver failures, rejected inputs
         print(f"ksctl {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # anything else is a defect, not non-convergence
+        traceback.print_exc()
+        print(f"ksctl {args.command}: internal error", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -18,11 +18,10 @@ so they are structural here, not accidental.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-
-from . import _kernels
 
 __all__ = [
     "Grid",
@@ -61,15 +60,16 @@ class Grid:
         object.__setattr__(self, "shape", tuple(ni + 1 for ni in self.n))
         object.__setattr__(self, "num_nodes", int(np.prod(self.shape)))
 
-    # -- static geometry -------------------------------------------------
+    # -- static geometry (built once per grid, shared read-only) ----------
 
-    @property
-    def axes(self) -> list[np.ndarray]:
-        return [np.linspace(0.0, Li, ni + 1) for Li, ni in zip(self.L, self.n)]
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        return tuple(_read_only(np.linspace(0.0, Li, ni + 1))
+                     for Li, ni in zip(self.L, self.n))
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.m + 1)
+        return _read_only(np.linspace(0.0, self.T, self.m + 1))
 
     @property
     def volume(self) -> float:
@@ -81,33 +81,28 @@ class Grid:
         w[0] = w[-1] = 0.5 * self.h[axis]
         return w
 
-    @property
+    @cached_property
     def quad_weights(self) -> np.ndarray:
         """Flat quadrature weight per node (tensor product of axis weights)."""
-        if self._cache.get("w") is None:
-            if self.dim == 1:
-                w = self.axis_weights(0)
-            else:
-                w = np.multiply.outer(self.axis_weights(0), self.axis_weights(1)).ravel()
-            self._cache["w"] = w
-        return self._cache["w"]
+        if self.dim == 1:
+            return _read_only(self.axis_weights(0))
+        return _read_only(
+            np.multiply.outer(self.axis_weights(0), self.axis_weights(1)).ravel())
 
-    @property
+    @cached_property
     def node_coords(self) -> np.ndarray:
         """(num_nodes, dim) array of node coordinates, flat node order."""
         if self.dim == 1:
-            return self.axes[0][:, None]
+            return _read_only(self.axes[0][:, None])
         X, Y = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        return _read_only(np.column_stack([X.ravel(), Y.ravel()]))
 
     # -- cached operator matrices ----------------------------------------
 
-    @property
+    @cached_property
     def _cache(self) -> dict:
-        # frozen dataclass: smuggle a mutable cache in via __dict__
-        if "_cache_dict" not in self.__dict__:
-            object.__setattr__(self, "_cache_dict", {})
-        return self.__dict__["_cache_dict"]
+        # per-grid store for factorizations and the face table
+        return {}
 
     def _axis_laplacian(self, axis: int) -> sp.csr_matrix:
         n = self.n[axis]
@@ -119,20 +114,16 @@ class Grid:
         A[n, n - 1] = 2.0
         return (A / (h * h)).tocsr()
 
-    @property
+    @cached_property
     def laplacian_matrix(self) -> sp.csr_matrix:
         """Sparse Neumann Laplacian on flat node vectors."""
-        if self._cache.get("lap") is None:
-            if self.dim == 1:
-                A = self._axis_laplacian(0)
-            else:
-                Ax = self._axis_laplacian(0)
-                Ay = self._axis_laplacian(1)
-                Ix = sp.identity(self.n[0] + 1, format="csr")
-                Iy = sp.identity(self.n[1] + 1, format="csr")
-                A = sp.kron(Ax, Iy, format="csr") + sp.kron(Ix, Ay, format="csr")
-            self._cache["lap"] = A
-        return self._cache["lap"]
+        if self.dim == 1:
+            return self._axis_laplacian(0)
+        Ax = self._axis_laplacian(0)
+        Ay = self._axis_laplacian(1)
+        Ix = sp.identity(self.n[0] + 1, format="csr")
+        Iy = sp.identity(self.n[1] + 1, format="csr")
+        return sp.kron(Ax, Iy, format="csr") + sp.kron(Ix, Ay, format="csr")
 
 
 def build_grid(dim, L, n, T, m) -> Grid:
@@ -168,26 +159,105 @@ def _check_field(f: np.ndarray, grid: Grid) -> None:
         )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class _Faces:
+    """The faces along one axis: face k joins node ``left[k]`` to its
+    neighbour ``right[k]`` at distance ``h``; ``cw`` is every node's
+    trapezoid cell width along this axis."""
+
+    left: np.ndarray
+    right: np.ndarray
+    h: float
+    cw: np.ndarray
+
+
+@dataclass(frozen=True)
+class _ChemStencil:
+    """The grid's face table: the one definition of both spatial operators.
+
+    A face flux q leaves its left node and enters its right node, and each
+    node divides its net outflow by its cell width; with no boundary faces
+    the weighted sum telescopes to zero.  The Laplacian takes
+    q = (f_r - f_l)/h, div(u grad v) takes q = 0.5 (u_l + u_r)(v_r - v_l)/h.
+
+    The density step assembles N(v) on the Laplacian's sorted CSC pattern:
+    face (l, r) puts 0.5 (v_r - v_l)/h into slots (l,l), (l,r) over +cw_l
+    and (r,l), (r,r) over -cw_r; faces run axis by axis in C order, so each
+    diagonal sums in the order of the COO build this replaced."""
+
+    faces: tuple[_Faces, ...]
+    indices: np.ndarray
+    indptr: np.ndarray
+    lap: np.ndarray    # Laplacian data on the pattern
+    eye: np.ndarray    # identity data on the pattern
+    cw4: np.ndarray    # per slot: signed cell width
+    slots: np.ndarray
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.indptr.size - 1,) * 2)
+
+    def chem_data(self, v: np.ndarray) -> np.ndarray:
+        coeff = np.concatenate([0.5 * ((v[f.right] - v[f.left]) / f.h) for f in self.faces])
+        return np.bincount(self.slots, np.repeat(coeff, 4) / self.cw4,
+                           minlength=len(self.lap))
+
+    def divergence(self, flux) -> np.ndarray:
+        """Sum over the axes, x first, of the net outflow per cell width of
+        the face flux ``flux(faces)``."""
+        nn = self.indptr.size - 1
+        out = None
+        for f in self.faces:
+            q = flux(f)
+            d = (np.bincount(f.left, q, nn) - np.bincount(f.right, q, nn)) / f.cw
+            out = d if out is None else out + d
+        return out
+
+
+def _chem_stencil(grid: Grid) -> _ChemStencil:
+    if "chem" not in grid._cache:
+        A = grid.laplacian_matrix.tocsc()
+        A.sort_indices()
+        nn = grid.num_nodes
+        cols = np.repeat(np.arange(nn), np.diff(A.indptr))
+        ijk = np.indices(grid.shape).reshape(grid.dim, nn)
+        faces = []
+        for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
+            l = np.flatnonzero(ijk[ax] < n)     # left nodes, C order
+            stride = int(np.prod(grid.shape[ax + 1:]))
+            faces.append(_Faces(l, l + stride, h, grid.axis_weights(ax)[ijk[ax]]))
+        l = np.concatenate([f.left for f in faces])
+        r = np.concatenate([f.right for f in faces])
+        cwl = np.concatenate([f.cw[f.left] for f in faces])
+        cwr = np.concatenate([f.cw[f.right] for f in faces])
+        grid._cache["chem"] = _ChemStencil(
+            faces=tuple(faces), indices=A.indices, indptr=A.indptr, lap=A.data,
+            eye=np.where(cols == A.indices, 1.0, 0.0),
+            cw4=np.column_stack([cwl, cwl, -cwr, -cwr]).ravel(),
+            slots=np.searchsorted(cols * nn + A.indices,   # ascending keys
+                                  (np.column_stack([l, r, l, r]) * nn
+                                   + np.column_stack([l, l, r, r])).ravel()),
+        )
+    return grid._cache["chem"]
+
+
 def neumann_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Laplacian with ghost-node reflection (zero normal derivative)."""
+    """Second-order Laplacian with zero normal derivative, in flux form."""
     _check_field(f, grid)
-    if grid.dim == 1:
-        return _kernels.lap_1d(f, grid.h[0])
-    out = _kernels.lap_2d(f.reshape(grid.shape), grid.h[0], grid.h[1])
-    return out.ravel()
+    return _chem_stencil(grid).divergence(
+        lambda fc: (f[fc.right] - f[fc.left]) / fc.h)
 
 
 def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
     """Flux-form div(u grad v) with zero normal flux; weighted sum is exactly 0."""
     _check_field(u, grid)
     _check_field(v, grid)
-    if grid.dim == 1:
-        return _kernels.chemdiv_1d(u, v, grid.h[0], grid.axis_weights(0))
-    out = _kernels.chemdiv_2d(
-        u.reshape(grid.shape), v.reshape(grid.shape),
-        grid.h[0], grid.h[1], grid.axis_weights(0), grid.axis_weights(1),
-    )
-    return out.ravel()
+    return _chem_stencil(grid).divergence(
+        lambda fc: 0.5 * (u[fc.left] + u[fc.right]) * (v[fc.right] - v[fc.left]) / fc.h)
 
 
 def mass(f: np.ndarray, grid: Grid) -> float:

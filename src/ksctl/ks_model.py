@@ -8,9 +8,9 @@ chemical gradient lagged one step.  Every operator involved has exactly zero
 weighted sum, so the cell-density mass is conserved to solver roundoff by
 construction, with or without control.
 
-Each density step fills its matrix in place on a stencil pattern cached per
-grid (the chemotaxis matrix N(v) goes face by face, in 1D and 2D alike, into
-the data slots of the Laplacian's CSC pattern), then makes one sparse solve.
+Each density step fills its matrix in place on the grid's cached face table
+(the chemotaxis matrix N(v) goes face by face, in 1D and 2D alike, into the
+data slots of the Laplacian's CSC pattern), then makes one sparse solve.
 
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix is assembled here and
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, mass
+from .grid import Grid, _chem_stencil, mass
 
 __all__ = [
     "KSParams",
@@ -126,57 +126,6 @@ class StateTrajectory:
     v: np.ndarray
     params: KSParams
     grid: Grid
-
-
-@dataclass(frozen=True)
-class _ChemStencil:
-    """N(v) on the Laplacian's sorted CSC pattern.  Face (l, r) carries the
-    flux 0.5 (u_l + u_r) dv/h into slots (l,l), (l,r) over +cw_l and (r,l),
-    (r,r) over -cw_r; faces run axis by axis in C order, so each diagonal
-    sums in the order of the COO build this replaces."""
-
-    indices: np.ndarray
-    indptr: np.ndarray
-    lap: np.ndarray    # Laplacian data on the pattern
-    eye: np.ndarray    # identity data on the pattern
-    left: np.ndarray   # per face
-    right: np.ndarray
-    h: np.ndarray
-    cw4: np.ndarray    # per slot: signed cell width
-    slots: np.ndarray
-
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.indptr.size - 1,) * 2)
-
-    def chem_data(self, v: np.ndarray) -> np.ndarray:
-        coeff = 0.5 * ((v[self.right] - v[self.left]) / self.h)
-        return np.bincount(self.slots, np.repeat(coeff, 4) / self.cw4,
-                           minlength=len(self.lap))
-
-
-def _chem_stencil(grid: Grid) -> _ChemStencil:
-    if "chem" not in grid._cache:
-        A = grid.laplacian_matrix.tocsc()
-        A.sort_indices()
-        nn = grid.num_nodes
-        cols = np.repeat(np.arange(nn), np.diff(A.indptr))
-        ijk = np.indices(grid.shape).reshape(grid.dim, nn)
-        faces = []
-        for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
-            l = np.flatnonzero(ijk[ax] < n)     # left nodes, C order
-            i, cw = ijk[ax][l], grid.axis_weights(ax)
-            stride = int(np.prod(grid.shape[ax + 1:]))
-            faces.append((l, l + stride, np.full(l.size, h), cw[i], cw[i + 1]))
-        l, r, h, cwl, cwr = map(np.concatenate, zip(*faces))
-        grid._cache["chem"] = _ChemStencil(
-            indices=A.indices, indptr=A.indptr, lap=A.data,
-            eye=np.where(cols == A.indices, 1.0, 0.0), left=l, right=r, h=h,
-            cw4=np.column_stack([cwl, cwl, -cwr, -cwr]).ravel(),
-            slots=np.searchsorted(cols * nn + A.indices,   # ascending keys
-                                  (np.column_stack([l, r, l, r]) * nn
-                                   + np.column_stack([l, l, r, r])).ravel()),
-        )
-    return grid._cache["chem"]
 
 
 def _v_step_factor(p: KSParams, grid: Grid, theta: float):

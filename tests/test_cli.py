@@ -4,6 +4,7 @@ import os
 import pytest
 import yaml
 
+from ksctl import cli
 from ksctl.cli import ConfigError, main, parse_config
 
 
@@ -181,6 +182,24 @@ def test_control_nonlinear_exit_codes(tmp_path):
     # starving the Picard loop of iterations must signal non-convergence
     assert main(["control-nonlinear", "--config", path,
                  "--solver.maxit=1", "--solver.tol=1e-14"]) == 2
+
+
+@pytest.mark.parametrize("exc, code", [
+    (RuntimeError, 2),  # solver failures: BlowUpError, SuperLU, ...
+    (ValueError, 2),    # inputs the domain constructors reject
+    (TypeError, 4),     # a defect must not read as non-convergence
+    (KeyError, 4),
+])
+def test_run_exceptions_map_to_exit_codes(tmp_path, capsys, monkeypatch, exc, code):
+    def broken(cfg, runner):
+        raise exc("planted")
+
+    monkeypatch.setitem(cli._DISPATCH, "simulate", broken)
+    path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
+    assert main(["simulate", "--config", path]) == code
+    err = capsys.readouterr().err
+    assert exc.__name__ in err
+    assert ("Traceback" in err) == (code == 4)
 
 
 def test_carleman_ratio_beyond_double_is_a_decimal_literal(tmp_path):

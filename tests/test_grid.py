@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ksctl
 from ksctl.grid import (
     build_grid,
     chemotaxis_divergence,
@@ -38,6 +44,26 @@ def test_build_grid_2d_node_count():
 def test_build_grid_rejects(args):
     with pytest.raises(ValueError):
         build_grid(*args)
+
+
+@pytest.mark.parametrize("name", ["axes", "times", "node_coords", "quad_weights"])
+def test_geometry_is_built_once_and_read_only(name):
+    g = build_grid(2, (1.0, 0.8), (12, 9), 1.0, 20)
+    first = getattr(g, name)
+    assert getattr(g, name) is first
+    for a in (first if name == "axes" else (first,)):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_import_ignores_backend_variable():
+    # there is one array backend; a stale selector must not break the import
+    src = str(Path(ksctl.__file__).resolve().parents[1])
+    env = dict(os.environ, KSCTL_BACKEND="bogus",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", "import ksctl"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_laplacian_annihilates_constants():
