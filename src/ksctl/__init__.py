@@ -9,7 +9,7 @@ from .ks_model import (
     solve_forward_pp,
     solve_linearized,
 )
-from .adjoint import AdjointTrajectory, duality_gap, solve_adjoint
+from .adjoint import AdjointTrajectory, solve_adjoint
 from .weights import build_eta0, carleman_weights, refined_weights, weight_params
 from .hum_control import ControlProblem, extract_control, solve_dual
 from .nonlinear_control import eps_sweep, picard_solve
@@ -33,7 +33,6 @@ __all__ = [
     "build_grid",
     "carleman_weights",
     "chemotaxis_divergence",
-    "duality_gap",
     "eps_sweep",
     "extract_control",
     "mass",

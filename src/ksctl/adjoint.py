@@ -1,4 +1,4 @@
-"""Backward solver for the adjoint pair and the discrete duality audit.
+"""Backward solver for the adjoint pair.
 
 Discretize-then-transpose: the backward one-step operator is the exact
 adjoint (with respect to the trapezoid inner product) of the forward
@@ -13,10 +13,11 @@ terminal data, and summation by parts gives the exact identity
       = sum_k dt <h1^k, phi^{k-1}> + dt <(g chi + h2)^k, xi^{k-1}>
         + <z^0, phi^0> + eps <w^0, xi^0>,
 
-whose residual :func:`duality_gap` reports.  The one-step index offset on
-the right is the footprint of implicit Euler; it is part of the contract,
-not an approximation, and every consumer (the weighted least-squares dual
-form in particular) pairs sources with states in exactly this way.
+which the tests' duality audit checks to roundoff.  The one-step index
+offset on the right is the footprint of implicit Euler; it is part of the
+contract, not an approximation, and every consumer (the weighted
+least-squares dual form in particular) pairs sources with states in
+exactly this way.
 """
 
 from __future__ import annotations
@@ -28,21 +29,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, inner, mass
-from .ks_model import Control, KSParams, StateTrajectory
+from .grid import Grid, mass
+from .ks_model import KSParams
 
 __all__ = [
     "AdjointTrajectory",
-    "DualityMismatchError",
     "solve_adjoint",
     "solve_backward_heat",
-    "duality_gap",
-    "duality_terms",
 ]
-
-
-class DualityMismatchError(ValueError):
-    """Primal and adjoint trajectories disagree on grid or relaxation."""
 
 
 @dataclass
@@ -151,62 +145,3 @@ def solve_backward_heat(phiT: np.ndarray, source: np.ndarray, grid: Grid) -> np.
     for k in range(m - 1, -1, -1):
         phi[k] = lu.solve(phi[k + 1] + grid.dt * source[k + 1])
     return phi
-
-
-def duality_terms(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
-                  h1: np.ndarray | None, h2: np.ndarray | None):
-    """Both sides of the discrete transposition identity, term by term.
-
-    Returns (lhs, rhs, scale): lhs collects the adjoint-source pairings plus
-    terminal pairings, rhs the forward-source and initial pairings; scale is
-    the sum of absolute values of every term (for relative gap reporting).
-    """
-    grid = primal.grid
-    if adj.grid is not grid and (
-        adj.grid.dim != grid.dim or adj.grid.n != grid.n
-        or adj.grid.L != grid.L or adj.grid.m != grid.m
-        or adj.grid.T != grid.T
-    ):
-        raise DualityMismatchError("primal and adjoint live on different grids")
-    if adj.params.eps != primal.params.eps:
-        raise DualityMismatchError(
-            f"eps mismatch: primal {primal.params.eps}, adjoint {adj.params.eps}"
-        )
-    m = grid.m
-    dt = grid.dt
-    nn = grid.num_nodes
-    zeros = np.zeros((m + 1, nn))
-    h1 = zeros if h1 is None else h1
-    h2 = zeros if h2 is None else h2
-
-    w = grid.quad_weights
-    eps = primal.params.eps
-
-    def pair(traj_slices, src_slices):
-        # sum_k dt <a^k, b^k>_W over the given index pairs
-        return dt * float(np.einsum("kn,n,kn->", traj_slices, w, src_slices))
-
-    lhs_terms = [
-        pair(primal.u[1:], adj.f1[1:]),
-        pair(primal.v[1:], adj.f2[1:]),
-        inner(primal.u[m], adj.phiT, grid),
-        eps * inner(primal.v[m], adj.xiT, grid),
-    ]
-    gchi = c.g[1:] * c.chi[None, :]
-    rhs_terms = [
-        pair(adj.phi[:-1], h1[1:]),
-        pair(adj.xi[:-1], gchi),
-        pair(adj.xi[:-1], h2[1:]),
-        inner(primal.u[0], adj.phi[0], grid),
-        eps * inner(primal.v[0], adj.xi[0], grid),
-    ]
-    scale = sum(abs(t) for t in lhs_terms + rhs_terms)
-    return sum(lhs_terms), sum(rhs_terms), scale
-
-
-def duality_gap(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
-                h1: np.ndarray | None, h2: np.ndarray | None) -> float:
-    """Absolute residual of the transposition identity (machine-zero when the
-    primal really solves the forward problem with the given data)."""
-    lhs, rhs, _ = duality_terms(primal, adj, c, h1, h2)
-    return abs(lhs - rhs)

@@ -35,7 +35,6 @@ from .weights import (
 
 __all__ = [
     "CarlemanReport",
-    "i_beta",
     "theorem22_report",
     "lemma31_report",
     "lemmaA1_report",
@@ -131,27 +130,18 @@ def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _time_weights(grid: Grid, table) -> np.ndarray:
-    """Trapezoid weights in time with zero weight on singular steps."""
-    tw = np.full(grid.m + 1, grid.dt)
-    tw[0] = tw[-1] = 0.5 * grid.dt
-    for k in table.singular_steps:
-        tw[k] = 0.0
-    return tw
-
-
 def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, grid: Grid,
                             table, node_mask: np.ndarray | None = None) -> float:
     """log of  sum_k tw_k sum_p W_p exp(log_w[k,p]) sq[k,p]   (sq >= 0).
 
+    ``tw_k W_p`` is the table's :attr:`~WeightTable.space_time_weights`.
     ``log_w`` may be per-step (``(m+1,)``) or per (step, node).  Returns -inf
     for an identically zero sum; never NaN.
     """
-    tw = _time_weights(grid, table)
-    w = grid.quad_weights
+    w = table.space_time_weights
     if node_mask is not None:
         w = w * node_mask
-    coeff = tw[:, None] * w[None, :] * sq
+    coeff = w * sq
     if log_w.ndim == 1:
         log_w = log_w[:, None]
     logw_b = np.broadcast_to(log_w, coeff.shape)
@@ -184,21 +174,6 @@ def _log_i_beta_terms(integrands: tuple, profiles: list, table: WeightTable,
     logs = np.log(table.params.s)
     return [k * logs + log_space_time_integral(w, sq, grid, table)
             for (k, w), sq in zip(profiles, integrands)]
-
-
-def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
-           table: WeightTable, grid: Grid) -> float:
-    """The three-term weighted space-time energy of one scalar sample.
-
-    Returned on the linear scale; for large ``s`` this may underflow to 0,
-    which is why the inequality reports combine the log-domain terms
-    directly instead of calling this.
-    """
-    if not (0.0 < sigma <= 1.0):
-        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    return float(np.exp(_logsumexp(_log_i_beta_terms(
-        _i_beta_integrands(q, sigma, grid), _i_beta_profiles(table, beta_exp),
-        table, grid))))
 
 
 # ---------------------------------------------------------------------------

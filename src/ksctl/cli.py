@@ -27,11 +27,11 @@ import numpy as np
 import yaml
 
 from .carleman_check import lemma31_report, lemmaA1_report, theorem22_report
-from .grid import Grid, build_grid, l2_norm, mass
+from .grid import ConfigError, Grid, build_grid, l2_norm, mass
 from .hum_control import ControlProblem, extract_control, solve_dual
 from .ks_model import Control, KSParams, smooth_cutoff, solve_forward_pe, solve_forward_pp, solve_linearized
 from .nonlinear_control import eps_sweep, picard_solve
-from .weights import build_eta0, refined_weights, weight_params
+from .weights import WeightParams, build_eta0, check_boxes, refined_weights, weight_params
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main", "ConfigError"]
 
@@ -56,14 +56,6 @@ DEFAULTS: dict = {
     },
     "io": {"outdir": "out", "format": "both"},
 }
-
-
-class ConfigError(ValueError):
-    """Carries every violation found, not just the first."""
-
-    def __init__(self, violations):
-        super().__init__("; ".join(violations))
-        self.violations = list(violations)
 
 
 @dataclass
@@ -99,17 +91,16 @@ class ExperimentConfig:
                         eps=ph["eps"] if eps is None else float(eps),
                         M1=ph["M1"], M2=ph["M2"])
 
-    def s_value(self, grid: Grid) -> float:
+    def carleman_params(self, T: float) -> WeightParams:
+        """``weights.s`` when given (0 included), else s derived from sigma0."""
         w = self.weights
-        if w.get("s"):
-            return float(w["s"])
-        return w["sigma0"] * (grid.T**4 + grid.T**8)
+        s = None if w["s"] is None else float(w["s"])
+        return weight_params(T, w["lambda"], s=s, sigma0=w["sigma0"])
 
     def weight_tables(self, grid: Grid):
         w = self.weights
         eta = build_eta0(grid, w["omega0"], w["omega_prime"], w["omega"])
-        params = weight_params(grid.T, w["lambda"], s=self.s_value(grid))
-        return eta, refined_weights(eta, params, grid)
+        return eta, refined_weights(eta, self.carleman_params(grid.T), grid)
 
     def cutoff(self, grid: Grid) -> np.ndarray:
         return smooth_cutoff(grid, self.weights["omega_prime"], self.weights["omega"])
@@ -170,79 +161,18 @@ def _merge(base: dict, override: dict, path="", violations=None) -> dict:
 
 
 def _validate(cfg: dict) -> list:
+    """Rules of the fields no domain object owns; the grid, physics, weight
+    and box rules live in the constructors (see :func:`_domain_violations`)."""
     v = []
-    g, ph, w, s = cfg["grid"], cfg["physics"], cfg["weights"], cfg["solver"]
-    if g["dim"] not in (1, 2):
-        v.append(f"grid.dim must be 1 or 2, got {g['dim']}")
-    if not g["T"] > 0.0:
-        v.append("grid.T must be > 0.0")
-    ns = np.atleast_1d(g["n"])
-    if g["dim"] in (1, 2):
-        for name in ("n", "L"):
-            if len(np.atleast_1d(g[name])) not in (1, g["dim"]):
-                v.append(f"grid.{name} must have one entry per axis (dim={g['dim']})")
-    if np.any(ns < 8):
-        v.append("grid.n must be at least 8 intervals per axis")
-    if g["m"] < 16:
-        v.append("grid.m must be at least 16 time steps")
-    Ls = np.atleast_1d(np.asarray(g["L"], dtype=float))
-    if np.any(Ls <= 0):
-        v.append("grid.L must be positive")
-
-    if not (ph["a"] > 0 and ph["b"] > 0):
-        v.append("physics.a and physics.b must be positive")
+    ph, w, s = cfg["physics"], cfg["weights"], cfg["solver"]
     if not ph["eps_list"]:
         v.append("physics.eps_list must not be empty")
-    all_eps = [ph["eps"]] + list(ph["eps_list"])
-    if any(not (0.0 < e <= 1.0) for e in all_eps):
-        v.append("every relaxation parameter must lie in (0, 1]")
-    if abs(ph["a"] * ph["M1"] - ph["b"] * ph["M2"]) >= 1e-12:
-        v.append(
-            "steady-state compatibility violated: a*M1 - b*M2 = "
-            f"{ph['a'] * ph['M1'] - ph['b'] * ph['M2']:.3e} (must be 0)"
-        )
     if ph["delta"] < 0:
         v.append("physics.delta must be nonnegative")
     if not (ph["mode"] >= 1 and float(ph["mode"]).is_integer()):
         v.append("physics.mode must be a positive integer")
-
-    if w["lambda"] < 1.0:
-        v.append("weights.lambda must be >= 1")
-    if w.get("s") is None and not w["sigma0"] > 0:
-        v.append("weights.sigma0 must be positive when s is not given")
-    try:
-        s_bad = w.get("s") is not None and not float(w["s"]) > 0
-    except (TypeError, ValueError):  # '--weights.s=1e3' arrives as a string
-        s_bad = True
-    if s_bad:
-        v.append("weights.s must be a positive number when given")
     if not (w["s_scan"] and all(x > 0 for x in w["s_scan"])):
         v.append("weights.s_scan must be a non-empty list of positive numbers")
-
-    def boxes_ok():
-        dim = g["dim"] if g["dim"] in (1, 2) else 1
-        try:
-            b0 = np.atleast_2d(np.asarray(w["omega0"], dtype=float))
-            bp = np.atleast_2d(np.asarray(w["omega_prime"], dtype=float))
-            bw = np.atleast_2d(np.asarray(w["omega"], dtype=float))
-        except (TypeError, ValueError):
-            v.append("control-region boxes must be (lo, hi) pairs per axis")
-            return
-        nests = [(b0, bp, "omega0 strictly inside omega_prime"),
-                 (bp, bw, "omega_prime strictly inside omega")]
-        if Ls.size in (1, dim):  # a wrong L length is reported above
-            dom = np.array([[0.0, L] for L in np.broadcast_to(Ls, (dim,))])
-            nests.append((bw, dom, "omega strictly inside the domain"))
-        for inner_b, outer_b, msg in nests:
-            if inner_b.shape != (dim, 2) or outer_b.shape[-1] != 2:
-                v.append(f"box shapes invalid for dim={dim}")
-                return
-            if not (np.all(inner_b[:, 0] > outer_b[:, 0])
-                    and np.all(inner_b[:, 1] < outer_b[:, 1])):
-                v.append(f"nesting rule violated: need {msg}")
-
-    boxes_ok()
-
     for name in ("tol", "cg_tol"):
         if not s[name] >= 0:
             v.append(f"solver.{name} must be nonnegative")
@@ -257,6 +187,35 @@ def _validate(cfg: dict) -> list:
     if cfg["io"]["format"] not in ("csv", "json", "both"):
         v.append("io.format must be csv|json|both")
     return v
+
+
+def _domain_violations(cfg: ExperimentConfig) -> list:
+    """Build the grid, the physics for every eps, the Carleman parameters and
+    check the control boxes, collecting what the constructors reject."""
+    g, ph, w = cfg.grid, cfg.physics, cfg.weights
+    v: list = []
+
+    def collect(section: str, build, *args):
+        try:
+            return build(*args)
+        except ConfigError as exc:
+            v.extend(f"{section}.{x}" for x in exc.violations)
+
+    grid = collect("grid", cfg.build_grid)
+    for eps in [ph["eps"], *ph["eps_list"]]:
+        collect("physics", cfg.params, eps)
+    try:
+        collect("weights", cfg.carleman_params, g["T"])
+    except (TypeError, ValueError):  # '--weights.s=1e3' arrives as a string
+        v.append(f"weights.s must be a number, got {w['s']!r}")
+    if grid is not None:
+        dim, L = grid.dim, grid.L
+    else:  # check the nesting anyway; the domain only if L fits the axes
+        dim = g["dim"] if g["dim"] in (1, 2) else 1
+        L = np.atleast_1d(g["L"])
+        L = tuple(np.broadcast_to(L, dim)) if L.size in (1, dim) else None
+    collect("weights", check_boxes, dim, L, w["omega0"], w["omega_prime"], w["omega"])
+    return list(dict.fromkeys(v))
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
@@ -282,10 +241,11 @@ def parse_config(path: str | None, overrides: dict | None = None) -> ExperimentC
                 violations.append(f"unknown override key '{dotted}'")
             else:
                 node[parts[-1]] = _coerce(node[parts[-1]], value, dotted, violations)
-    violations += _validate(merged)
+    cfg = ExperimentConfig(**merged)
+    violations += _domain_violations(cfg) + _validate(merged)
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(**merged)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +383,7 @@ def _cmd_carleman(cfg: ExperimentConfig, runner: _Runner) -> int:
     chi = cfg.cutoff(grid)
     eta, _ = cfg.weight_tables(grid)
     lam = cfg.weights["lambda"]
-    s_base = cfg.s_value(grid)
+    s_base = cfg.carleman_params(grid.T).s
     s_list = [mult * s_base for mult in cfg.weights["s_scan"]]
     n_samples = cfg.solver["n_samples"]
     seed = cfg.solver["seed"]

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
+    "ConfigError",
     "Grid",
     "build_grid",
     "neumann_laplacian",
@@ -34,6 +35,22 @@ __all__ = [
     "h1_seminorm_sq",
     "box_mask",
 ]
+
+
+class ConfigError(ValueError):
+    """Carries every violation found, not just the first."""
+
+    def __init__(self, violations):
+        super().__init__("; ".join(violations))
+        self.violations = list(violations)
+
+
+def check_all(checks) -> None:
+    """Raise one :class:`ConfigError` listing the message of every failed
+    check; ``checks`` holds (passed, message) pairs."""
+    failed = [msg for passed, msg in checks if not passed]
+    if failed:
+        raise ConfigError(failed)
 
 
 @dataclass(frozen=True)
@@ -129,27 +146,24 @@ class Grid:
 def build_grid(dim, L, n, T, m) -> Grid:
     """Validate sizes and assemble a :class:`Grid`.
 
-    ``L`` and ``n`` may be scalars (1D) or length-2 sequences (2D).
+    ``L`` and ``n`` may be scalars (1D) or length-2 sequences (2D).  Every
+    violated rule is reported, in one :class:`ConfigError`.
     """
-    if dim not in (1, 2):
-        raise ValueError(f"dim must be 1 or 2, got {dim}")
-    Lt = tuple(float(x) for x in (np.atleast_1d(L)))
-    nt = tuple(int(x) for x in (np.atleast_1d(n)))
-    if len(Lt) == 1 and dim == 2:
-        Lt = Lt * 2
-    if len(nt) == 1 and dim == 2:
-        nt = nt * 2
-    if len(Lt) != dim or len(nt) != dim:
-        raise ValueError("L and n must match dim")
-    if any(Li <= 0 for Li in Lt):
-        raise ValueError("domain lengths must be positive")
-    if any(ni < 8 for ni in nt):
-        raise ValueError(f"need at least 8 intervals per axis, got {nt}")
-    if T <= 0:
-        raise ValueError("final time must be positive")
-    if m < 16:
-        raise ValueError(f"need at least 16 time steps, got {m}")
-    return Grid(dim=dim, L=Lt, n=nt, T=float(T), m=int(m))
+    Lt = tuple(float(x) for x in np.atleast_1d(L))
+    nt = tuple(float(x) for x in np.atleast_1d(n))
+    if dim == 2:
+        Lt, nt = (t * 2 if len(t) == 1 else t for t in (Lt, nt))
+    dim_ok = dim in (1, 2)
+    check_all([
+        (dim_ok, f"dim must be 1 or 2, got {dim}"),
+        (not dim_ok or len(nt) == dim, f"n must have one entry per axis (dim={dim})"),
+        (not dim_ok or len(Lt) == dim, f"L must have one entry per axis (dim={dim})"),
+        (all(x >= 8 for x in nt), "n must be at least 8 intervals per axis"),
+        (m >= 16, "m must be at least 16 time steps"),
+        (all(x > 0 for x in Lt), "L must be positive"),
+        (T > 0, "T must be > 0.0"),
+    ])
+    return Grid(dim=dim, L=Lt, n=tuple(int(x) for x in nt), T=float(T), m=int(m))
 
 
 def _check_field(f: np.ndarray, grid: Grid) -> None:

@@ -29,15 +29,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import Grid, h1_seminorm_sq, inner, l2_norm, mass
 from .ks_model import Control, KSParams, solve_linearized
-from .weights import RefinedWeightTable, _logsumexp, log_weight_profile
+from .weights import WeightTable, _logsumexp, log_weight_profile
 
 __all__ = [
     "ControlProblem",
@@ -47,9 +44,7 @@ __all__ = [
     "apply_Lstar",
     "apply_L",
     "solve_dual",
-    "dense_dual_solve",
     "extract_control",
-    "elliptic_regularity_check",
 ]
 
 LSTAR_POWERS = (10.0, 3.0, 18.0)
@@ -65,7 +60,7 @@ class ControlProblem:
 
     params: KSParams
     grid: Grid
-    weights: RefinedWeightTable
+    weights: WeightTable
     chi: np.ndarray
     z0: np.ndarray
     w0: np.ndarray
@@ -178,10 +173,9 @@ class _DualOperator:
 
     The operator is genuinely sparse: the two least-squares blocks couple at
     most adjacent time slices through the spatial stencil, and the
-    observation and terminal blocks are diagonal.  The matrix is assembled
-    only on demand, on first access to :attr:`matrix`, for the dense
-    small-instance oracle and definiteness diagnostics.  The production
-    solver reads only the weight profiles, :meth:`rhs`, :meth:`project` and
+    observation and terminal blocks are diagonal.  Its matrix is assembled
+    only by the dense small-instance oracle of the tests.  The solver reads
+    only the weight profiles, :meth:`rhs`, :meth:`project` and
     :meth:`lstar`: it works in transformed coordinates (see
     :class:`_SourceTerminalSystem`) because in these raw coordinates the
     weight profiles put the dual directions so many orders of magnitude
@@ -214,45 +208,6 @@ class _DualOperator:
 
         self.W = grid.quad_weights
         self.dt = grid.dt
-        self.shape3 = (2, m + 1, grid.num_nodes)
-
-    @cached_property
-    def constraint(self) -> np.ndarray:
-        c = np.zeros(self.shape3)
-        c[0, -1] = self.W
-        return c
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        p, grid, dt, W = self.p, self.grid, self.dt, self.W
-        m, nn = grid.m, grid.num_nodes
-        A = grid.laplacian_matrix
-        I = sp.identity(nn, format="csr")
-        K_cur = sp.eye(m, m + 1, k=0, format="csr")
-        K_nxt = sp.eye(m, m + 1, k=1, format="csr")
-
-        M1 = sp.hstack(
-            [
-                sp.kron(K_cur, I / dt - A) - sp.kron(K_nxt, I / dt),
-                sp.kron(K_cur, -p.a * I),
-            ]
-        )
-        M2 = sp.hstack(
-            [
-                sp.kron(K_cur, p.M1 * A),
-                sp.kron(K_cur, (p.eps / dt + p.b) * I - A)
-                - sp.kron(K_nxt, (p.eps / dt) * I),
-            ]
-        )
-        D1 = sp.diags(np.kron(dt * self.rho1, W))
-        D2 = sp.diags(np.kron(dt * self.rho2, W))
-        A_e = (M1.T @ D1 @ M1 + M2.T @ D2 @ M2).tocsr()
-
-        extra = np.zeros((2, m + 1, nn))
-        extra[1, :m] = (dt * self.rho3)[:, None] * (W * self.prob.chi**2)[None, :]
-        extra[0, -1] = self.prob.tau * W
-        extra[1, -1] = self.prob.tau * p.eps * W
-        return (A_e + sp.diags(extra.reshape(-1))).tocsr()
 
     # Z layout: array (2, m+1, nodes)
 
@@ -276,25 +231,6 @@ class _DualOperator:
         W = self.W
         Z[0, -1] -= (W @ Z[0, -1]) / (W @ W) * W
         return Z
-
-    def dense_kkt_solve(self) -> np.ndarray:
-        """Dense direct solution of the constrained normal equations.
-
-        Small-instance oracle only: densifies the assembled sparse matrix,
-        augments the zero-mean constraint as a KKT border and solves with a
-        dense factorization (a solution path sharing nothing with the CG
-        solver beyond the quadratic form itself)."""
-        c = self.constraint.reshape(1, -1)
-        dim = c.size
-        kkt = np.block([[self.matrix.toarray(), c.T], [c, np.zeros((1, 1))]])
-        # symmetric diagonal equilibration for the dense factorization
-        d = np.sqrt(np.abs(np.diag(kkt)))
-        d[d == 0] = 1.0
-        kkt_eq = kkt / d[:, None] / d[None, :]
-        rhs = np.concatenate([self.rhs().reshape(-1), [0.0]]) / d
-        sol = np.linalg.solve(kkt_eq, rhs) / d
-        return sol[:dim].reshape(self.shape3)
-
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x.ravel(), y.ravel()))
@@ -410,32 +346,6 @@ class _SourceTerminalSystem:
 
     def rhs(self) -> np.ndarray:
         return self.project(self.march_T(self.op.rhs()))
-
-
-def dense_dual_solve(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Small-instance oracle: densify the source/terminal normal system,
-    solve it with a dense LAPACK factorization, and march back to the dual
-    pair.  Shares the quadratic form with :func:`solve_dual` but none of the
-    iterative machinery."""
-    op = _DualOperator(problem)
-    sys_ = _SourceTerminalSystem(problem, op)
-    m, nn = problem.grid.m, problem.grid.num_nodes
-    dim = 2 * m * nn + 2 * nn
-    H = np.empty((dim, dim))
-    e = np.zeros(dim)
-    for i in range(dim):
-        e[i] = 1.0
-        gty, _ = sys_.gramian_apply(e)
-        H[:, i] = gty
-        e[i] = 0.0
-    H += np.eye(dim)
-    chat_full = np.zeros((1, dim))
-    chat_full[0, 2 * m * nn: 2 * m * nn + nn] = sys_.chat
-    kkt = np.block([[H, chat_full.T], [chat_full, np.zeros((1, 1))]])
-    rhs = np.concatenate([sys_.march_T(op.rhs()), [0.0]])
-    y = np.linalg.solve(kkt, rhs)[:dim]
-    Z = op.project(sys_.march(sys_.project(y)))
-    return Z[0], Z[1]
 
 
 def solve_dual(problem: ControlProblem) -> DualSolution:
@@ -594,47 +504,3 @@ def extract_control(dual: DualSolution, problem: ControlProblem,
             g_l2h1=float(g_l2h1), crossval_rel=crossval,
             dual=dual, problem=problem,
         )
-
-
-def elliptic_regularity_check(f: np.ndarray, z0: np.ndarray, eps_list,
-                              grid: Grid) -> dict:
-    """March eps z_t - Lap z + z = f and report the discrete H2-over-data
-    ratio per eps (the continuum estimate is one Sobolev level higher; the
-    finite-difference space carries two robust derivative levels)."""
-    A = grid.laplacian_matrix
-    nn, m, dt = grid.num_nodes, grid.m, grid.dt
-    I = sp.identity(nn, format="csc")
-
-    def h2_sq(field):
-        return (
-            inner(field, field, grid)
-            + h1_seminorm_sq(field, grid)
-            + inner(A @ field, A @ field, grid)
-        )
-
-    fnorm = np.sqrt(
-        sum(dt * (inner(f[k], f[k], grid) + h1_seminorm_sq(f[k], grid))
-            for k in range(1, m + 1))
-    )
-    data = fnorm + np.sqrt(h2_sq(z0))
-    rows = []
-    for eps in eps_list:
-        lu = spla.splu((eps * I - dt * (A - I)).tocsc())
-        z = np.empty((m + 1, nn))
-        z[0] = z0
-        for k in range(m):
-            z[k + 1] = lu.solve(eps * z[k] + dt * f[k + 1])
-        znorm = np.sqrt(sum(dt * h2_sq(z[k]) for k in range(1, m + 1)))
-        rows.append(
-            {"eps": float(eps), "solution_h2": float(znorm),
-             "data_norm": float(data),
-             "ratio": float(znorm / data) if data > 0 else 0.0,
-             "final": z[m]}
-        )
-    ratios = [r["ratio"] for r in rows]
-    return {
-        "rows": rows,
-        "max_ratio": max(ratios),
-        "min_ratio": min(ratios),
-        "spread": max(ratios) / min(ratios) if min(ratios) > 0 else float("inf"),
-    }

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, _chem_stencil, mass
+from .grid import Grid, _chem_stencil, check_all, mass
 
 __all__ = [
     "KSParams",
@@ -75,15 +75,13 @@ class KSParams:
     M2: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("coupling constants a, b must be positive")
-        if not (0.0 < self.eps <= 1.0):
-            raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        if abs(self.a * self.M1 - self.b * self.M2) >= STEADY_TOL:
-            raise ValueError(
-                f"(M1, M2) is not a steady state: a*M1 - b*M2 = "
-                f"{self.a * self.M1 - self.b * self.M2:.3e}"
-            )
+        gap = self.a * self.M1 - self.b * self.M2
+        check_all([
+            (self.a > 0 and self.b > 0, "a and b must be positive"),
+            (0.0 < self.eps <= 1.0, f"eps must lie in (0, 1], got {self.eps}"),
+            (abs(gap) < STEADY_TOL, "M1, M2 violate steady-state compatibility: "
+                                    f"a*M1 - b*M2 = {gap:.3e} (must be 0)"),
+        ])
 
 
 @dataclass(frozen=True)

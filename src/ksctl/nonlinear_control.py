@@ -23,7 +23,7 @@ import numpy as np
 from .grid import Grid, chemotaxis_divergence, l2_norm, mass
 from .hum_control import ControlProblem, apply_L, extract_control, solve_dual
 from .ks_model import Control, KSParams, solve_forward_pp, solve_linearized
-from .weights import RefinedWeightTable, _logsumexp
+from .weights import WeightTable, _logsumexp
 
 __all__ = [
     "NonlinearControlResult",
@@ -31,8 +31,6 @@ __all__ = [
     "picard_solve",
     "eps_sweep",
     "e_norm",
-    "delta_radius",
-    "bilinear_continuity_ratio",
 ]
 
 
@@ -72,7 +70,7 @@ def _terminal_norm(z: np.ndarray, w: np.ndarray, grid: Grid) -> float:
 
 
 def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
-                 weights: RefinedWeightTable, chi: np.ndarray, grid: Grid,
+                 weights: WeightTable, chi: np.ndarray, grid: Grid,
                  tol: float = 1e-6, maxit: int = 20, damping: float = 1.0,
                  tau: float = 1e-8, cg_tol: float = 1e-12, cg_maxit: int = 2000,
                  weight_floor: float = 1e-6,
@@ -166,7 +164,7 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
 
 
 def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
-              weights: RefinedWeightTable, chi: np.ndarray, grid: Grid,
+              weights: WeightTable, chi: np.ndarray, grid: Grid,
               eps_list=(1.0, 0.5, 0.1, 0.01, 0.001),
               **picard_kwargs) -> SweepReport:
     """Run the Picard control per eps with identical weights and tolerances.
@@ -219,7 +217,7 @@ def _log_l2q(log_w: np.ndarray, sq_slices: np.ndarray, dt: float) -> float:
 
 
 def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
-           weights: RefinedWeightTable, params: KSParams, chi: np.ndarray,
+           weights: WeightTable, params: KSParams, chi: np.ndarray,
            grid: Grid, cap: float = 0.0) -> dict:
     """Component-wise weighted norms of a fluctuation triplet (z, w, g).
 
@@ -239,10 +237,10 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     W = grid.quad_weights
     A = grid.laplacian_matrix
 
-    tsb_star = 2.0 * s * weights.beta_star
-    tsb_hat = 2.0 * s * weights.beta_hat
-    lgs = weights.log_gamma_star
-    lgh = weights.log_gamma_hat
+    tsb_star = 2.0 * s * weights.exponent_star
+    tsb_hat = 2.0 * s * weights.exponent_hat
+    lgs = weights.log_factor_star
+    lgh = weights.log_factor_hat
 
     def sq_l2(fields: np.ndarray) -> np.ndarray:
         return np.einsum("kn,n,kn->k", fields, W, fields)
@@ -276,7 +274,7 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
         prof_v = _capped(-(tsb_star + 3.0 * lgs), cap)
         prof_g = _capped(-(tsb_star + 18.0 * lgs), cap)
         prof_r1 = _capped(-(tsb_hat + 3.0 * lgh), cap)
-        logw5 = _capped(-(weights.two_s_beta + 2.0 * weights.log_gamma), cap)
+        logw5 = _capped(-(weights.two_s_exponent + 2.0 * weights.log_factor), cap)
     put("state_u", _log_l2q(prof_u[:-1], sq_l2(z[1:]), dt))
     put("state_v", _log_l2q(prof_v[:-1], sq_l2(w[1:]), dt))
     put("control_g", _log_l2q(prof_g[:-1], sq_l2(chi[None, :] * g[1:]), dt))
@@ -318,62 +316,3 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
             "value": float(sum(v["value"] for v in out.values())),
         }
     return out
-
-
-def delta_radius(p: KSParams, weights: RefinedWeightTable, chi: np.ndarray,
-                 grid: Grid, mode: int = 1, delta_lo: float = 0.0,
-                 delta_hi: float = 0.64, bisections: int = 6,
-                 **picard_kwargs) -> dict:
-    """Bisection estimate of the largest cosine-perturbation amplitude the
-    Picard loop still controls.  The smallness radius is measured, never
-    assumed; the bracket and per-probe outcomes are all reported."""
-    x = grid.node_coords[:, 0]
-    probes = []
-
-    def attempt(delta: float) -> bool:
-        u0 = p.M1 + delta * np.cos(mode * np.pi * x / grid.L[0])
-        v0 = np.full_like(x, p.M2)
-        if np.any(u0 < 0):
-            return False
-        try:
-            r = picard_solve(p, u0, v0, weights, chi, grid, **picard_kwargs)
-        except RuntimeError:  # blow-up, inner cap, extraction, singular factor
-            return False
-        probes.append({"delta": delta, "converged": r.converged,
-                       "iterations": r.iterations})
-        return r.converged
-
-    lo, hi = delta_lo, delta_hi
-    if attempt(hi):
-        return {"radius_lo": hi, "radius_hi": float("inf"), "probes": probes}
-    for _ in range(bisections):
-        mid = 0.5 * (lo + hi)
-        if attempt(mid):
-            lo = mid
-        else:
-            hi = mid
-    return {"radius_lo": lo, "radius_hi": hi, "probes": probes}
-
-
-def bilinear_continuity_ratio(z: np.ndarray, w: np.ndarray,
-                              weights: RefinedWeightTable, params: KSParams,
-                              chi: np.ndarray, grid: Grid,
-                              cap: float = 0.0) -> float:
-    """Measured continuity constant of the quadratic remainder: the weighted
-    source-space norm of div(z grad w) over the product of the two
-    regularity norms that bound it."""
-    h1 = np.array(
-        [-chemotaxis_divergence(z[k], w[k], grid) for k in range(grid.m + 1)]
-    )
-    comp = e_norm(z, w, np.zeros_like(z), weights, params, chi, grid, cap=cap)
-    s = weights.params.s
-    with np.errstate(invalid="ignore"):
-        w4 = _capped(
-            -(2.0 * s * weights.beta_hat + 3.0 * weights.log_gamma_hat), cap
-        )[:-1]
-    sqs = np.einsum("kn,n,kn->k", h1[1:], grid.quad_weights, h1[1:])
-    log_num = 0.5 * _log_l2q(w4, sqs, grid.dt)
-    log_den = comp["state_u_h2"]["log"] + comp["state_v_h2"]["log"]
-    if not (np.isfinite(log_num) and np.isfinite(log_den)):
-        return 0.0 if np.isneginf(log_num) else float("inf")
-    return float(np.exp(log_num - log_den))

@@ -10,33 +10,34 @@ two weight families are tabulated on the space-time grid:
   truncated function ``l(t)`` (constant ``T^2/4`` on ``[0, T/2]``), so it is
   regular at ``t = 0`` and singular only at ``t = T``.
 
+Both families live in one :class:`WeightTable` type, tagged by family.
 Exponentials like ``exp(2 s alpha) * phi**k`` underflow to zero across most
 of the grid for realistic ``s``; every consumer therefore works with the
 stored logarithms (``2 s alpha`` and ``log phi``), combined per query by
-:func:`log_weight`.  At singular time nodes the log is ``-inf`` by the limit
-convention (the exponential factor wins against any power), so ``exp`` of a
-query is always finite or exactly zero, never NaN.
+:func:`log_weight_profile`.  At singular time nodes the log is ``-inf`` by
+the limit convention (the exponential factor wins against any power), so
+``exp`` of a query is always finite or exactly zero, never NaN.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, box_mask
+from .grid import ConfigError, Grid, _read_only, box_mask, check_all
 
 __all__ = [
     "Eta0",
     "WeightParams",
     "WeightTable",
-    "RefinedWeightTable",
     "Eta0ConstructionError",
+    "check_boxes",
     "build_eta0",
     "weight_params",
     "carleman_weights",
     "refined_weights",
-    "log_weight",
     "log_weight_profile",
 ]
 
@@ -47,17 +48,40 @@ class Eta0ConstructionError(ValueError):
     """Raised when the numeric scan refutes one of the bump invariants."""
 
 
-def _as_boxes(box, dim: int) -> np.ndarray:
-    b = np.atleast_2d(np.asarray(box, dtype=float))
-    if b.shape != (dim, 2):
-        raise ValueError(f"expected {dim} (lo, hi) pairs, got {box}")
-    if np.any(b[:, 0] >= b[:, 1]):
-        raise ValueError(f"degenerate box {box}")
-    return b
-
-
 def _strictly_inside(inner: np.ndarray, outer: np.ndarray) -> bool:
     return bool(np.all(inner[:, 0] > outer[:, 0]) and np.all(inner[:, 1] < outer[:, 1]))
+
+
+def check_boxes(dim: int, L, omega0, omega_prime, omega) -> list[np.ndarray]:
+    """The three control boxes as (dim, 2) arrays of (lo, hi) per axis,
+    after checking the strict nesting omega0 << omega_prime << omega << the
+    domain (0, L); ``L = None`` skips the domain.  Needs no grid, so the
+    rule can be checked while the grid itself is invalid.  Every violation
+    is reported, in one :class:`ConfigError`.
+    """
+    named = {"omega0": omega0, "omega_prime": omega_prime, "omega": omega}
+    boxes, bad = {}, []
+    for name, box in named.items():
+        try:
+            b = np.atleast_2d(np.asarray(box, dtype=float))
+        except (TypeError, ValueError):
+            b = None
+        if b is None or b.shape != (dim, 2):
+            bad.append(f"{name} must be one (lo, hi) pair per axis (dim={dim}), got {box!r}")
+        elif not np.all(b[:, 0] < b[:, 1]):
+            bad.append(f"{name} must have lo < hi on every axis, got {box!r}")
+        else:
+            boxes[name] = b
+    if L is not None:
+        boxes["the domain"] = np.array([[0.0, Li] for Li in L])
+    for inner, outer in (("omega0", "omega_prime"), ("omega_prime", "omega"),
+                         ("omega", "the domain")):
+        if inner in boxes and outer in boxes and not _strictly_inside(
+                boxes[inner], boxes[outer]):
+            bad.append(f"{inner} must lie strictly inside {outer} (nesting rule)")
+    if bad:
+        raise ConfigError(bad)
+    return [boxes[name] for name in named]
 
 
 @dataclass(frozen=True)
@@ -108,18 +132,7 @@ def build_eta0(grid: Grid, omega0, omega_prime, omega) -> Eta0:
     C^2 function vanishing on the whole boundary of a rectangle has zero
     gradient there (deviation from the smooth-boundary setting, see README).
     """
-    b0 = _as_boxes(omega0, grid.dim)
-    bp = _as_boxes(omega_prime, grid.dim)
-    bw = _as_boxes(omega, grid.dim)
-    dom = np.array([[0.0, Li] for Li in grid.L])
-    for inner_b, outer_b, names in (
-        (b0, bp, "omega0 inside omega_prime"),
-        (bp, bw, "omega_prime inside omega"),
-        (bw, dom, "omega inside the domain"),
-    ):
-        if not _strictly_inside(inner_b, outer_b):
-            raise ValueError(f"nesting violated: {names} must hold strictly")
-
+    b0, bp, bw = check_boxes(grid.dim, grid.L, omega0, omega_prime, omega)
     center = b0.mean(axis=1)
     vals_ax, grads_ax = [], []
     for ax in range(grid.dim):
@@ -184,10 +197,9 @@ class WeightParams:
     s_cal: float = 1.0
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("s must be positive")
-        if self.lam < 1.0:
-            raise ValueError("lambda must be >= 1")
+        check_all([(self.s > 0, f"s must be positive, got {self.s} "
+                    "(s = sigma0 * (T^4 + T^8) when not given)"),
+                   (self.lam >= 1.0, f"lambda must be >= 1, got {self.lam}")])
 
     @property
     def s_threshold_ok(self) -> bool:
@@ -202,173 +214,125 @@ def weight_params(T: float, lam: float = 1.5, s: float | None = None,
     return WeightParams(s=float(s), lam=float(lam), T=float(T), s_cal=s_cal)
 
 
-def _extrema(arr2d: np.ndarray):
-    return arr2d.max(axis=1), arr2d.min(axis=1)
-
-
 @dataclass(frozen=True)
 class WeightTable:
-    """Classical weights on the space-time grid, singular at t in {0, T}.
+    """One Carleman weight family on the space-time grid.
 
-    ``alpha`` is negative everywhere; the starred/hatted arrays are the per
-    time-step max/min over nodes.  Values at the two singular time nodes are
-    the limits (-inf / +inf); log-domain products there are -inf, i.e. the
-    product vanishes, which is the convention every integral below relies on.
+    ``family`` is "alpha" for the classical weights (time profile t(T - t),
+    singular at t in {0, T}) or "beta" for the refined ones (truncated
+    profile l(t), singular only at t = T).  ``exponent`` is alpha or beta,
+    negative everywhere; ``factor`` is phi or gamma.  The starred/hatted
+    arrays are the per time-step max/min over nodes.  Values at singular
+    time nodes are the limits (-inf / +inf); log-domain products there are
+    -inf, i.e. the product vanishes, which is the convention every integral
+    below relies on.
     """
 
+    family: str
     params: WeightParams
     eta0: Eta0
     grid: Grid
-    alpha: np.ndarray
-    phi: np.ndarray
-    log_phi: np.ndarray
-    two_s_alpha: np.ndarray
-    alpha_star: np.ndarray
-    alpha_hat: np.ndarray
-    phi_star: np.ndarray
-    phi_hat: np.ndarray
-    log_phi_star: np.ndarray
-    log_phi_hat: np.ndarray
+    profile: np.ndarray
+    exponent: np.ndarray
+    factor: np.ndarray
+    log_factor: np.ndarray
+    two_s_exponent: np.ndarray
+    exponent_star: np.ndarray
+    exponent_hat: np.ndarray
+    log_factor_star: np.ndarray
+    log_factor_hat: np.ndarray
     singular_steps: tuple
 
     @property
     def interior_steps(self) -> np.ndarray:
-        return np.arange(1, self.grid.m)
+        return np.setdiff1d(np.arange(self.grid.m + 1), self.singular_steps)
+
+    @cached_property
+    def space_time_weights(self) -> np.ndarray:
+        """Trapezoid weights in time times the node weights, (m+1, nodes),
+        with zero rows on the singular steps."""
+        grid = self.grid
+        tw = np.full(grid.m + 1, grid.dt)
+        tw[0] = tw[-1] = 0.5 * grid.dt
+        tw[list(self.singular_steps)] = 0.0
+        return _read_only(tw[:, None] * grid.quad_weights[None, :])
 
 
-@dataclass(frozen=True)
-class RefinedWeightTable:
-    """Truncated-time weights: regular at t = 0, singular only at t = T."""
-
-    params: WeightParams
-    eta0: Eta0
-    grid: Grid
-    l_profile: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    log_gamma: np.ndarray
-    two_s_beta: np.ndarray
-    beta_star: np.ndarray
-    beta_hat: np.ndarray
-    gamma_star: np.ndarray
-    gamma_hat: np.ndarray
-    log_gamma_star: np.ndarray
-    log_gamma_hat: np.ndarray
-    singular_steps: tuple
-
-    @property
-    def interior_steps(self) -> np.ndarray:
-        return np.arange(0, self.grid.m)
-
-
-def _build_table(eta0: Eta0, p: WeightParams, grid: Grid, profile: np.ndarray,
-                 singular: tuple, refined: bool):
+def _build_table(family: str, eta0: Eta0, p: WeightParams, grid: Grid,
+                 profile: np.ndarray, singular: tuple) -> WeightTable:
     lam_eta = p.lam * eta0.values
     e_lam = np.exp(lam_eta)
     e_2max = np.exp(2.0 * p.lam * eta0.sup)
     ok = np.ones(grid.m + 1, dtype=bool)
-    for k in singular:
-        ok[k] = False
+    ok[list(singular)] = False
     p4 = np.where(ok, profile, 1.0) ** 4
 
     num = (e_lam - e_2max)[None, :]          # strictly negative
-    alpha = np.where(ok[:, None], num / p4[:, None], -np.inf)
-    phi = np.where(ok[:, None], e_lam[None, :] / p4[:, None], np.inf)
-    log_phi = np.where(
+    exponent = np.where(ok[:, None], num / p4[:, None], -np.inf)
+    log_factor = np.where(
         ok[:, None], lam_eta[None, :] - 4.0 * np.log(np.where(ok, profile, 1.0))[:, None],
         np.inf,
     )
-    two_s_alpha = 2.0 * p.s * alpha
-
-    a_star, a_hat = _extrema(alpha)
-    ph_star, ph_hat = _extrema(phi)
-    lph_star, lph_hat = _extrema(log_phi)
-    common = dict(
-        params=p, eta0=eta0, grid=grid, singular_steps=singular,
-    )
-    if refined:
-        return RefinedWeightTable(
-            l_profile=profile, beta=alpha, gamma=phi, log_gamma=log_phi,
-            two_s_beta=two_s_alpha, beta_star=a_star, beta_hat=a_hat,
-            gamma_star=ph_star, gamma_hat=ph_hat,
-            log_gamma_star=lph_star, log_gamma_hat=lph_hat, **common,
-        )
     return WeightTable(
-        alpha=alpha, phi=phi, log_phi=log_phi, two_s_alpha=two_s_alpha,
-        alpha_star=a_star, alpha_hat=a_hat, phi_star=ph_star, phi_hat=ph_hat,
-        log_phi_star=lph_star, log_phi_hat=lph_hat, **common,
+        family=family, params=p, eta0=eta0, grid=grid, profile=profile,
+        exponent=exponent,
+        factor=np.where(ok[:, None], e_lam[None, :] / p4[:, None], np.inf),
+        log_factor=log_factor, two_s_exponent=2.0 * p.s * exponent,
+        exponent_star=exponent.max(axis=1), exponent_hat=exponent.min(axis=1),
+        log_factor_star=log_factor.max(axis=1), log_factor_hat=log_factor.min(axis=1),
+        singular_steps=singular,
     )
 
 
 def carleman_weights(eta0: Eta0, p: WeightParams, grid: Grid) -> WeightTable:
-    """Tabulate alpha, phi and their per-step extrema; profile t(T - t)."""
+    """Tabulate the alpha family (alpha, phi); profile t(T - t)."""
     t = grid.times
-    return _build_table(eta0, p, grid, t * (grid.T - t), (0, grid.m), refined=False)
+    return _build_table("alpha", eta0, p, grid, t * (grid.T - t), (0, grid.m))
 
 
-def refined_weights(eta0: Eta0, p: WeightParams, grid: Grid) -> RefinedWeightTable:
-    """Tabulate beta, gamma from the truncated profile l(t)."""
+def refined_weights(eta0: Eta0, p: WeightParams, grid: Grid) -> WeightTable:
+    """Tabulate the beta family (beta, gamma) from the truncated profile l(t)."""
     t = grid.times
     l = np.where(t <= 0.5 * grid.T, 0.25 * grid.T**2, t * (grid.T - t))
-    return _build_table(eta0, p, grid, l, (grid.m,), refined=True)
+    return _build_table("beta", eta0, p, grid, l, (grid.m,))
 
 
-# kind -> (attribute holding 2s*w, attribute holding log w2, per-step only)
+# kind -> (family, per-step extremum or None for the full array)
 _KINDS = {
-    "alpha": ("two_s_alpha", "log_phi", False),
-    "alpha_star": (None, "log_phi_star", True),
-    "alpha_hat": (None, "log_phi_hat", True),
-    "beta": ("two_s_beta", "log_gamma", False),
-    "beta_star": (None, "log_gamma_star", True),
-    "beta_hat": (None, "log_gamma_hat", True),
+    "alpha": ("alpha", None),
+    "alpha_star": ("alpha", "star"),
+    "alpha_hat": ("alpha", "hat"),
+    "beta": ("beta", None),
+    "beta_star": ("beta", "star"),
+    "beta_hat": ("beta", "hat"),
 }
 
 
-def _check_power(power: float) -> None:
-    if not (POWER_RANGE[0] <= power <= POWER_RANGE[1]):
-        raise ValueError(
-            f"power {power} outside the tabulated range {POWER_RANGE}"
-        )
+def log_weight_profile(table: WeightTable, kind: str, power: float) -> np.ndarray:
+    """Natural log of exp(2 s w) * w2^power: a per-step array for the
+    starred/hatted kinds, the full (steps, nodes) array otherwise.
 
-
-def log_weight(table, kind: str, power: float, node: int, step: int) -> float:
-    """Natural log of exp(2 s w) * w2^power at one (node, step).
-
-    ``kind`` picks the family: 'alpha'|'alpha_star'|'alpha_hat' pair with
-    phi-powers, 'beta'|'beta_star'|'beta_hat' with gamma-powers.  At singular
-    time nodes the result is -inf (the product vanishes in the limit);
-    exponentiation is the caller's choice and never produces NaN.
+    ``kind`` names the family and the extremum: 'alpha'|'alpha_star'|
+    'alpha_hat' pair with phi-powers on a classical table, 'beta'|
+    'beta_star'|'beta_hat' with gamma-powers on a refined one.  Singular
+    steps map to -inf (the product vanishes in the limit); exponentiation is
+    the caller's choice and never produces NaN.
     """
     if kind not in _KINDS:
         raise KeyError(f"unknown weight kind {kind!r}")
-    _check_power(power)
-    if step in table.singular_steps:
-        return float("-inf")
-    expname, logname, per_step = _KINDS[kind]
-    if per_step:
-        base = 2.0 * table.params.s * getattr(table, kind)[step]
-        lw = getattr(table, logname)[step]
-    else:
-        base = getattr(table, expname)[step, node]
-        lw = getattr(table, logname)[step, node]
-    return float(base + power * lw)
-
-
-def log_weight_profile(table, kind: str, power: float) -> np.ndarray:
-    """Vectorised :func:`log_weight`: per-step array for starred/hatted kinds,
-    full (steps, nodes) array otherwise.  Singular steps map to -inf."""
-    if kind not in _KINDS:
-        raise KeyError(f"unknown weight kind {kind!r}")
-    _check_power(power)
-    expname, logname, per_step = _KINDS[kind]
+    family, extremum = _KINDS[kind]
+    if family != table.family:
+        raise KeyError(f"weight kind {kind!r} belongs to the {family} family; "
+                       f"this table is of the {table.family} family")
+    if not (POWER_RANGE[0] <= power <= POWER_RANGE[1]):
+        raise ValueError(f"power {power} outside the tabulated range {POWER_RANGE}")
     with np.errstate(invalid="ignore"):
-        if per_step:
-            out = 2.0 * table.params.s * getattr(table, kind)  # the per-step extremum
-            out = out + power * getattr(table, logname)
+        if extremum is None:
+            out = table.two_s_exponent + power * table.log_factor
         else:
-            out = getattr(table, expname) + power * getattr(table, logname)
-    for k in table.singular_steps:
-        out[k] = -np.inf
+            out = 2.0 * table.params.s * getattr(table, f"exponent_{extremum}")
+            out = out + power * getattr(table, f"log_factor_{extremum}")
+    out[list(table.singular_steps)] = -np.inf
     return out
 
 

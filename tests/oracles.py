@@ -1,0 +1,288 @@
+"""Test oracles: independent solution paths and diagnostics that only the
+tests call.
+
+* the duality audit: both sides of the discrete transposition identity;
+* the scalar weighted energy ``i_beta`` of one sample;
+* the raw-coordinate normal-equations matrix of the dual problem and two
+  dense direct solves of the dual problem;
+* the eps-uniform elliptic-regularity scan;
+* the measured smallness radius of the Picard loop and the continuity
+  constant of the quadratic remainder.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from ksctl.adjoint import AdjointTrajectory
+from ksctl.carleman_check import _i_beta_integrands, _i_beta_profiles, _log_i_beta_terms
+from ksctl.grid import Grid, chemotaxis_divergence, h1_seminorm_sq, inner
+from ksctl.hum_control import ControlProblem, _DualOperator, _SourceTerminalSystem
+from ksctl.ks_model import Control, KSParams, StateTrajectory
+from ksctl.nonlinear_control import _capped, _log_l2q, e_norm, picard_solve
+from ksctl.weights import WeightTable, _logsumexp
+
+
+class DualityMismatchError(ValueError):
+    """Primal and adjoint trajectories disagree on grid or relaxation."""
+
+
+def duality_terms(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
+                  h1: np.ndarray | None, h2: np.ndarray | None):
+    """Both sides of the discrete transposition identity, term by term.
+
+    Returns (lhs, rhs, scale): lhs collects the adjoint-source pairings plus
+    terminal pairings, rhs the forward-source and initial pairings; scale is
+    the sum of absolute values of every term (for relative gap reporting).
+    """
+    grid = primal.grid
+    if adj.grid is not grid and (
+        adj.grid.dim != grid.dim or adj.grid.n != grid.n
+        or adj.grid.L != grid.L or adj.grid.m != grid.m
+        or adj.grid.T != grid.T
+    ):
+        raise DualityMismatchError("primal and adjoint live on different grids")
+    if adj.params.eps != primal.params.eps:
+        raise DualityMismatchError(
+            f"eps mismatch: primal {primal.params.eps}, adjoint {adj.params.eps}"
+        )
+    m = grid.m
+    dt = grid.dt
+    nn = grid.num_nodes
+    zeros = np.zeros((m + 1, nn))
+    h1 = zeros if h1 is None else h1
+    h2 = zeros if h2 is None else h2
+
+    w = grid.quad_weights
+    eps = primal.params.eps
+
+    def pair(traj_slices, src_slices):
+        # sum_k dt <a^k, b^k>_W over the given index pairs
+        return dt * float(np.einsum("kn,n,kn->", traj_slices, w, src_slices))
+
+    lhs_terms = [
+        pair(primal.u[1:], adj.f1[1:]),
+        pair(primal.v[1:], adj.f2[1:]),
+        inner(primal.u[m], adj.phiT, grid),
+        eps * inner(primal.v[m], adj.xiT, grid),
+    ]
+    gchi = c.g[1:] * c.chi[None, :]
+    rhs_terms = [
+        pair(adj.phi[:-1], h1[1:]),
+        pair(adj.xi[:-1], gchi),
+        pair(adj.xi[:-1], h2[1:]),
+        inner(primal.u[0], adj.phi[0], grid),
+        eps * inner(primal.v[0], adj.xi[0], grid),
+    ]
+    scale = sum(abs(t) for t in lhs_terms + rhs_terms)
+    return sum(lhs_terms), sum(rhs_terms), scale
+
+
+def duality_gap(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
+                h1: np.ndarray | None, h2: np.ndarray | None) -> float:
+    """Absolute residual of the transposition identity (machine-zero when the
+    primal really solves the forward problem with the given data)."""
+    lhs, rhs, _ = duality_terms(primal, adj, c, h1, h2)
+    return abs(lhs - rhs)
+
+
+
+def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
+           table: WeightTable, grid: Grid) -> float:
+    """The three-term weighted space-time energy of one scalar sample.
+
+    Returned on the linear scale; for large ``s`` this may underflow to 0,
+    which is why the inequality reports combine the log-domain terms
+    directly instead of calling this.
+    """
+    if not (0.0 < sigma <= 1.0):
+        raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    return float(np.exp(_logsumexp(_log_i_beta_terms(
+        _i_beta_integrands(q, sigma, grid), _i_beta_profiles(table, beta_exp),
+        table, grid))))
+
+
+
+def dual_matrix(op: _DualOperator) -> sp.csr_matrix:
+    """The sparse matrix of the weighted normal equations in the raw
+    space-time coordinates (Z flattened from its (2, m+1, nodes) layout)."""
+    p, grid, dt, W = op.p, op.grid, op.dt, op.W
+    m, nn = grid.m, grid.num_nodes
+    A = grid.laplacian_matrix
+    I = sp.identity(nn, format="csr")
+    K_cur = sp.eye(m, m + 1, k=0, format="csr")
+    K_nxt = sp.eye(m, m + 1, k=1, format="csr")
+
+    M1 = sp.hstack(
+        [
+            sp.kron(K_cur, I / dt - A) - sp.kron(K_nxt, I / dt),
+            sp.kron(K_cur, -p.a * I),
+        ]
+    )
+    M2 = sp.hstack(
+        [
+            sp.kron(K_cur, p.M1 * A),
+            sp.kron(K_cur, (p.eps / dt + p.b) * I - A)
+            - sp.kron(K_nxt, (p.eps / dt) * I),
+        ]
+    )
+    D1 = sp.diags(np.kron(dt * op.rho1, W))
+    D2 = sp.diags(np.kron(dt * op.rho2, W))
+    A_e = (M1.T @ D1 @ M1 + M2.T @ D2 @ M2).tocsr()
+
+    extra = np.zeros((2, m + 1, nn))
+    extra[1, :m] = (dt * op.rho3)[:, None] * (W * op.prob.chi**2)[None, :]
+    extra[0, -1] = op.prob.tau * W
+    extra[1, -1] = op.prob.tau * p.eps * W
+    return (A_e + sp.diags(extra.reshape(-1))).tocsr()
+
+
+def dense_kkt_solve(op: _DualOperator) -> np.ndarray:
+    """Dense direct solution of the constrained normal equations.
+
+    Small-instance oracle only: densifies the assembled sparse matrix,
+    augments the zero-mean constraint as a KKT border and solves with a
+    dense factorization (a solution path sharing nothing with the CG
+    solver beyond the quadratic form itself)."""
+    m, nn = op.grid.m, op.grid.num_nodes
+    c = np.zeros((1, 2 * (m + 1) * nn))
+    c[0, m * nn: (m + 1) * nn] = op.W   # zero mean of z^m
+    dim = c.size
+    kkt = np.block([[dual_matrix(op).toarray(), c.T], [c, np.zeros((1, 1))]])
+    # symmetric diagonal equilibration for the dense factorization
+    d = np.sqrt(np.abs(np.diag(kkt)))
+    d[d == 0] = 1.0
+    kkt_eq = kkt / d[:, None] / d[None, :]
+    rhs = np.concatenate([op.rhs().reshape(-1), [0.0]]) / d
+    sol = np.linalg.solve(kkt_eq, rhs) / d
+    return sol[:dim].reshape(2, m + 1, nn)
+
+
+def dense_dual_solve(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Small-instance oracle: densify the source/terminal normal system,
+    solve it with a dense LAPACK factorization, and march back to the dual
+    pair.  Shares the quadratic form with ``solve_dual`` but none of the
+    iterative machinery."""
+    op = _DualOperator(problem)
+    sys_ = _SourceTerminalSystem(problem, op)
+    m, nn = problem.grid.m, problem.grid.num_nodes
+    dim = 2 * m * nn + 2 * nn
+    H = np.empty((dim, dim))
+    e = np.zeros(dim)
+    for i in range(dim):
+        e[i] = 1.0
+        gty, _ = sys_.gramian_apply(e)
+        H[:, i] = gty
+        e[i] = 0.0
+    H += np.eye(dim)
+    chat_full = np.zeros((1, dim))
+    chat_full[0, 2 * m * nn: 2 * m * nn + nn] = sys_.chat
+    kkt = np.block([[H, chat_full.T], [chat_full, np.zeros((1, 1))]])
+    rhs = np.concatenate([sys_.march_T(op.rhs()), [0.0]])
+    y = np.linalg.solve(kkt, rhs)[:dim]
+    Z = op.project(sys_.march(sys_.project(y)))
+    return Z[0], Z[1]
+
+
+
+def elliptic_regularity_check(f: np.ndarray, z0: np.ndarray, eps_list,
+                              grid: Grid) -> dict:
+    """March eps z_t - Lap z + z = f and report the discrete H2-over-data
+    ratio per eps (the continuum estimate is one Sobolev level higher; the
+    finite-difference space carries two robust derivative levels)."""
+    A = grid.laplacian_matrix
+    nn, m, dt = grid.num_nodes, grid.m, grid.dt
+    I = sp.identity(nn, format="csc")
+
+    def h2_sq(field):
+        return (
+            inner(field, field, grid)
+            + h1_seminorm_sq(field, grid)
+            + inner(A @ field, A @ field, grid)
+        )
+
+    fnorm = np.sqrt(
+        sum(dt * (inner(f[k], f[k], grid) + h1_seminorm_sq(f[k], grid))
+            for k in range(1, m + 1))
+    )
+    data = fnorm + np.sqrt(h2_sq(z0))
+    rows = []
+    for eps in eps_list:
+        lu = spla.splu((eps * I - dt * (A - I)).tocsc())
+        z = np.empty((m + 1, nn))
+        z[0] = z0
+        for k in range(m):
+            z[k + 1] = lu.solve(eps * z[k] + dt * f[k + 1])
+        znorm = np.sqrt(sum(dt * h2_sq(z[k]) for k in range(1, m + 1)))
+        rows.append(
+            {"eps": float(eps), "solution_h2": float(znorm),
+             "data_norm": float(data),
+             "ratio": float(znorm / data) if data > 0 else 0.0,
+             "final": z[m]}
+        )
+    ratios = [r["ratio"] for r in rows]
+    return {
+        "rows": rows,
+        "max_ratio": max(ratios),
+        "min_ratio": min(ratios),
+        "spread": max(ratios) / min(ratios) if min(ratios) > 0 else float("inf"),
+    }
+
+
+def delta_radius(p: KSParams, weights: WeightTable, chi: np.ndarray,
+                 grid: Grid, mode: int = 1, delta_lo: float = 0.0,
+                 delta_hi: float = 0.64, bisections: int = 6,
+                 **picard_kwargs) -> dict:
+    """Bisection estimate of the largest cosine-perturbation amplitude the
+    Picard loop still controls.  The smallness radius is measured, never
+    assumed; the bracket and per-probe outcomes are all reported."""
+    x = grid.node_coords[:, 0]
+    probes = []
+
+    def attempt(delta: float) -> bool:
+        u0 = p.M1 + delta * np.cos(mode * np.pi * x / grid.L[0])
+        v0 = np.full_like(x, p.M2)
+        if np.any(u0 < 0):
+            return False
+        try:
+            r = picard_solve(p, u0, v0, weights, chi, grid, **picard_kwargs)
+        except RuntimeError:  # blow-up, inner cap, extraction, singular factor
+            return False
+        probes.append({"delta": delta, "converged": r.converged,
+                       "iterations": r.iterations})
+        return r.converged
+
+    lo, hi = delta_lo, delta_hi
+    if attempt(hi):
+        return {"radius_lo": hi, "radius_hi": float("inf"), "probes": probes}
+    for _ in range(bisections):
+        mid = 0.5 * (lo + hi)
+        if attempt(mid):
+            lo = mid
+        else:
+            hi = mid
+    return {"radius_lo": lo, "radius_hi": hi, "probes": probes}
+
+
+def bilinear_continuity_ratio(z: np.ndarray, w: np.ndarray,
+                              weights: WeightTable, params: KSParams,
+                              chi: np.ndarray, grid: Grid,
+                              cap: float = 0.0) -> float:
+    """Measured continuity constant of the quadratic remainder: the weighted
+    source-space norm of div(z grad w) over the product of the two
+    regularity norms that bound it."""
+    h1 = np.array(
+        [-chemotaxis_divergence(z[k], w[k], grid) for k in range(grid.m + 1)]
+    )
+    comp = e_norm(z, w, np.zeros_like(z), weights, params, chi, grid, cap=cap)
+    s = weights.params.s
+    with np.errstate(invalid="ignore"):
+        w4 = _capped(
+            -(2.0 * s * weights.exponent_hat + 3.0 * weights.log_factor_hat), cap
+        )[:-1]
+    sqs = np.einsum("kn,n,kn->k", h1[1:], grid.quad_weights, h1[1:])
+    log_num = 0.5 * _log_l2q(w4, sqs, grid.dt)
+    log_den = comp["state_u_h2"]["log"] + comp["state_v_h2"]["log"]
+    if not (np.isfinite(log_num) and np.isfinite(log_den)):
+        return 0.0 if np.isneginf(log_num) else float("inf")
+    return float(np.exp(log_num - log_den))

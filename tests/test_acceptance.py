@@ -11,16 +11,11 @@ import pytest
 import scipy.linalg as sla
 import yaml
 
-from ksctl.adjoint import duality_gap, duality_terms, solve_adjoint
+from ksctl.adjoint import solve_adjoint
 from ksctl.carleman_check import lemma31_report, lemmaA1_report, theorem22_report
 from ksctl.cli import main as cli_main
 from ksctl.grid import build_grid, l2_norm, mass
-from ksctl.hum_control import (
-    ControlProblem,
-    dense_dual_solve,
-    extract_control,
-    solve_dual,
-)
+from ksctl.hum_control import ControlProblem, extract_control, solve_dual
 from ksctl.ks_model import (
     Control,
     KSParams,
@@ -33,6 +28,7 @@ from ksctl.nonlinear_control import eps_sweep
 from ksctl.weights import build_eta0, refined_weights, weight_params
 
 from conftest import OMEGA, OMEGA0, OMEGA_PRIME, lowfreq_field, lowfreq_space_time
+from oracles import dense_dual_solve, duality_gap, duality_terms
 
 A, B, M1, M2 = 10.0, 1.0, 1.0, 10.0
 T_FINAL = 2.4

@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ksctl.adjoint import (
-    DualityMismatchError,
-    duality_gap,
-    duality_terms,
-    solve_adjoint,
-    solve_backward_heat,
-)
+from ksctl.adjoint import solve_adjoint, solve_backward_heat
 from ksctl.grid import build_grid, mass
 from ksctl.ks_model import Control, KSParams, smooth_cutoff, solve_linearized
 
 from conftest import lowfreq_field, lowfreq_space_time
+from oracles import DualityMismatchError, duality_gap, duality_terms
 
 
 def test_zero_data_gives_zero(params, grid_small, chi_small):

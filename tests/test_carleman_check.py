@@ -5,7 +5,6 @@ from ksctl.carleman_check import (
     CarlemanReport,
     gradient_sq,
     hessian_sq,
-    i_beta,
     lemma31_report,
     lemmaA1_report,
     log_space_time_integral,
@@ -16,6 +15,8 @@ from ksctl.carleman_check import (
 from ksctl.grid import box_mask, mass
 from ksctl.ks_model import KSParams
 from ksctl.weights import carleman_weights, log_weight_profile, weight_params
+
+from oracles import i_beta
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +55,8 @@ def naive_i_beta(q, beta, sigma, tab, g):
     tot = 0.0
     for k in range(1, g.m):
         for pn in range(g.num_nodes):
-            e2sa = np.exp(2 * s * tab.alpha[k, pn])
-            ph = tab.phi[k, pn]
+            e2sa = np.exp(2 * s * tab.exponent[k, pn])
+            ph = tab.factor[k, pn]
             tot += dt * W[pn] * e2sa * (
                 s ** (beta + 3) * ph ** (beta + 3) * q[k, pn] ** 2
                 + s ** (beta + 1) * ph ** (beta + 1) * gs[k, pn]

@@ -92,6 +92,7 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--solver.weight_floor=0",  # the weight profiles need a positive floor
     "--grid.n=[8,8]",           # two axes' worth of intervals with dim 1
     "--weights.s=-1",           # the Carleman parameter must be positive
+    "--weights.s=0",            # not "derive s from sigma0"
     "--physics.mode=0",         # mode 0 is no perturbation, u0 mean != M1
     "--physics.eps_list=[]",    # an empty sweep would report vacuous rows
     "--grid.m=[20]",            # a list where a number belongs

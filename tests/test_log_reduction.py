@@ -18,7 +18,6 @@ from scipy.special import logsumexp
 from ksctl.adjoint import solve_adjoint, solve_backward_heat
 from ksctl.carleman_check import (
     CarlemanReport,
-    _time_weights,
     gradient_sq,
     hessian_sq,
     lemma31_report,
@@ -99,7 +98,11 @@ def test_logsumexp_takes_lists_and_large_arrays():
 
 
 def oracle_integral(log_w, sq, grid, table, node_mask=None):
-    tw = _time_weights(grid, table)
+    # trapezoid weights in time with zero weight on the singular steps
+    tw = np.full(grid.m + 1, grid.dt)
+    tw[0] = tw[-1] = 0.5 * grid.dt
+    for k in table.singular_steps:
+        tw[k] = 0.0
     w = grid.quad_weights
     if node_mask is not None:
         w = w * node_mask

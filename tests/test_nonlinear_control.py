@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-import ksctl.nonlinear_control as nlc
 from ksctl.grid import chemotaxis_divergence, mass
 from ksctl.ks_model import BlowUpError
-from ksctl.nonlinear_control import (
-    bilinear_continuity_ratio,
-    delta_radius,
-    e_norm,
-    eps_sweep,
-    picard_solve,
-)
+from ksctl.nonlinear_control import e_norm, eps_sweep, picard_solve
+
+import oracles
+from oracles import bilinear_continuity_ratio, delta_radius
 
 
 def test_steady_start_is_a_fixed_point(params, grid_small, weights_small, chi_small):
@@ -162,7 +158,7 @@ def test_delta_radius_counts_only_solver_failures(params, grid_small,
     def blow_up(*args, **kwargs):
         raise BlowUpError(3, 1e9, 1e8)
 
-    monkeypatch.setattr(nlc, "picard_solve", blow_up)
+    monkeypatch.setattr(oracles, "picard_solve", blow_up)
     rep = delta_radius(params, weights_small, chi_small, grid_small,
                        delta_hi=0.64, bisections=2)
     # every probe fails, so the bracket shrinks onto delta_lo
@@ -171,6 +167,6 @@ def test_delta_radius_counts_only_solver_failures(params, grid_small,
     def broken(*args, **kwargs):
         raise TypeError("programming error")
 
-    monkeypatch.setattr(nlc, "picard_solve", broken)
+    monkeypatch.setattr(oracles, "picard_solve", broken)
     with pytest.raises(TypeError, match="programming error"):
         delta_radius(params, weights_small, chi_small, grid_small)

@@ -1,0 +1,48 @@
+"""Every top-level function and class of the package has a caller outside
+its own definition, in ``src/ksctl`` or in ``perfbench/``.
+
+Code that only the tests call belongs in ``tests/`` (``oracles.py``).  A
+name counts as used where the AST reads it as a name or an attribute;
+docstrings, ``__all__`` entries and the re-exports of ``ksctl/__init__.py``
+are strings or import aliases and do not count.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ksctl"
+
+
+def _trees(*dirs):
+    return {path: ast.parse(path.read_text())
+            for d in dirs for path in sorted(d.rglob("*.py"))}
+
+
+def _references(tree):
+    """(name, top-level definition enclosing the reference, or None)."""
+    out = []
+    for top in tree.body:
+        owner = top.name if isinstance(
+            top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, owner))
+    return out
+
+
+def test_every_package_definition_has_a_caller():
+    package = _trees(PACKAGE)
+    everything = {**package, **_trees(ROOT / "perfbench")}
+    refs = {path: _references(tree) for path, tree in everything.items()}
+    unused = []
+    for path, tree in package.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not any(name == top.name and (other != path or owner != top.name)
+                       for other, pairs in refs.items() for name, owner in pairs):
+                unused.append(f"{path.relative_to(ROOT)}: {top.name}")
+    assert not unused, "only the tests call: " + ", ".join(unused)

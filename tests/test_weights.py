@@ -5,7 +5,6 @@ from ksctl.grid import box_mask
 from ksctl.weights import (
     build_eta0,
     carleman_weights,
-    log_weight,
     log_weight_profile,
     weight_params,
 )
@@ -65,7 +64,7 @@ def test_weight_params_validation():
 
 def test_alpha_negative_everywhere(grid_small, eta_small):
     wt = carleman_weights(eta_small, weight_params(grid_small.T, 1.5), grid_small)
-    assert np.all(wt.alpha[1:-1] < 0.0)
+    assert np.all(wt.exponent[1:-1] < 0.0)
 
 
 def test_phi_closed_form_at_midpoint(grid_small, eta_small):
@@ -75,30 +74,30 @@ def test_phi_closed_form_at_midpoint(grid_small, eta_small):
     i = int(np.argmax(eta_small.values))
     # independent scalar computation of the same quantity
     expected = np.exp(lam * eta_small.values[i]) * (2.0 / grid_small.T) ** 8
-    assert wt.phi[k, i] == pytest.approx(expected, rel=1e-13)
+    assert wt.factor[k, i] == pytest.approx(expected, rel=1e-13)
 
 
 def test_extrema_locations(grid_small, eta_small):
     wt = carleman_weights(eta_small, weight_params(grid_small.T, 1.5), grid_small)
     k = grid_small.m // 2
     i_star = int(np.argmax(eta_small.values))
-    assert wt.alpha_star[k] == wt.alpha[k, i_star]
-    assert wt.alpha_hat[k] == wt.alpha[k, 0]          # boundary node
-    assert wt.phi_star[k] >= wt.phi_hat[k] > 0.0
+    assert wt.exponent_star[k] == wt.exponent[k, i_star]
+    assert wt.exponent_hat[k] == wt.exponent[k, 0]    # boundary node
+    assert wt.log_factor_star[k] >= wt.log_factor_hat[k] > -np.inf
 
 
 def test_refined_time_profile(grid_small, eta_small, weights_small):
     g, rt = grid_small, weights_small
     wt = carleman_weights(eta_small, rt.params, g)
     kq, kh, k3q = g.m // 4, g.m // 2, 3 * g.m // 4
-    assert np.array_equal(rt.beta[kq], rt.beta[kh])       # constant early
-    assert np.array_equal(rt.gamma[k3q], wt.phi[k3q])     # matches late
+    assert np.array_equal(rt.exponent[kq], rt.exponent[kh])   # constant early
+    assert np.array_equal(rt.factor[k3q], wt.factor[k3q])     # matches late
     # the literal testable ordering statement
     t = g.times
-    assert np.all(rt.l_profile >= t * (g.T - t) - 1e-15)
+    assert np.all(rt.profile >= t * (g.T - t) - 1e-15)
     # note the sign: the shared numerator is negative, so the larger profile
     # pulls beta toward zero, i.e. beta >= alpha pointwise
-    assert np.all(rt.beta[1:-1] >= wt.alpha[1:-1] - 1e-12)
+    assert np.all(rt.exponent[1:-1] >= wt.exponent[1:-1] - 1e-12)
 
 
 def test_refined_products_vanish_at_terminal_time(weights_small):
@@ -112,19 +111,25 @@ def test_refined_products_vanish_at_terminal_time(weights_small):
 def test_log_weight_point_queries(grid_small, weights_small):
     rt = weights_small
     k = grid_small.m // 2
-    s2b = log_weight(rt, "beta_star", 0.0, 0, k)
-    assert s2b == pytest.approx(2.0 * rt.params.s * rt.beta_star[k], rel=1e-14)
+    s2b = log_weight_profile(rt, "beta_star", 0.0)[k]
+    assert s2b == pytest.approx(2.0 * rt.params.s * rt.exponent_star[k], rel=1e-14)
     # singular step: -inf, exp flushes to zero, never NaN
-    q = log_weight(rt, "beta", 5.0, 3, grid_small.m)
+    q = log_weight_profile(rt, "beta", 5.0)[grid_small.m, 3]
     assert np.isneginf(q)
     assert np.exp(q) == 0.0
 
 
-def test_log_weight_rejects_out_of_range_power(weights_small):
+def test_log_weight_rejects_out_of_range_power(grid_small, eta_small, weights_small):
     with pytest.raises(ValueError):
-        log_weight(weights_small, "beta_star", 25.0, 0, 1)
+        log_weight_profile(weights_small, "beta_star", 25.0)
     with pytest.raises(KeyError):
-        log_weight(weights_small, "zeta", 3.0, 0, 1)
+        log_weight_profile(weights_small, "zeta", 3.0)
+    # a kind of the other family is a KeyError naming the table's family
+    with pytest.raises(KeyError, match="table is of the beta family"):
+        log_weight_profile(weights_small, "alpha", 3.0)
+    classical = carleman_weights(eta_small, weights_small.params, grid_small)
+    with pytest.raises(KeyError, match="table is of the alpha family"):
+        log_weight_profile(classical, "beta_star", 3.0)
 
 
 def test_log_weight_consistency_with_direct_product(grid_small, eta_small):
@@ -137,17 +142,18 @@ def test_log_weight_consistency_with_direct_product(grid_small, eta_small):
         node = int(rng.integers(0, grid_small.num_nodes))
         step = int(rng.integers(1, grid_small.m))
         power = float(rng.integers(-4, 19))
-        direct = np.exp(2 * wt.params.s * wt.alpha[step, node]) * wt.phi[step, node] ** power
-        via_log = np.exp(log_weight(wt, "alpha", power, node, step))
+        direct = (np.exp(2 * wt.params.s * wt.exponent[step, node])
+                  * wt.factor[step, node] ** power)
+        via_log = np.exp(log_weight_profile(wt, "alpha", power)[step, node])
         assert via_log == pytest.approx(direct, rel=1e-10)
 
 
 def test_stored_logs_finite_on_interior_steps(grid_small, weights_small):
     rt = weights_small
     interior = rt.interior_steps
-    assert np.all(np.isfinite(rt.two_s_beta[interior]))
-    assert np.all(np.isfinite(rt.log_gamma[interior]))
-    assert np.all(np.isfinite(rt.log_gamma_star[interior]))
+    assert np.all(np.isfinite(rt.two_s_exponent[interior]))
+    assert np.all(np.isfinite(rt.log_factor[interior]))
+    assert np.all(np.isfinite(rt.log_factor_star[interior]))
 
 
 def test_box_mask_matches_open_box(grid_small):
