@@ -130,8 +130,8 @@ def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, grid: Grid,
-                            table, node_mask: np.ndarray | None = None) -> float:
+def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table,
+                            node_mask: np.ndarray | None = None) -> float:
     """log of  sum_k tw_k sum_p W_p exp(log_w[k,p]) sq[k,p]   (sq >= 0).
 
     ``tw_k W_p`` is the table's :attr:`~WeightTable.space_time_weights`.
@@ -144,11 +144,10 @@ def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, grid: Grid,
     coeff = w * sq
     if log_w.ndim == 1:
         log_w = log_w[:, None]
-    logw_b = np.broadcast_to(log_w, coeff.shape)
-    keep = (coeff > 0.0) & np.isfinite(logw_b)
+    keep = (coeff > 0.0) & np.isfinite(log_w)
     if not np.any(keep):
         return float("-inf")
-    return _logsumexp(logw_b[keep], coeff[keep])
+    return _logsumexp(np.broadcast_to(log_w, coeff.shape)[keep], coeff[keep])
 
 
 def _log_l2_sq(f: np.ndarray, grid: Grid) -> float:
@@ -169,10 +168,10 @@ def _i_beta_profiles(table: WeightTable, beta_exp: float) -> list:
             for k in (beta_exp + 3.0, beta_exp + 1.0, beta_exp - 1.0)]
 
 
-def _log_i_beta_terms(integrands: tuple, profiles: list, table: WeightTable,
-                      grid: Grid) -> list[float]:
+def _log_i_beta_terms(integrands: tuple, profiles: list,
+                      table: WeightTable) -> list[float]:
     logs = np.log(table.params.s)
-    return [k * logs + log_space_time_integral(w, sq, grid, table)
+    return [k * logs + log_space_time_integral(w, sq, table)
             for (k, w), sq in zip(profiles, integrands)]
 
 
@@ -318,13 +317,13 @@ def theorem22_report(p: KSParams, grid: Grid, eta0: Eta0, s_list,
         lap_sq, xi_terms = lap_phi * lap_phi, _i_beta_integrands(adj.xi, p.eps, grid)
         f1_sq, f2_sq = adj.f1**2, adj.f2**2
         for out, (table, logs, i_beta_w, w3, w10, w18) in zip(logs_by_s, tables):
-            lhs_parts = [3.0 * logs + log_space_time_integral(w3, lap_sq, grid, table)]
-            lhs_parts += _log_i_beta_terms(xi_terms, i_beta_w, table, grid)
+            lhs_parts = [3.0 * logs + log_space_time_integral(w3, lap_sq, table)]
+            lhs_parts += _log_i_beta_terms(xi_terms, i_beta_w, table)
             rhs_parts = [
                 18.0 * logs + log_space_time_integral(
-                    w18, xi_terms[0], grid, table, node_mask=omega_prime_mask),
-                10.0 * logs + log_space_time_integral(w10, f1_sq, grid, table),
-                3.0 * logs + log_space_time_integral(w3, f2_sq, grid, table),
+                    w18, xi_terms[0], table, node_mask=omega_prime_mask),
+                10.0 * logs + log_space_time_integral(w10, f1_sq, table),
+                3.0 * logs + log_space_time_integral(w3, f2_sq, table),
             ]
             out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
     for s, out in zip(s_list, logs_by_s):
@@ -369,16 +368,16 @@ def lemma31_report(p_template: KSParams, grid: Grid, eta0: Eta0, s_list,
                       np.log(eps) + _log_l2_sq(adj.xi[0], grid)]
             for out, (rt, wb4, wb2, wh3, ws10, ws3, ws18) in zip(logs_by_s, tables):
                 lhs_parts = [
-                    log_space_time_integral(wb4, xi_sq, grid, rt),
-                    log_space_time_integral(wb2, xi_grad, grid, rt),
-                    log_space_time_integral(wh3, osc_sq, grid, rt),
-                    log_space_time_integral(wh3, phi_grad, grid, rt),
+                    log_space_time_integral(wb4, xi_sq, rt),
+                    log_space_time_integral(wb2, xi_grad, rt),
+                    log_space_time_integral(wh3, osc_sq, rt),
+                    log_space_time_integral(wh3, phi_grad, rt),
                     *log_t0,
                 ]
                 rhs_parts = [
-                    log_space_time_integral(ws10, f1_sq, grid, rt),
-                    log_space_time_integral(ws3, f2_sq, grid, rt),
-                    log_space_time_integral(ws18, obs_sq, grid, rt),
+                    log_space_time_integral(ws10, f1_sq, rt),
+                    log_space_time_integral(ws3, f2_sq, rt),
+                    log_space_time_integral(ws18, obs_sq, rt),
                 ]
                 out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
         for s, out in zip(s_list, logs_by_s):
@@ -412,12 +411,11 @@ def lemmaA1_report(grid: Grid, eta0: Eta0, s_list, lam: float = 1.5,
         w3 = log_weight_profile(table, "alpha", 3.0)
         w4 = log_weight_profile(table, "alpha", 4.0)
         for i, (phi, gfield) in enumerate(samples):
-            log_lhs = 3.0 * logs + log_space_time_integral(
-                w3, phi * phi, grid, table)
+            log_lhs = 3.0 * logs + log_space_time_integral(w3, phi * phi, table)
             rhs_parts = [
                 3.0 * logs + log_space_time_integral(
-                    w3, phi * phi, grid, table, node_mask=omega_mask),
-                4.0 * logs + log_space_time_integral(w4, gfield**2, grid, table),
+                    w3, phi * phi, table, node_mask=omega_mask),
+                4.0 * logs + log_space_time_integral(w4, gfield**2, table),
             ]
             rep.add(i, float(s), lam, 0.0, log_lhs, _logsumexp(rhs_parts))
     return rep

@@ -195,19 +195,22 @@ def _domain_violations(cfg: ExperimentConfig) -> list:
     g, ph, w = cfg.grid, cfg.physics, cfg.weights
     v: list = []
 
-    def collect(section: str, build, *args):
+    def collect(section: str, build, *args, eps_key="eps"):
         try:
             return build(*args)
-        except ConfigError as exc:
-            v.extend(f"{section}.{x}" for x in exc.violations)
+        except ConfigError as exc:  # an eps_list entry reports under its own key
+            v.extend(f"{section}.{x}".replace(".eps ", f".{eps_key} ", 1)
+                     for x in exc.violations)
 
     grid = collect("grid", cfg.build_grid)
-    for eps in [ph["eps"], *ph["eps_list"]]:
-        collect("physics", cfg.params, eps)
-    try:
-        collect("weights", cfg.carleman_params, g["T"])
-    except (TypeError, ValueError):  # '--weights.s=1e3' arrives as a string
-        v.append(f"weights.s must be a number, got {w['s']!r}")
+    collect("physics", cfg.params, ph["eps"])
+    for i, eps in enumerate(ph["eps_list"]):
+        collect("physics", cfg.params, eps, eps_key=f"eps_list[{i}]")
+    if grid is not None or w["s"] is not None:  # s derives from a valid T only
+        try:
+            collect("weights", cfg.carleman_params, g["T"])
+        except (TypeError, ValueError):  # '--weights.s=1e3' arrives as a string
+            v.append(f"weights.s must be a number, got {w['s']!r}")
     if grid is not None:
         dim, L = grid.dim, grid.L
     else:  # check the nesting anyway; the domain only if L fits the axes

@@ -8,9 +8,9 @@ chemical gradient lagged one step.  Every operator involved has exactly zero
 weighted sum, so the cell-density mass is conserved to solver roundoff by
 construction, with or without control.
 
-Each density step fills its matrix in place on the grid's cached face table
-(the chemotaxis matrix N(v) goes face by face, in 1D and 2D alike, into the
-data slots of the Laplacian's CSC pattern), then makes one sparse solve.
+Each density step fills M(v) = I - dt (A - N(v)) face by face into the data
+slots of the Laplacian's CSC pattern and factors it once; the implicit
+coupling's later fixed-point iterates reuse that factor as chord corrections.
 
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix is assembled here and
@@ -152,17 +152,27 @@ def _check_traj_shape(f, grid: Grid, name: str):
         )
 
 
+def _density_factor(v: np.ndarray, grid: Grid, theta: float):
+    """SuperLU factor of M(v) = I - theta dt (A - N(v)) on the face table's pattern."""
+    st = _chem_stencil(grid)
+    return spla.splu(st.matrix(st.eye - theta * grid.dt * (st.lap - st.chem_data(v))))
+
+
 def _u_advance(u: np.ndarray, v: np.ndarray, grid: Grid, theta: float) -> np.ndarray:
     """One density step: implicit diffusion + semi-implicit chemotaxis, grad v lagged."""
-    st = _chem_stencil(grid)
-    n_data = st.chem_data(v)
-    M = st.matrix(st.eye - theta * grid.dt * (st.lap - n_data))
     if theta < 1.0:
-        N = st.matrix(n_data)
-        rhs = u + (1.0 - theta) * grid.dt * (grid.laplacian_matrix @ u - N @ u)
-    else:
-        rhs = u
-    return spla.spsolve(M, rhs)
+        st = _chem_stencil(grid)
+        N = st.matrix(st.chem_data(v))
+        u = u + (1.0 - theta) * grid.dt * (grid.laplacian_matrix @ u - N @ u)
+    return _density_factor(v, grid, theta).solve(u)
+
+
+def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid):
+    """rhs - M(v) u at theta = 1, matrix-free: M(v) u = u - dt div(q) with the
+    face flux q = ((u_r - u_l) - 0.5 (u_l + u_r)(v_r - v_l)) / h."""
+    div = _chem_stencil(grid).divergence(lambda f: ((u[f.right] - u[f.left]) - 0.5 * (
+        u[f.left] + u[f.right]) * (v[f.right] - v[f.left])) / f.h)
+    return rhs - (u - grid.dt * div)
 
 
 def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
@@ -205,20 +215,19 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
                 rhs += (1.0 - theta) * dt * (A @ v[k] - p.b * v[k])
             v[k + 1] = lu_v.solve(rhs)
         else:
-            uk1, vk1 = u[k].copy(), v[k].copy()
-            delta = np.inf
+            # chord method: one factor of M(v[k]), then u += lu(u[k] - M(v_j) u)
+            lu = _density_factor(v[k], grid, 1.0)
+            uk1, vk1, delta = u[k], v[k], np.inf
+            uk1_new = lu.solve(u[k])
             for _ in range(inner_maxit):
-                uk1_new = _u_advance(u[k], vk1, grid, 1.0)
-                vk1_new = lu_v.solve(
-                    p.eps * v[k] + dt * (p.a * uk1_new + c.g[k + 1] * c.chi)
-                )
-                delta = max(
-                    float(np.abs(uk1_new - uk1).max()),
-                    float(np.abs(vk1_new - vk1).max()),
-                )
+                vk1_new = lu_v.solve(p.eps * v[k]
+                                     + dt * (p.a * uk1_new + c.g[k + 1] * c.chi))
+                delta = max(float(np.abs(uk1_new - uk1).max()),
+                            float(np.abs(vk1_new - vk1).max()))
                 uk1, vk1 = uk1_new, vk1_new
                 if delta < inner_tol:
                     break
+                uk1_new = uk1 + lu.solve(_density_residual(u[k], uk1, vk1, grid))
             else:
                 raise InnerIterationError(k + 1, delta, inner_maxit)
             u[k + 1], v[k + 1] = uk1, vk1

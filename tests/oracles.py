@@ -7,7 +7,9 @@ tests call.
   dense direct solves of the dual problem;
 * the eps-uniform elliptic-regularity scan;
 * the measured smallness radius of the Picard loop and the continuity
-  constant of the quadratic remainder.
+  constant of the quadratic remainder;
+* the implicitly coupled forward march with a fresh sparse LU per
+  fixed-point iterate, as it stood before the chord method.
 """
 
 import numpy as np
@@ -16,9 +18,9 @@ import scipy.sparse.linalg as spla
 
 from ksctl.adjoint import AdjointTrajectory
 from ksctl.carleman_check import _i_beta_integrands, _i_beta_profiles, _log_i_beta_terms
-from ksctl.grid import Grid, chemotaxis_divergence, h1_seminorm_sq, inner
+from ksctl.grid import Grid, _chem_stencil, chemotaxis_divergence, h1_seminorm_sq, inner
 from ksctl.hum_control import ControlProblem, _DualOperator, _SourceTerminalSystem
-from ksctl.ks_model import Control, KSParams, StateTrajectory
+from ksctl.ks_model import Control, KSParams, StateTrajectory, _v_step_factor
 from ksctl.nonlinear_control import _capped, _log_l2q, e_norm, picard_solve
 from ksctl.weights import WeightTable, _logsumexp
 
@@ -99,7 +101,7 @@ def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
     return float(np.exp(_logsumexp(_log_i_beta_terms(
         _i_beta_integrands(q, sigma, grid), _i_beta_profiles(table, beta_exp),
-        table, grid))))
+        table))))
 
 
 
@@ -286,3 +288,35 @@ def bilinear_continuity_ratio(z: np.ndarray, w: np.ndarray,
     if not (np.isfinite(log_num) and np.isfinite(log_den)):
         return 0.0 if np.isneginf(log_num) else float("inf")
     return float(np.exp(log_num - log_den))
+
+
+def implicit_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
+                          grid: Grid, inner_tol: float = 1e-13,
+                          inner_maxit: int = 60) -> StateTrajectory:
+    """``solve_forward_pp(coupling="implicit")`` as a plain fixed point: each
+    iterate assembles M(v_j) on the face table and solves it with ``spsolve``."""
+    st = _chem_stencil(grid)
+    m, nn, dt = grid.m, grid.num_nodes, grid.dt
+    u = np.empty((m + 1, nn))
+    v = np.empty((m + 1, nn))
+    u[0], v[0] = u0, v0
+    lu_v = _v_step_factor(p, grid, 1.0)
+    for k in range(m):
+        uk1, vk1 = u[k].copy(), v[k].copy()
+        for _ in range(inner_maxit):
+            M = st.matrix(st.eye - dt * (st.lap - st.chem_data(vk1)))
+            uk1_new = spla.spsolve(M, u[k])
+            vk1_new = lu_v.solve(
+                p.eps * v[k] + dt * (p.a * uk1_new + c.g[k + 1] * c.chi)
+            )
+            delta = max(
+                float(np.abs(uk1_new - uk1).max()),
+                float(np.abs(vk1_new - vk1).max()),
+            )
+            uk1, vk1 = uk1_new, vk1_new
+            if delta < inner_tol:
+                break
+        else:
+            raise RuntimeError(f"oracle fixed point unconverged at step {k + 1}")
+        u[k + 1], v[k + 1] = uk1, vk1
+    return StateTrajectory(u=u, v=v, params=p, grid=grid)

@@ -286,15 +286,7 @@ def test_criterion_10_determinism(tmp_path):
                 "grid": {"n": 24, "m": 32},
                 "io": {"outdir": str(out)},
             }))
-            env0 = os.environ.get("KSCTL_THREADS")
-            os.environ["KSCTL_THREADS"] = "1"
-            try:
-                assert cli_main([cmd, "--config", str(cfgp)]) == 0
-            finally:
-                if env0 is None:
-                    os.environ.pop("KSCTL_THREADS", None)
-                else:
-                    os.environ["KSCTL_THREADS"] = env0
+            assert cli_main([cmd, "--config", str(cfgp)]) == 0
             csv = [f for f in os.listdir(out) if f.startswith(cmd)
                    and f.endswith(".csv")][0]
             blobs.append((out / csv).read_bytes())

@@ -86,8 +86,8 @@ def test_report_row_conventions():
 def test_log_integral_homogeneity(grid_small, weights_small):
     q = sample_space_time(grid_small, np.random.default_rng(5))
     lw = log_weight_profile(weights_small, "beta_star", 3.0)
-    v1 = log_space_time_integral(lw, q * q, grid_small, weights_small)
-    v4 = log_space_time_integral(lw, 4.0 * q * q, grid_small, weights_small)
+    v1 = log_space_time_integral(lw, q * q, weights_small)
+    v4 = log_space_time_integral(lw, 4.0 * q * q, weights_small)
     assert v4 - v1 == pytest.approx(np.log(4.0), rel=1e-12)
 
 
@@ -137,9 +137,9 @@ def test_localized_sample_satisfies_transposition_bound(grid_small, eta_small):
     bump = np.exp(-((x - 0.35) / 0.02) ** 2)
     phi = np.tile(bump, (g.m + 1, 1))
     w3 = log_weight_profile(tab, "alpha", 3.0)
-    lhs = log_space_time_integral(w3, phi * phi, g, tab)
+    lhs = log_space_time_integral(w3, phi * phi, tab)
     inside = box_mask(g, eta_small.omega).astype(float)
-    rhs = log_space_time_integral(w3, phi * phi, g, tab, node_mask=inside)
+    rhs = log_space_time_integral(w3, phi * phi, tab, node_mask=inside)
     assert lhs <= rhs + 1e-6
 
 

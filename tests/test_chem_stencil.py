@@ -1,8 +1,9 @@
 """The grid's face table against the code it replaced, kept here as
 oracles, in 1D, 2D square and 2D non-square: the chemotaxis matrix N(v)
-against the COO double-loop build, and the two operators
+against the COO double-loop build, the two operators
 ``chemotaxis_divergence`` and ``neumann_laplacian`` against the per-dimension
-numpy slice kernels."""
+numpy slice kernels, and the chord march of the implicit coupling against
+the fixed point that refactors every iterate."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import scipy.sparse.linalg as spla
 from ksctl import ks_model
 from ksctl.grid import build_grid, chemotaxis_divergence, neumann_laplacian
 from ksctl.ks_model import Control, KSParams, smooth_cutoff, solve_forward_pp
+from oracles import implicit_march_oracle
 
 GRIDS = {
     "1d": (1, 1.0, 40, 1.0, 16),
@@ -179,11 +181,8 @@ def test_chem_matrix_columns_have_zero_weighted_sum(grid):
     assert np.abs(colsum).max() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"coupling": "lagged"}, {"coupling": "implicit"}, {"theta": 0.5},
-], ids=["lagged", "implicit", "theta=0.5"])
-def test_forward_pp_matches_oracle_stepper(grid, kwargs, monkeypatch):
-    p = KSParams(a=10.0, b=1.0, eps=0.5, M1=1.0, M2=10.0)
+def forward_data(grid, eps=0.5):
+    p = KSParams(a=10.0, b=1.0, eps=eps, M1=1.0, M2=10.0)
     box = [[0.25, 0.45]] * grid.dim
     chi = smooth_cutoff(grid, box, [[0.20, 0.50]] * grid.dim)
     rng = np.random.default_rng(3)
@@ -191,7 +190,33 @@ def test_forward_pp_matches_oracle_stepper(grid, kwargs, monkeypatch):
     u0 = p.M1 + 0.05 * np.cos(np.pi * x[:, 0])
     v0 = p.M2 + 0.1 * np.cos(np.pi * x[:, -1])
     c = Control(g=0.1 * rng.standard_normal((grid.m + 1, grid.num_nodes)), chi=chi)
+    return p, u0, v0, c
+
+
+@pytest.mark.parametrize("kwargs", [{"coupling": "lagged"}, {"theta": 0.5}],
+                         ids=["lagged", "theta=0.5"])
+def test_forward_pp_matches_oracle_stepper(grid, kwargs, monkeypatch):
+    p, u0, v0, c = forward_data(grid)
     new = solve_forward_pp(p, u0, v0, c, grid, **kwargs)
     monkeypatch.setattr(ks_model, "_u_advance", u_advance_oracle)
     ref = solve_forward_pp(p, u0, v0, c, grid, **kwargs)
     assert np.array_equal(new.u, ref.u) and np.array_equal(new.v, ref.v)
+
+
+@pytest.mark.parametrize("eps", [0.5, 1e-3])
+def test_implicit_chord_march_matches_oracle(grid, eps, monkeypatch):
+    # the chord iterates converge to the same fixed point M(v*) u* = u[k]
+    # as the refactor-per-iterate march, so both stop within inner_tol of it
+    p, u0, v0, c = forward_data(grid, eps)
+    ref = implicit_march_oracle(p, u0, v0, c, grid)
+    calls = {"splu": 0, "spsolve": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(spla, name), _n=name, **kwargs):
+            calls[_n] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(spla, name, counted)
+    new = solve_forward_pp(p, u0, v0, c, grid, coupling="implicit")
+    # the v-step factor is cached on the grid by the oracle run
+    assert calls == {"splu": grid.m, "spsolve": 0}
+    for got, want in ((new.u, ref.u), (new.v, ref.v)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -56,6 +56,19 @@ def test_wrong_L_length_is_one_violation(tmp_path):
     assert err.value.violations == ["grid.L must have one entry per axis (dim=1)"]
 
 
+def test_bad_T_is_one_violation(tmp_path):
+    # s derives from T only once the grid is valid: no second 's = nan'
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_cfg(tmp_path), {"grid.T": float("nan")})
+    assert err.value.violations == ["grid.T must be > 0.0"]
+
+
+def test_bad_eps_list_entry_names_its_key(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_cfg(tmp_path), {"physics.eps_list": [1.0, 3.0]})
+    assert err.value.violations == ["physics.eps_list[1] must lie in (0, 1], got 3.0"]
+
+
 def test_unknown_keys_rejected(tmp_path):
     path = write_cfg(tmp_path, grid={"dx": 0.1})
     with pytest.raises(ConfigError, match="unknown key"):

@@ -1,13 +1,22 @@
-"""Golden outputs: ``carleman`` and ``simulate`` at ``configs/default.yaml``
-reproduce the committed CSVs in ``out/``.
+"""Golden outputs: ``carleman``, ``simulate``, ``control-nonlinear`` and
+``eps-sweep`` at ``configs/default.yaml`` reproduce the committed CSVs in
+``out/``.
 
 ``out/`` was written on another machine, with other floating-point
-libraries, so numeric fields are compared to 1e-12 relative; every other
-field (names, the inequality column, literals printed from a log beyond the
-double range) must be equal.
+libraries, so numeric fields of ``carleman`` and ``simulate`` are compared
+to 1e-12 relative; every other field (names, the inequality column, literals
+printed from a log beyond the double range) must be equal.
+
+The control commands run in a subprocess at one BLAS thread, since the order
+of the CG reductions depends on the thread count.  Their counts, flags and
+``eps`` must be equal, ``g_l2h1`` must match to 1e-9 relative, and the
+residuals to 1e-12 absolute (1e-6 of the Picard tolerance ``solver.tol``).
 """
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +24,15 @@ import pytest
 from ksctl.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIG = str(ROOT / "configs" / "default.yaml")
 REL_TOL = 1e-12
+# column -> (relative, absolute) tolerance of the control commands
+CONTROL_TOL = {
+    "g_l2h1": (1e-9, 0.0),
+    "terminal_residual": (0.0, 1e-12),
+    "forward_residual": (0.0, 1e-12),
+    "update_norm": (0.0, 1e-12),
+}
 
 
 def _same_field(got: str, want: str) -> bool:
@@ -28,18 +45,40 @@ def _same_field(got: str, want: str) -> bool:
     return abs(x - y) <= REL_TOL * max(abs(x), abs(y))
 
 
-@pytest.mark.parametrize("command", ["carleman", "simulate"])
-def test_default_config_reproduces_out(tmp_path, command):
+def _same_control_field(column: str, got: str, want: str) -> bool:
+    if column not in CONTROL_TOL:
+        return got == want
+    rel, tol = CONTROL_TOL[column]
+    x, y = float(got), float(want)
+    return abs(x - y) <= max(tol, rel * max(abs(x), abs(y)))
+
+
+def _assert_reproduces_out(outdir: Path, command: str, same) -> None:
     golden = ROOT / "out" / f"{command}-bbaf91c89b14.csv"
-    assert main([command, "--config", str(ROOT / "configs" / "default.yaml"),
-                 f"--io.outdir={tmp_path}", "--io.format=csv"]) == 0
-    got = (tmp_path / golden.name).read_text().splitlines()
+    got = (outdir / golden.name).read_text().splitlines()
     want = golden.read_text().splitlines()
     assert got[0] == want[0]
     assert len(got) == len(want)
+    header = want[0].split(",")
     for line_no, (g, w) in enumerate(zip(got[1:], want[1:]), start=2):
         g_fields, w_fields = g.split(","), w.split(",")
         assert len(g_fields) == len(w_fields), line_no
-        bad = [(h, a, b) for h, a, b in zip(want[0].split(","), g_fields, w_fields)
-               if not _same_field(a, b)]
+        bad = [(h, a, b) for h, a, b in zip(header, g_fields, w_fields)
+               if not same(h, a, b)]
         assert not bad, (line_no, bad)
+
+
+@pytest.mark.parametrize("command", ["carleman", "simulate"])
+def test_default_config_reproduces_out(tmp_path, command):
+    assert main([command, "--config", CONFIG,
+                 f"--io.outdir={tmp_path}", "--io.format=csv"]) == 0
+    _assert_reproduces_out(tmp_path, command, lambda h, a, b: _same_field(a, b))
+
+
+@pytest.mark.parametrize("command", ["control-nonlinear", "eps-sweep"])
+def test_control_command_reproduces_out(tmp_path, command):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "ksctl.cli", command, "--config", CONFIG,
+                    f"--io.outdir={tmp_path}", "--io.format=csv"], env=env, check=True)
+    _assert_reproduces_out(tmp_path, command, _same_control_field)
