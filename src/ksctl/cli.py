@@ -206,11 +206,13 @@ def _domain_violations(cfg: ExperimentConfig) -> list:
     collect("physics", cfg.params, ph["eps"])
     for i, eps in enumerate(ph["eps_list"]):
         collect("physics", cfg.params, eps, eps_key=f"eps_list[{i}]")
-    if grid is not None or w["s"] is not None:  # s derives from a valid T only
-        try:
+    try:  # s derives from a valid T only; without both, check lambda at s = 1
+        if grid is None and w["s"] is None:
+            collect("weights", weight_params, 1.0, w["lambda"], 1.0)
+        else:
             collect("weights", cfg.carleman_params, g["T"])
-        except (TypeError, ValueError):  # '--weights.s=1e3' arrives as a string
-            v.append(f"weights.s must be a number, got {w['s']!r}")
+    except (TypeError, ValueError):  # '--weights.s=1e3' arrives as a string
+        v.append(f"weights.s must be a number, got {w['s']!r}")
     if grid is not None:
         dim, L = grid.dim, grid.L
     else:  # check the nesting anyway; the domain only if L fits the axes

@@ -142,6 +142,20 @@ class Grid:
         Iy = sp.identity(self.n[1] + 1, format="csr")
         return sp.kron(Ax, Iy, format="csr") + sp.kron(Ix, Ay, format="csr")
 
+    @cached_property
+    def cosine_basis(self) -> _CosineBasis:
+        """The eigenbasis of :attr:`laplacian_matrix` (see :class:`_CosineBasis`)."""
+        axes = []
+        for n, h in zip(self.n, self.h):
+            k = np.arange(n + 1)
+            Q = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n)
+            c = np.where((k == 0) | (k == n), 1.0, 2.0)
+            axes.append((Q, c[:, None] * Q * c / (2 * n),
+                         2.0 * (np.cos(np.pi * k / n) - 1.0) / (h * h)))
+        q, qinv, lam = ([_read_only(a) for a in x] for x in zip(*axes))
+        lam = lam[0] if self.dim == 1 else _read_only(np.add.outer(*lam).ravel())
+        return _CosineBasis(q, qinv, lam)
+
 
 def build_grid(dim, L, n, T, m) -> Grid:
     """Validate sizes and assemble a :class:`Grid`.
@@ -176,6 +190,29 @@ def _check_field(f: np.ndarray, grid: Grid) -> None:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@dataclass(frozen=True)
+class _CosineBasis:
+    """The cosine (DCT-I) eigenbasis of the Neumann Laplacian (Strang, SIAM
+    Review 41, 1999).  Per axis Q_jk = cos(pi j k / n) holds mode k at node
+    j, and its inverse is diag(c) Q diag(c) / (2n), c = 1 at the two end
+    nodes and 2 inside; both are symmetric.  The Laplacian is Q diag(lam)
+    Q^-1, lam the sum over the axes of 2 (cos(pi k/n) - 1)/h^2."""
+
+    q: list
+    qinv: list
+    lam: np.ndarray
+
+    def apply(self, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Q (Q^-1 if ``inverse``) applied to the last axis of ``x``, into
+        ``out``: in 2D axis 0 from the left, then the last axis from the right."""
+        mats = self.qinv if inverse else self.q
+        y = x.reshape(-1, *(len(a) for a in mats))
+        if len(mats) == 2:
+            y = np.matmul(mats[0], y)
+        np.matmul(y, mats[-1], out=out.reshape(y.shape))
+        return out
 
 
 @dataclass(frozen=True)

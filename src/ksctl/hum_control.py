@@ -229,11 +229,13 @@ class _DualOperator:
     def project(self, Z: np.ndarray) -> np.ndarray:
         """Euclidean-orthogonal projection onto {sum_p W_p z^m_p = 0}."""
         W = self.W
-        Z[0, -1] -= (W @ Z[0, -1]) / (W @ W) * W
+        Z[0, -1] -= _dot(W, Z[0, -1]) / _dot(W, W) * W
         return Z
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.dot(x.ravel(), y.ravel()))
+    # a fixed-order reduction: BLAS ddot sums in an order that depends on
+    # its thread count, and cg_tol sits close enough to roundoff to show it
+    return float(np.add.reduce((x * y).ravel()))
 
 
 class _SourceTerminalSystem:
@@ -248,6 +250,10 @@ class _SourceTerminalSystem:
     suppressed* physical defects, so the extraction identities hold to
     roughly the CG tolerance instead of being amplified by the inverse
     weights, which is what ruins solvers in the raw coordinates.
+
+    Every block of the adjoint step C* is a scalar polynomial in the Neumann
+    Laplacian, so S marches in its cosine eigenbasis, where C* is one 2x2
+    matrix per eigenvalue l:  [[1 - dt l, -dt a], [dt M1 l, eps + dt b - dt l]].
     """
 
     def __init__(self, prob: ControlProblem, op: _DualOperator):
@@ -258,91 +264,71 @@ class _SourceTerminalSystem:
             )
         if prob.weight_floor <= 0.0:
             raise ValueError("weight_floor must be positive")
-        self.prob, self.op = prob, op
-        p, grid = prob.params, prob.grid
-        self.p, self.grid = p, grid
-        m, nn = grid.m, grid.num_nodes
-        self.m, self.nn = m, nn
-        W = grid.quad_weights
-        dt = grid.dt
+        self.op, p, grid = op, prob.params, prob.grid
+        self.m, self.nn = grid.m, grid.num_nodes
+        W, dt = grid.quad_weights, grid.dt
 
-        from .adjoint import _adjoint_factor
+        self.basis = grid.cosine_basis
+        lam = self.basis.lam
+        c = [[1.0 - dt * lam, np.full_like(lam, -dt * p.a)],
+             [dt * p.M1 * lam, p.eps + dt * p.b - dt * lam]]
+        det = c[0][0] * c[1][1] - c[0][1] * c[1][0]
+        if not np.all(det != 0.0):
+            raise RuntimeError("the adjoint block step is singular in a cosine mode")
+        self.inv = np.array([[c[1][1], -c[0][1]], [-c[1][0], c[0][0]]]) / det
+        self.d = np.array([1.0, p.eps])[:, None]   # D = diag(1, eps)
 
-        self.lu = _adjoint_factor(p, grid)
-        self.sig_f1 = np.sqrt(dt * op.rho1[:, None] * W[None, :])
-        self.sig_f2 = np.sqrt(dt * op.rho2[:, None] * W[None, :])
-        self.sig_tz = np.sqrt(prob.tau * W)
-        self.sig_tw = np.sqrt(prob.tau * p.eps * W)
-        self.obs = np.sqrt(dt * op.rho3[:, None] * W[None, :]) * prob.chi[None, :]
+        self.sig_f = np.sqrt(dt * np.stack([op.rho1, op.rho2])[:, :, None] * W)
+        sig_t = np.sqrt(prob.tau * self.d * W)
+        # y is laid out as Z (2, m+1, nn): per component the scaled sources
+        # F^0..F^{m-1}, then the scaled terminal slice; y * scale = (dt F, theta)
+        self.scale = np.concatenate([dt / self.sig_f, 1.0 / sig_t[:, None]], axis=1)
+        # G^T G acts on the w slices: dt rho3 W chi^2, none on the terminal one
+        self.gtg = np.vstack([dt * op.rho3[:, None] * W * prob.chi**2, np.zeros(self.nn)])
         # zero-mean-at-T constraint direction in scaled coordinates
-        chat = W / self.sig_tz
-        self.chat = chat / np.linalg.norm(chat)
-
-    # y layout: flat [F1 (m*nn) | F2 (m*nn) | theta_z (nn) | theta_w (nn)]
-
-    def split(self, y: np.ndarray):
-        m, nn = self.m, self.nn
-        return (
-            y[: m * nn].reshape(m, nn),
-            y[m * nn: 2 * m * nn].reshape(m, nn),
-            y[2 * m * nn: 2 * m * nn + nn],
-            y[2 * m * nn + nn:],
-        )
+        chat = W / sig_t[0]
+        self.chat = chat / np.sqrt(_dot(chat, chat))
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        _, _, tz, _ = self.split(y)
-        tz -= (self.chat @ tz) * self.chat
+        y[0, -1] -= _dot(self.chat, y[0, -1]) * self.chat
         return y
+
+    def _sweep(self, inv, src, out, z, steps):
+        """out^j = inv (src^j + D z), then z = out^j, for j in ``steps`` in
+        turn: one 2x2 solve per mode, inv being C*^-1 or C*^-T."""
+        np.einsum("ikn,kjn->ijn", inv, src[:, :-1], out=out[:, :-1])
+        k0, k1 = (inv * self.d).transpose(1, 0, 2)   # the columns of inv D
+        for j in steps:
+            z = out[:, j] = out[:, j] + k0 * z[0] + k1 * z[1]
+        return z
 
     def march(self, y: np.ndarray) -> np.ndarray:
-        """Z = S(unscale(y)): backward march of the adjoint block stepper."""
-        yf1, yf2, ytz, ytw = self.split(y)
-        m, nn, dt, eps = self.m, self.nn, self.grid.dt, self.p.eps
-        Z = np.empty((2, m + 1, nn))
-        Z[0, m] = ytz / self.sig_tz
-        Z[1, m] = ytw / self.sig_tw
-        F1 = yf1 / self.sig_f1
-        F2 = yf2 / self.sig_f2
-        for j in range(m - 1, -1, -1):
-            rhs = np.concatenate(
-                [Z[0, j + 1] + dt * F1[j], eps * Z[1, j + 1] + dt * F2[j]]
-            )
-            sol = self.lu.solve(rhs)
-            Z[0, j] = sol[:nn]
-            Z[1, j] = sol[nn:]
-        return Z
+        """Z = S(unscale(y)): the backward march Z^j = C*^-1 (D Z^{j+1} + dt F^j)
+        between one transform to cosine modes and one back."""
+        X = y * self.scale
+        Xh = self.basis.apply(X, np.empty_like(X), inverse=True)
+        X[:, -1] = Xh[:, -1]
+        self._sweep(self.inv, Xh, X, X[:, -1], range(self.m - 1, -1, -1))
+        return self.basis.apply(X, Xh)
 
     def march_T(self, V: np.ndarray) -> np.ndarray:
-        """Euclidean transpose of :meth:`march`: forward sweep with the
-        transposed one-step factor."""
-        m, nn, dt, eps = self.m, self.nn, self.grid.dt, self.p.eps
-        gF1 = np.empty((m, nn))
-        gF2 = np.empty((m, nn))
-        carry_z = np.zeros(nn)
-        carry_w = np.zeros(nn)
-        for j in range(m):
-            t = self.lu.solve(
-                np.concatenate([V[0, j] + carry_z, V[1, j] + carry_w]), trans="T"
-            )
-            tz, tw = t[:nn], t[nn:]
-            gF1[j] = dt * tz
-            gF2[j] = dt * tw
-            carry_z, carry_w = tz, eps * tw
-        y = np.empty(2 * m * nn + 2 * nn)
-        yf1, yf2, ytz, ytw = self.split(y)
-        yf1[:] = gF1 / self.sig_f1
-        yf2[:] = gF2 / self.sig_f2
-        ytz[:] = (V[0, m] + carry_z) / self.sig_tz
-        ytw[:] = (V[1, m] + carry_w) / self.sig_tw
-        return y
+        """Euclidean transpose of :meth:`march`: the same steps transposed and
+        in reverse order, T^j = C*^-T (V^j + D T^{j-1}) for j = 0..m-1."""
+        Vh = self.basis.apply(V, np.empty_like(V))   # Q^T = Q
+        T = np.empty_like(Vh)
+        t = self._sweep(self.inv.transpose(1, 0, 2), Vh, T, np.zeros((2, self.nn)),
+                        range(self.m))
+        T[:, -1] = Vh[:, -1] + self.d * t
+        self.basis.apply(T, Vh, inverse=True)   # (Q^-1)^T = Q^-1
+        Vh *= self.scale
+        return Vh
 
-    def gramian_apply(self, y: np.ndarray):
-        """(G^T G) y together with |G y|^2 (one backward + one forward march)."""
-        Z = self.march(y)
-        Gy = self.obs * Z[1, :-1]
-        V = np.zeros_like(Z)
-        V[1, :-1] = self.obs * Gy
-        return self.march_T(V), float(np.dot(Gy.ravel(), Gy.ravel()))
+    def gramian_apply(self, y: np.ndarray) -> np.ndarray:
+        """(G^T G) y: one backward and one forward march."""
+        V = self.march(y)
+        V[0] = 0.0
+        V[1] *= self.gtg
+        return self.march_T(V)
 
     def rhs(self) -> np.ndarray:
         return self.project(self.march_T(self.op.rhs()))
@@ -383,7 +369,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     curvature_ok = True
     it = 0
     for it in range(1, problem.cg_maxit + 1):
-        gty, _ = sys_.gramian_apply(pdir)
+        gty = sys_.gramian_apply(pdir)
         Ap = sys_.project(pdir + gty)
         pAp = _dot(pdir, Ap)
         if pAp <= 0.0:
@@ -408,12 +394,12 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     # the marched z^m satisfies the zero-mean constraint by construction of
     # the projected theta slot; tidy roundoff anyway
     Z = op.project(Z)
-    yf1, yf2, _, _ = sys_.split(y)
+    F = y[:, :-1]
     return DualSolution(
         zhat=Z[0], what=Z[1], value=J, iterations=it,
         residual_history=np.asarray(res_hist), energy_history=np.asarray(en_hist),
         converged=converged, curvature_ok=curvature_ok,
-        lstar1=yf1 / sys_.sig_f1, lstar2=yf2 / sys_.sig_f2,
+        lstar1=F[0] / sys_.sig_f[0], lstar2=F[1] / sys_.sig_f[1],
     )
 
 

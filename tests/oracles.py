@@ -9,14 +9,16 @@ tests call.
 * the measured smallness radius of the Picard loop and the continuity
   constant of the quadratic remainder;
 * the implicitly coupled forward march with a fresh sparse LU per
-  fixed-point iterate, as it stood before the chord method.
+  fixed-point iterate, as it stood before the chord method;
+* the dual CG's backward march and its transpose on the sparse LU factor
+  of the adjoint block step, as they stood before the cosine eigenbasis.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ksctl.adjoint import AdjointTrajectory
+from ksctl.adjoint import AdjointTrajectory, _adjoint_factor
 from ksctl.carleman_check import _i_beta_integrands, _i_beta_profiles, _log_i_beta_terms
 from ksctl.grid import Grid, _chem_stencil, chemotaxis_divergence, h1_seminorm_sq, inner
 from ksctl.hum_control import ControlProblem, _DualOperator, _SourceTerminalSystem
@@ -173,16 +175,16 @@ def dense_dual_solve(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
     e = np.zeros(dim)
     for i in range(dim):
         e[i] = 1.0
-        gty, _ = sys_.gramian_apply(e)
+        gty = sys_.gramian_apply(e.reshape(2, m + 1, nn)).ravel()
         H[:, i] = gty
         e[i] = 0.0
     H += np.eye(dim)
     chat_full = np.zeros((1, dim))
-    chat_full[0, 2 * m * nn: 2 * m * nn + nn] = sys_.chat
+    chat_full.reshape(2, m + 1, nn)[0, m] = sys_.chat
     kkt = np.block([[H, chat_full.T], [chat_full, np.zeros((1, 1))]])
-    rhs = np.concatenate([sys_.march_T(op.rhs()), [0.0]])
+    rhs = np.concatenate([sys_.march_T(op.rhs()).ravel(), [0.0]])
     y = np.linalg.solve(kkt, rhs)[:dim]
-    Z = op.project(sys_.march(sys_.project(y)))
+    Z = op.project(sys_.march(sys_.project(y.reshape(2, m + 1, nn))))
     return Z[0], Z[1]
 
 
@@ -320,3 +322,29 @@ def implicit_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Contro
             raise RuntimeError(f"oracle fixed point unconverged at step {k + 1}")
         u[k + 1], v[k + 1] = uk1, vk1
     return StateTrajectory(u=u, v=v, params=p, grid=grid)
+
+
+def source_terminal_march_oracle(sys_: _SourceTerminalSystem, y: np.ndarray) -> np.ndarray:
+    """``sys_.march`` by sparse LU: Z^j = C*^-1 (D Z^{j+1} + dt F^j) in node
+    coordinates, one factor solve per step."""
+    m, nn, eps = sys_.m, sys_.nn, sys_.op.p.eps
+    lu = _adjoint_factor(sys_.op.p, sys_.op.grid)
+    Z = y * sys_.scale   # dt F^j, then Z^m
+    for j in range(m - 1, -1, -1):
+        Z[:, j] = lu.solve(np.concatenate([Z[0, j + 1] + Z[0, j],
+                                           eps * Z[1, j + 1] + Z[1, j]])).reshape(2, nn)
+    return Z
+
+
+def source_terminal_march_T_oracle(sys_: _SourceTerminalSystem, V: np.ndarray) -> np.ndarray:
+    """``sys_.march_T`` by sparse LU: a forward sweep with the transposed
+    factor of the one-step matrix."""
+    m, nn, eps = sys_.m, sys_.nn, sys_.op.p.eps
+    lu = _adjoint_factor(sys_.op.p, sys_.op.grid)
+    Y = np.empty((2, m + 1, nn))
+    carry = np.zeros((2, nn))
+    for j in range(m):
+        Y[:, j] = lu.solve((V[:, j] + carry).ravel(), trans="T").reshape(2, nn)
+        carry = Y[:, j] * np.array([[1.0], [eps]])
+    Y[:, m] = V[:, m] + carry
+    return Y * sys_.scale

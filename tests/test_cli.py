@@ -63,6 +63,16 @@ def test_bad_T_is_one_violation(tmp_path):
     assert err.value.violations == ["grid.T must be > 0.0"]
 
 
+def test_bad_T_still_checks_lambda(tmp_path, capsys):
+    # lambda needs no valid T: both violations come out of one run
+    code = main(["simulate", "--config", write_cfg(tmp_path),
+                 "--grid.T=.nan", "--weights.lambda=0.5"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == ["ksctl: config error: grid.T must be > 0.0",
+                   "ksctl: config error: weights.lambda must be >= 1, got 0.5"]
+
+
 def test_bad_eps_list_entry_names_its_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(write_cfg(tmp_path), {"physics.eps_list": [1.0, 3.0]})

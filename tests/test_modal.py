@@ -1,0 +1,116 @@
+"""The cosine eigenbasis of the Neumann Laplacian and the dual CG's marches
+in it: the basis reproduces the sparse Laplacian, ``march_T`` is the
+Euclidean transpose of ``march``, both agree with the sparse-LU marches they
+replaced, and ``solve_dual`` builds and uses no sparse factor."""
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ksctl.adjoint import _adjoint_factor
+from ksctl.grid import build_grid
+from ksctl.hum_control import ControlProblem, _DualOperator, _SourceTerminalSystem, solve_dual
+from ksctl.ks_model import KSParams, smooth_cutoff
+from ksctl.weights import build_eta0, refined_weights, weight_params
+from oracles import source_terminal_march_oracle, source_terminal_march_T_oracle
+
+BOXES = ((0.30, 0.40), (0.25, 0.45), (0.20, 0.50))
+
+
+def _grid(dim, n, m):
+    return build_grid(dim, 1.0 if dim == 1 else (1.0, 0.8), n, 2.4, m)
+
+
+def _problem(grid, p):
+    boxes = [[b] * grid.dim for b in BOXES]
+    eta = build_eta0(grid, *boxes)
+    x = grid.node_coords[:, 0]
+    return ControlProblem(
+        params=p, grid=grid,
+        weights=refined_weights(eta, weight_params(grid.T, 1.5, sigma0=0.05), grid),
+        chi=smooth_cutoff(grid, boxes[1], boxes[2]),
+        z0=0.01 * np.cos(np.pi * x / grid.L[0]), w0=np.zeros(grid.num_nodes))
+
+
+def _system(grid, eps):
+    prob = _problem(grid, KSParams(a=10.0, b=1.0, eps=eps, M1=1.0, M2=10.0))
+    return _SourceTerminalSystem(prob, _DualOperator(prob))
+
+
+def _random_pair(sys_, seed):
+    """A random y and V, both laid out as Z."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((2, 2, sys_.m + 1, sys_.nn))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 50), (2, (12, 10))])
+def test_basis_diagonalises_laplacian(dim, n):
+    grid = _grid(dim, n, 16)
+    basis = grid.cosine_basis
+    eye = np.eye(grid.num_nodes)
+    # row i of `rebuilt` is Q diag(lam) Q^-1 e_i, column i of the Laplacian
+    modes = basis.apply(eye, np.empty_like(eye), inverse=True)
+    rebuilt = basis.apply(basis.lam * modes, np.empty_like(eye))
+    A = grid.laplacian_matrix.toarray()
+    assert np.abs(rebuilt - A.T).max() <= 1e-12 * np.abs(A).max()
+    assert np.abs(basis.apply(modes, np.empty_like(eye)) - eye).max() <= 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(8, 16), m=st.integers(16, 24),
+       eps=st.floats(1e-3, 1.0), seed=st.integers(0, 2**16))
+def test_march_T_is_transpose_of_march(dim, n, m, eps, seed):
+    sys_ = _system(_grid(dim, n, m), eps)
+    y, V = _random_pair(sys_, seed)
+    Z, yT = sys_.march(y), sys_.march_T(V)
+    scale = max(np.linalg.norm(Z) * np.linalg.norm(V), np.linalg.norm(y) * np.linalg.norm(yT))
+    assert abs(np.sum(Z * V) - np.sum(y * yT)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3])
+@pytest.mark.parametrize("dim, n, m", [(1, 50, 100), (2, (12, 10), 20)])
+def test_marches_match_sparse_lu_oracle(dim, n, m, eps):
+    sys_ = _system(_grid(dim, n, m), eps)
+    y, V = _random_pair(sys_, 7)
+    Z, ref = sys_.march(y), source_terminal_march_oracle(sys_, y)
+    assert np.abs(Z - ref).max() <= 1e-12 * np.abs(ref).max()
+    yT, refT = sys_.march_T(V), source_terminal_march_T_oracle(sys_, V)
+    assert np.abs(yT - refT).max() <= 1e-12 * np.abs(refT).max()
+
+
+def test_singular_mode_raises():
+    # M1 chosen so that det C*_k = (1 - dt l)(eps + dt b - dt l) + dt^2 a M1 l
+    # is exactly zero in mode 1 of an 8-interval axis
+    grid = _grid(1, 8, 16)
+    dt, lam = grid.dt, grid.cosine_basis.lam[1]
+    M1 = -(1.0 - dt * lam) * (1.0 + dt - dt * lam) / (dt * dt * lam)
+    prob = _problem(grid, KSParams(a=1.0, b=1.0, eps=1.0, M1=M1, M2=M1))
+    with pytest.raises(RuntimeError, match="singular"):
+        solve_dual(prob)
+
+
+def test_solve_dual_makes_no_sparse_solve(monkeypatch):
+    calls = {"splu": 0, "solve": 0}
+
+    class CountedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, *args, **kwargs):
+            calls["solve"] += 1
+            return self.lu.solve(*args, **kwargs)
+
+    def counted_splu(*args, _f=spla.splu, **kwargs):
+        calls["splu"] += 1
+        return CountedLU(_f(*args, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    grid = _grid(1, 24, 40)
+    prob = _problem(grid, KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0))
+    _adjoint_factor(prob.params, grid)   # a cached factor is there to be used
+    calls.update(splu=0, solve=0)
+    dual = solve_dual(prob)
+    assert dual.converged and dual.iterations > 0
+    assert calls == {"splu": 0, "solve": 0}

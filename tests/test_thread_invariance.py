@@ -1,0 +1,41 @@
+"""``control-linear`` writes the same CSV bytes at one and at two BLAS
+threads, at the 1D defaults and at a 2D config (32x32 nodes, m=40, every
+default control box repeated on both axes).
+
+The CG's reductions are fixed-order numpy sums, not BLAS ``ddot``, whose
+summation order follows its thread count: with ``cg_tol`` near the roundoff
+floor, that order alone moved the 1D iteration count from 17 to 20."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = str(ROOT / "configs" / "default.yaml")
+TWO_D = [
+    "--grid.dim=2", "--grid.L=[1.0,1.0]", "--grid.n=[32,32]", "--grid.m=40",
+    "--weights.omega0=[[0.30,0.40],[0.30,0.40]]",
+    "--weights.omega_prime=[[0.25,0.45],[0.25,0.45]]",
+    "--weights.omega=[[0.20,0.50],[0.20,0.50]]",
+]
+
+
+def _control_linear_csv(outdir: Path, threads: int, overrides) -> bytes:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-m", "ksctl.cli", "control-linear", "--config", CONFIG,
+                    f"--io.outdir={outdir}", "--io.format=csv", *overrides],
+                   env=env, check=True)
+    (csv,) = outdir.glob("control-linear-*.csv")
+    return csv.read_bytes()
+
+
+@pytest.mark.parametrize("overrides", [[], TWO_D], ids=["1d-defaults", "2d-32x32"])
+def test_control_linear_csv_independent_of_blas_threads(tmp_path, overrides):
+    one = _control_linear_csv(tmp_path / "one", 1, overrides)
+    two = _control_linear_csv(tmp_path / "two", 2, overrides)
+    assert one == two
