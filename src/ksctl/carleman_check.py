@@ -236,8 +236,9 @@ class CarlemanReport:
     """Per-sample evaluations of one inequality plus aggregates.
 
     ``rows`` carry (sample_id, s, lambda, eps, lhs, rhs, ratio) with the two
-    log-domain values alongside; ``c_emp`` maps (s, eps) to the max ratio;
-    ``falsifications`` lists samples with rhs = 0 < lhs (must stay empty).
+    log-domain values alongside; ``c_emp_log`` maps (s, eps) to the max log
+    ratio; ``falsifications`` lists samples with rhs = 0 < lhs (must stay
+    empty).
     """
 
     inequality: str
@@ -266,14 +267,6 @@ class CarlemanReport:
                     "log_ratio": log_ratio,
                 }
             )
-
-    @property
-    def c_emp(self) -> dict:
-        out: dict = {}
-        for r in self.rows:
-            key = (r["s"], r["eps"])
-            out[key] = max(out.get(key, 0.0), r["ratio"])
-        return out
 
     @property
     def c_emp_log(self) -> dict:

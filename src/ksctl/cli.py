@@ -452,14 +452,18 @@ def _cmd_control_linear(cfg: ExperimentConfig, runner: _Runner) -> int:
     runner.phase("setup")
     dual = solve_dual(prob)
     runner.phase("cg")
+    row = {"eps": p.eps, "tau": prob.tau, "cg_iterations": dual.iterations,
+           "cg_converged": dual.converged, "curvature_ok": dual.curvature_ok}
+    if dual.failure:  # no minimiser: nothing to extract
+        print(f"ksctl control-linear: {dual.failure}", file=sys.stderr)
+        return runner.finish(list(row), [row], {**row, "dual_value": dual.value},
+                             2 if dual.curvature_ok else 3)
     res = extract_control(dual, prob)
     free = solve_linearized(p, prob.z0, prob.w0, Control.zero(grid, chi),
                             None, None, grid)
     free_term = l2_norm(free.u[-1], grid)
     runner.phase("extract")
-    row = {
-        "eps": p.eps, "tau": prob.tau, "cg_iterations": dual.iterations,
-        "cg_converged": dual.converged, "curvature_ok": dual.curvature_ok,
+    row.update({
         "terminal_u": res.terminal_u, "terminal_v": res.terminal_v,
         "free_terminal_u": free_term,
         "terminal_ratio": res.terminal_u / free_term if free_term > 0 else 0.0,
@@ -467,18 +471,8 @@ def _cmd_control_linear(cfg: ExperimentConfig, runner: _Runner) -> int:
         "log_weighted_u": res.log_weighted_u,
         "log_weighted_v": res.log_weighted_v,
         "log_weighted_g": res.log_weighted_g,
-    }
-    summary = dict(row)
-    summary["dual_value"] = dual.value
-    code = 0 if dual.converged else 2
-    if not dual.curvature_ok:
-        code = 3
-        print("ksctl control-linear: negative curvature falsifies the discrete "
-              "scalar product", file=sys.stderr)
-    elif not dual.converged:
-        print(f"ksctl control-linear: CG hit maxit={prob.cg_maxit} "
-              f"(residual {dual.residual_history[-1]:.3e})", file=sys.stderr)
-    return runner.finish(list(row.keys()), [row], summary, code)
+    })
+    return runner.finish(list(row), [row], {**row, "dual_value": dual.value}, 0)
 
 
 def _cmd_control_nonlinear(cfg: ExperimentConfig, runner: _Runner) -> int:
@@ -509,7 +503,7 @@ def _cmd_control_nonlinear(cfg: ExperimentConfig, runner: _Runner) -> int:
             k: v["log"] for k, v in (result.e_norm_components or {}).items()
         },
     }
-    code = 0 if result.converged else 2
+    code = 0 if result.converged else 2 if result.curvature_ok else 3
     if not result.converged:
         print(f"ksctl control-nonlinear: {result.failure_reason or 'no convergence'}",
               file=sys.stderr)

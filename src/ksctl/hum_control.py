@@ -99,6 +99,14 @@ class DualSolution:
     lstar1: np.ndarray | None = None
     lstar2: np.ndarray | None = None
 
+    @property
+    def failure(self) -> str | None:
+        """Why no control may be extracted from this solution, or None."""
+        if not self.curvature_ok:
+            return "negative curvature falsifies the discrete scalar product"
+        return None if self.converged else (
+            f"CG hit maxit={self.iterations} (residual {self.residual_history[-1]:.3e})")
+
 
 @dataclass
 class ControlResult:
@@ -277,6 +285,13 @@ class _SourceTerminalSystem:
             raise RuntimeError("the adjoint block step is singular in a cosine mode")
         self.inv = np.array([[c[1][1], -c[0][1]], [-c[1][0], c[0][0]]]) / det
         self.d = np.array([1.0, p.eps])[:, None]   # D = diag(1, eps)
+        chunk = max(1, int(np.sqrt(32.0 * (self.m + 1) / self.nn)))
+        self.scan = {}   # per direction: inv, the columns of K^1..K^chunk (K = inv D)
+        for backward, inv in ((True, self.inv), (False, self.inv.transpose(1, 0, 2))):
+            powers = [inv * self.d]
+            while len(powers) < chunk:
+                powers.append(np.einsum("ikn,kln->iln", powers[-1], powers[0]))
+            self.scan[backward] = inv, np.stack(powers, axis=2).transpose(1, 0, 2, 3).copy()
 
         self.sig_f = np.sqrt(dt * np.stack([op.rho1, op.rho2])[:, :, None] * W)
         sig_t = np.sqrt(prob.tau * self.d * W)
@@ -293,13 +308,34 @@ class _SourceTerminalSystem:
         y[0, -1] -= _dot(self.chat, y[0, -1]) * self.chat
         return y
 
-    def _sweep(self, inv, src, out, z, steps):
-        """out^j = inv (src^j + D z), then z = out^j, for j in ``steps`` in
-        turn: one 2x2 solve per mode, inv being C*^-1 or C*^-T."""
+    def _sweep(self, src, out, z, backward):
+        """out^j = inv (src^j + D z), then z = out^j, for j = m-1..0 with
+        inv = C*^-1 if ``backward``, else j = 0..m-1 with inv = C*^-T; one
+        2x2 solve per mode and step.  Returns the last z.
+
+        z_j = b^j + K z_prev (b^j = inv src^j, K = inv D) has constant
+        coefficients, so it is scanned in chunks of B steps (Blelloch 1990):
+        the first 1..B steps one by one, so that whole chunks remain; the
+        recurrence from zero inside all chunks at once; a pass over the chunk
+        ends with K^B; and one fix-up adding K^i times the previous chunk's
+        end to step i < B of every chunk.  B = max(1, floor(sqrt(32 (m+1) / nodes)))
+        balances the B + m/B Python-level steps against the fix-up's work;
+        it is 1 when nodes > 8 (m+1), and B = 1 is the step-by-step loop."""
+        (inv, cols), m = self.scan[backward], self.m
+        B = cols.shape[2]
+        r = (m - 1) % B + 1
         np.einsum("ikn,kjn->ijn", inv, src[:, :-1], out=out[:, :-1])
-        k0, k1 = (inv * self.d).transpose(1, 0, 2)   # the columns of inv D
-        for j in steps:
-            z = out[:, j] = out[:, j] + k0 * z[0] + k1 * z[1]
+        seq = out[:, m - 1::-1] if backward else out[:, :-1]   # in step order
+        (k0, k1), (p0, p1), (f0, f1) = cols[:, :, 0], cols[:, :, -1], cols[:, :, None, :-1]
+        for j in range(r):
+            z = seq[:, j] = seq[:, j] + k0 * z[0] + k1 * z[1]
+        chunks = seq[:, r:].reshape(2, (m - r) // B, B, self.nn)
+        for i in range(1, B):
+            chunks[:, :, i] += k0[:, None] * chunks[0, :, i - 1] + k1[:, None] * chunks[1, :, i - 1]
+        ends = seq[:, r - 1::B]   # the last step taken one by one, then each chunk's last
+        for c in range(1, ends.shape[1]):
+            z = ends[:, c] = ends[:, c] + p0 * z[0] + p1 * z[1]
+        chunks[:, :, :-1] += f0 * ends[0, :-1, None] + f1 * ends[1, :-1, None]
         return z
 
     def march(self, y: np.ndarray) -> np.ndarray:
@@ -308,7 +344,7 @@ class _SourceTerminalSystem:
         X = y * self.scale
         Xh = self.basis.apply(X, np.empty_like(X), inverse=True)
         X[:, -1] = Xh[:, -1]
-        self._sweep(self.inv, Xh, X, X[:, -1], range(self.m - 1, -1, -1))
+        self._sweep(Xh, X, X[:, -1], backward=True)
         return self.basis.apply(X, Xh)
 
     def march_T(self, V: np.ndarray) -> np.ndarray:
@@ -316,8 +352,7 @@ class _SourceTerminalSystem:
         in reverse order, T^j = C*^-T (V^j + D T^{j-1}) for j = 0..m-1."""
         Vh = self.basis.apply(V, np.empty_like(V))   # Q^T = Q
         T = np.empty_like(Vh)
-        t = self._sweep(self.inv.transpose(1, 0, 2), Vh, T, np.zeros((2, self.nn)),
-                        range(self.m))
+        t = self._sweep(Vh, T, np.zeros((2, self.nn)), backward=False)
         T[:, -1] = Vh[:, -1] + self.d * t
         self.basis.apply(T, Vh, inverse=True)   # (Q^-1)^T = Q^-1
         Vh *= self.scale

@@ -48,6 +48,7 @@ class NonlinearControlResult:
     forward_residual_lagged: float
     failure_reason: str | None = None
     e_norm_components: dict | None = None
+    curvature_ok: bool = True   # False: a dual solve falsified positivity
 
 
 @dataclass
@@ -96,7 +97,7 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
     term_hist: list = []
     upd_hist: list = []
     result_ctl = None
-    res = None
+    res = dual = None
     converged = False
     best_term = np.inf
     it = 0
@@ -109,7 +110,10 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
             h1=h1, h2=None, tau=tau, cg_tol=cg_tol, cg_maxit=cg_maxit,
             weight_floor=weight_floor,
         )
-        res = extract_control(solve_dual(prob), prob)
+        dual = solve_dual(prob)
+        if dual.failure:
+            break
+        res = extract_control(dual, prob)
         z_new, w_new = res.uhat, res.vhat
         term = _terminal_norm(z_new, w_new, grid)
         upd = max(float(np.abs(z_new - z).max()), float(np.abs(w_new - w).max()))
@@ -131,7 +135,9 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
             update_history=upd_hist, control=result_ctl, z=z, w=w,
             g_l2h1=res.g_l2h1 if res else 0.0,
             forward_residual=np.inf, forward_residual_lagged=np.inf,
-            failure_reason="no_convergence",
+            failure_reason=(f"{dual.failure} in Picard iteration {it}"
+                            if dual and dual.failure else "no_convergence"),
+            curvature_ok=dual is None or dual.curvature_ok,
         )
 
     fwd_res = 0.0

@@ -243,10 +243,6 @@ class WeightTable:
     log_factor_hat: np.ndarray
     singular_steps: tuple
 
-    @property
-    def interior_steps(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.grid.m + 1), self.singular_steps)
-
     @cached_property
     def space_time_weights(self) -> np.ndarray:
         """Trapezoid weights in time times the node weights, (m+1, nodes),

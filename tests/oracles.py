@@ -11,7 +11,9 @@ tests call.
 * the implicitly coupled forward march with a fresh sparse LU per
   fixed-point iterate, as it stood before the chord method;
 * the dual CG's backward march and its transpose on the sparse LU factor
-  of the adjoint block step, as they stood before the cosine eigenbasis.
+  of the adjoint block step, as they stood before the cosine eigenbasis;
+* the modal sweep of those marches as a plain step-by-step loop, as it
+  stood before the chunked time scan.
 """
 
 import numpy as np
@@ -348,3 +350,15 @@ def source_terminal_march_T_oracle(sys_: _SourceTerminalSystem, V: np.ndarray) -
         carry = Y[:, j] * np.array([[1.0], [eps]])
     Y[:, m] = V[:, m] + carry
     return Y * sys_.scale
+
+
+def modal_sweep_oracle(sys_: _SourceTerminalSystem, src: np.ndarray, out: np.ndarray,
+                       z: np.ndarray, backward: bool) -> np.ndarray:
+    """``sys_._sweep`` one time step at a time: out^j = inv (src^j + D z),
+    then z = out^j, for j = m-1..0 (inv = C*^-1) or j = 0..m-1 (inv = C*^-T)."""
+    inv = sys_.inv if backward else sys_.inv.transpose(1, 0, 2)
+    np.einsum("ikn,kjn->ijn", inv, src[:, :-1], out=out[:, :-1])
+    k0, k1 = (inv * sys_.d).transpose(1, 0, 2)   # the columns of inv D
+    for j in (range(sys_.m - 1, -1, -1) if backward else range(sys_.m)):
+        z = out[:, j] = out[:, j] + k0 * z[0] + k1 * z[1]
+    return z

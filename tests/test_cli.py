@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import os
 
 import pytest
 import yaml
 
-from ksctl import cli
+from ksctl import cli, nonlinear_control
 from ksctl.cli import ConfigError, main, parse_config
 
 
@@ -206,6 +207,33 @@ def test_control_nonlinear_exit_codes(tmp_path):
     # starving the Picard loop of iterations must signal non-convergence
     assert main(["control-nonlinear", "--config", path,
                  "--solver.maxit=1", "--solver.tol=1e-14"]) == 2
+
+
+@pytest.mark.parametrize("command", ["control-linear", "control-nonlinear"])
+def test_cg_cap_is_reported_not_extracted(tmp_path, capsys, command):
+    # a capped CG is no minimiser: extracting from it would fail the
+    # cross-validation and hide the cap behind an ExtractionError
+    path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
+    assert main([command, "--config", path, "--solver.cg_maxit=3"]) == 2
+    err = capsys.readouterr().err
+    assert "CG hit maxit=3 (residual" in err
+    assert "ExtractionError" not in err
+
+
+@pytest.mark.parametrize("command, module", [("control-linear", cli),
+                                             ("control-nonlinear", nonlinear_control)],
+                         ids=["control-linear", "control-nonlinear"])
+def test_negative_curvature_is_a_falsification(tmp_path, capsys, monkeypatch, command, module):
+    def flagged(prob, _solve=module.solve_dual):  # CG stopped at its 3rd iterate
+        dual = _solve(dataclasses.replace(prob, cg_maxit=3))
+        return dataclasses.replace(dual, curvature_ok=False)
+
+    monkeypatch.setattr(module, "solve_dual", flagged)
+    path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
+    assert main([command, "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "negative curvature falsifies the discrete scalar product" in err
+    assert "ExtractionError" not in err
 
 
 @pytest.mark.parametrize("exc, code", [

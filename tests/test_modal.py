@@ -1,12 +1,15 @@
 """The cosine eigenbasis of the Neumann Laplacian and the dual CG's marches
 in it: the basis reproduces the sparse Laplacian, ``march_T`` is the
 Euclidean transpose of ``march``, both agree with the sparse-LU marches they
+replaced, their chunked time scan agrees with the step-by-step loop it
 replaced, and ``solve_dual`` builds and uses no sparse factor."""
+
+import functools
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksctl.adjoint import _adjoint_factor
@@ -14,7 +17,8 @@ from ksctl.grid import build_grid
 from ksctl.hum_control import ControlProblem, _DualOperator, _SourceTerminalSystem, solve_dual
 from ksctl.ks_model import KSParams, smooth_cutoff
 from ksctl.weights import build_eta0, refined_weights, weight_params
-from oracles import source_terminal_march_oracle, source_terminal_march_T_oracle
+from oracles import (modal_sweep_oracle, source_terminal_march_oracle,
+                     source_terminal_march_T_oracle)
 
 BOXES = ((0.30, 0.40), (0.25, 0.45), (0.20, 0.50))
 
@@ -67,6 +71,34 @@ def test_march_T_is_transpose_of_march(dim, n, m, eps, seed):
     Z, yT = sys_.march(y), sys_.march_T(V)
     scale = max(np.linalg.norm(Z) * np.linalg.norm(V), np.linalg.norm(y) * np.linalg.norm(yT))
     assert abs(np.sum(Z * V) - np.sum(y * yT)) <= 1e-13 * scale
+
+
+def _chunk(sys_):
+    return sys_.scan[True][1].shape[2]
+
+
+@settings(max_examples=25, deadline=None)
+@example(dim=2, n=16, m=16, eps=0.5, seed=0)   # 289 nodes: B = 1
+@example(dim=1, n=8, m=40, eps=1e-3, seed=1)   # B = 12: 4 steps, then 3 chunks
+@example(dim=1, n=16, m=40, eps=1.0, seed=2)   # B = 8: 8 steps, then 4 chunks
+@given(dim=st.sampled_from([1, 2]), n=st.integers(8, 16), m=st.integers(16, 40),
+       eps=st.floats(1e-3, 1.0), seed=st.integers(0, 2**16))
+def test_chunked_scan_matches_step_by_step_oracle(dim, n, m, eps, seed):
+    sys_ = _system(_grid(dim, n, m), eps)
+    y, V = _random_pair(sys_, seed)
+    got = sys_.march(y), sys_.march_T(V)
+    sys_._sweep = functools.partial(modal_sweep_oracle, sys_)
+    want = sys_.march(y), sys_.march_T(V)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+        if _chunk(sys_) == 1:   # the scan is then the loop, operation for operation
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dim, n, m, chunk", [(1, 50, 100, 7), (2, (32, 32), 40, 1)],
+                         ids=["1d-defaults", "2d-32x32"])
+def test_chunk_length_rule(dim, n, m, chunk):
+    assert _chunk(_system(_grid(dim, n, m), 1.0)) == chunk
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-3])

@@ -1,6 +1,7 @@
-"""``control-linear`` writes the same CSV bytes at one and at two BLAS
-threads, at the 1D defaults and at a 2D config (32x32 nodes, m=40, every
-default control box repeated on both axes).
+"""The control commands write the same CSV bytes at one and at two BLAS
+threads: ``control-linear`` at the 1D defaults and at a 2D config (32x32
+nodes, m=40, every default control box repeated on both axes),
+``control-nonlinear`` and ``eps-sweep`` at the 1D defaults.
 
 The CG's reductions are fixed-order numpy sums, not BLAS ``ddot``, whose
 summation order follows its thread count: with ``cg_tol`` near the roundoff
@@ -23,19 +24,24 @@ TWO_D = [
 ]
 
 
-def _control_linear_csv(outdir: Path, threads: int, overrides) -> bytes:
+def _csv(outdir: Path, command: str, threads: int, overrides=()) -> bytes:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "OMP_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-m", "ksctl.cli", "control-linear", "--config", CONFIG,
+    subprocess.run([sys.executable, "-m", "ksctl.cli", command, "--config", CONFIG,
                     f"--io.outdir={outdir}", "--io.format=csv", *overrides],
                    env=env, check=True)
-    (csv,) = outdir.glob("control-linear-*.csv")
+    (csv,) = outdir.glob(f"{command}-*.csv")
     return csv.read_bytes()
 
 
 @pytest.mark.parametrize("overrides", [[], TWO_D], ids=["1d-defaults", "2d-32x32"])
 def test_control_linear_csv_independent_of_blas_threads(tmp_path, overrides):
-    one = _control_linear_csv(tmp_path / "one", 1, overrides)
-    two = _control_linear_csv(tmp_path / "two", 2, overrides)
+    one = _csv(tmp_path / "one", "control-linear", 1, overrides)
+    two = _csv(tmp_path / "two", "control-linear", 2, overrides)
     assert one == two
+
+
+@pytest.mark.parametrize("command", ["control-nonlinear", "eps-sweep"])
+def test_picard_csvs_independent_of_blas_threads(tmp_path, command):
+    assert _csv(tmp_path / "one", command, 1) == _csv(tmp_path / "two", command, 2)

@@ -150,7 +150,7 @@ def test_log_weight_consistency_with_direct_product(grid_small, eta_small):
 
 def test_stored_logs_finite_on_interior_steps(grid_small, weights_small):
     rt = weights_small
-    interior = rt.interior_steps
+    interior = np.setdiff1d(np.arange(rt.grid.m + 1), rt.singular_steps)
     assert np.all(np.isfinite(rt.two_s_exponent[interior]))
     assert np.all(np.isfinite(rt.log_factor[interior]))
     assert np.all(np.isfinite(rt.log_factor_star[interior]))
