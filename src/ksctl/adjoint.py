@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import Grid, mass
-from .ks_model import KSParams
+from .ks_model import KSParams, block_march, block_step_factor
 
 __all__ = [
     "AdjointTrajectory",
@@ -51,34 +50,6 @@ class AdjointTrajectory:
     f2: np.ndarray
     params: KSParams
     grid: Grid
-
-
-def adjoint_block_matrix(p: KSParams, grid: Grid) -> sp.csc_matrix:
-    """Weighted-inner-product adjoint C* of the forward one-step matrix.
-
-    Because the discrete Laplacian is self-adjoint for the trapezoid weights
-    and every other block is a scalar multiple of the identity, C* is
-    obtained by transposing the off-diagonal blocks while keeping the
-    Laplacian itself untouched.
-    """
-    A = grid.laplacian_matrix
-    nn = grid.num_nodes
-    I = sp.identity(nn, format="csr")
-    dt = grid.dt
-    return sp.bmat(
-        [
-            [I - dt * A, -dt * p.a * I],
-            [dt * p.M1 * A, (p.eps + dt * p.b) * I - dt * A],
-        ],
-        format="csc",
-    )
-
-
-def _adjoint_factor(p: KSParams, grid: Grid):
-    key = ("adj", p.a, p.b, p.eps, p.M1)
-    if key not in grid._cache:
-        grid._cache[key] = spla.splu(adjoint_block_matrix(p, grid))
-    return grid._cache[key]
 
 
 def solve_adjoint(p: KSParams, phiT: np.ndarray, xiT: np.ndarray,
@@ -106,23 +77,13 @@ def solve_adjoint(p: KSParams, phiT: np.ndarray, xiT: np.ndarray,
         )
     phiT = phiT - mean
 
-    lu = _adjoint_factor(p, grid)
-    phi = np.empty((m + 1, nn))
-    xi = np.empty((m + 1, nn))
-    phi[m], xi[m] = phiT, xiT
-    dt = grid.dt
-    for k in range(m - 1, -1, -1):
-        rhs = np.concatenate(
-            [
-                phi[k + 1] + dt * f1[k + 1],
-                p.eps * xi[k + 1] + dt * f2[k + 1],
-            ]
-        )
-        sol = lu.solve(rhs)
-        phi[k] = sol[:nn]
-        xi[k] = sol[nn:]
+    X = np.empty((m + 1, 2, nn))
+    X[m] = phiT, xiT
+    block_march(block_step_factor(p, grid, True), X.reshape(m + 1, 2 * nn),
+                np.concatenate([f1, f2], axis=1), np.repeat([1.0, p.eps], nn),
+                grid.dt, True)
     return AdjointTrajectory(
-        phi=phi, xi=xi, phiT=phiT, xiT=xiT, f1=f1, f2=f2, params=p, grid=grid
+        phi=X[:, 0], xi=X[:, 1], phiT=phiT, xiT=xiT, f1=f1, f2=f2, params=p, grid=grid
     )
 
 
@@ -135,13 +96,8 @@ def solve_backward_heat(phiT: np.ndarray, source: np.ndarray, grid: Grid) -> np.
     nn, m = grid.num_nodes, grid.m
     if source.shape != (m + 1, nn):
         raise ValueError("source must have shape (m+1, nodes)")
-    key = ("bheat",)
-    if key not in grid._cache:
-        M = sp.identity(nn, format="csr") - grid.dt * grid.laplacian_matrix
-        grid._cache[key] = spla.splu(M.tocsc())
-    lu = grid._cache[key]
+    lu = grid.factor(("bheat",), lambda: (
+        sp.identity(nn, format="csr") - grid.dt * grid.laplacian_matrix))
     phi = np.empty((m + 1, nn))
     phi[m] = phiT
-    for k in range(m - 1, -1, -1):
-        phi[k] = lu.solve(phi[k + 1] + grid.dt * source[k + 1])
-    return phi
+    return block_march(lu, phi, source, 1.0, grid.dt, True)

@@ -533,11 +533,17 @@ def _cmd_eps_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
         "uniformity_ratio": report.uniformity_ratio,
         "converged_count": len(report.rows),
         "excluded": [r["eps"] for r in report.excluded],
+        "excluded_reasons": [{"eps": r["eps"], "reason": r["failure_reason"]}
+                             for r in report.excluded],
     }
-    code = 0 if not report.excluded else 2
+    code = 0 if not report.excluded else (
+        2 if all(r["curvature_ok"] for r in report.excluded) else 3)
     if report.excluded:
         print(f"ksctl eps-sweep: non-converged eps excluded: "
               f"{[r['eps'] for r in report.excluded]}", file=sys.stderr)
+        for r in report.excluded:
+            print(f"ksctl eps-sweep: eps={r['eps']:g}: {r['failure_reason']}",
+                  file=sys.stderr)
     return runner.finish(header, rows, summary, code)
 
 

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = [
     "ConfigError",
@@ -118,8 +119,15 @@ class Grid:
 
     @cached_property
     def _cache(self) -> dict:
-        # per-grid store for factorizations and the face table
+        # per-grid store for the constant factors and the face table
         return {}
+
+    def factor(self, key, build):
+        """SuperLU factor of the constant sparse matrix ``build()``, made
+        once per grid and ``key``: the one cache of constant factors."""
+        if key not in self._cache:
+            self._cache[key] = spla.splu(build().tocsc())
+        return self._cache[key]
 
     def _axis_laplacian(self, axis: int) -> sp.csr_matrix:
         n = self.n[axis]

@@ -41,7 +41,6 @@ __all__ = [
     "DualSolution",
     "ControlResult",
     "ExtractionError",
-    "apply_Lstar",
     "apply_L",
     "solve_dual",
     "extract_control",
@@ -73,8 +72,13 @@ class ControlProblem:
 
     def __post_init__(self):
         g = self.grid
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not self.tau > 0.0:
+            raise ValueError(
+                "the discrete dual solve needs tau > 0: the continuum form is "
+                "coercive only on its abstract completion"
+            )
+        if not self.weight_floor > 0.0:
+            raise ValueError("weight_floor must be positive")
         if abs(mass(self.z0, g)) > 1e-10 * max(1.0, float(np.abs(self.z0).max())):
             raise ValueError("z0 must have zero mass")
         if self.h1 is not None:
@@ -95,9 +99,9 @@ class DualSolution:
     curvature_ok: bool
     # residual pair L*(zhat, what) as the solver knows it; recomputing it
     # from the marched trajectory would re-amplify roundoff through the
-    # stencil, so extraction prefers these slots when present
-    lstar1: np.ndarray | None = None
-    lstar2: np.ndarray | None = None
+    # stencil, so extraction reads these slots
+    lstar1: np.ndarray
+    lstar2: np.ndarray
 
     @property
     def failure(self) -> str | None:
@@ -136,23 +140,8 @@ class ControlResult:
 
 
 # ---------------------------------------------------------------------------
-# discrete L and L* (plain stencils, no weights)
+# discrete L (plain stencil, no weights)
 # ---------------------------------------------------------------------------
-
-
-def apply_Lstar(z: np.ndarray, w: np.ndarray, p: KSParams, grid: Grid):
-    """Backward residual pair on slices 0..m-1 (anchored at the implicit level):
-
-        F1^j = (z^j - z^{j+1})/dt - Lap z^j - a w^j
-        F2^j = eps (w^j - w^{j+1})/dt - Lap w^j + b w^j + M1 Lap z^j
-    """
-    A = grid.laplacian_matrix
-    dt = grid.dt
-    Az = (A @ z[:-1].T).T
-    Aw = (A @ w[:-1].T).T
-    F1 = (z[:-1] - z[1:]) / dt - Az - p.a * w[:-1]
-    F2 = p.eps * (w[:-1] - w[1:]) / dt - Aw + p.b * w[:-1] + p.M1 * Az
-    return F1, F2
 
 
 def apply_L(u: np.ndarray, v: np.ndarray, p: KSParams, grid: Grid):
@@ -183,12 +172,12 @@ class _DualOperator:
     most adjacent time slices through the spatial stencil, and the
     observation and terminal blocks are diagonal.  Its matrix is assembled
     only by the dense small-instance oracle of the tests.  The solver reads
-    only the weight profiles, :meth:`rhs`, :meth:`project` and
-    :meth:`lstar`: it works in transformed coordinates (see
-    :class:`_SourceTerminalSystem`) because in these raw coordinates the
-    weight profiles put the dual directions so many orders of magnitude
-    apart that neither a diagonal preconditioner nor a sparse factorization
-    reaches the accuracy the extraction identities need.
+    only the weight profiles, :meth:`rhs` and :meth:`project`: it works in
+    transformed coordinates (see :class:`_SourceTerminalSystem`) because in
+    these raw coordinates the weight profiles put the dual directions so
+    many orders of magnitude apart that neither a diagonal preconditioner
+    nor a sparse factorization reaches the accuracy the extraction
+    identities need.
     """
 
     def __init__(self, prob: ControlProblem):
@@ -209,18 +198,14 @@ class _DualOperator:
                 "that e^lambda (4/T^2)^4 is order one)",
                 stacklevel=3,
             )
-        self.rho = [np.exp(lp - self.log_c) for lp in log_profiles]
-        if prob.weight_floor > 0.0:
-            self.rho = [np.maximum(r, prob.weight_floor * r.max()) for r in self.rho]
+        self.rho = [np.maximum(r, prob.weight_floor * r.max())
+                    for r in (np.exp(lp - self.log_c) for lp in log_profiles)]
         self.rho1, self.rho2, self.rho3 = self.rho
 
         self.W = grid.quad_weights
         self.dt = grid.dt
 
     # Z layout: array (2, m+1, nodes)
-
-    def lstar(self, Z: np.ndarray):
-        return apply_Lstar(Z[0], Z[1], self.p, self.grid)
 
     def rhs(self) -> np.ndarray:
         prob, grid = self.prob, self.grid
@@ -265,13 +250,6 @@ class _SourceTerminalSystem:
     """
 
     def __init__(self, prob: ControlProblem, op: _DualOperator):
-        if prob.tau <= 0.0:
-            raise ValueError(
-                "the discrete dual solve needs tau > 0: the continuum form is "
-                "coercive only on its abstract completion"
-            )
-        if prob.weight_floor <= 0.0:
-            raise ValueError("weight_floor must be positive")
         self.op, p, grid = op, prob.params, prob.grid
         self.m, self.nn = grid.m, grid.num_nodes
         W, dt = grid.quad_weights, grid.dt
@@ -389,7 +367,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
         return DualSolution(
             zhat=Z[0], what=Z[1], value=0.0, iterations=0,
             residual_history=np.zeros(0), energy_history=np.zeros(0),
-            converged=True, curvature_ok=True,
+            converged=True, curvature_ok=True, lstar1=Z[0, :-1], lstar2=Z[1, :-1],
         )
 
     y = np.zeros_like(b)
@@ -471,11 +449,7 @@ def extract_control(dual: DualSolution, problem: ControlProblem,
     op = _DualOperator(problem)
     p, grid = problem.params, problem.grid
     m, nn = grid.m, grid.num_nodes
-    Z = np.stack([dual.zhat, dual.what])
-    if dual.lstar1 is not None:
-        F1, F2 = dual.lstar1, dual.lstar2
-    else:
-        F1, F2 = op.lstar(Z)
+    F1, F2 = dual.lstar1, dual.lstar2
 
     uhat = np.empty((m + 1, nn))
     vhat = np.empty((m + 1, nn))

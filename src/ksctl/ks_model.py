@@ -1,20 +1,21 @@
 """Forward solvers: nonlinear chemotaxis, its parabolic-elliptic limit, and
 the linearization around the constant state.
 
-All steppers are implicit Euler by default (``theta = 1``); the nonlinear
-solvers also accept ``theta = 0.5`` (Crank-Nicolson) for order studies.  The
-chemotaxis term is semi-implicit: linear in the new density, with the
-chemical gradient lagged one step.  Every operator involved has exactly zero
-weighted sum, so the cell-density mass is conserved to solver roundoff by
-construction, with or without control.
+All steppers are implicit Euler.  The chemotaxis term is semi-implicit:
+linear in the new density, with the chemical gradient lagged one step (the
+implicit coupling resolves the lag by a fixed point).  Every operator
+involved has exactly zero weighted sum, so the cell-density mass is
+conserved to solver roundoff by construction, with or without control.
 
 Each density step fills M(v) = I - dt (A - N(v)) face by face into the data
 slots of the Laplacian's CSC pattern and factors it once; the implicit
 coupling's later fixed-point iterates reuse that factor as chord corrections.
 
 The linearized stepper is the operator whose exact algebraic transpose
-drives the dual machinery; its one-step block matrix is assembled here and
-reused (factorized once per parameter set).
+drives the dual machinery; its one-step block matrix C and the adjoint C*
+are assembled here by one builder, and every constant-coefficient march
+(these two, the v step, the elliptic solve, the backward heat march) is
+one factor from :meth:`Grid.factor` driven by :func:`block_march`.
 """
 
 from __future__ import annotations
@@ -126,23 +127,10 @@ class StateTrajectory:
     grid: Grid
 
 
-def _v_step_factor(p: KSParams, grid: Grid, theta: float):
-    key = ("vstep", p.a, p.b, p.eps, theta)
-    if key not in grid._cache:
-        A = grid.laplacian_matrix
-        I = sp.identity(grid.num_nodes, format="csr")
-        M = p.eps * I - theta * grid.dt * A + theta * grid.dt * p.b * I
-        grid._cache[key] = spla.splu(M.tocsc())
-    return grid._cache[key]
-
-
-def _elliptic_factor(p: KSParams, grid: Grid):
-    key = ("ell", p.a, p.b)
-    if key not in grid._cache:
-        A = grid.laplacian_matrix
-        M = -A + p.b * sp.identity(grid.num_nodes, format="csr")
-        grid._cache[key] = spla.splu(M.tocsc())
-    return grid._cache[key]
+def _v_step_factor(p: KSParams, grid: Grid):
+    I = sp.identity(grid.num_nodes, format="csr")
+    return grid.factor(("vstep", p.b, p.eps), lambda: (
+        p.eps * I - grid.dt * grid.laplacian_matrix + grid.dt * p.b * I))
 
 
 def _check_traj_shape(f, grid: Grid, name: str):
@@ -152,23 +140,15 @@ def _check_traj_shape(f, grid: Grid, name: str):
         )
 
 
-def _density_factor(v: np.ndarray, grid: Grid, theta: float):
-    """SuperLU factor of M(v) = I - theta dt (A - N(v)) on the face table's pattern."""
+def _density_factor(v: np.ndarray, grid: Grid):
+    """SuperLU factor of M(v) = I - dt (A - N(v)) on the face table's pattern:
+    the one factor whose coefficients change with every step."""
     st = _chem_stencil(grid)
-    return spla.splu(st.matrix(st.eye - theta * grid.dt * (st.lap - st.chem_data(v))))
-
-
-def _u_advance(u: np.ndarray, v: np.ndarray, grid: Grid, theta: float) -> np.ndarray:
-    """One density step: implicit diffusion + semi-implicit chemotaxis, grad v lagged."""
-    if theta < 1.0:
-        st = _chem_stencil(grid)
-        N = st.matrix(st.chem_data(v))
-        u = u + (1.0 - theta) * grid.dt * (grid.laplacian_matrix @ u - N @ u)
-    return _density_factor(v, grid, theta).solve(u)
+    return spla.splu(st.matrix(st.eye - grid.dt * (st.lap - st.chem_data(v))))
 
 
 def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid):
-    """rhs - M(v) u at theta = 1, matrix-free: M(v) u = u - dt div(q) with the
+    """rhs - M(v) u, matrix-free: M(v) u = u - dt div(q) with the
     face flux q = ((u_r - u_l) - 0.5 (u_l + u_r)(v_r - v_l)) / h."""
     div = _chem_stencil(grid).divergence(lambda f: ((u[f.right] - u[f.left]) - 0.5 * (
         u[f.left] + u[f.right]) * (v[f.right] - v[f.left])) / f.h)
@@ -176,9 +156,8 @@ def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid)
 
 
 def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
-                     grid: Grid, blowup_cap: float = 1e6, theta: float = 1.0,
-                     coupling: str = "lagged", inner_tol: float = 1e-13,
-                     inner_maxit: int = 60) -> StateTrajectory:
+                     grid: Grid, blowup_cap: float = 1e6, coupling: str = "lagged",
+                     inner_tol: float = 1e-13, inner_maxit: int = 60) -> StateTrajectory:
     """March the fully parabolic system; raises :class:`BlowUpError` if the
     density norm passes ``blowup_cap``.
 
@@ -196,27 +175,20 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
         raise ValueError("initial data must be nonnegative")
     if coupling not in ("lagged", "implicit"):
         raise ValueError(f"unknown coupling {coupling!r}")
-    if coupling == "implicit" and theta != 1.0:
-        raise ValueError("implicit coupling is backward-Euler only")
     m, nn = grid.m, grid.num_nodes
     u = np.empty((m + 1, nn))
     v = np.empty((m + 1, nn))
     u[0], v[0] = u0, v0
-    lu_v = _v_step_factor(p, grid, theta)
-    A = grid.laplacian_matrix
+    lu_v = _v_step_factor(p, grid)
     dt = grid.dt
     for k in range(m):
         if coupling == "lagged":
-            u[k + 1] = _u_advance(u[k], v[k], grid, theta)
-            g_mix = theta * c.g[k + 1] + (1.0 - theta) * c.g[k]
-            u_mix = theta * u[k + 1] + (1.0 - theta) * u[k]
-            rhs = p.eps * v[k] + dt * (p.a * u_mix + g_mix * c.chi)
-            if theta < 1.0:
-                rhs += (1.0 - theta) * dt * (A @ v[k] - p.b * v[k])
-            v[k + 1] = lu_v.solve(rhs)
+            u[k + 1] = _density_factor(v[k], grid).solve(u[k])
+            v[k + 1] = lu_v.solve(p.eps * v[k]
+                                  + dt * (p.a * u[k + 1] + c.g[k + 1] * c.chi))
         else:
             # chord method: one factor of M(v[k]), then u += lu(u[k] - M(v_j) u)
-            lu = _density_factor(v[k], grid, 1.0)
+            lu = _density_factor(v[k], grid)
             uk1, vk1, delta = u[k], v[k], np.inf
             uk1_new = lu.solve(u[k])
             for _ in range(inner_maxit):
@@ -238,7 +210,7 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
 
 
 def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid,
-                     blowup_cap: float = 1e6, theta: float = 1.0) -> StateTrajectory:
+                     blowup_cap: float = 1e6) -> StateTrajectory:
     """March the parabolic-elliptic limit: the chemical solves the elliptic
     problem at every step, so no initial chemical data is needed."""
     if np.any(u0 < 0):
@@ -247,10 +219,11 @@ def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid,
     u = np.empty((m + 1, nn))
     v = np.empty((m + 1, nn))
     u[0] = u0
-    lu_e = _elliptic_factor(p, grid)
+    lu_e = grid.factor(("ell", p.b), lambda: (
+        -grid.laplacian_matrix + p.b * sp.identity(nn, format="csr")))
     v[0] = lu_e.solve(p.a * u[0] + c.g[0] * c.chi)
     for k in range(m):
-        u[k + 1] = _u_advance(u[k], v[k], grid, theta)
+        u[k + 1] = _density_factor(v[k], grid).solve(u[k])
         v[k + 1] = lu_e.solve(p.a * u[k + 1] + c.g[k + 1] * c.chi)
         peak = np.abs(u[k + 1]).max()
         if peak > blowup_cap:
@@ -258,27 +231,35 @@ def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid,
     return StateTrajectory(u=u, v=v, params=p, grid=grid)
 
 
-def linearized_block_matrix(p: KSParams, grid: Grid) -> sp.csc_matrix:
-    """One-step block matrix C of the linearized implicit Euler stepper:
-    C X^{k+1} = diag(I, eps I) X^k + dt (h1, g chi + h2)^{k+1}."""
-    A = grid.laplacian_matrix
-    nn = grid.num_nodes
-    I = sp.identity(nn, format="csr")
-    dt = grid.dt
-    return sp.bmat(
-        [
-            [I - dt * A, dt * p.M1 * A],
-            [-dt * p.a * I, (p.eps + dt * p.b) * I - dt * A],
-        ],
-        format="csc",
-    )
+def block_step_factor(p: KSParams, grid: Grid, adjoint: bool):
+    """Factor of the one-step block matrix C of the linearized implicit Euler
+    stepper, C X^{k+1} = D X^k + dt F^{k+1} with D = diag(I, eps I), or, if
+    ``adjoint``, of its weighted-inner-product adjoint C*.  The Laplacian is
+    self-adjoint for the trapezoid weights and every other block is a scalar
+    multiple of the identity, so C* only swaps the off-diagonal pair."""
+    def build():
+        A = grid.laplacian_matrix
+        I = sp.identity(grid.num_nodes, format="csr")
+        dt = grid.dt
+        upper, lower = dt * p.M1 * A, -dt * p.a * I
+        if adjoint:
+            upper, lower = lower, upper
+        return sp.bmat([[I - dt * A, upper],
+                        [lower, (p.eps + dt * p.b) * I - dt * A]], format="csc")
+    return grid.factor(("adj" if adjoint else "lin", p.a, p.b, p.eps, p.M1), build)
 
 
-def _linearized_factor(p: KSParams, grid: Grid):
-    key = ("lin", p.a, p.b, p.eps, p.M1)
-    if key not in grid._cache:
-        grid._cache[key] = spla.splu(linearized_block_matrix(p, grid))
-    return grid._cache[key]
+def block_march(lu, X: np.ndarray, F: np.ndarray, d, dt: float, backward: bool) -> np.ndarray:
+    """X[next] = lu.solve(d * X[prev] + dt * F[k + 1]) on the flat
+    (m + 1, parts * nodes) slices of ``X``: forward from the filled X[0]
+    (prev = k, next = k + 1), or ``backward`` from the filled X[m]
+    (prev = k + 1, next = k).  Returns ``X``."""
+    m = X.shape[0] - 1
+    dtF = dt * F
+    for k in range(m - 1, -1, -1) if backward else range(m):
+        src, dst = (k + 1, k) if backward else (k, k + 1)
+        X[dst] = lu.solve(d * X[src] + dtF[k + 1])
+    return X
 
 
 def solve_linearized(p: KSParams, z0: np.ndarray, w0: np.ndarray, c: Control,
@@ -308,19 +289,10 @@ def solve_linearized(p: KSParams, z0: np.ndarray, w0: np.ndarray, c: Control,
     if abs(mass(z0, grid)) > MASS_TOL * max(1.0, float(np.abs(z0).max())):
         raise ValueError(f"z0 must have zero mass, got {mass(z0, grid):.3e}")
 
-    lu = _linearized_factor(p, grid)
-    z = np.empty((m + 1, nn))
-    w = np.empty((m + 1, nn))
-    z[0], w[0] = z0, w0
-    dt = grid.dt
-    for k in range(m):
-        rhs = np.concatenate(
-            [
-                z[k] + dt * h1[k + 1],
-                p.eps * w[k] + dt * (c.g[k + 1] * c.chi + h2[k + 1]),
-            ]
-        )
-        sol = lu.solve(rhs)
-        z[k + 1] = sol[:nn]
-        w[k + 1] = sol[nn:]
-    return StateTrajectory(u=z, v=w, params=p, grid=grid)
+    X = np.empty((m + 1, 2, nn))
+    X[0] = z0, w0
+    F = np.stack([h1, c.g * c.chi + h2], axis=1)
+    d = np.repeat([1.0, p.eps], nn)
+    block_march(block_step_factor(p, grid, False), X.reshape(m + 1, 2 * nn),
+                F.reshape(m + 1, 2 * nn), d, grid.dt, False)
+    return StateTrajectory(u=X[:, 0], v=X[:, 1], params=p, grid=grid)

@@ -176,7 +176,8 @@ def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
     """Run the Picard control per eps with identical weights and tolerances.
 
     The weight tables never depend on eps, so they are shared.  Entries that
-    fail to converge are excluded from the uniformity ratio and flagged.
+    fail to converge are excluded from the uniformity ratio and carry the
+    ``failure_reason`` and ``curvature_ok`` of their Picard run.
     """
     report = SweepReport()
     for eps in eps_list:
@@ -191,6 +192,7 @@ def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
         if r.converged:
             report.rows.append(row)
         else:
+            row.update(failure_reason=r.failure_reason, curvature_ok=r.curvature_ok)
             report.excluded.append(row)
     return report
 

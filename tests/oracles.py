@@ -2,6 +2,7 @@
 tests call.
 
 * the duality audit: both sides of the discrete transposition identity;
+* the backward residual pair L* of a dual candidate, as a plain stencil;
 * the scalar weighted energy ``i_beta`` of one sample;
 * the raw-coordinate normal-equations matrix of the dual problem and two
   dense direct solves of the dual problem;
@@ -20,11 +21,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ksctl.adjoint import AdjointTrajectory, _adjoint_factor
+from ksctl.adjoint import AdjointTrajectory
 from ksctl.carleman_check import _i_beta_integrands, _i_beta_profiles, _log_i_beta_terms
 from ksctl.grid import Grid, _chem_stencil, chemotaxis_divergence, h1_seminorm_sq, inner
 from ksctl.hum_control import ControlProblem, _DualOperator, _SourceTerminalSystem
-from ksctl.ks_model import Control, KSParams, StateTrajectory, _v_step_factor
+from ksctl.ks_model import (Control, KSParams, StateTrajectory, _v_step_factor,
+                             block_step_factor)
 from ksctl.nonlinear_control import _capped, _log_l2q, e_norm, picard_solve
 from ksctl.weights import WeightTable, _logsumexp
 
@@ -91,6 +93,21 @@ def duality_gap(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
     lhs, rhs, _ = duality_terms(primal, adj, c, h1, h2)
     return abs(lhs - rhs)
 
+
+
+def apply_Lstar(z: np.ndarray, w: np.ndarray, p: KSParams, grid: Grid):
+    """Backward residual pair on slices 0..m-1 (anchored at the implicit level):
+
+        F1^j = (z^j - z^{j+1})/dt - Lap z^j - a w^j
+        F2^j = eps (w^j - w^{j+1})/dt - Lap w^j + b w^j + M1 Lap z^j
+    """
+    A = grid.laplacian_matrix
+    dt = grid.dt
+    Az = (A @ z[:-1].T).T
+    Aw = (A @ w[:-1].T).T
+    F1 = (z[:-1] - z[1:]) / dt - Az - p.a * w[:-1]
+    F2 = p.eps * (w[:-1] - w[1:]) / dt - Aw + p.b * w[:-1] + p.M1 * Az
+    return F1, F2
 
 
 def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
@@ -304,7 +321,7 @@ def implicit_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Contro
     u = np.empty((m + 1, nn))
     v = np.empty((m + 1, nn))
     u[0], v[0] = u0, v0
-    lu_v = _v_step_factor(p, grid, 1.0)
+    lu_v = _v_step_factor(p, grid)
     for k in range(m):
         uk1, vk1 = u[k].copy(), v[k].copy()
         for _ in range(inner_maxit):
@@ -330,7 +347,7 @@ def source_terminal_march_oracle(sys_: _SourceTerminalSystem, y: np.ndarray) -> 
     """``sys_.march`` by sparse LU: Z^j = C*^-1 (D Z^{j+1} + dt F^j) in node
     coordinates, one factor solve per step."""
     m, nn, eps = sys_.m, sys_.nn, sys_.op.p.eps
-    lu = _adjoint_factor(sys_.op.p, sys_.op.grid)
+    lu = block_step_factor(sys_.op.p, sys_.op.grid, True)
     Z = y * sys_.scale   # dt F^j, then Z^m
     for j in range(m - 1, -1, -1):
         Z[:, j] = lu.solve(np.concatenate([Z[0, j + 1] + Z[0, j],
@@ -342,7 +359,7 @@ def source_terminal_march_T_oracle(sys_: _SourceTerminalSystem, V: np.ndarray) -
     """``sys_.march_T`` by sparse LU: a forward sweep with the transposed
     factor of the one-step matrix."""
     m, nn, eps = sys_.m, sys_.nn, sys_.op.p.eps
-    lu = _adjoint_factor(sys_.op.p, sys_.op.grid)
+    lu = block_step_factor(sys_.op.p, sys_.op.grid, True)
     Y = np.empty((2, m + 1, nn))
     carry = np.zeros((2, nn))
     for j in range(m):

@@ -236,6 +236,30 @@ def test_negative_curvature_is_a_falsification(tmp_path, capsys, monkeypatch, co
     assert "ExtractionError" not in err
 
 
+def test_eps_sweep_names_a_curvature_falsification(tmp_path, capsys, monkeypatch):
+    # eps 0.5 meets negative curvature in its dual CG, eps 1 converges
+    def flagged(prob, _solve=nonlinear_control.solve_dual):
+        if prob.params.eps != 0.5:
+            return _solve(prob)
+        return dataclasses.replace(_solve(dataclasses.replace(prob, cg_maxit=3)),
+                                   curvature_ok=False)
+
+    monkeypatch.setattr(nonlinear_control, "solve_dual", flagged)
+    outdir = tmp_path / "out"
+    path = write_cfg(tmp_path, **small_sections(outdir, physics={"eps_list": [1.0, 0.5]}))
+    assert main(["eps-sweep", "--config", path]) == 3
+    reason = ("negative curvature falsifies the discrete scalar product "
+              "in Picard iteration 1")
+    assert f"eps=0.5: {reason}" in capsys.readouterr().err
+    csvs = [f for f in os.listdir(outdir) if f.endswith(".csv")]
+    rows = (outdir / csvs[0]).read_text().splitlines()
+    assert rows[0] == "eps,g_l2h1,iterations,terminal_residual,forward_residual,converged"
+    summary = json.loads(
+        (outdir / csvs[0].replace(".csv", ".json")).read_text())["summary"]
+    assert summary["excluded"] == [0.5]
+    assert summary["excluded_reasons"] == [{"eps": 0.5, "reason": reason}]
+
+
 @pytest.mark.parametrize("exc, code", [
     (RuntimeError, 2),  # solver failures: BlowUpError, SuperLU, ...
     (ValueError, 2),    # inputs the domain constructors reject

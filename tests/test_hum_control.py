@@ -7,7 +7,6 @@ from ksctl.hum_control import (
     ControlProblem,
     ExtractionError,
     apply_L,
-    apply_Lstar,
     extract_control,
     solve_dual,
 )
@@ -16,6 +15,7 @@ from ksctl.ks_model import Control, KSParams
 
 from conftest import lowfreq_field, lowfreq_space_time
 from oracles import (
+    apply_Lstar,
     dense_dual_solve,
     dense_kkt_solve,
     dual_matrix,
@@ -141,11 +141,13 @@ def test_crossval_guard_raises(params, grid_small, weights_small, chi_small):
     dual = solve_dual(prob)
     bump = 0.5 * np.cos(
         2 * np.pi * grid_small.node_coords[:, 0] / grid_small.L[0])
+    zhat = dual.zhat + bump[None, :]
+    lstar1, lstar2 = apply_Lstar(zhat, dual.what, params, grid_small)
     broken = type(dual)(
-        zhat=dual.zhat + bump[None, :], what=dual.what, value=dual.value,
+        zhat=zhat, what=dual.what, value=dual.value,
         iterations=dual.iterations, residual_history=dual.residual_history,
         energy_history=dual.energy_history, converged=dual.converged,
-        curvature_ok=dual.curvature_ok,
+        curvature_ok=dual.curvature_ok, lstar1=lstar1, lstar2=lstar2,
     )
     with pytest.raises(ExtractionError):
         extract_control(broken, prob)
@@ -175,8 +177,8 @@ def test_transposition_identity_of_extracted_solution(params, grid_small,
 
 
 def test_tau_zero_rejected(params, grid_small, weights_small, chi_small):
-    prob = _problem(grid_small, weights_small, chi_small, params, tau=0.0)
     with pytest.raises(ValueError, match="tau"):
+        prob = _problem(grid_small, weights_small, chi_small, params, tau=0.0)
         solve_dual(prob)
 
 

@@ -113,15 +113,6 @@ def test_implicit_coupling_raises_at_inner_cap(params):
     assert err.value.delta >= 1e-13
 
 
-def test_crank_nicolson_flag_keeps_steady_state(params):
-    g = build_grid(1, 1.0, 32, 1.0, 32)
-    chi = smooth_cutoff(g, OMEGA_PRIME, OMEGA)
-    u0 = np.full(g.num_nodes, params.M1)
-    v0 = np.full(g.num_nodes, params.M2)
-    traj = solve_forward_pp(params, u0, v0, Control.zero(g, chi), g, theta=0.5)
-    assert np.abs(traj.u - params.M1).max() < 1e-11
-
-
 def test_linearized_zero_data_is_zero(params, grid_small, chi_small):
     z = np.zeros(grid_small.num_nodes)
     traj = solve_linearized(params, z, z, Control.zero(grid_small, chi_small),

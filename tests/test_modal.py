@@ -12,10 +12,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksctl.adjoint import _adjoint_factor
 from ksctl.grid import build_grid
 from ksctl.hum_control import ControlProblem, _DualOperator, _SourceTerminalSystem, solve_dual
-from ksctl.ks_model import KSParams, smooth_cutoff
+from ksctl.ks_model import KSParams, block_step_factor, smooth_cutoff
 from ksctl.weights import build_eta0, refined_weights, weight_params
 from oracles import (modal_sweep_oracle, source_terminal_march_oracle,
                      source_terminal_march_T_oracle)
@@ -141,7 +140,7 @@ def test_solve_dual_makes_no_sparse_solve(monkeypatch):
     monkeypatch.setattr(spla, "splu", counted_splu)
     grid = _grid(1, 24, 40)
     prob = _problem(grid, KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0))
-    _adjoint_factor(prob.params, grid)   # a cached factor is there to be used
+    block_step_factor(prob.params, grid, True)   # a cached factor is there to be used
     calls.update(splu=0, solve=0)
     dual = solve_dual(prob)
     assert dual.converged and dual.iterations > 0

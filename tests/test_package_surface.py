@@ -5,6 +5,10 @@ Code that only the tests call belongs in ``tests/`` (``oracles.py``).  A
 name counts as used where the AST reads it as a name or an attribute;
 docstrings, ``__all__`` entries and the re-exports of ``ksctl/__init__.py``
 are strings or import aliases and do not count.
+
+Every constant sparse factor of the package enters through one cache,
+``Grid.factor``; the only other ``splu`` is the density step's factor,
+whose coefficients change with every step.
 """
 
 import ast
@@ -46,3 +50,29 @@ def test_every_package_definition_has_a_caller():
                        for other, pairs in refs.items() for name, owner in pairs):
                 unused.append(f"{path.relative_to(ROOT)}: {top.name}")
     assert not unused, "only the tests call: " + ", ".join(unused)
+
+
+def _splu_sites(tree, module):
+    """The dotted definition enclosing each mention of ``splu``: a name, an
+    attribute or an imported name."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Name) and child.id == "splu")
+                    or (isinstance(child, ast.Attribute) and child.attr == "splu")
+                    or (isinstance(child, ast.alias) and child.name.endswith("splu"))):
+                sites.append(owner)
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}"
+            visit(child, inner)
+
+    visit(tree, module)
+    return sites
+
+
+def test_splu_only_in_the_factor_cache_and_the_density_step():
+    sites = sorted(site for path, tree in _trees(PACKAGE).items()
+                   for site in _splu_sites(tree, path.stem))
+    assert sites == ["grid.Grid.factor", "ks_model._density_factor"]

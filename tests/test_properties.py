@@ -1,0 +1,100 @@
+"""Properties of the sparse marches over dim 1 and 2, 8-16 intervals per
+axis, 16-32 time steps and eps in [1e-3, 1]:
+
+* ``solve_linearized`` and ``solve_adjoint`` satisfy the discrete
+  transposition identity to 1e-10 of the size of its terms;
+* one C* solve is W_b^-1 C^-T W_b, W_b = diag(W, W), to 1e-12 relative;
+* the lagged and implicit couplings and the parabolic-elliptic limit
+  conserve the density's mass to 1e-12 relative;
+* the constant state (M1, M2) stays fixed under all three, and its
+  fluctuation (zero) under the linearized march.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ksctl.adjoint import solve_adjoint
+from ksctl.grid import build_grid, mass
+from ksctl.ks_model import (Control, KSParams, block_step_factor, smooth_cutoff,
+                            solve_forward_pe, solve_forward_pp, solve_linearized)
+
+from conftest import lowfreq_field, lowfreq_space_time
+from oracles import duality_terms
+
+CASES = {"dim": st.sampled_from([1, 2]), "n": st.integers(8, 16),
+         "m": st.integers(16, 32), "eps": st.floats(1e-3, 1.0)}
+SEED = st.integers(0, 2**16)
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+def _setup(dim, n, m, eps):
+    grid = build_grid(dim, 1.0 if dim == 1 else (1.0, 0.8), n, 1.0, m)
+    p = KSParams(a=10.0, b=1.0, eps=eps, M1=1.0, M2=10.0)
+    chi = smooth_cutoff(grid, [[0.25, 0.45]] * dim, [[0.20, 0.50]] * dim)
+    return grid, p, chi
+
+
+def _unit(f):
+    return f / np.abs(f).max()
+
+
+def _nonlinear_marches(p, u0, v0, c, grid):
+    return (solve_forward_pp(p, u0, v0, c, grid),
+            solve_forward_pp(p, u0, v0, c, grid, coupling="implicit"),
+            solve_forward_pe(p, u0, c, grid))
+
+
+@PROPERTY
+@given(**CASES, seed=SEED)
+def test_linearized_and_adjoint_marches_are_transposes(dim, n, m, eps, seed):
+    grid, p, chi = _setup(dim, n, m, eps)
+    rng = np.random.default_rng(seed)
+    h1 = lowfreq_space_time(grid, rng, zero_mean=True)
+    h2 = lowfreq_space_time(grid, rng)
+    c = Control(g=lowfreq_space_time(grid, rng), chi=chi)
+    primal = solve_linearized(p, lowfreq_field(grid, rng, zero_mean=True),
+                              lowfreq_field(grid, rng), c, h1, h2, grid)
+    adj = solve_adjoint(p, lowfreq_field(grid, rng, zero_mean=True),
+                        lowfreq_field(grid, rng), lowfreq_space_time(grid, rng),
+                        lowfreq_space_time(grid, rng), grid)
+    lhs, rhs, scale = duality_terms(primal, adj, c, h1, h2)
+    assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+@PROPERTY
+@given(**CASES, seed=SEED)
+def test_adjoint_step_is_the_weighted_transpose(dim, n, m, eps, seed):
+    grid, p, _ = _setup(dim, n, m, eps)
+    r = np.random.default_rng(seed).standard_normal(2 * grid.num_nodes)
+    Wb = np.tile(grid.quad_weights, 2)
+    got = block_step_factor(p, grid, True).solve(r)
+    want = block_step_factor(p, grid, False).solve(Wb * r, trans="T") / Wb
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@PROPERTY
+@given(**CASES, seed=SEED)
+def test_density_mass_is_conserved(dim, n, m, eps, seed):
+    grid, p, chi = _setup(dim, n, m, eps)
+    rng = np.random.default_rng(seed)
+    u0 = p.M1 + 0.05 * _unit(lowfreq_field(grid, rng))
+    v0 = p.M2 + 0.5 * _unit(lowfreq_field(grid, rng))
+    c = Control(g=0.1 * _unit(lowfreq_space_time(grid, rng)), chi=chi)
+    m0 = mass(u0, grid)
+    for traj in _nonlinear_marches(p, u0, v0, c, grid):
+        assert max(abs(mass(u, grid) - m0) for u in traj.u) <= 1e-12 * m0
+
+
+@PROPERTY
+@given(**CASES)
+def test_constant_state_stays_fixed(dim, n, m, eps):
+    grid, p, chi = _setup(dim, n, m, eps)
+    c = Control.zero(grid, chi)
+    u0, v0 = np.full(grid.num_nodes, p.M1), np.full(grid.num_nodes, p.M2)
+    for traj in _nonlinear_marches(p, u0, v0, c, grid):
+        assert np.abs(traj.u - p.M1).max() <= 1e-12 * p.M1
+        assert np.abs(traj.v - p.M2).max() <= 1e-12 * p.M2
+    zero = np.zeros(grid.num_nodes)
+    lin = solve_linearized(p, zero, zero, c, None, None, grid)
+    assert not lin.u.any() and not lin.v.any()
