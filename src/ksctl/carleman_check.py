@@ -47,6 +47,8 @@ __all__ = [
     "log_space_time_integral",
 ]
 
+N_MODES = 8   # samples combine the first N_MODES cosine modes per axis
+
 
 # ---------------------------------------------------------------------------
 # discrete derivatives on space-time arrays (same stencils as the solvers)
@@ -180,21 +182,21 @@ def _log_i_beta_terms(integrands: tuple, profiles: list,
 # ---------------------------------------------------------------------------
 
 
-def sample_field(grid: Grid, rng: np.random.Generator, n_modes: int = 8,
+def sample_field(grid: Grid, rng: np.random.Generator,
                  zero_mean: bool = False) -> np.ndarray:
-    """Random combination of the first Neumann cosine modes."""
+    """Random combination of the first N_MODES Neumann cosine modes."""
     pts = grid.node_coords
     f = np.zeros(grid.num_nodes)
     lo = 1 if zero_mean else 0
-    for _ in range(n_modes):
+    for _ in range(N_MODES):
         if grid.dim == 1:
-            k = int(rng.integers(lo, n_modes))
+            k = int(rng.integers(lo, N_MODES))
             mode = np.cos(k * np.pi * pts[:, 0] / grid.L[0])
             if zero_mean and k == 0:
                 continue
         else:
-            k = int(rng.integers(lo, n_modes))
-            l = int(rng.integers(0, n_modes))
+            k = int(rng.integers(lo, N_MODES))
+            l = int(rng.integers(0, N_MODES))
             if zero_mean and k == 0 and l == 0:
                 k = 1
             mode = (np.cos(k * np.pi * pts[:, 0] / grid.L[0])
@@ -205,7 +207,7 @@ def sample_field(grid: Grid, rng: np.random.Generator, n_modes: int = 8,
     return f
 
 
-def sample_space_time(grid: Grid, rng: np.random.Generator, n_modes: int = 8,
+def sample_space_time(grid: Grid, rng: np.random.Generator,
                       zero_mean: bool = False) -> np.ndarray:
     """Space-time sample: three spatial modes with smooth polynomial-in-time
     envelopes."""
@@ -213,16 +215,16 @@ def sample_space_time(grid: Grid, rng: np.random.Generator, n_modes: int = 8,
     f = np.zeros((grid.m + 1, grid.num_nodes))
     for _ in range(3):
         env = np.polyval(rng.standard_normal(3), t)
-        f += env[:, None] * sample_field(grid, rng, n_modes, zero_mean)[None, :]
+        f += env[:, None] * sample_field(grid, rng, zero_mean)[None, :]
     return f
 
 
-def sample_adjoint_data(grid: Grid, rng: np.random.Generator, n_modes: int = 8):
+def sample_adjoint_data(grid: Grid, rng: np.random.Generator):
     """Terminal data (phiT zero-mean) and sources for one adjoint sample."""
-    phiT = sample_field(grid, rng, n_modes, zero_mean=True)
-    xiT = sample_field(grid, rng, n_modes)
-    f1 = sample_space_time(grid, rng, n_modes)
-    f2 = sample_space_time(grid, rng, n_modes)
+    phiT = sample_field(grid, rng, zero_mean=True)
+    xiT = sample_field(grid, rng)
+    f1 = sample_space_time(grid, rng)
+    f2 = sample_space_time(grid, rng)
     return phiT, xiT, f1, f2
 
 
@@ -242,7 +244,6 @@ class CarlemanReport:
     """
 
     inequality: str
-    meta: dict
     rows: list = field(default_factory=list)
     falsifications: list = field(default_factory=list)
 
@@ -285,14 +286,11 @@ class CarlemanReport:
 
 def theorem22_report(p: KSParams, grid: Grid, eta0: Eta0, s_list,
                      lam: float = 1.5, n_samples: int = 20,
-                     seed: int = 0, n_modes: int = 8) -> CarlemanReport:
+                     seed: int = 0) -> CarlemanReport:
     """Couple-system inequality: weighted Laplacian-of-phi energy plus the
     full xi energy against the localized xi observation and the sources."""
     rng = np.random.default_rng(seed)
-    rep = CarlemanReport(
-        "thm2.2",
-        {"n": grid.n, "m": grid.m, "T": grid.T, "lambda": lam, "eps": p.eps},
-    )
+    rep = CarlemanReport("thm2.2")
     omega_prime_mask = box_mask(grid, eta0.omega_prime).astype(float)
     A = grid.laplacian_matrix
     tables = []
@@ -304,7 +302,7 @@ def theorem22_report(p: KSParams, grid: Grid, eta0: Eta0, s_list,
     # sample-outer, so only one sample's s-invariant integrands are live
     logs_by_s = [[] for _ in tables]
     for _ in range(n_samples):
-        phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng, n_modes)
+        phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng)
         adj = solve_adjoint(p, phiT, xiT, f1, f2, grid)
         lap_phi = (A @ adj.phi.T).T
         lap_sq, xi_terms = lap_phi * lap_phi, _i_beta_integrands(adj.xi, p.eps, grid)
@@ -327,15 +325,10 @@ def theorem22_report(p: KSParams, grid: Grid, eta0: Eta0, s_list,
 
 def lemma31_report(p_template: KSParams, grid: Grid, eta0: Eta0, s_list,
                    chi: np.ndarray, lam: float = 1.5, eps_list=(1.0, 0.1, 0.01),
-                   n_samples: int = 20, seed: int = 0,
-                   n_modes: int = 8) -> CarlemanReport:
+                   n_samples: int = 20, seed: int = 0) -> CarlemanReport:
     """Refined-weight inequality, including the t = 0 terms; the finding of
     interest is the boundedness of the constant across the eps sweep."""
-    rep = CarlemanReport(
-        "lem3.1",
-        {"n": grid.n, "m": grid.m, "T": grid.T, "lambda": lam,
-         "eps_list": tuple(eps_list)},
-    )
+    rep = CarlemanReport("lem3.1")
     tables = []
     for s in s_list:
         rt = refined_weights(eta0, weight_params(grid.T, lam, s=s), grid)
@@ -350,7 +343,7 @@ def lemma31_report(p_template: KSParams, grid: Grid, eta0: Eta0, s_list,
         # sample-outer, so only one sample's s-invariant integrands are live
         logs_by_s = [[] for _ in tables]
         for _ in range(n_samples):
-            phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng, n_modes)
+            phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng)
             adj = solve_adjoint(p, phiT, xiT, f1, f2, grid)
             phi_mean = np.array([mass(f, grid) for f in adj.phi]) / grid.volume
             phi_osc = adj.phi - phi_mean[:, None]
@@ -380,20 +373,17 @@ def lemma31_report(p_template: KSParams, grid: Grid, eta0: Eta0, s_list,
 
 
 def lemmaA1_report(grid: Grid, eta0: Eta0, s_list, lam: float = 1.5,
-                   n_samples: int = 20, seed: int = 0,
-                   n_modes: int = 8) -> CarlemanReport:
+                   n_samples: int = 20, seed: int = 0) -> CarlemanReport:
     """Transposition inequality for the backward heat flow driven by the
     Laplacian of a smooth field."""
     rng = np.random.default_rng(seed)
-    rep = CarlemanReport(
-        "lemA.1", {"n": grid.n, "m": grid.m, "T": grid.T, "lambda": lam}
-    )
+    rep = CarlemanReport("lemA.1")
     omega_mask = box_mask(grid, eta0.omega).astype(float)
     A = grid.laplacian_matrix
 
     samples = []
     for _ in range(n_samples):
-        gfield = sample_space_time(grid, rng, n_modes)
+        gfield = sample_space_time(grid, rng)
         lap_g = (A @ gfield.T).T
         phi = solve_backward_heat(np.zeros(grid.num_nodes), lap_g, grid)
         samples.append((phi, gfield))

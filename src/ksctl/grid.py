@@ -325,6 +325,15 @@ def mass(f: np.ndarray, grid: Grid) -> float:
     return float(grid.quad_weights @ f)
 
 
+def check_zero_mass(f: np.ndarray, grid: Grid, name: str) -> None:
+    """Reject ``f``, one field or a space-time array, unless every slice has
+    zero mass to 1e-10 max(1, |f|_inf): one weighted reduction over all slices."""
+    worst = float(np.abs(f @ grid.quad_weights).max())
+    if worst > 1e-10 * max(1.0, float(np.abs(f).max())):
+        where = " at every step" if f.ndim > 1 else ""
+        raise ValueError(f"{name} must have zero mass{where}; worst |mass| = {worst:.3e}")
+
+
 def inner(f: np.ndarray, g: np.ndarray, grid: Grid) -> float:
     """Weighted (trapezoid) L2 inner product."""
     return float((grid.quad_weights * f) @ g)

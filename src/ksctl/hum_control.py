@@ -19,20 +19,21 @@ forward solution of the problem's own data and pins the terminal state to
 exactly +tau (zhat^m, what^m).
 
 Minimisation is conjugate gradients run in source/terminal coordinates
-(:class:`_SourceTerminalSystem`), with the zero-mean-at-T constraint on the
-z-component enforced by projection at every iterate.  The CG energy
-decreases strictly; negative curvature would falsify positive-definiteness
-of the discrete form and is reported as such.
+(:class:`_DualSystem`, built once per solve), with the zero-mean-at-T
+constraint on the z-component enforced by projection at every iterate.  The
+CG energy decreases strictly; negative curvature would falsify
+positive-definiteness of the discrete form and is reported as such.  The
+solution carries the floored profiles, so extraction builds nothing.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, h1_seminorm_sq, inner, l2_norm, mass
+from .grid import Grid, check_zero_mass, h1_seminorm_sq, inner, l2_norm
 from .ks_model import Control, KSParams, solve_linearized
 from .weights import WeightTable, _logsumexp, log_weight_profile
 
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 LSTAR_POWERS = (10.0, 3.0, 18.0)
+CROSSVAL_TOL = 1e-8
 
 
 class ExtractionError(RuntimeError):
@@ -71,7 +73,6 @@ class ControlProblem:
     weight_floor: float = 1e-6
 
     def __post_init__(self):
-        g = self.grid
         if not self.tau > 0.0:
             raise ValueError(
                 "the discrete dual solve needs tau > 0: the continuum form is "
@@ -79,12 +80,9 @@ class ControlProblem:
             )
         if not self.weight_floor > 0.0:
             raise ValueError("weight_floor must be positive")
-        if abs(mass(self.z0, g)) > 1e-10 * max(1.0, float(np.abs(self.z0).max())):
-            raise ValueError("z0 must have zero mass")
+        check_zero_mass(self.z0, self.grid, "z0")
         if self.h1 is not None:
-            worst = max(abs(mass(self.h1[k], g)) for k in range(g.m + 1))
-            if worst > 1e-10 * max(1.0, float(np.abs(self.h1).max())):
-                raise ValueError(f"h1 must have zero mass per step (worst {worst:.2e})")
+            check_zero_mass(self.h1, self.grid, "h1")
 
 
 @dataclass
@@ -102,6 +100,10 @@ class DualSolution:
     # stencil, so extraction reads these slots
     lstar1: np.ndarray
     lstar2: np.ndarray
+    # the floored weight profiles rho1..rho3 over steps 0..m-1, normalised
+    # by exp(log_c): the family extraction reads its control and norms from
+    rho: list
+    log_c: float
 
     @property
     def failure(self) -> str | None:
@@ -117,9 +119,7 @@ class ControlResult:
     """Extracted control, controlled trajectory, and its weighted norms.
 
     The weighted norms are reported in physical (unnormalised) units as logs
-    of the norm; the linear fields hold ``exp`` of those logs and may
-    overflow to inf, which is expected: the log values are the meaningful
-    numbers.
+    of the norm: their exponentials overflow for realistic weights.
     """
 
     control: Control
@@ -130,13 +130,8 @@ class ControlResult:
     log_weighted_u: float
     log_weighted_v: float
     log_weighted_g: float
-    weighted_u: float
-    weighted_v: float
-    weighted_g: float
     g_l2h1: float
     crossval_rel: float
-    dual: DualSolution
-    problem: ControlProblem = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -160,70 +155,9 @@ def apply_L(u: np.ndarray, v: np.ndarray, p: KSParams, grid: Grid):
 
 
 # ---------------------------------------------------------------------------
-# the normal-equations operator
+# the dual system
 # ---------------------------------------------------------------------------
 
-
-class _DualOperator:
-    """Euclidean-symmetric operator of the weighted normal equations in the
-    raw space-time coordinates.
-
-    The operator is genuinely sparse: the two least-squares blocks couple at
-    most adjacent time slices through the spatial stencil, and the
-    observation and terminal blocks are diagonal.  Its matrix is assembled
-    only by the dense small-instance oracle of the tests.  The solver reads
-    only the weight profiles, :meth:`rhs` and :meth:`project`: it works in
-    transformed coordinates (see :class:`_SourceTerminalSystem`) because in
-    these raw coordinates the weight profiles put the dual directions so
-    many orders of magnitude apart that neither a diagonal preconditioner
-    nor a sparse factorization reaches the accuracy the extraction
-    identities need.
-    """
-
-    def __init__(self, prob: ControlProblem):
-        self.prob = prob
-        p, grid, wt = prob.params, prob.grid, prob.weights
-        self.p, self.grid = p, grid
-        m = grid.m
-
-        log_profiles = [
-            log_weight_profile(wt, "beta_star", k)[:m] for k in LSTAR_POWERS
-        ]
-        self.log_c = float(max(lp.max() for lp in log_profiles))
-        imbalance = self.log_c - min(lp.max() for lp in log_profiles)
-        if imbalance > 25.0:  # families more than ~e^25 apart
-            warnings.warn(
-                f"weighted blocks are {imbalance:.0f} nats apart; the dual "
-                "solve degrades when gamma* strays far from 1 (pick T so "
-                "that e^lambda (4/T^2)^4 is order one)",
-                stacklevel=3,
-            )
-        self.rho = [np.maximum(r, prob.weight_floor * r.max())
-                    for r in (np.exp(lp - self.log_c) for lp in log_profiles)]
-        self.rho1, self.rho2, self.rho3 = self.rho
-
-        self.W = grid.quad_weights
-        self.dt = grid.dt
-
-    # Z layout: array (2, m+1, nodes)
-
-    def rhs(self) -> np.ndarray:
-        prob, grid = self.prob, self.grid
-        m, nn = grid.m, grid.num_nodes
-        b = np.zeros((2, m + 1, nn))
-        if prob.h1 is not None:
-            b[0, :-1] += self.dt * self.W[None, :] * prob.h1[1:]
-        if prob.h2 is not None:
-            b[1, :-1] += self.dt * self.W[None, :] * prob.h2[1:]
-        b[0, 0] += self.W * prob.z0
-        b[1, 0] += self.p.eps * self.W * prob.w0
-        return b
-
-    def project(self, Z: np.ndarray) -> np.ndarray:
-        """Euclidean-orthogonal projection onto {sum_p W_p z^m_p = 0}."""
-        W = self.W
-        Z[0, -1] -= _dot(W, Z[0, -1]) / _dot(W, W) * W
-        return Z
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     # a fixed-order reduction: BLAS ddot sums in an order that depends on
@@ -231,8 +165,14 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.add.reduce((x * y).ravel()))
 
 
-class _SourceTerminalSystem:
-    """The same minimisation in source/terminal coordinates.
+class _DualSystem:
+    """The weighted normal equations of one control problem, built once per
+    solve: the floored weight profiles, the right-hand side and projection
+    in the raw space-time coordinates Z (layout (2, m+1, nodes)), and the
+    minimisation in source/terminal coordinates.  In raw coordinates the
+    weight profiles put the dual directions so many orders of magnitude
+    apart that no preconditioner or sparse factorization reaches the
+    accuracy the extraction identities need.
 
     A dual candidate Z is in bijection with (F, theta) = (L* Z, Z^m) through
     the backward march S.  Scaling each slot by the square root of its
@@ -249,10 +189,25 @@ class _SourceTerminalSystem:
     matrix per eigenvalue l:  [[1 - dt l, -dt a], [dt M1 l, eps + dt b - dt l]].
     """
 
-    def __init__(self, prob: ControlProblem, op: _DualOperator):
-        self.op, p, grid = op, prob.params, prob.grid
+    def __init__(self, prob: ControlProblem):
+        self.prob, p, grid = prob, prob.params, prob.grid
         self.m, self.nn = grid.m, grid.num_nodes
         W, dt = grid.quad_weights, grid.dt
+
+        log_profiles = [
+            log_weight_profile(prob.weights, "beta_star", k)[:self.m] for k in LSTAR_POWERS
+        ]
+        self.log_c = float(max(lp.max() for lp in log_profiles))
+        imbalance = self.log_c - min(lp.max() for lp in log_profiles)
+        if imbalance > 25.0:  # families more than ~e^25 apart
+            warnings.warn(
+                f"weighted blocks are {imbalance:.0f} nats apart; the dual "
+                "solve degrades when gamma* strays far from 1 (pick T so "
+                "that e^lambda (4/T^2)^4 is order one)",
+                stacklevel=3,
+            )
+        self.rho = [np.maximum(r, prob.weight_floor * r.max())
+                    for r in (np.exp(lp - self.log_c) for lp in log_profiles)]
 
         self.basis = grid.cosine_basis
         lam = self.basis.lam
@@ -271,16 +226,35 @@ class _SourceTerminalSystem:
                 powers.append(np.einsum("ikn,kln->iln", powers[-1], powers[0]))
             self.scan[backward] = inv, np.stack(powers, axis=2).transpose(1, 0, 2, 3).copy()
 
-        self.sig_f = np.sqrt(dt * np.stack([op.rho1, op.rho2])[:, :, None] * W)
+        self.sig_f = np.sqrt(dt * np.stack(self.rho[:2])[:, :, None] * W)
         sig_t = np.sqrt(prob.tau * self.d * W)
         # y is laid out as Z (2, m+1, nn): per component the scaled sources
         # F^0..F^{m-1}, then the scaled terminal slice; y * scale = (dt F, theta)
         self.scale = np.concatenate([dt / self.sig_f, 1.0 / sig_t[:, None]], axis=1)
         # G^T G acts on the w slices: dt rho3 W chi^2, none on the terminal one
-        self.gtg = np.vstack([dt * op.rho3[:, None] * W * prob.chi**2, np.zeros(self.nn)])
+        self.gtg = np.vstack([dt * self.rho[2][:, None] * W * prob.chi**2, np.zeros(self.nn)])
         # zero-mean-at-T constraint direction in scaled coordinates
         chat = W / sig_t[0]
         self.chat = chat / np.sqrt(_dot(chat, chat))
+
+    def raw_rhs(self) -> np.ndarray:
+        """Right-hand side of the normal equations in raw coordinates Z."""
+        prob, grid = self.prob, self.prob.grid
+        W, dt = grid.quad_weights, grid.dt
+        b = np.zeros((2, self.m + 1, self.nn))
+        if prob.h1 is not None:
+            b[0, :-1] += dt * W[None, :] * prob.h1[1:]
+        if prob.h2 is not None:
+            b[1, :-1] += dt * W[None, :] * prob.h2[1:]
+        b[0, 0] += W * prob.z0
+        b[1, 0] += prob.params.eps * W * prob.w0
+        return b
+
+    def raw_project(self, Z: np.ndarray) -> np.ndarray:
+        """Euclidean-orthogonal projection of Z onto {sum_p W_p z^m_p = 0}."""
+        W = self.prob.grid.quad_weights
+        Z[0, -1] -= _dot(W, Z[0, -1]) / _dot(W, W) * W
+        return Z
 
     def project(self, y: np.ndarray) -> np.ndarray:
         y[0, -1] -= _dot(self.chat, y[0, -1]) * self.chat
@@ -344,7 +318,7 @@ class _SourceTerminalSystem:
         return self.march_T(V)
 
     def rhs(self) -> np.ndarray:
-        return self.project(self.march_T(self.op.rhs()))
+        return self.project(self.march_T(self.raw_rhs()))
 
 
 def solve_dual(problem: ControlProblem) -> DualSolution:
@@ -356,8 +330,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     quadratic functional) decreases strictly; non-positive curvature would
     falsify the discrete scalar-product property and flags the solution.
     """
-    op = _DualOperator(problem)
-    sys_ = _SourceTerminalSystem(problem, op)
+    sys_ = _DualSystem(problem)
     m, nn = problem.grid.m, problem.grid.num_nodes
 
     b = sys_.rhs()
@@ -368,6 +341,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
             zhat=Z[0], what=Z[1], value=0.0, iterations=0,
             residual_history=np.zeros(0), energy_history=np.zeros(0),
             converged=True, curvature_ok=True, lstar1=Z[0, :-1], lstar2=Z[1, :-1],
+            rho=sys_.rho, log_c=sys_.log_c,
         )
 
     y = np.zeros_like(b)
@@ -406,13 +380,14 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     Z = sys_.march(y)
     # the marched z^m satisfies the zero-mean constraint by construction of
     # the projected theta slot; tidy roundoff anyway
-    Z = op.project(Z)
+    Z = sys_.raw_project(Z)
     F = y[:, :-1]
     return DualSolution(
         zhat=Z[0], what=Z[1], value=J, iterations=it,
         residual_history=np.asarray(res_hist), energy_history=np.asarray(en_hist),
         converged=converged, curvature_ok=curvature_ok,
         lstar1=F[0] / sys_.sig_f[0], lstar2=F[1] / sys_.sig_f[1],
+        rho=sys_.rho, log_c=sys_.log_c,
     )
 
 
@@ -421,15 +396,15 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
 # ---------------------------------------------------------------------------
 
 
-def _log_block_norm(op: _DualOperator, idx: int, Fsq_slices: np.ndarray) -> float:
+def _log_block_norm(dual: DualSolution, dt: float, idx: int, Fsq_slices: np.ndarray) -> float:
     """log of the squared weighted norm of one extracted block, evaluated
     against the working (floored) weight family from the dual side, where it
     reduces to  sum_j dt rho_j |.|_W^2 / c  and stays representable.  (The
     unfloored weights diverge against the capped tail by construction.)"""
-    lr_fl = np.log(op.rho[idx])
+    lr_fl = np.log(dual.rho[idx])
     with np.errstate(divide="ignore"):
         logs = (
-            np.log(op.grid.dt) - op.log_c + lr_fl + np.log(Fsq_slices)
+            np.log(dt) - dual.log_c + lr_fl + np.log(Fsq_slices)
         )
     keep = np.isfinite(logs)
     if not np.any(keep):
@@ -437,16 +412,14 @@ def _log_block_norm(op: _DualOperator, idx: int, Fsq_slices: np.ndarray) -> floa
     return _logsumexp(logs[keep])
 
 
-def extract_control(dual: DualSolution, problem: ControlProblem,
-                    crossval_tol: float = 1e-8) -> ControlResult:
+def extract_control(dual: DualSolution, problem: ControlProblem) -> ControlResult:
     """Form the control and trajectory from the dual minimiser and verify.
 
     The trajectory is rebuilt by an independent forward march with the
     extracted control and the problem's own sources; by the discrete duality
     identity they must agree to solver roundoff, so a relative discrepancy
-    above ``crossval_tol`` raises :class:`ExtractionError`.
+    above :data:`CROSSVAL_TOL` raises :class:`ExtractionError`.
     """
-    op = _DualOperator(problem)
     p, grid = problem.params, problem.grid
     m, nn = grid.m, grid.num_nodes
     F1, F2 = dual.lstar1, dual.lstar2
@@ -454,11 +427,12 @@ def extract_control(dual: DualSolution, problem: ControlProblem,
     uhat = np.empty((m + 1, nn))
     vhat = np.empty((m + 1, nn))
     uhat[0], vhat[0] = problem.z0, problem.w0
-    uhat[1:] = op.rho1[:, None] * F1
-    vhat[1:] = op.rho2[:, None] * F2
+    rho1, rho2, rho3 = dual.rho
+    uhat[1:] = rho1[:, None] * F1
+    vhat[1:] = rho2[:, None] * F2
 
     g = np.zeros((m + 1, nn))
-    g[1:] = -op.rho3[:, None] * (problem.chi[None, :] * dual.what[:-1])
+    g[1:] = -rho3[:, None] * (problem.chi[None, :] * dual.what[:-1])
     control = Control(g=g, chi=problem.chi)
 
     ref = solve_linearized(p, problem.z0, problem.w0, control,
@@ -469,19 +443,19 @@ def extract_control(dual: DualSolution, problem: ControlProblem,
         float(np.abs(ref.u - uhat).max()) / scale_u,
         float(np.abs(ref.v - vhat).max()) / scale_v,
     )
-    if crossval > crossval_tol:
+    if crossval > CROSSVAL_TOL:
         raise ExtractionError(
             f"forward march deviates from extracted trajectory by {crossval:.3e} "
-            f"(tolerance {crossval_tol:.1e})"
+            f"(tolerance {CROSSVAL_TOL:.1e})"
         )
 
     W = grid.quad_weights
     F1sq = (F1 * F1) @ W
     F2sq = (F2 * F2) @ W
     wobs = ((problem.chi**2)[None, :] * dual.what[:-1]) ** 2 @ W
-    log_u = 0.5 * _log_block_norm(op, 0, F1sq)
-    log_v = 0.5 * _log_block_norm(op, 1, F2sq)
-    log_g = 0.5 * _log_block_norm(op, 2, wobs)
+    log_u = 0.5 * _log_block_norm(dual, grid.dt, 0, F1sq)
+    log_v = 0.5 * _log_block_norm(dual, grid.dt, 1, F2sq)
+    log_g = 0.5 * _log_block_norm(dual, grid.dt, 2, wobs)
 
     g_l2h1 = np.sqrt(
         sum(
@@ -489,13 +463,9 @@ def extract_control(dual: DualSolution, problem: ControlProblem,
             for k in range(1, m + 1)
         )
     )
-    with np.errstate(over="ignore"):
-        return ControlResult(
-            control=control, uhat=uhat, vhat=vhat,
-            terminal_u=l2_norm(uhat[m], grid), terminal_v=l2_norm(vhat[m], grid),
-            log_weighted_u=log_u, log_weighted_v=log_v, log_weighted_g=log_g,
-            weighted_u=float(np.exp(log_u)), weighted_v=float(np.exp(log_v)),
-            weighted_g=float(np.exp(log_g)),
-            g_l2h1=float(g_l2h1), crossval_rel=crossval,
-            dual=dual, problem=problem,
-        )
+    return ControlResult(
+        control=control, uhat=uhat, vhat=vhat,
+        terminal_u=l2_norm(uhat[m], grid), terminal_v=l2_norm(vhat[m], grid),
+        log_weighted_u=log_u, log_weighted_v=log_v, log_weighted_g=log_g,
+        g_l2h1=float(g_l2h1), crossval_rel=crossval,
+    )

@@ -7,9 +7,12 @@ implicit coupling resolves the lag by a fixed point).  Every operator
 involved has exactly zero weighted sum, so the cell-density mass is
 conserved to solver roundoff by construction, with or without control.
 
-Each density step fills M(v) = I - dt (A - N(v)) face by face into the data
-slots of the Laplacian's CSC pattern and factors it once; the implicit
-coupling's later fixed-point iterates reuse that factor as chord corrections.
+Both nonlinear systems, in either coupling, step through one density march
+that differs only in its chemical solve.  Each step fills M(v) = I - dt (A -
+N(v)) face by face into the data slots of the Laplacian's CSC pattern,
+factors it once and solves once, which is the whole lagged step; the
+implicit coupling continues from that first iterate by chord corrections on
+the same factor.
 
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix C and the adjoint C*
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, _chem_stencil, check_all, mass
+from .grid import Grid, _chem_stencil, check_all, check_zero_mass
 
 __all__ = [
     "KSParams",
@@ -41,7 +44,7 @@ __all__ = [
 ]
 
 STEADY_TOL = 1e-12
-MASS_TOL = 1e-10
+INNER_TOL = 1e-13   # the implicit coupling's fixed-point tolerance per step
 
 
 class BlowUpError(RuntimeError):
@@ -155,9 +158,42 @@ def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid)
     return rhs - (u - grid.dt * div)
 
 
+def _density_march(p: KSParams, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
+                   blowup_cap: float, inner_maxit: int | None = None) -> StateTrajectory:
+    """The one density march: per step one factor of M(v[k]), the first
+    iterate u = M(v[k])^-1 u[k] and the chemical solve v = chem(k + 1, u, v[k]).
+    That iterate is the lagged step; with ``inner_maxit`` the chord fixed
+    point u += M(v[k])^-1 (u[k] - M(v) u) continues it, with a fresh
+    chemical solve per iterate, until the update falls below INNER_TOL."""
+    m, nn = grid.m, grid.num_nodes
+    u = np.empty((m + 1, nn))
+    v = np.empty((m + 1, nn))
+    u[0], v[0] = u0, v0
+    for k in range(m):
+        lu = _density_factor(v[k], grid)
+        uk1 = lu.solve(u[k])
+        vk1 = chem(k + 1, uk1, v[k])
+        if inner_maxit is not None:
+            delta = max(float(np.abs(uk1 - u[k]).max()), float(np.abs(vk1 - v[k]).max()))
+            it = 1
+            while not delta < INNER_TOL:   # a NaN update never converges
+                if it >= inner_maxit:
+                    raise InnerIterationError(k + 1, delta, inner_maxit)
+                u_next = uk1 + lu.solve(_density_residual(u[k], uk1, vk1, grid))
+                v_next = chem(k + 1, u_next, v[k])
+                delta = max(float(np.abs(u_next - uk1).max()),
+                            float(np.abs(v_next - vk1).max()))
+                uk1, vk1, it = u_next, v_next, it + 1
+        u[k + 1], v[k + 1] = uk1, vk1
+        peak = np.abs(u[k + 1]).max()
+        if peak > blowup_cap:
+            raise BlowUpError(k + 1, peak, blowup_cap)
+    return StateTrajectory(u=u, v=v, params=p, grid=grid)
+
+
 def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
                      grid: Grid, blowup_cap: float = 1e6, coupling: str = "lagged",
-                     inner_tol: float = 1e-13, inner_maxit: int = 60) -> StateTrajectory:
+                     inner_maxit: int = 60) -> StateTrajectory:
     """March the fully parabolic system; raises :class:`BlowUpError` if the
     density norm passes ``blowup_cap``.
 
@@ -168,45 +204,18 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
     linearization around the constant state equals the linearized block
     stepper exactly, which is what the nonlinear control verification
     requires (the lagged variant differs at O(dt) in the coupling).  A step
-    whose fixed point is still above ``inner_tol`` after ``inner_maxit``
+    whose fixed point is still above ``INNER_TOL`` after ``inner_maxit``
     iterations raises :class:`InnerIterationError`.
     """
     if np.any(u0 < 0) or np.any(v0 < 0):
         raise ValueError("initial data must be nonnegative")
     if coupling not in ("lagged", "implicit"):
         raise ValueError(f"unknown coupling {coupling!r}")
-    m, nn = grid.m, grid.num_nodes
-    u = np.empty((m + 1, nn))
-    v = np.empty((m + 1, nn))
-    u[0], v[0] = u0, v0
     lu_v = _v_step_factor(p, grid)
     dt = grid.dt
-    for k in range(m):
-        if coupling == "lagged":
-            u[k + 1] = _density_factor(v[k], grid).solve(u[k])
-            v[k + 1] = lu_v.solve(p.eps * v[k]
-                                  + dt * (p.a * u[k + 1] + c.g[k + 1] * c.chi))
-        else:
-            # chord method: one factor of M(v[k]), then u += lu(u[k] - M(v_j) u)
-            lu = _density_factor(v[k], grid)
-            uk1, vk1, delta = u[k], v[k], np.inf
-            uk1_new = lu.solve(u[k])
-            for _ in range(inner_maxit):
-                vk1_new = lu_v.solve(p.eps * v[k]
-                                     + dt * (p.a * uk1_new + c.g[k + 1] * c.chi))
-                delta = max(float(np.abs(uk1_new - uk1).max()),
-                            float(np.abs(vk1_new - vk1).max()))
-                uk1, vk1 = uk1_new, vk1_new
-                if delta < inner_tol:
-                    break
-                uk1_new = uk1 + lu.solve(_density_residual(u[k], uk1, vk1, grid))
-            else:
-                raise InnerIterationError(k + 1, delta, inner_maxit)
-            u[k + 1], v[k + 1] = uk1, vk1
-        peak = np.abs(u[k + 1]).max()
-        if peak > blowup_cap:
-            raise BlowUpError(k + 1, peak, blowup_cap)
-    return StateTrajectory(u=u, v=v, params=p, grid=grid)
+    return _density_march(p, u0, v0, grid, lambda k, u, v_prev: lu_v.solve(
+        p.eps * v_prev + dt * (p.a * u + c.g[k] * c.chi)), blowup_cap,
+        inner_maxit if coupling == "implicit" else None)
 
 
 def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid,
@@ -215,20 +224,13 @@ def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid,
     problem at every step, so no initial chemical data is needed."""
     if np.any(u0 < 0):
         raise ValueError("initial density must be nonnegative")
-    m, nn = grid.m, grid.num_nodes
-    u = np.empty((m + 1, nn))
-    v = np.empty((m + 1, nn))
-    u[0] = u0
     lu_e = grid.factor(("ell", p.b), lambda: (
-        -grid.laplacian_matrix + p.b * sp.identity(nn, format="csr")))
-    v[0] = lu_e.solve(p.a * u[0] + c.g[0] * c.chi)
-    for k in range(m):
-        u[k + 1] = _density_factor(v[k], grid).solve(u[k])
-        v[k + 1] = lu_e.solve(p.a * u[k + 1] + c.g[k + 1] * c.chi)
-        peak = np.abs(u[k + 1]).max()
-        if peak > blowup_cap:
-            raise BlowUpError(k + 1, peak, blowup_cap)
-    return StateTrajectory(u=u, v=v, params=p, grid=grid)
+        -grid.laplacian_matrix + p.b * sp.identity(grid.num_nodes, format="csr")))
+
+    def chem(k, u, v_prev):
+        return lu_e.solve(p.a * u + c.g[k] * c.chi)
+
+    return _density_march(p, u0, chem(0, u0, None), grid, chem, blowup_cap)
 
 
 def block_step_factor(p: KSParams, grid: Grid, adjoint: bool):
@@ -279,15 +281,8 @@ def solve_linearized(p: KSParams, z0: np.ndarray, w0: np.ndarray, c: Control,
     _check_traj_shape(h2, grid, "h2")
     _check_traj_shape(c.g, grid, "control g")
 
-    scale1 = max(1.0, float(np.abs(h1).max()))
-    h1_mass = np.array([mass(h1[k], grid) for k in range(m + 1)])
-    if np.abs(h1_mass).max() > MASS_TOL * scale1:
-        raise ValueError(
-            f"h1 must have zero mass at every step; worst |mass| = "
-            f"{np.abs(h1_mass).max():.3e}"
-        )
-    if abs(mass(z0, grid)) > MASS_TOL * max(1.0, float(np.abs(z0).max())):
-        raise ValueError(f"z0 must have zero mass, got {mass(z0, grid):.3e}")
+    check_zero_mass(h1, grid, "h1")
+    check_zero_mass(z0, grid, "z0")
 
     X = np.empty((m + 1, 2, nn))
     X[0] = z0, w0

@@ -66,16 +66,15 @@ class SweepReport:
         return max(norms) / min(norms)
 
 
-def _terminal_norm(z: np.ndarray, w: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt(l2_norm(z[-1], grid) ** 2 + l2_norm(w[-1], grid) ** 2))
+def _terminal_norm(zT: np.ndarray, wT: np.ndarray, grid: Grid) -> float:
+    return float(np.sqrt(l2_norm(zT, grid) ** 2 + l2_norm(wT, grid) ** 2))
 
 
 def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
                  weights: WeightTable, chi: np.ndarray, grid: Grid,
                  tol: float = 1e-6, maxit: int = 20, damping: float = 1.0,
                  tau: float = 1e-8, cg_tol: float = 1e-12, cg_maxit: int = 2000,
-                 weight_floor: float = 1e-6,
-                 verify: bool = True) -> NonlinearControlResult:
+                 weight_floor: float = 1e-6) -> NonlinearControlResult:
     """Damped Picard iteration on the remainder-driven linear control solves.
 
     Preconditions: the density initial datum must carry exactly the target
@@ -115,7 +114,7 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
             break
         res = extract_control(dual, prob)
         z_new, w_new = res.uhat, res.vhat
-        term = _terminal_norm(z_new, w_new, grid)
+        term = _terminal_norm(z_new[-1], w_new[-1], grid)
         upd = max(float(np.abs(z_new - z).max()), float(np.abs(w_new - w).max()))
         term_hist.append(term)
         upd_hist.append(upd)
@@ -140,23 +139,14 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
             curvature_ok=dual is None or dual.curvature_ok,
         )
 
-    fwd_res = 0.0
-    fwd_res_lagged = 0.0
+    fwd_res, fwd_res_lagged = (
+        _terminal_norm(t.u[-1] - p.M1, t.v[-1] - p.M2, grid)
+        for t in (solve_forward_pp(p, u0, v0, result_ctl, grid, coupling=coupling)
+                  for coupling in ("implicit", "lagged")))
     reason = None
-    if verify:
-        traj = solve_forward_pp(p, u0, v0, result_ctl, grid, coupling="implicit")
-        fwd_res = float(np.sqrt(
-            l2_norm(traj.u[-1] - p.M1, grid) ** 2
-            + l2_norm(traj.v[-1] - p.M2, grid) ** 2
-        ))
-        lag = solve_forward_pp(p, u0, v0, result_ctl, grid, coupling="lagged")
-        fwd_res_lagged = float(np.sqrt(
-            l2_norm(lag.u[-1] - p.M1, grid) ** 2
-            + l2_norm(lag.v[-1] - p.M2, grid) ** 2
-        ))
-        if fwd_res >= 2.0 * tol:
-            converged = False
-            reason = "forward_verification"
+    if fwd_res >= 2.0 * tol:
+        converged = False
+        reason = "forward_verification"
 
     components = e_norm(z, w, result_ctl.g, weights, p, chi, grid,
                         cap=weight_floor)

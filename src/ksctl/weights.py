@@ -90,12 +90,9 @@ class Eta0:
     point inside ``omega0``."""
 
     values: np.ndarray          # flat node values, max normalised to 1
-    gradient: np.ndarray        # (dim, num_nodes) analytic gradient at nodes
-    omega0: tuple
     omega_prime: tuple
     omega: tuple
     grid: Grid
-    critical_point: tuple       # coordinates of the interior critical point
     min_grad_outside: float     # min |grad| over scanned nodes outside omega0
 
     @property
@@ -176,12 +173,9 @@ def build_eta0(grid: Grid, omega0, omega_prime, omega) -> Eta0:
 
     return Eta0(
         values=values,
-        gradient=gradient,
-        omega0=tuple(map(tuple, b0)),
         omega_prime=tuple(map(tuple, bp)),
         omega=tuple(map(tuple, bw)),
         grid=grid,
-        critical_point=tuple(center),
         min_grad_outside=min_grad,
     )
 
@@ -189,12 +183,11 @@ def build_eta0(grid: Grid, omega0, omega_prime, omega) -> Eta0:
 @dataclass(frozen=True)
 class WeightParams:
     """Carleman parameters.  ``s_threshold_ok`` records whether
-    ``s >= s_cal * (T^4 + T^8)`` for the calibration constant used."""
+    ``s >= T^4 + T^8``."""
 
     s: float
     lam: float
     T: float
-    s_cal: float = 1.0
 
     def __post_init__(self):
         check_all([(self.s > 0, f"s must be positive, got {self.s} "
@@ -203,15 +196,15 @@ class WeightParams:
 
     @property
     def s_threshold_ok(self) -> bool:
-        return self.s >= self.s_cal * (self.T**4 + self.T**8)
+        return self.s >= self.T**4 + self.T**8
 
 
 def weight_params(T: float, lam: float = 1.5, s: float | None = None,
-                  sigma0: float = 1.0, s_cal: float = 1.0) -> WeightParams:
+                  sigma0: float = 1.0) -> WeightParams:
     """Default rule ``s = sigma0 * (T^4 + T^8)``; pass ``s`` to override."""
     if s is None:
         s = sigma0 * (T**4 + T**8)
-    return WeightParams(s=float(s), lam=float(lam), T=float(T), s_cal=s_cal)
+    return WeightParams(s=float(s), lam=float(lam), T=float(T))
 
 
 @dataclass(frozen=True)
@@ -230,7 +223,6 @@ class WeightTable:
 
     family: str
     params: WeightParams
-    eta0: Eta0
     grid: Grid
     profile: np.ndarray
     exponent: np.ndarray
@@ -270,7 +262,7 @@ def _build_table(family: str, eta0: Eta0, p: WeightParams, grid: Grid,
         np.inf,
     )
     return WeightTable(
-        family=family, params=p, eta0=eta0, grid=grid, profile=profile,
+        family=family, params=p, grid=grid, profile=profile,
         exponent=exponent,
         factor=np.where(ok[:, None], e_lam[None, :] / p4[:, None], np.inf),
         log_factor=log_factor, two_s_exponent=2.0 * p.s * exponent,

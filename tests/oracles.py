@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 from ksctl.adjoint import AdjointTrajectory
 from ksctl.carleman_check import _i_beta_integrands, _i_beta_profiles, _log_i_beta_terms
 from ksctl.grid import Grid, _chem_stencil, chemotaxis_divergence, h1_seminorm_sq, inner
-from ksctl.hum_control import ControlProblem, _DualOperator, _SourceTerminalSystem
+from ksctl.hum_control import ControlProblem, _DualSystem
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _v_step_factor,
                              block_step_factor)
 from ksctl.nonlinear_control import _capped, _log_l2q, e_norm, picard_solve
@@ -126,10 +126,13 @@ def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
 
 
 
-def dual_matrix(op: _DualOperator) -> sp.csr_matrix:
+def dual_matrix(sys_: _DualSystem) -> sp.csr_matrix:
     """The sparse matrix of the weighted normal equations in the raw
     space-time coordinates (Z flattened from its (2, m+1, nodes) layout)."""
-    p, grid, dt, W = op.p, op.grid, op.dt, op.W
+    prob = sys_.prob
+    p, grid = prob.params, prob.grid
+    dt, W = grid.dt, grid.quad_weights
+    rho1, rho2, rho3 = sys_.rho
     m, nn = grid.m, grid.num_nodes
     A = grid.laplacian_matrix
     I = sp.identity(nn, format="csr")
@@ -149,34 +152,34 @@ def dual_matrix(op: _DualOperator) -> sp.csr_matrix:
             - sp.kron(K_nxt, (p.eps / dt) * I),
         ]
     )
-    D1 = sp.diags(np.kron(dt * op.rho1, W))
-    D2 = sp.diags(np.kron(dt * op.rho2, W))
+    D1 = sp.diags(np.kron(dt * rho1, W))
+    D2 = sp.diags(np.kron(dt * rho2, W))
     A_e = (M1.T @ D1 @ M1 + M2.T @ D2 @ M2).tocsr()
 
     extra = np.zeros((2, m + 1, nn))
-    extra[1, :m] = (dt * op.rho3)[:, None] * (W * op.prob.chi**2)[None, :]
-    extra[0, -1] = op.prob.tau * W
-    extra[1, -1] = op.prob.tau * p.eps * W
+    extra[1, :m] = (dt * rho3)[:, None] * (W * prob.chi**2)[None, :]
+    extra[0, -1] = prob.tau * W
+    extra[1, -1] = prob.tau * p.eps * W
     return (A_e + sp.diags(extra.reshape(-1))).tocsr()
 
 
-def dense_kkt_solve(op: _DualOperator) -> np.ndarray:
+def dense_kkt_solve(sys_: _DualSystem) -> np.ndarray:
     """Dense direct solution of the constrained normal equations.
 
     Small-instance oracle only: densifies the assembled sparse matrix,
     augments the zero-mean constraint as a KKT border and solves with a
     dense factorization (a solution path sharing nothing with the CG
     solver beyond the quadratic form itself)."""
-    m, nn = op.grid.m, op.grid.num_nodes
+    m, nn = sys_.m, sys_.nn
     c = np.zeros((1, 2 * (m + 1) * nn))
-    c[0, m * nn: (m + 1) * nn] = op.W   # zero mean of z^m
+    c[0, m * nn: (m + 1) * nn] = sys_.prob.grid.quad_weights   # zero mean of z^m
     dim = c.size
-    kkt = np.block([[dual_matrix(op).toarray(), c.T], [c, np.zeros((1, 1))]])
+    kkt = np.block([[dual_matrix(sys_).toarray(), c.T], [c, np.zeros((1, 1))]])
     # symmetric diagonal equilibration for the dense factorization
     d = np.sqrt(np.abs(np.diag(kkt)))
     d[d == 0] = 1.0
     kkt_eq = kkt / d[:, None] / d[None, :]
-    rhs = np.concatenate([op.rhs().reshape(-1), [0.0]]) / d
+    rhs = np.concatenate([sys_.raw_rhs().reshape(-1), [0.0]]) / d
     sol = np.linalg.solve(kkt_eq, rhs) / d
     return sol[:dim].reshape(2, m + 1, nn)
 
@@ -186,8 +189,7 @@ def dense_dual_solve(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
     solve it with a dense LAPACK factorization, and march back to the dual
     pair.  Shares the quadratic form with ``solve_dual`` but none of the
     iterative machinery."""
-    op = _DualOperator(problem)
-    sys_ = _SourceTerminalSystem(problem, op)
+    sys_ = _DualSystem(problem)
     m, nn = problem.grid.m, problem.grid.num_nodes
     dim = 2 * m * nn + 2 * nn
     H = np.empty((dim, dim))
@@ -201,9 +203,9 @@ def dense_dual_solve(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
     chat_full = np.zeros((1, dim))
     chat_full.reshape(2, m + 1, nn)[0, m] = sys_.chat
     kkt = np.block([[H, chat_full.T], [chat_full, np.zeros((1, 1))]])
-    rhs = np.concatenate([sys_.march_T(op.rhs()).ravel(), [0.0]])
+    rhs = np.concatenate([sys_.march_T(sys_.raw_rhs()).ravel(), [0.0]])
     y = np.linalg.solve(kkt, rhs)[:dim]
-    Z = op.project(sys_.march(sys_.project(y.reshape(2, m + 1, nn))))
+    Z = sys_.raw_project(sys_.march(sys_.project(y.reshape(2, m + 1, nn))))
     return Z[0], Z[1]
 
 
@@ -343,11 +345,11 @@ def implicit_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Contro
     return StateTrajectory(u=u, v=v, params=p, grid=grid)
 
 
-def source_terminal_march_oracle(sys_: _SourceTerminalSystem, y: np.ndarray) -> np.ndarray:
+def source_terminal_march_oracle(sys_: _DualSystem, y: np.ndarray) -> np.ndarray:
     """``sys_.march`` by sparse LU: Z^j = C*^-1 (D Z^{j+1} + dt F^j) in node
     coordinates, one factor solve per step."""
-    m, nn, eps = sys_.m, sys_.nn, sys_.op.p.eps
-    lu = block_step_factor(sys_.op.p, sys_.op.grid, True)
+    m, nn, eps = sys_.m, sys_.nn, sys_.prob.params.eps
+    lu = block_step_factor(sys_.prob.params, sys_.prob.grid, True)
     Z = y * sys_.scale   # dt F^j, then Z^m
     for j in range(m - 1, -1, -1):
         Z[:, j] = lu.solve(np.concatenate([Z[0, j + 1] + Z[0, j],
@@ -355,11 +357,11 @@ def source_terminal_march_oracle(sys_: _SourceTerminalSystem, y: np.ndarray) -> 
     return Z
 
 
-def source_terminal_march_T_oracle(sys_: _SourceTerminalSystem, V: np.ndarray) -> np.ndarray:
+def source_terminal_march_T_oracle(sys_: _DualSystem, V: np.ndarray) -> np.ndarray:
     """``sys_.march_T`` by sparse LU: a forward sweep with the transposed
     factor of the one-step matrix."""
-    m, nn, eps = sys_.m, sys_.nn, sys_.op.p.eps
-    lu = block_step_factor(sys_.op.p, sys_.op.grid, True)
+    m, nn, eps = sys_.m, sys_.nn, sys_.prob.params.eps
+    lu = block_step_factor(sys_.prob.params, sys_.prob.grid, True)
     Y = np.empty((2, m + 1, nn))
     carry = np.zeros((2, nn))
     for j in range(m):
@@ -369,7 +371,7 @@ def source_terminal_march_T_oracle(sys_: _SourceTerminalSystem, V: np.ndarray) -
     return Y * sys_.scale
 
 
-def modal_sweep_oracle(sys_: _SourceTerminalSystem, src: np.ndarray, out: np.ndarray,
+def modal_sweep_oracle(sys_: _DualSystem, src: np.ndarray, out: np.ndarray,
                        z: np.ndarray, backward: bool) -> np.ndarray:
     """``sys_._sweep`` one time step at a time: out^j = inv (src^j + D z),
     then z = out^j, for j = m-1..0 (inv = C*^-1) or j = 0..m-1 (inv = C*^-T)."""

@@ -74,7 +74,7 @@ def test_i_beta_against_naive_oracle(grid_small, mild_table):
 
 
 def test_report_row_conventions():
-    rep = CarlemanReport("thm2.2", {})
+    rep = CarlemanReport("thm2.2")
     rep.add(0, 1.0, 1.5, 1.0, float("-inf"), float("-inf"))   # zero data
     assert rep.rows[0]["ratio"] == 0.0
     assert rep.ok

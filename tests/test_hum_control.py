@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ksctl.adjoint import solve_adjoint
+from ksctl.cli import parse_config
 from ksctl.grid import build_grid, inner
 from ksctl.hum_control import (
     ControlProblem,
@@ -10,7 +13,7 @@ from ksctl.hum_control import (
     extract_control,
     solve_dual,
 )
-from ksctl.hum_control import _DualOperator
+from ksctl.hum_control import _DualSystem
 from ksctl.ks_model import Control, KSParams
 
 from conftest import lowfreq_field, lowfreq_space_time
@@ -100,7 +103,7 @@ def test_energy_history_decreases(params, grid_small, weights_small, chi_small):
 
 def test_quadratic_form_is_positive(params, grid_small, weights_small, chi_small):
     prob = _problem(grid_small, weights_small, chi_small, params)
-    op = _DualOperator(prob)
+    op = _DualSystem(prob)
     rng = np.random.default_rng(12)
     for _ in range(10):
         Z = rng.standard_normal((2, grid_small.m + 1, grid_small.num_nodes))
@@ -148,6 +151,7 @@ def test_crossval_guard_raises(params, grid_small, weights_small, chi_small):
         iterations=dual.iterations, residual_history=dual.residual_history,
         energy_history=dual.energy_history, converged=dual.converged,
         curvature_ok=dual.curvature_ok, lstar1=lstar1, lstar2=lstar2,
+        rho=dual.rho, log_c=dual.log_c,
     )
     with pytest.raises(ExtractionError):
         extract_control(broken, prob)
@@ -189,6 +193,27 @@ def test_problem_validation(params, grid_small, weights_small, chi_small):
     bad_h1 = np.ones((grid_small.m + 1, nn))
     with pytest.raises(ValueError, match="zero mass"):
         _problem(grid_small, weights_small, chi_small, params, h1=bad_h1)
+    for k in (0, grid_small.m // 2, grid_small.m):   # one slice carries the mass
+        one = np.zeros((grid_small.m + 1, nn))
+        one[k] = 1.0
+        with pytest.raises(ValueError, match="zero mass"):
+            _problem(grid_small, weights_small, chi_small, params, h1=one)
+
+
+def test_imbalance_warning_once_per_control_solve():
+    # at the defaults with T = 3 the weighted blocks are 26 nats apart; the
+    # dual system is built once, by solve_dual, and extraction builds nothing
+    cfg = parse_config(None, {"grid.T": 3.0})
+    grid, p = cfg.build_grid(), cfg.params()
+    _, wt = cfg.weight_tables(grid)
+    u0, v0 = cfg.initial_data(grid)
+    prob = ControlProblem(params=p, grid=grid, weights=wt, chi=cfg.cutoff(grid),
+                          z0=u0 - p.M1, w0=v0 - p.M2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = extract_control(solve_dual(prob), prob)
+    assert res.crossval_rel < 1e-8
+    assert sum("nats apart" in str(w.message) for w in caught) == 1
 
 
 def test_weighted_norms_reported(params, grid_small, weights_small, chi_small):
@@ -252,7 +277,7 @@ def test_raw_coordinate_dense_path_agrees_loosely(params, grid_small,
     prob = _problem(grid_small, weights_small, chi_small, params,
                     weight_floor=1e-4, tau=1e-4, cg_tol=1e-14)
     dual = solve_dual(prob)
-    op = _DualOperator(prob)
+    op = _DualSystem(prob)
     Zd = dense_kkt_solve(op)
     Zc = np.stack([dual.zhat, dual.what])
     rel = np.linalg.norm((Zc - Zd).ravel()) / np.linalg.norm(Zd.ravel())

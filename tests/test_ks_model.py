@@ -143,6 +143,12 @@ def test_linearized_rejects_nonzero_mean_sources(params, grid_small, chi_small):
     with pytest.raises(ValueError, match="zero mass"):
         solve_linearized(params, np.ones(nn), zero,
                          Control.zero(grid_small, chi_small), None, None, grid_small)
+    for k in (0, m // 2, m):   # one slice carries the mass
+        one = np.zeros((m + 1, nn))
+        one[k] = 1.0
+        with pytest.raises(ValueError, match="zero mass"):
+            solve_linearized(params, zero, zero, Control.zero(grid_small, chi_small),
+                             one, None, grid_small)
 
 
 def mode_oracle(p, mu, t, z0, w0):

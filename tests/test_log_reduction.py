@@ -138,7 +138,7 @@ def oracle_i_beta_terms(q, beta_exp, sigma, table, grid):
 
 def oracle_theorem22(p, grid, eta0, s_list, lam, n_samples, seed):
     rng = np.random.default_rng(seed)
-    rep = CarlemanReport("thm2.2", {})
+    rep = CarlemanReport("thm2.2")
     omega_prime_mask = box_mask(grid, eta0.omega_prime).astype(float)
     A = grid.laplacian_matrix
     samples = []
@@ -168,7 +168,7 @@ def oracle_theorem22(p, grid, eta0, s_list, lam, n_samples, seed):
 
 def oracle_lemma31(p_template, grid, eta0, s_list, chi, lam, eps_list,
                    n_samples, seed):
-    rep = CarlemanReport("lem3.1", {})
+    rep = CarlemanReport("lem3.1")
     for eps in eps_list:
         rng = np.random.default_rng(seed)
         p = KSParams(a=p_template.a, b=p_template.b, eps=eps,
@@ -210,7 +210,7 @@ def oracle_lemma31(p_template, grid, eta0, s_list, chi, lam, eps_list,
 
 def oracle_lemmaA1(grid, eta0, s_list, lam, n_samples, seed):
     rng = np.random.default_rng(seed)
-    rep = CarlemanReport("lemA.1", {})
+    rep = CarlemanReport("lemA.1")
     omega_mask = box_mask(grid, eta0.omega).astype(float)
     A = grid.laplacian_matrix
     samples = []

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksctl.grid import build_grid
-from ksctl.hum_control import ControlProblem, _DualOperator, _SourceTerminalSystem, solve_dual
+from ksctl.hum_control import ControlProblem, _DualSystem, solve_dual
 from ksctl.ks_model import KSParams, block_step_factor, smooth_cutoff
 from ksctl.weights import build_eta0, refined_weights, weight_params
 from oracles import (modal_sweep_oracle, source_terminal_march_oracle,
@@ -39,7 +39,7 @@ def _problem(grid, p):
 
 def _system(grid, eps):
     prob = _problem(grid, KSParams(a=10.0, b=1.0, eps=eps, M1=1.0, M2=10.0))
-    return _SourceTerminalSystem(prob, _DualOperator(prob))
+    return _DualSystem(prob)
 
 
 def _random_pair(sys_, seed):

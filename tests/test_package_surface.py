@@ -6,6 +6,10 @@ name counts as used where the AST reads it as a name or an attribute;
 docstrings, ``__all__`` entries and the re-exports of ``ksctl/__init__.py``
 are strings or import aliases and do not count.
 
+Every field of a package dataclass is read as an attribute somewhere in
+``src/ksctl``, ``perfbench/`` or ``tests/``: a record field nothing reads is
+work done for no one.
+
 Every constant sparse factor of the package enters through one cache,
 ``Grid.factor``; the only other ``splu`` is the density step's factor,
 whose coefficients change with every step.
@@ -50,6 +54,26 @@ def test_every_package_definition_has_a_caller():
                        for other, pairs in refs.items() for name, owner in pairs):
                 unused.append(f"{path.relative_to(ROOT)}: {top.name}")
     assert not unused, "only the tests call: " + ", ".join(unused)
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def test_every_record_field_is_read():
+    reads = {node.attr
+             for tree in _trees(PACKAGE, ROOT / "perfbench", ROOT / "tests").values()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.relative_to(ROOT)}: {cls.name}.{stmt.target.id}"
+              for path, tree in _trees(PACKAGE).items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in reads]
+    assert not unread, "no reader: " + ", ".join(unread)
 
 
 def _splu_sites(tree, module):
