@@ -12,7 +12,9 @@ that differs only in its chemical solve.  Each step fills M(v) = I - dt (A -
 N(v)) face by face into the data slots of the Laplacian's CSC pattern,
 factors it once and solves once, which is the whole lagged step; the
 implicit coupling continues from that first iterate by chord corrections on
-the same factor.
+the same factor.  The pattern never changes, so its column order is chosen
+once per grid and every step factors on it with the same arithmetic as a
+plain ``splu``.  A step that yields a non-finite u or v is rejected there.
 
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix C and the adjoint C*
@@ -23,13 +25,15 @@ one factor from :meth:`Grid.factor` driven by :func:`block_march`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, _chem_stencil, check_all, check_zero_mass
+from .grid import Grid, _chem_stencil, _read_only, check_all, check_zero_mass
 
 __all__ = [
     "KSParams",
@@ -143,11 +147,35 @@ def _check_traj_shape(f, grid: Grid, name: str):
         )
 
 
-def _density_factor(v: np.ndarray, grid: Grid):
-    """SuperLU factor of M(v) = I - dt (A - N(v)) on the face table's pattern:
-    the one factor whose coefficients change with every step."""
+class _OrderedFactor(NamedTuple):
+    """SuperLU factor ``lu`` of M(v) with its columns in the order ``perm_c``."""
+
+    lu: spla.SuperLU
+    perm_c: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b)[self.perm_c]
+
+
+def _density_factor(v: np.ndarray, grid: Grid) -> _OrderedFactor:
+    """SuperLU factor of M(v) = I - dt (A - N(v)), the one factor whose
+    coefficients change with every step, on a column order fixed per grid:
+    SuperLU's own (COLAMD, then the etree postorder) for the face table's
+    pattern, from the factor of I - dt A.  On those columns its order and
+    postorder are the identity, so pivots and solves are a plain ``splu``'s."""
     st = _chem_stencil(grid)
-    return spla.splu(st.matrix(st.eye - grid.dt * (st.lap - st.chem_data(v))))
+    if "density-order" not in grid._cache:
+        lu = grid.factor(("density",), lambda: st.matrix(st.eye - grid.dt * st.lap))
+        perm_c = lu.perm_c.astype(np.intp)   # an int32 index costs ~1 us per gather
+        pos = np.repeat(perm_c, np.diff(st.indptr))   # each data slot's column position
+        gather = np.argsort(pos, kind="stable")
+        indptr = np.searchsorted(pos[gather], np.arange(v.size + 1)).astype(st.indptr.dtype)
+        grid._cache["density-order"] = tuple(
+            _read_only(a) for a in (perm_c, gather, st.indices[gather], indptr))
+    perm_c, gather, indices, indptr = grid._cache["density-order"]
+    data = (st.eye - grid.dt * (st.lap - st.chem_data(v)))[gather]
+    M = sp.csc_matrix((data, indices, indptr), shape=(v.size, v.size))
+    return _OrderedFactor(spla.splu(M, permc_spec="NATURAL"), perm_c)
 
 
 def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid):
@@ -156,6 +184,12 @@ def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid)
     div = _chem_stencil(grid).divergence(lambda f: ((u[f.right] - u[f.left]) - 0.5 * (
         u[f.left] + u[f.right]) * (v[f.right] - v[f.left])) / f.h)
     return rhs - (u - grid.dt * div)
+
+
+def _update_size(du: np.ndarray, dv: np.ndarray) -> float:
+    """max(|du|_inf, |dv|_inf), NaN if either is (Python's max drops a second NaN)."""
+    a, b = float(np.abs(du).max()), float(np.abs(dv).max())
+    return a if a > b or a != a else b
 
 
 def _density_march(p: KSParams, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
@@ -174,20 +208,21 @@ def _density_march(p: KSParams, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem
         uk1 = lu.solve(u[k])
         vk1 = chem(k + 1, uk1, v[k])
         if inner_maxit is not None:
-            delta = max(float(np.abs(uk1 - u[k]).max()), float(np.abs(vk1 - v[k]).max()))
-            it = 1
-            while not delta < INNER_TOL:   # a NaN update never converges
-                if it >= inner_maxit:
-                    raise InnerIterationError(k + 1, delta, inner_maxit)
+            delta, it = _update_size(uk1 - u[k], vk1 - v[k]), 1
+            while not delta < INNER_TOL and math.isfinite(delta) and it < inner_maxit:
                 u_next = uk1 + lu.solve(_density_residual(u[k], uk1, vk1, grid))
                 v_next = chem(k + 1, u_next, v[k])
-                delta = max(float(np.abs(u_next - uk1).max()),
-                            float(np.abs(v_next - vk1).max()))
+                delta = _update_size(u_next - uk1, v_next - vk1)
                 uk1, vk1, it = u_next, v_next, it + 1
-        u[k + 1], v[k + 1] = uk1, vk1
-        peak = np.abs(u[k + 1]).max()
+        peak = float(np.abs(uk1).max())
+        for name, finite in (("u", math.isfinite(peak)), ("v", np.isfinite(vk1).all())):
+            if not finite:
+                raise RuntimeError(f"non-finite {name} at step {k + 1}")
+        if inner_maxit is not None and not delta < INNER_TOL:
+            raise InnerIterationError(k + 1, delta, it)
         if peak > blowup_cap:
             raise BlowUpError(k + 1, peak, blowup_cap)
+        u[k + 1], v[k + 1] = uk1, vk1
     return StateTrajectory(u=u, v=v, params=p, grid=grid)
 
 

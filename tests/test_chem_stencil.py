@@ -2,8 +2,10 @@
 oracles, in 1D, 2D square and 2D non-square: the chemotaxis matrix N(v)
 against the COO double-loop build, the two operators
 ``chemotaxis_divergence`` and ``neumann_laplacian`` against the per-dimension
-numpy slice kernels, and the chord march of the implicit coupling against
-the fixed point that refactors every iterate."""
+numpy slice kernels, the three density marches (both couplings and the
+parabolic-elliptic limit) against the per-step matrix build, and the chord
+march of the implicit coupling against the fixed point that refactors every
+iterate."""
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ import scipy.sparse.linalg as spla
 
 from ksctl import ks_model
 from ksctl.grid import build_grid, chemotaxis_divergence, neumann_laplacian
-from ksctl.ks_model import Control, KSParams, smooth_cutoff, solve_forward_pp
+from ksctl.ks_model import (Control, KSParams, smooth_cutoff, solve_forward_pe,
+                            solve_forward_pp)
 from oracles import implicit_march_oracle
 
 GRIDS = {
@@ -197,12 +200,24 @@ def forward_data(grid, eps=0.5):
     return p, u0, v0, c
 
 
-@pytest.mark.parametrize("kwargs", [{"coupling": "lagged"}], ids=["lagged"])
-def test_forward_pp_matches_oracle_stepper(grid, kwargs, monkeypatch):
-    p, u0, v0, c = forward_data(grid)
-    new = solve_forward_pp(p, u0, v0, c, grid, **kwargs)
+MARCHES = {
+    "lagged": lambda p, u0, v0, c, grid: solve_forward_pp(p, u0, v0, c, grid),
+    "implicit": lambda p, u0, v0, c, grid: solve_forward_pp(p, u0, v0, c, grid,
+                                                            coupling="implicit"),
+    "pe": lambda p, u0, v0, c, grid: solve_forward_pe(p, u0, c, grid),
+}
+ORACLE_CASES = [(march, eps) for march in MARCHES for eps in (0.5, 1e-3)]
+
+
+@pytest.mark.parametrize("march,eps", ORACLE_CASES, ids=[
+    march if eps == 0.5 else f"{march}-{eps}" for march, eps in ORACLE_CASES])
+def test_forward_pp_matches_oracle_stepper(grid, march, eps, monkeypatch):
+    # the factor on the per-grid column order against a fresh matrix per
+    # step: the same pivots and solves, so the marches are equal bit for bit
+    p, u0, v0, c = forward_data(grid, eps)
+    new = MARCHES[march](p, u0, v0, c, grid)
     monkeypatch.setattr(ks_model, "_density_factor", DensityStepOracle)
-    ref = solve_forward_pp(p, u0, v0, c, grid, **kwargs)
+    ref = MARCHES[march](p, u0, v0, c, grid)
     assert np.array_equal(new.u, ref.u) and np.array_equal(new.v, ref.v)
 
 
@@ -219,7 +234,8 @@ def test_implicit_chord_march_matches_oracle(grid, eps, monkeypatch):
             return _f(*args, **kwargs)
         monkeypatch.setattr(spla, name, counted)
     new = solve_forward_pp(p, u0, v0, c, grid, coupling="implicit")
-    # the v-step factor is cached on the grid by the oracle run
-    assert calls == {"splu": grid.m, "spsolve": 0}
+    # the v-step factor is cached on the grid by the oracle run; the one
+    # extra splu is the density column order, made once on this fresh grid
+    assert calls == {"splu": grid.m + 1, "spsolve": 0}
     for got, want in ((new.u, ref.u), (new.v, ref.v)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

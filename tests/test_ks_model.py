@@ -113,6 +113,22 @@ def test_implicit_coupling_raises_at_inner_cap(params):
     assert err.value.delta >= 1e-13
 
 
+@pytest.mark.parametrize("march", ["lagged", "implicit", "pe"])
+def test_nonfinite_chemical_is_rejected_at_its_step(params, march):
+    # a NaN control slice makes v[3] NaN: the march names that step and the
+    # field instead of failing one step later inside the density factor
+    g = build_grid(1, 1.0, 20, 1.0, 16)
+    c = Control.zero(g, smooth_cutoff(g, OMEGA_PRIME, OMEGA))
+    c.g[3] = np.nan
+    u0 = np.full(g.num_nodes, params.M1)
+    v0 = np.full(g.num_nodes, params.M2)
+    with pytest.raises(RuntimeError, match="^non-finite v at step 3$"):
+        if march == "pe":
+            solve_forward_pe(params, u0, c, g)
+        else:
+            solve_forward_pp(params, u0, v0, c, g, coupling=march)
+
+
 def test_linearized_zero_data_is_zero(params, grid_small, chi_small):
     z = np.zeros(grid_small.num_nodes)
     traj = solve_linearized(params, z, z, Control.zero(grid_small, chi_small),

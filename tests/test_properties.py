@@ -7,17 +7,22 @@ axis, 16-32 time steps and eps in [1e-3, 1]:
 * the lagged and implicit couplings and the parabolic-elliptic limit
   conserve the density's mass to 1e-12 relative;
 * the constant state (M1, M2) stays fixed under all three, and its
-  fluctuation (zero) under the linearized march.
+  fluctuation (zero) under the linearized march;
+* the density factor on the per-grid column order solves bit for bit as a
+  plain ``splu`` of M(v), for v of amplitude 1e-3 to 1e3 (large enough to
+  force off-diagonal pivots), and that order is SuperLU's own for every v.
 """
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksctl.adjoint import solve_adjoint
-from ksctl.grid import build_grid, mass
-from ksctl.ks_model import (Control, KSParams, block_step_factor, smooth_cutoff,
-                            solve_forward_pe, solve_forward_pp, solve_linearized)
+from ksctl.grid import _chem_stencil, build_grid, mass
+from ksctl.ks_model import (Control, KSParams, _density_factor, block_step_factor,
+                            smooth_cutoff, solve_forward_pe, solve_forward_pp,
+                            solve_linearized)
 
 from conftest import lowfreq_field, lowfreq_space_time
 from oracles import duality_terms
@@ -98,3 +103,19 @@ def test_constant_state_stays_fixed(dim, n, m, eps):
     zero = np.zeros(grid.num_nodes)
     lin = solve_linearized(p, zero, zero, c, None, None, grid)
     assert not lin.u.any() and not lin.v.any()
+
+
+@PROPERTY
+@given(dim=CASES["dim"], n=CASES["n"], m=CASES["m"], log_amp=st.floats(-3.0, 3.0),
+       seed=SEED)
+def test_density_factor_on_the_grid_order_is_plain_splu(dim, n, m, log_amp, seed):
+    grid, _, _ = _setup(dim, n, m, 1.0)
+    rng = np.random.default_rng(seed)
+    v = 10.0 ** log_amp * rng.standard_normal(grid.num_nodes)
+    b = rng.standard_normal(grid.num_nodes)
+    sten = _chem_stencil(grid)
+    plain = spla.splu(sten.matrix(sten.eye - grid.dt * (sten.lap - sten.chem_data(v))))
+    got = _density_factor(v, grid)
+    assert np.array_equal(got.solve(b), plain.solve(b))
+    assert np.array_equal(got.lu.perm_c, np.arange(grid.num_nodes))
+    assert np.array_equal(got.perm_c, plain.perm_c)
