@@ -16,11 +16,12 @@ not; none may occur for admissible samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .adjoint import solve_adjoint, solve_backward_heat
+from .adjoint import AdjointTrajectory, solve_adjoint, solve_backward_heat
 from .grid import Grid, box_mask, l2_norm, mass
 from .ks_model import KSParams
 from .weights import (
@@ -35,6 +36,7 @@ from .weights import (
 
 __all__ = [
     "CarlemanReport",
+    "adjoint_reports",
     "theorem22_report",
     "lemma31_report",
     "lemmaA1_report",
@@ -63,10 +65,6 @@ def time_derivative(q: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _axis_reshape(q: np.ndarray, grid: Grid) -> np.ndarray:
-    return q.reshape(q.shape[0], *grid.shape)
-
-
 def gradient_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
     """|grad q|^2 per (step, node): centered differences, ghost reflection
     (so the normal component vanishes at the boundary)."""
@@ -77,41 +75,26 @@ def gradient_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
     return total
 
 
+def _along(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
+    """View of the space-time array ``q`` with the nodes of axis ``ax`` last."""
+    return np.moveaxis(q.reshape(q.shape[0], *grid.shape), ax + 1, -1)
+
+
 def _axis_derivative(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
-    qs = _axis_reshape(q, grid)
-    out = np.zeros_like(qs)
-    h = grid.h[ax]
-    sl = [slice(None)] * qs.ndim
-    lo, mid, hi = slice(None, -2), slice(1, -1), slice(2, None)
-    axq = ax + 1
-    a, b, c = list(sl), list(sl), list(sl)
-    a[axq], b[axq], c[axq] = lo, mid, hi
-    out[tuple(b)] = (qs[tuple(c)] - qs[tuple(a)]) / (2.0 * h)
-    # reflected ghosts make the boundary derivative zero; out already zeroed
-    return out.reshape(q.shape)
+    qs = _along(q, grid, ax)
+    out = np.zeros_like(qs)   # reflected ghosts make the boundary derivative zero
+    out[..., 1:-1] = (qs[..., 2:] - qs[..., :-2]) / (2.0 * grid.h[ax])
+    return np.moveaxis(out, -1, ax + 1).reshape(q.shape)
 
 
 def _axis_second(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
-    qs = _axis_reshape(q, grid)
+    qs = _along(q, grid, ax)
     out = np.empty_like(qs)
     h2 = grid.h[ax] ** 2
-    axq = ax + 1
-    sl = [slice(None)] * qs.ndim
-
-    def take(s):
-        t = list(sl)
-        t[axq] = s
-        return qs[tuple(t)]
-
-    mid = list(sl)
-    mid[axq] = slice(1, -1)
-    out[tuple(mid)] = (take(slice(None, -2)) - 2.0 * take(slice(1, -1))
-                       + take(slice(2, None))) / h2
-    first, last = list(sl), list(sl)
-    first[axq], last[axq] = 0, -1
-    out[tuple(first)] = 2.0 * (take(1) - take(0)) / h2
-    out[tuple(last)] = 2.0 * (take(-2) - take(-1)) / h2
-    return out.reshape(q.shape)
+    out[..., 1:-1] = (qs[..., :-2] - 2.0 * qs[..., 1:-1] + qs[..., 2:]) / h2
+    out[..., 0] = 2.0 * (qs[..., 1] - qs[..., 0]) / h2
+    out[..., -1] = 2.0 * (qs[..., -2] - qs[..., -1]) / h2
+    return np.moveaxis(out, -1, ax + 1).reshape(q.shape)
 
 
 def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
@@ -136,7 +119,8 @@ def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table,
                             node_mask: np.ndarray | None = None) -> float:
     """log of  sum_k tw_k sum_p W_p exp(log_w[k,p]) sq[k,p]   (sq >= 0).
 
-    ``tw_k W_p`` is the table's :attr:`~WeightTable.space_time_weights`.
+    ``tw_k W_p`` is the :attr:`~WeightTable.space_time_weights` of ``table``
+    (a weight table, or the reports' digest of one family).
     ``log_w`` may be per-step (``(m+1,)``) or per (step, node).  Returns -inf
     for an identically zero sum; never NaN.
     """
@@ -170,9 +154,8 @@ def _i_beta_profiles(table: WeightTable, beta_exp: float) -> list:
             for k in (beta_exp + 3.0, beta_exp + 1.0, beta_exp - 1.0)]
 
 
-def _log_i_beta_terms(integrands: tuple, profiles: list,
-                      table: WeightTable) -> list[float]:
-    logs = np.log(table.params.s)
+def _log_i_beta_terms(integrands: tuple, profiles: list, logs: float,
+                      table) -> list[float]:
     return [k * logs + log_space_time_integral(w, sq, table)
             for (k, w), sq in zip(profiles, integrands)]
 
@@ -189,18 +172,11 @@ def sample_field(grid: Grid, rng: np.random.Generator,
     f = np.zeros(grid.num_nodes)
     lo = 1 if zero_mean else 0
     for _ in range(N_MODES):
-        if grid.dim == 1:
-            k = int(rng.integers(lo, N_MODES))
-            mode = np.cos(k * np.pi * pts[:, 0] / grid.L[0])
-            if zero_mean and k == 0:
-                continue
-        else:
-            k = int(rng.integers(lo, N_MODES))
+        k = int(rng.integers(lo, N_MODES))   # k >= 1 when zero_mean: no constant mode
+        mode = np.cos(k * np.pi * pts[:, 0] / grid.L[0])
+        if grid.dim == 2:
             l = int(rng.integers(0, N_MODES))
-            if zero_mean and k == 0 and l == 0:
-                k = 1
-            mode = (np.cos(k * np.pi * pts[:, 0] / grid.L[0])
-                    * np.cos(l * np.pi * pts[:, 1] / grid.L[1]))
+            mode = mode * np.cos(l * np.pi * pts[:, 1] / grid.L[1])
         f += rng.standard_normal() * mode
     if zero_mean:
         f -= mass(f, grid) / grid.volume
@@ -269,6 +245,13 @@ class CarlemanReport:
                 }
             )
 
+    def add_samples(self, s_list, lam: float, eps: float, logs: list) -> CarlemanReport:
+        """Add the (log lhs, log rhs) pairs ``logs[sample][s]``, s-major."""
+        for j, s in enumerate(s_list):
+            for i, pairs in enumerate(logs):
+                self.add(i, float(s), lam, eps, *pairs[j])
+        return self
+
     @property
     def c_emp_log(self) -> dict:
         """Max log-ratio per (s, eps): finite even when the linear constant
@@ -284,92 +267,108 @@ class CarlemanReport:
         return not self.falsifications
 
 
-def theorem22_report(p: KSParams, grid: Grid, eta0: Eta0, s_list,
-                     lam: float = 1.5, n_samples: int = 20,
-                     seed: int = 0) -> CarlemanReport:
-    """Couple-system inequality: weighted Laplacian-of-phi energy plus the
-    full xi energy against the localized xi observation and the sources."""
+class _Family(NamedTuple):
+    """What a report reads of one weight family: its space-time weights (the
+    same at every s) and, per s, ``(log s, log-weight profiles)``."""
+
+    space_time_weights: np.ndarray
+    per_s: list
+
+
+def _family(build, eta0: Eta0, grid: Grid, s_list, lam: float, profiles) -> _Family:
+    per_s = []
+    for s in s_list:   # each table is dropped once its profiles are read
+        table = build(eta0, weight_params(grid.T, lam, s=s), grid)
+        per_s.append((np.log(s), profiles(table)))
+    return _Family(table.space_time_weights, per_s)
+
+
+def theorem22_report(adj: AdjointTrajectory, alpha: _Family,
+                     omega_prime_mask: np.ndarray) -> list:
+    """Couple-system inequality on one adjoint trajectory, as (log lhs,
+    log rhs) per s: weighted Laplacian-of-phi energy plus the full xi energy
+    against the localized xi observation and the sources."""
+    grid = adj.grid
+    lap_phi = (grid.laplacian_matrix @ adj.phi.T).T
+    lap_sq, xi_terms = lap_phi * lap_phi, _i_beta_integrands(adj.xi, adj.params.eps, grid)
+    f1_sq, f2_sq = adj.f1**2, adj.f2**2
+    out = []
+    for logs, (w3, w10, w18, i_beta_w) in alpha.per_s:
+        lhs_parts = [3.0 * logs + log_space_time_integral(w3, lap_sq, alpha)]
+        lhs_parts += _log_i_beta_terms(xi_terms, i_beta_w, logs, alpha)
+        rhs_parts = [
+            18.0 * logs + log_space_time_integral(
+                w18, xi_terms[0], alpha, node_mask=omega_prime_mask),
+            10.0 * logs + log_space_time_integral(w10, f1_sq, alpha),
+            3.0 * logs + log_space_time_integral(w3, f2_sq, alpha),
+        ]
+        out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
+    return out
+
+
+def lemma31_report(adj: AdjointTrajectory, beta: _Family, chi_sq: np.ndarray) -> list:
+    """Refined-weight inequality on one adjoint trajectory, including the
+    t = 0 terms, as (log lhs, log rhs) per s; the finding of interest is the
+    boundedness of the constant across the eps sweep."""
+    grid = adj.grid
+    phi_mean = np.array([mass(f, grid) for f in adj.phi]) / grid.volume
+    phi_osc = adj.phi - phi_mean[:, None]
+    xi_sq, xi_grad, osc_sq = adj.xi**2, gradient_sq(adj.xi, grid), phi_osc**2
+    phi_grad, f1_sq, f2_sq = gradient_sq(adj.phi, grid), adj.f1**2, adj.f2**2
+    obs_sq = chi_sq * xi_sq
+    log_t0 = [_log_l2_sq(phi_osc[0], grid),
+              np.log(adj.params.eps) + _log_l2_sq(adj.xi[0], grid)]
+    out = []
+    for _, (wb4, wb2, wh3, ws10, ws3, ws18) in beta.per_s:
+        lhs_parts = [
+            log_space_time_integral(wb4, xi_sq, beta),
+            log_space_time_integral(wb2, xi_grad, beta),
+            log_space_time_integral(wh3, osc_sq, beta),
+            log_space_time_integral(wh3, phi_grad, beta),
+            *log_t0,
+        ]
+        rhs_parts = [
+            log_space_time_integral(ws10, f1_sq, beta),
+            log_space_time_integral(ws3, f2_sq, beta),
+            log_space_time_integral(ws18, obs_sq, beta),
+        ]
+        out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
+    return out
+
+
+def adjoint_reports(p_template: KSParams, grid: Grid, eta0: Eta0, s_list,
+                    chi: np.ndarray, lam: float = 1.5, eps_list=(1.0, 0.1, 0.01),
+                    n_samples: int = 20, seed: int = 0):
+    """thm2.2 per eps and lem3.1 over ``eps_list``, from one sampling pass.
+
+    Each adjoint sample is drawn once (every eps sees the samples of one
+    generator seeded with ``seed``) and marched once per eps, and both
+    inequalities are evaluated on that trajectory, so one sample is live at
+    a time.  Returns the thm2.2 reports, one per eps, and the lem3.1 report.
+    """
     rng = np.random.default_rng(seed)
-    rep = CarlemanReport("thm2.2")
-    omega_prime_mask = box_mask(grid, eta0.omega_prime).astype(float)
-    A = grid.laplacian_matrix
-    tables = []
-    for s in s_list:
-        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s), grid)
-        tables.append((table, np.log(s), _i_beta_profiles(table, 1.0),
-                       *(log_weight_profile(table, "alpha", k) for k in (3.0, 10.0, 18.0))))
-
-    # sample-outer, so only one sample's s-invariant integrands are live
-    logs_by_s = [[] for _ in tables]
-    for _ in range(n_samples):
-        phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng)
-        adj = solve_adjoint(p, phiT, xiT, f1, f2, grid)
-        lap_phi = (A @ adj.phi.T).T
-        lap_sq, xi_terms = lap_phi * lap_phi, _i_beta_integrands(adj.xi, p.eps, grid)
-        f1_sq, f2_sq = adj.f1**2, adj.f2**2
-        for out, (table, logs, i_beta_w, w3, w10, w18) in zip(logs_by_s, tables):
-            lhs_parts = [3.0 * logs + log_space_time_integral(w3, lap_sq, table)]
-            lhs_parts += _log_i_beta_terms(xi_terms, i_beta_w, table)
-            rhs_parts = [
-                18.0 * logs + log_space_time_integral(
-                    w18, xi_terms[0], table, node_mask=omega_prime_mask),
-                10.0 * logs + log_space_time_integral(w10, f1_sq, table),
-                3.0 * logs + log_space_time_integral(w3, f2_sq, table),
-            ]
-            out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
-    for s, out in zip(s_list, logs_by_s):
-        for i, (log_lhs, log_rhs) in enumerate(out):
-            rep.add(i, float(s), lam, p.eps, log_lhs, log_rhs)
-    return rep
-
-
-def lemma31_report(p_template: KSParams, grid: Grid, eta0: Eta0, s_list,
-                   chi: np.ndarray, lam: float = 1.5, eps_list=(1.0, 0.1, 0.01),
-                   n_samples: int = 20, seed: int = 0) -> CarlemanReport:
-    """Refined-weight inequality, including the t = 0 terms; the finding of
-    interest is the boundedness of the constant across the eps sweep."""
-    rep = CarlemanReport("lem3.1")
-    tables = []
-    for s in s_list:
-        rt = refined_weights(eta0, weight_params(grid.T, lam, s=s), grid)
-        tables.append((rt, *(log_weight_profile(rt, kind, k) for kind, k in (
+    alpha = _family(carleman_weights, eta0, grid, s_list, lam, lambda table: [
+        *(log_weight_profile(table, "alpha", k) for k in (3.0, 10.0, 18.0)),
+        _i_beta_profiles(table, 1.0)])
+    beta = _family(refined_weights, eta0, grid, s_list, lam, lambda table: [
+        log_weight_profile(table, kind, k) for kind, k in (
             ("beta", 4.0), ("beta", 2.0), ("beta_hat", 3.0),
-            ("beta_star", 10.0), ("beta_star", 3.0), ("beta_star", 18.0)))))
+            ("beta_star", 10.0), ("beta_star", 3.0), ("beta_star", 18.0))])
+    omega_prime_mask = box_mask(grid, eta0.omega_prime).astype(float)
     chi_sq = (chi**2)[None, :]
-    for eps in eps_list:
-        rng = np.random.default_rng(seed)
-        p = KSParams(a=p_template.a, b=p_template.b, eps=eps,
-                     M1=p_template.M1, M2=p_template.M2)
-        # sample-outer, so only one sample's s-invariant integrands are live
-        logs_by_s = [[] for _ in tables]
-        for _ in range(n_samples):
-            phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng)
-            adj = solve_adjoint(p, phiT, xiT, f1, f2, grid)
-            phi_mean = np.array([mass(f, grid) for f in adj.phi]) / grid.volume
-            phi_osc = adj.phi - phi_mean[:, None]
-            xi_sq, xi_grad, osc_sq = adj.xi**2, gradient_sq(adj.xi, grid), phi_osc**2
-            phi_grad, f1_sq, f2_sq = gradient_sq(adj.phi, grid), adj.f1**2, adj.f2**2
-            obs_sq = chi_sq * xi_sq
-            log_t0 = [_log_l2_sq(phi_osc[0], grid),
-                      np.log(eps) + _log_l2_sq(adj.xi[0], grid)]
-            for out, (rt, wb4, wb2, wh3, ws10, ws3, ws18) in zip(logs_by_s, tables):
-                lhs_parts = [
-                    log_space_time_integral(wb4, xi_sq, rt),
-                    log_space_time_integral(wb2, xi_grad, rt),
-                    log_space_time_integral(wh3, osc_sq, rt),
-                    log_space_time_integral(wh3, phi_grad, rt),
-                    *log_t0,
-                ]
-                rhs_parts = [
-                    log_space_time_integral(ws10, f1_sq, rt),
-                    log_space_time_integral(ws3, f2_sq, rt),
-                    log_space_time_integral(ws18, obs_sq, rt),
-                ]
-                out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
-        for s, out in zip(s_list, logs_by_s):
-            for i, (log_lhs, log_rhs) in enumerate(out):
-                rep.add(i, float(s), lam, eps, log_lhs, log_rhs)
-    return rep
+    params = [replace(p_template, eps=float(eps)) for eps in eps_list]
+    thm_logs, lem_logs = [[] for _ in eps_list], [[] for _ in eps_list]
+    for _ in range(n_samples):
+        data = sample_adjoint_data(grid, rng)
+        for p, thm, lem in zip(params, thm_logs, lem_logs):
+            adj = solve_adjoint(p, *data, grid)
+            thm.append(theorem22_report(adj, alpha, omega_prime_mask))
+            lem.append(lemma31_report(adj, beta, chi_sq))
+    rep31 = CarlemanReport("lem3.1")
+    for eps, logs in zip(eps_list, lem_logs):
+        rep31.add_samples(s_list, lam, eps, logs)
+    return [CarlemanReport("thm2.2").add_samples(s_list, lam, p.eps, logs)
+            for p, logs in zip(params, thm_logs)], rep31
 
 
 def lemmaA1_report(grid: Grid, eta0: Eta0, s_list, lam: float = 1.5,
@@ -377,28 +376,23 @@ def lemmaA1_report(grid: Grid, eta0: Eta0, s_list, lam: float = 1.5,
     """Transposition inequality for the backward heat flow driven by the
     Laplacian of a smooth field."""
     rng = np.random.default_rng(seed)
-    rep = CarlemanReport("lemA.1")
     omega_mask = box_mask(grid, eta0.omega).astype(float)
     A = grid.laplacian_matrix
-
-    samples = []
-    for _ in range(n_samples):
+    alpha = _family(carleman_weights, eta0, grid, s_list, lam, lambda table: [
+        log_weight_profile(table, "alpha", k) for k in (3.0, 4.0)])
+    logs_by_sample = []
+    for _ in range(n_samples):   # one sample live at a time, each square made once
         gfield = sample_space_time(grid, rng)
-        lap_g = (A @ gfield.T).T
-        phi = solve_backward_heat(np.zeros(grid.num_nodes), lap_g, grid)
-        samples.append((phi, gfield))
-
-    for s in s_list:
-        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s), grid)
-        logs = np.log(s)
-        w3 = log_weight_profile(table, "alpha", 3.0)
-        w4 = log_weight_profile(table, "alpha", 4.0)
-        for i, (phi, gfield) in enumerate(samples):
-            log_lhs = 3.0 * logs + log_space_time_integral(w3, phi * phi, table)
+        phi = solve_backward_heat(np.zeros(grid.num_nodes), (A @ gfield.T).T, grid)
+        phi_sq, g_sq = phi * phi, gfield**2
+        out = []
+        for logs, (w3, w4) in alpha.per_s:
             rhs_parts = [
                 3.0 * logs + log_space_time_integral(
-                    w3, phi * phi, table, node_mask=omega_mask),
-                4.0 * logs + log_space_time_integral(w4, gfield**2, table),
+                    w3, phi_sq, alpha, node_mask=omega_mask),
+                4.0 * logs + log_space_time_integral(w4, g_sq, alpha),
             ]
-            rep.add(i, float(s), lam, 0.0, log_lhs, _logsumexp(rhs_parts))
-    return rep
+            out.append((3.0 * logs + log_space_time_integral(w3, phi_sq, alpha),
+                        _logsumexp(rhs_parts)))
+        logs_by_sample.append(out)
+    return CarlemanReport("lemA.1").add_samples(s_list, lam, 0.0, logs_by_sample)

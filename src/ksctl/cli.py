@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .carleman_check import lemma31_report, lemmaA1_report, theorem22_report
+from .carleman_check import adjoint_reports, lemmaA1_report
 from .grid import ConfigError, Grid, build_grid, l2_norm, mass
 from .hum_control import ControlProblem, extract_control, solve_dual
 from .ks_model import Control, KSParams, smooth_cutoff, solve_forward_pe, solve_forward_pp, solve_linearized
@@ -395,16 +395,10 @@ def _cmd_carleman(cfg: ExperimentConfig, runner: _Runner) -> int:
     eps_list = tuple(cfg.physics["eps_list"][:3])
     runner.phase("setup")
 
-    reports = []
-    for eps in eps_list:
-        reports.append(theorem22_report(
-            cfg.params(eps), grid, eta, s_list, lam=lam,
-            n_samples=n_samples, seed=seed))
-    runner.phase("thm2.2")
-    rep31 = lemma31_report(
+    reports, rep31 = adjoint_reports(
         cfg.params(), grid, eta, s_list, chi, lam=lam, eps_list=eps_list,
         n_samples=n_samples, seed=seed)
-    runner.phase("lem3.1")
+    runner.phase("thm2.2+lem3.1")
     repA = lemmaA1_report(grid, eta, s_list, lam=lam, n_samples=n_samples,
                           seed=seed)
     runner.phase("lemA.1")

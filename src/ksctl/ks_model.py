@@ -166,6 +166,7 @@ def _density_factor(v: np.ndarray, grid: Grid) -> _OrderedFactor:
     st = _chem_stencil(grid)
     if "density-order" not in grid._cache:
         lu = grid.factor(("density",), lambda: st.matrix(st.eye - grid.dt * st.lap))
+        del grid._cache[("density",)]   # only its column order is kept
         perm_c = lu.perm_c.astype(np.intp)   # an int32 index costs ~1 us per gather
         pos = np.repeat(perm_c, np.diff(st.indptr))   # each data slot's column position
         gather = np.argsort(pos, kind="stable")
@@ -199,6 +200,9 @@ def _density_march(p: KSParams, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem
     That iterate is the lagged step; with ``inner_maxit`` the chord fixed
     point u += M(v[k])^-1 (u[k] - M(v) u) continues it, with a fresh
     chemical solve per iterate, until the update falls below INNER_TOL."""
+    for name, f in (("u0", u0), ("v0", v0)):   # NaN < 0 is False: no sign check sees it
+        if not np.isfinite(f).all():
+            raise ValueError(f"initial {name} must be finite")
     m, nn = grid.m, grid.num_nodes
     u = np.empty((m + 1, nn))
     v = np.empty((m + 1, nn))

@@ -334,6 +334,8 @@ def _logsumexp(a, b=None) -> float:
         return float("-inf")
     at_max = a == a_max
     m = (at_max if b is None else b * at_max).sum(dtype=float)
-    e = np.exp(np.where(at_max, -np.inf, a) - a_max)
+    x = np.where(at_max, -np.inf, a) - a_max
+    # exp below -746 is exactly 0, so skip it there; a NaN still goes through
+    e = np.exp(x, out=np.zeros_like(x), where=~(x < -746.0))
     s = (e if b is None else b * e).sum()
     return float(np.log1p(s if s == 0 else s / m) + np.log(m) + a_max)

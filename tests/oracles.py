@@ -122,7 +122,7 @@ def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
     return float(np.exp(_logsumexp(_log_i_beta_terms(
         _i_beta_integrands(q, sigma, grid), _i_beta_profiles(table, beta_exp),
-        table))))
+        np.log(table.params.s), table))))
 
 
 

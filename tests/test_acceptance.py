@@ -12,7 +12,7 @@ import scipy.linalg as sla
 import yaml
 
 from ksctl.adjoint import solve_adjoint
-from ksctl.carleman_check import lemma31_report, lemmaA1_report, theorem22_report
+from ksctl.carleman_check import adjoint_reports, lemmaA1_report
 from ksctl.cli import main as cli_main
 from ksctl.grid import build_grid, l2_norm, mass
 from ksctl.hum_control import ControlProblem, extract_control, solve_dual
@@ -180,15 +180,13 @@ def test_criterion_5_carleman_non_falsification():
     lam = 1.2
     counts = 0
     logs = {}
-    for eps in (1.0, 0.1, 0.01):
-        rep = theorem22_report(KSParams(a=A, b=B, eps=eps, M1=M1, M2=M2),
-                               g, eta, s_list, lam=lam, n_samples=20, seed=5)
+    thm, rep31 = adjoint_reports(p, g, eta, s_list, chi, lam=lam,
+                                 eps_list=(1.0, 0.1, 0.01), n_samples=20, seed=5)
+    for eps, rep in zip((1.0, 0.1, 0.01), thm, strict=True):
         assert rep.ok
         counts += len(rep.rows)
         assert all(np.isfinite(r["log_ratio"]) for r in rep.rows)
         logs[f"thm2.2(eps={eps})"] = max(rep.c_emp_log.values())
-    rep31 = lemma31_report(p, g, eta, s_list, chi, lam=lam,
-                           eps_list=(1.0, 0.1, 0.01), n_samples=20, seed=5)
     assert rep31.ok
     counts += len(rep31.rows)
     assert all(np.isfinite(r["log_ratio"]) for r in rep31.rows)

@@ -4,12 +4,11 @@ import pytest
 from ksctl.carleman_check import (
     CarlemanReport,
     gradient_sq,
+    adjoint_reports,
     hessian_sq,
-    lemma31_report,
     lemmaA1_report,
     log_space_time_integral,
     sample_space_time,
-    theorem22_report,
     time_derivative,
 )
 from ksctl.grid import box_mask, mass
@@ -91,11 +90,11 @@ def test_log_integral_homogeneity(grid_small, weights_small):
     assert v4 - v1 == pytest.approx(np.log(4.0), rel=1e-12)
 
 
-def test_theorem22_report_runs_clean(grid_small, eta_small):
+def test_theorem22_report_runs_clean(grid_small, eta_small, chi_small):
     p = KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0)
     s0 = 1.0 * (grid_small.T**4 + grid_small.T**8)
-    rep = theorem22_report(p, grid_small, eta_small, [s0, 2 * s0], lam=1.5,
-                           n_samples=5, seed=3)
+    (rep,), _ = adjoint_reports(p, grid_small, eta_small, [s0, 2 * s0], chi_small,
+                                lam=1.5, eps_list=(1.0,), n_samples=5, seed=3)
     assert rep.ok
     assert len(rep.rows) == 10
     assert all(np.isfinite(r["log_ratio"]) for r in rep.rows)
@@ -107,8 +106,8 @@ def test_theorem22_report_runs_clean(grid_small, eta_small):
 def test_lemma31_report_eps_table(grid_small, eta_small, chi_small):
     p = KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0)
     s0 = 0.02 * (grid_small.T**4 + grid_small.T**8)
-    rep = lemma31_report(p, grid_small, eta_small, [s0], chi_small, lam=1.2,
-                         eps_list=(1.0, 0.1, 0.01), n_samples=4, seed=3)
+    _, rep = adjoint_reports(p, grid_small, eta_small, [s0], chi_small, lam=1.2,
+                             eps_list=(1.0, 0.1, 0.01), n_samples=4, seed=3)
     assert rep.ok
     by_eps = {}
     for r in rep.rows:

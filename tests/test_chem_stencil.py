@@ -216,6 +216,8 @@ def test_forward_pp_matches_oracle_stepper(grid, march, eps, monkeypatch):
     # step: the same pivots and solves, so the marches are equal bit for bit
     p, u0, v0, c = forward_data(grid, eps)
     new = MARCHES[march](p, u0, v0, c, grid)
+    # the grid keeps the column order, not the factor it was read from
+    assert "density-order" in grid._cache and ("density",) not in grid._cache
     monkeypatch.setattr(ks_model, "_density_factor", DensityStepOracle)
     ref = MARCHES[march](p, u0, v0, c, grid)
     assert np.array_equal(new.u, ref.u) and np.array_equal(new.v, ref.v)

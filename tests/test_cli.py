@@ -5,7 +5,7 @@ import os
 import pytest
 import yaml
 
-from ksctl import cli, nonlinear_control
+from ksctl import carleman_check, cli, nonlinear_control
 from ksctl.cli import ConfigError, main, parse_config
 
 
@@ -198,6 +198,23 @@ def test_carleman_csv_columns(tmp_path):
     rows = (outdir / csvs[0]).read_text().strip().splitlines()
     assert rows[0] == "inequality,sample_id,s,lambda,eps,lhs,rhs,ratio"
     assert {r.split(",")[0] for r in rows[1:]} == {"thm2.2", "lem3.1", "lemA.1"}
+
+
+def test_carleman_draws_each_sample_once_and_marches_it_once_per_eps(
+        tmp_path, monkeypatch):
+    # thm2.2 and lem3.1 share one sampling pass: n_samples draws, one
+    # adjoint march per (sample, eps) (at the defaults 20 and 60, not 120 each)
+    calls = {"sample_adjoint_data": 0, "solve_adjoint": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(carleman_check, name), _n=name, **kwargs):
+            calls[_n] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(carleman_check, name, counted)
+    cfg = parse_config(write_cfg(tmp_path, **small_sections(tmp_path / "out")))
+    assert cli.run("carleman", cfg) == 0
+    n, n_eps = cfg.solver["n_samples"], len(cfg.physics["eps_list"][:3])
+    assert n_eps == 3
+    assert calls == {"sample_adjoint_data": n, "solve_adjoint": n * n_eps}
 
 
 def test_control_nonlinear_exit_codes(tmp_path):

@@ -114,6 +114,32 @@ def test_implicit_coupling_raises_at_inner_cap(params):
 
 
 @pytest.mark.parametrize("march", ["lagged", "implicit", "pe"])
+def test_nonfinite_initial_density_is_rejected(params, march):
+    # NaN < 0 is False, so the sign check alone let a NaN u0 through to a
+    # "Factor is exactly singular" at step 1
+    g = build_grid(1, 1.0, 20, 1.0, 16)
+    c = Control.zero(g, smooth_cutoff(g, OMEGA_PRIME, OMEGA))
+    u0 = np.full(g.num_nodes, params.M1)
+    u0[5] = np.nan
+    v0 = np.full(g.num_nodes, params.M2)
+    with pytest.raises(ValueError, match="^initial u0 must be finite$"):
+        if march == "pe":
+            solve_forward_pe(params, u0, c, g)
+        else:
+            solve_forward_pp(params, u0, v0, c, g, coupling=march)
+
+
+def test_nonfinite_elliptic_initial_chemical_is_rejected(params):
+    # the parabolic-elliptic march derives v0 from u0 and the control's
+    # first slice; a NaN there is named at entry, not at step 1
+    g = build_grid(1, 1.0, 20, 1.0, 16)
+    c = Control.zero(g, smooth_cutoff(g, OMEGA_PRIME, OMEGA))
+    c.g[0] = np.nan
+    with pytest.raises(ValueError, match="^initial v0 must be finite$"):
+        solve_forward_pe(params, np.full(g.num_nodes, params.M1), c, g)
+
+
+@pytest.mark.parametrize("march", ["lagged", "implicit", "pe"])
 def test_nonfinite_chemical_is_rejected_at_its_step(params, march):
     # a NaN control slice makes v[3] NaN: the march names that step and the
     # field instead of failing one step later inside the density factor

@@ -3,11 +3,12 @@ Carleman reports against the s-outer loops they replaced.
 
 scipy is the oracle here only: the package reduces with
 ``weights._logsumexp``, which must reproduce scipy's result bit for bit,
-and the sample-outer reports must reproduce every row of the old s-outer
+and the one sampling pass must reproduce every row of the old s-outer
 loops (kept below as the oracle) exactly, in 1D and 2D.
 """
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,14 +19,13 @@ from scipy.special import logsumexp
 from ksctl.adjoint import solve_adjoint, solve_backward_heat
 from ksctl.carleman_check import (
     CarlemanReport,
+    adjoint_reports,
     gradient_sq,
     hessian_sq,
-    lemma31_report,
     lemmaA1_report,
     log_space_time_integral,
     sample_adjoint_data,
     sample_space_time,
-    theorem22_report,
     time_derivative,
 )
 from ksctl.grid import box_mask, l2_norm, mass
@@ -40,14 +40,17 @@ from ksctl.weights import (
 )
 
 NEG_INF = float("-inf")
+NAN = float("nan")
 
 
 def bits(x) -> bytes:
     return struct.pack("<d", float(x))
 
 
-# a few shared values make ties at the max common, at scattered positions
-_POOL = [-3.5, 0.0, 1e-3, 2.25, 700.0, -700.0]
+# a few shared values make ties at the max common, at scattered positions;
+# below a max of 0, the last four sit where exp underflows to the smallest
+# subnormal (-745.13) or to exactly 0 (beyond -745.1332)
+_POOL = [-3.5, 0.0, 1e-3, 2.25, 700.0, -700.0, -745.13, -745.14, -746.0, -746.5]
 _ENTRY = st.one_of(st.sampled_from(_POOL), st.just(NEG_INF),
                    st.floats(-745.0, 709.0, allow_nan=False))
 
@@ -77,11 +80,17 @@ def log_terms(draw):
 @example(([NEG_INF, NEG_INF, NEG_INF], [1e-300, 1.0, 1e5]))
 @example(([2.0], [1e-300]))
 @example(([5.0] * 17 + [NEG_INF, 1.0], [float(k + 1) / 3.0 for k in range(19)]))
+@example(([0.0, -745.13, -745.14, -746.0, -746.5, -1e3, NEG_INF], None))
+@example(([0.0, -745.13, -745.14, -746.0, -800.0], [1.0, 1e5, 1e5, 1e5, 1e5]))
+@example(([700.0, -46.0, -45.5, -45.13, 0.0], None))
+@example(([0.0, NAN, 1.0], None))
+@example(([NEG_INF, NAN], [1.0, 2.0]))
 def test_logsumexp_matches_scipy_bit_for_bit(terms):
     a, b = terms
     expected = logsumexp(np.asarray(a), b=None if b is None else np.asarray(b))
-    assert bits(_logsumexp(np.asarray(a), None if b is None else np.asarray(b))) \
-        == bits(expected)
+    with np.errstate(divide="ignore"):   # a NaN leaves no term at the max: log(0)
+        got = _logsumexp(np.asarray(a), None if b is None else np.asarray(b))
+    assert bits(got) == bits(expected)
 
 
 def test_logsumexp_takes_lists_and_large_arrays():
@@ -249,13 +258,13 @@ def test_reports_equal_the_s_outer_oracle(request, name, boxes):
     p = KSParams(a=10.0, b=1.0, eps=0.1, M1=1.0, M2=10.0)
     s_base = 0.05 * (grid.T**4 + grid.T**8)
     s_list = [s_base, 2.0 * s_base, 4.0 * s_base]
-    lam, n, seed = 1.5, 4, 11
+    lam, n, seed, eps_list = 1.5, 4, 11, (1.0, 0.01)
+    thm, rep31 = adjoint_reports(p, grid, eta, s_list, chi, lam=lam,
+                                 eps_list=eps_list, n_samples=n, seed=seed)
     pairs = [
-        (theorem22_report(p, grid, eta, s_list, lam=lam, n_samples=n, seed=seed),
-         oracle_theorem22(p, grid, eta, s_list, lam, n, seed)),
-        (lemma31_report(p, grid, eta, s_list, chi, lam=lam, eps_list=(1.0, 0.01),
-                        n_samples=n, seed=seed),
-         oracle_lemma31(p, grid, eta, s_list, chi, lam, (1.0, 0.01), n, seed)),
+        *((rep, oracle_theorem22(replace(p, eps=eps), grid, eta, s_list, lam, n, seed))
+          for rep, eps in zip(thm, eps_list, strict=True)),
+        (rep31, oracle_lemma31(p, grid, eta, s_list, chi, lam, eps_list, n, seed)),
         (lemmaA1_report(grid, eta, s_list, lam=lam, n_samples=n, seed=seed),
          oracle_lemmaA1(grid, eta, s_list, lam, n, seed)),
     ]
