@@ -3,7 +3,9 @@
 Each report evaluates both sides of one inequality on sampled backward
 solves and records the ratio LHS/RHS per sample; the empirical constant is
 the max ratio over the sample set, tabulated against the Carleman parameter
-``s`` (and the relaxation parameter where relevant).
+``s`` (and the relaxation parameter where relevant).  Each report function
+writes each of its terms once, as (power of s, weight kind, weight power,
+integrand, node mask), against weight families built once per audit.
 
 For realistic ``s`` the pointwise integrands ``exp(2 s alpha) ...`` are far
 below the smallest double, so every integral here is accumulated in the log
@@ -17,7 +19,6 @@ not; none may occur for admissible samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .weights import (
 
 __all__ = [
     "CarlemanReport",
+    "weight_families",
     "adjoint_reports",
     "theorem22_report",
     "lemma31_report",
@@ -115,12 +117,11 @@ def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table,
+def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table: WeightTable,
                             node_mask: np.ndarray | None = None) -> float:
     """log of  sum_k tw_k sum_p W_p exp(log_w[k,p]) sq[k,p]   (sq >= 0).
 
-    ``tw_k W_p`` is the :attr:`~WeightTable.space_time_weights` of ``table``
-    (a weight table, or the reports' digest of one family).
+    ``tw_k W_p`` is the :attr:`~WeightTable.space_time_weights` of ``table``.
     ``log_w`` may be per-step (``(m+1,)``) or per (step, node).  Returns -inf
     for an identically zero sum; never NaN.
     """
@@ -139,25 +140,6 @@ def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table,
 def _log_l2_sq(f: np.ndarray, grid: Grid) -> float:
     v = l2_norm(f, grid)
     return float("-inf") if v == 0.0 else 2.0 * float(np.log(v))
-
-
-def _i_beta_integrands(q: np.ndarray, sigma: float, grid: Grid) -> tuple:
-    """The s-invariant integrands of I_beta: q^2, |grad q|^2 and
-    sigma^2 q_t^2 + |D^2 q|^2."""
-    return (q * q, gradient_sq(q, grid),
-            sigma**2 * time_derivative(q, grid) ** 2 + hessian_sq(q, grid))
-
-
-def _i_beta_profiles(table: WeightTable, beta_exp: float) -> list:
-    """(power of s, log weight) of each I_beta term, in integrand order."""
-    return [(k, log_weight_profile(table, "alpha", k))
-            for k in (beta_exp + 3.0, beta_exp + 1.0, beta_exp - 1.0)]
-
-
-def _log_i_beta_terms(integrands: tuple, profiles: list, logs: float,
-                      table) -> list[float]:
-    return [k * logs + log_space_time_integral(w, sq, table)
-            for (k, w), sq in zip(profiles, integrands)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +227,13 @@ class CarlemanReport:
                 }
             )
 
-    def add_samples(self, s_list, lam: float, eps: float, logs: list) -> CarlemanReport:
-        """Add the (log lhs, log rhs) pairs ``logs[sample][s]``, s-major."""
-        for j, s in enumerate(s_list):
+    def add_samples(self, family: list[_ScanEntry], eps: float, logs: list) -> CarlemanReport:
+        """Add the (log lhs, log rhs) pairs ``logs[sample][j]``, evaluated at
+        the j-th s of ``family``, s-major."""
+        for j, entry in enumerate(family):
+            p = entry.table.params
             for i, pairs in enumerate(logs):
-                self.add(i, float(s), lam, eps, *pairs[j])
+                self.add(i, p.s, p.lam, eps, *pairs[j])
         return self
 
     @property
@@ -267,132 +251,141 @@ class CarlemanReport:
         return not self.falsifications
 
 
-class _Family(NamedTuple):
-    """What a report reads of one weight family: its space-time weights (the
-    same at every s) and, per s, ``(log s, log-weight profiles)``."""
+class _ScanEntry:
+    """One table of a weight family's s-scan, with ``log s`` and the
+    log-weight profiles the reports look up by (kind, power), each computed
+    on first use and kept for the run."""
 
-    space_time_weights: np.ndarray
-    per_s: list
+    def __init__(self, table: WeightTable):
+        self.table, self.logs, self._profiles = table, np.log(table.params.s), {}
+
+    def term(self, s_power: float, kind: str, power: float, sq: np.ndarray,
+             node_mask: np.ndarray | None = None) -> float:
+        """log of  s^s_power * integral of exp(2 s w) w2^power sq, over the
+        nodes of ``node_mask`` when given."""
+        if (kind, power) not in self._profiles:
+            self._profiles[kind, power] = log_weight_profile(self.table, kind, power)
+        return s_power * self.logs + log_space_time_integral(
+            self._profiles[kind, power], sq, self.table, node_mask)
 
 
-def _family(build, eta0: Eta0, grid: Grid, s_list, lam: float, profiles) -> _Family:
-    per_s = []
-    for s in s_list:   # each table is dropped once its profiles are read
-        table = build(eta0, weight_params(grid.T, lam, s=s), grid)
-        per_s.append((np.log(s), profiles(table)))
-    return _Family(table.space_time_weights, per_s)
+def weight_families(eta0: Eta0, s_list, lam: float) -> tuple[list[_ScanEntry], ...]:
+    """The classical (alpha) and refined (beta) families over the s-scan, one
+    entry per s; every report of one audit reads these two."""
+    grid = eta0.grid
+    return tuple([_ScanEntry(build(eta0, weight_params(grid.T, lam, s=s), grid))
+                  for s in s_list] for build in (carleman_weights, refined_weights))
 
 
-def theorem22_report(adj: AdjointTrajectory, alpha: _Family,
-                     omega_prime_mask: np.ndarray) -> list:
+def theorem22_report(adj: AdjointTrajectory, alpha: list[_ScanEntry],
+                     omega_prime_mask: np.ndarray, sources: dict) -> list:
     """Couple-system inequality on one adjoint trajectory, as (log lhs,
     log rhs) per s: weighted Laplacian-of-phi energy plus the full xi energy
-    against the localized xi observation and the sources."""
-    grid = adj.grid
+    I_1(xi) against the localized xi observation and the sources.
+
+    ``sources`` is shared by the trajectories of one sample: the source
+    terms do not depend on eps, so the first trajectory integrates them.
+    """
+    grid, xi = adj.grid, adj.xi
     lap_phi = (grid.laplacian_matrix @ adj.phi.T).T
-    lap_sq, xi_terms = lap_phi * lap_phi, _i_beta_integrands(adj.xi, adj.params.eps, grid)
-    f1_sq, f2_sq = adj.f1**2, adj.f2**2
+    lap_sq, xi_sq, xi_grad = lap_phi * lap_phi, xi * xi, gradient_sq(xi, grid)
+    xi_high = adj.params.eps**2 * time_derivative(xi, grid) ** 2 + hessian_sq(xi, grid)
+    if "thm2.2" not in sources:
+        f1_sq, f2_sq = adj.f1**2, adj.f2**2
+        sources["thm2.2"] = [(w.term(10.0, "alpha", 10.0, f1_sq),
+                              w.term(3.0, "alpha", 3.0, f2_sq)) for w in alpha]
     out = []
-    for logs, (w3, w10, w18, i_beta_w) in alpha.per_s:
-        lhs_parts = [3.0 * logs + log_space_time_integral(w3, lap_sq, alpha)]
-        lhs_parts += _log_i_beta_terms(xi_terms, i_beta_w, logs, alpha)
-        rhs_parts = [
-            18.0 * logs + log_space_time_integral(
-                w18, xi_terms[0], alpha, node_mask=omega_prime_mask),
-            10.0 * logs + log_space_time_integral(w10, f1_sq, alpha),
-            3.0 * logs + log_space_time_integral(w3, f2_sq, alpha),
+    for w, source_parts in zip(alpha, sources["thm2.2"]):
+        lhs_parts = [
+            w.term(3.0, "alpha", 3.0, lap_sq),
+            w.term(4.0, "alpha", 4.0, xi_sq),
+            w.term(2.0, "alpha", 2.0, xi_grad),
+            w.term(0.0, "alpha", 0.0, xi_high),
         ]
+        rhs_parts = [w.term(18.0, "alpha", 18.0, xi_sq, omega_prime_mask), *source_parts]
         out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
     return out
 
 
-def lemma31_report(adj: AdjointTrajectory, beta: _Family, chi_sq: np.ndarray) -> list:
+def lemma31_report(adj: AdjointTrajectory, beta: list[_ScanEntry], chi_sq: np.ndarray,
+                   sources: dict) -> list:
     """Refined-weight inequality on one adjoint trajectory, including the
     t = 0 terms, as (log lhs, log rhs) per s; the finding of interest is the
-    boundedness of the constant across the eps sweep."""
+    boundedness of the constant across the eps sweep.  ``sources`` is shared
+    by the trajectories of one sample, as in :func:`theorem22_report`."""
     grid = adj.grid
     phi_mean = np.array([mass(f, grid) for f in adj.phi]) / grid.volume
     phi_osc = adj.phi - phi_mean[:, None]
     xi_sq, xi_grad, osc_sq = adj.xi**2, gradient_sq(adj.xi, grid), phi_osc**2
-    phi_grad, f1_sq, f2_sq = gradient_sq(adj.phi, grid), adj.f1**2, adj.f2**2
-    obs_sq = chi_sq * xi_sq
+    phi_grad, obs_sq = gradient_sq(adj.phi, grid), chi_sq * xi_sq
     log_t0 = [_log_l2_sq(phi_osc[0], grid),
               np.log(adj.params.eps) + _log_l2_sq(adj.xi[0], grid)]
+    if "lem3.1" not in sources:
+        f1_sq, f2_sq = adj.f1**2, adj.f2**2
+        sources["lem3.1"] = [(w.term(0.0, "beta_star", 10.0, f1_sq),
+                              w.term(0.0, "beta_star", 3.0, f2_sq)) for w in beta]
     out = []
-    for _, (wb4, wb2, wh3, ws10, ws3, ws18) in beta.per_s:
+    for w, source_parts in zip(beta, sources["lem3.1"]):
         lhs_parts = [
-            log_space_time_integral(wb4, xi_sq, beta),
-            log_space_time_integral(wb2, xi_grad, beta),
-            log_space_time_integral(wh3, osc_sq, beta),
-            log_space_time_integral(wh3, phi_grad, beta),
+            w.term(0.0, "beta", 4.0, xi_sq),
+            w.term(0.0, "beta", 2.0, xi_grad),
+            w.term(0.0, "beta_hat", 3.0, osc_sq),
+            w.term(0.0, "beta_hat", 3.0, phi_grad),
             *log_t0,
         ]
-        rhs_parts = [
-            log_space_time_integral(ws10, f1_sq, beta),
-            log_space_time_integral(ws3, f2_sq, beta),
-            log_space_time_integral(ws18, obs_sq, beta),
-        ]
+        rhs_parts = [*source_parts, w.term(0.0, "beta_star", 18.0, obs_sq)]
         out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
     return out
 
 
-def adjoint_reports(p_template: KSParams, grid: Grid, eta0: Eta0, s_list,
-                    chi: np.ndarray, lam: float = 1.5, eps_list=(1.0, 0.1, 0.01),
+def adjoint_reports(p_template: KSParams, alpha: list[_ScanEntry], beta: list[_ScanEntry],
+                    eta0: Eta0, chi: np.ndarray, eps_list=(1.0, 0.1, 0.01),
                     n_samples: int = 20, seed: int = 0):
-    """thm2.2 per eps and lem3.1 over ``eps_list``, from one sampling pass.
+    """thm2.2 per eps and lem3.1 over ``eps_list``, from one sampling pass
+    over the families of :func:`weight_families`.
 
     Each adjoint sample is drawn once (every eps sees the samples of one
     generator seeded with ``seed``) and marched once per eps, and both
     inequalities are evaluated on that trajectory, so one sample is live at
     a time.  Returns the thm2.2 reports, one per eps, and the lem3.1 report.
     """
+    grid = eta0.grid
     rng = np.random.default_rng(seed)
-    alpha = _family(carleman_weights, eta0, grid, s_list, lam, lambda table: [
-        *(log_weight_profile(table, "alpha", k) for k in (3.0, 10.0, 18.0)),
-        _i_beta_profiles(table, 1.0)])
-    beta = _family(refined_weights, eta0, grid, s_list, lam, lambda table: [
-        log_weight_profile(table, kind, k) for kind, k in (
-            ("beta", 4.0), ("beta", 2.0), ("beta_hat", 3.0),
-            ("beta_star", 10.0), ("beta_star", 3.0), ("beta_star", 18.0))])
     omega_prime_mask = box_mask(grid, eta0.omega_prime).astype(float)
     chi_sq = (chi**2)[None, :]
     params = [replace(p_template, eps=float(eps)) for eps in eps_list]
     thm_logs, lem_logs = [[] for _ in eps_list], [[] for _ in eps_list]
     for _ in range(n_samples):
         data = sample_adjoint_data(grid, rng)
+        sources: dict = {}
         for p, thm, lem in zip(params, thm_logs, lem_logs):
             adj = solve_adjoint(p, *data, grid)
-            thm.append(theorem22_report(adj, alpha, omega_prime_mask))
-            lem.append(lemma31_report(adj, beta, chi_sq))
+            thm.append(theorem22_report(adj, alpha, omega_prime_mask, sources))
+            lem.append(lemma31_report(adj, beta, chi_sq, sources))
     rep31 = CarlemanReport("lem3.1")
     for eps, logs in zip(eps_list, lem_logs):
-        rep31.add_samples(s_list, lam, eps, logs)
-    return [CarlemanReport("thm2.2").add_samples(s_list, lam, p.eps, logs)
+        rep31.add_samples(beta, eps, logs)
+    return [CarlemanReport("thm2.2").add_samples(alpha, p.eps, logs)
             for p, logs in zip(params, thm_logs)], rep31
 
 
-def lemmaA1_report(grid: Grid, eta0: Eta0, s_list, lam: float = 1.5,
-                   n_samples: int = 20, seed: int = 0) -> CarlemanReport:
+def lemmaA1_report(alpha: list[_ScanEntry], eta0: Eta0, n_samples: int = 20,
+                   seed: int = 0) -> CarlemanReport:
     """Transposition inequality for the backward heat flow driven by the
-    Laplacian of a smooth field."""
+    Laplacian of a smooth field, on the alpha family of :func:`weight_families`."""
+    grid = eta0.grid
     rng = np.random.default_rng(seed)
     omega_mask = box_mask(grid, eta0.omega).astype(float)
     A = grid.laplacian_matrix
-    alpha = _family(carleman_weights, eta0, grid, s_list, lam, lambda table: [
-        log_weight_profile(table, "alpha", k) for k in (3.0, 4.0)])
     logs_by_sample = []
     for _ in range(n_samples):   # one sample live at a time, each square made once
         gfield = sample_space_time(grid, rng)
         phi = solve_backward_heat(np.zeros(grid.num_nodes), (A @ gfield.T).T, grid)
         phi_sq, g_sq = phi * phi, gfield**2
         out = []
-        for logs, (w3, w4) in alpha.per_s:
-            rhs_parts = [
-                3.0 * logs + log_space_time_integral(
-                    w3, phi_sq, alpha, node_mask=omega_mask),
-                4.0 * logs + log_space_time_integral(w4, g_sq, alpha),
-            ]
-            out.append((3.0 * logs + log_space_time_integral(w3, phi_sq, alpha),
-                        _logsumexp(rhs_parts)))
+        for w in alpha:
+            rhs_parts = [w.term(3.0, "alpha", 3.0, phi_sq, omega_mask),
+                         w.term(4.0, "alpha", 4.0, g_sq)]
+            out.append((w.term(3.0, "alpha", 3.0, phi_sq), _logsumexp(rhs_parts)))
         logs_by_sample.append(out)
-    return CarlemanReport("lemA.1").add_samples(s_list, lam, 0.0, logs_by_sample)
+    return CarlemanReport("lemA.1").add_samples(alpha, 0.0, logs_by_sample)

@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .carleman_check import adjoint_reports, lemmaA1_report
+from .carleman_check import adjoint_reports, lemmaA1_report, weight_families
 from .grid import ConfigError, Grid, build_grid, l2_norm, mass
 from .hum_control import ControlProblem, extract_control, solve_dual
 from .ks_model import Control, KSParams, smooth_cutoff, solve_forward_pe, solve_forward_pp, solve_linearized
 from .nonlinear_control import eps_sweep, picard_solve
-from .weights import WeightParams, build_eta0, check_boxes, refined_weights, weight_params
+from .weights import (Eta0, WeightParams, WeightTable, build_eta0, check_boxes,
+                      refined_weights, weight_params)
 
 __all__ = ["ExperimentConfig", "parse_config", "run", "main", "ConfigError"]
 
@@ -97,10 +98,12 @@ class ExperimentConfig:
         s = None if w["s"] is None else float(w["s"])
         return weight_params(T, w["lambda"], s=s, sigma0=w["sigma0"])
 
-    def weight_tables(self, grid: Grid):
+    def eta0(self, grid: Grid) -> Eta0:
         w = self.weights
-        eta = build_eta0(grid, w["omega0"], w["omega_prime"], w["omega"])
-        return eta, refined_weights(eta, self.carleman_params(grid.T), grid)
+        return build_eta0(grid, w["omega0"], w["omega_prime"], w["omega"])
+
+    def refined_table(self, grid: Grid) -> WeightTable:
+        return refined_weights(self.eta0(grid), self.carleman_params(grid.T), grid)
 
     def cutoff(self, grid: Grid) -> np.ndarray:
         return smooth_cutoff(grid, self.weights["omega_prime"], self.weights["omega"])
@@ -386,21 +389,19 @@ def _cmd_simulate(cfg: ExperimentConfig, runner: _Runner) -> int:
 def _cmd_carleman(cfg: ExperimentConfig, runner: _Runner) -> int:
     grid = cfg.build_grid()
     chi = cfg.cutoff(grid)
-    eta, _ = cfg.weight_tables(grid)
-    lam = cfg.weights["lambda"]
+    eta = cfg.eta0(grid)
     s_base = cfg.carleman_params(grid.T).s
-    s_list = [mult * s_base for mult in cfg.weights["s_scan"]]
+    alpha, beta = weight_families(
+        eta, [mult * s_base for mult in cfg.weights["s_scan"]], cfg.weights["lambda"])
     n_samples = cfg.solver["n_samples"]
     seed = cfg.solver["seed"]
     eps_list = tuple(cfg.physics["eps_list"][:3])
     runner.phase("setup")
 
-    reports, rep31 = adjoint_reports(
-        cfg.params(), grid, eta, s_list, chi, lam=lam, eps_list=eps_list,
-        n_samples=n_samples, seed=seed)
+    reports, rep31 = adjoint_reports(cfg.params(), alpha, beta, eta, chi, eps_list=eps_list,
+                                     n_samples=n_samples, seed=seed)
     runner.phase("thm2.2+lem3.1")
-    repA = lemmaA1_report(grid, eta, s_list, lam=lam, n_samples=n_samples,
-                          seed=seed)
+    repA = lemmaA1_report(alpha, eta, n_samples=n_samples, seed=seed)
     runner.phase("lemA.1")
 
     header = ["inequality", "sample_id", "s", "lambda", "eps", "lhs", "rhs", "ratio"]
@@ -415,9 +416,9 @@ def _cmd_carleman(cfg: ExperimentConfig, runner: _Runner) -> int:
             if np.isinf(row["ratio"]) and np.isfinite(r["log_ratio"]):
                 row["ratio"] = _decimal_from_log(r["log_ratio"])
             rows.append(row)
-        summary["c_emp_log"][rep.inequality] = {
+        summary["c_emp_log"].setdefault(rep.inequality, {}).update({
             f"s={k[0]:g},eps={k[1]:g}": val for k, val in rep.c_emp_log.items()
-        }
+        })
         if not rep.ok:
             falsified.append(rep.inequality)
             summary["falsifications"] += len(rep.falsifications)
@@ -441,7 +442,7 @@ def _cmd_control_linear(cfg: ExperimentConfig, runner: _Runner) -> int:
     grid = cfg.build_grid()
     p = cfg.params()
     chi = cfg.cutoff(grid)
-    _, wt = cfg.weight_tables(grid)
+    wt = cfg.refined_table(grid)
     prob = _control_problem(cfg, grid, wt, chi, p)
     runner.phase("setup")
     dual = solve_dual(prob)
@@ -473,7 +474,7 @@ def _cmd_control_nonlinear(cfg: ExperimentConfig, runner: _Runner) -> int:
     grid = cfg.build_grid()
     p = cfg.params()
     chi = cfg.cutoff(grid)
-    _, wt = cfg.weight_tables(grid)
+    wt = cfg.refined_table(grid)
     u0, v0 = cfg.initial_data(grid)
     s = cfg.solver
     runner.phase("setup")
@@ -509,7 +510,7 @@ def _cmd_eps_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     grid = cfg.build_grid()
     p = cfg.params()
     chi = cfg.cutoff(grid)
-    _, wt = cfg.weight_tables(grid)
+    wt = cfg.refined_table(grid)
     u0, v0 = cfg.initial_data(grid)
     s = cfg.solver
     runner.phase("setup")

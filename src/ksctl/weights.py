@@ -288,8 +288,6 @@ def refined_weights(eta0: Eta0, p: WeightParams, grid: Grid) -> WeightTable:
 # kind -> (family, per-step extremum or None for the full array)
 _KINDS = {
     "alpha": ("alpha", None),
-    "alpha_star": ("alpha", "star"),
-    "alpha_hat": ("alpha", "hat"),
     "beta": ("beta", None),
     "beta_star": ("beta", "star"),
     "beta_hat": ("beta", "hat"),
@@ -300,11 +298,11 @@ def log_weight_profile(table: WeightTable, kind: str, power: float) -> np.ndarra
     """Natural log of exp(2 s w) * w2^power: a per-step array for the
     starred/hatted kinds, the full (steps, nodes) array otherwise.
 
-    ``kind`` names the family and the extremum: 'alpha'|'alpha_star'|
-    'alpha_hat' pair with phi-powers on a classical table, 'beta'|
-    'beta_star'|'beta_hat' with gamma-powers on a refined one.  Singular
-    steps map to -inf (the product vanishes in the limit); exponentiation is
-    the caller's choice and never produces NaN.
+    ``kind`` names the family and the extremum: 'alpha' pairs with
+    phi-powers on a classical table, 'beta'|'beta_star'|'beta_hat' with
+    gamma-powers on a refined one.  Singular steps map to -inf (the product
+    vanishes in the limit); exponentiation is the caller's choice and never
+    produces NaN.
     """
     if kind not in _KINDS:
         raise KeyError(f"unknown weight kind {kind!r}")

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ksctl.adjoint import AdjointTrajectory
-from ksctl.carleman_check import _i_beta_integrands, _i_beta_profiles, _log_i_beta_terms
+from ksctl.carleman_check import _ScanEntry, gradient_sq, hessian_sq, time_derivative
 from ksctl.grid import Grid, _chem_stencil, chemotaxis_divergence, h1_seminorm_sq, inner
 from ksctl.hum_control import ControlProblem, _DualSystem
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _v_step_factor,
@@ -120,9 +120,13 @@ def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
     """
     if not (0.0 < sigma <= 1.0):
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    return float(np.exp(_logsumexp(_log_i_beta_terms(
-        _i_beta_integrands(q, sigma, grid), _i_beta_profiles(table, beta_exp),
-        np.log(table.params.s), table))))
+    w = _ScanEntry(table)
+    return float(np.exp(_logsumexp([
+        w.term(beta_exp + 3.0, "alpha", beta_exp + 3.0, q * q),
+        w.term(beta_exp + 1.0, "alpha", beta_exp + 1.0, gradient_sq(q, grid)),
+        w.term(beta_exp - 1.0, "alpha", beta_exp - 1.0,
+               sigma**2 * time_derivative(q, grid) ** 2 + hessian_sq(q, grid)),
+    ])))
 
 
 

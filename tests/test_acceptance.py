@@ -12,7 +12,7 @@ import scipy.linalg as sla
 import yaml
 
 from ksctl.adjoint import solve_adjoint
-from ksctl.carleman_check import adjoint_reports, lemmaA1_report
+from ksctl.carleman_check import adjoint_reports, lemmaA1_report, weight_families
 from ksctl.cli import main as cli_main
 from ksctl.grid import build_grid, l2_norm, mass
 from ksctl.hum_control import ControlProblem, extract_control, solve_dual
@@ -180,7 +180,8 @@ def test_criterion_5_carleman_non_falsification():
     lam = 1.2
     counts = 0
     logs = {}
-    thm, rep31 = adjoint_reports(p, g, eta, s_list, chi, lam=lam,
+    alpha, beta = weight_families(eta, s_list, lam)
+    thm, rep31 = adjoint_reports(p, alpha, beta, eta, chi,
                                  eps_list=(1.0, 0.1, 0.01), n_samples=20, seed=5)
     for eps, rep in zip((1.0, 0.1, 0.01), thm, strict=True):
         assert rep.ok
@@ -191,7 +192,7 @@ def test_criterion_5_carleman_non_falsification():
     counts += len(rep31.rows)
     assert all(np.isfinite(r["log_ratio"]) for r in rep31.rows)
     logs["lem3.1"] = max(rep31.c_emp_log.values())
-    repA = lemmaA1_report(g, eta, s_list, lam=lam, n_samples=20, seed=5)
+    repA = lemmaA1_report(alpha, eta, n_samples=20, seed=5)
     assert repA.ok
     counts += len(repA.rows)
     logs["lemA.1"] = max(repA.c_emp_log.values())

@@ -10,6 +10,7 @@ from ksctl.carleman_check import (
     log_space_time_integral,
     sample_space_time,
     time_derivative,
+    weight_families,
 )
 from ksctl.grid import box_mask, mass
 from ksctl.ks_model import KSParams
@@ -93,8 +94,9 @@ def test_log_integral_homogeneity(grid_small, weights_small):
 def test_theorem22_report_runs_clean(grid_small, eta_small, chi_small):
     p = KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0)
     s0 = 1.0 * (grid_small.T**4 + grid_small.T**8)
-    (rep,), _ = adjoint_reports(p, grid_small, eta_small, [s0, 2 * s0], chi_small,
-                                lam=1.5, eps_list=(1.0,), n_samples=5, seed=3)
+    alpha, beta = weight_families(eta_small, [s0, 2 * s0], 1.5)
+    (rep,), _ = adjoint_reports(p, alpha, beta, eta_small, chi_small,
+                                eps_list=(1.0,), n_samples=5, seed=3)
     assert rep.ok
     assert len(rep.rows) == 10
     assert all(np.isfinite(r["log_ratio"]) for r in rep.rows)
@@ -106,7 +108,8 @@ def test_theorem22_report_runs_clean(grid_small, eta_small, chi_small):
 def test_lemma31_report_eps_table(grid_small, eta_small, chi_small):
     p = KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0)
     s0 = 0.02 * (grid_small.T**4 + grid_small.T**8)
-    _, rep = adjoint_reports(p, grid_small, eta_small, [s0], chi_small, lam=1.2,
+    alpha, beta = weight_families(eta_small, [s0], 1.2)
+    _, rep = adjoint_reports(p, alpha, beta, eta_small, chi_small,
                              eps_list=(1.0, 0.1, 0.01), n_samples=4, seed=3)
     assert rep.ok
     by_eps = {}
@@ -121,7 +124,8 @@ def test_lemma31_report_eps_table(grid_small, eta_small, chi_small):
 
 def test_lemmaA1_report_runs_clean(grid_small, eta_small):
     s0 = 1.0 * (grid_small.T**4 + grid_small.T**8)
-    rep = lemmaA1_report(grid_small, eta_small, [s0], lam=1.5, n_samples=4, seed=1)
+    alpha, _ = weight_families(eta_small, [s0], 1.5)
+    rep = lemmaA1_report(alpha, eta_small, n_samples=4, seed=1)
     assert rep.ok
     assert all(np.isfinite(r["log_ratio"]) for r in rep.rows)
 

@@ -5,7 +5,7 @@ import os
 import pytest
 import yaml
 
-from ksctl import carleman_check, cli, nonlinear_control
+from ksctl import carleman_check, cli, nonlinear_control, weights
 from ksctl.cli import ConfigError, main, parse_config
 
 
@@ -200,21 +200,58 @@ def test_carleman_csv_columns(tmp_path):
     assert {r.split(",")[0] for r in rows[1:]} == {"thm2.2", "lem3.1", "lemA.1"}
 
 
+def _count_calls(monkeypatch, names) -> dict:
+    """Spy on every package binding of the ``carleman_check`` functions
+    ``names``; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in calls:
+        original = getattr(carleman_check, name)
+        def counted(*args, _f=original, _n=name, **kwargs):
+            calls[_n] += 1
+            return _f(*args, **kwargs)
+        for module in (carleman_check, cli, weights):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_carleman_draws_each_sample_once_and_marches_it_once_per_eps(
         tmp_path, monkeypatch):
     # thm2.2 and lem3.1 share one sampling pass: n_samples draws, one
     # adjoint march per (sample, eps) (at the defaults 20 and 60, not 120 each)
-    calls = {"sample_adjoint_data": 0, "solve_adjoint": 0}
-    for name in calls:
-        def counted(*args, _f=getattr(carleman_check, name), _n=name, **kwargs):
-            calls[_n] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(carleman_check, name, counted)
+    calls = _count_calls(monkeypatch, ["sample_adjoint_data", "solve_adjoint"])
     cfg = parse_config(write_cfg(tmp_path, **small_sections(tmp_path / "out")))
     assert cli.run("carleman", cfg) == 0
     n, n_eps = cfg.solver["n_samples"], len(cfg.physics["eps_list"][:3])
     assert n_eps == 3
     assert calls == {"sample_adjoint_data": n, "solve_adjoint": n * n_eps}
+
+
+def test_carleman_builds_each_table_once_and_integrates_sources_once(
+        tmp_path, monkeypatch):
+    # one table per (family, s), shared by all three inequalities; per (sample,
+    # s) the four source integrals and lemA.1's three are made once, the ten
+    # trajectory integrals of thm2.2 and lem3.1 once per eps (2,220 at the
+    # defaults)
+    calls = _count_calls(monkeypatch, ["carleman_weights", "refined_weights",
+                                       "log_space_time_integral"])
+    cfg = parse_config(write_cfg(tmp_path, **small_sections(tmp_path / "out")))
+    assert cli.run("carleman", cfg) == 0
+    n, n_s = cfg.solver["n_samples"], len(cfg.weights["s_scan"])
+    n_eps = len(cfg.physics["eps_list"][:3])
+    assert calls == {"carleman_weights": n_s, "refined_weights": n_s,
+                     "log_space_time_integral": n * n_s * (10 * n_eps + 7)}
+
+
+def test_carleman_record_keeps_the_thm22_constants_of_every_eps(tmp_path):
+    outdir = tmp_path / "out"
+    cfg = parse_config(write_cfg(tmp_path, **small_sections(outdir)))
+    assert cli.run("carleman", cfg) == 0
+    (record,) = outdir.glob("carleman-*.json")
+    c_emp = json.loads(record.read_text())["summary"]["c_emp_log"]
+    eps_list = cfg.physics["eps_list"][:3]
+    assert len(c_emp["thm2.2"]) == len(cfg.weights["s_scan"]) * len(eps_list) == 9
+    assert {k.split("eps=")[1] for k in c_emp["thm2.2"]} == {f"{e:g}" for e in eps_list}
 
 
 def test_control_nonlinear_exit_codes(tmp_path):

@@ -205,7 +205,7 @@ def test_imbalance_warning_once_per_control_solve():
     # dual system is built once, by solve_dual, and extraction builds nothing
     cfg = parse_config(None, {"grid.T": 3.0})
     grid, p = cfg.build_grid(), cfg.params()
-    _, wt = cfg.weight_tables(grid)
+    wt = cfg.refined_table(grid)
     u0, v0 = cfg.initial_data(grid)
     prob = ControlProblem(params=p, grid=grid, weights=wt, chi=cfg.cutoff(grid),
                           z0=u0 - p.M1, w0=v0 - p.M2)

@@ -27,6 +27,7 @@ from ksctl.carleman_check import (
     sample_adjoint_data,
     sample_space_time,
     time_derivative,
+    weight_families,
 )
 from ksctl.grid import box_mask, l2_norm, mass
 from ksctl.ks_model import KSParams, smooth_cutoff
@@ -259,13 +260,14 @@ def test_reports_equal_the_s_outer_oracle(request, name, boxes):
     s_base = 0.05 * (grid.T**4 + grid.T**8)
     s_list = [s_base, 2.0 * s_base, 4.0 * s_base]
     lam, n, seed, eps_list = 1.5, 4, 11, (1.0, 0.01)
-    thm, rep31 = adjoint_reports(p, grid, eta, s_list, chi, lam=lam,
+    alpha, beta = weight_families(eta, s_list, lam)
+    thm, rep31 = adjoint_reports(p, alpha, beta, eta, chi,
                                  eps_list=eps_list, n_samples=n, seed=seed)
     pairs = [
         *((rep, oracle_theorem22(replace(p, eps=eps), grid, eta, s_list, lam, n, seed))
           for rep, eps in zip(thm, eps_list, strict=True)),
         (rep31, oracle_lemma31(p, grid, eta, s_list, chi, lam, eps_list, n, seed)),
-        (lemmaA1_report(grid, eta, s_list, lam=lam, n_samples=n, seed=seed),
+        (lemmaA1_report(alpha, eta, n_samples=n, seed=seed),
          oracle_lemmaA1(grid, eta, s_list, lam, n, seed)),
     ]
     for new, old in pairs:

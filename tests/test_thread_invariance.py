@@ -1,7 +1,7 @@
-"""The control commands write the same CSV bytes at one and at two BLAS
-threads: ``control-linear`` at the 1D defaults and at a 2D config (32x32
-nodes, m=40, every default control box repeated on both axes),
-``control-nonlinear`` and ``eps-sweep`` at the 1D defaults.
+"""Every command writes the same CSV bytes at one and at two BLAS threads:
+``control-linear`` and ``simulate`` at the 1D defaults and at a 2D config
+(32x32 nodes, m=40, every default control box repeated on both axes),
+``control-nonlinear``, ``eps-sweep`` and ``carleman`` at the 1D defaults.
 
 The CG's reductions are fixed-order numpy sums, not BLAS ``ddot``, whose
 summation order follows its thread count: with ``cg_tol`` near the roundoff
@@ -45,3 +45,12 @@ def test_control_linear_csv_independent_of_blas_threads(tmp_path, overrides):
 @pytest.mark.parametrize("command", ["control-nonlinear", "eps-sweep"])
 def test_picard_csvs_independent_of_blas_threads(tmp_path, command):
     assert _csv(tmp_path / "one", command, 1) == _csv(tmp_path / "two", command, 2)
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("carleman", []), ("simulate", []), ("simulate", TWO_D),
+], ids=["carleman-1d-defaults", "simulate-1d-defaults", "simulate-2d-32x32"])
+def test_audit_and_simulate_csvs_independent_of_blas_threads(tmp_path, command, overrides):
+    one = _csv(tmp_path / "one", command, 1, overrides)
+    two = _csv(tmp_path / "two", command, 2, overrides)
+    assert one == two
