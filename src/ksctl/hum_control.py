@@ -66,7 +66,6 @@ class ControlProblem:
     z0: np.ndarray
     w0: np.ndarray
     h1: np.ndarray | None = None
-    h2: np.ndarray | None = None
     tau: float = 1e-8
     cg_tol: float = 1e-12
     cg_maxit: int = 2000
@@ -244,8 +243,6 @@ class _DualSystem:
         b = np.zeros((2, self.m + 1, self.nn))
         if prob.h1 is not None:
             b[0, :-1] += dt * W[None, :] * prob.h1[1:]
-        if prob.h2 is not None:
-            b[1, :-1] += dt * W[None, :] * prob.h2[1:]
         b[0, 0] += W * prob.z0
         b[1, 0] += prob.params.eps * W * prob.w0
         return b
@@ -436,7 +433,7 @@ def extract_control(dual: DualSolution, problem: ControlProblem) -> ControlResul
     control = Control(g=g, chi=problem.chi)
 
     ref = solve_linearized(p, problem.z0, problem.w0, control,
-                           problem.h1, problem.h2, grid)
+                           problem.h1, None, grid)
     scale_u = float(np.abs(uhat).max()) or 1.0
     scale_v = float(np.abs(vhat).max()) or 1.0
     crossval = max(

@@ -23,12 +23,13 @@ import numpy as np
 from .grid import Grid, chemotaxis_divergence, l2_norm, mass
 from .hum_control import ControlProblem, apply_L, extract_control, solve_dual
 from .ks_model import Control, KSParams, solve_forward_pp, solve_linearized
-from .weights import WeightTable, _logsumexp
+from .weights import WeightTable, _logsumexp, log_weight_profile
 
 __all__ = [
     "NonlinearControlResult",
     "SweepReport",
     "picard_solve",
+    "forward_residual",
     "eps_sweep",
     "e_norm",
 ]
@@ -45,9 +46,7 @@ class NonlinearControlResult:
     w: np.ndarray | None
     g_l2h1: float
     forward_residual: float
-    forward_residual_lagged: float
     failure_reason: str | None = None
-    e_norm_components: dict | None = None
     curvature_ok: bool = True   # False: a dual solve falsified positivity
 
 
@@ -106,7 +105,7 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
         )
         prob = ControlProblem(
             params=p, grid=grid, weights=weights, chi=chi, z0=z0, w0=w0,
-            h1=h1, h2=None, tau=tau, cg_tol=cg_tol, cg_maxit=cg_maxit,
+            h1=h1, tau=tau, cg_tol=cg_tol, cg_maxit=cg_maxit,
             weight_floor=weight_floor,
         )
         dual = solve_dual(prob)
@@ -128,35 +127,27 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
             converged = True
             break
 
-    if not converged:
-        return NonlinearControlResult(
-            converged=False, iterations=it, terminal_history=term_hist,
-            update_history=upd_hist, control=result_ctl, z=z, w=w,
-            g_l2h1=res.g_l2h1 if res else 0.0,
-            forward_residual=np.inf, forward_residual_lagged=np.inf,
-            failure_reason=(f"{dual.failure} in Picard iteration {it}"
-                            if dual and dual.failure else "no_convergence"),
-            curvature_ok=dual is None or dual.curvature_ok,
-        )
-
-    fwd_res, fwd_res_lagged = (
-        _terminal_norm(t.u[-1] - p.M1, t.v[-1] - p.M2, grid)
-        for t in (solve_forward_pp(p, u0, v0, result_ctl, grid, coupling=coupling)
-                  for coupling in ("implicit", "lagged")))
-    reason = None
-    if fwd_res >= 2.0 * tol:
-        converged = False
-        reason = "forward_verification"
-
-    components = e_norm(z, w, result_ctl.g, weights, p, chi, grid,
-                        cap=weight_floor)
+    reason = None if converged else (f"{dual.failure} in Picard iteration {it}"
+                                     if dual and dual.failure else "no_convergence")
+    fwd_res = np.inf
+    if converged:
+        fwd_res = forward_residual(p, u0, v0, result_ctl, grid, "implicit")
+        if fwd_res >= 2.0 * tol:
+            converged, reason = False, "forward_verification"
     return NonlinearControlResult(
         converged=converged, iterations=it, terminal_history=term_hist,
         update_history=upd_hist, control=result_ctl, z=z, w=w,
-        g_l2h1=res.g_l2h1, forward_residual=fwd_res,
-        forward_residual_lagged=fwd_res_lagged, failure_reason=reason,
-        e_norm_components=components,
+        g_l2h1=res.g_l2h1 if res else 0.0, forward_residual=fwd_res,
+        failure_reason=reason, curvature_ok=dual is None or dual.curvature_ok,
     )
+
+
+def forward_residual(p: KSParams, u0: np.ndarray, v0: np.ndarray,
+                     control: Control, grid: Grid, coupling: str) -> float:
+    """Terminal distance from (M1, M2) of the nonlinear march from (u0, v0)
+    under ``control``, with the given ``coupling`` of the stepper."""
+    t = solve_forward_pp(p, u0, v0, control, grid, coupling=coupling)
+    return _terminal_norm(t.u[-1] - p.M1, t.v[-1] - p.M2, grid)
 
 
 def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
@@ -230,15 +221,9 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     (with the top Sobolev level reduced by one: the grid carries two robust
     derivative levels).
     """
-    s = weights.params.s
     dt = grid.dt
     W = grid.quad_weights
     A = grid.laplacian_matrix
-
-    tsb_star = 2.0 * s * weights.exponent_star
-    tsb_hat = 2.0 * s * weights.exponent_hat
-    lgs = weights.log_factor_star
-    lgh = weights.log_factor_hat
 
     def sq_l2(fields: np.ndarray) -> np.ndarray:
         return np.einsum("kn,n,kn->k", fields, W, fields)
@@ -266,13 +251,13 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
                 "value": float(np.exp(0.5 * log_sq)) if log_sq < 1400 else np.inf,
             }
 
+    def recip(kind: str, power: float) -> np.ndarray:
+        return _capped(-log_weight_profile(weights, kind, power), cap)
+
     # terminal-vanishing weights (slices 1..m pair with the stepper output)
-    with np.errstate(invalid="ignore"):
-        prof_u = _capped(-(tsb_star + 10.0 * lgs), cap)
-        prof_v = _capped(-(tsb_star + 3.0 * lgs), cap)
-        prof_g = _capped(-(tsb_star + 18.0 * lgs), cap)
-        prof_r1 = _capped(-(tsb_hat + 3.0 * lgh), cap)
-        logw5 = _capped(-(weights.two_s_exponent + 2.0 * weights.log_factor), cap)
+    prof_u, prof_v, prof_g = (recip("beta_star", k) for k in (10.0, 3.0, 18.0))
+    prof_r1 = recip("beta_hat", 3.0)
+    logw5 = recip("beta", 2.0)
     put("state_u", _log_l2q(prof_u[:-1], sq_l2(z[1:]), dt))
     put("state_v", _log_l2q(prof_v[:-1], sq_l2(w[1:]), dt))
     put("control_g", _log_l2q(prof_g[:-1], sq_l2(chi[None, :] * g[1:]), dt))
@@ -291,7 +276,10 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     else:
         put("residual_chemical_h1", float("inf"))
 
-    # regularity weights (H2 / H1 levels)
+    # regularity weights (H2 / H1 levels), mixing the per-step extrema
+    tsb_star = 2.0 * weights.params.s * weights.exponent_star
+    tsb_hat = 2.0 * weights.params.s * weights.exponent_hat
+    lgh = weights.log_factor_hat
     with np.errstate(invalid="ignore"):
         log_c6 = _capped(0.25 * tsb_star - 0.5 * tsb_hat + (13.0 / 8.0) * lgh, cap)
         log_c7 = _capped(-(0.25 * tsb_star) - (25.0 / 8.0) * lgh, cap)

@@ -213,20 +213,19 @@ class WeightTable:
 
     ``family`` is "alpha" for the classical weights (time profile t(T - t),
     singular at t in {0, T}) or "beta" for the refined ones (truncated
-    profile l(t), singular only at t = T).  ``exponent`` is alpha or beta,
-    negative everywhere; ``factor`` is phi or gamma.  The starred/hatted
-    arrays are the per time-step max/min over nodes.  Values at singular
-    time nodes are the limits (-inf / +inf); log-domain products there are
-    -inf, i.e. the product vanishes, which is the convention every integral
-    below relies on.
+    profile l(t), singular only at t = T).  ``profile`` is that time
+    profile; the exponent (alpha or beta, negative everywhere) is kept as
+    ``2 s`` times it and the factor (phi or gamma) as its log.  The
+    starred/hatted arrays are the per time-step max/min over nodes.  Values
+    at singular time nodes are the limits (-inf / +inf); log-domain products
+    there are -inf, i.e. the product vanishes, which is the convention every
+    integral below relies on.
     """
 
     family: str
     params: WeightParams
     grid: Grid
     profile: np.ndarray
-    exponent: np.ndarray
-    factor: np.ndarray
     log_factor: np.ndarray
     two_s_exponent: np.ndarray
     exponent_star: np.ndarray
@@ -263,8 +262,6 @@ def _build_table(family: str, eta0: Eta0, p: WeightParams, grid: Grid,
     )
     return WeightTable(
         family=family, params=p, grid=grid, profile=profile,
-        exponent=exponent,
-        factor=np.where(ok[:, None], e_lam[None, :] / p4[:, None], np.inf),
         log_factor=log_factor, two_s_exponent=2.0 * p.s * exponent,
         exponent_star=exponent.max(axis=1), exponent_hat=exponent.min(axis=1),
         log_factor_star=log_factor.max(axis=1), log_factor_hat=log_factor.min(axis=1),

@@ -3,6 +3,7 @@ tests call.
 
 * the duality audit: both sides of the discrete transposition identity;
 * the backward residual pair L* of a dual candidate, as a plain stencil;
+* the exponent and factor of a weight table from their closed forms;
 * the scalar weighted energy ``i_beta`` of one sample;
 * the raw-coordinate normal-equations matrix of the dual problem and two
   dense direct solves of the dual problem;
@@ -28,7 +29,7 @@ from ksctl.hum_control import ControlProblem, _DualSystem
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _v_step_factor,
                              block_step_factor)
 from ksctl.nonlinear_control import _capped, _log_l2q, e_norm, picard_solve
-from ksctl.weights import WeightTable, _logsumexp
+from ksctl.weights import Eta0, WeightTable, _logsumexp
 
 
 class DualityMismatchError(ValueError):
@@ -108,6 +109,22 @@ def apply_Lstar(z: np.ndarray, w: np.ndarray, p: KSParams, grid: Grid):
     F1 = (z[:-1] - z[1:]) / dt - Az - p.a * w[:-1]
     F2 = p.eps * (w[:-1] - w[1:]) / dt - Aw + p.b * w[:-1] + p.M1 * Az
     return F1, F2
+
+
+def closed_form_weights(eta0: Eta0, table: WeightTable):
+    """(exponent, factor) of ``table`` on every (step, node): alpha and phi,
+    or beta and gamma, from their closed forms
+
+        (exp(lam eta0) - exp(2 lam sup eta0)) / profile^4,  exp(lam eta0) / profile^4.
+
+    At the singular steps the profile vanishes and the two hold their
+    limits, -inf and +inf.
+    """
+    lam = table.params.lam
+    e_lam = np.exp(lam * eta0.values)
+    p4 = (table.profile ** 4)[:, None]
+    with np.errstate(divide="ignore"):
+        return (e_lam - np.exp(2.0 * lam * eta0.sup))[None, :] / p4, e_lam[None, :] / p4
 
 
 def i_beta(q: np.ndarray, beta_exp: float, sigma: float,

@@ -16,7 +16,7 @@ from ksctl.grid import box_mask, mass
 from ksctl.ks_model import KSParams
 from ksctl.weights import carleman_weights, log_weight_profile, weight_params
 
-from oracles import i_beta
+from oracles import closed_form_weights, i_beta
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +45,10 @@ def test_i_beta_sigma_validation(grid_small, mild_table):
         i_beta(q, 1.0, 0.0, mild_table, grid_small)
 
 
-def naive_i_beta(q, beta, sigma, tab, g):
+def naive_i_beta(q, beta, sigma, tab, eta0, g):
     """Straightforward-summation duplicate of the functional."""
     s = tab.params.s
+    alpha, phi = closed_form_weights(eta0, tab)
     dt, W = g.dt, g.quad_weights
     qt = time_derivative(q, g)
     gs = gradient_sq(q, g)
@@ -55,8 +56,8 @@ def naive_i_beta(q, beta, sigma, tab, g):
     tot = 0.0
     for k in range(1, g.m):
         for pn in range(g.num_nodes):
-            e2sa = np.exp(2 * s * tab.exponent[k, pn])
-            ph = tab.factor[k, pn]
+            e2sa = np.exp(2 * s * alpha[k, pn])
+            ph = phi[k, pn]
             tot += dt * W[pn] * e2sa * (
                 s ** (beta + 3) * ph ** (beta + 3) * q[k, pn] ** 2
                 + s ** (beta + 1) * ph ** (beta + 1) * gs[k, pn]
@@ -66,10 +67,10 @@ def naive_i_beta(q, beta, sigma, tab, g):
     return tot
 
 
-def test_i_beta_against_naive_oracle(grid_small, mild_table):
+def test_i_beta_against_naive_oracle(grid_small, eta_small, mild_table):
     q = sample_space_time(grid_small, np.random.default_rng(3))
     mine = i_beta(q, 1.0, 0.25, mild_table, grid_small)
-    ref = naive_i_beta(q, 1.0, 0.25, mild_table, grid_small)
+    ref = naive_i_beta(q, 1.0, 0.25, mild_table, eta_small, grid_small)
     assert mine == pytest.approx(ref, rel=1e-12)
 
 

@@ -1,11 +1,15 @@
 import dataclasses
+import inspect
 import json
+import math
 import os
+import sys
+from collections import Counter
 
 import pytest
 import yaml
 
-from ksctl import carleman_check, cli, nonlinear_control, weights
+from ksctl import cli, nonlinear_control
 from ksctl.cli import ConfigError, main, parse_config
 
 
@@ -200,17 +204,21 @@ def test_carleman_csv_columns(tmp_path):
     assert {r.split(",")[0] for r in rows[1:]} == {"thm2.2", "lem3.1", "lemA.1"}
 
 
-def _count_calls(monkeypatch, names) -> dict:
-    """Spy on every package binding of the ``carleman_check`` functions
-    ``names``; returns the live counts."""
-    calls = dict.fromkeys(names, 0)
-    for name in calls:
-        original = getattr(carleman_check, name)
-        def counted(*args, _f=original, _n=name, **kwargs):
-            calls[_n] += 1
+def _count_calls(monkeypatch, names, label=None) -> Counter:
+    """Spy on every binding, in every ``ksctl`` module, of the package
+    functions ``names``; returns the live call counts, keyed by the name or
+    by ``label(name, bound arguments)`` of each call."""
+    modules = [m for n, m in sys.modules.items() if n == "ksctl" or n.startswith("ksctl.")]
+    calls = Counter()
+    for name in names:
+        (original,) = {vars(m)[name] for m in modules if name in vars(m)}
+        def counted(*args, _f=original, _n=name, _sig=inspect.signature(original), **kwargs):
+            bound = _sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[_n if label is None else label(_n, bound.arguments)] += 1
             return _f(*args, **kwargs)
-        for module in (carleman_check, cli, weights):
-            if getattr(module, name, None) is original:
+        for module in modules:
+            if vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counted)
     return calls
 
@@ -254,13 +262,45 @@ def test_carleman_record_keeps_the_thm22_constants_of_every_eps(tmp_path):
     assert {k.split("eps=")[1] for k in c_emp["thm2.2"]} == {f"{e:g}" for e in eps_list}
 
 
+def _summary(outdir, command) -> dict:
+    (record,) = outdir.glob(f"{command}-*.json")
+    return json.loads(record.read_text())["summary"]
+
+
 def test_control_nonlinear_exit_codes(tmp_path):
     outdir = tmp_path / "out"
     path = write_cfg(tmp_path, **small_sections(outdir))
     assert main(["control-nonlinear", "--config", path]) == 0
-    # starving the Picard loop of iterations must signal non-convergence
-    assert main(["control-nonlinear", "--config", path,
+    summary = _summary(outdir, "control-nonlinear")
+    logs = summary["e_norm_log_components"]
+    assert len(logs) == 9
+    assert all(isinstance(v, float) and math.isfinite(v)
+               for v in [summary["forward_residual_lagged"], *logs.values()])
+    # starving the Picard loop of iterations must signal non-convergence;
+    # the loop stops before its verification, so neither diagnostic is taken
+    starved = tmp_path / "starved"
+    assert main(["control-nonlinear", "--config", path, f"--io.outdir={starved}",
                  "--solver.maxit=1", "--solver.tol=1e-14"]) == 2
+    summary = _summary(starved, "control-nonlinear")
+    assert summary["forward_residual_lagged"] == "inf"
+    assert summary["e_norm_log_components"] == {}
+
+
+def test_only_control_nonlinear_takes_the_lagged_march_and_the_e_norm(
+        tmp_path, monkeypatch):
+    # picard_solve ends at its implicit verification march; the lagged march
+    # and the E-norm are taken by control-nonlinear alone, which reports them
+    def by_coupling(name, args):
+        return f"{name} {args['coupling']}" if name == "solve_forward_pp" else name
+
+    cfg = parse_config(write_cfg(tmp_path, **small_sections(tmp_path / "out")))
+    calls = _count_calls(monkeypatch, ["solve_forward_pp", "e_norm"], by_coupling)
+    assert cli.run("eps-sweep", cfg) == 0
+    assert calls == {"solve_forward_pp implicit": len(cfg.physics["eps_list"])}
+    calls.clear()
+    assert cli.run("control-nonlinear", cfg) == 0
+    assert calls == {"solve_forward_pp implicit": 1, "solve_forward_pp lagged": 1,
+                     "e_norm": 1}
 
 
 @pytest.mark.parametrize("command", ["control-linear", "control-nonlinear"])

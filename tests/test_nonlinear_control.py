@@ -3,7 +3,7 @@ import pytest
 
 from ksctl.grid import chemotaxis_divergence, mass
 from ksctl.ks_model import BlowUpError
-from ksctl.nonlinear_control import e_norm, eps_sweep, picard_solve
+from ksctl.nonlinear_control import e_norm, eps_sweep, forward_residual, picard_solve
 
 import oracles
 from oracles import bilinear_continuity_ratio, delta_radius
@@ -31,7 +31,8 @@ def test_picard_controls_small_perturbation(params, grid_small, weights_small,
     assert r.forward_residual < 2e-6
     assert r.g_l2h1 > 0.0
     # the lagged-coupling verification documents the discretization gap
-    assert r.forward_residual_lagged > r.forward_residual
+    lagged = forward_residual(params, u0, v0, r.control, grid_small, "lagged")
+    assert lagged > r.forward_residual
 
 
 def test_picard_rejects_wrong_mean(params, grid_small, weights_small, chi_small):

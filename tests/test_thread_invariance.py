@@ -2,11 +2,14 @@
 ``control-linear`` and ``simulate`` at the 1D defaults and at a 2D config
 (32x32 nodes, m=40, every default control box repeated on both axes),
 ``control-nonlinear``, ``eps-sweep`` and ``carleman`` at the 1D defaults.
+The two Picard commands also write the same JSON ``summary`` (the lagged
+residual and the E-norm of ``control-nonlinear`` among it).
 
 The CG's reductions are fixed-order numpy sums, not BLAS ``ddot``, whose
 summation order follows its thread count: with ``cg_tol`` near the roundoff
 floor, that order alone moved the 1D iteration count from 17 to 20."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,12 +27,12 @@ TWO_D = [
 ]
 
 
-def _csv(outdir: Path, command: str, threads: int, overrides=()) -> bytes:
+def _csv(outdir: Path, command: str, threads: int, overrides=(), fmt="csv") -> bytes:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "OMP_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-m", "ksctl.cli", command, "--config", CONFIG,
-                    f"--io.outdir={outdir}", "--io.format=csv", *overrides],
+                    f"--io.outdir={outdir}", f"--io.format={fmt}", *overrides],
                    env=env, check=True)
     (csv,) = outdir.glob(f"{command}-*.csv")
     return csv.read_bytes()
@@ -44,7 +47,11 @@ def test_control_linear_csv_independent_of_blas_threads(tmp_path, overrides):
 
 @pytest.mark.parametrize("command", ["control-nonlinear", "eps-sweep"])
 def test_picard_csvs_independent_of_blas_threads(tmp_path, command):
-    assert _csv(tmp_path / "one", command, 1) == _csv(tmp_path / "two", command, 2)
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert _csv(one, command, 1, fmt="both") == _csv(two, command, 2, fmt="both")
+    (rec_one,), (rec_two,) = one.glob("*.json"), two.glob("*.json")
+    assert (json.loads(rec_one.read_text())["summary"]
+            == json.loads(rec_two.read_text())["summary"])
 
 
 @pytest.mark.parametrize("command, overrides", [

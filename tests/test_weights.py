@@ -10,6 +10,7 @@ from ksctl.weights import (
 )
 
 from conftest import OMEGA, OMEGA0, OMEGA_PRIME
+from oracles import closed_form_weights
 
 
 def test_eta0_boundary_and_positivity(grid_small, eta_small):
@@ -64,7 +65,8 @@ def test_weight_params_validation():
 
 def test_alpha_negative_everywhere(grid_small, eta_small):
     wt = carleman_weights(eta_small, weight_params(grid_small.T, 1.5), grid_small)
-    assert np.all(wt.exponent[1:-1] < 0.0)
+    alpha, _ = closed_form_weights(eta_small, wt)
+    assert np.all(alpha[1:-1] < 0.0)
 
 
 def test_phi_closed_form_at_midpoint(grid_small, eta_small):
@@ -74,15 +76,17 @@ def test_phi_closed_form_at_midpoint(grid_small, eta_small):
     i = int(np.argmax(eta_small.values))
     # independent scalar computation of the same quantity
     expected = np.exp(lam * eta_small.values[i]) * (2.0 / grid_small.T) ** 8
-    assert wt.factor[k, i] == pytest.approx(expected, rel=1e-13)
+    _, phi = closed_form_weights(eta_small, wt)
+    assert phi[k, i] == pytest.approx(expected, rel=1e-13)
 
 
 def test_extrema_locations(grid_small, eta_small):
     wt = carleman_weights(eta_small, weight_params(grid_small.T, 1.5), grid_small)
     k = grid_small.m // 2
     i_star = int(np.argmax(eta_small.values))
-    assert wt.exponent_star[k] == wt.exponent[k, i_star]
-    assert wt.exponent_hat[k] == wt.exponent[k, 0]    # boundary node
+    alpha, _ = closed_form_weights(eta_small, wt)
+    assert wt.exponent_star[k] == alpha[k, i_star]
+    assert wt.exponent_hat[k] == alpha[k, 0]    # boundary node
     assert wt.log_factor_star[k] >= wt.log_factor_hat[k] > -np.inf
 
 
@@ -90,14 +94,16 @@ def test_refined_time_profile(grid_small, eta_small, weights_small):
     g, rt = grid_small, weights_small
     wt = carleman_weights(eta_small, rt.params, g)
     kq, kh, k3q = g.m // 4, g.m // 2, 3 * g.m // 4
-    assert np.array_equal(rt.exponent[kq], rt.exponent[kh])   # constant early
-    assert np.array_equal(rt.factor[k3q], wt.factor[k3q])     # matches late
+    beta, gamma = closed_form_weights(eta_small, rt)
+    alpha, phi = closed_form_weights(eta_small, wt)
+    assert np.array_equal(beta[kq], beta[kh])     # constant early
+    assert np.array_equal(gamma[k3q], phi[k3q])   # matches late
     # the literal testable ordering statement
     t = g.times
     assert np.all(rt.profile >= t * (g.T - t) - 1e-15)
     # note the sign: the shared numerator is negative, so the larger profile
     # pulls beta toward zero, i.e. beta >= alpha pointwise
-    assert np.all(rt.exponent[1:-1] >= wt.exponent[1:-1] - 1e-12)
+    assert np.all(beta[1:-1] >= alpha[1:-1] - 1e-12)
 
 
 def test_refined_products_vanish_at_terminal_time(weights_small):
@@ -137,13 +143,14 @@ def test_log_weight_consistency_with_direct_product(grid_small, eta_small):
     wt = carleman_weights(
         eta_small, weight_params(grid_small.T, 1.5, sigma0=1e-4), grid_small
     )
+    alpha, phi = closed_form_weights(eta_small, wt)
     rng = np.random.default_rng(0)
     for _ in range(20):
         node = int(rng.integers(0, grid_small.num_nodes))
         step = int(rng.integers(1, grid_small.m))
         power = float(rng.integers(-4, 19))
-        direct = (np.exp(2 * wt.params.s * wt.exponent[step, node])
-                  * wt.factor[step, node] ** power)
+        direct = (np.exp(2 * wt.params.s * alpha[step, node])
+                  * phi[step, node] ** power)
         via_log = np.exp(log_weight_profile(wt, "alpha", power)[step, node])
         assert via_log == pytest.approx(direct, rel=1e-10)
 
