@@ -11,7 +11,7 @@ from .ks_model import (
 )
 from .adjoint import AdjointTrajectory, solve_adjoint
 from .weights import build_eta0, carleman_weights, refined_weights, weight_params
-from .hum_control import ControlProblem, extract_control, solve_dual
+from .hum_control import ControlProblem, SolverSettings, extract_control, solve_dual
 from .nonlinear_control import eps_sweep, picard_solve
 
 __version__ = "0.1.0"
@@ -28,6 +28,7 @@ __all__ = [
     "ControlProblem",
     "Grid",
     "KSParams",
+    "SolverSettings",
     "backend_name",
     "build_eta0",
     "build_grid",

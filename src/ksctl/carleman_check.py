@@ -339,8 +339,7 @@ def lemma31_report(adj: AdjointTrajectory, beta: list[_ScanEntry], chi_sq: np.nd
 
 
 def adjoint_reports(p_template: KSParams, alpha: list[_ScanEntry], beta: list[_ScanEntry],
-                    eta0: Eta0, chi: np.ndarray, eps_list=(1.0, 0.1, 0.01),
-                    n_samples: int = 20, seed: int = 0):
+                    eta0: Eta0, chi: np.ndarray, eps_list, n_samples: int, seed: int):
     """thm2.2 per eps and lem3.1 over ``eps_list``, from one sampling pass
     over the families of :func:`weight_families`.
 
@@ -369,8 +368,8 @@ def adjoint_reports(p_template: KSParams, alpha: list[_ScanEntry], beta: list[_S
             for p, logs in zip(params, thm_logs)], rep31
 
 
-def lemmaA1_report(alpha: list[_ScanEntry], eta0: Eta0, n_samples: int = 20,
-                   seed: int = 0) -> CarlemanReport:
+def lemmaA1_report(alpha: list[_ScanEntry], eta0: Eta0, n_samples: int,
+                   seed: int) -> CarlemanReport:
     """Transposition inequality for the backward heat flow driven by the
     Laplacian of a smooth field, on the alpha family of :func:`weight_families`."""
     grid = eta0.grid

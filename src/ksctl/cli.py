@@ -21,14 +21,14 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
 
 from .carleman_check import adjoint_reports, lemmaA1_report, weight_families
 from .grid import ConfigError, Grid, build_grid, l2_norm, mass
-from .hum_control import ControlProblem, extract_control, solve_dual
+from .hum_control import ControlProblem, SolverSettings, extract_control, solve_dual
 from .ks_model import Control, KSParams, smooth_cutoff, solve_forward_pe, solve_forward_pp, solve_linearized
 from .nonlinear_control import e_norm, eps_sweep, forward_residual, picard_solve
 from .weights import (Eta0, WeightParams, WeightTable, build_eta0, check_boxes,
@@ -50,11 +50,7 @@ DEFAULTS: dict = {
         "omega0": [0.30, 0.40], "omega_prime": [0.25, 0.45],
         "omega": [0.20, 0.50],
     },
-    "solver": {
-        "tol": 1e-6, "maxit": 20, "tau": 1e-8, "damping": 1.0,
-        "cg_tol": 1e-12, "cg_maxit": 2000, "weight_floor": 1e-6,
-        "n_samples": 20, "seed": 20260809,
-    },
+    "solver": asdict(SolverSettings()),
     "io": {"outdir": "out", "format": "both"},
 }
 
@@ -92,6 +88,9 @@ class ExperimentConfig:
                         eps=ph["eps"] if eps is None else float(eps),
                         M1=ph["M1"], M2=ph["M2"])
 
+    def settings(self) -> SolverSettings:
+        return SolverSettings(**self.solver)
+
     def carleman_params(self, T: float) -> WeightParams:
         """``weights.s`` when given (0 included), else s derived from sigma0."""
         w = self.weights
@@ -125,8 +124,9 @@ _NUMBER_LISTS = ("grid.n", "grid.L", "physics.eps_list", "weights.s_scan")
 
 def _coerce(default, value, key: str, violations: list):
     """Type-guided coercion: YAML reads '1e-14' as a string, so numeric
-    fields convert string leaves back to numbers; a value of another type
-    (a list, a mapping, a word) is a violation, reported before any use."""
+    fields convert string leaves back to numbers, and an int field stores an
+    integral finite number as an int; anything else (a list, a mapping, a
+    word, 2.5 for a count) is a violation, reported before any use."""
     if key in _NUMBER_LISTS and isinstance(value, list):
         item = default[0] if isinstance(default, list) else default
         return [_coerce(item, x, key, violations) for x in value]
@@ -135,17 +135,23 @@ def _coerce(default, value, key: str, violations: list):
         return default
     if not isinstance(default, (int, float)) or isinstance(default, bool):
         return value
+    num = value
     if isinstance(value, str):
         try:
             num = float(value)
         except ValueError:
-            violations.append(f"'{key}' must be a number, got {value!r}")
-            return default
-        return int(num) if isinstance(default, int) and num == int(num) else num
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            pass
+    if isinstance(default, int):
+        if isinstance(num, float) and num.is_integer():  # False on inf and nan
+            num = int(num)
+        if isinstance(num, numbers.Integral) and not isinstance(num, bool):
+            return int(num)
+        violations.append(f"'{key}' must be an integer, got {value!r}")
+        return default
+    if isinstance(num, bool) or not isinstance(num, numbers.Real):
         violations.append(f"'{key}' must be a number, got {value!r}")
         return default
-    return value
+    return num
 
 
 def _merge(base: dict, override: dict, path="", violations=None) -> dict:
@@ -164,29 +170,18 @@ def _merge(base: dict, override: dict, path="", violations=None) -> dict:
 
 
 def _validate(cfg: dict) -> list:
-    """Rules of the fields no domain object owns; the grid, physics, weight
-    and box rules live in the constructors (see :func:`_domain_violations`)."""
+    """Rules of the fields no domain object owns; the other rules live in
+    the constructors (see :func:`_domain_violations`)."""
     v = []
-    ph, w, s = cfg["physics"], cfg["weights"], cfg["solver"]
+    ph, w = cfg["physics"], cfg["weights"]
     if not ph["eps_list"]:
         v.append("physics.eps_list must not be empty")
     if ph["delta"] < 0:
         v.append("physics.delta must be nonnegative")
-    if not (ph["mode"] >= 1 and float(ph["mode"]).is_integer()):
+    if not ph["mode"] >= 1:
         v.append("physics.mode must be a positive integer")
     if not (w["s_scan"] and all(x > 0 for x in w["s_scan"])):
         v.append("weights.s_scan must be a non-empty list of positive numbers")
-    for name in ("tol", "cg_tol"):
-        if not s[name] >= 0:
-            v.append(f"solver.{name} must be nonnegative")
-    for name in ("tau", "weight_floor"):
-        if not s[name] > 0:
-            v.append(f"solver.{name} must be positive")
-    for name in ("maxit", "cg_maxit", "n_samples"):
-        if not s[name] >= 1:
-            v.append(f"solver.{name} must be at least 1")
-    if not (0.0 < s["damping"] <= 1.0):
-        v.append("solver.damping must lie in (0, 1]")
     if cfg["io"]["format"] not in ("csv", "json", "both"):
         v.append("io.format must be csv|json|both")
     return v
@@ -194,7 +189,7 @@ def _validate(cfg: dict) -> list:
 
 def _domain_violations(cfg: ExperimentConfig) -> list:
     """Build the grid, the physics for every eps, the Carleman parameters and
-    check the control boxes, collecting what the constructors reject."""
+    the solver settings, check the control boxes, and collect the rejects."""
     g, ph, w = cfg.grid, cfg.physics, cfg.weights
     v: list = []
 
@@ -223,6 +218,7 @@ def _domain_violations(cfg: ExperimentConfig) -> list:
         L = np.atleast_1d(g["L"])
         L = tuple(np.broadcast_to(L, dim)) if L.size in (1, dim) else None
     collect("weights", check_boxes, dim, L, w["omega0"], w["omega_prime"], w["omega"])
+    collect("solver", cfg.settings)
     return list(dict.fromkeys(v))
 
 
@@ -393,15 +389,14 @@ def _cmd_carleman(cfg: ExperimentConfig, runner: _Runner) -> int:
     s_base = cfg.carleman_params(grid.T).s
     alpha, beta = weight_families(
         eta, [mult * s_base for mult in cfg.weights["s_scan"]], cfg.weights["lambda"])
-    n_samples = cfg.solver["n_samples"]
-    seed = cfg.solver["seed"]
+    s = cfg.settings()
     eps_list = tuple(cfg.physics["eps_list"][:3])
     runner.phase("setup")
 
     reports, rep31 = adjoint_reports(cfg.params(), alpha, beta, eta, chi, eps_list=eps_list,
-                                     n_samples=n_samples, seed=seed)
+                                     n_samples=s.n_samples, seed=s.seed)
     runner.phase("thm2.2+lem3.1")
-    repA = lemmaA1_report(alpha, eta, n_samples=n_samples, seed=seed)
+    repA = lemmaA1_report(alpha, eta, n_samples=s.n_samples, seed=s.seed)
     runner.phase("lemA.1")
 
     header = ["inequality", "sample_id", "s", "lambda", "eps", "lhs", "rhs", "ratio"]
@@ -428,26 +423,18 @@ def _cmd_carleman(cfg: ExperimentConfig, runner: _Runner) -> int:
     return runner.finish(header, rows, summary, code)
 
 
-def _control_problem(cfg: ExperimentConfig, grid, weights, chi, p):
-    u0, v0 = cfg.initial_data(grid)
-    s = cfg.solver
-    return ControlProblem(
-        params=p, grid=grid, weights=weights, chi=chi,
-        z0=u0 - p.M1, w0=v0 - p.M2, tau=s["tau"], cg_tol=s["cg_tol"],
-        cg_maxit=s["cg_maxit"], weight_floor=s["weight_floor"],
-    )
-
-
 def _cmd_control_linear(cfg: ExperimentConfig, runner: _Runner) -> int:
     grid = cfg.build_grid()
     p = cfg.params()
     chi = cfg.cutoff(grid)
     wt = cfg.refined_table(grid)
-    prob = _control_problem(cfg, grid, wt, chi, p)
+    u0, v0 = cfg.initial_data(grid)
+    prob = ControlProblem(params=p, grid=grid, weights=wt, chi=chi,
+                          z0=u0 - p.M1, w0=v0 - p.M2, settings=cfg.settings())
     runner.phase("setup")
     dual = solve_dual(prob)
     runner.phase("cg")
-    row = {"eps": p.eps, "tau": prob.tau, "cg_iterations": dual.iterations,
+    row = {"eps": p.eps, "tau": prob.settings.tau, "cg_iterations": dual.iterations,
            "cg_converged": dual.converged, "curvature_ok": dual.curvature_ok}
     if dual.failure:  # no minimiser: nothing to extract
         print(f"ksctl control-linear: {dual.failure}", file=sys.stderr)
@@ -476,19 +463,15 @@ def _cmd_control_nonlinear(cfg: ExperimentConfig, runner: _Runner) -> int:
     chi = cfg.cutoff(grid)
     wt = cfg.refined_table(grid)
     u0, v0 = cfg.initial_data(grid)
-    s = cfg.solver
+    s = cfg.settings()
     runner.phase("setup")
-    result = picard_solve(
-        p, u0, v0, wt, chi, grid, tol=s["tol"], maxit=s["maxit"],
-        damping=s["damping"], tau=s["tau"], cg_tol=s["cg_tol"],
-        cg_maxit=s["cg_maxit"], weight_floor=s["weight_floor"],
-    )
+    result = picard_solve(p, u0, v0, wt, chi, grid, s)
     # the lagged-coupling gap and the E-norm, once the loop reached its verification
     lagged, components = np.inf, {}
     if np.isfinite(result.forward_residual):
         lagged = forward_residual(p, u0, v0, result.control, grid, "lagged")
         components = e_norm(result.z, result.w, result.control.g, wt, p, chi, grid,
-                            cap=s["weight_floor"])
+                            cap=s.weight_floor)
     runner.phase("picard")
     rows = [
         {"iteration": i + 1, "terminal_residual": t, "update_norm": u}
@@ -516,14 +499,9 @@ def _cmd_eps_sweep(cfg: ExperimentConfig, runner: _Runner) -> int:
     chi = cfg.cutoff(grid)
     wt = cfg.refined_table(grid)
     u0, v0 = cfg.initial_data(grid)
-    s = cfg.solver
     runner.phase("setup")
-    report = eps_sweep(
-        p, u0, v0, wt, chi, grid, eps_list=cfg.physics["eps_list"],
-        tol=s["tol"], maxit=s["maxit"],
-        damping=s["damping"], tau=s["tau"], cg_tol=s["cg_tol"],
-        cg_maxit=s["cg_maxit"], weight_floor=s["weight_floor"],
-    )
+    report = eps_sweep(p, u0, v0, wt, chi, grid, eps_list=cfg.physics["eps_list"],
+                       settings=cfg.settings())
     runner.phase("sweep")
     header = ["eps", "g_l2h1", "iterations", "terminal_residual",
               "forward_residual", "converged"]

@@ -33,11 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, check_zero_mass, h1_seminorm_sq, inner, l2_norm
+from .grid import Grid, check_all, check_zero_mass, h1_seminorm_sq, inner, l2_norm
 from .ks_model import Control, KSParams, solve_linearized
 from .weights import WeightTable, _logsumexp, log_weight_profile
 
 __all__ = [
+    "SolverSettings",
     "ControlProblem",
     "DualSolution",
     "ControlResult",
@@ -55,9 +56,39 @@ class ExtractionError(RuntimeError):
     """Cross-validation of the extracted control failed its tolerance."""
 
 
+@dataclass(frozen=True)
+class SolverSettings:
+    """The ``solver`` section of a run: the Picard loop's and the dual CG's
+    knobs and the Carleman sampling, with their defaults and their rules.
+    The fields keep the order of the section in ``configs/default.yaml``."""
+
+    tol: float = 1e-6           # Picard terminal/update tolerance
+    maxit: int = 20
+    tau: float = 1e-8           # terminal penalization of the dual problem
+    damping: float = 1.0
+    cg_tol: float = 1e-12
+    cg_maxit: int = 2000
+    weight_floor: float = 1e-6  # relative floor on the normalised weight profiles
+    n_samples: int = 20
+    seed: int = 20260809
+
+    def __post_init__(self):
+        check_all([
+            (self.tol >= 0, "tol must be nonnegative"),
+            (self.cg_tol >= 0, "cg_tol must be nonnegative"),
+            (self.tau > 0, "tau must be positive"),
+            (self.weight_floor > 0, "weight_floor must be positive"),
+            (self.maxit >= 1, "maxit must be at least 1"),
+            (self.cg_maxit >= 1, "cg_maxit must be at least 1"),
+            (self.n_samples >= 1, "n_samples must be at least 1"),
+            (0.0 < self.damping <= 1.0, "damping must lie in (0, 1]"),
+            (self.seed >= 0, "seed must be nonnegative"),
+        ])
+
+
 @dataclass
 class ControlProblem:
-    """Data and knobs for one linearized null-control solve."""
+    """Data and solver settings for one linearized null-control solve."""
 
     params: KSParams
     grid: Grid
@@ -66,19 +97,9 @@ class ControlProblem:
     z0: np.ndarray
     w0: np.ndarray
     h1: np.ndarray | None = None
-    tau: float = 1e-8
-    cg_tol: float = 1e-12
-    cg_maxit: int = 2000
-    weight_floor: float = 1e-6
+    settings: SolverSettings = SolverSettings()
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError(
-                "the discrete dual solve needs tau > 0: the continuum form is "
-                "coercive only on its abstract completion"
-            )
-        if not self.weight_floor > 0.0:
-            raise ValueError("weight_floor must be positive")
         check_zero_mass(self.z0, self.grid, "z0")
         if self.h1 is not None:
             check_zero_mass(self.h1, self.grid, "h1")
@@ -205,7 +226,7 @@ class _DualSystem:
                 "that e^lambda (4/T^2)^4 is order one)",
                 stacklevel=3,
             )
-        self.rho = [np.maximum(r, prob.weight_floor * r.max())
+        self.rho = [np.maximum(r, prob.settings.weight_floor * r.max())
                     for r in (np.exp(lp - self.log_c) for lp in log_profiles)]
 
         self.basis = grid.cosine_basis
@@ -226,7 +247,7 @@ class _DualSystem:
             self.scan[backward] = inv, np.stack(powers, axis=2).transpose(1, 0, 2, 3).copy()
 
         self.sig_f = np.sqrt(dt * np.stack(self.rho[:2])[:, :, None] * W)
-        sig_t = np.sqrt(prob.tau * self.d * W)
+        sig_t = np.sqrt(prob.settings.tau * self.d * W)
         # y is laid out as Z (2, m+1, nn): per component the scaled sources
         # F^0..F^{m-1}, then the scaled terminal slice; y * scale = (dt F, theta)
         self.scale = np.concatenate([dt / self.sig_f, 1.0 / sig_t[:, None]], axis=1)
@@ -329,6 +350,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     """
     sys_ = _DualSystem(problem)
     m, nn = problem.grid.m, problem.grid.num_nodes
+    settings = problem.settings
 
     b = sys_.rhs()
     bnorm = np.sqrt(_dot(b, b))
@@ -352,7 +374,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     converged = False
     curvature_ok = True
     it = 0
-    for it in range(1, problem.cg_maxit + 1):
+    for it in range(1, settings.cg_maxit + 1):
         gty = sys_.gramian_apply(pdir)
         Ap = sys_.project(pdir + gty)
         pAp = _dot(pdir, Ap)
@@ -366,7 +388,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
         rr_new = _dot(r, r)
         res_hist.append(np.sqrt(max(rr_new, 0.0)))
         en_hist.append(J)
-        if rr_new <= problem.cg_tol**2 * rr0:
+        if rr_new <= settings.cg_tol**2 * rr0:
             rr = rr_new
             converged = True
             break

@@ -66,9 +66,9 @@ class BlowUpError(RuntimeError):
 class InnerIterationError(RuntimeError):
     """The implicit-coupling fixed point hit ``inner_maxit`` within one step."""
 
-    def __init__(self, step: int, delta: float, maxit: int):
+    def __init__(self, step: int, delta: float, iterations: int):
         super().__init__(f"implicit coupling unconverged at step {step}: last "
-                         f"delta = {delta:.3e} after {maxit} inner iterations")
+                         f"delta = {delta:.3e} after {iterations} inner iterations")
         self.step, self.delta = step, delta
 
 

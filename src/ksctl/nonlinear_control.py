@@ -16,12 +16,12 @@ from mere convergence of the iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid import Grid, chemotaxis_divergence, l2_norm, mass
-from .hum_control import ControlProblem, apply_L, extract_control, solve_dual
+from .hum_control import ControlProblem, SolverSettings, apply_L, extract_control, solve_dual
 from .ks_model import Control, KSParams, solve_forward_pp, solve_linearized
 from .weights import WeightTable, _logsumexp, log_weight_profile
 
@@ -71,15 +71,14 @@ def _terminal_norm(zT: np.ndarray, wT: np.ndarray, grid: Grid) -> float:
 
 def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
                  weights: WeightTable, chi: np.ndarray, grid: Grid,
-                 tol: float = 1e-6, maxit: int = 20, damping: float = 1.0,
-                 tau: float = 1e-8, cg_tol: float = 1e-12, cg_maxit: int = 2000,
-                 weight_floor: float = 1e-6) -> NonlinearControlResult:
+                 settings: SolverSettings = SolverSettings()) -> NonlinearControlResult:
     """Damped Picard iteration on the remainder-driven linear control solves.
 
     Preconditions: the density initial datum must carry exactly the target
     mass (mass(u0)/|domain| = M1) and both data must be admissible
     fluctuations.  Convergence means terminal residual and update norm both
-    under ``tol``; damping halves whenever the terminal residual increases.
+    under ``settings.tol``; the damping starts at ``settings.damping`` and
+    halves whenever the terminal residual increases.
     """
     scale = max(1.0, float(np.abs(u0).max()))
     if abs(mass(u0, grid) / grid.volume - p.M1) > 1e-10 * scale:
@@ -92,6 +91,7 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
     free = solve_linearized(p, z0, w0, Control.zero(grid, chi), None, None, grid)
     z, w = free.u, free.v
 
+    damping = settings.damping
     term_hist: list = []
     upd_hist: list = []
     result_ctl = None
@@ -99,15 +99,12 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
     converged = False
     best_term = np.inf
     it = 0
-    for it in range(1, maxit + 1):
+    for it in range(1, settings.maxit + 1):
         h1 = np.array(
             [-chemotaxis_divergence(z[k], w[k], grid) for k in range(grid.m + 1)]
         )
-        prob = ControlProblem(
-            params=p, grid=grid, weights=weights, chi=chi, z0=z0, w0=w0,
-            h1=h1, tau=tau, cg_tol=cg_tol, cg_maxit=cg_maxit,
-            weight_floor=weight_floor,
-        )
+        prob = ControlProblem(params=p, grid=grid, weights=weights, chi=chi,
+                              z0=z0, w0=w0, h1=h1, settings=settings)
         dual = solve_dual(prob)
         if dual.failure:
             break
@@ -123,7 +120,7 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
         z = (1.0 - damping) * z + damping * z_new
         w = (1.0 - damping) * w + damping * w_new
         result_ctl = res.control
-        if term < tol and upd < tol:
+        if term < settings.tol and upd < settings.tol:
             converged = True
             break
 
@@ -132,7 +129,7 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
     fwd_res = np.inf
     if converged:
         fwd_res = forward_residual(p, u0, v0, result_ctl, grid, "implicit")
-        if fwd_res >= 2.0 * tol:
+        if fwd_res >= 2.0 * settings.tol:
             converged, reason = False, "forward_verification"
     return NonlinearControlResult(
         converged=converged, iterations=it, terminal_history=term_hist,
@@ -153,8 +150,8 @@ def forward_residual(p: KSParams, u0: np.ndarray, v0: np.ndarray,
 def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
               weights: WeightTable, chi: np.ndarray, grid: Grid,
               eps_list=(1.0, 0.5, 0.1, 0.01, 0.001),
-              **picard_kwargs) -> SweepReport:
-    """Run the Picard control per eps with identical weights and tolerances.
+              settings: SolverSettings = SolverSettings()) -> SweepReport:
+    """Run the Picard control per eps with identical weights and settings.
 
     The weight tables never depend on eps, so they are shared.  Entries that
     fail to converge are excluded from the uniformity ratio and carry the
@@ -162,9 +159,8 @@ def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
     """
     report = SweepReport()
     for eps in eps_list:
-        p = KSParams(a=p_template.a, b=p_template.b, eps=float(eps),
-                     M1=p_template.M1, M2=p_template.M2)
-        r = picard_solve(p, u0, v0, weights, chi, grid, **picard_kwargs)
+        p = replace(p_template, eps=float(eps))
+        r = picard_solve(p, u0, v0, weights, chi, grid, settings)
         row = {
             "eps": float(eps), "g_l2h1": r.g_l2h1, "iterations": r.iterations,
             "terminal_residual": r.terminal_history[-1] if r.terminal_history else 0.0,

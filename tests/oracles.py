@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 from ksctl.adjoint import AdjointTrajectory
 from ksctl.carleman_check import _ScanEntry, gradient_sq, hessian_sq, time_derivative
 from ksctl.grid import Grid, _chem_stencil, chemotaxis_divergence, h1_seminorm_sq, inner
-from ksctl.hum_control import ControlProblem, _DualSystem
+from ksctl.hum_control import ControlProblem, SolverSettings, _DualSystem
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _v_step_factor,
                              block_step_factor)
 from ksctl.nonlinear_control import _capped, _log_l2q, e_norm, picard_solve
@@ -179,8 +179,8 @@ def dual_matrix(sys_: _DualSystem) -> sp.csr_matrix:
 
     extra = np.zeros((2, m + 1, nn))
     extra[1, :m] = (dt * rho3)[:, None] * (W * prob.chi**2)[None, :]
-    extra[0, -1] = prob.tau * W
-    extra[1, -1] = prob.tau * p.eps * W
+    extra[0, -1] = prob.settings.tau * W
+    extra[1, -1] = prob.settings.tau * p.eps * W
     return (A_e + sp.diags(extra.reshape(-1))).tocsr()
 
 
@@ -278,7 +278,7 @@ def elliptic_regularity_check(f: np.ndarray, z0: np.ndarray, eps_list,
 def delta_radius(p: KSParams, weights: WeightTable, chi: np.ndarray,
                  grid: Grid, mode: int = 1, delta_lo: float = 0.0,
                  delta_hi: float = 0.64, bisections: int = 6,
-                 **picard_kwargs) -> dict:
+                 settings: SolverSettings = SolverSettings()) -> dict:
     """Bisection estimate of the largest cosine-perturbation amplitude the
     Picard loop still controls.  The smallness radius is measured, never
     assumed; the bracket and per-probe outcomes are all reported."""
@@ -291,7 +291,7 @@ def delta_radius(p: KSParams, weights: WeightTable, chi: np.ndarray,
         if np.any(u0 < 0):
             return False
         try:
-            r = picard_solve(p, u0, v0, weights, chi, grid, **picard_kwargs)
+            r = picard_solve(p, u0, v0, weights, chi, grid, settings)
         except RuntimeError:  # blow-up, inner cap, extraction, singular factor
             return False
         probes.append({"delta": delta, "converged": r.converged,

@@ -15,7 +15,7 @@ from ksctl.adjoint import solve_adjoint
 from ksctl.carleman_check import adjoint_reports, lemmaA1_report, weight_families
 from ksctl.cli import main as cli_main
 from ksctl.grid import build_grid, l2_norm, mass
-from ksctl.hum_control import ControlProblem, extract_control, solve_dual
+from ksctl.hum_control import ControlProblem, SolverSettings, extract_control, solve_dual
 from ksctl.ks_model import (
     Control,
     KSParams,
@@ -215,7 +215,7 @@ def test_criterion_6_linearized_null_control():
     terminals = {}
     for tau in (1e-4, 1e-6, 1e-8):
         prob = ControlProblem(params=p, grid=g, weights=wt, chi=chi,
-                              z0=z0, w0=w0, tau=tau)
+                              z0=z0, w0=w0, settings=SolverSettings(tau=tau))
         res = extract_control(solve_dual(prob), prob)
         terminals[tau] = res.terminal_u
     wall = time.time() - t0
@@ -236,7 +236,8 @@ def sweep_result():
     u0 = M1 + 0.01 * np.cos(np.pi * x)
     v0 = np.full_like(x, M2)
     return eps_sweep(p, u0, v0, wt, chi, g,
-                     eps_list=(1.0, 0.5, 0.1, 0.01, 0.001), tol=1e-6, maxit=20)
+                     eps_list=(1.0, 0.5, 0.1, 0.01, 0.001),
+                     settings=SolverSettings(tol=1e-6, maxit=20))
 
 
 def test_criterion_7_nonlinear_local_control(sweep_result):
@@ -263,7 +264,8 @@ def test_criterion_9_dense_oracle():
     x = g.axes[0]
     prob = ControlProblem(params=p, grid=g, weights=wt, chi=chi,
                           z0=0.01 * np.cos(np.pi * x), w0=np.zeros_like(x),
-                          tau=1e-8, cg_tol=1e-14, weight_floor=1e-4)
+                          settings=SolverSettings(tau=1e-8, cg_tol=1e-14,
+                                                  weight_floor=1e-4))
     dual = solve_dual(prob)
     zd, wd = dense_dual_solve(prob)
     num = np.linalg.norm(np.concatenate([(dual.zhat - zd).ravel(),

@@ -11,6 +11,7 @@ import yaml
 
 from ksctl import cli, nonlinear_control
 from ksctl.cli import ConfigError, main, parse_config
+from ksctl.hum_control import SolverSettings
 
 
 def write_cfg(tmp_path, name="cfg.yaml", **sections):
@@ -35,6 +36,14 @@ def test_defaults_fill_in(tmp_path):
     assert cfg.physics["a"] == 10.0
     assert cfg.solver["tau"] == 1e-8
     assert cfg.io["format"] == "both"
+
+
+def test_solver_defaults_are_the_config_section_in_order():
+    # the JSON record's solver block keeps this order; the golden test pins the hash
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
+    with open(path) as fh:
+        section = yaml.safe_load(fh)["solver"]
+    assert list(dataclasses.asdict(SolverSettings()).items()) == list(section.items())
 
 
 def test_all_violations_reported_at_once(tmp_path):
@@ -130,11 +139,35 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--weights.s_scan=[]",      # carleman would write a header-only CSV
     "--weights.s_scan=[0]",     # each scanned multiple of s must be > 0
     "--weights.s_scan=[-1]",
+    "--solver.maxit=2.5",       # a count takes an integral finite number only
+    "--solver.cg_maxit=2.5",
+    "--solver.n_samples=2.5",
+    "--solver.seed=1.5",
+    "--solver.maxit=.inf",
+    "--grid.m=20.5",
+    "--grid.n=10.5",
+    "--grid.m=inf",
+    "--grid.m=nan",
+    "--solver.seed=-1",         # numpy draws from a nonnegative seed
 ])
 def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
     assert main(["simulate", "--config", path, override]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
+def test_integral_floats_run_as_their_integers(tmp_path):
+    path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
+    csvs = {}
+    for name, override in (("int", "--grid.m=32"), ("float", "--grid.m=32.0")):
+        outdir = tmp_path / name
+        assert main(["simulate", "--config", path, f"--io.outdir={outdir}", override]) == 0
+        (csv_name,) = [f for f in os.listdir(outdir) if f.endswith(".csv")]
+        csvs[name] = (csv_name, (outdir / csv_name).read_bytes())
+    assert csvs["float"] == csvs["int"]
+    assert main(["simulate", "--config", path, "--grid.dim=1.0"]) == 0
 
 
 def test_simulate_steady_state_columns(tmp_path):
@@ -314,12 +347,18 @@ def test_cg_cap_is_reported_not_extracted(tmp_path, capsys, command):
     assert "ExtractionError" not in err
 
 
+def _capped_cg(prob):
+    """``prob`` with its CG stopped at the 3rd iterate."""
+    return dataclasses.replace(
+        prob, settings=dataclasses.replace(prob.settings, cg_maxit=3))
+
+
 @pytest.mark.parametrize("command, module", [("control-linear", cli),
                                              ("control-nonlinear", nonlinear_control)],
                          ids=["control-linear", "control-nonlinear"])
 def test_negative_curvature_is_a_falsification(tmp_path, capsys, monkeypatch, command, module):
     def flagged(prob, _solve=module.solve_dual):  # CG stopped at its 3rd iterate
-        dual = _solve(dataclasses.replace(prob, cg_maxit=3))
+        dual = _solve(_capped_cg(prob))
         return dataclasses.replace(dual, curvature_ok=False)
 
     monkeypatch.setattr(module, "solve_dual", flagged)
@@ -335,7 +374,7 @@ def test_eps_sweep_names_a_curvature_falsification(tmp_path, capsys, monkeypatch
     def flagged(prob, _solve=nonlinear_control.solve_dual):
         if prob.params.eps != 0.5:
             return _solve(prob)
-        return dataclasses.replace(_solve(dataclasses.replace(prob, cg_maxit=3)),
+        return dataclasses.replace(_solve(_capped_cg(prob)),
                                    curvature_ok=False)
 
     monkeypatch.setattr(nonlinear_control, "solve_dual", flagged)

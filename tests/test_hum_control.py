@@ -5,10 +5,11 @@ import pytest
 
 from ksctl.adjoint import solve_adjoint
 from ksctl.cli import parse_config
-from ksctl.grid import build_grid, inner
+from ksctl.grid import ConfigError, build_grid, inner
 from ksctl.hum_control import (
     ControlProblem,
     ExtractionError,
+    SolverSettings,
     apply_L,
     extract_control,
     solve_dual,
@@ -28,19 +29,16 @@ from oracles import (
 )
 
 
-def _problem(grid, weights, chi, p, z0=None, w0=None, h1=None, **kw):
+def _problem(grid, weights, chi, p, z0=None, w0=None, h1=None,
+             settings=SolverSettings()):
     nn = grid.num_nodes
     x = grid.node_coords[:, 0]
     if z0 is None:
         z0 = 0.01 * np.cos(np.pi * x / grid.L[0])
     if w0 is None:
         w0 = np.zeros(nn)
-    kw.setdefault("tau", 1e-8)
-    kw.setdefault("cg_tol", 1e-12)
-    kw.setdefault("cg_maxit", 2000)
-    kw.setdefault("weight_floor", 1e-6)
     return ControlProblem(params=p, grid=grid, weights=weights, chi=chi,
-                          z0=z0, w0=w0, h1=h1, **kw)
+                          z0=z0, w0=w0, h1=h1, settings=settings)
 
 
 def test_lstar_zero_and_linearity(params, grid_small):
@@ -115,7 +113,7 @@ def test_dense_oracle_small_instance(params, grid_small, weights_small, chi_smal
     # well-scaled instance: the floor caps the profile range so both solution
     # paths resolve the same dual vector (see README on conditioning)
     prob = _problem(grid_small, weights_small, chi_small, params,
-                    weight_floor=1e-4, cg_tol=1e-14)
+                    settings=SolverSettings(weight_floor=1e-4, cg_tol=1e-14))
     dual = solve_dual(prob)
     zd, wd = dense_dual_solve(prob)
     num = np.linalg.norm(np.concatenate([(dual.zhat - zd).ravel(),
@@ -134,7 +132,7 @@ def test_extraction_support_and_terminal_identity(params, grid_std,
     assert np.abs(res.control.g[:, outside]).max() == 0.0
     # the terminal slice is exactly +tau * (dual z at T): the coefficient of
     # the dual terminal in the Euler-Lagrange terminal row
-    gap = np.abs(res.uhat[-1] - prob.tau * dual.zhat[-1]).max()
+    gap = np.abs(res.uhat[-1] - prob.settings.tau * dual.zhat[-1]).max()
     assert gap < 1e-6 * np.abs(res.uhat[-1]).max()
     assert res.crossval_rel < 1e-8
 
@@ -180,10 +178,24 @@ def test_transposition_identity_of_extracted_solution(params, grid_small,
     assert gap < 1e-10 * scale
 
 
-def test_tau_zero_rejected(params, grid_small, weights_small, chi_small):
-    with pytest.raises(ValueError, match="tau"):
-        prob = _problem(grid_small, weights_small, chi_small, params, tau=0.0)
-        solve_dual(prob)
+def test_tau_zero_rejected():
+    # the continuum form is coercive only on its abstract completion, so the
+    # discrete dual solve needs a positive terminal penalty
+    with pytest.raises(ConfigError, match="tau must be positive"):
+        SolverSettings(tau=0.0)
+
+
+def test_solver_settings_report_every_bad_field_at_once():
+    with pytest.raises(ConfigError) as err:
+        SolverSettings(tol=-1.0, maxit=0, tau=0.0, damping=1.5, cg_tol=float("nan"),
+                       cg_maxit=0, weight_floor=-1e-6, n_samples=0, seed=-1)
+    assert err.value.violations == [
+        "tol must be nonnegative", "cg_tol must be nonnegative",
+        "tau must be positive", "weight_floor must be positive",
+        "maxit must be at least 1", "cg_maxit must be at least 1",
+        "n_samples must be at least 1", "damping must lie in (0, 1]",
+        "seed must be nonnegative",
+    ]
 
 
 def test_problem_validation(params, grid_small, weights_small, chi_small):
@@ -261,7 +273,7 @@ def test_control_solve_2d(grid_2d):
     pts = g.node_coords
     z0 = 0.01 * np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
     prob = ControlProblem(params=p, grid=g, weights=wt, chi=chi, z0=z0,
-                          w0=np.zeros(g.num_nodes), tau=1e-8)
+                          w0=np.zeros(g.num_nodes), settings=SolverSettings(tau=1e-8))
     dual = solve_dual(prob)
     assert dual.converged
     res = extract_control(dual, prob)
@@ -275,7 +287,8 @@ def test_raw_coordinate_dense_path_agrees_loosely(params, grid_small,
     # production solver; its agreement is kappa-limited, so the bound here
     # is the measured conditioning level, not machine precision
     prob = _problem(grid_small, weights_small, chi_small, params,
-                    weight_floor=1e-4, tau=1e-4, cg_tol=1e-14)
+                    settings=SolverSettings(weight_floor=1e-4, tau=1e-4,
+                                            cg_tol=1e-14))
     dual = solve_dual(prob)
     op = _DualSystem(prob)
     Zd = dense_kkt_solve(op)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ksctl.grid import chemotaxis_divergence, mass
+from ksctl.hum_control import SolverSettings
 from ksctl.ks_model import BlowUpError
 from ksctl.nonlinear_control import e_norm, eps_sweep, forward_residual, picard_solve
 
@@ -25,7 +26,7 @@ def test_picard_controls_small_perturbation(params, grid_small, weights_small,
     u0 = params.M1 + 0.01 * np.cos(np.pi * x)
     v0 = np.full_like(x, params.M2)
     r = picard_solve(params, u0, v0, weights_small, chi_small, grid_small,
-                     tol=1e-6, maxit=20)
+                     SolverSettings(tol=1e-6, maxit=20))
     assert r.converged
     assert r.iterations <= 20
     assert r.forward_residual < 2e-6
@@ -125,7 +126,7 @@ def test_e_norm_finite_on_converged_output(params, grid_small, weights_small,
     u0 = params.M1 + 0.01 * np.cos(np.pi * x)
     v0 = np.full_like(x, params.M2)
     r = picard_solve(params, u0, v0, weights_small, chi_small, grid_small,
-                     weight_floor=1e-6)
+                     SolverSettings(weight_floor=1e-6))
     comp = e_norm(r.z, r.w, r.control.g, weights_small, params, chi_small,
                   grid_small, cap=1e-6)
     assert all(np.isfinite(v["log"]) for v in comp.values())
@@ -146,7 +147,8 @@ def test_bilinear_continuity_bounded(params, grid_small, weights_small, chi_smal
 def test_delta_radius_brackets_the_working_amplitude(params, grid_small,
                                                      weights_small, chi_small):
     rep = delta_radius(params, weights_small, chi_small, grid_small,
-                       delta_hi=0.02, bisections=1, tol=1e-5, maxit=12)
+                       delta_hi=0.02, bisections=1,
+                       settings=SolverSettings(tol=1e-5, maxit=12))
     # 0.01 converges in the other tests, so the measured bracket cannot sit
     # entirely below it unless the probe at 0.02 already succeeded
     assert rep["radius_hi"] == float("inf") or rep["radius_lo"] >= 0.0

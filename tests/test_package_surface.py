@@ -10,6 +10,9 @@ Every field of a package dataclass is read as an attribute somewhere in
 ``src/ksctl``, ``perfbench/`` or ``tests/``: a record field nothing reads is
 work done for no one.
 
+The solver knobs reach every solve inside one ``SolverSettings``: no other
+function or dataclass of the package takes one of them by name.
+
 Every constant sparse factor of the package enters through one cache,
 ``Grid.factor``; the only other ``splu`` is the density step's factor,
 whose coefficients change with every step.
@@ -74,6 +77,28 @@ def test_every_record_field_is_read():
               if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
               and stmt.target.id not in reads]
     assert not unread, "no reader: " + ", ".join(unread)
+
+
+SOLVER_KNOBS = {"tol", "maxit", "damping", "tau", "cg_tol", "cg_maxit", "weight_floor"}
+
+
+def test_solver_knobs_travel_only_inside_solver_settings():
+    takes = []
+    for path, tree in _trees(PACKAGE).items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            elif (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  and node.name != "SolverSettings"):
+                names = [stmt.target.id for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and isinstance(stmt.target, ast.Name)]
+            else:
+                continue
+            takes += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                      for name in names if name in SOLVER_KNOBS]
+    assert not takes, "a solver knob outside SolverSettings: " + ", ".join(takes)
 
 
 def _splu_sites(tree, module):
