@@ -389,14 +389,14 @@ def _cmd_carleman(cfg: ExperimentConfig, runner: _Runner) -> int:
     s_base = cfg.carleman_params(grid.T).s
     alpha, beta = weight_families(
         eta, [mult * s_base for mult in cfg.weights["s_scan"]], cfg.weights["lambda"])
-    s = cfg.settings()
+    settings = cfg.settings()
     eps_list = tuple(cfg.physics["eps_list"][:3])
     runner.phase("setup")
 
     reports, rep31 = adjoint_reports(cfg.params(), alpha, beta, eta, chi, eps_list=eps_list,
-                                     n_samples=s.n_samples, seed=s.seed)
+                                     n_samples=settings.n_samples, seed=settings.seed)
     runner.phase("thm2.2+lem3.1")
-    repA = lemmaA1_report(alpha, eta, n_samples=s.n_samples, seed=s.seed)
+    repA = lemmaA1_report(alpha, eta, n_samples=settings.n_samples, seed=settings.seed)
     runner.phase("lemA.1")
 
     header = ["inequality", "sample_id", "s", "lambda", "eps", "lhs", "rhs", "ratio"]
