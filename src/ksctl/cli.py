@@ -125,8 +125,14 @@ _NUMBER_LISTS = ("grid.n", "grid.L", "physics.eps_list", "weights.s_scan")
 def _coerce(default, value, key: str, violations: list):
     """Type-guided coercion: YAML reads '1e-14' as a string, so numeric
     fields convert string leaves back to numbers, and an int field stores an
-    integral finite number as an int; anything else (a list, a mapping, a
-    word, 2.5 for a count) is a violation, reported before any use."""
+    integral finite number as an int, and a section merges a mapping into its
+    defaults; anything else (a list, a mapping, a word, 2.5 for a count, a
+    number for a section) is a violation, reported before any use."""
+    if isinstance(default, dict):
+        if value is not None and not isinstance(value, dict):
+            violations.append(f"'{key}' must be a mapping, got {value!r}")
+            value = None
+        return _merge(default, value or {}, f"{key}.", violations)
     if key in _NUMBER_LISTS and isinstance(value, list):
         item = default[0] if isinstance(default, list) else default
         return [_coerce(item, x, key, violations) for x in value]
@@ -154,17 +160,15 @@ def _coerce(default, value, key: str, violations: list):
     return num
 
 
-def _merge(base: dict, override: dict, path="", violations=None) -> dict:
+def _merge(base: dict, override: dict, path: str, violations: list) -> dict:
     out = {}
     for key, val in base.items():
-        if isinstance(val, dict):
-            out[key] = _merge(val, override.get(key, {}) or {}, f"{path}{key}.", violations)
-        elif key in override:
-            out[key] = _coerce(val, override[key], f"{path}{key}", violations)
+        if key in override or isinstance(val, dict):   # a section is always copied
+            out[key] = _coerce(val, override.get(key), f"{path}{key}", violations)
         else:
             out[key] = val
-    for key in override or {}:
-        if key not in base and violations is not None:
+    for key in override:
+        if key not in base:
             violations.append(f"unknown key '{path}{key}'")
     return out
 
@@ -231,12 +235,12 @@ def parse_config(path: str | None, overrides: dict | None = None) -> ExperimentC
             data = yaml.safe_load(fh) or {}
         if not isinstance(data, dict):
             raise ConfigError([f"config {path} is not a key-value mapping"])
-    merged = _merge(DEFAULTS, data, violations=violations)
+    merged = _merge(DEFAULTS, data, "", violations)
     for dotted, value in (overrides or {}).items():
         parts = dotted.split(".")
         node = merged
         for part in parts[:-1]:
-            if part not in node:
+            if not isinstance(node.get(part), dict):
                 violations.append(f"unknown override section '{dotted}'")
                 break
             node = node[part]

@@ -154,15 +154,17 @@ class Grid:
     def cosine_basis(self) -> _CosineBasis:
         """The eigenbasis of :attr:`laplacian_matrix` (see :class:`_CosineBasis`)."""
         axes = []
-        for n, h in zip(self.n, self.h):
+        for n, h, L in zip(self.n, self.h, self.L):
             k = np.arange(n + 1)
-            Q = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n)
             c = np.where((k == 0) | (k == n), 1.0, 2.0)
-            axes.append((Q, c[:, None] * Q * c / (2 * n),
+            axes.append((np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n), c / L,
                          2.0 * (np.cos(np.pi * k / n) - 1.0) / (h * h)))
-        q, qinv, lam = ([_read_only(a) for a in x] for x in zip(*axes))
-        lam = lam[0] if self.dim == 1 else _read_only(np.add.outer(*lam).ravel())
-        return _CosineBasis(q, qinv, lam)
+        q, inv_norm_sq, lam = zip(*axes)
+        if self.dim == 2:
+            inv_norm_sq = [np.multiply.outer(*inv_norm_sq).ravel()]
+            lam = [np.add.outer(*lam).ravel()]
+        return _CosineBasis([_read_only(a) for a in q], _read_only(inv_norm_sq[0]),
+                            _read_only(lam[0]))
 
 
 def build_grid(dim, L, n, T, m) -> Grid:
@@ -188,11 +190,9 @@ def build_grid(dim, L, n, T, m) -> Grid:
     return Grid(dim=dim, L=Lt, n=tuple(int(x) for x in nt), T=float(T), m=int(m))
 
 
-def _check_field(f: np.ndarray, grid: Grid) -> None:
-    if f.shape != (grid.num_nodes,):
-        raise ValueError(
-            f"field has shape {f.shape}, grid expects ({grid.num_nodes},)"
-        )
+def _check_field(f: np.ndarray, grid: Grid, rows: tuple = ()) -> None:
+    if f.shape != (*rows, grid.num_nodes):
+        raise ValueError(f"field has shape {f.shape}, grid expects {(*rows, grid.num_nodes)}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -204,22 +204,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _CosineBasis:
     """The cosine (DCT-I) eigenbasis of the Neumann Laplacian (Strang, SIAM
     Review 41, 1999).  Per axis Q_jk = cos(pi j k / n) holds mode k at node
-    j, and its inverse is diag(c) Q diag(c) / (2n), c = 1 at the two end
-    nodes and 2 inside; both are symmetric.  The Laplacian is Q diag(lam)
-    Q^-1, lam the sum over the axes of 2 (cos(pi k/n) - 1)/h^2."""
+    j; it is symmetric, with Q^T W Q = L diag(1/c) under the trapezoid weights
+    W, c = 1 at the two end modes and 2 inside, so Q^-1 = diag(c/L) Q W;
+    ``inv_norm_sq`` holds c/L (in 2D its product over the axes) flat in the
+    order of ``lam``.  The Laplacian is Q diag(lam) Q^-1, lam the sum over
+    the axes of 2 (cos(pi k/n) - 1)/h^2."""
 
     q: list
-    qinv: list
+    inv_norm_sq: np.ndarray
     lam: np.ndarray
 
-    def apply(self, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Q (Q^-1 if ``inverse``) applied to the last axis of ``x``, into
-        ``out``: in 2D axis 0 from the left, then the last axis from the right."""
-        mats = self.qinv if inverse else self.q
-        y = x.reshape(-1, *(len(a) for a in mats))
-        if len(mats) == 2:
-            y = np.matmul(mats[0], y)
-        np.matmul(y, mats[-1], out=out.reshape(y.shape))
+    def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Q applied to the last axis of ``x``, into ``out``: in 2D axis 0
+        from the left, then the last axis from the right."""
+        y = x.reshape(-1, *(len(a) for a in self.q))
+        if len(self.q) == 2:
+            y = np.matmul(self.q[0], y)
+        np.matmul(y, self.q[-1], out=out.reshape(y.shape))
         return out
 
 
@@ -267,12 +268,17 @@ class _ChemStencil:
 
     def divergence(self, flux) -> np.ndarray:
         """Sum over the axes, x first, of the net outflow per cell width of
-        the face flux ``flux(faces)``."""
+        the face flux ``flux(faces)``: one field, or a row per slice when the
+        flux is (slices, faces), each row summed as its slice alone would be."""
         nn = self.indptr.size - 1
         out = None
         for f in self.faces:
             q = flux(f)
-            d = (np.bincount(f.left, q, nn) - np.bincount(f.right, q, nn)) / f.cw
+            rows, left, right, size = q.shape[:-1], f.left, f.right, q.size // f.left.size * nn
+            if rows:   # slice k's nodes offset by k nn: one bincount over all slices
+                at = nn * np.arange(rows[0])[:, None]
+                left, right, q = (left + at).ravel(), (right + at).ravel(), q.ravel()
+            d = (np.bincount(left, q, size) - np.bincount(right, q, size)).reshape(*rows, nn) / f.cw
             out = d if out is None else out + d
         return out
 
@@ -312,11 +318,12 @@ def neumann_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Flux-form div(u grad v) with zero normal flux; weighted sum is exactly 0."""
-    _check_field(u, grid)
-    _check_field(v, grid)
-    return _chem_stencil(grid).divergence(
-        lambda fc: 0.5 * (u[fc.left] + u[fc.right]) * (v[fc.right] - v[fc.left]) / fc.h)
+    """Flux-form div(u grad v) with zero normal flux, of one pair of fields or
+    row by row of two (slices, nodes) arrays; each weighted sum is exactly 0."""
+    _check_field(u, grid, u.shape[:-1][:1])
+    _check_field(v, grid, u.shape[:-1][:1])
+    return _chem_stencil(grid).divergence(lambda fc: 0.5 * (
+        u[..., fc.left] + u[..., fc.right]) * (v[..., fc.right] - v[..., fc.left]) / fc.h)
 
 
 def mass(f: np.ndarray, grid: Grid) -> float:

@@ -18,12 +18,13 @@ slice alone, which keeps the Euler-Lagrange solution an *exact* discrete
 forward solution of the problem's own data and pins the terminal state to
 exactly +tau (zhat^m, what^m).
 
-Minimisation is conjugate gradients run in source/terminal coordinates
-(:class:`_DualSystem`, built once per solve), with the zero-mean-at-T
-constraint on the z-component enforced by projection at every iterate.  The
-CG energy decreases strictly; negative curvature would falsify
-positive-definiteness of the discrete form and is reported as such.  The
-solution carries the floored profiles, so extraction builds nothing.
+Minimisation is conjugate gradients run in orthonormal cosine coordinates
+of the weighted source/terminal slots (:class:`_DualSystem`, built once per
+solve), where the zero-mean-at-T constraint on the z-component is mode 0 of
+the terminal z slice, set to zero at every iterate.  The CG energy
+decreases strictly; negative curvature would falsify positive-definiteness
+of the discrete form and is reported as such.  The solution carries the
+floored profiles, so extraction builds nothing.
 """
 
 from __future__ import annotations
@@ -189,24 +190,28 @@ class _DualSystem:
     """The weighted normal equations of one control problem, built once per
     solve: the floored weight profiles, the right-hand side and projection
     in the raw space-time coordinates Z (layout (2, m+1, nodes)), and the
-    minimisation in source/terminal coordinates.  In raw coordinates the
-    weight profiles put the dual directions so many orders of magnitude
-    apart that no preconditioner or sparse factorization reaches the
-    accuracy the extraction identities need.
+    minimisation in modal coordinates.  In raw coordinates the weight
+    profiles put the dual directions so many orders of magnitude apart that
+    no preconditioner or sparse factorization reaches the accuracy the
+    extraction identities need.
 
     A dual candidate Z is in bijection with (F, theta) = (L* Z, Z^m) through
     the backward march S.  Scaling each slot by the square root of its
-    weight turns the quadratic form into  |y|^2 + |G y|^2  with G the
-    (chi-localised, weighted) observation of the marched flow: an identity
-    plus a compact Gramian, which plain CG handles in a few dozen
-    iterations.  Crucially, a CG residual in y maps back to *weight
-    suppressed* physical defects, so the extraction identities hold to
-    roughly the CG tolerance instead of being amplified by the inverse
-    weights, which is what ruins solvers in the raw coordinates.
+    weight (y = sqrt(dt rho W) F, sqrt(tau d W) theta) turns the quadratic
+    form into |y|^2 + |G y|^2, G the chi-localised weighted observation of
+    the marched flow: an identity plus a compact Gramian, which plain CG
+    handles in a few dozen iterations, and whose residual maps back to
+    *weight suppressed* physical defects instead of being amplified by the
+    inverse weights.
 
-    Every block of the adjoint step C* is a scalar polynomial in the Neumann
-    Laplacian, so S marches in its cosine eigenbasis, where C* is one 2x2
-    matrix per eigenvalue l:  [[1 - dt l, -dt a], [dt M1 l, eps + dt b - dt l]].
+    Every block of the adjoint step C* is a polynomial in the Neumann
+    Laplacian, so S marches in its cosine eigenbasis Q, one 2x2 matrix per
+    eigenvalue l: [[1 - dt l, -dt a], [dt M1 l, eps + dt b - dt l]].  The CG
+    runs on yhat = U y, U = diag(sqrt(c/L)) Q W^1/2 per slice, which is
+    orthogonal, so its iterates are those on y.  The slot scaling and Q^-1
+    merge into one diagonal, ``diag``; only G^T G = dt rho3 W chi^2 acts on
+    nodes, on w; and U's mode-0 row is sqrt(W/|domain|), so the zero-mean
+    constraint on theta_z is mode 0 of the terminal z slice.
     """
 
     def __init__(self, prob: ControlProblem):
@@ -246,16 +251,13 @@ class _DualSystem:
                 powers.append(np.einsum("ikn,kln->iln", powers[-1], powers[0]))
             self.scan[backward] = inv, np.stack(powers, axis=2).transpose(1, 0, 2, 3).copy()
 
-        self.sig_f = np.sqrt(dt * np.stack(self.rho[:2])[:, :, None] * W)
-        sig_t = np.sqrt(prob.settings.tau * self.d * W)
-        # y is laid out as Z (2, m+1, nn): per component the scaled sources
-        # F^0..F^{m-1}, then the scaled terminal slice; y * scale = (dt F, theta)
-        self.scale = np.concatenate([dt / self.sig_f, 1.0 / sig_t[:, None]], axis=1)
-        # G^T G acts on the w slices: dt rho3 W chi^2, none on the terminal one
-        self.gtg = np.vstack([dt * self.rho[2][:, None] * W * prob.chi**2, np.zeros(self.nn)])
-        # zero-mean-at-T constraint direction in scaled coordinates
-        chat = W / sig_t[0]
-        self.chat = chat / np.sqrt(_dot(chat, chat))
+        # yhat is laid out as Z: per component the modes of the scaled sources
+        # F^0..F^{m-1}, then of the scaled terminal slice; Q (diag yhat) = (dt F, theta)
+        root, tau = np.sqrt(self.basis.inv_norm_sq), prob.settings.tau
+        self.diag = np.concatenate([np.sqrt(dt / np.stack(self.rho[:2]))[:, :, None] * root,
+                                    (root / np.sqrt(tau * self.d))[:, None]], axis=1)
+        # G^T G acts on the w source slices: dt rho3 W chi^2
+        self.gtg = dt * self.rho[2][:, None] * W * prob.chi**2
 
     def raw_rhs(self) -> np.ndarray:
         """Right-hand side of the normal equations in raw coordinates Z."""
@@ -275,7 +277,8 @@ class _DualSystem:
         return Z
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        y[0, -1] -= _dot(self.chat, y[0, -1]) * self.chat
+        """Zero mode 0 of the terminal z slice: the zero-mean constraint."""
+        y[0, -1, 0] = 0.0
         return y
 
     def _sweep(self, src, out, z, backward):
@@ -309,72 +312,64 @@ class _DualSystem:
         return z
 
     def march(self, y: np.ndarray) -> np.ndarray:
-        """Z = S(unscale(y)): the backward march Z^j = C*^-1 (D Z^{j+1} + dt F^j)
-        between one transform to cosine modes and one back."""
-        X = y * self.scale
-        Xh = self.basis.apply(X, np.empty_like(X), inverse=True)
-        X[:, -1] = Xh[:, -1]
-        self._sweep(Xh, X, X[:, -1], backward=True)
-        return self.basis.apply(X, Xh)
+        """The cosine modes of Z = S(dt F, theta): the backward march
+        Z^j = C*^-1 (D Z^{j+1} + dt F^j) from the modes diag * yhat."""
+        X = y * self.diag
+        Z = np.empty_like(X)
+        Z[:, -1] = X[:, -1]
+        self._sweep(X, Z, Z[:, -1], backward=True)
+        return Z
 
     def march_T(self, V: np.ndarray) -> np.ndarray:
         """Euclidean transpose of :meth:`march`: the same steps transposed and
         in reverse order, T^j = C*^-T (V^j + D T^{j-1}) for j = 0..m-1."""
-        Vh = self.basis.apply(V, np.empty_like(V))   # Q^T = Q
-        T = np.empty_like(Vh)
-        t = self._sweep(Vh, T, np.zeros((2, self.nn)), backward=False)
-        T[:, -1] = Vh[:, -1] + self.d * t
-        self.basis.apply(T, Vh, inverse=True)   # (Q^-1)^T = Q^-1
-        Vh *= self.scale
-        return Vh
+        T = np.empty_like(V)
+        t = self._sweep(V, T, np.zeros((2, self.nn)), backward=False)
+        T[:, -1] = V[:, -1] + self.d * t
+        T *= self.diag
+        return T
 
     def gramian_apply(self, y: np.ndarray) -> np.ndarray:
-        """(G^T G) y: one backward and one forward march."""
+        """(G^T G) y: the backward march, the observation of w's source slices
+        on the nodes (Q, G^T G, then Q^T = Q), and the forward march."""
         V = self.march(y)
+        w = V[1, :-1]
+        obs = self.basis.apply(w, np.empty_like(w))
+        obs *= self.gtg
+        self.basis.apply(obs, w)
         V[0] = 0.0
-        V[1] *= self.gtg
+        V[1, -1] = 0.0
         return self.march_T(V)
 
     def rhs(self) -> np.ndarray:
-        return self.project(self.march_T(self.raw_rhs()))
+        b = self.raw_rhs()
+        return self.project(self.march_T(self.basis.apply(b, np.empty_like(b))))
 
 
 def solve_dual(problem: ControlProblem) -> DualSolution:
     """CG minimisation of the weighted least-squares dual functional.
 
-    Runs in source/terminal coordinates where the normal operator is the
-    identity plus a compact observation Gramian; stops at relative residual
+    Runs in the cosine modes of the weighted source/terminal slots, where
+    the normal operator is the identity plus a compact observation Gramian
+    and an iteration transforms only w's source slices, to node space and
+    back; maps back to Z once at the end.  Stops at relative residual
     ``cg_tol`` or ``cg_maxit``.  The recorded energy history (values of the
     quadratic functional) decreases strictly; non-positive curvature would
     falsify the discrete scalar-product property and flags the solution.
     """
     sys_ = _DualSystem(problem)
-    m, nn = problem.grid.m, problem.grid.num_nodes
     settings = problem.settings
 
     b = sys_.rhs()
-    bnorm = np.sqrt(_dot(b, b))
-    if bnorm == 0.0:
-        Z = np.zeros((2, m + 1, nn))
-        return DualSolution(
-            zhat=Z[0], what=Z[1], value=0.0, iterations=0,
-            residual_history=np.zeros(0), energy_history=np.zeros(0),
-            converged=True, curvature_ok=True, lstar1=Z[0, :-1], lstar2=Z[1, :-1],
-            rho=sys_.rho, log_c=sys_.log_c,
-        )
-
-    y = np.zeros_like(b)
-    r = b.copy()
-    pdir = r.copy()
-    rr = _dot(r, r)
-    rr0 = rr
+    y, r, pdir = np.zeros_like(b), b.copy(), b.copy()
+    rr = rr0 = _dot(r, r)
     J = 0.0
-    res_hist = [np.sqrt(rr)]
-    en_hist = [J]
-    converged = False
+    res_hist, en_hist = [np.sqrt(rr)], [J]
+    converged = rr0 == 0.0   # y = 0 solves a zero right-hand side
     curvature_ok = True
     it = 0
-    for it in range(1, settings.cg_maxit + 1):
+    while not converged and it < settings.cg_maxit:
+        it += 1
         gty = sys_.gramian_apply(pdir)
         Ap = sys_.project(pdir + gty)
         pAp = _dot(pdir, Ap)
@@ -388,24 +383,20 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
         rr_new = _dot(r, r)
         res_hist.append(np.sqrt(max(rr_new, 0.0)))
         en_hist.append(J)
-        if rr_new <= settings.cg_tol**2 * rr0:
+        converged = rr_new <= settings.cg_tol**2 * rr0
+        if not converged:
+            pdir = r + (rr_new / rr) * pdir
             rr = rr_new
-            converged = True
-            break
-        beta = rr_new / rr
-        rr = rr_new
-        pdir = r + beta * pdir
-    y = sys_.project(y)
-    Z = sys_.march(y)
+    Zh = sys_.march(y)   # y is projected: r, pdir and so y keep mode 0 at exactly 0
     # the marched z^m satisfies the zero-mean constraint by construction of
     # the projected theta slot; tidy roundoff anyway
-    Z = sys_.raw_project(Z)
-    F = y[:, :-1]
+    Z = sys_.raw_project(sys_.basis.apply(Zh, np.empty_like(Zh)))
+    dtF = sys_.basis.apply(y * sys_.diag, Zh)[:, :-1]
     return DualSolution(
         zhat=Z[0], what=Z[1], value=J, iterations=it,
         residual_history=np.asarray(res_hist), energy_history=np.asarray(en_hist),
         converged=converged, curvature_ok=curvature_ok,
-        lstar1=F[0] / sys_.sig_f[0], lstar2=F[1] / sys_.sig_f[1],
+        lstar1=dtF[0] / problem.grid.dt, lstar2=dtF[1] / problem.grid.dt,
         rho=sys_.rho, log_c=sys_.log_c,
     )
 

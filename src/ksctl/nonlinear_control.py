@@ -100,9 +100,7 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
     best_term = np.inf
     it = 0
     for it in range(1, settings.maxit + 1):
-        h1 = np.array(
-            [-chemotaxis_divergence(z[k], w[k], grid) for k in range(grid.m + 1)]
-        )
+        h1 = -chemotaxis_divergence(z, w, grid)
         prob = ControlProblem(params=p, grid=grid, weights=weights, chi=chi,
                               z0=z0, w0=w0, h1=h1, settings=settings)
         dual = solve_dual(prob)
@@ -148,8 +146,7 @@ def forward_residual(p: KSParams, u0: np.ndarray, v0: np.ndarray,
 
 
 def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
-              weights: WeightTable, chi: np.ndarray, grid: Grid,
-              eps_list=(1.0, 0.5, 0.1, 0.01, 0.001),
+              weights: WeightTable, chi: np.ndarray, grid: Grid, eps_list,
               settings: SolverSettings = SolverSettings()) -> SweepReport:
     """Run the Picard control per eps with identical weights and settings.
 

@@ -12,8 +12,11 @@ tests call.
   constant of the quadratic remainder;
 * the implicitly coupled forward march with a fresh sparse LU per
   fixed-point iterate, as it stood before the chord method;
+* the inverse cosine transform Q^-1, which production code no longer
+  applies;
 * the dual CG's backward march and its transpose on the sparse LU factor
-  of the adjoint block step, as they stood before the cosine eigenbasis;
+  of the adjoint block step, in node coordinates as they stood before the
+  cosine eigenbasis, taking and returning cosine modes as the CG does;
 * the modal sweep of those marches as a plain step-by-step loop, as it
   stood before the chunked time scan.
 """
@@ -221,12 +224,14 @@ def dense_dual_solve(problem: ControlProblem) -> tuple[np.ndarray, np.ndarray]:
         H[:, i] = gty
         e[i] = 0.0
     H += np.eye(dim)
-    chat_full = np.zeros((1, dim))
-    chat_full.reshape(2, m + 1, nn)[0, m] = sys_.chat
-    kkt = np.block([[H, chat_full.T], [chat_full, np.zeros((1, 1))]])
-    rhs = np.concatenate([sys_.march_T(sys_.raw_rhs()).ravel(), [0.0]])
+    mode0 = np.zeros((1, dim))
+    mode0.reshape(2, m + 1, nn)[0, m, 0] = 1.0   # zero mean of z^m: its mode 0
+    kkt = np.block([[H, mode0.T], [mode0, np.zeros((1, 1))]])
+    b = sys_.raw_rhs()
+    rhs = np.concatenate([sys_.march_T(sys_.basis.apply(b, np.empty_like(b))).ravel(), [0.0]])
     y = np.linalg.solve(kkt, rhs)[:dim]
-    Z = sys_.raw_project(sys_.march(sys_.project(y.reshape(2, m + 1, nn))))
+    Zh = sys_.march(sys_.project(y.reshape(2, m + 1, nn)))
+    Z = sys_.raw_project(sys_.basis.apply(Zh, np.empty_like(Zh)))
     return Z[0], Z[1]
 
 
@@ -366,30 +371,39 @@ def implicit_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Contro
     return StateTrajectory(u=u, v=v, params=p, grid=grid)
 
 
+def cosine_modes_of(grid: Grid, X: np.ndarray) -> np.ndarray:
+    """Q^-1 X on the last axis, from the identity Q^-1 = diag(c/L) Q W."""
+    basis = grid.cosine_basis
+    return basis.inv_norm_sq * basis.apply(X * grid.quad_weights, np.empty_like(X))
+
+
 def source_terminal_march_oracle(sys_: _DualSystem, y: np.ndarray) -> np.ndarray:
     """``sys_.march`` by sparse LU: Z^j = C*^-1 (D Z^{j+1} + dt F^j) in node
-    coordinates, one factor solve per step."""
+    coordinates, one factor solve per step, from and to cosine modes."""
     m, nn, eps = sys_.m, sys_.nn, sys_.prob.params.eps
     lu = block_step_factor(sys_.prob.params, sys_.prob.grid, True)
-    Z = y * sys_.scale   # dt F^j, then Z^m
+    yd = y * sys_.diag
+    Z = sys_.basis.apply(yd, np.empty_like(yd))   # dt F^j, then Z^m
     for j in range(m - 1, -1, -1):
         Z[:, j] = lu.solve(np.concatenate([Z[0, j + 1] + Z[0, j],
                                            eps * Z[1, j + 1] + Z[1, j]])).reshape(2, nn)
-    return Z
+    return cosine_modes_of(sys_.prob.grid, Z)
 
 
 def source_terminal_march_T_oracle(sys_: _DualSystem, V: np.ndarray) -> np.ndarray:
     """``sys_.march_T`` by sparse LU: a forward sweep with the transposed
-    factor of the one-step matrix."""
+    factor of the one-step matrix, in node coordinates between the cosine
+    modes; the node-space transpose of S is Q^-1 (modal S)^T Q."""
     m, nn, eps = sys_.m, sys_.nn, sys_.prob.params.eps
     lu = block_step_factor(sys_.prob.params, sys_.prob.grid, True)
+    V = cosine_modes_of(sys_.prob.grid, V)
     Y = np.empty((2, m + 1, nn))
     carry = np.zeros((2, nn))
     for j in range(m):
         Y[:, j] = lu.solve((V[:, j] + carry).ravel(), trans="T").reshape(2, nn)
         carry = Y[:, j] * np.array([[1.0], [eps]])
     Y[:, m] = V[:, m] + carry
-    return Y * sys_.scale
+    return sys_.basis.apply(Y, np.empty_like(Y)) * sys_.diag
 
 
 def modal_sweep_oracle(sys_: _DualSystem, src: np.ndarray, out: np.ndarray,

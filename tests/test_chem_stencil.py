@@ -2,10 +2,10 @@
 oracles, in 1D, 2D square and 2D non-square: the chemotaxis matrix N(v)
 against the COO double-loop build, the two operators
 ``chemotaxis_divergence`` and ``neumann_laplacian`` against the per-dimension
-numpy slice kernels, the three density marches (both couplings and the
-parabolic-elliptic limit) against the per-step matrix build, and the chord
-march of the implicit coupling against the fixed point that refactors every
-iterate."""
+numpy slice kernels, the divergence of many slices against one call per
+slice, the three density marches (both couplings and the parabolic-elliptic
+limit) against the per-step matrix build, and the chord march of the
+implicit coupling against the fixed point that refactors every iterate."""
 
 import numpy as np
 import pytest
@@ -170,6 +170,16 @@ def test_chemotaxis_divergence_equals_slice_kernel(grid):
     # same fluxes, same per-node sums, axes added x first: equal bit for bit
     u, v = fields(grid, seed=4)
     assert np.array_equal(chemotaxis_divergence(u, v, grid), chemdiv_oracle(u, v, grid))
+
+
+def test_batched_chemotaxis_divergence_equals_per_slice_calls(grid):
+    # the Picard source takes all m+1 slices in one call; each row is summed
+    # in its slice's own order, so it equals the single call bit for bit
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        u, v = rng.standard_normal((2, grid.m + 1, grid.num_nodes))
+        want = [chemotaxis_divergence(u[k], v[k], grid) for k in range(grid.m + 1)]
+        assert np.array_equal(chemotaxis_divergence(u, v, grid), np.array(want))
 
 
 def test_neumann_laplacian_matches_slice_kernel(grid):

@@ -158,6 +158,25 @@ def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("solver, override, message", [
+    (None, "--solver=3", "'solver' must be a mapping"),
+    (None, "--grid=3", "'grid' must be a mapping"),
+    (None, "--physics=2", "'physics' must be a mapping"),
+    (5, None, "'solver' must be a mapping"),   # `solver: 5` in the config file
+    (None, "--solver.tau.x=3", "unknown override section 'solver.tau.x'"),
+])
+def test_a_section_that_is_not_a_mapping_is_a_config_error(tmp_path, capsys, solver,
+                                                            override, message):
+    sections = small_sections(tmp_path / "out")
+    if solver is not None:
+        sections["solver"] = solver
+    argv = ["simulate", "--config", write_cfg(tmp_path, **sections)]
+    assert main(argv + ([override] if override else [])) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_integral_floats_run_as_their_integers(tmp_path):
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
     csvs = {}

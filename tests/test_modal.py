@@ -1,8 +1,10 @@
 """The cosine eigenbasis of the Neumann Laplacian and the dual CG's marches
-in it: the basis reproduces the sparse Laplacian, ``march_T`` is the
-Euclidean transpose of ``march``, both agree with the sparse-LU marches they
+in it: the basis reproduces the sparse Laplacian, the CG's modal
+coordinates are orthonormal, ``march_T`` is the Euclidean transpose of
+``march`` on modal arrays, both agree with the sparse-LU marches they
 replaced, their chunked time scan agrees with the step-by-step loop it
-replaced, and ``solve_dual`` builds and uses no sparse factor."""
+replaced, the CG loop transforms only w's source slices, and
+``solve_dual`` builds and uses no sparse factor."""
 
 import functools
 
@@ -12,11 +14,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksctl.grid import build_grid
-from ksctl.hum_control import ControlProblem, _DualSystem, solve_dual
+from ksctl.grid import _CosineBasis, build_grid
+from ksctl.hum_control import ControlProblem, _DualSystem, _dot, solve_dual
 from ksctl.ks_model import KSParams, block_step_factor, smooth_cutoff
 from ksctl.weights import build_eta0, refined_weights, weight_params
-from oracles import (modal_sweep_oracle, source_terminal_march_oracle,
+from oracles import (cosine_modes_of, modal_sweep_oracle, source_terminal_march_oracle,
                      source_terminal_march_T_oracle)
 
 BOXES = ((0.30, 0.40), (0.25, 0.45), (0.20, 0.50))
@@ -43,7 +45,7 @@ def _system(grid, eps):
 
 
 def _random_pair(sys_, seed):
-    """A random y and V, both laid out as Z."""
+    """A random yhat and V, both modal arrays laid out as Z."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal((2, 2, sys_.m + 1, sys_.nn))
 
@@ -54,11 +56,37 @@ def test_basis_diagonalises_laplacian(dim, n):
     basis = grid.cosine_basis
     eye = np.eye(grid.num_nodes)
     # row i of `rebuilt` is Q diag(lam) Q^-1 e_i, column i of the Laplacian
-    modes = basis.apply(eye, np.empty_like(eye), inverse=True)
+    modes = cosine_modes_of(grid, eye)
     rebuilt = basis.apply(basis.lam * modes, np.empty_like(eye))
     A = grid.laplacian_matrix.toarray()
     assert np.abs(rebuilt - A.T).max() <= 1e-12 * np.abs(A).max()
     assert np.abs(basis.apply(modes, np.empty_like(eye)) - eye).max() <= 1e-13
+
+
+def _to_modal(grid, y):
+    """yhat = U y per slice, U = diag(sqrt(c/L)) Q W^1/2."""
+    basis = grid.cosine_basis
+    return np.sqrt(basis.inv_norm_sq) * basis.apply(np.sqrt(grid.quad_weights) * y,
+                                                    np.empty_like(y))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 50), (2, (12, 10))])
+def test_modal_coordinates_are_orthonormal(dim, n):
+    grid = _grid(dim, n, 16)
+    U = _to_modal(grid, np.eye(grid.num_nodes)).T   # row i of U^T is U e_i
+    eye = np.eye(grid.num_nodes)
+    assert np.abs(U @ U.T - eye).max() <= 1e-14
+    assert np.abs(U.T @ U - eye).max() <= 1e-14
+    # U's mode-0 row is sqrt(W / |domain|): the zero-mean constraint is mode 0
+    assert np.allclose(U[0], np.sqrt(grid.quad_weights / grid.volume), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 50), (2, (12, 10))])
+def test_dot_is_invariant_under_modal_coordinates(dim, n):
+    grid = _grid(dim, n, 16)
+    y = np.random.default_rng(3).standard_normal((2, grid.m + 1, grid.num_nodes))
+    yhat = _to_modal(grid, y)
+    assert abs(_dot(yhat, yhat) - _dot(y, y)) <= 1e-14 * _dot(y, y)
 
 
 @settings(max_examples=25, deadline=None)
@@ -120,6 +148,25 @@ def test_singular_mode_raises():
     prob = _problem(grid, KSParams(a=1.0, b=1.0, eps=1.0, M1=M1, M2=M1))
     with pytest.raises(RuntimeError, match="singular"):
         solve_dual(prob)
+
+
+def test_cg_loop_transforms_only_w_source_slices(monkeypatch):
+    # the right-hand side transforms the whole (2, m+1, nodes) array once and
+    # the map back to Z and L* twice; inside the CG loop every transform acts
+    # on w's (m, nodes) source block, two per iteration
+    grid = _grid(2, (12, 10), 20)
+    prob = _problem(grid, KSParams(a=10.0, b=1.0, eps=0.5, M1=1.0, M2=10.0))
+    shapes = []
+
+    def spy(self, x, out, _apply=_CosineBasis.apply):
+        shapes.append(x.shape)
+        return _apply(self, x, out)
+
+    monkeypatch.setattr(_CosineBasis, "apply", spy)
+    dual = solve_dual(prob)
+    assert dual.converged and dual.iterations > 0
+    whole, block = (2, grid.m + 1, grid.num_nodes), (grid.m, grid.num_nodes)
+    assert shapes == [whole] + [block] * (2 * dual.iterations) + [whole] * 2
 
 
 def test_solve_dual_makes_no_sparse_solve(monkeypatch):

@@ -10,7 +10,9 @@ axis, 16-32 time steps and eps in [1e-3, 1]:
   fluctuation (zero) under the linearized march;
 * the density factor on the per-grid column order solves bit for bit as a
   plain ``splu`` of M(v), for v of amplitude 1e-3 to 1e3 (large enough to
-  force off-diagonal pivots), and that order is SuperLU's own for every v.
+  force off-diagonal pivots), and that order is SuperLU's own for every v;
+* the dual solve's extracted terminal density is tau times its terminal
+  z slice, and that slice has zero weighted mean, both to roundoff.
 """
 
 import numpy as np
@@ -20,9 +22,11 @@ from hypothesis import strategies as st
 
 from ksctl.adjoint import solve_adjoint
 from ksctl.grid import _chem_stencil, build_grid, mass
+from ksctl.hum_control import ControlProblem, extract_control, solve_dual
 from ksctl.ks_model import (Control, KSParams, _density_factor, block_step_factor,
                             smooth_cutoff, solve_forward_pe, solve_forward_pp,
                             solve_linearized)
+from ksctl.weights import build_eta0, refined_weights, weight_params
 
 from conftest import lowfreq_field, lowfreq_space_time
 from oracles import duality_terms
@@ -119,3 +123,26 @@ def test_density_factor_on_the_grid_order_is_plain_splu(dim, n, m, log_amp, seed
     assert np.array_equal(got.solve(b), plain.solve(b))
     assert np.array_equal(got.lu.perm_c, np.arange(grid.num_nodes))
     assert np.array_equal(got.perm_c, plain.perm_c)
+
+
+@PROPERTY
+@given(**CASES, seed=SEED)
+def test_dual_terminal_slice_is_tau_times_zhat(dim, n, m, eps, seed):
+    # T = 2.4 keeps the weight families within the dual solve's working range
+    grid = build_grid(dim, 1.0 if dim == 1 else (1.0, 0.8), n, 2.4, m)
+    boxes = [[b] * dim for b in ((0.30, 0.40), (0.25, 0.45), (0.20, 0.50))]
+    rng = np.random.default_rng(seed)
+    prob = ControlProblem(
+        params=KSParams(a=10.0, b=1.0, eps=eps, M1=1.0, M2=10.0), grid=grid,
+        weights=refined_weights(build_eta0(grid, *boxes),
+                                weight_params(grid.T, 1.5, sigma0=0.05), grid),
+        chi=smooth_cutoff(grid, boxes[1], boxes[2]),
+        z0=0.01 * _unit(lowfreq_field(grid, rng, zero_mean=True)),
+        w0=0.01 * _unit(lowfreq_field(grid, rng)))
+    dual = solve_dual(prob)
+    res = extract_control(dual, prob)
+    zT = dual.zhat[-1]
+    # uhat[-1] is of order tau, so roundoff is measured on the trajectory's scale
+    gap = np.abs(res.uhat[-1] - prob.settings.tau * zT).max()
+    assert gap <= 1e-14 * np.abs(res.uhat).max()
+    assert abs(zT @ grid.quad_weights) <= 1e-14 * grid.volume * np.abs(zT).max()
