@@ -28,6 +28,8 @@ from .ks_model import KSParams
 from .weights import (
     Eta0,
     WeightTable,
+    _log_digest,
+    _log_finish,
     _logsumexp,
     carleman_weights,
     log_weight_profile,
@@ -118,23 +120,32 @@ def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table: WeightTable,
-                            node_mask: np.ndarray | None = None) -> float:
+                            node_mask: np.ndarray | None = None,
+                            digests: dict | None = None) -> float:
     """log of  sum_k tw_k sum_p W_p exp(log_w[k,p]) sq[k,p]   (sq >= 0).
 
     ``tw_k W_p`` is the :attr:`~WeightTable.space_time_weights` of ``table``.
     ``log_w`` may be per-step (``(m+1,)``) or per (step, node).  Returns -inf
-    for an identically zero sum; never NaN.
+    for an identically zero sum; a non-finite ``w * sq`` raises ValueError.
+    ``digests`` keeps this ``log_w``'s ``_log_digest`` per pattern of kept
+    entries (``w * sq > 0``, ``log_w`` finite): a repeated pattern only sums.
     """
     w = table.space_time_weights
     if node_mask is not None:
         w = w * node_mask
     coeff = w * sq
+    if not np.isfinite(coeff).all():
+        raise ValueError("non-finite integrand (weights times sq) in a log-domain integral")
     if log_w.ndim == 1:
         log_w = log_w[:, None]
     keep = (coeff > 0.0) & np.isfinite(log_w)
     if not np.any(keep):
         return float("-inf")
-    return _logsumexp(np.broadcast_to(log_w, coeff.shape)[keep], coeff[keep])
+    digests = {} if digests is None else digests
+    key = np.packbits(keep).tobytes()
+    if key not in digests:
+        digests[key] = _log_digest(np.broadcast_to(log_w, coeff.shape)[keep])
+    return _log_finish(digests[key], coeff[keep])
 
 
 def _log_l2_sq(f: np.ndarray, grid: Grid) -> float:
@@ -254,19 +265,28 @@ class CarlemanReport:
 class _ScanEntry:
     """One table of a weight family's s-scan, with ``log s`` and the
     log-weight profiles the reports look up by (kind, power), each computed
-    on first use and kept for the run."""
+    on first use and kept for the run with its digests (one per kept pattern,
+    see :func:`log_space_time_integral`); ``calls`` counts the terms."""
 
     def __init__(self, table: WeightTable):
         self.table, self.logs, self._profiles = table, np.log(table.params.s), {}
+        self.calls = 0
 
     def term(self, s_power: float, kind: str, power: float, sq: np.ndarray,
              node_mask: np.ndarray | None = None) -> float:
         """log of  s^s_power * integral of exp(2 s w) w2^power sq, over the
         nodes of ``node_mask`` when given."""
         if (kind, power) not in self._profiles:
-            self._profiles[kind, power] = log_weight_profile(self.table, kind, power)
+            self._profiles[kind, power] = log_weight_profile(self.table, kind, power), {}
+        profile, digests = self._profiles[kind, power]
+        self.calls += 1
         return s_power * self.logs + log_space_time_integral(
-            self._profiles[kind, power], sq, self.table, node_mask)
+            profile, sq, self.table, node_mask, digests)
+
+    @property
+    def digests_built(self) -> int:
+        """The digests built so far, over all profiles."""
+        return sum(len(d) for _, d in self._profiles.values())
 
 
 def weight_families(eta0: Eta0, s_list, lam: float) -> tuple[list[_ScanEntry], ...]:

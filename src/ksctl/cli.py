@@ -406,7 +406,9 @@ def _cmd_carleman(cfg: ExperimentConfig, runner: _Runner) -> int:
     header = ["inequality", "sample_id", "s", "lambda", "eps", "lhs", "rhs", "ratio"]
     rows = []
     falsified = []
-    summary: dict = {"c_emp_log": {}, "falsifications": 0}
+    summary: dict = {"c_emp_log": {}, "falsifications": 0, "log_integrals": {
+        "calls": sum(w.calls for w in alpha + beta),
+        "digests": sum(w.digests_built for w in alpha + beta)}}
     for rep in reports + [rep31, repA]:
         for r in rep.rows:
             row = {"inequality": rep.inequality, **{k: r[k] for k in header[1:]}}

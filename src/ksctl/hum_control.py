@@ -15,8 +15,9 @@ to exactly zero near the terminal time for any realistic Carleman
 parameter.  The tau term is the discrete stand-in for the coercivity the
 continuum form only has on its abstract completion: it acts on the terminal
 slice alone, which keeps the Euler-Lagrange solution an *exact* discrete
-forward solution of the problem's own data and pins the terminal state to
-exactly +tau (zhat^m, what^m).
+forward solution of the problem's own data and pins the minimiser's terminal
+state to exactly +tau (zhat^m, what^m); the computed control meets that to
+the CG stopping residual (up to ~6e-5 of |u(T)| when w0 is nonzero).
 
 Minimisation is conjugate gradients run in orthonormal cosine coordinates
 of the weighted source/terminal slots (:class:`_DualSystem`, built once per

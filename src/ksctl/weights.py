@@ -323,14 +323,26 @@ def _logsumexp(a, b=None) -> float:
     """log(sum(b * exp(a))) of a 1-D ``a`` (``-inf`` entries allowed), ``b > 0``:
     scipy.special.logsumexp's algorithm step for step, so bit for bit its result
     (the terms at the max are summed separately into ``m``)."""
+    return _log_finish(_log_digest(a), b)
+
+
+def _log_digest(a) -> tuple:
+    """(max, mask at the max, exp(a - max) off it): the half that reads ``a``."""
     a = np.asarray(a, dtype=float)
     a_max = a.max()
     if a_max == -np.inf:
-        return float("-inf")
+        return a_max, None, None
     at_max = a == a_max
-    m = (at_max if b is None else b * at_max).sum(dtype=float)
     x = np.where(at_max, -np.inf, a) - a_max
     # exp below -746 is exactly 0, so skip it there; a NaN still goes through
-    e = np.exp(x, out=np.zeros_like(x), where=~(x < -746.0))
+    return a_max, at_max, np.exp(x, out=np.zeros_like(x), where=~(x < -746.0))
+
+
+def _log_finish(digest: tuple, b=None) -> float:
+    """log(sum(b * exp(a))) from ``_log_digest(a)``: the half that reads ``b``."""
+    a_max, at_max, e = digest
+    if at_max is None:
+        return float("-inf")
+    m = (at_max if b is None else b * at_max).sum(dtype=float)
     s = (e if b is None else b * e).sum()
     return float(np.log1p(s if s == 0 else s / m) + np.log(m) + a_max)

@@ -92,6 +92,20 @@ def test_log_integral_homogeneity(grid_small, weights_small):
     assert v4 - v1 == pytest.approx(np.log(4.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("plant", ["one_nan", "one_inf", "all_nan"])
+def test_log_integral_rejects_a_non_finite_integrand(grid_small, weights_small, plant):
+    # a NaN would drop out of the kept set unseen, an inf turn the sum into
+    # NaN, and an all-NaN integrand read as a zero side (a falsification)
+    sq = sample_space_time(grid_small, np.random.default_rng(5)) ** 2
+    if plant == "all_nan":
+        sq[:] = np.nan
+    else:
+        sq[grid_small.m // 2, 3] = np.nan if plant == "one_nan" else np.inf
+    lw = log_weight_profile(weights_small, "beta", 4.0)
+    with pytest.raises(ValueError, match="non-finite integrand"):
+        log_space_time_integral(lw, sq, weights_small)
+
+
 def test_theorem22_report_runs_clean(grid_small, eta_small, chi_small):
     p = KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0)
     s0 = 1.0 * (grid_small.T**4 + grid_small.T**8)

@@ -6,10 +6,11 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 import yaml
 
-from ksctl import cli, nonlinear_control
+from ksctl import carleman_check, cli, nonlinear_control
 from ksctl.cli import ConfigError, main, parse_config
 from ksctl.hum_control import SolverSettings
 
@@ -303,6 +304,49 @@ def test_carleman_builds_each_table_once_and_integrates_sources_once(
                      "log_space_time_integral": n * n_s * (10 * n_eps + 7)}
 
 
+def test_a_carleman_run_builds_each_digest_once(tmp_path, monkeypatch):
+    # per run: one digest per distinct (profile, kept pattern), none twice;
+    # the JSON summary counts the same integrals and digests
+    integral, digest = carleman_check.log_space_time_integral, carleman_check._log_digest
+    current, met, built, calls = [None], set(), [], [0]
+
+    def spy_integral(log_w, sq, table, node_mask=None, digests=None):
+        w = table.space_time_weights * (1.0 if node_mask is None else node_mask)
+        keep = (w * sq > 0.0) & np.isfinite(log_w[:, None] if log_w.ndim == 1 else log_w)
+        current[0] = (id(log_w), np.packbits(keep).tobytes())
+        if keep.any():
+            met.add(current[0])
+        calls[0] += 1
+        return integral(log_w, sq, table, node_mask, digests)
+
+    def spy_digest(a):
+        built.append(current[0])
+        return digest(a)
+
+    monkeypatch.setattr(carleman_check, "log_space_time_integral", spy_integral)
+    monkeypatch.setattr(carleman_check, "_log_digest", spy_digest)
+    outdir = tmp_path / "out"
+    cfg = parse_config(write_cfg(tmp_path, **small_sections(outdir)))
+    assert cli.run("carleman", cfg) == 0
+    assert len(built) == len(set(built))
+    assert set(built) == met
+    assert len(built) < calls[0]
+    (record,) = outdir.glob("carleman-*.json")
+    summary = json.loads(record.read_text())["summary"]
+    assert summary["log_integrals"] == {"calls": calls[0], "digests": len(built)}
+
+
+def test_default_carleman_records_its_integrals_and_digests(tmp_path):
+    # 36 profiles (six (kind, power) pairs per table), six of them met with
+    # a second kept pattern: alpha^3 on the whole domain and on omega, and
+    # beta_hat^3 on phi_osc^2 and on |grad phi|^2 (zero at the boundary nodes)
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
+    assert main(["carleman", "--config", config, f"--io.outdir={tmp_path}"]) == 0
+    (record,) = tmp_path.glob("carleman-*.json")
+    summary = json.loads(record.read_text())["summary"]
+    assert summary["log_integrals"] == {"calls": 2220, "digests": 42}
+
+
 def test_carleman_record_keeps_the_thm22_constants_of_every_eps(tmp_path):
     outdir = tmp_path / "out"
     cfg = parse_config(write_cfg(tmp_path, **small_sections(outdir)))
@@ -428,6 +472,18 @@ def test_run_exceptions_map_to_exit_codes(tmp_path, capsys, monkeypatch, exc, co
     err = capsys.readouterr().err
     assert exc.__name__ in err
     assert ("Traceback" in err) == (code == 4)
+
+
+def test_carleman_non_finite_integrand_exits_2(tmp_path, capsys, monkeypatch):
+    def poisoned(q, grid):
+        out = carleman_check.gradient_sq(q, grid)
+        out[1, 1] = float("nan")
+        return out
+
+    monkeypatch.setattr(carleman_check, "hessian_sq", poisoned)
+    path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
+    assert main(["carleman", "--config", path]) == 2
+    assert "ValueError: non-finite integrand" in capsys.readouterr().err
 
 
 def test_carleman_ratio_beyond_double_is_a_decimal_literal(tmp_path):

@@ -4,7 +4,9 @@ Carleman reports against the s-outer loops they replaced.
 scipy is the oracle here only: the package reduces with
 ``weights._logsumexp``, which must reproduce scipy's result bit for bit,
 and the one sampling pass must reproduce every row of the old s-outer
-loops (kept below as the oracle) exactly, in 1D and 2D.
+loops (kept below as the oracle) exactly, in 1D and 2D.  A term served
+from a profile's digest store must equal a fresh ``_logsumexp`` over its
+kept terms, bit for bit, on a pattern's first meeting and on every later one.
 """
 
 import struct
@@ -299,3 +301,56 @@ def test_integral_reduction_order_is_pinned(request, name, boxes):
                 want = oracle_integral(flat, sq_1, grid, table, node_mask)
                 assert abs(want) < 1e-14
                 assert bits(got) == bits(want)
+
+
+def fresh_term(entry, s_power, kind, power, sq, node_mask):
+    """The term from scratch: a new profile and a plain ``_logsumexp`` over
+    the kept terms; also returns the kept pattern."""
+    table = entry.table
+    w = table.space_time_weights
+    if node_mask is not None:
+        w = w * node_mask
+    coeff = w * sq
+    log_w = log_weight_profile(table, kind, power)
+    log_w = np.broadcast_to(log_w[:, None] if log_w.ndim == 1 else log_w, coeff.shape)
+    keep = (coeff > 0.0) & np.isfinite(log_w)
+    if not keep.any():
+        return s_power * entry.logs + float("-inf"), keep
+    return s_power * entry.logs + _logsumexp(log_w[keep], coeff[keep]), keep
+
+
+# (family index, kind, power): full (step, node) and per-step profiles of both
+PROFILES = [(0, "alpha", 3.0), (0, "alpha", 18.0), (1, "beta", 4.0),
+            (1, "beta_star", 10.0), (1, "beta_hat", 3.0)]
+
+
+@pytest.mark.parametrize("name, boxes", [("grid_small", BOXES_1D),
+                                         ("grid_2d", BOXES_2D)])
+def test_every_term_equals_a_fresh_logsumexp_over_its_kept_terms(request, name, boxes):
+    grid = request.getfixturevalue(name)
+    eta = build_eta0(grid, *boxes)
+    s_base = 0.05 * (grid.T**4 + grid.T**8)
+    families = weight_families(eta, [s_base, 3.0 * s_base], 1.5)
+    box = box_mask(grid, eta.omega).astype(float)
+    rng = np.random.default_rng(17)
+    for fam, kind, power in PROFILES:
+        for entry in families[fam]:
+            built, patterns, calls = entry.digests_built, set(), 0
+            for node_mask in (None, box):
+                # three zero patterns, alternated on one profile, each met
+                # with fresh values: every call after a pattern's first hits
+                zeros = [rng.random((grid.m + 1, grid.num_nodes)) < frac
+                         for frac in (0.0, 0.2, 0.6)]
+                zeros.append(np.ones_like(zeros[0]))   # nothing kept: -inf
+                for k in range(12):
+                    sq = sample_space_time(grid, rng) ** 2
+                    sq[zeros[k % len(zeros)]] = 0.0
+                    s_power = float(rng.integers(0, 4))
+                    got = entry.term(s_power, kind, power, sq, node_mask)
+                    want, keep = fresh_term(entry, s_power, kind, power, sq, node_mask)
+                    assert bits(got) == bits(want)
+                    if keep.any():
+                        patterns.add(np.packbits(keep).tobytes())
+                        calls += 1
+            # both masks of a profile share its store: one digest per pattern
+            assert entry.digests_built - built == len(patterns) == 6 < calls
