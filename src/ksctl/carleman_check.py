@@ -5,7 +5,8 @@ solves and records the ratio LHS/RHS per sample; the empirical constant is
 the max ratio over the sample set, tabulated against the Carleman parameter
 ``s`` (and the relaxation parameter where relevant).  Each report function
 writes each of its terms once, as (power of s, weight kind, weight power,
-integrand, node mask), against weight families built once per audit.
+integrand), against weight families built once per audit; a term over a
+subdomain carries the subdomain's 0/1 node mask inside its integrand.
 
 For realistic ``s`` the pointwise integrands ``exp(2 s alpha) ...`` are far
 below the smallest double, so every integral here is accumulated in the log
@@ -120,7 +121,6 @@ def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table: WeightTable,
-                            node_mask: np.ndarray | None = None,
                             digests: dict | None = None) -> float:
     """log of  sum_k tw_k sum_p W_p exp(log_w[k,p]) sq[k,p]   (sq >= 0).
 
@@ -130,10 +130,7 @@ def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table: WeightTabl
     ``digests`` keeps this ``log_w``'s ``_log_digest`` per pattern of kept
     entries (``w * sq > 0``, ``log_w`` finite): a repeated pattern only sums.
     """
-    w = table.space_time_weights
-    if node_mask is not None:
-        w = w * node_mask
-    coeff = w * sq
+    coeff = table.space_time_weights * sq
     if not np.isfinite(coeff).all():
         raise ValueError("non-finite integrand (weights times sq) in a log-domain integral")
     if log_w.ndim == 1:
@@ -272,16 +269,14 @@ class _ScanEntry:
         self.table, self.logs, self._profiles = table, np.log(table.params.s), {}
         self.calls = 0
 
-    def term(self, s_power: float, kind: str, power: float, sq: np.ndarray,
-             node_mask: np.ndarray | None = None) -> float:
-        """log of  s^s_power * integral of exp(2 s w) w2^power sq, over the
-        nodes of ``node_mask`` when given."""
+    def term(self, s_power: float, kind: str, power: float, sq: np.ndarray) -> float:
+        """log of  s^s_power * integral of exp(2 s w) w2^power sq."""
         if (kind, power) not in self._profiles:
             self._profiles[kind, power] = log_weight_profile(self.table, kind, power), {}
         profile, digests = self._profiles[kind, power]
         self.calls += 1
         return s_power * self.logs + log_space_time_integral(
-            profile, sq, self.table, node_mask, digests)
+            profile, sq, self.table, digests)
 
     @property
     def digests_built(self) -> int:
@@ -309,6 +304,7 @@ def theorem22_report(adj: AdjointTrajectory, alpha: list[_ScanEntry],
     grid, xi = adj.grid, adj.xi
     lap_phi = (grid.laplacian_matrix @ adj.phi.T).T
     lap_sq, xi_sq, xi_grad = lap_phi * lap_phi, xi * xi, gradient_sq(xi, grid)
+    xi_obs = xi_sq * omega_prime_mask
     xi_high = adj.params.eps**2 * time_derivative(xi, grid) ** 2 + hessian_sq(xi, grid)
     if "thm2.2" not in sources:
         f1_sq, f2_sq = adj.f1**2, adj.f2**2
@@ -322,7 +318,7 @@ def theorem22_report(adj: AdjointTrajectory, alpha: list[_ScanEntry],
             w.term(2.0, "alpha", 2.0, xi_grad),
             w.term(0.0, "alpha", 0.0, xi_high),
         ]
-        rhs_parts = [w.term(18.0, "alpha", 18.0, xi_sq, omega_prime_mask), *source_parts]
+        rhs_parts = [w.term(18.0, "alpha", 18.0, xi_obs), *source_parts]
         out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
     return out
 
@@ -401,9 +397,10 @@ def lemmaA1_report(alpha: list[_ScanEntry], eta0: Eta0, n_samples: int,
         gfield = sample_space_time(grid, rng)
         phi = solve_backward_heat(np.zeros(grid.num_nodes), (A @ gfield.T).T, grid)
         phi_sq, g_sq = phi * phi, gfield**2
+        phi_obs = phi_sq * omega_mask
         out = []
         for w in alpha:
-            rhs_parts = [w.term(3.0, "alpha", 3.0, phi_sq, omega_mask),
+            rhs_parts = [w.term(3.0, "alpha", 3.0, phi_obs),
                          w.term(4.0, "alpha", 4.0, g_sq)]
             out.append((w.term(3.0, "alpha", 3.0, phi_sq), _logsumexp(rhs_parts)))
         logs_by_sample.append(out)

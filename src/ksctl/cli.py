@@ -94,8 +94,7 @@ class ExperimentConfig:
     def carleman_params(self, T: float) -> WeightParams:
         """``weights.s`` when given (0 included), else s derived from sigma0."""
         w = self.weights
-        s = None if w["s"] is None else float(w["s"])
-        return weight_params(T, w["lambda"], s=s, sigma0=w["sigma0"])
+        return weight_params(T, w["lambda"], s=w["s"], sigma0=w["sigma0"])
 
     def eta0(self, grid: Grid) -> Eta0:
         w = self.weights
@@ -120,14 +119,17 @@ class ExperimentConfig:
 
 # numeric fields that take a list of numbers (per axis, or one per run)
 _NUMBER_LISTS = ("grid.n", "grid.L", "physics.eps_list", "weights.s_scan")
+# numeric fields whose default is null
+_OPTIONAL_NUMBERS = ("weights.s",)
 
 
 def _coerce(default, value, key: str, violations: list):
     """Type-guided coercion: YAML reads '1e-14' as a string, so numeric
-    fields convert string leaves back to numbers, and an int field stores an
-    integral finite number as an int, and a section merges a mapping into its
-    defaults; anything else (a list, a mapping, a word, 2.5 for a count, a
-    number for a section) is a violation, reported before any use."""
+    fields convert string leaves back to numbers; an int field stores an
+    integral finite number as an int and a float field any number as a
+    float, so that equal numbers hash alike; a section merges a mapping into
+    its defaults; anything else (a list, a mapping, a word, 2.5 for a count,
+    a number for a section) is a violation, reported before any use."""
     if isinstance(default, dict):
         if value is not None and not isinstance(value, dict):
             violations.append(f"'{key}' must be a mapping, got {value!r}")
@@ -139,7 +141,10 @@ def _coerce(default, value, key: str, violations: list):
     if isinstance(default, list) and key in _NUMBER_LISTS:
         violations.append(f"'{key}' must be a list of numbers, got {value!r}")
         return default
-    if not isinstance(default, (int, float)) or isinstance(default, bool):
+    if key in _OPTIONAL_NUMBERS:
+        if value is None:
+            return None
+    elif not isinstance(default, (int, float)) or isinstance(default, bool):
         return value
     num = value
     if isinstance(value, str):
@@ -157,7 +162,11 @@ def _coerce(default, value, key: str, violations: list):
     if isinstance(num, bool) or not isinstance(num, numbers.Real):
         violations.append(f"'{key}' must be a number, got {value!r}")
         return default
-    return num
+    try:
+        return float(num)
+    except OverflowError:   # an integer beyond double range
+        violations.append(f"'{key}' must be a number within double range")
+        return default
 
 
 def _merge(base: dict, override: dict, path: str, violations: list) -> dict:
@@ -208,13 +217,10 @@ def _domain_violations(cfg: ExperimentConfig) -> list:
     collect("physics", cfg.params, ph["eps"])
     for i, eps in enumerate(ph["eps_list"]):
         collect("physics", cfg.params, eps, eps_key=f"eps_list[{i}]")
-    try:  # s derives from a valid T only; without both, check lambda at s = 1
-        if grid is None and w["s"] is None:
-            collect("weights", weight_params, 1.0, w["lambda"], 1.0)
-        else:
-            collect("weights", cfg.carleman_params, g["T"])
-    except (TypeError, ValueError):  # '--weights.s=1e3' arrives as a string
-        v.append(f"weights.s must be a number, got {w['s']!r}")
+    if grid is None and w["s"] is None:  # s derives from a valid T only: check lambda at s = 1
+        collect("weights", weight_params, 1.0, w["lambda"], 1.0)
+    else:
+        collect("weights", cfg.carleman_params, g["T"])
     if grid is not None:
         dim, L = grid.dim, grid.L
     else:  # check the nesting anyway; the domain only if L fits the axes

@@ -33,6 +33,7 @@ __all__ = [
     "mass",
     "inner",
     "l2_norm",
+    "l2_sq",
     "h1_seminorm_sq",
     "box_mask",
 ]
@@ -311,10 +312,11 @@ def _chem_stencil(grid: Grid) -> _ChemStencil:
 
 
 def neumann_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Laplacian with zero normal derivative, in flux form."""
-    _check_field(f, grid)
+    """Second-order Laplacian with zero normal derivative, in flux form, of
+    one field or row by row of a (slices, nodes) array."""
+    _check_field(f, grid, f.shape[:-1][:1])
     return _chem_stencil(grid).divergence(
-        lambda fc: (f[fc.right] - f[fc.left]) / fc.h)
+        lambda fc: (f[..., fc.right] - f[..., fc.left]) / fc.h)
 
 
 def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -350,10 +352,17 @@ def l2_norm(f: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(max(inner(f, f, grid), 0.0)))
 
 
-def h1_seminorm_sq(f: np.ndarray, grid: Grid) -> float:
-    """Discrete ``int |grad f|^2``, computed as <-Lap f, f>_W (exact summation
-    by parts for the flux-form Laplacian)."""
-    return float(max(-inner(neumann_laplacian(f, grid), f, grid), 0.0))
+def l2_sq(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Weighted squared L2 norm of one field, or of each slice of a
+    (slices, nodes) array."""
+    return np.einsum("...n,n,...n->...", f, grid.quad_weights, f)
+
+
+def h1_seminorm_sq(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Discrete ``int |grad f|^2`` of one field or of each slice, computed as
+    <-Lap f, f>_W (exact summation by parts for the flux-form Laplacian)."""
+    lap = neumann_laplacian(f, grid)
+    return np.maximum(-np.einsum("...n,n,...n->...", lap, grid.quad_weights, f), 0.0)
 
 
 def box_mask(grid: Grid, box) -> np.ndarray:

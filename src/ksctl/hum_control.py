@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, check_all, check_zero_mass, h1_seminorm_sq, inner, l2_norm
+from .grid import Grid, check_all, check_zero_mass, h1_seminorm_sq, l2_norm, l2_sq
 from .ks_model import Control, KSParams, solve_linearized
-from .weights import WeightTable, _logsumexp, log_weight_profile
+from .weights import WeightTable, log_step_sum, log_weight_profile
 
 __all__ = [
     "SolverSettings",
@@ -407,22 +407,6 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
 # ---------------------------------------------------------------------------
 
 
-def _log_block_norm(dual: DualSolution, dt: float, idx: int, Fsq_slices: np.ndarray) -> float:
-    """log of the squared weighted norm of one extracted block, evaluated
-    against the working (floored) weight family from the dual side, where it
-    reduces to  sum_j dt rho_j |.|_W^2 / c  and stays representable.  (The
-    unfloored weights diverge against the capped tail by construction.)"""
-    lr_fl = np.log(dual.rho[idx])
-    with np.errstate(divide="ignore"):
-        logs = (
-            np.log(dt) - dual.log_c + lr_fl + np.log(Fsq_slices)
-        )
-    keep = np.isfinite(logs)
-    if not np.any(keep):
-        return float("-inf")
-    return _logsumexp(logs[keep])
-
-
 def extract_control(dual: DualSolution, problem: ControlProblem) -> ControlResult:
     """Form the control and trajectory from the dual minimiser and verify.
 
@@ -460,20 +444,13 @@ def extract_control(dual: DualSolution, problem: ControlProblem) -> ControlResul
             f"(tolerance {CROSSVAL_TOL:.1e})"
         )
 
-    W = grid.quad_weights
-    F1sq = (F1 * F1) @ W
-    F2sq = (F2 * F2) @ W
-    wobs = ((problem.chi**2)[None, :] * dual.what[:-1]) ** 2 @ W
-    log_u = 0.5 * _log_block_norm(dual, grid.dt, 0, F1sq)
-    log_v = 0.5 * _log_block_norm(dual, grid.dt, 1, F2sq)
-    log_g = 0.5 * _log_block_norm(dual, grid.dt, 2, wobs)
-
-    g_l2h1 = np.sqrt(
-        sum(
-            grid.dt * (inner(g[k], g[k], grid) + h1_seminorm_sq(g[k], grid))
-            for k in range(1, m + 1)
-        )
-    )
+    # each block's weighted norm against the working (floored) weights of the
+    # dual side, where it reduces to  sum_j dt rho_j |.|_W^2 / c  and stays
+    # representable (the unfloored weights diverge against the capped tail)
+    log_u, log_v, log_g = (
+        0.5 * log_step_sum(np.log(rho) - dual.log_c, grid.dt * l2_sq(block, grid))
+        for rho, block in zip(dual.rho, (F1, F2, problem.chi**2 * dual.what[:-1])))
+    g_l2h1 = np.sqrt(grid.dt * np.sum(l2_sq(g[1:], grid) + h1_seminorm_sq(g[1:], grid)))
     return ControlResult(
         control=control, uhat=uhat, vhat=vhat,
         terminal_u=l2_norm(uhat[m], grid), terminal_v=l2_norm(vhat[m], grid),

@@ -165,8 +165,7 @@ def _density_factor(v: np.ndarray, grid: Grid) -> _OrderedFactor:
     postorder are the identity, so pivots and solves are a plain ``splu``'s."""
     st = _chem_stencil(grid)
     if "density-order" not in grid._cache:
-        lu = grid.factor(("density",), lambda: st.matrix(st.eye - grid.dt * st.lap))
-        del grid._cache[("density",)]   # only its column order is kept
+        lu = spla.splu(st.matrix(st.eye - grid.dt * st.lap))   # only its column order is kept
         perm_c = lu.perm_c.astype(np.intp)   # an int32 index costs ~1 us per gather
         pos = np.repeat(perm_c, np.diff(st.indptr))   # each data slot's column position
         gather = np.argsort(pos, kind="stable")

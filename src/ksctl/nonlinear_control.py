@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, chemotaxis_divergence, l2_norm, mass
+from .grid import Grid, chemotaxis_divergence, l2_norm, l2_sq, mass
 from .hum_control import ControlProblem, SolverSettings, apply_L, extract_control, solve_dual
 from .ks_model import Control, KSParams, solve_forward_pp, solve_linearized
-from .weights import WeightTable, _logsumexp, log_weight_profile
+from .weights import WeightTable, _logsumexp, log_step_sum, log_weight_profile
 
 __all__ = [
     "NonlinearControlResult",
@@ -188,16 +188,6 @@ def _capped(profile: np.ndarray, cap: float) -> np.ndarray:
     return np.minimum(profile, finite.min() - np.log(cap))
 
 
-def _log_l2q(log_w: np.ndarray, sq_slices: np.ndarray, dt: float) -> float:
-    """log of sum_k dt exp(log_w_k) sq_k over steps with positive samples."""
-    with np.errstate(divide="ignore"):
-        logs = log_w + np.log(dt * sq_slices)
-    keep = np.isfinite(logs)
-    if not np.any(keep):
-        return float("-inf")
-    return _logsumexp(logs[keep])
-
-
 def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
            weights: WeightTable, params: KSParams, chi: np.ndarray,
            grid: Grid, cap: float = 0.0) -> dict:
@@ -218,18 +208,12 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     W = grid.quad_weights
     A = grid.laplacian_matrix
 
-    def sq_l2(fields: np.ndarray) -> np.ndarray:
-        return np.einsum("kn,n,kn->k", fields, W, fields)
-
     def sq_h1(fields: np.ndarray) -> np.ndarray:
         lap = (A @ fields.T).T
-        return np.maximum(
-            sq_l2(fields) + np.einsum("kn,n,kn->k", -lap, W, fields), 0.0
-        )
+        return np.maximum(l2_sq(fields, grid) - np.einsum("kn,n,kn->k", lap, W, fields), 0.0)
 
     def sq_h2(fields: np.ndarray) -> np.ndarray:
-        lap = (A @ fields.T).T
-        return sq_h1(fields) + sq_l2(lap)
+        return sq_h1(fields) + l2_sq((A @ fields.T).T, grid)
 
     out: dict = {}
 
@@ -251,14 +235,14 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     prof_u, prof_v, prof_g = (recip("beta_star", k) for k in (10.0, 3.0, 18.0))
     prof_r1 = recip("beta_hat", 3.0)
     logw5 = recip("beta", 2.0)
-    put("state_u", _log_l2q(prof_u[:-1], sq_l2(z[1:]), dt))
-    put("state_v", _log_l2q(prof_v[:-1], sq_l2(w[1:]), dt))
-    put("control_g", _log_l2q(prof_g[:-1], sq_l2(chi[None, :] * g[1:]), dt))
+    put("state_u", log_step_sum(prof_u[:-1], dt * l2_sq(z[1:], grid)))
+    put("state_v", log_step_sum(prof_v[:-1], dt * l2_sq(w[1:], grid)))
+    put("control_g", log_step_sum(prof_g[:-1], dt * l2_sq(chi * g[1:], grid)))
 
     # residual weights
     L1, L2 = apply_L(z, w, params, grid)
     h2res = L2 - g[1:] * chi[None, :]
-    put("residual_density", _log_l2q(prof_r1[:-1], sq_l2(L1), dt))
+    put("residual_density", log_step_sum(prof_r1[:-1], dt * l2_sq(L1, grid)))
     # full (x-dependent) weight for the chemical residual, H1 in space
     with np.errstate(over="ignore"):
         weighted = np.exp(0.5 * logw5[1:]) * h2res
@@ -276,14 +260,14 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     with np.errstate(invalid="ignore"):
         log_c6 = _capped(0.25 * tsb_star - 0.5 * tsb_hat + (13.0 / 8.0) * lgh, cap)
         log_c7 = _capped(-(0.25 * tsb_star) - (25.0 / 8.0) * lgh, cap)
-    l2h2 = _log_l2q(2.0 * log_c6[:-1], sq_h2(z[1:]), dt)
+    l2h2 = log_step_sum(2.0 * log_c6[:-1], dt * sq_h2(z[1:]))
     with np.errstate(divide="ignore"):
         linf_logs = 2.0 * log_c6 + np.log(sq_h1(z))
     finite_linf = linf_logs[np.isfinite(linf_logs)]
     linfh1 = float(finite_linf.max()) if finite_linf.size else float("-inf")
     put("state_u_h2", float(np.logaddexp(l2h2, linfh1)))
-    put("state_v_h2", _log_l2q(2.0 * log_c7[:-1], sq_h2(w[1:]), dt))
-    put("control_g_h1", _log_l2q(2.0 * log_c7[:-1], sq_h1(g[1:]), dt))
+    put("state_v_h2", log_step_sum(2.0 * log_c7[:-1], dt * sq_h2(w[1:])))
+    put("control_g_h1", log_step_sum(2.0 * log_c7[:-1], dt * sq_h1(g[1:])))
 
     logs = [v["log"] for v in out.values()]
     if any(np.isposinf(t) for t in logs):

@@ -39,6 +39,7 @@ __all__ = [
     "carleman_weights",
     "refined_weights",
     "log_weight_profile",
+    "log_step_sum",
 ]
 
 POWER_RANGE = (-10.0, 18.0)
@@ -93,7 +94,6 @@ class Eta0:
     omega_prime: tuple
     omega: tuple
     grid: Grid
-    min_grad_outside: float     # min |grad| over scanned nodes outside omega0
 
     @property
     def sup(self) -> float:
@@ -163,8 +163,7 @@ def build_eta0(grid: Grid, omega0, omega_prime, omega) -> Eta0:
             corners[idx] = True
         outside &= ~corners
     gnorm = np.sqrt((gradient**2).sum(axis=0))
-    min_grad = float(gnorm[outside].min())
-    if min_grad <= 0.0:
+    if gnorm[outside].min() <= 0.0:
         raise Eta0ConstructionError("grad eta0 vanishes at a node outside omega0")
 
     argmax = grid.node_coords[int(np.argmax(values))]
@@ -176,27 +175,20 @@ def build_eta0(grid: Grid, omega0, omega_prime, omega) -> Eta0:
         omega_prime=tuple(map(tuple, bp)),
         omega=tuple(map(tuple, bw)),
         grid=grid,
-        min_grad_outside=min_grad,
     )
 
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Carleman parameters.  ``s_threshold_ok`` records whether
-    ``s >= T^4 + T^8``."""
+    """Carleman parameters."""
 
     s: float
     lam: float
-    T: float
 
     def __post_init__(self):
         check_all([(self.s > 0, f"s must be positive, got {self.s} "
                     "(s = sigma0 * (T^4 + T^8) when not given)"),
                    (self.lam >= 1.0, f"lambda must be >= 1, got {self.lam}")])
-
-    @property
-    def s_threshold_ok(self) -> bool:
-        return self.s >= self.T**4 + self.T**8
 
 
 def weight_params(T: float, lam: float = 1.5, s: float | None = None,
@@ -204,7 +196,7 @@ def weight_params(T: float, lam: float = 1.5, s: float | None = None,
     """Default rule ``s = sigma0 * (T^4 + T^8)``; pass ``s`` to override."""
     if s is None:
         s = sigma0 * (T**4 + T**8)
-    return WeightParams(s=float(s), lam=float(lam), T=float(T))
+    return WeightParams(s=float(s), lam=float(lam))
 
 
 @dataclass(frozen=True)
@@ -317,6 +309,13 @@ def log_weight_profile(table: WeightTable, kind: str, power: float) -> np.ndarra
             out = out + power * getattr(table, f"log_factor_{extremum}")
     out[list(table.singular_steps)] = -np.inf
     return out
+
+
+def log_step_sum(log_w: np.ndarray, coeff: np.ndarray) -> float:
+    """log(sum(coeff * exp(log_w))) over the terms with ``coeff > 0`` and a
+    finite ``log_w``; -inf when there are none."""
+    keep = (coeff > 0.0) & np.isfinite(log_w)
+    return _logsumexp(log_w[keep], coeff[keep]) if keep.any() else float("-inf")
 
 
 def _logsumexp(a, b=None) -> float:

@@ -31,8 +31,8 @@ from ksctl.grid import Grid, _chem_stencil, chemotaxis_divergence, h1_seminorm_s
 from ksctl.hum_control import ControlProblem, SolverSettings, _DualSystem
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _v_step_factor,
                              block_step_factor)
-from ksctl.nonlinear_control import _capped, _log_l2q, e_norm, picard_solve
-from ksctl.weights import Eta0, WeightTable, _logsumexp
+from ksctl.nonlinear_control import _capped, e_norm, picard_solve
+from ksctl.weights import Eta0, WeightTable, _logsumexp, log_step_sum
 
 
 class DualityMismatchError(ValueError):
@@ -332,7 +332,7 @@ def bilinear_continuity_ratio(z: np.ndarray, w: np.ndarray,
             -(2.0 * s * weights.exponent_hat + 3.0 * weights.log_factor_hat), cap
         )[:-1]
     sqs = np.einsum("kn,n,kn->k", h1[1:], grid.quad_weights, h1[1:])
-    log_num = 0.5 * _log_l2q(w4, sqs, grid.dt)
+    log_num = 0.5 * log_step_sum(w4, grid.dt * sqs)
     log_den = comp["state_u_h2"]["log"] + comp["state_v_h2"]["log"]
     if not (np.isfinite(log_num) and np.isfinite(log_den)):
         return 0.0 if np.isneginf(log_num) else float("inf")

@@ -2,10 +2,11 @@
 oracles, in 1D, 2D square and 2D non-square: the chemotaxis matrix N(v)
 against the COO double-loop build, the two operators
 ``chemotaxis_divergence`` and ``neumann_laplacian`` against the per-dimension
-numpy slice kernels, the divergence of many slices against one call per
-slice, the three density marches (both couplings and the parabolic-elliptic
-limit) against the per-step matrix build, and the chord march of the
-implicit coupling against the fixed point that refactors every iterate."""
+numpy slice kernels, the divergence, the Laplacian, the H1 seminorm and the
+L2 norm of many slices against one call per slice, the three density
+marches (both couplings and the parabolic-elliptic limit) against the
+per-step matrix build, and the chord march of the implicit coupling against
+the fixed point that refactors every iterate."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ksctl import ks_model
-from ksctl.grid import build_grid, chemotaxis_divergence, neumann_laplacian
+from ksctl.grid import (build_grid, chemotaxis_divergence, h1_seminorm_sq, l2_sq,
+                        neumann_laplacian)
 from ksctl.ks_model import (Control, KSParams, smooth_cutoff, solve_forward_pe,
                             solve_forward_pp)
 from oracles import implicit_march_oracle
@@ -180,6 +182,15 @@ def test_batched_chemotaxis_divergence_equals_per_slice_calls(grid):
         u, v = rng.standard_normal((2, grid.m + 1, grid.num_nodes))
         want = [chemotaxis_divergence(u[k], v[k], grid) for k in range(grid.m + 1)]
         assert np.array_equal(chemotaxis_divergence(u, v, grid), np.array(want))
+
+
+@pytest.mark.parametrize("op", [neumann_laplacian, h1_seminorm_sq, l2_sq])
+def test_batched_grid_reductions_equal_per_slice_calls(grid, op):
+    # a (slices, nodes) array in one call, each row reduced as its slice
+    # alone would be: equal bit for bit
+    for seed in range(20):
+        f = np.random.default_rng(seed).standard_normal((grid.m + 1, grid.num_nodes))
+        assert np.array_equal(op(f, grid), np.array([op(x, grid) for x in f]))
 
 
 def test_neumann_laplacian_matches_slice_kernel(grid):

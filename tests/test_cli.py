@@ -150,6 +150,7 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--grid.m=inf",
     "--grid.m=nan",
     "--solver.seed=-1",         # numpy draws from a nonnegative seed
+    "--physics.a=1" + "0" * 400,  # an integer beyond double range
 ])
 def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
@@ -232,6 +233,35 @@ def test_determinism_byte_identical(tmp_path):
     assert (out1 / c1).read_bytes() == (out2 / c2).read_bytes()
 
 
+DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
+
+
+def test_numerically_equal_configs_share_one_file(tmp_path):
+    # a float field stores any number as a float: a = 10 is the default 10.0
+    base, ten = tmp_path / "base", tmp_path / "ten"
+    argv = ["simulate", "--config", DEFAULT_CONFIG, "--io.format=csv"]
+    assert main(argv + [f"--io.outdir={base}"]) == 0
+    assert main(argv + [f"--io.outdir={ten}", "--physics.a=10"]) == 0
+    assert [f.name for f in ten.iterdir()] == ["simulate-bbaf91c89b14.csv"]
+    assert (ten / "simulate-bbaf91c89b14.csv").read_bytes() \
+        == (base / "simulate-bbaf91c89b14.csv").read_bytes()
+
+
+def test_weights_s_is_null_or_a_float(tmp_path):
+    # YAML reads 5.67e1 as a string; it is the same s, and the same hash, as 56.7
+    path = write_cfg(tmp_path)
+    word, number = (parse_config(path, {"weights.s": v}) for v in ("5.67e1", 56.7))
+    assert word.weights["s"] == 56.7 and isinstance(word.weights["s"], float)
+    assert word.content_hash == number.content_hash
+    assert parse_config(path, {"weights.s": None}).weights["s"] is None
+
+
+@pytest.mark.parametrize("raw", ["abc", "[1]"])
+def test_weights_s_must_be_a_number(tmp_path, capsys, raw):
+    assert main(["simulate", "--config", write_cfg(tmp_path), f"--weights.s={raw}"]) == 1
+    assert "'weights.s' must be a number" in capsys.readouterr().err
+
+
 def test_eps_sweep_csv_one_row_per_eps(tmp_path):
     outdir = tmp_path / "out"
     path = write_cfg(tmp_path, **small_sections(
@@ -310,14 +340,14 @@ def test_a_carleman_run_builds_each_digest_once(tmp_path, monkeypatch):
     integral, digest = carleman_check.log_space_time_integral, carleman_check._log_digest
     current, met, built, calls = [None], set(), [], [0]
 
-    def spy_integral(log_w, sq, table, node_mask=None, digests=None):
-        w = table.space_time_weights * (1.0 if node_mask is None else node_mask)
-        keep = (w * sq > 0.0) & np.isfinite(log_w[:, None] if log_w.ndim == 1 else log_w)
+    def spy_integral(log_w, sq, table, digests=None):
+        keep = ((table.space_time_weights * sq > 0.0)
+                & np.isfinite(log_w[:, None] if log_w.ndim == 1 else log_w))
         current[0] = (id(log_w), np.packbits(keep).tobytes())
         if keep.any():
             met.add(current[0])
         calls[0] += 1
-        return integral(log_w, sq, table, node_mask, digests)
+        return integral(log_w, sq, table, digests)
 
     def spy_digest(a):
         built.append(current[0])

@@ -5,7 +5,8 @@ import pytest
 
 from ksctl.adjoint import solve_adjoint
 from ksctl.cli import parse_config
-from ksctl.grid import ConfigError, build_grid, inner
+from ksctl import hum_control
+from ksctl.grid import ConfigError, build_grid, h1_seminorm_sq, inner
 from ksctl.hum_control import (
     ControlProblem,
     ExtractionError,
@@ -234,6 +235,28 @@ def test_weighted_norms_reported(params, grid_small, weights_small, chi_small):
     for log_val in (res.log_weighted_u, res.log_weighted_v, res.log_weighted_g):
         assert np.isfinite(log_val)
     assert res.g_l2h1 > 0.0
+
+
+def test_g_l2h1_takes_every_slice_in_one_call(params, grid_small, weights_small,
+                                             chi_small, monkeypatch):
+    # one h1_seminorm_sq over the m control slices, not one per slice; the
+    # batched sum differs from the slice-by-slice loop at roundoff only
+    g = grid_small
+    prob = _problem(g, weights_small, chi_small, params)
+    dual = solve_dual(prob)
+    shapes = []
+
+    def spy(f, grid):
+        shapes.append(f.shape)
+        return h1_seminorm_sq(f, grid)
+
+    monkeypatch.setattr(hum_control, "h1_seminorm_sq", spy)
+    res = extract_control(dual, prob)
+    assert shapes == [(g.m, g.num_nodes)]
+    u = res.control.g
+    loop = np.sqrt(sum(g.dt * (inner(u[k], u[k], g) + h1_seminorm_sq(u[k], g))
+                       for k in range(1, g.m + 1)))
+    assert abs(res.g_l2h1 - loop) <= 1e-14 * loop
 
 
 def test_elliptic_regularity_scan(grid_small):

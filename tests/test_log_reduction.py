@@ -36,6 +36,7 @@ from ksctl.ks_model import KSParams, smooth_cutoff
 from ksctl.weights import (
     _logsumexp,
     build_eta0,
+    log_step_sum,
     carleman_weights,
     log_weight_profile,
     refined_weights,
@@ -102,6 +103,24 @@ def test_logsumexp_takes_lists_and_large_arrays():
     b = rng.uniform(1e-12, 1e3, size=a.size)
     assert bits(_logsumexp(a, b)) == bits(logsumexp(a, b=b))
     assert bits(_logsumexp([-3.0, NEG_INF, 2.0])) == bits(logsumexp([-3.0, NEG_INF, 2.0]))
+
+
+_STEP = st.tuples(st.one_of(_ENTRY, st.sampled_from([float("inf"), NAN])),
+                  st.one_of(st.sampled_from([0.0, -1.0, NAN]), st.floats(1e-300, 1e5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STEP, max_size=64))
+@example([])
+@example([(NEG_INF, 1.0), (float("inf"), 1.0), (NAN, 1.0), (0.0, 0.0), (1.0, NAN)])
+@example([(2.0, 0.0), (-1.0, 3.0), (NAN, 2.0)])
+def test_log_step_sum_is_scipy_over_its_kept_terms(steps):
+    # zero (or NaN) coefficients and non-finite log weights drop out; nothing
+    # kept reads -inf
+    log_w, coeff = (np.array([t[i] for t in steps], dtype=float) for i in (0, 1))
+    keep = (coeff > 0.0) & np.isfinite(log_w)
+    want = logsumexp(log_w[keep], b=coeff[keep]) if keep.any() else NEG_INF
+    assert bits(log_step_sum(log_w, coeff)) == bits(want)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +316,9 @@ def test_integral_reduction_order_is_pinned(request, name, boxes):
         for flat in (np.zeros(grid.m + 1), np.zeros(sq.shape)):
             for node_mask in (None, mask):
                 sq_1 = sq / np.exp(oracle_integral(flat, sq, grid, table, node_mask))
-                got = log_space_time_integral(flat, sq_1, table, node_mask)
+                # the package takes the mask inside the integrand
+                masked = sq_1 if node_mask is None else sq_1 * node_mask
+                got = log_space_time_integral(flat, masked, table)
                 want = oracle_integral(flat, sq_1, grid, table, node_mask)
                 assert abs(want) < 1e-14
                 assert bits(got) == bits(want)
@@ -346,7 +367,8 @@ def test_every_term_equals_a_fresh_logsumexp_over_its_kept_terms(request, name, 
                     sq = sample_space_time(grid, rng) ** 2
                     sq[zeros[k % len(zeros)]] = 0.0
                     s_power = float(rng.integers(0, 4))
-                    got = entry.term(s_power, kind, power, sq, node_mask)
+                    got = entry.term(s_power, kind, power,
+                                     sq if node_mask is None else sq * node_mask)
                     want, keep = fresh_term(entry, s_power, kind, power, sq, node_mask)
                     assert bits(got) == bits(want)
                     if keep.any():

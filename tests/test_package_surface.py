@@ -14,8 +14,9 @@ The solver knobs reach every solve inside one ``SolverSettings``: no other
 function or dataclass of the package takes one of them by name.
 
 Every constant sparse factor of the package enters through one cache,
-``Grid.factor``; the only other ``splu`` is the density step's factor,
-whose coefficients change with every step.
+``Grid.factor``; the only other ``splu`` calls are the density step's: its
+factor, whose coefficients change with every step, and the factor of
+I - dt A that fixes its column order once per grid and is then dropped.
 """
 
 import ast
@@ -122,6 +123,6 @@ def _splu_sites(tree, module):
 
 
 def test_splu_only_in_the_factor_cache_and_the_density_step():
-    sites = sorted(site for path, tree in _trees(PACKAGE).items()
-                   for site in _splu_sites(tree, path.stem))
+    sites = sorted({site for path, tree in _trees(PACKAGE).items()
+                    for site in _splu_sites(tree, path.stem)})
     assert sites == ["grid.Grid.factor", "ks_model._density_factor"]

@@ -2,8 +2,9 @@
 ``control-linear`` and ``simulate`` at the 1D defaults and at a 2D config
 (32x32 nodes, m=40, every default control box repeated on both axes),
 ``control-nonlinear``, ``eps-sweep`` and ``carleman`` at the 1D defaults.
-The two Picard commands also write the same JSON ``summary`` (the lagged
-residual and the E-norm of ``control-nonlinear`` among it).
+``control-linear`` and the two Picard commands also write the same JSON
+``summary`` (the weighted log norms, the lagged residual and the E-norm of
+``control-nonlinear`` among it), whose slice sums are ``einsum`` reductions.
 
 The CG's reductions are fixed-order numpy sums, not BLAS ``ddot``, whose
 summation order follows its thread count: with ``cg_tol`` near the roundoff
@@ -38,20 +39,23 @@ def _csv(outdir: Path, command: str, threads: int, overrides=(), fmt="csv") -> b
     return csv.read_bytes()
 
 
+def _assert_same_csv_and_summary(tmp_path, command, overrides=()):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert (_csv(one, command, 1, overrides, fmt="both")
+            == _csv(two, command, 2, overrides, fmt="both"))
+    (rec_one,), (rec_two,) = one.glob("*.json"), two.glob("*.json")
+    assert (json.loads(rec_one.read_text())["summary"]
+            == json.loads(rec_two.read_text())["summary"])
+
+
 @pytest.mark.parametrize("overrides", [[], TWO_D], ids=["1d-defaults", "2d-32x32"])
 def test_control_linear_csv_independent_of_blas_threads(tmp_path, overrides):
-    one = _csv(tmp_path / "one", "control-linear", 1, overrides)
-    two = _csv(tmp_path / "two", "control-linear", 2, overrides)
-    assert one == two
+    _assert_same_csv_and_summary(tmp_path, "control-linear", overrides)
 
 
 @pytest.mark.parametrize("command", ["control-nonlinear", "eps-sweep"])
 def test_picard_csvs_independent_of_blas_threads(tmp_path, command):
-    one, two = tmp_path / "one", tmp_path / "two"
-    assert _csv(one, command, 1, fmt="both") == _csv(two, command, 2, fmt="both")
-    (rec_one,), (rec_two,) = one.glob("*.json"), two.glob("*.json")
-    assert (json.loads(rec_one.read_text())["summary"]
-            == json.loads(rec_two.read_text())["summary"])
+    _assert_same_csv_and_summary(tmp_path, command)
 
 
 @pytest.mark.parametrize("command, overrides", [
