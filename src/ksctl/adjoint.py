@@ -26,10 +26,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grid import Grid, mass
-from .ks_model import KSParams, block_march, block_step_factor
+from .grid import Grid, _check_field, mass
+from .ks_model import KSParams, block_march, block_step_factor, heat_factor
 
 __all__ = [
     "AdjointTrajectory",
@@ -66,8 +65,9 @@ def solve_adjoint(p: KSParams, phiT: np.ndarray, xiT: np.ndarray,
     zeros = np.zeros((m + 1, nn))
     f1 = zeros if f1 is None else f1
     f2 = zeros if f2 is None else f2
-    if f1.shape != (m + 1, nn) or f2.shape != (m + 1, nn):
-        raise ValueError("adjoint sources must have shape (m+1, nodes)")
+    for name, f, rows in (("phiT", phiT, ()), ("xiT", xiT, ()), ("f1", f1, (m + 1,)),
+                          ("f2", f2, (m + 1,))):
+        _check_field(f, grid, rows, name)
 
     mean = mass(phiT, grid) / grid.volume
     if abs(mean) > 1e-10 * max(1.0, float(np.abs(phiT).max())):
@@ -93,11 +93,9 @@ def solve_backward_heat(phiT: np.ndarray, source: np.ndarray, grid: Grid) -> np.
     Used by the transposition-inequality sampler, where the source is the
     Laplacian of a smooth control field.
     """
-    nn, m = grid.num_nodes, grid.m
-    if source.shape != (m + 1, nn):
-        raise ValueError("source must have shape (m+1, nodes)")
-    lu = grid.factor(("bheat",), lambda: (
-        sp.identity(nn, format="csr") - grid.dt * grid.laplacian_matrix))
-    phi = np.empty((m + 1, nn))
+    m = grid.m
+    for name, f, rows in (("phiT", phiT, ()), ("source", source, (m + 1,))):
+        _check_field(f, grid, rows, name)
+    phi = np.empty((m + 1, grid.num_nodes))
     phi[m] = phiT
-    return block_march(lu, phi, source, 1.0, grid.dt, True)
+    return block_march(heat_factor(grid), phi, source, 1.0, grid.dt, True)

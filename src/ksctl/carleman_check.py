@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adjoint import AdjointTrajectory, solve_adjoint, solve_backward_heat
-from .grid import Grid, box_mask, l2_norm, mass
+from .grid import Grid, box_mask, l2_norm, mass, neumann_laplacian
 from .ks_model import KSParams
 from .weights import (
     Eta0,
@@ -302,7 +302,7 @@ def theorem22_report(adj: AdjointTrajectory, alpha: list[_ScanEntry],
     terms do not depend on eps, so the first trajectory integrates them.
     """
     grid, xi = adj.grid, adj.xi
-    lap_phi = (grid.laplacian_matrix @ adj.phi.T).T
+    lap_phi = neumann_laplacian(adj.phi, grid)
     lap_sq, xi_sq, xi_grad = lap_phi * lap_phi, xi * xi, gradient_sq(xi, grid)
     xi_obs = xi_sq * omega_prime_mask
     xi_high = adj.params.eps**2 * time_derivative(xi, grid) ** 2 + hessian_sq(xi, grid)
@@ -391,11 +391,10 @@ def lemmaA1_report(alpha: list[_ScanEntry], eta0: Eta0, n_samples: int,
     grid = eta0.grid
     rng = np.random.default_rng(seed)
     omega_mask = box_mask(grid, eta0.omega).astype(float)
-    A = grid.laplacian_matrix
     logs_by_sample = []
     for _ in range(n_samples):   # one sample live at a time, each square made once
         gfield = sample_space_time(grid, rng)
-        phi = solve_backward_heat(np.zeros(grid.num_nodes), (A @ gfield.T).T, grid)
+        phi = solve_backward_heat(np.zeros(grid.num_nodes), neumann_laplacian(gfield, grid), grid)
         phi_sq, g_sq = phi * phi, gfield**2
         phi_obs = phi_sq * omega_mask
         out = []

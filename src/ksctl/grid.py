@@ -5,14 +5,13 @@ Fields are bare numpy arrays: a spatial field is a flat vector over the
 is an ``(m + 1, nodes)`` array.  The grid carries trapezoid quadrature
 weights; every differential operator below is built so that
 
-* the Laplacian is self-adjoint for the weighted inner product and
-  annihilates constants,
-* the Laplacian and the chemotaxis divergence have exactly zero weighted
-  sum (discrete conservation), because their fluxes telescope with zero
-  flux through the boundary faces.
+* the Laplacian matrix is self-adjoint for the weighted inner product,
+  annihilates constants and has zero weighted column sums;
+* the chemotaxis divergence has exactly zero weighted sum (discrete
+  conservation): its face fluxes telescope, with no boundary faces.
 
-These two exact identities carry all the duality bookkeeping downstream,
-so they are structural here, not accidental.
+These identities carry all the duality bookkeeping downstream, so they are
+structural here, not accidental.
 """
 
 from __future__ import annotations
@@ -191,9 +190,9 @@ def build_grid(dim, L, n, T, m) -> Grid:
     return Grid(dim=dim, L=Lt, n=tuple(int(x) for x in nt), T=float(T), m=int(m))
 
 
-def _check_field(f: np.ndarray, grid: Grid, rows: tuple = ()) -> None:
-    if f.shape != (*rows, grid.num_nodes):
-        raise ValueError(f"field has shape {f.shape}, grid expects {(*rows, grid.num_nodes)}")
+def _check_field(f, grid: Grid, rows: tuple = (), name: str = "field") -> None:
+    if np.shape(f) != (*rows, grid.num_nodes):
+        raise ValueError(f"{name} has shape {np.shape(f)}, grid expects {(*rows, grid.num_nodes)}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -239,12 +238,12 @@ class _Faces:
 
 @dataclass(frozen=True)
 class _ChemStencil:
-    """The grid's face table: the one definition of both spatial operators.
+    """The grid's face table: the chemotaxis flux, N(v) and matrix-free M(v)u.
 
     A face flux q leaves its left node and enters its right node, and each
     node divides its net outflow by its cell width; with no boundary faces
-    the weighted sum telescopes to zero.  The Laplacian takes
-    q = (f_r - f_l)/h, div(u grad v) takes q = 0.5 (u_l + u_r)(v_r - v_l)/h.
+    the weighted sum telescopes to zero.  div(u grad v) takes
+    q = 0.5 (u_l + u_r)(v_r - v_l)/h; ``lap`` holds :attr:`Grid.laplacian_matrix`.
 
     The density step assembles N(v) on the Laplacian's sorted CSC pattern:
     face (l, r) puts 0.5 (v_r - v_l)/h into slots (l,l), (l,r) over +cw_l
@@ -312,11 +311,10 @@ def _chem_stencil(grid: Grid) -> _ChemStencil:
 
 
 def neumann_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Laplacian with zero normal derivative, in flux form, of
-    one field or row by row of a (slices, nodes) array."""
+    """The Neumann Laplacian of one field or row by row of a (slices, nodes)
+    array: the package's one apply of :attr:`Grid.laplacian_matrix`."""
     _check_field(f, grid, f.shape[:-1][:1])
-    return _chem_stencil(grid).divergence(
-        lambda fc: (f[..., fc.right] - f[..., fc.left]) / fc.h)
+    return (grid.laplacian_matrix @ f.T).T
 
 
 def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -360,7 +358,7 @@ def l2_sq(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 def h1_seminorm_sq(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Discrete ``int |grad f|^2`` of one field or of each slice, computed as
-    <-Lap f, f>_W (exact summation by parts for the flux-form Laplacian)."""
+    <-Lap f, f>_W with :func:`neumann_laplacian` (summation by parts)."""
     lap = neumann_laplacian(f, grid)
     return np.maximum(-np.einsum("...n,n,...n->...", lap, grid.quad_weights, f), 0.0)
 

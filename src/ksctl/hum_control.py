@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, check_all, check_zero_mass, h1_seminorm_sq, l2_norm, l2_sq
+from .grid import (Grid, check_all, check_zero_mass, h1_seminorm_sq, l2_norm, l2_sq,
+                   neumann_laplacian)
 from .ks_model import Control, KSParams, solve_linearized
 from .weights import WeightTable, log_step_sum, log_weight_profile
 
@@ -167,10 +168,8 @@ def apply_L(u: np.ndarray, v: np.ndarray, p: KSParams, grid: Grid):
         L1^k = (u^k - u^{k-1})/dt - Lap u^k + M1 Lap v^k
         L2^k = eps (v^k - v^{k-1})/dt - Lap v^k + b v^k - a u^k
     """
-    A = grid.laplacian_matrix
     dt = grid.dt
-    Au = (A @ u[1:].T).T
-    Av = (A @ v[1:].T).T
+    Au, Av = neumann_laplacian(u[1:], grid), neumann_laplacian(v[1:], grid)
     L1 = (u[1:] - u[:-1]) / dt - Au + p.M1 * Av
     L2 = p.eps * (v[1:] - v[:-1]) / dt - Av + p.b * v[1:] - p.a * u[1:]
     return L1, L2

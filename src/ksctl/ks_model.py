@@ -12,9 +12,9 @@ that differs only in its chemical solve.  Each step fills M(v) = I - dt (A -
 N(v)) face by face into the data slots of the Laplacian's CSC pattern,
 factors it once and solves once, which is the whole lagged step; the
 implicit coupling continues from that first iterate by chord corrections on
-the same factor.  The pattern never changes, so its column order is chosen
-once per grid and every step factors on it with the same arithmetic as a
-plain ``splu``.  A step that yields a non-finite u or v is rejected there.
+the same factor.  The pattern never changes, so its column order is read
+once per grid from :func:`heat_factor` and every step factors on it with
+the arithmetic of a plain ``splu``.  A non-finite u or v stops the march.
 
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix C and the adjoint C*
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, _chem_stencil, _read_only, check_all, check_zero_mass
+from .grid import Grid, _check_field, _chem_stencil, _read_only, check_all, check_zero_mass
 
 __all__ = [
     "KSParams",
@@ -49,10 +49,12 @@ __all__ = [
 
 STEADY_TOL = 1e-12
 INNER_TOL = 1e-13   # the implicit coupling's fixed-point tolerance per step
+INNER_MAXIT = 60    # its iterate cap per step
+BLOWUP_CAP = 1e6    # the density march stops once |u|_inf passes this
 
 
 class BlowUpError(RuntimeError):
-    """Density norm passed the configured cap (chemotaxis blow-up guard)."""
+    """Density norm passed ``BLOWUP_CAP`` (chemotaxis blow-up guard)."""
 
     def __init__(self, step: int, value: float, cap: float):
         super().__init__(
@@ -64,7 +66,7 @@ class BlowUpError(RuntimeError):
 
 
 class InnerIterationError(RuntimeError):
-    """The implicit-coupling fixed point hit ``inner_maxit`` within one step."""
+    """The implicit-coupling fixed point hit ``INNER_MAXIT`` within one step."""
 
     def __init__(self, step: int, delta: float, iterations: int):
         super().__init__(f"implicit coupling unconverged at step {step}: last "
@@ -140,11 +142,11 @@ def _v_step_factor(p: KSParams, grid: Grid):
         p.eps * I - grid.dt * grid.laplacian_matrix + grid.dt * p.b * I))
 
 
-def _check_traj_shape(f, grid: Grid, name: str):
-    if f.shape != (grid.m + 1, grid.num_nodes):
-        raise ValueError(
-            f"{name} has shape {f.shape}, expected {(grid.m + 1, grid.num_nodes)}"
-        )
+def heat_factor(grid: Grid):
+    """The grid's one factor of I - dt A: the backward heat march steps on
+    it, the density step reads its column order (COLAMD sees only the pattern)."""
+    return grid.factor(("heat",), lambda: (
+        sp.identity(grid.num_nodes, format="csr") - grid.dt * grid.laplacian_matrix))
 
 
 class _OrderedFactor(NamedTuple):
@@ -160,13 +162,12 @@ class _OrderedFactor(NamedTuple):
 def _density_factor(v: np.ndarray, grid: Grid) -> _OrderedFactor:
     """SuperLU factor of M(v) = I - dt (A - N(v)), the one factor whose
     coefficients change with every step, on a column order fixed per grid:
-    SuperLU's own (COLAMD, then the etree postorder) for the face table's
-    pattern, from the factor of I - dt A.  On those columns its order and
+    SuperLU's own (COLAMD, then the etree postorder) for the Laplacian's
+    pattern, from :func:`heat_factor`.  On those columns its order and
     postorder are the identity, so pivots and solves are a plain ``splu``'s."""
     st = _chem_stencil(grid)
     if "density-order" not in grid._cache:
-        lu = spla.splu(st.matrix(st.eye - grid.dt * st.lap))   # only its column order is kept
-        perm_c = lu.perm_c.astype(np.intp)   # an int32 index costs ~1 us per gather
+        perm_c = heat_factor(grid).perm_c.astype(np.intp)   # an int32 index costs ~1 us per gather
         pos = np.repeat(perm_c, np.diff(st.indptr))   # each data slot's column position
         gather = np.argsort(pos, kind="stable")
         indptr = np.searchsorted(pos[gather], np.arange(v.size + 1)).astype(st.indptr.dtype)
@@ -193,12 +194,12 @@ def _update_size(du: np.ndarray, dv: np.ndarray) -> float:
 
 
 def _density_march(p: KSParams, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
-                   blowup_cap: float, inner_maxit: int | None = None) -> StateTrajectory:
+                   implicit: bool) -> StateTrajectory:
     """The one density march: per step one factor of M(v[k]), the first
     iterate u = M(v[k])^-1 u[k] and the chemical solve v = chem(k + 1, u, v[k]).
-    That iterate is the lagged step; with ``inner_maxit`` the chord fixed
-    point u += M(v[k])^-1 (u[k] - M(v) u) continues it, with a fresh
-    chemical solve per iterate, until the update falls below INNER_TOL."""
+    That iterate is the lagged step; if ``implicit`` the chord fixed point
+    u += M(v[k])^-1 (u[k] - M(v) u) continues it, with a fresh chemical
+    solve per iterate, until the update falls below INNER_TOL."""
     for name, f in (("u0", u0), ("v0", v0)):   # NaN < 0 is False: no sign check sees it
         if not np.isfinite(f).all():
             raise ValueError(f"initial {name} must be finite")
@@ -210,9 +211,9 @@ def _density_march(p: KSParams, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem
         lu = _density_factor(v[k], grid)
         uk1 = lu.solve(u[k])
         vk1 = chem(k + 1, uk1, v[k])
-        if inner_maxit is not None:
+        if implicit:
             delta, it = _update_size(uk1 - u[k], vk1 - v[k]), 1
-            while not delta < INNER_TOL and math.isfinite(delta) and it < inner_maxit:
+            while not delta < INNER_TOL and math.isfinite(delta) and it < INNER_MAXIT:
                 u_next = uk1 + lu.solve(_density_residual(u[k], uk1, vk1, grid))
                 v_next = chem(k + 1, u_next, v[k])
                 delta = _update_size(u_next - uk1, v_next - vk1)
@@ -221,19 +222,18 @@ def _density_march(p: KSParams, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem
         for name, finite in (("u", math.isfinite(peak)), ("v", np.isfinite(vk1).all())):
             if not finite:
                 raise RuntimeError(f"non-finite {name} at step {k + 1}")
-        if inner_maxit is not None and not delta < INNER_TOL:
+        if implicit and not delta < INNER_TOL:
             raise InnerIterationError(k + 1, delta, it)
-        if peak > blowup_cap:
-            raise BlowUpError(k + 1, peak, blowup_cap)
+        if peak > BLOWUP_CAP:
+            raise BlowUpError(k + 1, peak, BLOWUP_CAP)
         u[k + 1], v[k + 1] = uk1, vk1
     return StateTrajectory(u=u, v=v, params=p, grid=grid)
 
 
 def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
-                     grid: Grid, blowup_cap: float = 1e6, coupling: str = "lagged",
-                     inner_maxit: int = 60) -> StateTrajectory:
+                     grid: Grid, coupling: str = "lagged") -> StateTrajectory:
     """March the fully parabolic system; raises :class:`BlowUpError` if the
-    density norm passes ``blowup_cap``.
+    density norm passes ``BLOWUP_CAP``.
 
     ``coupling='lagged'`` is the default semi-implicit scheme (chemical
     gradient one step behind, no nonlinear solve).  ``coupling='implicit'``
@@ -242,9 +242,11 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
     linearization around the constant state equals the linearized block
     stepper exactly, which is what the nonlinear control verification
     requires (the lagged variant differs at O(dt) in the coupling).  A step
-    whose fixed point is still above ``INNER_TOL`` after ``inner_maxit``
+    whose fixed point is still above ``INNER_TOL`` after ``INNER_MAXIT``
     iterations raises :class:`InnerIterationError`.
     """
+    for name, f, rows in (("u0", u0, ()), ("v0", v0, ()), ("g", c.g, (grid.m + 1,))):
+        _check_field(f, grid, rows, name)
     if np.any(u0 < 0) or np.any(v0 < 0):
         raise ValueError("initial data must be nonnegative")
     if coupling not in ("lagged", "implicit"):
@@ -252,14 +254,14 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
     lu_v = _v_step_factor(p, grid)
     dt = grid.dt
     return _density_march(p, u0, v0, grid, lambda k, u, v_prev: lu_v.solve(
-        p.eps * v_prev + dt * (p.a * u + c.g[k] * c.chi)), blowup_cap,
-        inner_maxit if coupling == "implicit" else None)
+        p.eps * v_prev + dt * (p.a * u + c.g[k] * c.chi)), coupling == "implicit")
 
 
-def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid,
-                     blowup_cap: float = 1e6) -> StateTrajectory:
+def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid) -> StateTrajectory:
     """March the parabolic-elliptic limit: the chemical solves the elliptic
     problem at every step, so no initial chemical data is needed."""
+    for name, f, rows in (("u0", u0, ()), ("g", c.g, (grid.m + 1,))):
+        _check_field(f, grid, rows, name)
     if np.any(u0 < 0):
         raise ValueError("initial density must be nonnegative")
     lu_e = grid.factor(("ell", p.b), lambda: (
@@ -268,7 +270,7 @@ def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid,
     def chem(k, u, v_prev):
         return lu_e.solve(p.a * u + c.g[k] * c.chi)
 
-    return _density_march(p, u0, chem(0, u0, None), grid, chem, blowup_cap)
+    return _density_march(p, u0, chem(0, u0, None), grid, chem, False)
 
 
 def block_step_factor(p: KSParams, grid: Grid, adjoint: bool):
@@ -315,9 +317,9 @@ def solve_linearized(p: KSParams, z0: np.ndarray, w0: np.ndarray, c: Control,
     zeros = np.zeros((m + 1, nn))
     h1 = zeros if h1 is None else h1
     h2 = zeros if h2 is None else h2
-    _check_traj_shape(h1, grid, "h1")
-    _check_traj_shape(h2, grid, "h2")
-    _check_traj_shape(c.g, grid, "control g")
+    for name, f, rows in (("z0", z0, ()), ("w0", w0, ()), ("h1", h1, (m + 1,)),
+                          ("h2", h2, (m + 1,)), ("g", c.g, (m + 1,))):
+        _check_field(f, grid, rows, name)
 
     check_zero_mass(h1, grid, "h1")
     check_zero_mass(z0, grid, "z0")

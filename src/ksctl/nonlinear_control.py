@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Grid, chemotaxis_divergence, l2_norm, l2_sq, mass
+from .grid import (Grid, chemotaxis_divergence, h1_seminorm_sq, l2_norm, l2_sq, mass,
+                   neumann_laplacian)
 from .hum_control import ControlProblem, SolverSettings, apply_L, extract_control, solve_dual
 from .ks_model import Control, KSParams, solve_forward_pp, solve_linearized
 from .weights import WeightTable, _logsumexp, log_step_sum, log_weight_profile
@@ -205,15 +206,12 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     derivative levels).
     """
     dt = grid.dt
-    W = grid.quad_weights
-    A = grid.laplacian_matrix
 
     def sq_h1(fields: np.ndarray) -> np.ndarray:
-        lap = (A @ fields.T).T
-        return np.maximum(l2_sq(fields, grid) - np.einsum("kn,n,kn->k", lap, W, fields), 0.0)
+        return l2_sq(fields, grid) + h1_seminorm_sq(fields, grid)
 
     def sq_h2(fields: np.ndarray) -> np.ndarray:
-        return sq_h1(fields) + l2_sq((A @ fields.T).T, grid)
+        return sq_h1(fields) + l2_sq(neumann_laplacian(fields, grid), grid)
 
     out: dict = {}
 

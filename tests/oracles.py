@@ -18,7 +18,9 @@ tests call.
   of the adjoint block step, in node coordinates as they stood before the
   cosine eigenbasis, taking and returning cosine modes as the CG does;
 * the modal sweep of those marches as a plain step-by-step loop, as it
-  stood before the chunked time scan.
+  stood before the chunked time scan;
+* the Neumann Laplacian as the face table's flux divergence, as it stood
+  before the sparse matrix became its one apply.
 """
 
 import numpy as np
@@ -33,6 +35,13 @@ from ksctl.ks_model import (Control, KSParams, StateTrajectory, _v_step_factor,
                              block_step_factor)
 from ksctl.nonlinear_control import _capped, e_norm, picard_solve
 from ksctl.weights import Eta0, WeightTable, _logsumexp, log_step_sum
+
+
+def face_flux_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """The Laplacian of one field, or row by row of a (slices, nodes) array,
+    as the face table's divergence of the flux (f_r - f_l)/h."""
+    return _chem_stencil(grid).divergence(
+        lambda fc: (f[..., fc.right] - f[..., fc.left]) / fc.h)
 
 
 class DualityMismatchError(ValueError):

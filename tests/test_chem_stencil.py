@@ -3,10 +3,12 @@ oracles, in 1D, 2D square and 2D non-square: the chemotaxis matrix N(v)
 against the COO double-loop build, the two operators
 ``chemotaxis_divergence`` and ``neumann_laplacian`` against the per-dimension
 numpy slice kernels, the divergence, the Laplacian, the H1 seminorm and the
-L2 norm of many slices against one call per slice, the three density
-marches (both couplings and the parabolic-elliptic limit) against the
-per-step matrix build, and the chord march of the implicit coupling against
-the fixed point that refactors every iterate."""
+L2 norm of many slices against one call per slice, the matrix-free M(v)u of
+the chord loop against the matrix the density step factors, the three
+density marches (both couplings and the parabolic-elliptic limit) against
+the per-step matrix build, and the chord march of the implicit coupling
+against the fixed point that refactors every iterate.  The Laplacian's
+matrix apply keeps zero weighted sums and annihilates constants."""
 
 import numpy as np
 import pytest
@@ -194,10 +196,43 @@ def test_batched_grid_reductions_equal_per_slice_calls(grid, op):
 
 
 def test_neumann_laplacian_matches_slice_kernel(grid):
-    # flux form (f_r - f_l)/h / cw versus (f_l - 2 f + f_r)/h^2: roundoff only
+    # the matrix apply versus (f_l - 2 f + f_r)/h^2 per axis: roundoff only
     f, _ = fields(grid, seed=5)
     ref = laplacian_oracle(f, grid)
     assert np.abs(neumann_laplacian(f, grid) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_neumann_laplacian_has_zero_weighted_sum(grid):
+    # W A = 0 column by column, so the apply conserves mass to roundoff
+    W = grid.quad_weights
+    for seed in range(20):
+        lap = neumann_laplacian(np.random.default_rng(seed).standard_normal(grid.num_nodes), grid)
+        assert abs(W @ lap) <= 1e-15 * (W @ np.abs(lap))
+
+
+@pytest.mark.parametrize("args", [*GRIDS.values(), (2, (1.0, 1.0), (32, 32), 1.0, 16)])
+def test_neumann_laplacian_annihilates_constants(args):
+    # a 1D row sums c - 2c + c, exactly 0; the 2D diagonal -2/hx^2 - 2/hy^2
+    # is rounded, so a constant maps to roundoff of c/h^2
+    grid, c = build_grid(*args), 3.7
+    out = neumann_laplacian(np.full(grid.num_nodes, c), grid)
+    if grid.dim == 1:
+        assert np.all(out == 0.0)
+    else:
+        assert np.abs(out).max() <= 1e-15 * c / min(grid.h) ** 2
+
+
+def test_density_residual_is_rhs_minus_the_factored_matrix(grid, monkeypatch):
+    # the chord loop's matrix-free M(v) u on the face table against the
+    # matrix the density step factors, its columns back in grid order
+    rhs, u = fields(grid, seed=6)
+    _, v = fields(grid, seed=7)
+    factored, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda M, **kw: factored.append(M) or splu(M, **kw))
+    lu = ks_model._density_factor(v, grid)
+    want = rhs - factored[-1][:, lu.perm_c] @ u
+    got = ks_model._density_residual(rhs, u, v, grid)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_chem_matrix_columns_have_zero_weighted_sum(grid):
@@ -237,8 +272,8 @@ def test_forward_pp_matches_oracle_stepper(grid, march, eps, monkeypatch):
     # step: the same pivots and solves, so the marches are equal bit for bit
     p, u0, v0, c = forward_data(grid, eps)
     new = MARCHES[march](p, u0, v0, c, grid)
-    # the grid keeps the column order, not the factor it was read from
-    assert "density-order" in grid._cache and ("density",) not in grid._cache
+    # the column order is read from the grid's one factor of I - dt A
+    assert "density-order" in grid._cache and ("heat",) in grid._cache
     monkeypatch.setattr(ks_model, "_density_factor", DensityStepOracle)
     ref = MARCHES[march](p, u0, v0, c, grid)
     assert np.array_equal(new.u, ref.u) and np.array_equal(new.v, ref.v)
@@ -258,7 +293,8 @@ def test_implicit_chord_march_matches_oracle(grid, eps, monkeypatch):
         monkeypatch.setattr(spla, name, counted)
     new = solve_forward_pp(p, u0, v0, c, grid, coupling="implicit")
     # the v-step factor is cached on the grid by the oracle run; the one
-    # extra splu is the density column order, made once on this fresh grid
+    # extra splu is the heat factor that fixes the density column order,
+    # made once on this fresh grid
     assert calls == {"splu": grid.m + 1, "spsolve": 0}
     for got, want in ((new.u, ref.u), (new.v, ref.v)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

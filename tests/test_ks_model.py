@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from ksctl import ks_model
+from ksctl.adjoint import solve_adjoint, solve_backward_heat
 from ksctl.grid import build_grid, l2_norm, mass
 from ksctl.ks_model import (
     BlowUpError,
@@ -87,18 +89,19 @@ def test_pe_limit_of_pp_is_monotone_in_eps():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_blowup_guard_raises():
+def test_blowup_guard_raises(monkeypatch):
     g = build_grid(1, 1.0, 32, 2.0, 64)
     chi = smooth_cutoff(g, OMEGA_PRIME, OMEGA)
     p = KSParams(a=50.0, b=1.0, eps=1.0, M1=1.0, M2=50.0)  # aggregation-dominated
     x = g.axes[0]
     u0 = p.M1 + 0.05 * np.cos(np.pi * x)
     v0 = np.full(g.num_nodes, p.M2)
+    monkeypatch.setattr(ks_model, "BLOWUP_CAP", 1.2)
     with pytest.raises(BlowUpError):
-        solve_forward_pp(p, u0, v0, Control.zero(g, chi), g, blowup_cap=1.2)
+        solve_forward_pp(p, u0, v0, Control.zero(g, chi), g)
 
 
-def test_implicit_coupling_raises_at_inner_cap(params):
+def test_implicit_coupling_raises_at_inner_cap(params, monkeypatch):
     # one inner iteration cannot resolve a step of a perturbed state: the
     # march must say so instead of returning the unconverged step
     g = build_grid(1, 1.0, 32, 1.0, 32)
@@ -106,9 +109,9 @@ def test_implicit_coupling_raises_at_inner_cap(params):
     x = g.axes[0]
     u0 = params.M1 + 0.05 * np.cos(np.pi * x)
     v0 = np.full(g.num_nodes, params.M2)
+    monkeypatch.setattr(ks_model, "INNER_MAXIT", 1)
     with pytest.raises(InnerIterationError, match="at step 1:") as err:
-        solve_forward_pp(params, u0, v0, Control.zero(g, chi), g,
-                         coupling="implicit", inner_maxit=1)
+        solve_forward_pp(params, u0, v0, Control.zero(g, chi), g, coupling="implicit")
     assert err.value.step == 1
     assert err.value.delta >= 1e-13
 
@@ -211,3 +214,40 @@ def test_linearized_matches_mode_oracle(params):
     wm = np.dot(traj.v[-1], cosx) / nrm
     zs, ws = mode_oracle(params, np.pi**2, g.T, 0.01, 0.0)
     assert abs(zm - zs) + abs(wm - ws) < 2e-5
+
+
+SHAPE_CASES = {
+    "lagged": ("u0", "v0", "g"),
+    "implicit": ("u0", "v0", "g"),
+    "pe": ("u0", "g"),
+    "linearized": ("z0", "w0", "h1", "h2", "g"),
+    "adjoint": ("phiT", "xiT", "f1", "f2"),
+    "backward_heat": ("phiT", "source"),
+}
+
+
+@pytest.mark.parametrize("entry,name", [(e, n) for e, names in SHAPE_CASES.items()
+                                        for n in names])
+def test_length_one_datum_is_rejected_by_name(params, entry, name):
+    # a length-1 datum, or one node column of a space-time datum, used to
+    # broadcast over every node without complaint
+    g = build_grid(1, 1.0, 20, 1.0, 16)
+    chi = smooth_cutoff(g, OMEGA_PRIME, OMEGA)
+    nn, m = g.num_nodes, g.m
+    data = {n: np.zeros(nn) for n in ("z0", "w0", "phiT", "xiT")}
+    data |= {n: np.zeros((m + 1, nn)) for n in ("g", "h1", "h2", "f1", "f2", "source")}
+    data |= {"u0": np.full(nn, params.M1), "v0": np.full(nn, params.M2)}
+    calls = {
+        "lagged": lambda d: solve_forward_pp(params, d["u0"], d["v0"], Control(d["g"], chi), g),
+        "implicit": lambda d: solve_forward_pp(params, d["u0"], d["v0"], Control(d["g"], chi),
+                                               g, coupling="implicit"),
+        "pe": lambda d: solve_forward_pe(params, d["u0"], Control(d["g"], chi), g),
+        "linearized": lambda d: solve_linearized(params, d["z0"], d["w0"], Control(d["g"], chi),
+                                                 d["h1"], d["h2"], g),
+        "adjoint": lambda d: solve_adjoint(params, d["phiT"], d["xiT"], d["f1"], d["f2"], g),
+        "backward_heat": lambda d: solve_backward_heat(d["phiT"], d["source"], g),
+    }
+    calls[entry](data)   # the well-shaped data run
+    bad = dict(data, **{name: data[name][..., :1]})
+    with pytest.raises(ValueError, match=f"^{name} has shape "):
+        calls[entry](bad)

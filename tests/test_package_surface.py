@@ -14,9 +14,13 @@ The solver knobs reach every solve inside one ``SolverSettings``: no other
 function or dataclass of the package takes one of them by name.
 
 Every constant sparse factor of the package enters through one cache,
-``Grid.factor``; the only other ``splu`` calls are the density step's: its
-factor, whose coefficients change with every step, and the factor of
-I - dt A that fixes its column order once per grid and is then dropped.
+``Grid.factor``; the only other ``splu`` call is the density step's factor,
+whose coefficients change with every step.  Its column order comes from the
+cached factor of I - dt A that the backward heat march steps on.
+
+The Laplacian has one apply, ``grid.neumann_laplacian``: no other function
+of the package multiplies by ``laplacian_matrix``.  The factor builders
+still read the matrix to assemble theirs.
 """
 
 import ast
@@ -126,3 +130,41 @@ def test_splu_only_in_the_factor_cache_and_the_density_step():
     sites = sorted({site for path, tree in _trees(PACKAGE).items()
                     for site in _splu_sites(tree, path.stem)})
     assert sites == ["grid.Grid.factor", "ks_model._density_factor"]
+
+
+def _laplacian_product_sites(tree, module):
+    """The dotted definition enclosing each matmul or ``.dot`` that has
+    ``laplacian_matrix``, or a local name bound to it, as an operand."""
+    sites = []
+
+    def mentions(node, aliases):
+        return any(isinstance(n, ast.Attribute) and n.attr == "laplacian_matrix"
+                   or isinstance(n, ast.Name) and n.id in aliases for n in ast.walk(node))
+
+    def visit(node, owner, aliases):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}"
+                bound = {t.id for n in ast.walk(child) if isinstance(n, ast.Assign)
+                         and mentions(n.value, ()) for t in n.targets
+                         if isinstance(t, ast.Name)}
+                visit(child, inner, aliases | bound)
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+                if mentions(child.left, aliases) or mentions(child.right, aliases):
+                    sites.append(owner)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "dot"
+                  and (mentions(child.func.value, aliases)
+                       or any(mentions(a, aliases) for a in child.args))):
+                sites.append(owner)
+            visit(child, owner, aliases)
+
+    visit(tree, module, frozenset())
+    return sites
+
+
+def test_laplacian_matrix_is_applied_only_by_neumann_laplacian():
+    sites = sorted({site for path, tree in _trees(PACKAGE).items()
+                    for site in _laplacian_product_sites(tree, path.stem)})
+    assert sites == ["grid.neumann_laplacian"]
