@@ -135,9 +135,9 @@ def _coerce(default, value, key: str, violations: list):
             violations.append(f"'{key}' must be a mapping, got {value!r}")
             value = None
         return _merge(default, value or {}, f"{key}.", violations)
-    if key in _NUMBER_LISTS and isinstance(value, list):
+    if key in _NUMBER_LISTS and isinstance(value, list):   # each item a number, under its index
         item = default[0] if isinstance(default, list) else default
-        return [_coerce(item, x, key, violations) for x in value]
+        return [_coerce(item, x, f"{key}[{i}]", violations) for i, x in enumerate(value)]
     if isinstance(default, list) and key in _NUMBER_LISTS:
         violations.append(f"'{key}' must be a list of numbers, got {value!r}")
         return default
@@ -243,18 +243,22 @@ def parse_config(path: str | None, overrides: dict | None = None) -> ExperimentC
             raise ConfigError([f"config {path} is not a key-value mapping"])
     merged = _merge(DEFAULTS, data, "", violations)
     for dotted, value in (overrides or {}).items():
-        parts = dotted.split(".")
-        node = merged
-        for part in parts[:-1]:
-            if not isinstance(node.get(part), dict):
+        *sections, leaf = dotted.split(".")
+        node, default = merged, DEFAULTS   # merged has the sections of DEFAULTS
+        for part in sections:
+            if not isinstance(default.get(part), dict):
                 violations.append(f"unknown override section '{dotted}'")
                 break
-            node = node[part]
+            node, default = node[part], default[part]
         else:
-            if parts[-1] not in node:
+            if leaf not in default:
                 violations.append(f"unknown override key '{dotted}'")
-            else:
-                node[parts[-1]] = _coerce(node[parts[-1]], value, dotted, violations)
+            elif isinstance(default[leaf], dict) and not isinstance(value, (dict, type(None))):
+                violations.append(f"'{dotted}' must be a mapping, got {value!r}")
+            else:   # coerced against the default, as the file's values are
+                if isinstance(default[leaf], dict):   # a section keeps the file's other keys
+                    value = {**node[leaf], **(value or {})}
+                node[leaf] = _coerce(default[leaf], value, dotted, violations)
     cfg = ExperimentConfig(**merged)
     violations += _domain_violations(cfg) + _validate(merged)
     if violations:
@@ -495,7 +499,7 @@ def _cmd_control_nonlinear(cfg: ExperimentConfig, runner: _Runner) -> int:
         "g_l2h1": result.g_l2h1, "forward_residual": result.forward_residual,
         "forward_residual_lagged": lagged,
         "failure_reason": result.failure_reason,
-        "e_norm_log_components": {k: v["log"] for k, v in components.items()},
+        "e_norm_log_components": components,
     }
     code = 0 if result.converged else 2 if result.curvature_ok else 3
     if not result.converged:

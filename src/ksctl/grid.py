@@ -16,6 +16,7 @@ structural here, not accidental.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -174,7 +175,7 @@ def build_grid(dim, L, n, T, m) -> Grid:
     violated rule is reported, in one :class:`ConfigError`.
     """
     Lt = tuple(float(x) for x in np.atleast_1d(L))
-    nt = tuple(float(x) for x in np.atleast_1d(n))
+    nt = tuple(np.inf if abs(x) > sys.float_info.max else float(x) for x in np.atleast_1d(n))
     if dim == 2:
         Lt, nt = (t * 2 if len(t) == 1 else t for t in (Lt, nt))
     dim_ok = dim in (1, 2)
@@ -183,7 +184,9 @@ def build_grid(dim, L, n, T, m) -> Grid:
         (not dim_ok or len(nt) == dim, f"n must have one entry per axis (dim={dim})"),
         (not dim_ok or len(Lt) == dim, f"L must have one entry per axis (dim={dim})"),
         (all(x >= 8 for x in nt), "n must be at least 8 intervals per axis"),
+        (all(x < np.inf for x in nt), "n must be within double range"),
         (m >= 16, "m must be at least 16 time steps"),
+        (m <= sys.float_info.max, "m must be within double range"),
         (all(x > 0 for x in Lt), "L must be positive"),
         (T > 0, "T must be > 0.0"),
     ])

@@ -95,11 +95,9 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
     damping = settings.damping
     term_hist: list = []
     upd_hist: list = []
-    result_ctl = None
-    res = dual = None
+    res = None
     converged = False
     best_term = np.inf
-    it = 0
     for it in range(1, settings.maxit + 1):
         h1 = -chemotaxis_divergence(z, w, grid)
         prob = ControlProblem(params=p, grid=grid, weights=weights, chi=chi,
@@ -118,23 +116,22 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
         best_term = min(best_term, term)
         z = (1.0 - damping) * z + damping * z_new
         w = (1.0 - damping) * w + damping * w_new
-        result_ctl = res.control
         if term < settings.tol and upd < settings.tol:
             converged = True
             break
 
     reason = None if converged else (f"{dual.failure} in Picard iteration {it}"
-                                     if dual and dual.failure else "no_convergence")
+                                     if dual.failure else "no_convergence")
     fwd_res = np.inf
     if converged:
-        fwd_res = forward_residual(p, u0, v0, result_ctl, grid, "implicit")
+        fwd_res = forward_residual(p, u0, v0, res.control, grid, "implicit")
         if fwd_res >= 2.0 * settings.tol:
             converged, reason = False, "forward_verification"
     return NonlinearControlResult(
         converged=converged, iterations=it, terminal_history=term_hist,
-        update_history=upd_hist, control=result_ctl, z=z, w=w,
+        update_history=upd_hist, control=res.control if res else None, z=z, w=w,
         g_l2h1=res.g_l2h1 if res else 0.0, forward_residual=fwd_res,
-        failure_reason=reason, curvature_ok=dual is None or dual.curvature_ok,
+        failure_reason=reason, curvature_ok=dual.curvature_ok,
     )
 
 
@@ -178,27 +175,21 @@ def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
 
 
 def _capped(profile: np.ndarray, cap: float) -> np.ndarray:
-    """Cap a reciprocal log-profile at (its finite minimum) - log(cap);
-    cap = 0 keeps the true (uncapped) weights.  NaNs from inf - inf at the
-    singular terminal step mean the reciprocal weight blows up there, so
-    they are +inf before capping."""
+    """Cap a reciprocal log-profile at (its finite minimum) - log(cap).  NaNs
+    from inf - inf at the singular terminal step mean the reciprocal weight
+    blows up there, so they are +inf before capping."""
     profile = np.where(np.isnan(profile), np.inf, profile)
-    if cap <= 0.0:
-        return profile
-    finite = profile[np.isfinite(profile)]
-    return np.minimum(profile, finite.min() - np.log(cap))
+    return np.minimum(profile, profile[np.isfinite(profile)].min() - np.log(cap))
 
 
 def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
            weights: WeightTable, params: KSParams, chi: np.ndarray,
-           grid: Grid, cap: float = 0.0) -> dict:
-    """Component-wise weighted norms of a fluctuation triplet (z, w, g).
-
-    Returns each component as a log (of the norm) plus the exponentiated
-    value; components whose weights blow up at the terminal time can
-    legitimately be infinite on arbitrary inputs.  ``cap`` bounds every
-    reciprocal weight profile at ``1/cap`` times its minimum, matching the
-    working weights of a control solve with ``weight_floor = cap``.
+           grid: Grid, cap: float) -> dict:
+    """Component-wise weighted norms of a fluctuation triplet (z, w, g), as
+    the log of each norm; components whose weights blow up at the terminal
+    time can legitimately be infinite on arbitrary inputs.  ``cap > 0``
+    bounds every reciprocal weight profile at ``1/cap`` times its minimum,
+    matching the working weights of a control solve with ``weight_floor = cap``.
 
     Components: the three terminal-vanishing state/control weights, the two
     residual weights of the operator pair, and the three regularity weights
@@ -210,70 +201,46 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     def sq_h1(fields: np.ndarray) -> np.ndarray:
         return l2_sq(fields, grid) + h1_seminorm_sq(fields, grid)
 
-    def sq_h2(fields: np.ndarray) -> np.ndarray:
-        return sq_h1(fields) + l2_sq(neumann_laplacian(fields, grid), grid)
-
-    out: dict = {}
-
-    def put(name: str, log_sq: float):
-        if np.isneginf(log_sq):
-            out[name] = {"log": float("-inf"), "value": 0.0}
-        elif not np.isfinite(log_sq):
-            out[name] = {"log": float("inf"), "value": float("inf")}
-        else:
-            out[name] = {
-                "log": 0.5 * log_sq,
-                "value": float(np.exp(0.5 * log_sq)) if log_sq < 1400 else np.inf,
-            }
-
     def recip(kind: str, power: float) -> np.ndarray:
         return _capped(-log_weight_profile(weights, kind, power), cap)
 
-    # terminal-vanishing weights (slices 1..m pair with the stepper output)
-    prof_u, prof_v, prof_g = (recip("beta_star", k) for k in (10.0, 3.0, 18.0))
-    prof_r1 = recip("beta_hat", 3.0)
-    logw5 = recip("beta", 2.0)
-    put("state_u", log_step_sum(prof_u[:-1], dt * l2_sq(z[1:], grid)))
-    put("state_v", log_step_sum(prof_v[:-1], dt * l2_sq(w[1:], grid)))
-    put("control_g", log_step_sum(prof_g[:-1], dt * l2_sq(chi * g[1:], grid)))
+    def steps(profile: np.ndarray, sq: np.ndarray) -> float:
+        # the profile's steps 0..m-1 pair with slices 1..m of the stepper output
+        return log_step_sum(profile[:-1], dt * sq)
 
-    # residual weights
     L1, L2 = apply_L(z, w, params, grid)
-    h2res = L2 - g[1:] * chi[None, :]
-    put("residual_density", log_step_sum(prof_r1[:-1], dt * l2_sq(L1, grid)))
-    # full (x-dependent) weight for the chemical residual, H1 in space
-    with np.errstate(over="ignore"):
-        weighted = np.exp(0.5 * logw5[1:]) * h2res
-    if np.all(np.isfinite(weighted)):
-        total5 = float(np.sum(dt * sq_h1(weighted)))
-        put("residual_chemical_h1",
-            float(np.log(total5)) if total5 > 0.0 else float("-inf"))
-    else:
-        put("residual_chemical_h1", float("inf"))
-
+    # full (x-dependent) weight for the chemical residual, H1 in space; it
+    # overflows to +inf, and a NaN square (inf - inf) is dropped as -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = np.exp(0.5 * recip("beta", 2.0)[1:]) * (L2 - g[1:] * chi[None, :])
+        total5 = float(np.sum(dt * sq_h1(weighted))) if np.all(np.isfinite(weighted)) else np.inf
     # regularity weights (H2 / H1 levels), mixing the per-step extrema
-    tsb_star = 2.0 * weights.params.s * weights.exponent_star
-    tsb_hat = 2.0 * weights.params.s * weights.exponent_hat
+    tsb_star = log_weight_profile(weights, "beta_star", 0.0)
+    tsb_hat = log_weight_profile(weights, "beta_hat", 0.0)
     lgh = weights.log_factor_hat
     with np.errstate(invalid="ignore"):
-        log_c6 = _capped(0.25 * tsb_star - 0.5 * tsb_hat + (13.0 / 8.0) * lgh, cap)
-        log_c7 = _capped(-(0.25 * tsb_star) - (25.0 / 8.0) * lgh, cap)
-    l2h2 = log_step_sum(2.0 * log_c6[:-1], dt * sq_h2(z[1:]))
+        log_c6 = 2.0 * _capped(0.25 * tsb_star - 0.5 * tsb_hat + (13.0 / 8.0) * lgh, cap)
+        log_c7 = 2.0 * _capped(-(0.25 * tsb_star) - (25.0 / 8.0) * lgh, cap)
+    h1_z = sq_h1(z)   # its rows 1..m are the H1 part of z[1:]'s H2 square
     with np.errstate(divide="ignore"):
-        linf_logs = 2.0 * log_c6 + np.log(sq_h1(z))
+        linf_logs = log_c6 + np.log(h1_z)
     finite_linf = linf_logs[np.isfinite(linf_logs)]
-    linfh1 = float(finite_linf.max()) if finite_linf.size else float("-inf")
-    put("state_u_h2", float(np.logaddexp(l2h2, linfh1)))
-    put("state_v_h2", log_step_sum(2.0 * log_c7[:-1], dt * sq_h2(w[1:])))
-    put("control_g_h1", log_step_sum(2.0 * log_c7[:-1], dt * sq_h1(g[1:])))
-
-    logs = [v["log"] for v in out.values()]
-    if any(np.isposinf(t) for t in logs):
-        out["total"] = {"log": float("inf"), "value": float("inf")}
-    else:
-        finite = [t for t in logs if np.isfinite(t)]
-        out["total"] = {
-            "log": _logsumexp(finite) if finite else float("-inf"),
-            "value": float(sum(v["value"] for v in out.values())),
-        }
+    # log of each squared norm
+    sq_logs = {
+        "state_u": steps(recip("beta_star", 10.0), l2_sq(z[1:], grid)),
+        "state_v": steps(recip("beta_star", 3.0), l2_sq(w[1:], grid)),
+        "control_g": steps(recip("beta_star", 18.0), l2_sq(chi * g[1:], grid)),
+        "residual_density": steps(recip("beta_hat", 3.0), l2_sq(L1, grid)),
+        "residual_chemical_h1": float(np.log(total5)) if total5 > 0.0 else -np.inf,
+        "state_u_h2": float(np.logaddexp(
+            steps(log_c6, h1_z[1:] + l2_sq(neumann_laplacian(z[1:], grid), grid)),
+            float(finite_linf.max()) if finite_linf.size else -np.inf)),
+        "state_v_h2": steps(log_c7, sq_h1(w[1:]) + l2_sq(neumann_laplacian(w[1:], grid), grid)),
+        "control_g_h1": steps(log_c7, sq_h1(g[1:])),
+    }
+    # the log of each norm; a NaN log (inf - inf) means an overflow
+    out = {name: v if v == -np.inf else 0.5 * v if np.isfinite(v) else np.inf
+           for name, v in sq_logs.items()}
+    finite = [t for t in out.values() if np.isfinite(t)]
+    out["total"] = np.inf if np.inf in out.values() else _logsumexp(finite) if finite else -np.inf
     return out

@@ -65,7 +65,7 @@ def check_boxes(dim: int, L, omega0, omega_prime, omega) -> list[np.ndarray]:
     for name, box in named.items():
         try:
             b = np.atleast_2d(np.asarray(box, dtype=float))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):   # or an int beyond double range
             b = None
         if b is None or b.shape != (dim, 2):
             bad.append(f"{name} must be one (lo, hi) pair per axis (dim={dim}), got {box!r}")
@@ -195,7 +195,11 @@ def weight_params(T: float, lam: float = 1.5, s: float | None = None,
                   sigma0: float = 1.0) -> WeightParams:
     """Default rule ``s = sigma0 * (T^4 + T^8)``; pass ``s`` to override."""
     if s is None:
-        s = sigma0 * (T**4 + T**8)
+        try:
+            s = sigma0 * (T**4 + T**8)
+        except OverflowError:
+            raise ConfigError([f"s = sigma0 * (T^4 + T^8) is beyond double range "
+                               f"at grid.T = {T}"]) from None
     return WeightParams(s=float(s), lam=float(lam))
 
 

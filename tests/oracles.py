@@ -326,8 +326,7 @@ def delta_radius(p: KSParams, weights: WeightTable, chi: np.ndarray,
 
 def bilinear_continuity_ratio(z: np.ndarray, w: np.ndarray,
                               weights: WeightTable, params: KSParams,
-                              chi: np.ndarray, grid: Grid,
-                              cap: float = 0.0) -> float:
+                              chi: np.ndarray, grid: Grid, cap: float) -> float:
     """Measured continuity constant of the quadratic remainder: the weighted
     source-space norm of div(z grad w) over the product of the two
     regularity norms that bound it."""
@@ -342,7 +341,7 @@ def bilinear_continuity_ratio(z: np.ndarray, w: np.ndarray,
         )[:-1]
     sqs = np.einsum("kn,n,kn->k", h1[1:], grid.quad_weights, h1[1:])
     log_num = 0.5 * log_step_sum(w4, grid.dt * sqs)
-    log_den = comp["state_u_h2"]["log"] + comp["state_v_h2"]["log"]
+    log_den = comp["state_u_h2"] + comp["state_v_h2"]
     if not (np.isfinite(log_num) and np.isfinite(log_den)):
         return 0.0 if np.isneginf(log_num) else float("inf")
     return float(np.exp(log_num - log_den))

@@ -151,6 +151,15 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--grid.m=nan",
     "--solver.seed=-1",         # numpy draws from a nonnegative seed
     "--physics.a=1" + "0" * 400,  # an integer beyond double range
+    "--grid.n=[[1,2,3]]",       # a number list takes numbers, not lists
+    "--grid.L=[[1.0]]",
+    "--physics.eps_list=[[0.5]]",
+    "--weights.s_scan=[[1,2]]",
+    "--grid.T=1e308",           # s = sigma0 (T^4 + T^8) beyond double range
+    "--grid.T=1e40",
+    "--grid.m=1" + "0" * 400,   # a count beyond double range
+    "--grid.n=1" + "0" * 400,
+    "--weights.omega0=[1" + "0" * 400 + ",2]",
 ])
 def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
@@ -158,6 +167,33 @@ def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+    assert override[2:].partition("=")[0] in err   # the violation names its key
+
+
+def test_a_huge_seed_still_runs(tmp_path):
+    # numpy's default_rng takes any nonnegative integer
+    path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
+    assert main(["simulate", "--config", path, "--solver.seed=1" + "0" * 400]) == 0
+
+
+@pytest.mark.parametrize("key, in_file, override", [
+    ("n", [16, 16], 20),          # a scalar over the file's list
+    ("n", 20, [16, 16]),          # a list over the file's scalar
+    ("L", [1.0, 1.0], 2.0),
+    ("L", 2.0, [1.0, 1.0]),
+])
+@pytest.mark.parametrize("as_section", [False, True])   # --grid.n=20 or --grid={n: 20}
+def test_an_override_is_coerced_like_the_same_value_in_the_file(tmp_path, key, in_file,
+                                                                override, as_section):
+    boxes = {"omega0": [[0.30, 0.40]] * 2, "omega_prime": [[0.25, 0.45]] * 2,
+             "omega": [[0.20, 0.50]] * 2}
+    grid = {"dim": 2, "L": [1.0, 1.0], "n": [16, 16], "m": 20}
+    overrides = {"grid": {key: override}} if as_section else {f"grid.{key}": override}
+    over = parse_config(write_cfg(tmp_path, "a.yaml", grid={**grid, key: in_file},
+                                  weights=boxes), overrides)
+    same = parse_config(write_cfg(tmp_path, "b.yaml", grid={**grid, key: override},
+                                  weights=boxes))
+    assert over.content_hash == same.content_hash
 
 
 @pytest.mark.parametrize("solver, override, message", [

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from ksctl.grid import chemotaxis_divergence, mass
+from ksctl import grid as grid_mod
+from ksctl import hum_control, nonlinear_control
+from ksctl.grid import chemotaxis_divergence, h1_seminorm_sq, l2_sq, mass
 from ksctl.hum_control import SolverSettings
 from ksctl.ks_model import BlowUpError
-from ksctl.nonlinear_control import e_norm, eps_sweep, forward_residual, picard_solve
+from ksctl.nonlinear_control import _capped, e_norm, eps_sweep, forward_residual, picard_solve
+from ksctl.weights import log_weight_profile
 
 import oracles
 from oracles import bilinear_continuity_ratio, delta_radius
@@ -100,12 +103,19 @@ def test_eps_sweep_small(params, grid_small, weights_small, chi_small):
     assert 1.0 <= rep.uniformity_ratio < 10.0
 
 
+E_NORM_KEYS = ["state_u", "state_v", "control_g", "residual_density",
+               "residual_chemical_h1", "state_u_h2", "state_v_h2", "control_g_h1",
+               "total"]
+
+
 def test_e_norm_zero_and_homogeneity(params, grid_small, weights_small, chi_small):
     shape = (grid_small.m + 1, grid_small.num_nodes)
     zero = np.zeros(shape)
     comp0 = e_norm(zero, zero, zero, weights_small, params, chi_small,
                    grid_small, cap=1e-6)
-    assert all(v["value"] == 0.0 for v in comp0.values())
+    assert list(comp0) == E_NORM_KEYS
+    # exactly -inf, not a log that underflows
+    assert all(v == -np.inf for v in comp0.values())
 
     rng = np.random.default_rng(0)
     z = 1e-3 * rng.standard_normal(shape)
@@ -114,10 +124,10 @@ def test_e_norm_zero_and_homogeneity(params, grid_small, weights_small, chi_smal
     c1 = e_norm(z, w, g, weights_small, params, chi_small, grid_small, cap=1e-6)
     c2 = e_norm(2 * z, 2 * w, 2 * g, weights_small, params, chi_small,
                 grid_small, cap=1e-6)
+    assert list(c1) == E_NORM_KEYS
     for key in c1:
-        if np.isfinite(c1[key]["log"]):
-            assert c2[key]["log"] - c1[key]["log"] == pytest.approx(
-                np.log(2.0), abs=1e-9)
+        if np.isfinite(c1[key]):
+            assert c2[key] - c1[key] == pytest.approx(np.log(2.0), abs=1e-9)
 
 
 def test_e_norm_finite_on_converged_output(params, grid_small, weights_small,
@@ -129,7 +139,61 @@ def test_e_norm_finite_on_converged_output(params, grid_small, weights_small,
                      SolverSettings(weight_floor=1e-6))
     comp = e_norm(r.z, r.w, r.control.g, weights_small, params, chi_small,
                   grid_small, cap=1e-6)
-    assert all(np.isfinite(v["log"]) for v in comp.values())
+    assert list(comp) == E_NORM_KEYS
+    assert all(isinstance(v, float) and np.isfinite(v) for v in comp.values())
+
+
+def test_e_norm_overflowing_chemical_residual_is_infinite(params, grid_small,
+                                                          weights_small, chi_small):
+    # at cap 1e-300 the singular terminal step keeps a reciprocal weight of
+    # about exp(550), so a control of 1e80 overflows the weighted chemical
+    # residual there while every unweighted square stays finite
+    shape = (grid_small.m + 1, grid_small.num_nodes)
+    zero = np.zeros(shape)
+    comp = e_norm(zero, zero, np.full(shape, 1e80), weights_small, params,
+                  chi_small, grid_small, cap=1e-300)
+    assert comp["residual_chemical_h1"] == comp["total"] == np.inf
+    assert np.isfinite(comp["control_g"]) and np.isfinite(comp["control_g_h1"])
+
+
+def test_e_norm_nan_chemical_square_is_dropped(params, grid_small, weights_small,
+                                               chi_small):
+    # a weighted residual near 1e190 is finite, but its H1 square is
+    # inf - inf = NaN; like log_step_sum's NaN terms it counts as no term
+    shape = (grid_small.m + 1, grid_small.num_nodes)
+    zero = np.zeros(shape)
+    g = np.full(shape, 1e100)
+    comp = e_norm(zero, zero, g, weights_small, params, chi_small, grid_small,
+                  cap=1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = np.exp(0.5 * _capped(-log_weight_profile(weights_small, "beta", 2.0),
+                                        1e-6)[1:]) * -(g[1:] * chi_small)
+        sq = l2_sq(weighted, grid_small) + h1_seminorm_sq(weighted, grid_small)
+    assert np.all(np.isfinite(weighted)) and np.isnan(sq).any()
+    assert comp["residual_chemical_h1"] == -np.inf
+    assert np.isfinite(comp["total"])
+    assert comp["total"] == pytest.approx(np.logaddexp(comp["control_g"],
+                                                       comp["control_g_h1"]), abs=1e-12)
+
+
+def test_e_norm_makes_eight_laplacian_products(params, grid_small, weights_small,
+                                               chi_small, monkeypatch):
+    # apply_L's two, one for the chemical residual's H1 square, H1 of z over
+    # all slices (reused for z's H2 square), the H2 term of z, H1 and H2 of
+    # w, and H1 of g
+    calls = []
+    original = grid_mod.neumann_laplacian
+
+    def counted(f, grid):
+        calls.append(f.shape)
+        return original(f, grid)
+
+    for module in (grid_mod, hum_control, nonlinear_control):
+        monkeypatch.setattr(module, "neumann_laplacian", counted)
+    rng = np.random.default_rng(3)
+    z, w, g = 1e-3 * rng.standard_normal((3, grid_small.m + 1, grid_small.num_nodes))
+    e_norm(z, w, g, weights_small, params, chi_small, grid_small, cap=1e-6)
+    assert len(calls) == 8
 
 
 def test_bilinear_continuity_bounded(params, grid_small, weights_small, chi_small):
