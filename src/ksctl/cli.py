@@ -63,16 +63,10 @@ class ExperimentConfig:
     solver: dict
     io: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "grid": self.grid, "physics": self.physics,
-            "weights": self.weights, "solver": self.solver, "io": self.io,
-        }
-
     @property
     def content_hash(self) -> str:
         # identifies the experiment: io plumbing (output paths) excluded
-        payload = {k: v for k, v in self.as_dict().items() if k != "io"}
+        payload = {k: v for k, v in asdict(self).items() if k != "io"}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -189,8 +183,8 @@ def _validate(cfg: dict) -> list:
     ph, w = cfg["physics"], cfg["weights"]
     if not ph["eps_list"]:
         v.append("physics.eps_list must not be empty")
-    if ph["delta"] < 0:
-        v.append("physics.delta must be nonnegative")
+    if not 0 <= ph["delta"] < np.inf:
+        v.append("physics.delta must be nonnegative and finite")
     if not ph["mode"] >= 1:
         v.append("physics.mode must be a positive integer")
     if not (w["s_scan"] and all(x > 0 for x in w["s_scan"])):
@@ -337,7 +331,7 @@ class _Runner:
         if cfg.io["format"] in ("json", "both"):
             record = {
                 "command": self.command,
-                "config": cfg.as_dict(),
+                "config": asdict(cfg),
                 "config_hash": cfg.content_hash,
                 "wall_seconds": time.time() - self.t_start,
                 "phase_marks": {

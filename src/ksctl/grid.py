@@ -116,11 +116,23 @@ class Grid:
         X, Y = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
         return _read_only(np.column_stack([X.ravel(), Y.ravel()]))
 
+    @cached_property
+    def faces(self) -> tuple[_Faces, ...]:
+        """The faces along each axis, x first, in C order (see :class:`_Faces`)."""
+        ijk = np.indices(self.shape).reshape(self.dim, self.num_nodes)
+        faces = []
+        for ax, n in enumerate(self.n):
+            left = np.flatnonzero(ijk[ax] < n)
+            stride = int(np.prod(self.shape[ax + 1:]))
+            faces.append(_Faces(_read_only(left), _read_only(left + stride), self.h[ax],
+                                _read_only(self.axis_weights(ax)[ijk[ax]])))
+        return tuple(faces)
+
     # -- cached operator matrices ----------------------------------------
 
     @cached_property
     def _cache(self) -> dict:
-        # per-grid store for the constant factors and the face table
+        # per-grid store for the constant factors and the density pattern
         return {}
 
     def factor(self, key, build):
@@ -189,6 +201,7 @@ def build_grid(dim, L, n, T, m) -> Grid:
         (m <= sys.float_info.max, "m must be within double range"),
         (all(x > 0 for x in Lt), "L must be positive"),
         (T > 0, "T must be > 0.0"),
+        (T != np.inf, "T must be finite"),   # NaN fails only the rule above
     ])
     return Grid(dim=dim, L=Lt, n=tuple(int(x) for x in nt), T=float(T), m=int(m))
 
@@ -239,78 +252,23 @@ class _Faces:
     cw: np.ndarray
 
 
-@dataclass(frozen=True)
-class _ChemStencil:
-    """The grid's face table: the chemotaxis flux, N(v) and matrix-free M(v)u.
-
-    A face flux q leaves its left node and enters its right node, and each
-    node divides its net outflow by its cell width; with no boundary faces
-    the weighted sum telescopes to zero.  div(u grad v) takes
-    q = 0.5 (u_l + u_r)(v_r - v_l)/h; ``lap`` holds :attr:`Grid.laplacian_matrix`.
-
-    The density step assembles N(v) on the Laplacian's sorted CSC pattern:
-    face (l, r) puts 0.5 (v_r - v_l)/h into slots (l,l), (l,r) over +cw_l
-    and (r,l), (r,r) over -cw_r; faces run axis by axis in C order, so each
-    diagonal sums in the order of the COO build this replaced."""
-
-    faces: tuple[_Faces, ...]
-    indices: np.ndarray
-    indptr: np.ndarray
-    lap: np.ndarray    # Laplacian data on the pattern
-    eye: np.ndarray    # identity data on the pattern
-    cw4: np.ndarray    # per slot: signed cell width
-    slots: np.ndarray
-
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.indptr.size - 1,) * 2)
-
-    def chem_data(self, v: np.ndarray) -> np.ndarray:
-        coeff = np.concatenate([0.5 * ((v[f.right] - v[f.left]) / f.h) for f in self.faces])
-        return np.bincount(self.slots, np.repeat(coeff, 4) / self.cw4,
-                           minlength=len(self.lap))
-
-    def divergence(self, flux) -> np.ndarray:
-        """Sum over the axes, x first, of the net outflow per cell width of
-        the face flux ``flux(faces)``: one field, or a row per slice when the
-        flux is (slices, faces), each row summed as its slice alone would be."""
-        nn = self.indptr.size - 1
-        out = None
-        for f in self.faces:
-            q = flux(f)
-            rows, left, right, size = q.shape[:-1], f.left, f.right, q.size // f.left.size * nn
-            if rows:   # slice k's nodes offset by k nn: one bincount over all slices
-                at = nn * np.arange(rows[0])[:, None]
-                left, right, q = (left + at).ravel(), (right + at).ravel(), q.ravel()
-            d = (np.bincount(left, q, size) - np.bincount(right, q, size)).reshape(*rows, nn) / f.cw
-            out = d if out is None else out + d
-        return out
-
-
-def _chem_stencil(grid: Grid) -> _ChemStencil:
-    if "chem" not in grid._cache:
-        A = grid.laplacian_matrix.tocsc()
-        A.sort_indices()
-        nn = grid.num_nodes
-        cols = np.repeat(np.arange(nn), np.diff(A.indptr))
-        ijk = np.indices(grid.shape).reshape(grid.dim, nn)
-        faces = []
-        for ax, (n, h) in enumerate(zip(grid.n, grid.h)):
-            l = np.flatnonzero(ijk[ax] < n)     # left nodes, C order
-            stride = int(np.prod(grid.shape[ax + 1:]))
-            faces.append(_Faces(l, l + stride, h, grid.axis_weights(ax)[ijk[ax]]))
-        l = np.concatenate([f.left for f in faces])
-        r = np.concatenate([f.right for f in faces])
-        cwl = np.concatenate([f.cw[f.left] for f in faces])
-        cwr = np.concatenate([f.cw[f.right] for f in faces])
-        grid._cache["chem"] = _ChemStencil(
-            faces=tuple(faces), indices=A.indices, indptr=A.indptr, lap=A.data,
-            eye=np.where(cols == A.indices, 1.0, 0.0),
-            cw4=np.column_stack([cwl, cwl, -cwr, -cwr]).ravel(),
-            slots=np.searchsorted(cols * nn + A.indices,   # ascending keys
-                                  (np.column_stack([l, r, l, r]) * nn
-                                   + np.column_stack([l, l, r, r])).ravel()),
-        )
-    return grid._cache["chem"]
+def _divergence(grid: Grid, flux) -> np.ndarray:
+    """Sum over the axes, x first, of the net outflow per cell width of the
+    face flux ``flux(faces)``: one field, or a row per slice when the flux is
+    (slices, faces), each row summed as its slice alone would be.  A face
+    flux leaves its left node and enters its right node; with no boundary
+    faces the weighted sum telescopes to zero."""
+    nn = grid.num_nodes
+    out = None
+    for f in grid.faces:
+        q = flux(f)
+        rows, left, right, size = q.shape[:-1], f.left, f.right, q.size // f.left.size * nn
+        if rows:   # slice k's nodes offset by k nn: one bincount over all slices
+            at = nn * np.arange(rows[0])[:, None]
+            left, right, q = (left + at).ravel(), (right + at).ravel(), q.ravel()
+        d = (np.bincount(left, q, size) - np.bincount(right, q, size)).reshape(*rows, nn) / f.cw
+        out = d if out is None else out + d
+    return out
 
 
 def neumann_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -325,7 +283,7 @@ def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarra
     row by row of two (slices, nodes) arrays; each weighted sum is exactly 0."""
     _check_field(u, grid, u.shape[:-1][:1])
     _check_field(v, grid, u.shape[:-1][:1])
-    return _chem_stencil(grid).divergence(lambda fc: 0.5 * (
+    return _divergence(grid, lambda fc: 0.5 * (
         u[..., fc.left] + u[..., fc.right]) * (v[..., fc.right] - v[..., fc.left]) / fc.h)
 
 

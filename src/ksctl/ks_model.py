@@ -12,9 +12,10 @@ that differs only in its chemical solve.  Each step fills M(v) = I - dt (A -
 N(v)) face by face into the data slots of the Laplacian's CSC pattern,
 factors it once and solves once, which is the whole lagged step; the
 implicit coupling continues from that first iterate by chord corrections on
-the same factor.  The pattern never changes, so its column order is read
-once per grid from :func:`heat_factor` and every step factors on it with
-the arithmetic of a plain ``splu``.  A non-finite u or v stops the march.
+the same factor.  The pattern never changes, so it is laid out once per
+grid in the column order of :func:`heat_factor` and every step factors on
+it with the arithmetic of a plain ``splu``.  A non-finite u or v stops the
+march.
 
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix C and the adjoint C*
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, _check_field, _chem_stencil, _read_only, check_all, check_zero_mass
+from .grid import Grid, _check_field, _divergence, _read_only, check_all, check_zero_mass
 
 __all__ = [
     "KSParams",
@@ -144,9 +145,60 @@ def _v_step_factor(p: KSParams, grid: Grid):
 
 def heat_factor(grid: Grid):
     """The grid's one factor of I - dt A: the backward heat march steps on
-    it, the density step reads its column order (COLAMD sees only the pattern)."""
+    it, the density step lays its pattern out in its column order (COLAMD
+    sees only the pattern)."""
     return grid.factor(("heat",), lambda: (
         sp.identity(grid.num_nodes, format="csr") - grid.dt * grid.laplacian_matrix))
+
+
+class _DensityPattern(NamedTuple):
+    """M(v)'s CSC pattern, the Laplacian's, with its columns already in the
+    order ``perm_c`` of :func:`heat_factor`: grid column j sits at position
+    ``perm_c[j]``, rows sorted within each column.  ``lap`` and ``eye`` hold
+    the Laplacian's and the identity's data on it.  Face (l, r) puts
+    0.5 (v_r - v_l)/h into slots (l,l), (l,r) over +cw_l and (r,l), (r,r)
+    over -cw_r (``cw4`` per slot); faces run axis by axis in C order, so each
+    diagonal sums in the order of the COO build this replaced."""
+
+    faces: tuple
+    indices: np.ndarray
+    indptr: np.ndarray
+    lap: np.ndarray
+    eye: np.ndarray
+    cw4: np.ndarray
+    slots: np.ndarray
+    perm_c: np.ndarray
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.indptr.size - 1,) * 2)
+
+    def chem_data(self, v: np.ndarray) -> np.ndarray:
+        """N(v)'s data on the pattern."""
+        coeff = np.concatenate([0.5 * ((v[f.right] - v[f.left]) / f.h) for f in self.faces])
+        return np.bincount(self.slots, np.repeat(coeff, 4) / self.cw4,
+                           minlength=len(self.lap))
+
+
+def _density_pattern(grid: Grid) -> _DensityPattern:
+    if "density" not in grid._cache:
+        perm_c = heat_factor(grid).perm_c.astype(np.intp)   # an int32 index costs ~1 us per gather
+        order = np.argsort(perm_c)   # the grid column at each position
+        A = grid.laplacian_matrix.tocsc()[:, order]
+        A.sort_indices()
+        nn = grid.num_nodes
+        pos = np.repeat(np.arange(nn), np.diff(A.indptr))   # each slot's column position
+        l = np.concatenate([f.left for f in grid.faces])
+        r = np.concatenate([f.right for f in grid.faces])
+        cwl = np.concatenate([f.cw[f.left] for f in grid.faces])
+        cwr = np.concatenate([f.cw[f.right] for f in grid.faces])
+        grid._cache["density"] = _DensityPattern(grid.faces, *(_read_only(a) for a in (
+            A.indices, A.indptr, A.data, np.where(order[pos] == A.indices, 1.0, 0.0),
+            np.column_stack([cwl, cwl, -cwr, -cwr]).ravel(),
+            np.searchsorted(pos * nn + A.indices,   # ascending keys
+                            (perm_c[np.column_stack([l, r, l, r])] * nn
+                             + np.column_stack([l, l, r, r])).ravel()),
+            perm_c)))
+    return grid._cache["density"]
 
 
 class _OrderedFactor(NamedTuple):
@@ -165,24 +217,15 @@ def _density_factor(v: np.ndarray, grid: Grid) -> _OrderedFactor:
     SuperLU's own (COLAMD, then the etree postorder) for the Laplacian's
     pattern, from :func:`heat_factor`.  On those columns its order and
     postorder are the identity, so pivots and solves are a plain ``splu``'s."""
-    st = _chem_stencil(grid)
-    if "density-order" not in grid._cache:
-        perm_c = heat_factor(grid).perm_c.astype(np.intp)   # an int32 index costs ~1 us per gather
-        pos = np.repeat(perm_c, np.diff(st.indptr))   # each data slot's column position
-        gather = np.argsort(pos, kind="stable")
-        indptr = np.searchsorted(pos[gather], np.arange(v.size + 1)).astype(st.indptr.dtype)
-        grid._cache["density-order"] = tuple(
-            _read_only(a) for a in (perm_c, gather, st.indices[gather], indptr))
-    perm_c, gather, indices, indptr = grid._cache["density-order"]
-    data = (st.eye - grid.dt * (st.lap - st.chem_data(v)))[gather]
-    M = sp.csc_matrix((data, indices, indptr), shape=(v.size, v.size))
-    return _OrderedFactor(spla.splu(M, permc_spec="NATURAL"), perm_c)
+    pat = _density_pattern(grid)
+    M = pat.matrix(pat.eye - grid.dt * (pat.lap - pat.chem_data(v)))
+    return _OrderedFactor(spla.splu(M, permc_spec="NATURAL"), pat.perm_c)
 
 
 def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid):
     """rhs - M(v) u, matrix-free: M(v) u = u - dt div(q) with the
     face flux q = ((u_r - u_l) - 0.5 (u_l + u_r)(v_r - v_l)) / h."""
-    div = _chem_stencil(grid).divergence(lambda f: ((u[f.right] - u[f.left]) - 0.5 * (
+    div = _divergence(grid, lambda f: ((u[f.right] - u[f.left]) - 0.5 * (
         u[f.left] + u[f.right]) * (v[f.right] - v[f.left])) / f.h)
     return rhs - (u - grid.dt * div)
 

@@ -186,15 +186,17 @@ class WeightParams:
     lam: float
 
     def __post_init__(self):
-        check_all([(self.s > 0, f"s must be positive, got {self.s} "
+        check_all([(0 < self.s < np.inf, f"s must be positive and finite, got {self.s} "
                     "(s = sigma0 * (T^4 + T^8) when not given)"),
-                   (self.lam >= 1.0, f"lambda must be >= 1, got {self.lam}")])
+                   (self.lam >= 1.0, f"lambda must be >= 1, got {self.lam}"),
+                   (self.lam != np.inf, "lambda must be finite")])   # NaN fails only the rule above
 
 
 def weight_params(T: float, lam: float = 1.5, s: float | None = None,
                   sigma0: float = 1.0) -> WeightParams:
     """Default rule ``s = sigma0 * (T^4 + T^8)``; pass ``s`` to override."""
     if s is None:
+        check_all([(abs(sigma0) < np.inf, f"sigma0 must be finite, got {sigma0}")])
         try:
             s = sigma0 * (T**4 + T**8)
         except OverflowError:

@@ -10,8 +10,11 @@ tests call.
 * the eps-uniform elliptic-regularity scan;
 * the measured smallness radius of the Picard loop and the continuity
   constant of the quadratic remainder;
-* the implicitly coupled forward march with a fresh sparse LU per
-  fixed-point iterate, as it stood before the chord method;
+* the chemotaxis matrix N(v) and the density matrix M(v) in grid order,
+  built by diagonals (1D) or a COO double loop (2D) as they stood before
+  the density step's CSC pattern;
+* the implicitly coupled forward march with a fresh sparse LU of that
+  M(v) per fixed-point iterate, as it stood before the chord method;
 * the inverse cosine transform Q^-1, which production code no longer
   applies;
 * the dual CG's backward march and its transpose on the sparse LU factor
@@ -29,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from ksctl.adjoint import AdjointTrajectory
 from ksctl.carleman_check import _ScanEntry, gradient_sq, hessian_sq, time_derivative
-from ksctl.grid import Grid, _chem_stencil, chemotaxis_divergence, h1_seminorm_sq, inner
+from ksctl.grid import Grid, _divergence, chemotaxis_divergence, h1_seminorm_sq, inner
 from ksctl.hum_control import ControlProblem, SolverSettings, _DualSystem
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _v_step_factor,
                              block_step_factor)
@@ -40,8 +43,56 @@ from ksctl.weights import Eta0, WeightTable, _logsumexp, log_step_sum
 def face_flux_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """The Laplacian of one field, or row by row of a (slices, nodes) array,
     as the face table's divergence of the flux (f_r - f_l)/h."""
-    return _chem_stencil(grid).divergence(
-        lambda fc: (f[..., fc.right] - f[..., fc.left]) / fc.h)
+    return _divergence(grid, lambda fc: (f[..., fc.right] - f[..., fc.left]) / fc.h)
+
+
+def chem_matrix_oracle(v: np.ndarray, grid: Grid) -> sp.csr_matrix:
+    """N(v) as it was built per step before the density pattern: diagonals
+    in 1D, a COO double loop in 2D."""
+    nn = grid.num_nodes
+    if grid.dim == 1:
+        h = grid.h[0]
+        cw = grid.axis_weights(0)
+        dv = (v[1:] - v[:-1]) / h
+        lower = np.zeros(nn - 1)
+        upper = np.zeros(nn - 1)
+        main = np.zeros(nn)
+        main[:-1] += 0.5 * dv / cw[:-1]
+        upper[:] += 0.5 * dv / cw[:-1]
+        main[1:] -= 0.5 * dv / cw[1:]
+        lower[:] -= 0.5 * dv / cw[1:]
+        return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
+    v2 = v.reshape(grid.shape)
+    nx, ny = grid.shape
+    cwx, cwy = grid.axis_weights(0), grid.axis_weights(1)
+    rows, cols, vals = [], [], []
+
+    def flat(i, j):
+        return i * ny + j
+
+    dvx = (v2[1:, :] - v2[:-1, :]) / grid.h[0]
+    for i in range(nx - 1):
+        for j in range(ny):
+            coeff = 0.5 * dvx[i, j]
+            rows += [flat(i, j), flat(i, j), flat(i + 1, j), flat(i + 1, j)]
+            cols += [flat(i, j), flat(i + 1, j), flat(i, j), flat(i + 1, j)]
+            vals += [coeff / cwx[i], coeff / cwx[i],
+                     -coeff / cwx[i + 1], -coeff / cwx[i + 1]]
+    dvy = (v2[:, 1:] - v2[:, :-1]) / grid.h[1]
+    for i in range(nx):
+        for j in range(ny - 1):
+            coeff = 0.5 * dvy[i, j]
+            rows += [flat(i, j), flat(i, j), flat(i, j + 1), flat(i, j + 1)]
+            cols += [flat(i, j), flat(i, j + 1), flat(i, j), flat(i, j + 1)]
+            vals += [coeff / cwy[j], coeff / cwy[j],
+                     -coeff / cwy[j + 1], -coeff / cwy[j + 1]]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
+
+
+def density_matrix_oracle(v: np.ndarray, grid: Grid) -> sp.csc_matrix:
+    """M(v) = I - dt (A - N(v)) in grid order, N(v) from :func:`chem_matrix_oracle`."""
+    N = chem_matrix_oracle(v, grid)
+    return (sp.identity(grid.num_nodes, format="csr") - grid.dt * (grid.laplacian_matrix - N)).tocsc()
 
 
 class DualityMismatchError(ValueError):
@@ -351,8 +402,8 @@ def implicit_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Contro
                           grid: Grid, inner_tol: float = 1e-13,
                           inner_maxit: int = 60) -> StateTrajectory:
     """``solve_forward_pp(coupling="implicit")`` as a plain fixed point: each
-    iterate assembles M(v_j) on the face table and solves it with ``spsolve``."""
-    st = _chem_stencil(grid)
+    iterate assembles M(v_j) by :func:`density_matrix_oracle` and solves it
+    with ``spsolve``."""
     m, nn, dt = grid.m, grid.num_nodes, grid.dt
     u = np.empty((m + 1, nn))
     v = np.empty((m + 1, nn))
@@ -361,7 +412,7 @@ def implicit_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Contro
     for k in range(m):
         uk1, vk1 = u[k].copy(), v[k].copy()
         for _ in range(inner_maxit):
-            M = st.matrix(st.eye - dt * (st.lap - st.chem_data(vk1)))
+            M = density_matrix_oracle(vk1, grid)
             uk1_new = spla.spsolve(M, u[k])
             vk1_new = lu_v.solve(
                 p.eps * v[k] + dt * (p.a * uk1_new + c.g[k + 1] * c.chi)

@@ -1,6 +1,8 @@
-"""The grid's face table against the code it replaced, kept here as
-oracles, in 1D, 2D square and 2D non-square: the chemotaxis matrix N(v)
-against the COO double-loop build, the two operators
+"""The grid's face table and the density step's CSC pattern against the
+code they replaced, kept as oracles, in 1D, 2D square and 2D non-square:
+the pattern is built once per grid and read-only, the chemotaxis matrix
+N(v) on it, columns back in grid order, against the COO double-loop build
+of ``oracles.chem_matrix_oracle``, the two operators
 ``chemotaxis_divergence`` and ``neumann_laplacian`` against the per-dimension
 numpy slice kernels, the divergence, the Laplacian, the H1 seminorm and the
 L2 norm of many slices against one call per slice, the matrix-free M(v)u of
@@ -12,7 +14,6 @@ matrix apply keeps zero weighted sums and annihilates constants."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ksctl import ks_model
@@ -20,56 +21,13 @@ from ksctl.grid import (build_grid, chemotaxis_divergence, h1_seminorm_sq, l2_sq
                         neumann_laplacian)
 from ksctl.ks_model import (Control, KSParams, smooth_cutoff, solve_forward_pe,
                             solve_forward_pp)
-from oracles import implicit_march_oracle
+from oracles import chem_matrix_oracle, density_matrix_oracle, implicit_march_oracle
 
 GRIDS = {
     "1d": (1, 1.0, 40, 1.0, 16),
     "2d-square": (2, (1.0, 1.0), (10, 10), 1.0, 16),
     "2d-nonsquare": (2, (1.0, 0.8), (12, 9), 1.0, 16),
 }
-
-
-def chem_matrix_oracle(v, grid):
-    """The per-step build the stencil replaces: diagonals in 1D, a COO
-    double loop in 2D."""
-    nn = grid.num_nodes
-    if grid.dim == 1:
-        h = grid.h[0]
-        cw = grid.axis_weights(0)
-        dv = (v[1:] - v[:-1]) / h
-        lower = np.zeros(nn - 1)
-        upper = np.zeros(nn - 1)
-        main = np.zeros(nn)
-        main[:-1] += 0.5 * dv / cw[:-1]
-        upper[:] += 0.5 * dv / cw[:-1]
-        main[1:] -= 0.5 * dv / cw[1:]
-        lower[:] -= 0.5 * dv / cw[1:]
-        return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
-    v2 = v.reshape(grid.shape)
-    nx, ny = grid.shape
-    cwx, cwy = grid.axis_weights(0), grid.axis_weights(1)
-    rows, cols, vals = [], [], []
-
-    def flat(i, j):
-        return i * ny + j
-
-    dvx = (v2[1:, :] - v2[:-1, :]) / grid.h[0]
-    for i in range(nx - 1):
-        for j in range(ny):
-            coeff = 0.5 * dvx[i, j]
-            rows += [flat(i, j), flat(i, j), flat(i + 1, j), flat(i + 1, j)]
-            cols += [flat(i, j), flat(i + 1, j), flat(i, j), flat(i + 1, j)]
-            vals += [coeff / cwx[i], coeff / cwx[i],
-                     -coeff / cwx[i + 1], -coeff / cwx[i + 1]]
-    dvy = (v2[:, 1:] - v2[:, :-1]) / grid.h[1]
-    for i in range(nx):
-        for j in range(ny - 1):
-            coeff = 0.5 * dvy[i, j]
-            rows += [flat(i, j), flat(i, j), flat(i, j + 1), flat(i, j + 1)]
-            cols += [flat(i, j), flat(i, j + 1), flat(i, j), flat(i, j + 1)]
-            vals += [coeff / cwy[j], coeff / cwy[j],
-                     -coeff / cwy[j + 1], -coeff / cwy[j + 1]]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsr()
 
 
 def _lap_1d_np(f, h):
@@ -128,9 +86,10 @@ def chemdiv_oracle(u, v, grid):
 
 
 def chem_matrix(v, grid):
-    """N(v) as the density step assembles it, from the grid's cached stencil."""
-    st = ks_model._chem_stencil(grid)
-    return st.matrix(st.chem_data(v))
+    """N(v) as the density step assembles it on the grid's cached pattern,
+    its columns back in grid order."""
+    pat = ks_model._density_pattern(grid)
+    return pat.matrix(pat.chem_data(v))[:, pat.perm_c]
 
 
 class DensityStepOracle:
@@ -138,9 +97,7 @@ class DensityStepOracle:
     solve interface of the factor that replaced it."""
 
     def __init__(self, v, grid):
-        A = grid.laplacian_matrix
-        N = chem_matrix_oracle(v, grid)
-        self.M = (sp.identity(grid.num_nodes, format="csr") - grid.dt * (A - N)).tocsc()
+        self.M = density_matrix_oracle(v, grid)
 
     def solve(self, rhs):
         return spla.spsolve(self.M, rhs)
@@ -154,6 +111,14 @@ def grid(request):
 def fields(grid, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(grid.num_nodes), rng.standard_normal(grid.num_nodes)
+
+
+def test_density_pattern_is_built_once_and_read_only(grid):
+    pat = ks_model._density_pattern(grid)
+    assert ks_model._density_pattern(grid) is pat
+    for a in pat[1:]:   # every array after the grid's faces
+        with pytest.raises(ValueError):
+            a[0] = a[0]
 
 
 def test_chem_matrix_matches_coo_oracle(grid):
@@ -272,8 +237,10 @@ def test_forward_pp_matches_oracle_stepper(grid, march, eps, monkeypatch):
     # step: the same pivots and solves, so the marches are equal bit for bit
     p, u0, v0, c = forward_data(grid, eps)
     new = MARCHES[march](p, u0, v0, c, grid)
-    # the column order is read from the grid's one factor of I - dt A
-    assert "density-order" in grid._cache and ("heat",) in grid._cache
+    # the pattern is laid out in the column order of the grid's one factor
+    # of I - dt A, and is the grid's only named cache entry
+    assert {k for k in grid._cache if isinstance(k, str)} == {"density"}
+    assert ("heat",) in grid._cache
     monkeypatch.setattr(ks_model, "_density_factor", DensityStepOracle)
     ref = MARCHES[march](p, u0, v0, c, grid)
     assert np.array_equal(new.u, ref.u) and np.array_equal(new.v, ref.v)

@@ -88,6 +88,15 @@ def test_bad_T_still_checks_lambda(tmp_path, capsys):
                    "ksctl: config error: weights.lambda must be >= 1, got 0.5"]
 
 
+@pytest.mark.parametrize("key", ["grid.T", "weights.s", "weights.sigma0", "weights.lambda",
+                                 "physics.delta"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_a_non_finite_value_is_one_violation(tmp_path, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(write_cfg(tmp_path), {key: value})
+    assert len(err.value.violations) == 1 and err.value.violations[0].startswith(key)
+
+
 def test_bad_eps_list_entry_names_its_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config(write_cfg(tmp_path), {"physics.eps_list": [1.0, 3.0]})
@@ -160,6 +169,12 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--grid.m=1" + "0" * 400,   # a count beyond double range
     "--grid.n=1" + "0" * 400,
     "--weights.omega0=[1" + "0" * 400 + ",2]",
+    "--grid.T=inf",             # non-finite values the solvers cannot use
+    "--weights.s=inf",
+    "--weights.sigma0=inf",
+    "--weights.lambda=inf",
+    "--physics.delta=inf",
+    "--physics.delta=.nan",
 ])
 def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))

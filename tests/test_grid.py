@@ -47,12 +47,14 @@ def test_build_grid_rejects(args):
         build_grid(*args)
 
 
-@pytest.mark.parametrize("name", ["axes", "times", "node_coords", "quad_weights"])
+@pytest.mark.parametrize("name", ["axes", "times", "node_coords", "quad_weights", "faces"])
 def test_geometry_is_built_once_and_read_only(name):
     g = build_grid(2, (1.0, 0.8), (12, 9), 1.0, 20)
     first = getattr(g, name)
     assert getattr(g, name) is first
-    for a in (first if name == "axes" else (first,)):
+    if name == "faces":
+        first = [a for f in first for a in (f.left, f.right, f.cw)]
+    for a in (first if name in ("axes", "faces") else (first,)):
         with pytest.raises(ValueError):
             a[0] = 1.0
 

@@ -15,8 +15,9 @@ function or dataclass of the package takes one of them by name.
 
 Every constant sparse factor of the package enters through one cache,
 ``Grid.factor``; the only other ``splu`` call is the density step's factor,
-whose coefficients change with every step.  Its column order comes from the
-cached factor of I - dt A that the backward heat march steps on.
+whose coefficients change with every step.  Its CSC pattern is laid out
+once per grid in the column order of the cached factor of I - dt A that the
+backward heat march steps on.
 
 The Laplacian has one apply, ``grid.neumann_laplacian``: no other function
 of the package multiplies by ``laplacian_matrix``.  The factor builders

@@ -8,9 +8,10 @@ axis, 16-32 time steps and eps in [1e-3, 1]:
   conserve the density's mass to 1e-12 relative;
 * the constant state (M1, M2) stays fixed under all three, and its
   fluctuation (zero) under the linearized march;
-* the density factor on the per-grid column order solves bit for bit as a
-  plain ``splu`` of M(v), for v of amplitude 1e-3 to 1e3 (large enough to
-  force off-diagonal pivots), and that order is SuperLU's own for every v;
+* the density factor, on a pattern laid out once per grid in its column
+  order, solves bit for bit as a plain ``splu`` of M(v) in grid order, for
+  v of amplitude 1e-3 to 1e3 (large enough to force off-diagonal pivots),
+  and that order is SuperLU's own for every v;
 * the dual solve's extracted terminal density is tau times its terminal
   z slice, and that slice has zero weighted mean, both to roundoff.
 """
@@ -21,11 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksctl.adjoint import solve_adjoint
-from ksctl.grid import _chem_stencil, build_grid, mass
+from ksctl.grid import build_grid, mass
 from ksctl.hum_control import ControlProblem, extract_control, solve_dual
-from ksctl.ks_model import (Control, KSParams, _density_factor, block_step_factor,
-                            smooth_cutoff, solve_forward_pe, solve_forward_pp,
-                            solve_linearized)
+from ksctl.ks_model import (Control, KSParams, _density_factor, _density_pattern,
+                            block_step_factor, smooth_cutoff, solve_forward_pe,
+                            solve_forward_pp, solve_linearized)
 from ksctl.weights import build_eta0, refined_weights, weight_params
 
 from conftest import lowfreq_field, lowfreq_space_time
@@ -117,8 +118,8 @@ def test_density_factor_on_the_grid_order_is_plain_splu(dim, n, m, log_amp, seed
     rng = np.random.default_rng(seed)
     v = 10.0 ** log_amp * rng.standard_normal(grid.num_nodes)
     b = rng.standard_normal(grid.num_nodes)
-    sten = _chem_stencil(grid)
-    plain = spla.splu(sten.matrix(sten.eye - grid.dt * (sten.lap - sten.chem_data(v))))
+    pat = _density_pattern(grid)   # M(v) back in grid order
+    plain = spla.splu(pat.matrix(pat.eye - grid.dt * (pat.lap - pat.chem_data(v)))[:, pat.perm_c])
     got = _density_factor(v, grid)
     assert np.array_equal(got.solve(b), plain.solve(b))
     assert np.array_equal(got.lu.perm_c, np.arange(grid.num_nodes))
