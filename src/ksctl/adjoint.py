@@ -41,7 +41,7 @@ __all__ = [
 class AdjointTrajectory:
     """Adjoint pair marched backward from (phiT, xiT) with sources (f1, f2)."""
 
-    phi: np.ndarray  # (m+1, nodes)
+    phi: np.ndarray  # ([samples,] m+1, nodes)
     xi: np.ndarray
     phiT: np.ndarray
     xiT: np.ndarray
@@ -59,43 +59,51 @@ def solve_adjoint(p: KSParams, phiT: np.ndarray, xiT: np.ndarray,
     The terminal datum phiT must have zero weighted mean; it is projected
     (mean subtracted) and a warning is emitted when the correction exceeds
     1e-10.  Source slice k+1 enters the step that produces time level k,
-    mirroring the forward stepper (see module docstring).
+    mirroring the forward stepper (see module docstring).  Samples on a
+    leading axis march together, each projected alone and returned contiguous.
     """
     nn, m = grid.num_nodes, grid.m
-    zeros = np.zeros((m + 1, nn))
-    f1 = zeros if f1 is None else f1
-    f2 = zeros if f2 is None else f2
-    for name, f, rows in (("phiT", phiT, ()), ("xiT", xiT, ()), ("f1", f1, (m + 1,)),
-                          ("f2", f2, (m + 1,))):
+    lead = np.shape(phiT)[:-1][:1]
+    f1, f2 = (np.zeros((*lead, m + 1, nn)) if f is None else f for f in (f1, f2))
+    for name, f, rows in (("phiT", phiT, lead), ("xiT", xiT, lead),
+                          ("f1", f1, (*lead, m + 1)), ("f2", f2, (*lead, m + 1))):
         _check_field(f, grid, rows, name)
 
-    mean = mass(phiT, grid) / grid.volume
-    if abs(mean) > 1e-10 * max(1.0, float(np.abs(phiT).max())):
-        warnings.warn(
-            f"phiT mean {mean:.3e} projected out (zero-mean terminal constraint)",
-            stacklevel=2,
-        )
-    phiT = phiT - mean
+    means = [mass(f, grid) / grid.volume for f in np.reshape(phiT, (-1, nn))]
+    for mean, f in zip(means, np.reshape(phiT, (-1, nn))):
+        if abs(mean) > 1e-10 * max(1.0, float(np.abs(f).max())):
+            warnings.warn(f"phiT mean {mean:.3e} projected out (zero-mean terminal "
+                          "constraint)", stacklevel=2)
+    phiT = phiT - np.reshape(means, (*lead, 1))
 
-    X = np.empty((m + 1, 2, nn))
-    X[m] = phiT, xiT
-    block_march(block_step_factor(p, grid, True), X.reshape(m + 1, 2 * nn),
-                np.concatenate([f1, f2], axis=1), np.repeat([1.0, p.eps], nn),
-                grid.dt, True)
+    X = np.empty((len(means), m + 1, 2 * nn))
+    X[:, m, :nn], X[:, m, nn:] = np.reshape(phiT, (-1, nn)), np.reshape(xiT, (-1, nn))
+    block_march(block_step_factor(p, grid, True), _columns(X), _columns(np.concatenate(
+        [np.reshape(f, (-1, m + 1, nn)) for f in (f1, f2)], axis=2)),   # freed before the copies
+        np.repeat([1.0, p.eps], nn)[:, None], grid.dt, True)
+    phi, xi = (np.ascontiguousarray(h).reshape(*lead, m + 1, nn) for h in np.split(X, 2, axis=2))
     return AdjointTrajectory(
-        phi=X[:, 0], xi=X[:, 1], phiT=phiT, xiT=xiT, f1=f1, f2=f2, params=p, grid=grid
+        phi=phi, xi=xi, phiT=phiT, xiT=xiT, f1=f1, f2=f2, params=p, grid=grid
     )
 
 
 def solve_backward_heat(phiT: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndarray:
-    """Backward heat march -phi_t - Lap phi = source with Neumann data.
+    """Backward heat march -phi_t - Lap phi = source with Neumann data, with
+    an optional leading sample axis as in :func:`solve_adjoint`.
 
     Used by the transposition-inequality sampler, where the source is the
     Laplacian of a smooth control field.
     """
     m = grid.m
-    for name, f, rows in (("phiT", phiT, ()), ("source", source, (m + 1,))):
+    lead = np.shape(phiT)[:-1][:1]
+    for name, f, rows in (("phiT", phiT, lead), ("source", source, (*lead, m + 1))):
         _check_field(f, grid, rows, name)
-    phi = np.empty((m + 1, grid.num_nodes))
-    phi[m] = phiT
-    return block_march(heat_factor(grid), phi, source, 1.0, grid.dt, True)
+    phi = np.empty((*lead, m + 1, grid.num_nodes))
+    phi[..., m, :] = phiT
+    block_march(heat_factor(grid), _columns(phi), _columns(source), 1.0, grid.dt, True)
+    return phi
+
+
+def _columns(a: np.ndarray) -> np.ndarray:
+    """A ([samples,] m+1, width) array as block_march's (m+1, width, samples)."""
+    return np.reshape(a, (-1, *a.shape[-2:])).transpose(1, 2, 0)

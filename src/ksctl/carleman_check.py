@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 N_MODES = 8   # samples combine the first N_MODES cosine modes per axis
+# bytes per (samples, m+1, nodes) array of a sample stack: 4 samples at the 1D
+# defaults (5 raised audit-1d's peak RSS by 2.3%, 4 by 1.8%), 1 at 2D 32x32, m=40
+STACK_BYTES = 180_000
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +66,16 @@ N_MODES = 8   # samples combine the first N_MODES cosine modes per axis
 
 
 def time_derivative(q: np.ndarray, grid: Grid) -> np.ndarray:
-    """Centered dq/dt on interior time nodes; endpoint slices are zeroed
-    (they never enter a weighted integral: the weights vanish there)."""
+    """Centered dq/dt on interior time nodes (axis -2); endpoint slices are
+    zeroed (they never enter a weighted integral: the weights vanish there)."""
     out = np.zeros_like(q)
-    out[1:-1] = (q[2:] - q[:-2]) / (2.0 * grid.dt)
+    out[..., 1:-1, :] = (q[..., 2:, :] - q[..., :-2, :]) / (2.0 * grid.dt)
     return out
 
 
 def gradient_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad q|^2 per (step, node): centered differences, ghost reflection
-    (so the normal component vanishes at the boundary)."""
+    """|grad q|^2 per (..., step, node): centered differences, ghost
+    reflection (so the normal component vanishes at the boundary)."""
     total = np.zeros_like(q)
     for ax in range(grid.dim):
         d = _axis_derivative(q, grid, ax)
@@ -82,14 +85,14 @@ def gradient_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
 
 def _along(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
     """View of the space-time array ``q`` with the nodes of axis ``ax`` last."""
-    return np.moveaxis(q.reshape(q.shape[0], *grid.shape), ax + 1, -1)
+    return np.moveaxis(q.reshape(*q.shape[:-1], *grid.shape), ax - grid.dim, -1)
 
 
 def _axis_derivative(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
     qs = _along(q, grid, ax)
     out = np.zeros_like(qs)   # reflected ghosts make the boundary derivative zero
     out[..., 1:-1] = (qs[..., 2:] - qs[..., :-2]) / (2.0 * grid.h[ax])
-    return np.moveaxis(out, -1, ax + 1).reshape(q.shape)
+    return np.moveaxis(out, -1, ax - grid.dim).reshape(q.shape)
 
 
 def _axis_second(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
@@ -99,7 +102,7 @@ def _axis_second(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
     out[..., 1:-1] = (qs[..., :-2] - 2.0 * qs[..., 1:-1] + qs[..., 2:]) / h2
     out[..., 0] = 2.0 * (qs[..., 1] - qs[..., 0]) / h2
     out[..., -1] = 2.0 * (qs[..., -2] - qs[..., -1]) / h2
-    return np.moveaxis(out, -1, ax + 1).reshape(q.shape)
+    return np.moveaxis(out, -1, ax - grid.dim).reshape(q.shape)
 
 
 def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
@@ -121,28 +124,40 @@ def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table: WeightTable,
-                            digests: dict | None = None) -> float:
-    """log of  sum_k tw_k sum_p W_p exp(log_w[k,p]) sq[k,p]   (sq >= 0).
+                            digests: dict | None = None, finite: np.ndarray | None = None):
+    """log of  sum_k tw_k sum_p W_p exp(log_w[k,p]) sq[k,p]   (sq >= 0), or
+    of each sample of a (samples, m+1, nodes) ``sq``, each as if alone.
 
     ``tw_k W_p`` is the :attr:`~WeightTable.space_time_weights` of ``table``.
-    ``log_w`` may be per-step (``(m+1,)``) or per (step, node).  Returns -inf
-    for an identically zero sum; a non-finite ``w * sq`` raises ValueError.
-    ``digests`` keeps this ``log_w``'s ``_log_digest`` per pattern of kept
-    entries (``w * sq > 0``, ``log_w`` finite): a repeated pattern only sums.
+    ``log_w`` may be per-step (``(m+1,)``) or per (step, node), ``finite`` its
+    finite mask as (m+1, 1 or nodes).  Returns -inf for an identically zero
+    sum; a non-finite ``w * sq`` raises ValueError.  ``digests`` keeps this
+    ``log_w``'s ``_log_digest`` per pattern of kept entries (``w * sq > 0``,
+    ``log_w`` finite): a repeated pattern only sums, a shared one at once.
     """
     coeff = table.space_time_weights * sq
     if not np.isfinite(coeff).all():
         raise ValueError("non-finite integrand (weights times sq) in a log-domain integral")
-    if log_w.ndim == 1:
-        log_w = log_w[:, None]
-    keep = (coeff > 0.0) & np.isfinite(log_w)
-    if not np.any(keep):
-        return float("-inf")
-    digests = {} if digests is None else digests
-    key = np.packbits(keep).tobytes()
+    log_w = log_w.reshape(len(log_w), -1)
+    rows = coeff.reshape(-1, table.space_time_weights.size)
+    keep = ((coeff > 0.0) & (np.isfinite(log_w) if finite is None else finite)).reshape(rows.shape)
+    keys, digests = np.packbits(keep, axis=1), {} if digests is None else digests
+    if len(rows) > 1 and (keys == keys[0]).all():
+        return _log_rows(log_w, rows, keep[0], bytes(keys[0]), digests)
+    out = [_log_rows(log_w, *row, digests) for row in zip(rows, keep, map(bytes, keys))]
+    return float(out[0]) if sq.ndim == 2 else np.array(out)
+
+
+def _log_rows(log_w: np.ndarray, rows: np.ndarray, kept: np.ndarray, key: bytes, digests: dict):
+    """The integral of one flat ``w * sq`` row, or of each of (rows, n) with
+    one kept pattern, gathered in C order: each row sums as it would alone."""
+    if not kept.any():
+        return np.full(rows.shape[:-1], -np.inf)
     if key not in digests:
-        digests[key] = _log_digest(np.broadcast_to(log_w, coeff.shape)[keep])
-    return _log_finish(digests[key], coeff[keep])
+        mask = kept.reshape(len(log_w), -1)
+        digests[key] = _log_digest(np.broadcast_to(log_w, mask.shape)[mask])
+    return _log_finish(digests[key], rows[kept] if rows.ndim == 1 else
+                       np.take(rows, np.flatnonzero(kept), axis=1))
 
 
 def _log_l2_sq(f: np.ndarray, grid: Grid) -> float:
@@ -187,11 +202,8 @@ def sample_space_time(grid: Grid, rng: np.random.Generator,
 
 def sample_adjoint_data(grid: Grid, rng: np.random.Generator):
     """Terminal data (phiT zero-mean) and sources for one adjoint sample."""
-    phiT = sample_field(grid, rng, zero_mean=True)
-    xiT = sample_field(grid, rng)
-    f1 = sample_space_time(grid, rng)
-    f2 = sample_space_time(grid, rng)
-    return phiT, xiT, f1, f2
+    return (sample_field(grid, rng, zero_mean=True), sample_field(grid, rng),
+            sample_space_time(grid, rng), sample_space_time(grid, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -261,27 +273,28 @@ class CarlemanReport:
 
 class _ScanEntry:
     """One table of a weight family's s-scan, with ``log s`` and the
-    log-weight profiles the reports look up by (kind, power), each computed
-    on first use and kept for the run with its digests (one per kept pattern,
-    see :func:`log_space_time_integral`); ``calls`` counts the terms."""
+    log-weight profiles the reports look up by (kind, power), each made on
+    first use and kept for the run with its finite mask and digests (one per
+    kept pattern, see :func:`log_space_time_integral`); ``calls`` counts."""
 
     def __init__(self, table: WeightTable):
         self.table, self.logs, self._profiles = table, np.log(table.params.s), {}
         self.calls = 0
 
-    def term(self, s_power: float, kind: str, power: float, sq: np.ndarray) -> float:
-        """log of  s^s_power * integral of exp(2 s w) w2^power sq."""
+    def term(self, s_power: float, kind: str, power: float, sq: np.ndarray):
+        """log of  s^s_power * integral of exp(2 s w) w2^power sq, per sample."""
         if (kind, power) not in self._profiles:
-            self._profiles[kind, power] = log_weight_profile(self.table, kind, power), {}
-        profile, digests = self._profiles[kind, power]
+            w = log_weight_profile(self.table, kind, power)
+            self._profiles[kind, power] = w, np.isfinite(w.reshape(len(w), -1)), {}
+        profile, finite, digests = self._profiles[kind, power]
         self.calls += 1
         return s_power * self.logs + log_space_time_integral(
-            profile, sq, self.table, digests)
+            profile, sq, self.table, digests, finite)
 
     @property
     def digests_built(self) -> int:
         """The digests built so far, over all profiles."""
-        return sum(len(d) for _, d in self._profiles.values())
+        return sum(len(d) for *_, d in self._profiles.values())
 
 
 def weight_families(eta0: Eta0, s_list, lam: float) -> tuple[list[_ScanEntry], ...]:
@@ -292,66 +305,68 @@ def weight_families(eta0: Eta0, s_list, lam: float) -> tuple[list[_ScanEntry], .
                   for s in s_list] for build in (carleman_weights, refined_weights))
 
 
+def _scan(family: list, s_power: float, kind: str, power: float, sq: np.ndarray) -> np.ndarray:
+    """One stacked integrand's term at every s of ``family``, (s, samples)."""
+    return np.array([w.term(s_power, kind, power, sq) for w in family])
+
+
+def _pairs(lhs: list, rhs: list) -> list:
+    """(log lhs, log rhs) per sample and s: the ``_logsumexp`` of each side's parts."""
+    lhs, rhs = np.array(lhs).T, np.array(rhs).T   # (samples, s, parts)
+    return [[(_logsumexp(a), _logsumexp(b)) for a, b in zip(*sample)] for sample in zip(lhs, rhs)]
+
+
+def _stacks(grid: Grid, n_samples: int) -> list:
+    """The sample counts of the stacks of ``n_samples``, in draw order."""
+    size = max(1, STACK_BYTES // ((grid.m + 1) * grid.num_nodes * 8))
+    return [min(size, n_samples - i) for i in range(0, n_samples, size)]
+
+
 def theorem22_report(adj: AdjointTrajectory, alpha: list[_ScanEntry],
                      omega_prime_mask: np.ndarray, sources: dict) -> list:
-    """Couple-system inequality on one adjoint trajectory, as (log lhs,
-    log rhs) per s: weighted Laplacian-of-phi energy plus the full xi energy
-    I_1(xi) against the localized xi observation and the sources.
+    """Couple-system inequality on a stack of adjoint trajectories, as (log
+    lhs, log rhs) per sample and s: weighted Laplacian-of-phi energy plus the
+    full xi energy I_1(xi) against the localized xi observation and the
+    sources.  Each integrand is made once over the stack, then dropped.
 
-    ``sources`` is shared by the trajectories of one sample: the source
+    ``sources`` is shared by the trajectories of one stack: the source
     terms do not depend on eps, so the first trajectory integrates them.
     """
     grid, xi = adj.grid, adj.xi
-    lap_phi = neumann_laplacian(adj.phi, grid)
-    lap_sq, xi_sq, xi_grad = lap_phi * lap_phi, xi * xi, gradient_sq(xi, grid)
-    xi_obs = xi_sq * omega_prime_mask
-    xi_high = adj.params.eps**2 * time_derivative(xi, grid) ** 2 + hessian_sq(xi, grid)
     if "thm2.2" not in sources:
-        f1_sq, f2_sq = adj.f1**2, adj.f2**2
-        sources["thm2.2"] = [(w.term(10.0, "alpha", 10.0, f1_sq),
-                              w.term(3.0, "alpha", 3.0, f2_sq)) for w in alpha]
-    out = []
-    for w, source_parts in zip(alpha, sources["thm2.2"]):
-        lhs_parts = [
-            w.term(3.0, "alpha", 3.0, lap_sq),
-            w.term(4.0, "alpha", 4.0, xi_sq),
-            w.term(2.0, "alpha", 2.0, xi_grad),
-            w.term(0.0, "alpha", 0.0, xi_high),
-        ]
-        rhs_parts = [w.term(18.0, "alpha", 18.0, xi_obs), *source_parts]
-        out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
-    return out
+        sources["thm2.2"] = [_scan(alpha, 10.0, "alpha", 10.0, adj.f1**2),
+                             _scan(alpha, 3.0, "alpha", 3.0, adj.f2**2)]
+    lhs = [_scan(alpha, 3.0, "alpha", 3.0, neumann_laplacian(
+               adj.phi.reshape(-1, grid.num_nodes), grid).reshape(xi.shape) ** 2),
+           _scan(alpha, 4.0, "alpha", 4.0, xi * xi),
+           _scan(alpha, 2.0, "alpha", 2.0, gradient_sq(xi, grid)),
+           _scan(alpha, 0.0, "alpha", 0.0, adj.params.eps**2 * time_derivative(xi, grid) ** 2
+                 + hessian_sq(xi, grid))]
+    rhs = [_scan(alpha, 18.0, "alpha", 18.0, xi * xi * omega_prime_mask), *sources["thm2.2"]]
+    return _pairs(lhs, rhs)
 
 
 def lemma31_report(adj: AdjointTrajectory, beta: list[_ScanEntry], chi_sq: np.ndarray,
                    sources: dict) -> list:
-    """Refined-weight inequality on one adjoint trajectory, including the
-    t = 0 terms, as (log lhs, log rhs) per s; the finding of interest is the
-    boundedness of the constant across the eps sweep.  ``sources`` is shared
-    by the trajectories of one sample, as in :func:`theorem22_report`."""
-    grid = adj.grid
-    phi_mean = np.array([mass(f, grid) for f in adj.phi]) / grid.volume
-    phi_osc = adj.phi - phi_mean[:, None]
-    xi_sq, xi_grad, osc_sq = adj.xi**2, gradient_sq(adj.xi, grid), phi_osc**2
-    phi_grad, obs_sq = gradient_sq(adj.phi, grid), chi_sq * xi_sq
-    log_t0 = [_log_l2_sq(phi_osc[0], grid),
-              np.log(adj.params.eps) + _log_l2_sq(adj.xi[0], grid)]
+    """Refined-weight inequality on a stack of adjoint trajectories with the
+    t = 0 terms, as in :func:`theorem22_report`; the finding of interest is
+    the boundedness of the constant across the eps sweep."""
+    grid, phi, xi = adj.grid, adj.phi, adj.xi
     if "lem3.1" not in sources:
-        f1_sq, f2_sq = adj.f1**2, adj.f2**2
-        sources["lem3.1"] = [(w.term(0.0, "beta_star", 10.0, f1_sq),
-                              w.term(0.0, "beta_star", 3.0, f2_sq)) for w in beta]
-    out = []
-    for w, source_parts in zip(beta, sources["lem3.1"]):
-        lhs_parts = [
-            w.term(0.0, "beta", 4.0, xi_sq),
-            w.term(0.0, "beta", 2.0, xi_grad),
-            w.term(0.0, "beta_hat", 3.0, osc_sq),
-            w.term(0.0, "beta_hat", 3.0, phi_grad),
-            *log_t0,
-        ]
-        rhs_parts = [*source_parts, w.term(0.0, "beta_star", 18.0, obs_sq)]
-        out.append((_logsumexp(lhs_parts), _logsumexp(rhs_parts)))
-    return out
+        sources["lem3.1"] = [_scan(beta, 0.0, "beta_star", 10.0, adj.f1**2),
+                             _scan(beta, 0.0, "beta_star", 3.0, adj.f2**2)]
+    phi_mean = np.array([mass(f, grid) for f in phi.reshape(-1, grid.num_nodes)]) / grid.volume
+    phi_osc = phi - phi_mean.reshape(*phi.shape[:-1], 1)
+    log_t0 = [[_log_l2_sq(f, grid) for f in phi_osc[:, 0]],
+              [np.log(adj.params.eps) + _log_l2_sq(f, grid) for f in xi[:, 0]]]
+    osc = _scan(beta, 0.0, "beta_hat", 3.0, np.square(phi_osc, out=phi_osc))
+    del phi_osc
+    lhs = [_scan(beta, 0.0, "beta", 4.0, xi**2),
+           _scan(beta, 0.0, "beta", 2.0, gradient_sq(xi, grid)), osc,
+           _scan(beta, 0.0, "beta_hat", 3.0, gradient_sq(phi, grid)),
+           *([t0] * len(beta) for t0 in log_t0)]
+    rhs = [*sources["lem3.1"], _scan(beta, 0.0, "beta_star", 18.0, chi_sq * xi**2)]
+    return _pairs(lhs, rhs)
 
 
 def adjoint_reports(p_template: KSParams, alpha: list[_ScanEntry], beta: list[_ScanEntry],
@@ -361,8 +376,8 @@ def adjoint_reports(p_template: KSParams, alpha: list[_ScanEntry], beta: list[_S
 
     Each adjoint sample is drawn once (every eps sees the samples of one
     generator seeded with ``seed``) and marched once per eps, and both
-    inequalities are evaluated on that trajectory, so one sample is live at
-    a time.  Returns the thm2.2 reports, one per eps, and the lem3.1 report.
+    inequalities are evaluated on it, in stacks of ``STACK_BYTES`` per array.
+    Returns the thm2.2 reports, one per eps, and the lem3.1 report.
     """
     grid = eta0.grid
     rng = np.random.default_rng(seed)
@@ -370,13 +385,14 @@ def adjoint_reports(p_template: KSParams, alpha: list[_ScanEntry], beta: list[_S
     chi_sq = (chi**2)[None, :]
     params = [replace(p_template, eps=float(eps)) for eps in eps_list]
     thm_logs, lem_logs = [[] for _ in eps_list], [[] for _ in eps_list]
-    for _ in range(n_samples):
-        data = sample_adjoint_data(grid, rng)
+    for size in _stacks(grid, n_samples):
+        data = [np.stack(f) for f in zip(*(sample_adjoint_data(grid, rng) for _ in range(size)))]
         sources: dict = {}
         for p, thm, lem in zip(params, thm_logs, lem_logs):
             adj = solve_adjoint(p, *data, grid)
-            thm.append(theorem22_report(adj, alpha, omega_prime_mask, sources))
-            lem.append(lemma31_report(adj, beta, chi_sq, sources))
+            thm += theorem22_report(adj, alpha, omega_prime_mask, sources)
+            lem += lemma31_report(adj, beta, chi_sq, sources)
+            del adj   # before the next eps's march
     rep31 = CarlemanReport("lem3.1")
     for eps, logs in zip(eps_list, lem_logs):
         rep31.add_samples(beta, eps, logs)
@@ -392,15 +408,11 @@ def lemmaA1_report(alpha: list[_ScanEntry], eta0: Eta0, n_samples: int,
     rng = np.random.default_rng(seed)
     omega_mask = box_mask(grid, eta0.omega).astype(float)
     logs_by_sample = []
-    for _ in range(n_samples):   # one sample live at a time, each square made once
-        gfield = sample_space_time(grid, rng)
-        phi = solve_backward_heat(np.zeros(grid.num_nodes), neumann_laplacian(gfield, grid), grid)
-        phi_sq, g_sq = phi * phi, gfield**2
-        phi_obs = phi_sq * omega_mask
-        out = []
-        for w in alpha:
-            rhs_parts = [w.term(3.0, "alpha", 3.0, phi_obs),
-                         w.term(4.0, "alpha", 4.0, g_sq)]
-            out.append((w.term(3.0, "alpha", 3.0, phi_sq), _logsumexp(rhs_parts)))
-        logs_by_sample.append(out)
+    for size in _stacks(grid, n_samples):
+        gfield = np.stack([sample_space_time(grid, rng) for _ in range(size)])
+        phi = solve_backward_heat(np.zeros((size, grid.num_nodes)), neumann_laplacian(
+            gfield.reshape(-1, grid.num_nodes), grid).reshape(gfield.shape), grid)
+        logs_by_sample += _pairs([_scan(alpha, 3.0, "alpha", 3.0, phi * phi)],   # one part: as is
+                                 [_scan(alpha, 3.0, "alpha", 3.0, phi * phi * omega_mask),
+                                  _scan(alpha, 4.0, "alpha", 4.0, gfield**2)])
     return CarlemanReport("lemA.1").add_samples(alpha, 0.0, logs_by_sample)

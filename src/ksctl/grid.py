@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+# the most n per axis and m: (m+1) (n+1)^2 doubles stay within np.intp's bytes
+MAX_INTERVALS = 10**6
+
+
 class ConfigError(ValueError):
     """Carries every violation found, not just the first."""
 
@@ -196,9 +200,9 @@ def build_grid(dim, L, n, T, m) -> Grid:
         (not dim_ok or len(nt) == dim, f"n must have one entry per axis (dim={dim})"),
         (not dim_ok or len(Lt) == dim, f"L must have one entry per axis (dim={dim})"),
         (all(x >= 8 for x in nt), "n must be at least 8 intervals per axis"),
-        (all(x < np.inf for x in nt), "n must be within double range"),
+        (all(not x > MAX_INTERVALS for x in nt), f"n must be at most {MAX_INTERVALS} per axis"),
         (m >= 16, "m must be at least 16 time steps"),
-        (m <= sys.float_info.max, "m must be within double range"),
+        (not m > MAX_INTERVALS, f"m must be at most {MAX_INTERVALS} time steps"),
         (all(x > 0 for x in Lt), "L must be positive"),
         (T > 0, "T must be > 0.0"),
         (T != np.inf, "T must be finite"),   # NaN fails only the rule above

@@ -336,14 +336,14 @@ def block_step_factor(p: KSParams, grid: Grid, adjoint: bool):
 
 def block_march(lu, X: np.ndarray, F: np.ndarray, d, dt: float, backward: bool) -> np.ndarray:
     """X[next] = lu.solve(d * X[prev] + dt * F[k + 1]) on the flat
-    (m + 1, parts * nodes) slices of ``X``: forward from the filled X[0]
-    (prev = k, next = k + 1), or ``backward`` from the filled X[m]
+    (m + 1, parts * nodes) slices of ``X``, or on (m + 1, parts * nodes,
+    samples) as one multi-column solve per step: forward from the filled
+    X[0] (prev = k, next = k + 1), or ``backward`` from the filled X[m]
     (prev = k + 1, next = k).  Returns ``X``."""
     m = X.shape[0] - 1
-    dtF = dt * F
     for k in range(m - 1, -1, -1) if backward else range(m):
         src, dst = (k + 1, k) if backward else (k, k + 1)
-        X[dst] = lu.solve(d * X[src] + dtF[k + 1])
+        X[dst] = lu.solve(d * X[src] + dt * F[k + 1])
     return X
 
 

@@ -328,7 +328,7 @@ def _logsumexp(a, b=None) -> float:
     """log(sum(b * exp(a))) of a 1-D ``a`` (``-inf`` entries allowed), ``b > 0``:
     scipy.special.logsumexp's algorithm step for step, so bit for bit its result
     (the terms at the max are summed separately into ``m``)."""
-    return _log_finish(_log_digest(a), b)
+    return float(_log_finish(_log_digest(a), b))
 
 
 def _log_digest(a) -> tuple:
@@ -343,11 +343,11 @@ def _log_digest(a) -> tuple:
     return a_max, at_max, np.exp(x, out=np.zeros_like(x), where=~(x < -746.0))
 
 
-def _log_finish(digest: tuple, b=None) -> float:
-    """log(sum(b * exp(a))) from ``_log_digest(a)``: the half that reads ``b``."""
+def _log_finish(digest: tuple, b=None):
+    """log(sum(b * exp(a))) from ``_log_digest(a)``, per row of a C-ordered 2-D ``b``."""
     a_max, at_max, e = digest
     if at_max is None:
         return float("-inf")
-    m = (at_max if b is None else b * at_max).sum(dtype=float)
-    s = (e if b is None else b * e).sum()
-    return float(np.log1p(s if s == 0 else s / m) + np.log(m) + a_max)
+    m = (at_max if b is None else b * at_max).sum(axis=-1, dtype=float)
+    s = (e if b is None else b * e).sum(axis=-1)
+    return np.log1p(s / m) + np.log(m) + a_max   # m > 0: b is positive at the max

@@ -12,6 +12,7 @@ import yaml
 
 from ksctl import carleman_check, cli, nonlinear_control
 from ksctl.cli import ConfigError, main, parse_config
+from ksctl.grid import build_grid
 from ksctl.hum_control import SolverSettings
 
 
@@ -168,6 +169,8 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--grid.T=1e40",
     "--grid.m=1" + "0" * 400,   # a count beyond double range
     "--grid.n=1" + "0" * 400,
+    "--grid.m=1" + "0" * 29,    # a count numpy cannot index as (m+1) x nodes
+    "--grid.n=1" + "0" * 20,
     "--weights.omega0=[1" + "0" * 400 + ",2]",
     "--grid.T=inf",             # non-finite values the solvers cannot use
     "--weights.s=inf",
@@ -357,32 +360,57 @@ def _count_calls(monkeypatch, names, label=None) -> Counter:
     return calls
 
 
+def _stack_len(name, args) -> int:
+    """The samples one call takes: the length of a stacked ``phiT`` or
+    ``sq`` (one more axis than a single sample's), else 1."""
+    field, ndim = {"solve_adjoint": ("phiT", 2), "log_space_time_integral": ("sq", 3)}.get(
+        name, (None, 0))
+    return len(args[field]) if field and args[field].ndim == ndim else 1
+
+
+def _samples(calls: Counter) -> Counter:
+    """Per key, the samples over all calls counted as (key, stack length)."""
+    out = Counter()
+    for (key, k), n in calls.items():
+        out[key] += k * n
+    return out
+
+
 def test_carleman_draws_each_sample_once_and_marches_it_once_per_eps(
         tmp_path, monkeypatch):
-    # thm2.2 and lem3.1 share one sampling pass: n_samples draws, one
-    # adjoint march per (sample, eps) (at the defaults 20 and 60, not 120 each)
-    calls = _count_calls(monkeypatch, ["sample_adjoint_data", "solve_adjoint"])
+    # thm2.2 and lem3.1 share one sampling pass: n_samples draws, and each
+    # sample is marched once per eps, in stacks (at the defaults 20 draws and
+    # 60 sample marches, not 120 each); here the 3 samples go as 2 + 1
+    monkeypatch.setattr(carleman_check, "STACK_BYTES", 2 * 33 * 25 * 8)
+    calls = _count_calls(monkeypatch, ["sample_adjoint_data", "solve_adjoint"], lambda name, a: (
+        (name, a["p"].eps) if name == "solve_adjoint" else name, _stack_len(name, a)))
     cfg = parse_config(write_cfg(tmp_path, **small_sections(tmp_path / "out")))
+    assert (cfg.grid["m"] + 1, cfg.grid["n"] + 1) == (33, 25)
     assert cli.run("carleman", cfg) == 0
-    n, n_eps = cfg.solver["n_samples"], len(cfg.physics["eps_list"][:3])
-    assert n_eps == 3
-    assert calls == {"sample_adjoint_data": n, "solve_adjoint": n * n_eps}
+    n, eps_list = cfg.solver["n_samples"], cfg.physics["eps_list"][:3]
+    assert len(eps_list) == 3
+    assert _samples(calls) == {"sample_adjoint_data": n,
+                               **{("solve_adjoint", eps): n for eps in eps_list}}
+    assert calls[("solve_adjoint", eps_list[0]), 2] == 1   # the stacks were 2 + 1
 
 
 def test_carleman_builds_each_table_once_and_integrates_sources_once(
         tmp_path, monkeypatch):
     # one table per (family, s), shared by all three inequalities; per (sample,
     # s) the four source integrals and lemA.1's three are made once, the ten
-    # trajectory integrals of thm2.2 and lem3.1 once per eps (2,220 at the
-    # defaults)
+    # trajectory integrals of thm2.2 and lem3.1 once per eps (2,220 sample
+    # integrals at the defaults), counted over stacks of 2 + 1 samples here
+    monkeypatch.setattr(carleman_check, "STACK_BYTES", 2 * 33 * 25 * 8)
     calls = _count_calls(monkeypatch, ["carleman_weights", "refined_weights",
-                                       "log_space_time_integral"])
+                                       "log_space_time_integral"],
+                         lambda name, a: (name, _stack_len(name, a)))
     cfg = parse_config(write_cfg(tmp_path, **small_sections(tmp_path / "out")))
     assert cli.run("carleman", cfg) == 0
     n, n_s = cfg.solver["n_samples"], len(cfg.weights["s_scan"])
     n_eps = len(cfg.physics["eps_list"][:3])
-    assert calls == {"carleman_weights": n_s, "refined_weights": n_s,
-                     "log_space_time_integral": n * n_s * (10 * n_eps + 7)}
+    assert _samples(calls) == {"carleman_weights": n_s, "refined_weights": n_s,
+                               "log_space_time_integral": n * n_s * (10 * n_eps + 7)}
+    assert {k for _, k in calls} == {1, 2}
 
 
 def test_a_carleman_run_builds_each_digest_once(tmp_path, monkeypatch):
@@ -391,14 +419,14 @@ def test_a_carleman_run_builds_each_digest_once(tmp_path, monkeypatch):
     integral, digest = carleman_check.log_space_time_integral, carleman_check._log_digest
     current, met, built, calls = [None], set(), [], [0]
 
-    def spy_integral(log_w, sq, table, digests=None):
+    def spy_integral(log_w, sq, table, digests=None, finite=None):
         keep = ((table.space_time_weights * sq > 0.0)
                 & np.isfinite(log_w[:, None] if log_w.ndim == 1 else log_w))
         current[0] = (id(log_w), np.packbits(keep).tobytes())
         if keep.any():
             met.add(current[0])
         calls[0] += 1
-        return integral(log_w, sq, table, digests)
+        return integral(log_w, sq, table, digests, finite)
 
     def spy_digest(a):
         built.append(current[0])
@@ -420,12 +448,15 @@ def test_a_carleman_run_builds_each_digest_once(tmp_path, monkeypatch):
 def test_default_carleman_records_its_integrals_and_digests(tmp_path):
     # 36 profiles (six (kind, power) pairs per table), six of them met with
     # a second kept pattern: alpha^3 on the whole domain and on omega, and
-    # beta_hat^3 on phi_osc^2 and on |grad phi|^2 (zero at the boundary nodes)
+    # beta_hat^3 on phi_osc^2 and on |grad phi|^2 (zero at the boundary nodes);
+    # each stack of samples makes the 2,220 / 20 = 111 calls of one sample
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
     assert main(["carleman", "--config", config, f"--io.outdir={tmp_path}"]) == 0
     (record,) = tmp_path.glob("carleman-*.json")
     summary = json.loads(record.read_text())["summary"]
-    assert summary["log_integrals"] == {"calls": 2220, "digests": 42}
+    stacks = carleman_check._stacks(build_grid(1, 1.0, 50, 2.4, 100), 20)
+    assert sum(stacks) == 20
+    assert summary["log_integrals"] == {"calls": 2220 // 20 * len(stacks), "digests": 42}
 
 
 def test_carleman_record_keeps_the_thm22_constants_of_every_eps(tmp_path):
