@@ -39,14 +39,10 @@ __all__ = [
 
 @dataclass
 class AdjointTrajectory:
-    """Adjoint pair marched backward from (phiT, xiT) with sources (f1, f2)."""
+    """Adjoint pair marched backward; slice m holds the projected terminal data."""
 
     phi: np.ndarray  # ([samples,] m+1, nodes)
     xi: np.ndarray
-    phiT: np.ndarray
-    xiT: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
     params: KSParams
     grid: Grid
 
@@ -82,9 +78,7 @@ def solve_adjoint(p: KSParams, phiT: np.ndarray, xiT: np.ndarray,
         [np.reshape(f, (-1, m + 1, nn)) for f in (f1, f2)], axis=2)),   # freed before the copies
         np.repeat([1.0, p.eps], nn)[:, None], grid.dt, True)
     phi, xi = (np.ascontiguousarray(h).reshape(*lead, m + 1, nn) for h in np.split(X, 2, axis=2))
-    return AdjointTrajectory(
-        phi=phi, xi=xi, phiT=phiT, xiT=xiT, f1=f1, f2=f2, params=p, grid=grid
-    )
+    return AdjointTrajectory(phi=phi, xi=xi, params=p, grid=grid)
 
 
 def solve_backward_heat(phiT: np.ndarray, source: np.ndarray, grid: Grid) -> np.ndarray:

@@ -301,7 +301,7 @@ def weight_families(eta0: Eta0, s_list, lam: float) -> tuple[list[_ScanEntry], .
     """The classical (alpha) and refined (beta) families over the s-scan, one
     entry per s; every report of one audit reads these two."""
     grid = eta0.grid
-    return tuple([_ScanEntry(build(eta0, weight_params(grid.T, lam, s=s), grid))
+    return tuple([_ScanEntry(build(eta0, weight_params(grid.T, lam, s=s)))
                   for s in s_list] for build in (carleman_weights, refined_weights))
 
 
@@ -323,38 +323,30 @@ def _stacks(grid: Grid, n_samples: int) -> list:
 
 
 def theorem22_report(adj: AdjointTrajectory, alpha: list[_ScanEntry],
-                     omega_prime_mask: np.ndarray, sources: dict) -> list:
+                     omega_prime_mask: np.ndarray, sources: list) -> list:
     """Couple-system inequality on a stack of adjoint trajectories, as (log
     lhs, log rhs) per sample and s: weighted Laplacian-of-phi energy plus the
     full xi energy I_1(xi) against the localized xi observation and the
-    sources.  Each integrand is made once over the stack, then dropped.
-
-    ``sources`` is shared by the trajectories of one stack: the source
-    terms do not depend on eps, so the first trajectory integrates them.
+    ``sources``, the stack's f1 and f2 terms (independent of eps).  Each
+    integrand is made once over the stack, then dropped.
     """
     grid, xi = adj.grid, adj.xi
-    if "thm2.2" not in sources:
-        sources["thm2.2"] = [_scan(alpha, 10.0, "alpha", 10.0, adj.f1**2),
-                             _scan(alpha, 3.0, "alpha", 3.0, adj.f2**2)]
     lhs = [_scan(alpha, 3.0, "alpha", 3.0, neumann_laplacian(
                adj.phi.reshape(-1, grid.num_nodes), grid).reshape(xi.shape) ** 2),
            _scan(alpha, 4.0, "alpha", 4.0, xi * xi),
            _scan(alpha, 2.0, "alpha", 2.0, gradient_sq(xi, grid)),
            _scan(alpha, 0.0, "alpha", 0.0, adj.params.eps**2 * time_derivative(xi, grid) ** 2
                  + hessian_sq(xi, grid))]
-    rhs = [_scan(alpha, 18.0, "alpha", 18.0, xi * xi * omega_prime_mask), *sources["thm2.2"]]
+    rhs = [_scan(alpha, 18.0, "alpha", 18.0, xi * xi * omega_prime_mask), *sources]
     return _pairs(lhs, rhs)
 
 
 def lemma31_report(adj: AdjointTrajectory, beta: list[_ScanEntry], chi_sq: np.ndarray,
-                   sources: dict) -> list:
+                   sources: list) -> list:
     """Refined-weight inequality on a stack of adjoint trajectories with the
     t = 0 terms, as in :func:`theorem22_report`; the finding of interest is
     the boundedness of the constant across the eps sweep."""
     grid, phi, xi = adj.grid, adj.phi, adj.xi
-    if "lem3.1" not in sources:
-        sources["lem3.1"] = [_scan(beta, 0.0, "beta_star", 10.0, adj.f1**2),
-                             _scan(beta, 0.0, "beta_star", 3.0, adj.f2**2)]
     phi_mean = np.array([mass(f, grid) for f in phi.reshape(-1, grid.num_nodes)]) / grid.volume
     phi_osc = phi - phi_mean.reshape(*phi.shape[:-1], 1)
     log_t0 = [[_log_l2_sq(f, grid) for f in phi_osc[:, 0]],
@@ -365,7 +357,7 @@ def lemma31_report(adj: AdjointTrajectory, beta: list[_ScanEntry], chi_sq: np.nd
            _scan(beta, 0.0, "beta", 2.0, gradient_sq(xi, grid)), osc,
            _scan(beta, 0.0, "beta_hat", 3.0, gradient_sq(phi, grid)),
            *([t0] * len(beta) for t0 in log_t0)]
-    rhs = [*sources["lem3.1"], _scan(beta, 0.0, "beta_star", 18.0, chi_sq * xi**2)]
+    rhs = [*sources, _scan(beta, 0.0, "beta_star", 18.0, chi_sq * xi**2)]
     return _pairs(lhs, rhs)
 
 
@@ -376,7 +368,8 @@ def adjoint_reports(p_template: KSParams, alpha: list[_ScanEntry], beta: list[_S
 
     Each adjoint sample is drawn once (every eps sees the samples of one
     generator seeded with ``seed``) and marched once per eps, and both
-    inequalities are evaluated on it, in stacks of ``STACK_BYTES`` per array.
+    inequalities are evaluated on it, in stacks of ``STACK_BYTES`` per array;
+    the source terms, which do not depend on eps, are integrated once per stack.
     Returns the thm2.2 reports, one per eps, and the lem3.1 report.
     """
     grid = eta0.grid
@@ -387,11 +380,14 @@ def adjoint_reports(p_template: KSParams, alpha: list[_ScanEntry], beta: list[_S
     thm_logs, lem_logs = [[] for _ in eps_list], [[] for _ in eps_list]
     for size in _stacks(grid, n_samples):
         data = [np.stack(f) for f in zip(*(sample_adjoint_data(grid, rng) for _ in range(size)))]
-        sources: dict = {}
+        sq = [f**2 for f in data[2:]]   # f1^2, f2^2
+        thm_src = [_scan(alpha, k, "alpha", k, f) for k, f in zip((10.0, 3.0), sq)]
+        lem_src = [_scan(beta, 0.0, "beta_star", k, f) for k, f in zip((10.0, 3.0), sq)]
+        del sq   # before the marches
         for p, thm, lem in zip(params, thm_logs, lem_logs):
             adj = solve_adjoint(p, *data, grid)
-            thm += theorem22_report(adj, alpha, omega_prime_mask, sources)
-            lem += lemma31_report(adj, beta, chi_sq, sources)
+            thm += theorem22_report(adj, alpha, omega_prime_mask, thm_src)
+            lem += lemma31_report(adj, beta, chi_sq, lem_src)
             del adj   # before the next eps's march
     rep31 = CarlemanReport("lem3.1")
     for eps, logs in zip(eps_list, lem_logs):

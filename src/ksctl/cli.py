@@ -95,7 +95,7 @@ class ExperimentConfig:
         return build_eta0(grid, w["omega0"], w["omega_prime"], w["omega"])
 
     def refined_table(self, grid: Grid) -> WeightTable:
-        return refined_weights(self.eta0(grid), self.carleman_params(grid.T), grid)
+        return refined_weights(self.eta0(grid), self.carleman_params(grid.T))
 
     def cutoff(self, grid: Grid) -> np.ndarray:
         return smooth_cutoff(grid, self.weights["omega_prime"], self.weights["omega"])
@@ -231,8 +231,11 @@ def parse_config(path: str | None, overrides: dict | None = None) -> ExperimentC
     violations: list = []
     data = {}
     if path is not None:
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+        try:
+            with open(path) as fh:
+                data = yaml.safe_load(fh) or {}
+        except (OSError, yaml.YAMLError) as exc:   # a YAML message spans lines
+            raise ConfigError([f"cannot read config {path}: " + " ".join(str(exc).split())])
         if not isinstance(data, dict):
             raise ConfigError([f"config {path} is not a key-value mapping"])
     merged = _merge(DEFAULTS, data, "", violations)
@@ -480,8 +483,7 @@ def _cmd_control_nonlinear(cfg: ExperimentConfig, runner: _Runner) -> int:
     lagged, components = np.inf, {}
     if np.isfinite(result.forward_residual):
         lagged = forward_residual(p, u0, v0, result.control, grid, "lagged")
-        components = e_norm(result.z, result.w, result.control.g, wt, p, chi, grid,
-                            cap=s.weight_floor)
+        components = e_norm(result.z, result.w, result.control.g, wt, p, chi, grid, s)
     runner.phase("picard")
     rows = [
         {"iteration": i + 1, "terminal_residual": t, "update_norm": u}
@@ -570,7 +572,11 @@ def main(argv=None) -> int:
                 raise ConfigError([f"unrecognized argument {token!r}; overrides "
                                    "take the form --section.key=value"])
             dotted, _, raw = token[2:].partition("=")
-            overrides[dotted] = yaml.safe_load(raw)
+            try:
+                overrides[dotted] = yaml.safe_load(raw)
+            except yaml.YAMLError as exc:
+                raise ConfigError([f"cannot read override '{dotted}': "
+                                   + " ".join(str(exc).split())])
         if args.command not in COMMANDS:
             print(f"ksctl: unknown command {args.command!r}; choose from "
                   f"{', '.join(COMMANDS)}", file=sys.stderr)
@@ -580,9 +586,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"ksctl: config error: {violation}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"ksctl: {exc}", file=sys.stderr)
         return 1
     try:
         return run(args.command, cfg)

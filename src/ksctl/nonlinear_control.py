@@ -158,7 +158,7 @@ def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
         r = picard_solve(p, u0, v0, weights, chi, grid, settings)
         row = {
             "eps": float(eps), "g_l2h1": r.g_l2h1, "iterations": r.iterations,
-            "terminal_residual": r.terminal_history[-1] if r.terminal_history else 0.0,
+            "terminal_residual": r.terminal_history[-1] if r.terminal_history else np.inf,
             "forward_residual": r.forward_residual, "converged": r.converged,
         }
         if r.converged:
@@ -184,19 +184,19 @@ def _capped(profile: np.ndarray, cap: float) -> np.ndarray:
 
 def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
            weights: WeightTable, params: KSParams, chi: np.ndarray,
-           grid: Grid, cap: float) -> dict:
+           grid: Grid, settings: SolverSettings) -> dict:
     """Component-wise weighted norms of a fluctuation triplet (z, w, g), as
     the log of each norm; components whose weights blow up at the terminal
-    time can legitimately be infinite on arbitrary inputs.  ``cap > 0``
-    bounds every reciprocal weight profile at ``1/cap`` times its minimum,
-    matching the working weights of a control solve with ``weight_floor = cap``.
+    time can legitimately be infinite on arbitrary inputs.  Every reciprocal
+    weight profile is bounded at ``1/settings.weight_floor`` times its
+    minimum, matching the working weights of a control solve with ``settings``.
 
     Components: the three terminal-vanishing state/control weights, the two
     residual weights of the operator pair, and the three regularity weights
     (with the top Sobolev level reduced by one: the grid carries two robust
     derivative levels).
     """
-    dt = grid.dt
+    dt, cap = grid.dt, settings.weight_floor
 
     def sq_h1(fields: np.ndarray) -> np.ndarray:
         return l2_sq(fields, grid) + h1_seminorm_sq(fields, grid)
@@ -217,7 +217,7 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     # regularity weights (H2 / H1 levels), mixing the per-step extrema
     tsb_star = log_weight_profile(weights, "beta_star", 0.0)
     tsb_hat = log_weight_profile(weights, "beta_hat", 0.0)
-    lgh = weights.log_factor_hat
+    lgh = weights.log_factor.min(axis=1)
     with np.errstate(invalid="ignore"):
         log_c6 = 2.0 * _capped(0.25 * tsb_star - 0.5 * tsb_hat + (13.0 / 8.0) * lgh, cap)
         log_c7 = 2.0 * _capped(-(0.25 * tsb_star) - (25.0 / 8.0) * lgh, cap)

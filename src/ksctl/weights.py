@@ -213,11 +213,11 @@ class WeightTable:
     singular at t in {0, T}) or "beta" for the refined ones (truncated
     profile l(t), singular only at t = T).  ``profile`` is that time
     profile; the exponent (alpha or beta, negative everywhere) is kept as
-    ``2 s`` times it and the factor (phi or gamma) as its log.  The
-    starred/hatted arrays are the per time-step max/min over nodes.  Values
-    at singular time nodes are the limits (-inf / +inf); log-domain products
-    there are -inf, i.e. the product vanishes, which is the convention every
-    integral below relies on.
+    ``2 s`` times it and the factor (phi or gamma) as its log; the
+    starred/hatted profiles take their per-step max/min over nodes per
+    query.  Values at singular time nodes are the limits (-inf / +inf);
+    log-domain products there are -inf, i.e. the product vanishes, which is
+    the convention every integral below relies on.
     """
 
     family: str
@@ -226,10 +226,6 @@ class WeightTable:
     profile: np.ndarray
     log_factor: np.ndarray
     two_s_exponent: np.ndarray
-    exponent_star: np.ndarray
-    exponent_hat: np.ndarray
-    log_factor_star: np.ndarray
-    log_factor_hat: np.ndarray
     singular_steps: tuple
 
     @cached_property
@@ -243,12 +239,12 @@ class WeightTable:
         return _read_only(tw[:, None] * grid.quad_weights[None, :])
 
 
-def _build_table(family: str, eta0: Eta0, p: WeightParams, grid: Grid,
-                 profile: np.ndarray, singular: tuple) -> WeightTable:
+def _build_table(family: str, eta0: Eta0, p: WeightParams, profile: np.ndarray,
+                 singular: tuple) -> WeightTable:
     lam_eta = p.lam * eta0.values
     e_lam = np.exp(lam_eta)
     e_2max = np.exp(2.0 * p.lam * eta0.sup)
-    ok = np.ones(grid.m + 1, dtype=bool)
+    ok = np.ones(len(profile), dtype=bool)
     ok[list(singular)] = False
     p4 = np.where(ok, profile, 1.0) ** 4
 
@@ -258,34 +254,30 @@ def _build_table(family: str, eta0: Eta0, p: WeightParams, grid: Grid,
         ok[:, None], lam_eta[None, :] - 4.0 * np.log(np.where(ok, profile, 1.0))[:, None],
         np.inf,
     )
-    return WeightTable(
-        family=family, params=p, grid=grid, profile=profile,
-        log_factor=log_factor, two_s_exponent=2.0 * p.s * exponent,
-        exponent_star=exponent.max(axis=1), exponent_hat=exponent.min(axis=1),
-        log_factor_star=log_factor.max(axis=1), log_factor_hat=log_factor.min(axis=1),
-        singular_steps=singular,
-    )
+    return WeightTable(family=family, params=p, grid=eta0.grid, profile=profile,
+                       log_factor=log_factor, two_s_exponent=2.0 * p.s * exponent,
+                       singular_steps=singular)
 
 
-def carleman_weights(eta0: Eta0, p: WeightParams, grid: Grid) -> WeightTable:
-    """Tabulate the alpha family (alpha, phi); profile t(T - t)."""
-    t = grid.times
-    return _build_table("alpha", eta0, p, grid, t * (grid.T - t), (0, grid.m))
+def carleman_weights(eta0: Eta0, p: WeightParams) -> WeightTable:
+    """Tabulate the alpha family (alpha, phi) on ``eta0``'s grid; profile t(T - t)."""
+    grid, t = eta0.grid, eta0.grid.times
+    return _build_table("alpha", eta0, p, t * (grid.T - t), (0, grid.m))
 
 
-def refined_weights(eta0: Eta0, p: WeightParams, grid: Grid) -> WeightTable:
+def refined_weights(eta0: Eta0, p: WeightParams) -> WeightTable:
     """Tabulate the beta family (beta, gamma) from the truncated profile l(t)."""
-    t = grid.times
+    grid, t = eta0.grid, eta0.grid.times
     l = np.where(t <= 0.5 * grid.T, 0.25 * grid.T**2, t * (grid.T - t))
-    return _build_table("beta", eta0, p, grid, l, (grid.m,))
+    return _build_table("beta", eta0, p, l, (grid.m,))
 
 
-# kind -> (family, per-step extremum or None for the full array)
+# kind -> (family, per-step reduction over the nodes or None for the full array)
 _KINDS = {
     "alpha": ("alpha", None),
     "beta": ("beta", None),
-    "beta_star": ("beta", "star"),
-    "beta_hat": ("beta", "hat"),
+    "beta_star": ("beta", np.max),
+    "beta_hat": ("beta", np.min),
 }
 
 
@@ -310,9 +302,8 @@ def log_weight_profile(table: WeightTable, kind: str, power: float) -> np.ndarra
     with np.errstate(invalid="ignore"):
         if extremum is None:
             out = table.two_s_exponent + power * table.log_factor
-        else:
-            out = 2.0 * table.params.s * getattr(table, f"exponent_{extremum}")
-            out = out + power * getattr(table, f"log_factor_{extremum}")
+        else:   # fl(2s x) is monotone in x, so the extremum of 2s x is 2s times x's
+            out = extremum(table.two_s_exponent, axis=1) + power * extremum(table.log_factor, axis=1)
     out[list(table.singular_steps)] = -np.inf
     return out
 

@@ -53,16 +53,12 @@ def chi_std(grid_std):
 
 @pytest.fixture(scope="session")
 def weights_small(grid_small, eta_small):
-    return refined_weights(
-        eta_small, weight_params(grid_small.T, 1.5, sigma0=0.05), grid_small
-    )
+    return refined_weights(eta_small, weight_params(grid_small.T, 1.5, sigma0=0.05))
 
 
 @pytest.fixture(scope="session")
 def weights_std(grid_std, eta_std):
-    return refined_weights(
-        eta_std, weight_params(grid_std.T, 1.5, sigma0=0.05), grid_std
-    )
+    return refined_weights(eta_std, weight_params(grid_std.T, 1.5, sigma0=0.05))
 
 
 def lowfreq_field(grid, rng, n_modes=8, zero_mean=False):

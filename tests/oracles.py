@@ -100,8 +100,11 @@ class DualityMismatchError(ValueError):
 
 
 def duality_terms(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
-                  h1: np.ndarray | None, h2: np.ndarray | None):
-    """Both sides of the discrete transposition identity, term by term.
+                  h1: np.ndarray | None, h2: np.ndarray | None,
+                  f1: np.ndarray | None, f2: np.ndarray | None):
+    """Both sides of the discrete transposition identity, term by term, for
+    the forward sources (h1, h2) and the adjoint sources (f1, f2) the two
+    trajectories were marched with; the adjoint's terminal data is its slice m.
 
     Returns (lhs, rhs, scale): lhs collects the adjoint-source pairings plus
     terminal pairings, rhs the forward-source and initial pairings; scale is
@@ -122,8 +125,7 @@ def duality_terms(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
     dt = grid.dt
     nn = grid.num_nodes
     zeros = np.zeros((m + 1, nn))
-    h1 = zeros if h1 is None else h1
-    h2 = zeros if h2 is None else h2
+    h1, h2, f1, f2 = (zeros if f is None else f for f in (h1, h2, f1, f2))
 
     w = grid.quad_weights
     eps = primal.params.eps
@@ -133,10 +135,10 @@ def duality_terms(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
         return dt * float(np.einsum("kn,n,kn->", traj_slices, w, src_slices))
 
     lhs_terms = [
-        pair(primal.u[1:], adj.f1[1:]),
-        pair(primal.v[1:], adj.f2[1:]),
-        inner(primal.u[m], adj.phiT, grid),
-        eps * inner(primal.v[m], adj.xiT, grid),
+        pair(primal.u[1:], f1[1:]),
+        pair(primal.v[1:], f2[1:]),
+        inner(primal.u[m], adj.phi[m], grid),
+        eps * inner(primal.v[m], adj.xi[m], grid),
     ]
     gchi = c.g[1:] * c.chi[None, :]
     rhs_terms = [
@@ -151,10 +153,11 @@ def duality_terms(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
 
 
 def duality_gap(primal: StateTrajectory, adj: AdjointTrajectory, c: Control,
-                h1: np.ndarray | None, h2: np.ndarray | None) -> float:
+                h1: np.ndarray | None, h2: np.ndarray | None,
+                f1: np.ndarray | None, f2: np.ndarray | None) -> float:
     """Absolute residual of the transposition identity (machine-zero when the
     primal really solves the forward problem with the given data)."""
-    lhs, rhs, _ = duality_terms(primal, adj, c, h1, h2)
+    lhs, rhs, _ = duality_terms(primal, adj, c, h1, h2, f1, f2)
     return abs(lhs - rhs)
 
 
@@ -377,19 +380,17 @@ def delta_radius(p: KSParams, weights: WeightTable, chi: np.ndarray,
 
 def bilinear_continuity_ratio(z: np.ndarray, w: np.ndarray,
                               weights: WeightTable, params: KSParams,
-                              chi: np.ndarray, grid: Grid, cap: float) -> float:
+                              chi: np.ndarray, grid: Grid, settings: SolverSettings) -> float:
     """Measured continuity constant of the quadratic remainder: the weighted
     source-space norm of div(z grad w) over the product of the two
     regularity norms that bound it."""
     h1 = np.array(
         [-chemotaxis_divergence(z[k], w[k], grid) for k in range(grid.m + 1)]
     )
-    comp = e_norm(z, w, np.zeros_like(z), weights, params, chi, grid, cap=cap)
-    s = weights.params.s
+    comp = e_norm(z, w, np.zeros_like(z), weights, params, chi, grid, settings)
     with np.errstate(invalid="ignore"):
-        w4 = _capped(
-            -(2.0 * s * weights.exponent_hat + 3.0 * weights.log_factor_hat), cap
-        )[:-1]
+        w4 = _capped(-(weights.two_s_exponent.min(axis=1) + 3.0 * weights.log_factor.min(axis=1)),
+                     settings.weight_floor)[:-1]
     sqs = np.einsum("kn,n,kn->k", h1[1:], grid.quad_weights, h1[1:])
     log_num = 0.5 * log_step_sum(w4, grid.dt * sqs)
     log_den = comp["state_u_h2"] + comp["state_v_h2"]

@@ -45,7 +45,7 @@ def make_setup(n, m, eps=1.0, sigma0=SIGMA0):
     p = KSParams(a=A, b=B, eps=eps, M1=M1, M2=M2)
     eta = build_eta0(g, OMEGA0, OMEGA_PRIME, OMEGA)
     chi = smooth_cutoff(g, OMEGA_PRIME, OMEGA)
-    wt = refined_weights(eta, weight_params(g.T, LAM, sigma0=sigma0), g)
+    wt = refined_weights(eta, weight_params(g.T, LAM, sigma0=sigma0))
     return g, p, eta, chi, wt
 
 
@@ -66,13 +66,12 @@ def test_criterion_1_duality_exactness():
                     h2 = lowfreq_space_time(g, rng)
                     ctl = Control(g=lowfreq_space_time(g, rng), chi=chi)
                     primal = solve_linearized(p, z0, w0, ctl, h1, h2, g)
-                    adj = solve_adjoint(
-                        p, lowfreq_field(g, rng, zero_mean=True),
-                        lowfreq_field(g, rng), lowfreq_space_time(g, rng),
-                        lowfreq_space_time(g, rng), g,
-                    )
-                    gap = duality_gap(primal, adj, ctl, h1, h2)
-                    _, _, scale = duality_terms(primal, adj, ctl, h1, h2)
+                    phiT = lowfreq_field(g, rng, zero_mean=True)
+                    xiT = lowfreq_field(g, rng)
+                    f1, f2 = lowfreq_space_time(g, rng), lowfreq_space_time(g, rng)
+                    adj = solve_adjoint(p, phiT, xiT, f1, f2, g)
+                    gap = duality_gap(primal, adj, ctl, h1, h2, f1, f2)
+                    _, _, scale = duality_terms(primal, adj, ctl, h1, h2, f1, f2)
                     worst = max(worst, gap / scale)
     wall = time.time() - t0
     assert worst < 1e-10

@@ -22,9 +22,7 @@ from oracles import closed_form_weights, i_beta
 @pytest.fixture(scope="module")
 def mild_table(grid_small, eta_small):
     # small s keeps every product representable for the direct oracle
-    return carleman_weights(
-        eta_small, weight_params(grid_small.T, 1.5, sigma0=1e-4), grid_small
-    )
+    return carleman_weights(eta_small, weight_params(grid_small.T, 1.5, sigma0=1e-4))
 
 
 def test_i_beta_zero(grid_small, mild_table):
@@ -150,7 +148,7 @@ def test_localized_sample_satisfies_transposition_bound(grid_small, eta_small):
     # the global weighted integral nearly equal its localized counterpart,
     # so the ratio cannot exceed one by more than the leakage
     g = grid_small
-    tab = carleman_weights(eta_small, weight_params(g.T, 1.5, sigma0=1.0), g)
+    tab = carleman_weights(eta_small, weight_params(g.T, 1.5, sigma0=1.0))
     x = g.node_coords[:, 0]
     bump = np.exp(-((x - 0.35) / 0.02) ** 2)
     phi = np.tile(bump, (g.m + 1, 1))

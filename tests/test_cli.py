@@ -188,6 +188,26 @@ def test_solver_rejections_are_config_errors(tmp_path, capsys, override):
     assert override[2:].partition("=")[0] in err   # the violation names its key
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "malformed_file",
+                                  "malformed_override"])
+def test_an_unreadable_config_is_a_config_error(tmp_path, capsys, case):
+    path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
+    extra = []
+    if case == "missing":
+        path = str(tmp_path / "absent.yaml")
+    elif case == "directory":
+        path = str(tmp_path)
+    elif case == "malformed_file":
+        (tmp_path / "cfg.yaml").write_text("grid: {n: [1,\n")
+    else:
+        extra = ["--grid.n=[1,"]
+    assert main(["simulate", "--config", path, *extra]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert ("'grid.n'" if extra else path) in err   # it names the override or the file
+
+
 def test_a_huge_seed_still_runs(tmp_path):
     # numpy's default_rng takes any nonnegative integer
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
@@ -562,6 +582,9 @@ def test_eps_sweep_names_a_curvature_falsification(tmp_path, capsys, monkeypatch
     csvs = [f for f in os.listdir(outdir) if f.endswith(".csv")]
     rows = (outdir / csvs[0]).read_text().splitlines()
     assert rows[0] == "eps,g_l2h1,iterations,terminal_residual,forward_residual,converged"
+    failed = dict(zip(rows[0].split(","), rows[2].split(",")))
+    assert failed["eps"] == "0.5"
+    assert failed["terminal_residual"] == "inf"   # no iterate was measured, as forward_residual
     summary = json.loads(
         (outdir / csvs[0].replace(".csv", ".json")).read_text())["summary"]
     assert summary["excluded"] == [0.5]

@@ -168,14 +168,11 @@ def test_transposition_identity_of_extracted_solution(params, grid_small,
     from ksctl.ks_model import StateTrajectory
     primal = StateTrajectory(u=res.uhat, v=res.vhat, params=params,
                              grid=grid_small)
-    adj = solve_adjoint(
-        params, lowfreq_field(grid_small, rng, zero_mean=True),
-        lowfreq_field(grid_small, rng),
-        lowfreq_space_time(grid_small, rng), lowfreq_space_time(grid_small, rng),
-        grid_small,
-    )
-    gap = duality_gap(primal, adj, res.control, h1, None)
-    _, _, scale = duality_terms(primal, adj, res.control, h1, None)
+    phiT, xiT = lowfreq_field(grid_small, rng, zero_mean=True), lowfreq_field(grid_small, rng)
+    f1, f2 = lowfreq_space_time(grid_small, rng), lowfreq_space_time(grid_small, rng)
+    adj = solve_adjoint(params, phiT, xiT, f1, f2, grid_small)
+    gap = duality_gap(primal, adj, res.control, h1, None, f1, f2)
+    _, _, scale = duality_terms(primal, adj, res.control, h1, None, f1, f2)
     assert gap < 1e-10 * scale
 
 
@@ -292,7 +289,7 @@ def test_control_solve_2d(grid_2d):
              ((0.20, 0.55), (0.20, 0.55)))
     eta = build_eta0(g, *boxes)
     chi = smooth_cutoff(g, boxes[1], boxes[2])
-    wt = refined_weights(eta, weight_params(g.T, 1.5, sigma0=0.05), g)
+    wt = refined_weights(eta, weight_params(g.T, 1.5, sigma0=0.05))
     pts = g.node_coords
     z0 = 0.01 * np.cos(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
     prob = ControlProblem(params=p, grid=g, weights=wt, chi=chi, z0=z0,

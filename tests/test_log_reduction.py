@@ -176,21 +176,21 @@ def oracle_theorem22(p, grid, eta0, s_list, lam, n_samples, seed):
     for _ in range(n_samples):
         phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng)
         adj = solve_adjoint(p, phiT, xiT, f1, f2, grid)
-        samples.append((adj, (A @ adj.phi.T).T))
+        samples.append((adj, (A @ adj.phi.T).T, f1, f2))
     for s in s_list:
-        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s), grid)
+        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s))
         logs = np.log(s)
         w3 = log_weight_profile(table, "alpha", 3.0)
         w10 = log_weight_profile(table, "alpha", 10.0)
         w18 = log_weight_profile(table, "alpha", 18.0)
-        for i, (adj, lap_phi) in enumerate(samples):
+        for i, (adj, lap_phi, f1, f2) in enumerate(samples):
             lhs = [3.0 * logs + oracle_integral(w3, lap_phi * lap_phi, grid, table)]
             lhs += oracle_i_beta_terms(adj.xi, 1.0, p.eps, table, grid)
             rhs = [
                 18.0 * logs + oracle_integral(
                     w18, adj.xi**2, grid, table, node_mask=omega_prime_mask),
-                10.0 * logs + oracle_integral(w10, adj.f1**2, grid, table),
-                3.0 * logs + oracle_integral(w3, adj.f2**2, grid, table),
+                10.0 * logs + oracle_integral(w10, f1**2, grid, table),
+                3.0 * logs + oracle_integral(w3, f2**2, grid, table),
             ]
             rep.add(i, float(s), lam, p.eps,
                     float(logsumexp(lhs)), float(logsumexp(rhs)))
@@ -207,16 +207,16 @@ def oracle_lemma31(p_template, grid, eta0, s_list, chi, lam, eps_list,
         samples = []
         for _ in range(n_samples):
             phiT, xiT, f1, f2 = sample_adjoint_data(grid, rng)
-            samples.append(solve_adjoint(p, phiT, xiT, f1, f2, grid))
+            samples.append((solve_adjoint(p, phiT, xiT, f1, f2, grid), f1, f2))
         for s in s_list:
-            rt = refined_weights(eta0, weight_params(grid.T, lam, s=s), grid)
+            rt = refined_weights(eta0, weight_params(grid.T, lam, s=s))
             wb4 = log_weight_profile(rt, "beta", 4.0)
             wb2 = log_weight_profile(rt, "beta", 2.0)
             wh3 = log_weight_profile(rt, "beta_hat", 3.0)
             ws10 = log_weight_profile(rt, "beta_star", 10.0)
             ws3 = log_weight_profile(rt, "beta_star", 3.0)
             ws18 = log_weight_profile(rt, "beta_star", 18.0)
-            for i, adj in enumerate(samples):
+            for i, (adj, f1, f2) in enumerate(samples):
                 phi_mean = np.array(
                     [mass(adj.phi[k], grid) for k in range(grid.m + 1)]
                 ) / grid.volume
@@ -230,8 +230,8 @@ def oracle_lemma31(p_template, grid, eta0, s_list, chi, lam, eps_list,
                     np.log(eps) + oracle_l2_sq(adj.xi[0], grid),
                 ]
                 rhs = [
-                    oracle_integral(ws10, adj.f1**2, grid, rt),
-                    oracle_integral(ws3, adj.f2**2, grid, rt),
+                    oracle_integral(ws10, f1**2, grid, rt),
+                    oracle_integral(ws3, f2**2, grid, rt),
                     oracle_integral(ws18, (chi**2)[None, :] * adj.xi**2, grid, rt),
                 ]
                 rep.add(i, float(s), lam, eps,
@@ -250,7 +250,7 @@ def oracle_lemmaA1(grid, eta0, s_list, lam, n_samples, seed):
         phi = solve_backward_heat(np.zeros(grid.num_nodes), (A @ gfield.T).T, grid)
         samples.append((phi, gfield))
     for s in s_list:
-        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s), grid)
+        table = carleman_weights(eta0, weight_params(grid.T, lam, s=s))
         logs = np.log(s)
         w3 = log_weight_profile(table, "alpha", 3.0)
         w4 = log_weight_profile(table, "alpha", 4.0)
@@ -308,7 +308,7 @@ def test_integral_reduction_order_is_pinned(request, name, boxes):
     # put the log near 0, where every bit of the sum over kept terms shows
     grid = request.getfixturevalue(name)
     eta = build_eta0(grid, *boxes)
-    table = carleman_weights(eta, weight_params(grid.T, 1.5, sigma0=0.05), grid)
+    table = carleman_weights(eta, weight_params(grid.T, 1.5, sigma0=0.05))
     mask = box_mask(grid, eta.omega).astype(float)
     rng = np.random.default_rng(5)
     for _ in range(5):

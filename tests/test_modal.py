@@ -34,7 +34,7 @@ def _problem(grid, p):
     x = grid.node_coords[:, 0]
     return ControlProblem(
         params=p, grid=grid,
-        weights=refined_weights(eta, weight_params(grid.T, 1.5, sigma0=0.05), grid),
+        weights=refined_weights(eta, weight_params(grid.T, 1.5, sigma0=0.05)),
         chi=smooth_cutoff(grid, boxes[1], boxes[2]),
         z0=0.01 * np.cos(np.pi * x / grid.L[0]), w0=np.zeros(grid.num_nodes))
 

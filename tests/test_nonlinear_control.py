@@ -103,6 +103,7 @@ def test_eps_sweep_small(params, grid_small, weights_small, chi_small):
     assert 1.0 <= rep.uniformity_ratio < 10.0
 
 
+FLOOR = SolverSettings(weight_floor=1e-6)   # the settings e_norm reads its floor from
 E_NORM_KEYS = ["state_u", "state_v", "control_g", "residual_density",
                "residual_chemical_h1", "state_u_h2", "state_v_h2", "control_g_h1",
                "total"]
@@ -112,7 +113,7 @@ def test_e_norm_zero_and_homogeneity(params, grid_small, weights_small, chi_smal
     shape = (grid_small.m + 1, grid_small.num_nodes)
     zero = np.zeros(shape)
     comp0 = e_norm(zero, zero, zero, weights_small, params, chi_small,
-                   grid_small, cap=1e-6)
+                   grid_small, FLOOR)
     assert list(comp0) == E_NORM_KEYS
     # exactly -inf, not a log that underflows
     assert all(v == -np.inf for v in comp0.values())
@@ -121,9 +122,9 @@ def test_e_norm_zero_and_homogeneity(params, grid_small, weights_small, chi_smal
     z = 1e-3 * rng.standard_normal(shape)
     w = 1e-3 * rng.standard_normal(shape)
     g = 1e-3 * rng.standard_normal(shape)
-    c1 = e_norm(z, w, g, weights_small, params, chi_small, grid_small, cap=1e-6)
+    c1 = e_norm(z, w, g, weights_small, params, chi_small, grid_small, FLOOR)
     c2 = e_norm(2 * z, 2 * w, 2 * g, weights_small, params, chi_small,
-                grid_small, cap=1e-6)
+                grid_small, FLOOR)
     assert list(c1) == E_NORM_KEYS
     for key in c1:
         if np.isfinite(c1[key]):
@@ -136,9 +137,9 @@ def test_e_norm_finite_on_converged_output(params, grid_small, weights_small,
     u0 = params.M1 + 0.01 * np.cos(np.pi * x)
     v0 = np.full_like(x, params.M2)
     r = picard_solve(params, u0, v0, weights_small, chi_small, grid_small,
-                     SolverSettings(weight_floor=1e-6))
+                     FLOOR)
     comp = e_norm(r.z, r.w, r.control.g, weights_small, params, chi_small,
-                  grid_small, cap=1e-6)
+                  grid_small, FLOOR)
     assert list(comp) == E_NORM_KEYS
     assert all(isinstance(v, float) and np.isfinite(v) for v in comp.values())
 
@@ -151,7 +152,7 @@ def test_e_norm_overflowing_chemical_residual_is_infinite(params, grid_small,
     shape = (grid_small.m + 1, grid_small.num_nodes)
     zero = np.zeros(shape)
     comp = e_norm(zero, zero, np.full(shape, 1e80), weights_small, params,
-                  chi_small, grid_small, cap=1e-300)
+                  chi_small, grid_small, SolverSettings(weight_floor=1e-300))
     assert comp["residual_chemical_h1"] == comp["total"] == np.inf
     assert np.isfinite(comp["control_g"]) and np.isfinite(comp["control_g_h1"])
 
@@ -164,7 +165,7 @@ def test_e_norm_nan_chemical_square_is_dropped(params, grid_small, weights_small
     zero = np.zeros(shape)
     g = np.full(shape, 1e100)
     comp = e_norm(zero, zero, g, weights_small, params, chi_small, grid_small,
-                  cap=1e-6)
+                  FLOOR)
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = np.exp(0.5 * _capped(-log_weight_profile(weights_small, "beta", 2.0),
                                         1e-6)[1:]) * -(g[1:] * chi_small)
@@ -192,7 +193,7 @@ def test_e_norm_makes_eight_laplacian_products(params, grid_small, weights_small
         monkeypatch.setattr(module, "neumann_laplacian", counted)
     rng = np.random.default_rng(3)
     z, w, g = 1e-3 * rng.standard_normal((3, grid_small.m + 1, grid_small.num_nodes))
-    e_norm(z, w, g, weights_small, params, chi_small, grid_small, cap=1e-6)
+    e_norm(z, w, g, weights_small, params, chi_small, grid_small, FLOOR)
     assert len(calls) == 8
 
 
@@ -204,7 +205,7 @@ def test_bilinear_continuity_bounded(params, grid_small, weights_small, chi_smal
         z = 1e-3 * rng.standard_normal(shape)
         w = 1e-3 * rng.standard_normal(shape)
         ratios.append(bilinear_continuity_ratio(z, w, weights_small, params,
-                                                chi_small, grid_small, cap=1e-6))
+                                                chi_small, grid_small, FLOOR))
     assert all(np.isfinite(r) for r in ratios)
 
 

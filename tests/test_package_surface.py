@@ -11,7 +11,8 @@ Every field of a package dataclass is read as an attribute somewhere in
 work done for no one.
 
 The solver knobs reach every solve inside one ``SolverSettings``: no other
-function or dataclass of the package takes one of them by name.
+function or dataclass of the package takes one of them by name, and no call
+passes one on its own.
 
 Every constant sparse factor of the package enters through one cache,
 ``Grid.factor``; the only other ``splu`` call is the density step's factor,
@@ -105,6 +106,16 @@ def test_solver_knobs_travel_only_inside_solver_settings():
             takes += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
                       for name in names if name in SOLVER_KNOBS]
     assert not takes, "a solver knob outside SolverSettings: " + ", ".join(takes)
+
+
+def test_no_call_passes_a_solver_knob_on_its_own():
+    # ``f(..., cap=s.weight_floor)`` would carry a knob under another name
+    passes = [f"{path.relative_to(ROOT)}:{node.lineno} {arg.attr}"
+              for path, tree in _trees(PACKAGE).items()
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              for arg in node.args + [kw.value for kw in node.keywords]
+              if isinstance(arg, ast.Attribute) and arg.attr in SOLVER_KNOBS]
+    assert not passes, "a solver knob passed outside SolverSettings: " + ", ".join(passes)
 
 
 def _splu_sites(tree, module):

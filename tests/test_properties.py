@@ -65,10 +65,10 @@ def test_linearized_and_adjoint_marches_are_transposes(dim, n, m, eps, seed):
     c = Control(g=lowfreq_space_time(grid, rng), chi=chi)
     primal = solve_linearized(p, lowfreq_field(grid, rng, zero_mean=True),
                               lowfreq_field(grid, rng), c, h1, h2, grid)
-    adj = solve_adjoint(p, lowfreq_field(grid, rng, zero_mean=True),
-                        lowfreq_field(grid, rng), lowfreq_space_time(grid, rng),
-                        lowfreq_space_time(grid, rng), grid)
-    lhs, rhs, scale = duality_terms(primal, adj, c, h1, h2)
+    phiT, xiT = lowfreq_field(grid, rng, zero_mean=True), lowfreq_field(grid, rng)
+    f1, f2 = lowfreq_space_time(grid, rng), lowfreq_space_time(grid, rng)
+    adj = solve_adjoint(p, phiT, xiT, f1, f2, grid)
+    lhs, rhs, scale = duality_terms(primal, adj, c, h1, h2, f1, f2)
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
@@ -136,7 +136,7 @@ def test_dual_terminal_slice_is_tau_times_zhat(dim, n, m, eps, seed):
     prob = ControlProblem(
         params=KSParams(a=10.0, b=1.0, eps=eps, M1=1.0, M2=10.0), grid=grid,
         weights=refined_weights(build_eta0(grid, *boxes),
-                                weight_params(grid.T, 1.5, sigma0=0.05), grid),
+                                weight_params(grid.T, 1.5, sigma0=0.05)),
         chi=smooth_cutoff(grid, boxes[1], boxes[2]),
         z0=0.01 * _unit(lowfreq_field(grid, rng, zero_mean=True)),
         w0=0.01 * _unit(lowfreq_field(grid, rng)))

@@ -15,6 +15,7 @@ import pytest
 from ksctl.adjoint import AdjointTrajectory, solve_adjoint, solve_backward_heat
 from ksctl.carleman_check import (
     CarlemanReport,
+    _scan,
     log_space_time_integral,
     sample_adjoint_data,
     sample_space_time,
@@ -45,7 +46,8 @@ def test_stacked_adjoint_march_equals_per_sample_marches(request, name):
     assert adj.phi.shape == adj.xi.shape == (4, grid.m + 1, grid.num_nodes)
     for i in range(4):
         one = solve_adjoint(P, *(f[i] for f in data), grid)
-        for got, want in ((adj.phi[i], one.phi), (adj.xi[i], one.xi), (adj.phiT[i], one.phiT)):
+        for got, want in ((adj.phi[i], one.phi), (adj.xi[i], one.xi),
+                          (adj.phi[i, -1], one.phi[-1]), (adj.xi[i, -1], one.xi[-1])):
             assert np.array_equal(got, want)
         assert adj.phi[i].flags.c_contiguous and adj.xi[i].flags.c_contiguous
     # absent sources are zero for every sample of the stack
@@ -64,7 +66,7 @@ def test_stacked_adjoint_projects_and_warns_per_sample(params, grid_small):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             one = solve_adjoint(params, phiT[i], xiT[i], f1[i], f2[i], grid_small)
-        assert np.array_equal(adj.phiT[i], one.phiT) and np.array_equal(adj.phi[i], one.phi)
+        assert np.array_equal(adj.phi[i, -1], one.phi[-1]) and np.array_equal(adj.phi[i], one.phi)
 
 
 @pytest.mark.parametrize("name", GRIDS)
@@ -92,7 +94,7 @@ def test_stacked_backward_heat_equals_per_sample_marches(request, name):
 
 def _table(name, grid):
     eta = build_eta0(grid, *BOXES[name])
-    return eta, carleman_weights(eta, weight_params(grid.T, 1.5, sigma0=0.05), grid)
+    return eta, carleman_weights(eta, weight_params(grid.T, 1.5, sigma0=0.05))
 
 
 def _profile(table, grid, kind):
@@ -148,16 +150,21 @@ def test_a_zero_rhs_sample_in_a_stack_is_a_falsification(request, name):
     grid = request.getfixturevalue(name)
     eta, _ = _table(name, grid)
     alpha, _ = weight_families(eta, [0.05 * (grid.T**4 + grid.T**8)], 1.5)
-    adj = solve_adjoint(P, *_stack(grid, 3, 5), grid)
-    for field in (adj.xi, adj.f1, adj.f2):
+    *data, f1, f2 = _stack(grid, 3, 5)
+    adj = solve_adjoint(P, *data, f1, f2, grid)
+    for field in (adj.xi, f1, f2):
         field[1] = 0.0
+
+    def sources(f1, f2):   # the thm2.2 source terms, as adjoint_reports integrates them
+        return [_scan(alpha, 10.0, "alpha", 10.0, f1**2), _scan(alpha, 3.0, "alpha", 3.0, f2**2)]
+
     mask = box_mask(grid, eta.omega_prime).astype(float)
-    pairs = theorem22_report(adj, alpha, mask, {})
+    pairs = theorem22_report(adj, alpha, mask, sources(f1, f2))
     rep = CarlemanReport("thm2.2").add_samples(alpha, P.eps, pairs)
     assert [f["sample_id"] for f in rep.falsifications] == [1]
     assert np.isfinite(rep.falsifications[0]["log_lhs"])
     # the other two rows are what each sample gives as a stack of one
     for i in (0, 2):
-        one = AdjointTrajectory(*(f[i:i + 1] for f in (adj.phi, adj.xi, adj.phiT, adj.xiT,
-                                                        adj.f1, adj.f2)), P, grid)
-        assert pairs[i] == theorem22_report(one, alpha, mask, {})[0]
+        one = AdjointTrajectory(adj.phi[i:i + 1], adj.xi[i:i + 1], P, grid)
+        assert pairs[i] == theorem22_report(one, alpha, mask,
+                                            sources(f1[i:i + 1], f2[i:i + 1]))[0]

@@ -3,9 +3,11 @@ import pytest
 
 from ksctl.grid import box_mask
 from ksctl.weights import (
+    POWER_RANGE,
     build_eta0,
     carleman_weights,
     log_weight_profile,
+    refined_weights,
     weight_params,
 )
 
@@ -78,14 +80,14 @@ def test_weight_params_validation():
 
 
 def test_alpha_negative_everywhere(grid_small, eta_small):
-    wt = carleman_weights(eta_small, weight_params(grid_small.T, 1.5), grid_small)
+    wt = carleman_weights(eta_small, weight_params(grid_small.T, 1.5))
     alpha, _ = closed_form_weights(eta_small, wt)
     assert np.all(alpha[1:-1] < 0.0)
 
 
 def test_phi_closed_form_at_midpoint(grid_small, eta_small):
     lam = 1.5
-    wt = carleman_weights(eta_small, weight_params(grid_small.T, lam), grid_small)
+    wt = carleman_weights(eta_small, weight_params(grid_small.T, lam))
     k = grid_small.m // 2
     i = int(np.argmax(eta_small.values))
     # independent scalar computation of the same quantity
@@ -95,18 +97,19 @@ def test_phi_closed_form_at_midpoint(grid_small, eta_small):
 
 
 def test_extrema_locations(grid_small, eta_small):
-    wt = carleman_weights(eta_small, weight_params(grid_small.T, 1.5), grid_small)
+    wt = carleman_weights(eta_small, weight_params(grid_small.T, 1.5))
     k = grid_small.m // 2
     i_star = int(np.argmax(eta_small.values))
     alpha, _ = closed_form_weights(eta_small, wt)
-    assert wt.exponent_star[k] == alpha[k, i_star]
-    assert wt.exponent_hat[k] == alpha[k, 0]    # boundary node
-    assert wt.log_factor_star[k] >= wt.log_factor_hat[k] > -np.inf
+    two_s = 2.0 * wt.params.s
+    assert wt.two_s_exponent[k].max() == two_s * alpha[k, i_star]
+    assert wt.two_s_exponent[k].min() == two_s * alpha[k, 0]    # boundary node
+    assert wt.log_factor[k].max() >= wt.log_factor[k].min() > -np.inf
 
 
 def test_refined_time_profile(grid_small, eta_small, weights_small):
     g, rt = grid_small, weights_small
-    wt = carleman_weights(eta_small, rt.params, g)
+    wt = carleman_weights(eta_small, rt.params)
     kq, kh, k3q = g.m // 4, g.m // 2, 3 * g.m // 4
     beta, gamma = closed_form_weights(eta_small, rt)
     alpha, phi = closed_form_weights(eta_small, wt)
@@ -128,15 +131,34 @@ def test_refined_products_vanish_at_terminal_time(weights_small):
         assert np.exp(prof[-1]) == 0.0
 
 
-def test_log_weight_point_queries(grid_small, weights_small):
+def test_log_weight_point_queries(grid_small, eta_small, weights_small):
     rt = weights_small
     k = grid_small.m // 2
     s2b = log_weight_profile(rt, "beta_star", 0.0)[k]
-    assert s2b == pytest.approx(2.0 * rt.params.s * rt.exponent_star[k], rel=1e-14)
+    beta, _ = closed_form_weights(eta_small, rt)
+    assert s2b == pytest.approx(2.0 * rt.params.s * beta[k].max(), rel=1e-14)
     # singular step: -inf, exp flushes to zero, never NaN
     q = log_weight_profile(rt, "beta", 5.0)[grid_small.m, 3]
     assert np.isneginf(q)
     assert np.exp(q) == 0.0
+
+
+@pytest.mark.parametrize("name", ["grid_small", "grid_2d"])
+def test_starred_and_hatted_profiles_reduce_the_stored_logs_exactly(request, name):
+    # against the arithmetic of per-step extrema kept apart: the max or min
+    # of the unscaled exponent, times 2s afterwards
+    grid = request.getfixturevalue(name)
+    boxes = [b if grid.dim == 1 else [b] * 2 for b in (OMEGA0, OMEGA_PRIME, OMEGA)]
+    eta = build_eta0(grid, *boxes)
+    table = refined_weights(eta, weight_params(grid.T, 1.5, sigma0=0.05))
+    beta, _ = closed_form_weights(eta, table)
+    for kind, extremum in (("beta_star", np.max), ("beta_hat", np.min)):
+        for power in (POWER_RANGE[0], -3.0, 0.0, 2.5, 10.0, POWER_RANGE[1]):
+            with np.errstate(invalid="ignore"):
+                want = (2.0 * table.params.s * extremum(beta, axis=1)
+                        + power * extremum(table.log_factor, axis=1))
+            want[list(table.singular_steps)] = -np.inf
+            assert np.array_equal(log_weight_profile(table, kind, power), want)
 
 
 def test_log_weight_rejects_out_of_range_power(grid_small, eta_small, weights_small):
@@ -147,16 +169,14 @@ def test_log_weight_rejects_out_of_range_power(grid_small, eta_small, weights_sm
     # a kind of the other family is a KeyError naming the table's family
     with pytest.raises(KeyError, match="table is of the beta family"):
         log_weight_profile(weights_small, "alpha", 3.0)
-    classical = carleman_weights(eta_small, weights_small.params, grid_small)
+    classical = carleman_weights(eta_small, weights_small.params)
     with pytest.raises(KeyError, match="table is of the alpha family"):
         log_weight_profile(classical, "beta_star", 3.0)
 
 
 def test_log_weight_consistency_with_direct_product(grid_small, eta_small):
     # mild parameters keep the direct product representable
-    wt = carleman_weights(
-        eta_small, weight_params(grid_small.T, 1.5, sigma0=1e-4), grid_small
-    )
+    wt = carleman_weights(eta_small, weight_params(grid_small.T, 1.5, sigma0=1e-4))
     alpha, phi = closed_form_weights(eta_small, wt)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -174,7 +194,8 @@ def test_stored_logs_finite_on_interior_steps(grid_small, weights_small):
     interior = np.setdiff1d(np.arange(rt.grid.m + 1), rt.singular_steps)
     assert np.all(np.isfinite(rt.two_s_exponent[interior]))
     assert np.all(np.isfinite(rt.log_factor[interior]))
-    assert np.all(np.isfinite(rt.log_factor_star[interior]))
+    for kind in ("beta_star", "beta_hat"):   # the per-step extrema of the stored logs
+        assert np.all(np.isfinite(log_weight_profile(rt, kind, 3.0)[interior]))
 
 
 def test_box_mask_matches_open_box(grid_small):
