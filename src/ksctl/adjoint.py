@@ -65,12 +65,12 @@ def solve_adjoint(p: KSParams, phiT: np.ndarray, xiT: np.ndarray,
                           ("f1", f1, (*lead, m + 1)), ("f2", f2, (*lead, m + 1))):
         _check_field(f, grid, rows, name)
 
-    means = [mass(f, grid) / grid.volume for f in np.reshape(phiT, (-1, nn))]
-    for mean, f in zip(means, np.reshape(phiT, (-1, nn))):
-        if abs(mean) > 1e-10 * max(1.0, float(np.abs(f).max())):
-            warnings.warn(f"phiT mean {mean:.3e} projected out (zero-mean terminal "
-                          "constraint)", stacklevel=2)
-    phiT = phiT - np.reshape(means, (*lead, 1))
+    means = np.reshape(mass(phiT, grid) / grid.volume, (*lead, 1))
+    large = np.abs(means) > 1e-10 * np.maximum(1.0, np.abs(phiT).max(-1, keepdims=True))
+    for mean in means[large]:
+        warnings.warn(f"phiT mean {mean:.3e} projected out (zero-mean terminal "
+                      "constraint)", stacklevel=2)
+    phiT = phiT - means
 
     X = np.empty((len(means), m + 1, 2 * nn))
     X[:, m, :nn], X[:, m, nn:] = np.reshape(phiT, (-1, nn)), np.reshape(xiT, (-1, nn))

@@ -364,28 +364,26 @@ def _cmd_simulate(cfg: ExperimentConfig, runner: _Runner) -> int:
     pp = solve_forward_pp(p, u0, v0, ctl, grid)
     pe = solve_forward_pe(p, u0, ctl, grid)
     runner.phase("solves")
-    rows = []
-    for k in range(grid.m + 1):
-        rows.append({
-            "t": grid.times[k],
-            "mass_u_pp": mass(pp.u[k], grid),
-            "mass_u_pe": mass(pe.u[k], grid),
-            "min_u_pp": float(pp.u[k].min()),
-            "max_u_pp": float(pp.u[k].max()),
-            "dev_u_pp": l2_norm(pp.u[k] - p.M1, grid),
-            "dev_v_pp": l2_norm(pp.v[k] - p.M2, grid),
-            "dev_u_pe": l2_norm(pe.u[k] - p.M1, grid),
-            "dev_v_pe": l2_norm(pe.v[k] - p.M2, grid),
-        })
-    m0 = mass(pp.u[0], grid)
-    drift_pp = max(abs(r["mass_u_pp"] - m0) for r in rows) / abs(m0)
-    drift_pe = max(abs(r["mass_u_pe"] - m0) for r in rows) / abs(m0)
+    cols = {
+        "t": grid.times,
+        "mass_u_pp": mass(pp.u, grid),
+        "mass_u_pe": mass(pe.u, grid),
+        "min_u_pp": pp.u.min(axis=1),
+        "max_u_pp": pp.u.max(axis=1),
+        "dev_u_pp": l2_norm(pp.u - p.M1, grid),
+        "dev_v_pp": l2_norm(pp.v - p.M2, grid),
+        "dev_u_pe": l2_norm(pe.u - p.M1, grid),
+        "dev_v_pe": l2_norm(pe.v - p.M2, grid),
+    }
+    rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
+    m0 = cols["mass_u_pp"][0]
+    drift_pp, drift_pe = (np.abs(cols[f"mass_u_{s}"] - m0).max() / abs(m0) for s in ("pp", "pe"))
     summary = {
         "mass_drift_pp": drift_pp, "mass_drift_pe": drift_pe,
-        "final_dev_u_pp": rows[-1]["dev_u_pp"], "final_dev_u_pe": rows[-1]["dev_u_pe"],
-        "negative_density_detected": bool(min(r["min_u_pp"] for r in rows) < 0),
+        "final_dev_u_pp": cols["dev_u_pp"][-1], "final_dev_u_pe": cols["dev_u_pe"][-1],
+        "negative_density_detected": bool(cols["min_u_pp"].min() < 0),
     }
-    header = list(rows[0].keys())
+    header = list(cols)
     code = 0 if max(drift_pp, drift_pe) < 1e-11 else 3
     if code == 3:
         print(f"ksctl simulate: mass-conservation invariant violated "

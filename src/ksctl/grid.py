@@ -291,41 +291,42 @@ def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarra
         u[..., fc.left] + u[..., fc.right]) * (v[..., fc.right] - v[..., fc.left]) / fc.h)
 
 
-def mass(f: np.ndarray, grid: Grid) -> float:
-    """Trapezoid-rule integral of ``f`` over the domain."""
-    _check_field(f, grid)
-    return float(grid.quad_weights @ f)
+def inner(f: np.ndarray, g: np.ndarray, grid: Grid) -> np.ndarray:
+    """Weighted (trapezoid) L2 inner product of two fields or of each slice pair
+    of two stacks: the one weighted node sum, in a fixed order (no BLAS), so a
+    stacked row equals its single-slice call and no thread count moves a bit."""
+    return np.einsum("...n,n,...n->...", f, grid.quad_weights, g)
+
+
+def mass(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Trapezoid-rule integral of one field or of each slice of a stack:
+    :func:`inner` with a unit third factor."""
+    _check_field(f, grid, np.shape(f)[:-1])
+    return inner(f, np.ones(grid.num_nodes), grid)
 
 
 def check_zero_mass(f: np.ndarray, grid: Grid, name: str) -> None:
     """Reject ``f``, one field or a space-time array, unless every slice has
-    zero mass to 1e-10 max(1, |f|_inf): one weighted reduction over all slices."""
-    worst = float(np.abs(f @ grid.quad_weights).max())
+    zero mass to 1e-10 max(1, |f|_inf)."""
+    worst = float(np.abs(mass(f, grid)).max())
     if worst > 1e-10 * max(1.0, float(np.abs(f).max())):
         where = " at every step" if f.ndim > 1 else ""
         raise ValueError(f"{name} must have zero mass{where}; worst |mass| = {worst:.3e}")
 
 
-def inner(f: np.ndarray, g: np.ndarray, grid: Grid) -> float:
-    """Weighted (trapezoid) L2 inner product."""
-    return float((grid.quad_weights * f) @ g)
-
-
-def l2_norm(f: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt(max(inner(f, f, grid), 0.0)))
-
-
 def l2_sq(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Weighted squared L2 norm of one field, or of each slice of a
-    (slices, nodes) array."""
-    return np.einsum("...n,n,...n->...", f, grid.quad_weights, f)
+    """Weighted squared L2 norm of one field, or of each slice of a stack."""
+    return inner(f, f, grid)
+
+
+def l2_norm(f: np.ndarray, grid: Grid) -> np.ndarray:
+    return np.sqrt(l2_sq(f, grid))
 
 
 def h1_seminorm_sq(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Discrete ``int |grad f|^2`` of one field or of each slice, computed as
     <-Lap f, f>_W with :func:`neumann_laplacian` (summation by parts)."""
-    lap = neumann_laplacian(f, grid)
-    return np.maximum(-np.einsum("...n,n,...n->...", lap, grid.quad_weights, f), 0.0)
+    return np.maximum(-inner(neumann_laplacian(f, grid), f, grid), 0.0)
 
 
 def box_mask(grid: Grid, box) -> np.ndarray:

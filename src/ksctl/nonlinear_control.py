@@ -61,8 +61,8 @@ class SweepReport:
     @property
     def uniformity_ratio(self) -> float:
         norms = [r["g_l2h1"] for r in self.rows if r["g_l2h1"] > 0.0]
-        if not norms:
-            return 1.0
+        if not norms:   # 1.0 for converged all-zero controls, nan if none converged
+            return 1.0 if self.rows else float("nan")
         return max(norms) / min(norms)
 
 
@@ -82,10 +82,9 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
     halves whenever the terminal residual increases.
     """
     scale = max(1.0, float(np.abs(u0).max()))
-    if abs(mass(u0, grid) / grid.volume - p.M1) > 1e-10 * scale:
-        raise ValueError(
-            f"mean of u0 is {mass(u0, grid) / grid.volume!r}, must equal M1 = {p.M1}"
-        )
+    mean = float(mass(u0, grid) / grid.volume)
+    if abs(mean - p.M1) > 1e-10 * scale:
+        raise ValueError(f"mean of u0 is {mean!r}, must equal M1 = {p.M1}")
     z0 = u0 - p.M1
     w0 = v0 - p.M2
 
@@ -130,7 +129,7 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
     return NonlinearControlResult(
         converged=converged, iterations=it, terminal_history=term_hist,
         update_history=upd_hist, control=res.control if res else None, z=z, w=w,
-        g_l2h1=res.g_l2h1 if res else 0.0, forward_residual=fwd_res,
+        g_l2h1=res.g_l2h1 if res else np.nan, forward_residual=fwd_res,
         failure_reason=reason, curvature_ok=dual.curvature_ok,
     )
 

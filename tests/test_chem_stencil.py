@@ -17,8 +17,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from ksctl import ks_model
-from ksctl.grid import (build_grid, chemotaxis_divergence, h1_seminorm_sq, l2_sq,
-                        neumann_laplacian)
+from ksctl.grid import (build_grid, chemotaxis_divergence, h1_seminorm_sq, inner, l2_norm,
+                        l2_sq, mass, neumann_laplacian)
 from ksctl.ks_model import (Control, KSParams, smooth_cutoff, solve_forward_pe,
                             solve_forward_pp)
 from oracles import chem_matrix_oracle, density_matrix_oracle, implicit_march_oracle
@@ -151,7 +151,12 @@ def test_batched_chemotaxis_divergence_equals_per_slice_calls(grid):
         assert np.array_equal(chemotaxis_divergence(u, v, grid), np.array(want))
 
 
-@pytest.mark.parametrize("op", [neumann_laplacian, h1_seminorm_sq, l2_sq])
+def _inner_with_reversed(f, grid):   # each row against itself reversed: a strided operand
+    return inner(f, f[..., ::-1], grid)
+
+
+@pytest.mark.parametrize("op", [neumann_laplacian, h1_seminorm_sq, l2_sq, l2_norm, mass,
+                                _inner_with_reversed])
 def test_batched_grid_reductions_equal_per_slice_calls(grid, op):
     # a (slices, nodes) array in one call, each row reduced as its slice
     # alone would be: equal bit for bit

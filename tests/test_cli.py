@@ -9,6 +9,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksctl import carleman_check, cli, nonlinear_control
 from ksctl.cli import ConfigError, main, parse_config
@@ -96,6 +98,30 @@ def test_a_non_finite_value_is_one_violation(tmp_path, key, value):
     with pytest.raises(ConfigError) as err:
         parse_config(write_cfg(tmp_path), {key: value})
     assert len(err.value.violations) == 1 and err.value.violations[0].startswith(key)
+
+
+_LEAF_KEYS = sorted({leaf for section in cli.DEFAULTS.values() for leaf in section})
+_FUZZ_LEAF = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6), st.integers(),
+    st.sampled_from([10**19, -10**19, 10**29, 10**309, -10**400]),
+    st.floats(allow_nan=True, allow_infinity=True))
+_FUZZ_VALUE = st.recursive(   # nested and ragged lists, mappings with known and other keys
+    _FUZZ_LEAF, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(_LEAF_KEYS) | st.text(max_size=4), kids, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(overrides=st.dictionaries(
+    st.sampled_from(sorted([*cli.DEFAULTS, *(f"{name}.{leaf}" for name, section in
+                                             cli.DEFAULTS.items() for leaf in section)])),
+    _FUZZ_VALUE, min_size=1, max_size=3))
+def test_any_override_is_a_config_or_a_config_error(overrides):
+    # parse_config only: a fuzzed grid that passes would allocate in a command
+    try:
+        parse_config(None, overrides)
+    except ConfigError:
+        pass
 
 
 def test_bad_eps_list_entry_names_its_key(tmp_path):
@@ -585,6 +611,7 @@ def test_eps_sweep_names_a_curvature_falsification(tmp_path, capsys, monkeypatch
     failed = dict(zip(rows[0].split(","), rows[2].split(",")))
     assert failed["eps"] == "0.5"
     assert failed["terminal_residual"] == "inf"   # no iterate was measured, as forward_residual
+    assert failed["g_l2h1"] == "nan"              # and no control was extracted
     summary = json.loads(
         (outdir / csvs[0].replace(".csv", ".json")).read_text())["summary"]
     assert summary["excluded"] == [0.5]

@@ -12,7 +12,10 @@ import ksctl
 from ksctl.grid import (
     build_grid,
     chemotaxis_divergence,
+    h1_seminorm_sq,
     inner,
+    l2_norm,
+    l2_sq,
     mass,
     neumann_laplacian,
 )
@@ -149,6 +152,18 @@ def test_chemotaxis_mass_free_2d():
     u = rng.standard_normal(g.num_nodes)
     v = rng.standard_normal(g.num_nodes)
     assert abs(mass(chemotaxis_divergence(u, v, g), g)) < 1e-13
+
+
+def test_stacked_weighted_sums_equal_single_slice_calls_at_12321_nodes():
+    # 111 x 111 nodes: BLAS ddot and the two-operand einsum round a row of a
+    # stack differently above 8,192 entries; grid.inner's three operands do not
+    g = build_grid(2, (1.0, 1.0), (110, 110), 1.0, 16)
+    f, h = np.random.default_rng(3).standard_normal((2, 3, 4, g.num_nodes))
+    rows = [(i, k) for i in range(3) for k in range(4)]
+    assert np.array_equal(mass(f, g).ravel(), [mass(f[r], g) for r in rows])
+    assert np.array_equal(inner(f, h, g).ravel(), [inner(f[r], h[r], g) for r in rows])
+    for op in (l2_sq, l2_norm, h1_seminorm_sq):   # on strided rows
+        assert np.array_equal(op(f[:, 1], g), [op(f[i, 1], g) for i in range(3)])
 
 
 def test_mass_examples():

@@ -93,6 +93,22 @@ def test_eps_sweep_conventions(params, grid_small, weights_small, chi_small):
     assert single.uniformity_ratio == 1.0       # single entry
 
 
+def test_a_run_that_extracts_no_control_reports_nan(params, grid_small, weights_small,
+                                                    chi_small):
+    # every first dual solve stops at cg_maxit: no control exists, so its norm
+    # is NaN, not the 0 of a trivially controlled state, and so is the ratio
+    x = grid_small.axes[0]
+    u0 = params.M1 + 0.01 * np.cos(np.pi * x)
+    v0 = np.full_like(x, params.M2)
+    capped = SolverSettings(cg_maxit=1)
+    r = picard_solve(params, u0, v0, weights_small, chi_small, grid_small, capped)
+    assert not r.converged and r.control is None and np.isnan(r.g_l2h1)
+    rep = eps_sweep(params, u0, v0, weights_small, chi_small, grid_small,
+                    eps_list=(1.0, 0.1), settings=capped)
+    assert not rep.rows and [np.isnan(row["g_l2h1"]) for row in rep.excluded] == [True, True]
+    assert np.isnan(rep.uniformity_ratio)
+
+
 def test_eps_sweep_small(params, grid_small, weights_small, chi_small):
     x = grid_small.axes[0]
     u0 = params.M1 + 0.01 * np.cos(np.pi * x)

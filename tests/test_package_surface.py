@@ -23,6 +23,10 @@ backward heat march steps on.
 The Laplacian has one apply, ``grid.neumann_laplacian``: no other function
 of the package multiplies by ``laplacian_matrix``.  The factor builders
 still read the matrix to assemble theirs.
+
+No matrix product of the package (``@``, ``.dot``, ``np.matmul``,
+``np.inner``, ``np.vdot``) takes ``quad_weights``: the weighted node sums
+all go through ``grid.inner``.
 """
 
 import ast
@@ -144,31 +148,47 @@ def test_splu_only_in_the_factor_cache_and_the_density_step():
     assert sites == ["grid.Grid.factor", "ks_model._density_factor"]
 
 
-def _laplacian_product_sites(tree, module):
-    """The dotted definition enclosing each matmul or ``.dot`` that has
-    ``laplacian_matrix``, or a local name bound to it, as an operand."""
+_PRODUCT_CALLS = {"matmul", "inner", "vdot"}   # as np.<name>; ``.dot`` on any receiver
+
+
+def _product_sites(tree, module, attr):
+    """The dotted definition enclosing each matrix product (``@``, ``@=``,
+    ``.dot``, ``np.dot``, ``np.matmul``, ``np.inner``, ``np.vdot``) that has
+    the attribute ``attr``, or a local name bound to it, as an operand."""
     sites = []
 
     def mentions(node, aliases):
-        return any(isinstance(n, ast.Attribute) and n.attr == "laplacian_matrix"
+        return any(isinstance(n, ast.Attribute) and n.attr == attr
                    or isinstance(n, ast.Name) and n.id in aliases for n in ast.walk(node))
+
+    def bound(fn):
+        # names assigned an expression that mentions attr, tuple targets item by item
+        names = set()
+        for n in ast.walk(fn):
+            for t in n.targets if isinstance(n, ast.Assign) else ():
+                elts = t.elts if isinstance(t, ast.Tuple) else [t]
+                values = (n.value.elts if isinstance(n.value, ast.Tuple)
+                          and len(n.value.elts) == len(elts) else [n.value] * len(elts))
+                names |= {e.id for e, v in zip(elts, values)
+                          if isinstance(e, ast.Name) and mentions(v, ())}
+        return names
 
     def visit(node, owner, aliases):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{owner}.{child.name}"
-                bound = {t.id for n in ast.walk(child) if isinstance(n, ast.Assign)
-                         and mentions(n.value, ()) for t in n.targets
-                         if isinstance(t, ast.Name)}
-                visit(child, inner, aliases | bound)
+                visit(child, f"{owner}.{child.name}", aliases | bound(child))
                 continue
             if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
-                if mentions(child.left, aliases) or mentions(child.right, aliases):
-                    sites.append(owner)
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                  and child.func.attr == "dot"
-                  and (mentions(child.func.value, aliases)
-                       or any(mentions(a, aliases) for a in child.args))):
+                operands = [child.left, child.right]
+            elif isinstance(child, ast.AugAssign) and isinstance(child.op, ast.MatMult):
+                operands = [child.target, child.value]
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and (
+                    child.func.attr == "dot" or child.func.attr in _PRODUCT_CALLS
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "np"):
+                operands = [child.func.value, *child.args]
+            else:
+                operands = []
+            if any(mentions(x, aliases) for x in operands):
                 sites.append(owner)
             visit(child, owner, aliases)
 
@@ -178,5 +198,13 @@ def _laplacian_product_sites(tree, module):
 
 def test_laplacian_matrix_is_applied_only_by_neumann_laplacian():
     sites = sorted({site for path, tree in _trees(PACKAGE).items()
-                    for site in _laplacian_product_sites(tree, path.stem)})
+                    for site in _product_sites(tree, path.stem, "laplacian_matrix")})
     assert sites == ["grid.neumann_laplacian"]
+
+
+def test_quad_weights_enter_no_blas_product():
+    # every weighted node sum is grid.inner's fixed-order einsum: a BLAS dot
+    # splits a long sum by its thread count, and its bits follow the split
+    sites = sorted({site for path, tree in _trees(PACKAGE).items()
+                    for site in _product_sites(tree, path.stem, "quad_weights")})
+    assert sites == []

@@ -13,20 +13,25 @@ axis, 16-32 time steps and eps in [1e-3, 1]:
   v of amplitude 1e-3 to 1e3 (large enough to force off-diagonal pivots),
   and that order is SuperLU's own for every v;
 * the dual solve's extracted terminal density is tau times its terminal
-  z slice, and that slice has zero weighted mean, both to roundoff.
+  z slice, and that slice has zero weighted mean, both to roundoff;
+* the extracted state, under its control and a mean-free source, satisfies
+  the transposition identity with an independent adjoint march to 1e-10 of
+  the size of its terms: an expected failure, since the extracted state
+  meets the forward march only to the CG's stopping residual.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksctl.adjoint import solve_adjoint
 from ksctl.grid import build_grid, mass
 from ksctl.hum_control import ControlProblem, extract_control, solve_dual
-from ksctl.ks_model import (Control, KSParams, _density_factor, _density_pattern,
-                            block_step_factor, smooth_cutoff, solve_forward_pe,
-                            solve_forward_pp, solve_linearized)
+from ksctl.ks_model import (Control, KSParams, StateTrajectory, _density_factor,
+                            _density_pattern, block_step_factor, smooth_cutoff,
+                            solve_forward_pe, solve_forward_pp, solve_linearized)
 from ksctl.weights import build_eta0, refined_weights, weight_params
 
 from conftest import lowfreq_field, lowfreq_space_time
@@ -126,20 +131,25 @@ def test_density_factor_on_the_grid_order_is_plain_splu(dim, n, m, log_amp, seed
     assert np.array_equal(got.perm_c, plain.perm_c)
 
 
-@PROPERTY
-@given(**CASES, seed=SEED)
-def test_dual_terminal_slice_is_tau_times_zhat(dim, n, m, eps, seed):
+def _control_problem(dim, n, m, eps, rng, source=0.0):
     # T = 2.4 keeps the weight families within the dual solve's working range
     grid = build_grid(dim, 1.0 if dim == 1 else (1.0, 0.8), n, 2.4, m)
     boxes = [[b] * dim for b in ((0.30, 0.40), (0.25, 0.45), (0.20, 0.50))]
-    rng = np.random.default_rng(seed)
-    prob = ControlProblem(
+    return ControlProblem(
         params=KSParams(a=10.0, b=1.0, eps=eps, M1=1.0, M2=10.0), grid=grid,
         weights=refined_weights(build_eta0(grid, *boxes),
                                 weight_params(grid.T, 1.5, sigma0=0.05)),
         chi=smooth_cutoff(grid, boxes[1], boxes[2]),
         z0=0.01 * _unit(lowfreq_field(grid, rng, zero_mean=True)),
-        w0=0.01 * _unit(lowfreq_field(grid, rng)))
+        w0=0.01 * _unit(lowfreq_field(grid, rng)),
+        h1=source * lowfreq_space_time(grid, rng, zero_mean=True) if source else None)
+
+
+@PROPERTY
+@given(**CASES, seed=SEED)
+def test_dual_terminal_slice_is_tau_times_zhat(dim, n, m, eps, seed):
+    prob = _control_problem(dim, n, m, eps, np.random.default_rng(seed))
+    grid = prob.grid
     dual = solve_dual(prob)
     res = extract_control(dual, prob)
     zT = dual.zhat[-1]
@@ -147,3 +157,25 @@ def test_dual_terminal_slice_is_tau_times_zhat(dim, n, m, eps, seed):
     gap = np.abs(res.uhat[-1] - prob.settings.tau * zT).max()
     assert gap <= 1e-14 * np.abs(res.uhat).max()
     assert abs(zT @ grid.quad_weights) <= 1e-14 * grid.volume * np.abs(zT).max()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the extracted state rho F solves the forward march only to the dual CG's "
+    "stopping residual: at cg_tol = 1e-12 its gap reaches 7.8e-10 of the scale "
+    "(14 of 216 scanned cases above 1e-10), the marched state's 1.5e-14"))
+@PROPERTY
+@example(dim=1, n=8, m=16, eps=1e-3, seed=1)
+@given(**CASES, seed=SEED)
+def test_extracted_control_satisfies_the_transposition_identity(dim, n, m, eps, seed):
+    # the extracted state, driven by its control and a mean-free source of the
+    # size of the Picard remainders, paired with an independent adjoint march
+    rng = np.random.default_rng(seed)
+    prob = _control_problem(dim, n, m, eps, rng, source=1e-3)
+    grid = prob.grid
+    res = extract_control(solve_dual(prob), prob)
+    primal = StateTrajectory(u=res.uhat, v=res.vhat, params=prob.params, grid=grid)
+    phiT, xiT = lowfreq_field(grid, rng, zero_mean=True), lowfreq_field(grid, rng)
+    f1, f2 = lowfreq_space_time(grid, rng), lowfreq_space_time(grid, rng)
+    adj = solve_adjoint(prob.params, phiT, xiT, f1, f2, grid)
+    lhs, rhs, scale = duality_terms(primal, adj, res.control, prob.h1, None, f1, f2)
+    assert abs(lhs - rhs) <= 1e-10 * scale
