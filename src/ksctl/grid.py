@@ -41,6 +41,8 @@ __all__ = [
 
 # the most n per axis and m: (m+1) (n+1)^2 doubles stay within np.intp's bytes
 MAX_INTERVALS = 10**6
+# the most (m+1) nodes: eps-sweep's stack, the largest array, is then 120 MB at 5 eps
+MAX_SPACE_TIME = 3 * 10**6
 
 
 class ConfigError(ValueError):
@@ -195,6 +197,7 @@ def build_grid(dim, L, n, T, m) -> Grid:
     if dim == 2:
         Lt, nt = (t * 2 if len(t) == 1 else t for t in (Lt, nt))
     dim_ok = dim in (1, 2)
+    points = (min(m, MAX_INTERVALS) + 1) * np.prod([min(x, MAX_INTERVALS) + 1 for x in nt])
     check_all([
         (dim_ok, f"dim must be 1 or 2, got {dim}"),
         (not dim_ok or len(nt) == dim, f"n must have one entry per axis (dim={dim})"),
@@ -203,6 +206,8 @@ def build_grid(dim, L, n, T, m) -> Grid:
         (all(not x > MAX_INTERVALS for x in nt), f"n must be at most {MAX_INTERVALS} per axis"),
         (m >= 16, "m must be at least 16 time steps"),
         (not m > MAX_INTERVALS, f"m must be at most {MAX_INTERVALS} time steps"),
+        (not points > MAX_SPACE_TIME, f"m and n must give (m+1) x nodes at most "
+                                      f"{MAX_SPACE_TIME}, got {points:.0f}"),
         (all(x > 0 for x in Lt), "L must be positive"),
         (T > 0, "T must be > 0.0"),
         (T != np.inf, "T must be finite"),   # NaN fails only the rule above
@@ -256,16 +261,15 @@ class _Faces:
     cw: np.ndarray
 
 
-def _divergence(grid: Grid, flux) -> np.ndarray:
-    """Sum over the axes, x first, of the net outflow per cell width of the
-    face flux ``flux(faces)``: one field, or a row per slice when the flux is
-    (slices, faces), each row summed as its slice alone would be.  A face
-    flux leaves its left node and enters its right node; with no boundary
-    faces the weighted sum telescopes to zero."""
-    nn = grid.num_nodes
+def _divergence(faces, flux) -> np.ndarray:
+    """Sum over the axes' ``faces``, x first, of the net outflow per cell
+    width of the face flux ``flux(f)``: one field, or a row per slice when
+    the flux is (slices, faces), each row summed as its slice alone would be.
+    A face flux leaves its left node and enters its right node; with no
+    boundary faces the weighted sum telescopes to zero."""
     out = None
-    for f in grid.faces:
-        q = flux(f)
+    for f in faces:
+        q, nn = flux(f), f.cw.size
         rows, left, right, size = q.shape[:-1], f.left, f.right, q.size // f.left.size * nn
         if rows:   # slice k's nodes offset by k nn: one bincount over all slices
             at = nn * np.arange(rows[0])[:, None]
@@ -287,7 +291,7 @@ def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarra
     row by row of two (slices, nodes) arrays; each weighted sum is exactly 0."""
     _check_field(u, grid, u.shape[:-1][:1])
     _check_field(v, grid, u.shape[:-1][:1])
-    return _divergence(grid, lambda fc: 0.5 * (
+    return _divergence(grid.faces, lambda fc: 0.5 * (
         u[..., fc.left] + u[..., fc.right]) * (v[..., fc.right] - v[..., fc.left]) / fc.h)
 
 

@@ -362,6 +362,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
 
     b = sys_.rhs()
     y, r, pdir = np.zeros_like(b), b.copy(), b.copy()
+    Ap, scaled = np.empty_like(b), np.empty_like(b)   # the vector updates' buffers
     rr = rr0 = _dot(r, r)
     J = 0.0
     res_hist, en_hist = [np.sqrt(rr)], [J]
@@ -371,21 +372,21 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     while not converged and it < settings.cg_maxit:
         it += 1
         gty = sys_.gramian_apply(pdir)
-        Ap = sys_.project(pdir + gty)
+        sys_.project(np.add(pdir, gty, out=Ap))
         pAp = _dot(pdir, Ap)
         if pAp <= 0.0:
             curvature_ok = False
             break
         alpha = rr / pAp
-        y += alpha * pdir
-        r -= alpha * Ap
+        y += np.multiply(alpha, pdir, out=scaled)
+        r -= np.multiply(alpha, Ap, out=scaled)
         J -= 0.5 * alpha * rr
         rr_new = _dot(r, r)
         res_hist.append(np.sqrt(max(rr_new, 0.0)))
         en_hist.append(J)
         converged = rr_new <= settings.cg_tol**2 * rr0
         if not converged:
-            pdir = r + (rr_new / rr) * pdir
+            np.add(r, np.multiply(rr_new / rr, pdir, out=pdir), out=pdir)
             rr = rr_new
     Zh = sys_.march(y)   # y is projected: r, pdir and so y keep mode 0 at exactly 0
     # the marched z^m satisfies the zero-mean constraint by construction of

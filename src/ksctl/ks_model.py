@@ -7,21 +7,20 @@ implicit coupling resolves the lag by a fixed point).  Every operator
 involved has exactly zero weighted sum, so the cell-density mass is
 conserved to solver roundoff by construction, with or without control.
 
-Both nonlinear systems, in either coupling, step through one density march
-that differs only in its chemical solve.  Each step fills M(v) = I - dt (A -
-N(v)) face by face into the data slots of the Laplacian's CSC pattern,
-factors it once and solves once, which is the whole lagged step; the
-implicit coupling continues from that first iterate by chord corrections on
-the same factor.  The pattern never changes, so it is laid out once per
-grid in the column order of :func:`heat_factor` and every step factors on
-it with the arithmetic of a plain ``splu``.  A non-finite u or v stops the
-march.
+Both nonlinear systems, in either coupling, step a stack of runs through one
+density march that differs only in its chemical solve.  Each step fills M(v)
+= I - dt (A - N(v)) face by face into the Laplacian's CSC pattern, a block
+per run, factors it once and solves once, which is the whole lagged step;
+the implicit coupling continues by chord corrections on the same factor.
+The pattern is laid out once per grid in the column order of
+:func:`heat_factor`, so each block, and each v step, factors with the
+arithmetic of a plain ``splu`` of it alone.  A non-finite u or v stops it.
 
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix C and the adjoint C*
-are assembled here by one builder, and every constant-coefficient march
-(these two, the v step, the elliptic solve, the backward heat march) is
-one factor from :meth:`Grid.factor` driven by :func:`block_march`.
+are assembled here by one builder, and the constant-coefficient marches
+(these two and the backward heat march) are one factor from
+:meth:`Grid.factor` driven by :func:`block_march`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, _check_field, _divergence, _read_only, check_all, check_zero_mass
+from .grid import Grid, _Faces, _check_field, _divergence, _read_only, check_all, check_zero_mass
 
 __all__ = [
     "KSParams",
@@ -137,12 +136,6 @@ class StateTrajectory:
     grid: Grid
 
 
-def _v_step_factor(p: KSParams, grid: Grid):
-    I = sp.identity(grid.num_nodes, format="csr")
-    return grid.factor(("vstep", p.b, p.eps), lambda: (
-        p.eps * I - grid.dt * grid.laplacian_matrix + grid.dt * p.b * I))
-
-
 def heat_factor(grid: Grid):
     """The grid's one factor of I - dt A: the backward heat march steps on
     it, the density step lays its pattern out in its column order (COLAMD
@@ -152,13 +145,12 @@ def heat_factor(grid: Grid):
 
 
 class _DensityPattern(NamedTuple):
-    """M(v)'s CSC pattern, the Laplacian's, with its columns already in the
-    order ``perm_c`` of :func:`heat_factor`: grid column j sits at position
-    ``perm_c[j]``, rows sorted within each column.  ``lap`` and ``eye`` hold
-    the Laplacian's and the identity's data on it.  Face (l, r) puts
-    0.5 (v_r - v_l)/h into slots (l,l), (l,r) over +cw_l and (r,l), (r,r)
-    over -cw_r (``cw4`` per slot); faces run axis by axis in C order, so each
-    diagonal sums in the order of the COO build this replaced."""
+    """M(v)'s CSC pattern, the Laplacian's per diagonal block, columns in the
+    order of :func:`heat_factor` per block: column j at position ``perm_c[j]``,
+    rows sorted.  ``lap`` and ``eye`` hold the Laplacian's and the identity's
+    data on it.  Face (l, r) puts 0.5 (v_r - v_l)/h into slots (l,l), (l,r) over
+    +cw_l and (r,l), (r,r) over -cw_r (``cw4`` per slot); faces run axis by
+    axis in C order, so each diagonal sums in the order of the COO build."""
 
     faces: tuple
     indices: np.ndarray
@@ -179,26 +171,29 @@ class _DensityPattern(NamedTuple):
                            minlength=len(self.lap))
 
 
-def _density_pattern(grid: Grid) -> _DensityPattern:
-    if "density" not in grid._cache:
-        perm_c = heat_factor(grid).perm_c.astype(np.intp)   # an int32 index costs ~1 us per gather
-        order = np.argsort(perm_c)   # the grid column at each position
-        A = grid.laplacian_matrix.tocsc()[:, order]
+def _density_pattern(grid: Grid, blocks: int = 1) -> _DensityPattern:
+    patterns = grid._cache.setdefault("density", {})
+    if blocks not in patterns:
+        nn, at = blocks * grid.num_nodes, grid.num_nodes * np.arange(blocks)[:, None]
+        perm_c = (heat_factor(grid).perm_c.astype(np.intp) + at).ravel()   # int32: ~1 us/gather
+        order = np.argsort(perm_c)   # the column at each position
+        A = sp.block_diag([grid.laplacian_matrix] * blocks, format="csc")[:, order]
         A.sort_indices()
-        nn = grid.num_nodes
+        faces = tuple(_Faces(*((x + at).ravel() for x in (f.left, f.right)), f.h,
+                             np.tile(f.cw, blocks)) for f in grid.faces)
         pos = np.repeat(np.arange(nn), np.diff(A.indptr))   # each slot's column position
-        l = np.concatenate([f.left for f in grid.faces])
-        r = np.concatenate([f.right for f in grid.faces])
-        cwl = np.concatenate([f.cw[f.left] for f in grid.faces])
-        cwr = np.concatenate([f.cw[f.right] for f in grid.faces])
-        grid._cache["density"] = _DensityPattern(grid.faces, *(_read_only(a) for a in (
+        l = np.concatenate([f.left for f in faces])
+        r = np.concatenate([f.right for f in faces])
+        cwl = np.concatenate([f.cw[f.left] for f in faces])
+        cwr = np.concatenate([f.cw[f.right] for f in faces])
+        patterns[blocks] = _DensityPattern(faces, *(_read_only(a) for a in (
             A.indices, A.indptr, A.data, np.where(order[pos] == A.indices, 1.0, 0.0),
             np.column_stack([cwl, cwl, -cwr, -cwr]).ravel(),
             np.searchsorted(pos * nn + A.indices,   # ascending keys
                             (perm_c[np.column_stack([l, r, l, r])] * nn
                              + np.column_stack([l, l, r, r])).ravel()),
             perm_c)))
-    return grid._cache["density"]
+    return patterns[blocks]
 
 
 class _OrderedFactor(NamedTuple):
@@ -211,72 +206,89 @@ class _OrderedFactor(NamedTuple):
         return self.lu.solve(b)[self.perm_c]
 
 
-def _density_factor(v: np.ndarray, grid: Grid) -> _OrderedFactor:
-    """SuperLU factor of M(v) = I - dt (A - N(v)), the one factor whose
-    coefficients change with every step, on a column order fixed per grid:
-    SuperLU's own (COLAMD, then the etree postorder) for the Laplacian's
-    pattern, from :func:`heat_factor`.  On those columns its order and
-    postorder are the identity, so pivots and solves are a plain ``splu``'s."""
-    pat = _density_pattern(grid)
-    M = pat.matrix(pat.eye - grid.dt * (pat.lap - pat.chem_data(v)))
-    return _OrderedFactor(spla.splu(M, permc_spec="NATURAL"), pat.perm_c)
+def _density_factor(v: np.ndarray | None, grid: Grid, vstep=None) -> _OrderedFactor:
+    """Block-diagonal SuperLU factor of M(v) = I - dt (A - N(v)) per grid-sized
+    block of ``v`` or, per (eps, b) of ``vstep``, of eps I - dt A + dt b I, on
+    SuperLU's own column order (COLAMD, then the etree postorder) from
+    :func:`heat_factor`, so each block's pivots and solves are a plain splu's."""
+    pat = _density_pattern(grid, len(vstep) if vstep else v.size // grid.num_nodes)
+    if vstep:
+        eps, b = np.repeat(vstep, len(pat.lap) // len(vstep), axis=0).T
+        data = eps * pat.eye - grid.dt * pat.lap + grid.dt * b * pat.eye
+    else:
+        data = pat.eye - grid.dt * (pat.lap - pat.chem_data(v))
+    return _OrderedFactor(spla.splu(pat.matrix(data), permc_spec="NATURAL"), pat.perm_c)
 
 
 def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid):
-    """rhs - M(v) u, matrix-free: M(v) u = u - dt div(q) with the
-    face flux q = ((u_r - u_l) - 0.5 (u_l + u_r)(v_r - v_l)) / h."""
-    div = _divergence(grid, lambda f: ((u[f.right] - u[f.left]) - 0.5 * (
-        u[f.left] + u[f.right]) * (v[f.right] - v[f.left])) / f.h)
+    """rhs - M(v) u, matrix-free and block by block: M(v) u = u - dt div(q)
+    with the face flux q = ((u_r - u_l) - 0.5 (u_l + u_r)(v_r - v_l)) / h."""
+    div = _divergence(_density_pattern(grid, u.size // grid.num_nodes).faces, lambda f: (
+        ((r := u[f.right]) - (l := u[f.left])) - 0.5 * (l + r) * (v[f.right] - v[f.left])) / f.h)
     return rhs - (u - grid.dt * div)
 
 
-def _update_size(du: np.ndarray, dv: np.ndarray) -> float:
-    """max(|du|_inf, |dv|_inf), NaN if either is (Python's max drops a second NaN)."""
-    a, b = float(np.abs(du).max()), float(np.abs(dv).max())
-    return a if a > b or a != a else b
+def _update_size(du: np.ndarray, dv: np.ndarray, blocks: int) -> list:   # NaN if either is
+    return np.maximum(np.abs(du), np.abs(dv)).reshape(blocks, -1).max(axis=1).tolist()
 
 
-def _density_march(p: KSParams, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
-                   implicit: bool) -> StateTrajectory:
-    """The one density march: per step one factor of M(v[k]), the first
-    iterate u = M(v[k])^-1 u[k] and the chemical solve v = chem(k + 1, u, v[k]).
-    That iterate is the lagged step; if ``implicit`` the chord fixed point
-    u += M(v[k])^-1 (u[k] - M(v) u) continues it, with a fresh chemical
-    solve per iterate, until the update falls below INNER_TOL."""
+def _density_march(ps: list, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
+                   implicit: bool) -> list:
+    """The one density march, of the runs ``ps`` as blocks in lockstep: per
+    step one factor of M(v[k]), the lagged step u = M(v[k])^-1 u[k] and
+    v = chem(k + 1, v[k])(u); if ``implicit`` the chord fixed point
+    u += M(v[k])^-1 (u[k] - M(v) u) until the update is below INNER_TOL.  A
+    block that stops iterates on zeros and keeps its values while others go
+    on, so each gets its own march's bits."""
     for name, f in (("u0", u0), ("v0", v0)):   # NaN < 0 is False: no sign check sees it
         if not np.isfinite(f).all():
             raise ValueError(f"initial {name} must be finite")
-    m, nn = grid.m, grid.num_nodes
-    u = np.empty((m + 1, nn))
-    v = np.empty((m + 1, nn))
-    u[0], v[0] = u0, v0
+    E, m, nn = len(ps), grid.m, grid.num_nodes
+    u = np.empty((m + 1, E * nn))
+    v = np.empty((m + 1, E * nn))
+    u[0], v[0] = np.tile(u0, E), np.tile(v0, E)
     for k in range(m):
-        lu = _density_factor(v[k], grid)
+        lu, chem_k = _density_factor(v[k], grid), chem(k + 1, v[k])
         uk1 = lu.solve(u[k])
-        vk1 = chem(k + 1, uk1, v[k])
+        vk1 = chem_k(uk1)
         if implicit:
-            delta, it = _update_size(uk1 - u[k], vk1 - v[k]), 1
-            while not delta < INNER_TOL and math.isfinite(delta) and it < INNER_MAXIT:
-                u_next = uk1 + lu.solve(_density_residual(u[k], uk1, vk1, grid))
-                v_next = chem(k + 1, u_next, v[k])
-                delta = _update_size(u_next - uk1, v_next - vk1)
-                uk1, vk1, it = u_next, v_next, it + 1
-        peak = float(np.abs(uk1).max())
-        for name, finite in (("u", math.isfinite(peak)), ("v", np.isfinite(vk1).all())):
-            if not finite:
-                raise RuntimeError(f"non-finite {name} at step {k + 1}")
-        if implicit and not delta < INNER_TOL:
-            raise InnerIterationError(k + 1, delta, it)
-        if peak > BLOWUP_CAP:
-            raise BlowUpError(k + 1, peak, BLOWUP_CAP)
+            delta, its = _update_size(uk1 - u[k], vk1 - v[k], E), [1] * E
+            while True in (go := [INNER_TOL <= d < math.inf and i < INNER_MAXIT
+                                  for d, i in zip(delta, its)]):
+                u_it, v_it = uk1, vk1
+                if False in go:
+                    keep = np.repeat(go, nn)
+                    u_it, v_it = np.where(keep, uk1, 0.0), np.where(keep, vk1, 0.0)
+                u_next = u_it + lu.solve(_density_residual(u[k], u_it, v_it, grid))
+                v_next = chem_k(u_next)
+                step, its = _update_size(u_next - u_it, v_next - v_it, E), [
+                    i + g for i, g in zip(its, go)]
+                if u_it is uk1:
+                    uk1, vk1, delta = u_next, v_next, step
+                else:   # the masked copy
+                    uk1, vk1 = np.where(keep, u_next, uk1), np.where(keep, v_next, vk1)
+                    delta = [s if g else d for s, d, g in zip(step, delta, go)]
+        failed = not (float(np.abs(uk1).max()) <= BLOWUP_CAP and np.isfinite(vk1).all()
+                      and (not implicit or all(d < INNER_TOL for d in delta)))
+        for e in range(E if failed else 0):   # the lowest-index failed block raises
+            peak, ve = float(np.abs(uk1[e * nn:(e + 1) * nn]).max()), vk1[e * nn:(e + 1) * nn]
+            for name, finite in (("u", math.isfinite(peak)), ("v", np.isfinite(ve).all())):
+                if not finite:
+                    raise RuntimeError(f"non-finite {name} at step {k + 1}")
+            if implicit and not delta[e] < INNER_TOL:
+                raise InnerIterationError(k + 1, delta[e], its[e])
+            if peak > BLOWUP_CAP:
+                raise BlowUpError(k + 1, peak, BLOWUP_CAP)
         u[k + 1], v[k + 1] = uk1, vk1
-    return StateTrajectory(u=u, v=v, params=p, grid=grid)
+    return [StateTrajectory(np.ascontiguousarray(ue), np.ascontiguousarray(ve), p, grid)
+            for p, ue, ve in zip(ps, np.split(u, E, axis=1), np.split(v, E, axis=1))]
 
 
-def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
-                     grid: Grid, coupling: str = "lagged") -> StateTrajectory:
-    """March the fully parabolic system; raises :class:`BlowUpError` if the
-    density norm passes ``BLOWUP_CAP``.
+def solve_forward_pp(p: KSParams | list, u0: np.ndarray, v0: np.ndarray, c: Control | list,
+                     grid: Grid, coupling: str = "lagged") -> StateTrajectory | list:
+    """March the fully parabolic system, or lists ``p``, ``c`` of runs from
+    (u0, v0) as one stack into a list of trajectories, each bit for bit its
+    own march; raises :class:`BlowUpError` if a density passes ``BLOWUP_CAP``.
 
     ``coupling='lagged'`` is the default semi-implicit scheme (chemical
     gradient one step behind, no nonlinear solve).  ``coupling='implicit'``
@@ -288,16 +300,26 @@ def solve_forward_pp(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
     whose fixed point is still above ``INNER_TOL`` after ``INNER_MAXIT``
     iterations raises :class:`InnerIterationError`.
     """
-    for name, f, rows in (("u0", u0, ()), ("v0", v0, ()), ("g", c.g, (grid.m + 1,))):
+    ps, cs = (p, c) if isinstance(p, list) else ([p], [c])
+    for name, f, rows in (("u0", u0, ()), ("v0", v0, ()),
+                          *(("g", ci.g, (grid.m + 1,)) for ci in cs)):
         _check_field(f, grid, rows, name)
     if np.any(u0 < 0) or np.any(v0 < 0):
         raise ValueError("initial data must be nonnegative")
     if coupling not in ("lagged", "implicit"):
         raise ValueError(f"unknown coupling {coupling!r}")
-    lu_v = _v_step_factor(p, grid)
-    dt = grid.dt
-    return _density_march(p, u0, v0, grid, lambda k, u, v_prev: lu_v.solve(
-        p.eps * v_prev + dt * (p.a * u + c.g[k] * c.chi)), coupling == "implicit")
+    eps, a = (np.repeat([getattr(pi, name) for pi in ps], grid.num_nodes) for name in ("eps", "a"))
+    src = np.stack([ci.g * ci.chi for ci in cs], axis=1).reshape(grid.m + 1, -1)
+    key, dt = ("vstep", *((pi.eps, pi.b) for pi in ps)), grid.dt   # one factor per grid
+    lu_v, perm = grid._cache.get(key) or grid._cache.setdefault(
+        key, _density_factor(None, grid, key[1:]))
+
+    def chem(k, v_prev):   # eps v_prev is the same for every iterate of step k
+        ev, sk = eps * v_prev, src[k]
+        return lambda u: lu_v.solve(ev + dt * (a * u + sk))[perm]
+
+    out = _density_march(ps, u0, v0, grid, chem, coupling == "implicit")
+    return out if isinstance(p, list) else out[0]
 
 
 def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid) -> StateTrajectory:
@@ -310,10 +332,10 @@ def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid) -> Sta
     lu_e = grid.factor(("ell", p.b), lambda: (
         -grid.laplacian_matrix + p.b * sp.identity(grid.num_nodes, format="csr")))
 
-    def chem(k, u, v_prev):
-        return lu_e.solve(p.a * u + c.g[k] * c.chi)
+    def chem(k, v_prev):
+        return lambda u: lu_e.solve(p.a * u + c.g[k] * c.chi)
 
-    return _density_march(p, u0, chem(0, u0, None), grid, chem, False)
+    return _density_march([p], u0, chem(0, None)(u0), grid, chem, False)[0]
 
 
 def block_step_factor(p: KSParams, grid: Grid, adjoint: bool):

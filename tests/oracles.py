@@ -23,19 +23,24 @@ tests call.
 * the modal sweep of those marches as a plain step-by-step loop, as it
   stood before the chunked time scan;
 * the Neumann Laplacian as the face table's flux divergence, as it stood
-  before the sparse matrix became its one apply.
+  before the sparse matrix became its one apply;
+* the density march of one run, as it stood before the march took a
+  stack of runs: scalar update sizes, a COLAMD factor of the v step and
+  one check after the other.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ksctl import ks_model
 from ksctl.adjoint import AdjointTrajectory
 from ksctl.carleman_check import _ScanEntry, gradient_sq, hessian_sq, time_derivative
 from ksctl.grid import Grid, _divergence, chemotaxis_divergence, h1_seminorm_sq, inner
 from ksctl.hum_control import ControlProblem, SolverSettings, _DualSystem
-from ksctl.ks_model import (Control, KSParams, StateTrajectory, _v_step_factor,
-                             block_step_factor)
+from ksctl.ks_model import Control, KSParams, StateTrajectory, block_step_factor
 from ksctl.nonlinear_control import _capped, e_norm, picard_solve
 from ksctl.weights import Eta0, WeightTable, _logsumexp, log_step_sum
 
@@ -43,7 +48,7 @@ from ksctl.weights import Eta0, WeightTable, _logsumexp, log_step_sum
 def face_flux_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """The Laplacian of one field, or row by row of a (slices, nodes) array,
     as the face table's divergence of the flux (f_r - f_l)/h."""
-    return _divergence(grid, lambda fc: (f[..., fc.right] - f[..., fc.left]) / fc.h)
+    return _divergence(grid.faces, lambda fc: (f[..., fc.right] - f[..., fc.left]) / fc.h)
 
 
 def chem_matrix_oracle(v: np.ndarray, grid: Grid) -> sp.csr_matrix:
@@ -409,7 +414,8 @@ def implicit_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Contro
     u = np.empty((m + 1, nn))
     v = np.empty((m + 1, nn))
     u[0], v[0] = u0, v0
-    lu_v = _v_step_factor(p, grid)
+    I = sp.identity(nn, format="csr")
+    lu_v = spla.splu((p.eps * I - dt * grid.laplacian_matrix + dt * p.b * I).tocsc())
     for k in range(m):
         uk1, vk1 = u[k].copy(), v[k].copy()
         for _ in range(inner_maxit):
@@ -476,3 +482,45 @@ def modal_sweep_oracle(sys_: _DualSystem, src: np.ndarray, out: np.ndarray,
     for j in (range(sys_.m - 1, -1, -1) if backward else range(sys_.m)):
         z = out[:, j] = out[:, j] + k0 * z[0] + k1 * z[1]
     return z
+
+
+def single_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
+                        grid: Grid, implicit: bool) -> StateTrajectory:
+    """``solve_forward_pp`` of one run as it stood before the block stacks,
+    on the same density factor and matrix-free residual of one field."""
+    m, nn, dt = grid.m, grid.num_nodes, grid.dt
+    I = sp.identity(nn, format="csr")
+    lu_v = spla.splu((p.eps * I - dt * grid.laplacian_matrix + dt * p.b * I).tocsc())
+
+    def chem(k, u, v_prev):
+        return lu_v.solve(p.eps * v_prev + dt * (p.a * u + c.g[k] * c.chi))
+
+    def size(du, dv):
+        a, b = float(np.abs(du).max()), float(np.abs(dv).max())
+        return a if a > b or a != a else b
+
+    u = np.empty((m + 1, nn))
+    v = np.empty((m + 1, nn))
+    u[0], v[0] = u0, v0
+    for k in range(m):
+        lu = ks_model._density_factor(v[k], grid)
+        uk1 = lu.solve(u[k])
+        vk1 = chem(k + 1, uk1, v[k])
+        if implicit:
+            delta, it = size(uk1 - u[k], vk1 - v[k]), 1
+            while (not delta < ks_model.INNER_TOL and math.isfinite(delta)
+                   and it < ks_model.INNER_MAXIT):
+                u_next = uk1 + lu.solve(ks_model._density_residual(u[k], uk1, vk1, grid))
+                v_next = chem(k + 1, u_next, v[k])
+                delta = size(u_next - uk1, v_next - vk1)
+                uk1, vk1, it = u_next, v_next, it + 1
+        peak = float(np.abs(uk1).max())
+        for name, finite in (("u", math.isfinite(peak)), ("v", np.isfinite(vk1).all())):
+            if not finite:
+                raise RuntimeError(f"non-finite {name} at step {k + 1}")
+        if implicit and not delta < ks_model.INNER_TOL:
+            raise ks_model.InnerIterationError(k + 1, delta, it)
+        if peak > ks_model.BLOWUP_CAP:
+            raise ks_model.BlowUpError(k + 1, peak, ks_model.BLOWUP_CAP)
+        u[k + 1], v[k + 1] = uk1, vk1
+    return StateTrajectory(u=u, v=v, params=p, grid=grid)

@@ -8,9 +8,13 @@ numpy slice kernels, the divergence, the Laplacian, the H1 seminorm and the
 L2 norm of many slices against one call per slice, the matrix-free M(v)u of
 the chord loop against the matrix the density step factors, the three
 density marches (both couplings and the parabolic-elliptic limit) against
-the per-step matrix build, and the chord march of the implicit coupling
-against the fixed point that refactors every iterate.  The Laplacian's
-matrix apply keeps zero weighted sums and annihilates constants."""
+the per-step matrix build, the chord march of the implicit coupling
+against the fixed point that refactors every iterate, and a stack of runs
+in one march against its runs one at a time, failures included, down to
+the eps-sweep rows.  The Laplacian's matrix apply keeps zero weighted sums
+and annihilates constants."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +23,11 @@ import scipy.sparse.linalg as spla
 from ksctl import ks_model
 from ksctl.grid import (build_grid, chemotaxis_divergence, h1_seminorm_sq, inner, l2_norm,
                         l2_sq, mass, neumann_laplacian)
-from ksctl.ks_model import (Control, KSParams, smooth_cutoff, solve_forward_pe,
-                            solve_forward_pp)
-from oracles import chem_matrix_oracle, density_matrix_oracle, implicit_march_oracle
+from ksctl.ks_model import (BlowUpError, Control, InnerIterationError, KSParams,
+                            smooth_cutoff, solve_forward_pe, solve_forward_pp)
+from ksctl.nonlinear_control import eps_sweep, picard_solve
+from oracles import (chem_matrix_oracle, density_matrix_oracle, implicit_march_oracle,
+                     single_march_oracle)
 
 GRIDS = {
     "1d": (1, 1.0, 40, 1.0, 16),
@@ -264,9 +270,105 @@ def test_implicit_chord_march_matches_oracle(grid, eps, monkeypatch):
             return _f(*args, **kwargs)
         monkeypatch.setattr(spla, name, counted)
     new = solve_forward_pp(p, u0, v0, c, grid, coupling="implicit")
-    # the v-step factor is cached on the grid by the oracle run; the one
-    # extra splu is the heat factor that fixes the density column order,
-    # made once on this fresh grid
-    assert calls == {"splu": grid.m + 1, "spsolve": 0}
+    # one splu a step, and two more made once on this fresh grid: the heat
+    # factor that fixes the density column order and the v step's factor
+    assert calls == {"splu": grid.m + 2, "spsolve": 0}
     for got, want in ((new.u, ref.u), (new.v, ref.v)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def stack_data(grid):
+    """Three runs from one initial state: eps 0.5, 1e-3, 0.1 under controls
+    of amplitude 0.1, 3, 0.2; their implicit steps take different numbers
+    of inner iterates, the small eps the most."""
+    p, u0, v0, _ = forward_data(grid)
+    rng = np.random.default_rng(3)
+    ps = [replace(p, eps=eps) for eps in (0.5, 1e-3, 0.1)]
+    cs = [Control(g=amp * rng.standard_normal((grid.m + 1, grid.num_nodes)),
+                  chi=smooth_cutoff(grid, [[0.25, 0.45]] * grid.dim, [[0.20, 0.50]] * grid.dim))
+          for amp in (0.1, 3.0, 0.2)]
+    return ps, u0, v0, cs
+
+
+def _residual_calls(monkeypatch, march):
+    """The chord iterates past the first that ``march()`` makes."""
+    calls, residual = [0], ks_model._density_residual
+
+    def counted(*args):
+        calls[0] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(ks_model, "_density_residual", counted)
+    march()
+    monkeypatch.setattr(ks_model, "_density_residual", residual)
+    return calls[0]
+
+
+@pytest.mark.parametrize("coupling", ["lagged", "implicit"])
+def test_a_stack_equals_its_runs_one_at_a_time(grid, coupling, monkeypatch):
+    # the blocks share each step's factor and go on until the last block
+    # converges; a frozen block keeps its values, so every block equals its
+    # own march bit for bit, and a stack of one is the march of one run
+    ps, u0, v0, cs = stack_data(grid)
+    implicit = coupling == "implicit"
+    want = [single_march_oracle(p, u0, v0, c, grid, implicit) for p, c in zip(ps, cs)]
+    got = solve_forward_pp(ps, u0, v0, cs, grid, coupling)
+    one = [solve_forward_pp(p, u0, v0, c, grid, coupling) for p, c in zip(ps, cs)]
+    for traj in (*got, *one):
+        assert traj.u.flags.c_contiguous and traj.v.flags.c_contiguous
+    for w, g, o, p in zip(want, got, one, ps):
+        assert g.params is o.params is p
+        for a in (g, o):
+            assert np.array_equal(a.u, w.u) and np.array_equal(a.v, w.v)
+    if implicit:   # the runs need different numbers of inner iterates
+        counts = {_residual_calls(monkeypatch, lambda p=p, c=c: solve_forward_pp(
+            p, u0, v0, c, grid, coupling)) for p, c in zip(ps, cs)}
+        assert len(counts) == 3
+
+
+FAILURES = [   # (setting, value, which runs fail on their own, at which steps)
+    ("INNER_MAXIT", 25, [None, 1, None]),
+    ("INNER_MAXIT", 20, [None, 1, 1]),
+    ("BLOWUP_CAP", 1.07, [None, 15, None]),
+    ("BLOWUP_CAP", 1.045, [1, 13, 1]),
+]
+
+
+@pytest.mark.parametrize("setting,value,steps", FAILURES)
+def test_a_stack_raises_the_first_failure_of_its_lowest_block(setting, value, steps,
+                                                              monkeypatch):
+    # the stack raises at the first step where a block fails, the error of
+    # the lowest-index block that failed there, as its own march raised it
+    grid = build_grid(*GRIDS["1d"])
+    ps, u0, v0, cs = stack_data(grid)
+    monkeypatch.setattr(ks_model, setting, value)
+    errors = []
+    for p, c in zip(ps, cs):
+        try:
+            single_march_oracle(p, u0, v0, c, grid, True)
+            errors.append(None)
+        except (InnerIterationError, BlowUpError) as err:
+            errors.append(err)
+    assert [err and err.step for err in errors] == steps
+    first = min(step for step in steps if step)
+    want = errors[steps.index(first)]
+    with pytest.raises(type(want)) as got:
+        solve_forward_pp(ps, u0, v0, cs, grid, "implicit")
+    assert got.value.step == want.step and str(got.value) == str(want)
+
+
+def test_eps_sweep_rows_are_the_picard_runs(params, grid_small, weights_small, chi_small):
+    # the loops run one eps at a time and the verification marches as one
+    # stack: each row equals picard_solve at its eps exactly
+    x = grid_small.axes[0]
+    u0 = params.M1 + 0.01 * np.cos(np.pi * x)
+    v0 = np.full_like(x, params.M2)
+    rep = eps_sweep(params, u0, v0, weights_small, chi_small, grid_small,
+                    eps_list=(1.0, 0.1, 0.001))
+    assert len(rep.rows) == 3 and not rep.excluded
+    for row in rep.rows:
+        r = picard_solve(replace(params, eps=row["eps"]), u0, v0, weights_small,
+                         chi_small, grid_small)
+        assert row == {"eps": row["eps"], "g_l2h1": r.g_l2h1, "iterations": r.iterations,
+                       "terminal_residual": r.terminal_history[-1],
+                       "forward_residual": r.forward_residual, "converged": r.converged}
