@@ -206,8 +206,7 @@ def build_grid(dim, L, n, T, m) -> Grid:
         (all(not x > MAX_INTERVALS for x in nt), f"n must be at most {MAX_INTERVALS} per axis"),
         (m >= 16, "m must be at least 16 time steps"),
         (not m > MAX_INTERVALS, f"m must be at most {MAX_INTERVALS} time steps"),
-        (not points > MAX_SPACE_TIME, f"m and n must give (m+1) x nodes at most "
-                                      f"{MAX_SPACE_TIME}, got {points:.0f}"),
+        (not points > MAX_SPACE_TIME, f"m and n must give (m+1) x nodes <= {MAX_SPACE_TIME}"),
         (all(x > 0 for x in Lt), "L must be positive"),
         (T > 0, "T must be > 0.0"),
         (T != np.inf, "T must be finite"),   # NaN fails only the rule above

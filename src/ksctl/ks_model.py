@@ -228,31 +228,27 @@ def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid)
     return rhs - (u - grid.dt * div)
 
 
-def _update_size(du: np.ndarray, dv: np.ndarray, blocks: int) -> list:   # NaN if either is
-    return np.maximum(np.abs(du), np.abs(dv)).reshape(blocks, -1).max(axis=1).tolist()
-
-
 def _density_march(ps: list, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
                    implicit: bool) -> list:
-    """The one density march, of the runs ``ps`` as blocks in lockstep: per
-    step one factor of M(v[k]), the lagged step u = M(v[k])^-1 u[k] and
-    v = chem(k + 1, v[k])(u); if ``implicit`` the chord fixed point
-    u += M(v[k])^-1 (u[k] - M(v) u) until the update is below INNER_TOL.  A
-    block that stops iterates on zeros and keeps its values while others go
-    on, so each gets its own march's bits."""
+    """The one density march, of the runs ``ps`` as blocks in lockstep: per step
+    one factor of M(v[k]), the lagged step u = M(v[k])^-1 u[k], v = chem(k + 1,
+    v[k])(u); if ``implicit`` the chord fixed point u += M(v[k])^-1 (u[k] - M(v) u)
+    until the update is below INNER_TOL, a block that stops iterating on zeros
+    and keeping its values while others go on, so each keeps its own bits."""
     for name, f in (("u0", u0), ("v0", v0)):   # NaN < 0 is False: no sign check sees it
         if not np.isfinite(f).all():
             raise ValueError(f"initial {name} must be finite")
     E, m, nn = len(ps), grid.m, grid.num_nodes
-    u = np.empty((m + 1, E * nn))
-    v = np.empty((m + 1, E * nn))
+    u, v = np.empty((2, m + 1, E * nn))
     u[0], v[0] = np.tile(u0, E), np.tile(v0, E)
     for k in range(m):
         lu, chem_k = _density_factor(v[k], grid), chem(k + 1, v[k])
         uk1 = lu.solve(u[k])
         vk1 = chem_k(uk1)
         if implicit:
-            delta, its = _update_size(uk1 - u[k], vk1 - v[k], E), [1] * E
+            # each block's max |du|, |dv|: np.maximum and max keep a NaN of either
+            delta = np.maximum(abs(uk1 - u[k]), abs(vk1 - v[k])).reshape(E, -1).max(1).tolist()
+            its = [1] * E
             while True in (go := [INNER_TOL <= d < math.inf and i < INNER_MAXIT
                                   for d, i in zip(delta, its)]):
                 u_it, v_it = uk1, vk1
@@ -261,8 +257,8 @@ def _density_march(ps: list, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
                     u_it, v_it = np.where(keep, uk1, 0.0), np.where(keep, vk1, 0.0)
                 u_next = u_it + lu.solve(_density_residual(u[k], u_it, v_it, grid))
                 v_next = chem_k(u_next)
-                step, its = _update_size(u_next - u_it, v_next - v_it, E), [
-                    i + g for i, g in zip(its, go)]
+                step = np.maximum(abs(u_next - u_it), abs(v_next - v_it)).reshape(E, -1).max(1)
+                step, its = step.tolist(), [i + g for i, g in zip(its, go)]
                 if u_it is uk1:
                     uk1, vk1, delta = u_next, v_next, step
                 else:   # the masked copy
@@ -280,7 +276,7 @@ def _density_march(ps: list, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
             if peak > BLOWUP_CAP:
                 raise BlowUpError(k + 1, peak, BLOWUP_CAP)
         u[k + 1], v[k + 1] = uk1, vk1
-    return [StateTrajectory(np.ascontiguousarray(ue), np.ascontiguousarray(ve), p, grid)
+    return [StateTrajectory(ue, ve, p, grid)   # views: a stack of one is the whole array
             for p, ue, ve in zip(ps, np.split(u, E, axis=1), np.split(v, E, axis=1))]
 
 

@@ -71,58 +71,60 @@ def _terminal_norm(zT: np.ndarray, wT: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(l2_norm(zT, grid) ** 2 + l2_norm(wT, grid) ** 2))
 
 
-def _picard_runs(ps: list, u0: np.ndarray, v0: np.ndarray, weights: WeightTable,
-                 chi: np.ndarray, grid: Grid, settings: SolverSettings) -> list:
-    """The Picard loop of :func:`picard_solve` for each run of ``ps``, then one
-    stacked implicit march that verifies every converged run's final control."""
-    results = []
-    for p in ps:
-        scale = max(1.0, float(np.abs(u0).max()))
-        mean = float(mass(u0, grid) / grid.volume)
-        if abs(mean - p.M1) > 1e-10 * scale:
-            raise ValueError(f"mean of u0 is {mean!r}, must equal M1 = {p.M1}")
-        z0 = u0 - p.M1
-        w0 = v0 - p.M2
+def _picard_loop(p: KSParams, u0: np.ndarray, v0: np.ndarray, weights: WeightTable,
+                 chi: np.ndarray, grid: Grid, settings: SolverSettings) -> NonlinearControlResult:
+    """The Picard loop of :func:`picard_solve`, up to its verification."""
+    scale = max(1.0, float(np.abs(u0).max()))
+    mean = float(mass(u0, grid) / grid.volume)
+    if abs(mean - p.M1) > 1e-10 * scale:
+        raise ValueError(f"mean of u0 is {mean!r}, must equal M1 = {p.M1}")
+    z0 = u0 - p.M1
+    w0 = v0 - p.M2
 
-        free = solve_linearized(p, z0, w0, Control.zero(grid, chi), None, None, grid)
-        z, w = free.u, free.v
+    free = solve_linearized(p, z0, w0, Control.zero(grid, chi), None, None, grid)
+    z, w = free.u, free.v
 
-        damping = settings.damping
-        term_hist: list = []
-        upd_hist: list = []
-        res = None
-        converged = False
-        best_term = np.inf
-        for it in range(1, settings.maxit + 1):
-            h1 = -chemotaxis_divergence(z, w, grid)
-            prob = ControlProblem(params=p, grid=grid, weights=weights, chi=chi,
-                                  z0=z0, w0=w0, h1=h1, settings=settings)
-            dual = solve_dual(prob)
-            if dual.failure:
-                break
-            res = extract_control(dual, prob)
-            z_new, w_new = res.uhat, res.vhat
-            term = _terminal_norm(z_new[-1], w_new[-1], grid)
-            upd = max(float(np.abs(z_new - z).max()), float(np.abs(w_new - w).max()))
-            term_hist.append(term)
-            upd_hist.append(upd)
-            if term > best_term * 1.5 and damping > 0.1:
-                damping *= 0.5
-            best_term = min(best_term, term)
-            z = (1.0 - damping) * z + damping * z_new
-            w = (1.0 - damping) * w + damping * w_new
-            if term < settings.tol and upd < settings.tol:
-                converged = True
-                break
+    damping = settings.damping
+    term_hist: list = []
+    upd_hist: list = []
+    res = None
+    converged = False
+    best_term = np.inf
+    for it in range(1, settings.maxit + 1):
+        h1 = -chemotaxis_divergence(z, w, grid)
+        prob = ControlProblem(params=p, grid=grid, weights=weights, chi=chi,
+                              z0=z0, w0=w0, h1=h1, settings=settings)
+        dual = solve_dual(prob)
+        if dual.failure:
+            break
+        res = extract_control(dual, prob)
+        z_new, w_new = res.uhat, res.vhat
+        term = _terminal_norm(z_new[-1], w_new[-1], grid)
+        upd = max(float(np.abs(z_new - z).max()), float(np.abs(w_new - w).max()))
+        term_hist.append(term)
+        upd_hist.append(upd)
+        if term > best_term * 1.5 and damping > 0.1:
+            damping *= 0.5
+        best_term = min(best_term, term)
+        z = (1.0 - damping) * z + damping * z_new
+        w = (1.0 - damping) * w + damping * w_new
+        if term < settings.tol and upd < settings.tol:
+            converged = True
+            break
 
-        reason = None if converged else (f"{dual.failure} in Picard iteration {it}"
-                                         if dual.failure else "no_convergence")
-        results.append(NonlinearControlResult(
-            converged=converged, iterations=it, terminal_history=term_hist,
-            update_history=upd_hist, control=res.control if res else None, z=z, w=w,
-            g_l2h1=res.g_l2h1 if res else np.nan, forward_residual=np.inf,
-            failure_reason=reason, curvature_ok=dual.curvature_ok,
-        ))
+    reason = None if converged else (f"{dual.failure} in Picard iteration {it}"
+                                     if dual.failure else "no_convergence")
+    return NonlinearControlResult(
+        converged=converged, iterations=it, terminal_history=term_hist,
+        update_history=upd_hist, control=res.control if res else None, z=z, w=w,
+        g_l2h1=res.g_l2h1 if res else np.nan, forward_residual=np.inf,
+        failure_reason=reason, curvature_ok=dual.curvature_ok,
+    )
+
+
+def _verify(ps: list, results: list, u0: np.ndarray, v0: np.ndarray, grid: Grid,
+            settings: SolverSettings) -> None:
+    """Verify every converged run's final control in one stacked implicit march."""
     done = [(p, r) for p, r in zip(ps, results) if r.converged]
     runs = solve_forward_pp([p for p, _ in done], u0, v0, [r.control for _, r in done],
                             grid, "implicit") if done else []
@@ -130,7 +132,6 @@ def _picard_runs(ps: list, u0: np.ndarray, v0: np.ndarray, weights: WeightTable,
         r.forward_residual = _terminal_norm(t.u[-1] - p.M1, t.v[-1] - p.M2, grid)
         if r.forward_residual >= 2.0 * settings.tol:
             r.converged, r.failure_reason = False, "forward_verification"
-    return results
 
 
 def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
@@ -144,7 +145,9 @@ def picard_solve(p: KSParams, u0: np.ndarray, v0: np.ndarray,
     under ``settings.tol``; the damping starts at ``settings.damping`` and
     halves whenever the terminal residual increases.
     """
-    return _picard_runs([p], u0, v0, weights, chi, grid, settings)[0]
+    result = _picard_loop(p, u0, v0, weights, chi, grid, settings)
+    _verify([p], [result], u0, v0, grid, settings)
+    return result
 
 
 def forward_residual(p: KSParams, u0: np.ndarray, v0: np.ndarray,
@@ -158,16 +161,18 @@ def forward_residual(p: KSParams, u0: np.ndarray, v0: np.ndarray,
 def eps_sweep(p_template: KSParams, u0: np.ndarray, v0: np.ndarray,
               weights: WeightTable, chi: np.ndarray, grid: Grid, eps_list,
               settings: SolverSettings = SolverSettings()) -> SweepReport:
-    """Run the Picard control per eps with identical weights and settings; each
-    row equals :func:`picard_solve` at its eps.
-
-    The weight tables never depend on eps, so they are shared.  Entries that
-    fail to converge are excluded from the uniformity ratio and carry the
-    ``failure_reason`` and ``curvature_ok`` of their Picard run.
-    """
+    """Run the Picard control per eps with identical weights and settings, each
+    row as :func:`picard_solve` at its eps.  The weight tables never depend on
+    eps, so they are shared.  Entries that fail to converge are excluded from
+    the uniformity ratio and carry the ``failure_reason`` and ``curvature_ok``
+    of their Picard run."""
     ps = [replace(p_template, eps=float(eps)) for eps in eps_list]
+    # a row reads no Picard iterate: each eps keeps only its control for the march
+    results = [replace(_picard_loop(p, u0, v0, weights, chi, grid, settings), z=None, w=None)
+               for p in ps]
+    _verify(ps, results, u0, v0, grid, settings)
     report = SweepReport()
-    for p, r in zip(ps, _picard_runs(ps, u0, v0, weights, chi, grid, settings)):
+    for p, r in zip(ps, results):
         row = {
             "eps": p.eps, "g_l2h1": r.g_l2h1, "iterations": r.iterations,
             "terminal_residual": r.terminal_history[-1] if r.terminal_history else np.inf,

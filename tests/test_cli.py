@@ -223,7 +223,7 @@ def test_a_grid_beyond_the_space_time_bound_is_a_config_error(tmp_path, capsys, 
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
     assert main([command, "--config", path, override]) == 1
     err = capsys.readouterr().err
-    assert f"grid.m and n must give (m+1) x nodes at most {MAX_SPACE_TIME}, got " in err
+    assert f"grid.m and n must give (m+1) x nodes <= {MAX_SPACE_TIME}" in err
     assert "Traceback" not in err
 
 
