@@ -197,7 +197,7 @@ def build_grid(dim, L, n, T, m) -> Grid:
     if dim == 2:
         Lt, nt = (t * 2 if len(t) == 1 else t for t in (Lt, nt))
     dim_ok = dim in (1, 2)
-    points = (min(m, MAX_INTERVALS) + 1) * np.prod([min(x, MAX_INTERVALS) + 1 for x in nt])
+    points = (min(max(m, 0), MAX_INTERVALS) + 1) * np.prod([min(x, MAX_INTERVALS) + 1 for x in nt])
     check_all([
         (dim_ok, f"dim must be 1 or 2, got {dim}"),
         (not dim_ok or len(nt) == dim, f"n must have one entry per axis (dim={dim})"),

@@ -194,6 +194,7 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--grid.T=1e308",           # s = sigma0 (T^4 + T^8) beyond double range
     "--grid.T=1e40",
     "--grid.m=1" + "0" * 400,   # a count beyond double range
+    "--grid.m=-1" + "0" * 400,  # and below it: (m+1) x nodes must not overflow
     "--grid.n=1" + "0" * 400,
     "--grid.m=1" + "0" * 29,    # a count numpy cannot index as (m+1) x nodes
     "--grid.n=1" + "0" * 20,
