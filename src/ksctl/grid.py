@@ -138,12 +138,12 @@ class Grid:
 
     @cached_property
     def _cache(self) -> dict:
-        # per-grid store for the constant factors and the density pattern
+        # per-grid store for the reused factors and the density patterns
         return {}
 
     def factor(self, key, build):
-        """SuperLU factor of the constant sparse matrix ``build()``, made
-        once per grid and ``key``: the one cache of constant factors."""
+        """SuperLU factor of the constant sparse matrix ``build()``, made once per
+        grid and ``key``: the factors the block marches reuse, I - dt A, C and C*."""
         if key not in self._cache:
             self._cache[key] = spla.splu(build().tocsc())
         return self._cache[key]
@@ -204,8 +204,10 @@ def build_grid(dim, L, n, T, m) -> Grid:
         (not dim_ok or len(Lt) == dim, f"L must have one entry per axis (dim={dim})"),
         (all(x >= 8 for x in nt), "n must be at least 8 intervals per axis"),
         (all(not x > MAX_INTERVALS for x in nt), f"n must be at most {MAX_INTERVALS} per axis"),
+        (all(not x % 1 > 0 for x in nt), "n must be an integer per axis"),   # NaN % 1 > 0 is False
         (m >= 16, "m must be at least 16 time steps"),
         (not m > MAX_INTERVALS, f"m must be at most {MAX_INTERVALS} time steps"),
+        (not m % 1 > 0, "m must be an integer"),
         (not points > MAX_SPACE_TIME, f"m and n must give (m+1) x nodes <= {MAX_SPACE_TIME}"),
         (all(x > 0 for x in Lt), "L must be positive"),
         (T > 0, "T must be > 0.0"),

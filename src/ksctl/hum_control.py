@@ -133,6 +133,8 @@ class DualSolution:
         """Why no control may be extracted from this solution, or None."""
         if not self.curvature_ok:
             return "negative curvature falsifies the discrete scalar product"
+        if not np.isfinite(self.residual_history[-1]):
+            return f"CG residual is not finite at iteration {self.iterations}"
         return None if self.converged else (
             f"CG hit maxit={self.iterations} (residual {self.residual_history[-1]:.3e})")
 
@@ -353,9 +355,10 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     the normal operator is the identity plus a compact observation Gramian
     and an iteration transforms only w's source slices, to node space and
     back; maps back to Z once at the end.  Stops at relative residual
-    ``cg_tol`` or ``cg_maxit``.  The recorded energy history (values of the
-    quadratic functional) decreases strictly; non-positive curvature would
-    falsify the discrete scalar-product property and flags the solution.
+    ``cg_tol``, ``cg_maxit`` or the first residual or p.Ap not finite.  The
+    recorded energy history (values of the quadratic functional) decreases
+    strictly; non-positive curvature would falsify the discrete
+    scalar-product property and flags the solution.
     """
     sys_ = _DualSystem(problem)
     settings = problem.settings
@@ -364,16 +367,16 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     y, r, pdir = np.zeros_like(b), b.copy(), b.copy()
     Ap, scaled = np.empty_like(b), np.empty_like(b)   # the vector updates' buffers
     rr = rr0 = _dot(r, r)
-    J = 0.0
-    res_hist, en_hist = [np.sqrt(rr)], [J]
+    J, res_hist, en_hist = 0.0, [np.sqrt(rr)], [0.0]
     converged = rr0 == 0.0   # y = 0 solves a zero right-hand side
-    curvature_ok = True
-    it = 0
-    while not converged and it < settings.cg_maxit:
+    curvature_ok, it = True, 0
+    while not converged and it < settings.cg_maxit and np.isfinite(res_hist[-1]):
         it += 1
-        gty = sys_.gramian_apply(pdir)
-        sys_.project(np.add(pdir, gty, out=Ap))
+        sys_.project(np.add(pdir, sys_.gramian_apply(pdir), out=Ap))
         pAp = _dot(pdir, Ap)
+        if not np.isfinite(pAp):   # no residual follows, and a NaN is no curvature
+            res_hist.append(np.nan)
+            break
         if pAp <= 0.0:
             curvature_ok = False
             break

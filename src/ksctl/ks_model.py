@@ -12,9 +12,10 @@ density march that differs only in its chemical solve.  Each step fills M(v)
 = I - dt (A - N(v)) face by face into the Laplacian's CSC pattern, a block
 per run, factors it once and solves once, which is the whole lagged step;
 the implicit coupling continues by chord corrections on the same factor.
-The pattern is laid out once per grid in the column order of
-:func:`heat_factor`, so each block, and each v step, factors with the
-arithmetic of a plain ``splu`` of it alone.  A non-finite u or v stops it.
+The pattern, laid out once per grid in the column order of :func:`heat_factor`,
+has one factor call: M(v) per step, once per march the v step eps I - dt A +
+dt b I or the elliptic b I - A, each block as a plain ``splu`` of it alone.
+A non-finite u or v stops the march.
 
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix C and the adjoint C*
@@ -144,6 +145,16 @@ def heat_factor(grid: Grid):
         sp.identity(grid.num_nodes, format="csr") - grid.dt * grid.laplacian_matrix))
 
 
+class _OrderedFactor(NamedTuple):
+    """SuperLU factor ``lu`` of a matrix with its columns in the order ``perm_c``."""
+
+    lu: spla.SuperLU
+    perm_c: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b)[self.perm_c]
+
+
 class _DensityPattern(NamedTuple):
     """M(v)'s CSC pattern, the Laplacian's per diagonal block, columns in the
     order of :func:`heat_factor` per block: column j at position ``perm_c[j]``,
@@ -161,8 +172,12 @@ class _DensityPattern(NamedTuple):
     slots: np.ndarray
     perm_c: np.ndarray
 
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(self.indptr.size - 1,) * 2)
+    def factor(self, data: np.ndarray) -> _OrderedFactor:
+        """The one factor of a matrix with ``data`` on the pattern, on SuperLU's own
+        column order from :func:`heat_factor`: each block's pivots and solves are
+        a plain splu's (COLAMD, then the etree postorder)."""
+        M = sp.csc_matrix((data, self.indices, self.indptr), shape=(self.indptr.size - 1,) * 2)
+        return _OrderedFactor(spla.splu(M, permc_spec="NATURAL"), self.perm_c)
 
     def chem_data(self, v: np.ndarray) -> np.ndarray:
         """N(v)'s data on the pattern."""
@@ -196,28 +211,10 @@ def _density_pattern(grid: Grid, blocks: int = 1) -> _DensityPattern:
     return patterns[blocks]
 
 
-class _OrderedFactor(NamedTuple):
-    """SuperLU factor ``lu`` of M(v) with its columns in the order ``perm_c``."""
-
-    lu: spla.SuperLU
-    perm_c: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b)[self.perm_c]
-
-
-def _density_factor(v: np.ndarray | None, grid: Grid, vstep=None) -> _OrderedFactor:
-    """Block-diagonal SuperLU factor of M(v) = I - dt (A - N(v)) per grid-sized
-    block of ``v`` or, per (eps, b) of ``vstep``, of eps I - dt A + dt b I, on
-    SuperLU's own column order (COLAMD, then the etree postorder) from
-    :func:`heat_factor`, so each block's pivots and solves are a plain splu's."""
-    pat = _density_pattern(grid, len(vstep) if vstep else v.size // grid.num_nodes)
-    if vstep:
-        eps, b = np.repeat(vstep, len(pat.lap) // len(vstep), axis=0).T
-        data = eps * pat.eye - grid.dt * pat.lap + grid.dt * b * pat.eye
-    else:
-        data = pat.eye - grid.dt * (pat.lap - pat.chem_data(v))
-    return _OrderedFactor(spla.splu(pat.matrix(data), permc_spec="NATURAL"), pat.perm_c)
+def _density_factor(v: np.ndarray, grid: Grid) -> _OrderedFactor:
+    """Block-diagonal factor of M(v) = I - dt (A - N(v)) per grid-sized block of ``v``."""
+    pat = _density_pattern(grid, v.size // grid.num_nodes)
+    return pat.factor(pat.eye - grid.dt * (pat.lap - pat.chem_data(v)))
 
 
 def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid):
@@ -306,13 +303,13 @@ def solve_forward_pp(p: KSParams | list, u0: np.ndarray, v0: np.ndarray, c: Cont
         raise ValueError(f"unknown coupling {coupling!r}")
     eps, a = (np.repeat([getattr(pi, name) for pi in ps], grid.num_nodes) for name in ("eps", "a"))
     src = np.stack([ci.g * ci.chi for ci in cs], axis=1).reshape(grid.m + 1, -1)
-    key, dt = ("vstep", *((pi.eps, pi.b) for pi in ps)), grid.dt   # one factor per grid
-    lu_v, perm = grid._cache.get(key) or grid._cache.setdefault(
-        key, _density_factor(None, grid, key[1:]))
+    pat, dt = _density_pattern(grid, len(ps)), grid.dt
+    eps_b, b_b = np.repeat([(pi.eps, pi.b) for pi in ps], len(pat.lap) // len(ps), axis=0).T
+    lu_v = pat.factor(eps_b * pat.eye - dt * pat.lap + dt * b_b * pat.eye)   # once per march
 
     def chem(k, v_prev):   # eps v_prev is the same for every iterate of step k
         ev, sk = eps * v_prev, src[k]
-        return lambda u: lu_v.solve(ev + dt * (a * u + sk))[perm]
+        return lambda u: lu_v.solve(ev + dt * (a * u + sk))
 
     out = _density_march(ps, u0, v0, grid, chem, coupling == "implicit")
     return out if isinstance(p, list) else out[0]
@@ -325,8 +322,8 @@ def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid) -> Sta
         _check_field(f, grid, rows, name)
     if np.any(u0 < 0):
         raise ValueError("initial density must be nonnegative")
-    lu_e = grid.factor(("ell", p.b), lambda: (
-        -grid.laplacian_matrix + p.b * sp.identity(grid.num_nodes, format="csr")))
+    pat = _density_pattern(grid)
+    lu_e = pat.factor(p.b * pat.eye - pat.lap)   # once per march
 
     def chem(k, v_prev):
         return lambda u: lu_e.solve(p.a * u + c.g[k] * c.chi)
@@ -341,9 +338,7 @@ def block_step_factor(p: KSParams, grid: Grid, adjoint: bool):
     self-adjoint for the trapezoid weights and every other block is a scalar
     multiple of the identity, so C* only swaps the off-diagonal pair."""
     def build():
-        A = grid.laplacian_matrix
-        I = sp.identity(grid.num_nodes, format="csr")
-        dt = grid.dt
+        A, I, dt = grid.laplacian_matrix, sp.identity(grid.num_nodes, format="csr"), grid.dt
         upper, lower = dt * p.M1 * A, -dt * p.a * I
         if adjoint:
             upper, lower = lower, upper

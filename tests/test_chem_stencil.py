@@ -10,14 +10,15 @@ the chord loop against the matrix the density step factors, the three
 density marches (both couplings and the parabolic-elliptic limit) against
 the per-step matrix build, the chord march of the implicit coupling
 against the fixed point that refactors every iterate, and a stack of runs
-in one march against its runs one at a time, failures included, down to
-the eps-sweep rows.  The Laplacian's matrix apply keeps zero weighted sums
-and annihilates constants."""
+in one march against its runs one at a time, failures and a non-finite
+run included, down to the eps-sweep rows.  The Laplacian's matrix apply
+keeps zero weighted sums and annihilates constants."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ksctl import ks_model
@@ -95,7 +96,7 @@ def chem_matrix(v, grid):
     """N(v) as the density step assembles it on the grid's cached pattern,
     its columns back in grid order."""
     pat = ks_model._density_pattern(grid)
-    return pat.matrix(pat.chem_data(v))[:, pat.perm_c]
+    return sp.csc_matrix((pat.chem_data(v), pat.indices, pat.indptr))[:, pat.perm_c]
 
 
 class DensityStepOracle:
@@ -249,9 +250,8 @@ def test_forward_pp_matches_oracle_stepper(grid, march, eps, monkeypatch):
     p, u0, v0, c = forward_data(grid, eps)
     new = MARCHES[march](p, u0, v0, c, grid)
     # the pattern is laid out in the column order of the grid's one factor
-    # of I - dt A, and is the grid's only named cache entry
-    assert {k for k in grid._cache if isinstance(k, str)} == {"density"}
-    assert ("heat",) in grid._cache
+    # of I - dt A; the chemical solve's factor is the march's own, not cached
+    assert set(grid._cache) == {"density", ("heat",)}
     monkeypatch.setattr(ks_model, "_density_factor", DensityStepOracle)
     ref = MARCHES[march](p, u0, v0, c, grid)
     assert np.array_equal(new.u, ref.u) and np.array_equal(new.v, ref.v)
@@ -270,8 +270,8 @@ def test_implicit_chord_march_matches_oracle(grid, eps, monkeypatch):
             return _f(*args, **kwargs)
         monkeypatch.setattr(spla, name, counted)
     new = solve_forward_pp(p, u0, v0, c, grid, coupling="implicit")
-    # one splu a step, and two more made once on this fresh grid: the heat
-    # factor that fixes the density column order and the v step's factor
+    # one splu a step, one for the march's v step and one more made once on
+    # this fresh grid: the heat factor that fixes the density column order
     assert calls == {"splu": grid.m + 2, "spsolve": 0}
     for got, want in ((new.u, ref.u), (new.v, ref.v)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -353,6 +353,25 @@ def test_a_stack_raises_the_first_failure_of_its_lowest_block(setting, value, st
     with pytest.raises(type(want)) as got:
         solve_forward_pp(ps, u0, v0, cs, grid, "implicit")
     assert got.value.step == want.step and str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("coupling", ["lagged", "implicit"])
+def test_a_non_finite_run_in_a_stack_raises_its_own_error(grid, coupling):
+    # the middle run's control holds a NaN at step k: the stack raises that
+    # run's own error at step k, with no RuntimeWarning on the way (pytest
+    # makes any an error), and the other two march cleanly as a stack of two
+    ps, u0, v0, cs = stack_data(grid)
+    k = grid.m // 2
+    cs[1].g[k, grid.num_nodes // 2] = np.nan
+    with pytest.raises(RuntimeError) as single:
+        solve_forward_pp(ps[1], u0, v0, cs[1], grid, coupling)
+    with pytest.raises(RuntimeError) as stacked:
+        solve_forward_pp(ps, u0, v0, cs, grid, coupling)
+    assert str(stacked.value) == str(single.value) == f"non-finite v at step {k}"
+    rest = solve_forward_pp(ps[::2], u0, v0, cs[::2], grid, coupling)
+    for got, p, c in zip(rest, ps[::2], cs[::2]):
+        want = solve_forward_pp(p, u0, v0, c, grid, coupling)
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
 
 
 def test_eps_sweep_rows_are_the_picard_runs(params, grid_small, weights_small, chi_small):

@@ -592,6 +592,19 @@ def test_cg_cap_is_reported_not_extracted(tmp_path, capsys, command):
     assert "ExtractionError" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the dual system's infinite weights
+def test_a_non_finite_cg_residual_stops_at_once(tmp_path, capsys):
+    # an infinite weight floor makes the first residual NaN: the CG names it
+    # at that iteration instead of running to cg_maxit on NaN, and a NaN is
+    # no evidence of negative curvature (exit 2, not 3)
+    path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
+    assert main(["control-linear", "--config", path, "--solver.weight_floor=inf"]) == 2
+    assert "CG residual is not finite at iteration 1" in capsys.readouterr().err
+    (record,) = (tmp_path / "out").glob("control-linear-*.json")
+    summary = json.loads(record.read_text())["summary"]
+    assert summary["cg_iterations"] <= 1 and summary["curvature_ok"]
+
+
 def _capped_cg(prob):
     """``prob`` with its CG stopped at the 3rd iterate."""
     return dataclasses.replace(

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import ksctl
 from ksctl.grid import (
+    ConfigError,
     build_grid,
     chemotaxis_divergence,
     h1_seminorm_sq,
@@ -43,11 +45,31 @@ def test_build_grid_2d_node_count():
         (3, 1.0, 100, 1.0, 200),   # dim outside {1,2}
         (1, -1.0, 100, 1.0, 200),  # negative length
         (1, 1.0, 100, -1.0, 200),  # negative final time
+        (1, 1.0, 50.7, 2.4, 100),  # non-integer n
+        (1, 1.0, 50, 2.4, 100.5),  # non-integer m
+        (2, 1.0, (20, 20.5), 2.4, 100),   # one non-integer axis
     ],
 )
 def test_build_grid_rejects(args):
     with pytest.raises(ValueError):
         build_grid(*args)
+
+
+@pytest.mark.parametrize("n, m, violations", [
+    (50.7, 100.5, ["n must be an integer per axis", "m must be an integer"]),
+    (50.0, 100.0, []),   # an integral float is its integer
+    (math.nan, 100, ["n must be at least 8 intervals per axis"]),
+    (50, math.nan, ["m must be at least 16 time steps"]),
+])
+def test_build_grid_names_a_non_integer_size(n, m, violations):
+    # a fractional n or m is named, never truncated to a smaller grid
+    if violations:
+        with pytest.raises(ConfigError) as err:
+            build_grid(1, 1.0, n, 2.4, m)
+        assert err.value.violations == violations
+    else:
+        grid = build_grid(1, 1.0, n, 2.4, m)
+        assert (grid.n, grid.m) == ((50,), 100)
 
 
 @pytest.mark.parametrize("name", ["axes", "times", "node_coords", "quad_weights", "faces"])

@@ -14,11 +14,14 @@ The solver knobs reach every solve inside one ``SolverSettings``: no other
 function or dataclass of the package takes one of them by name, and no call
 passes one on its own.
 
-Every constant sparse factor of the package enters through one cache,
-``Grid.factor``; the only other ``splu`` call is the density step's factor,
-whose coefficients change with every step.  Its CSC pattern is laid out
-once per grid in the column order of the cached factor of I - dt A that the
-backward heat march steps on.
+The package calls ``splu`` in two places.  ``Grid.factor`` caches the
+constant factors that the block marches reuse: I - dt A, C and C*.  The
+density pattern's one factor call, ``_DensityPattern.factor``, makes every
+factor of a matrix with its layout: M(v) each step, and once per march the
+chemical solve's, the v step or the elliptic matrix.  The pattern is laid
+out once per grid in the column order of the cached factor of I - dt A that
+the backward heat march steps on.  Only ``Grid.factor`` and
+``_density_pattern`` read or write ``Grid._cache``.
 
 The Laplacian has one apply, ``grid.neumann_laplacian``: no other function
 of the package multiplies by ``laplacian_matrix``.  The factor builders
@@ -122,16 +125,13 @@ def test_no_call_passes_a_solver_knob_on_its_own():
     assert not passes, "a solver knob passed outside SolverSettings: " + ", ".join(passes)
 
 
-def _splu_sites(tree, module):
-    """The dotted definition enclosing each mention of ``splu``: a name, an
-    attribute or an imported name."""
+def _sites(tree, module, hit):
+    """The dotted definition enclosing each node for which ``hit(node)``."""
     sites = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if ((isinstance(child, ast.Name) and child.id == "splu")
-                    or (isinstance(child, ast.Attribute) and child.attr == "splu")
-                    or (isinstance(child, ast.alias) and child.name.endswith("splu"))):
+            if hit(child):
                 sites.append(owner)
             inner = owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -139,13 +139,26 @@ def _splu_sites(tree, module):
             visit(child, inner)
 
     visit(tree, module)
-    return sites
+    return sorted(set(sites))
+
+
+def _package_sites(hit):
+    return sorted(site for path, tree in _trees(PACKAGE).items()
+                  for site in _sites(tree, path.stem, hit))
 
 
 def test_splu_only_in_the_factor_cache_and_the_density_step():
-    sites = sorted({site for path, tree in _trees(PACKAGE).items()
-                    for site in _splu_sites(tree, path.stem)})
-    assert sites == ["grid.Grid.factor", "ks_model._density_factor"]
+    # a mention of splu: a name, an attribute or an imported name
+    sites = _package_sites(lambda node: (
+        (isinstance(node, ast.Name) and node.id == "splu")
+        or (isinstance(node, ast.Attribute) and node.attr == "splu")
+        or (isinstance(node, ast.alias) and node.name.endswith("splu"))))
+    assert sites == ["grid.Grid.factor", "ks_model._DensityPattern.factor"]
+
+
+def test_only_the_factor_cache_and_the_density_pattern_touch_the_grid_cache():
+    sites = _package_sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_cache")
+    assert sites == ["grid.Grid.factor", "ks_model._density_pattern"]
 
 
 _PRODUCT_CALLS = {"matmul", "inner", "vdot"}   # as np.<name>; ``.dot`` on any receiver

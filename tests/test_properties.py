@@ -8,10 +8,11 @@ axis, 16-32 time steps and eps in [1e-3, 1]:
   conserve the density's mass to 1e-12 relative;
 * the constant state (M1, M2) stays fixed under all three, and its
   fluctuation (zero) under the linearized march;
-* the density factor, on a pattern laid out once per grid in its column
-  order, solves bit for bit as a plain ``splu`` of M(v) in grid order, for
-  v of amplitude 1e-3 to 1e3 (large enough to force off-diagonal pivots),
-  and that order is SuperLU's own for every v;
+* every factor on the density pattern, laid out once per grid in its
+  column order, solves bit for bit, block by block, as a plain ``splu`` in
+  grid order: M(v) for v of amplitude 1e-3 to 1e3 (large enough to force
+  off-diagonal pivots), the v step of a stack of three eps and the elliptic
+  b I - A; and that order is SuperLU's own for each;
 * the dual solve's extracted terminal density is tau times its terminal
   z slice, and that slice has zero weighted mean, both to roundoff;
 * the extracted state, under its control and a mean-free source, satisfies
@@ -20,8 +21,12 @@ axis, 16-32 time steps and eps in [1e-3, 1]:
   meets the forward march only to the CG's stopping residual.
 """
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,7 +35,7 @@ from ksctl.adjoint import solve_adjoint
 from ksctl.grid import build_grid, mass
 from ksctl.hum_control import ControlProblem, extract_control, solve_dual
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _density_factor,
-                            _density_pattern, block_step_factor, smooth_cutoff,
+                            _density_pattern, _DensityPattern, block_step_factor, smooth_cutoff,
                             solve_forward_pe, solve_forward_pp, solve_linearized)
 from ksctl.weights import build_eta0, refined_weights, weight_params
 
@@ -115,20 +120,50 @@ def test_constant_state_stays_fixed(dim, n, m, eps):
     assert not lin.u.any() and not lin.v.any()
 
 
+class _Factored(Exception):
+    """Carries a pattern factor out of the march that made it."""
+
+
+def _chemical_factor(march):
+    """The first factor ``march()`` makes on the density pattern: its chemical
+    solve's, made once before the first step."""
+    factor = _DensityPattern.factor
+
+    def first(pat, data):
+        raise _Factored(factor(pat, data))
+
+    with mock.patch.object(_DensityPattern, "factor", first), pytest.raises(_Factored) as made:
+        march()
+    return made.value.args[0]
+
+
 @PROPERTY
 @given(dim=CASES["dim"], n=CASES["n"], m=CASES["m"], log_amp=st.floats(-3.0, 3.0),
        seed=SEED)
 def test_density_factor_on_the_grid_order_is_plain_splu(dim, n, m, log_amp, seed):
-    grid, _, _ = _setup(dim, n, m, 1.0)
+    grid, p, chi = _setup(dim, n, m, 1.0)
+    nn, dt, A = grid.num_nodes, grid.dt, grid.laplacian_matrix
+    I = sp.identity(nn, format="csr")
     rng = np.random.default_rng(seed)
-    v = 10.0 ** log_amp * rng.standard_normal(grid.num_nodes)
-    b = rng.standard_normal(grid.num_nodes)
+    v = 10.0 ** log_amp * rng.standard_normal(nn)
     pat = _density_pattern(grid)   # M(v) back in grid order
-    plain = spla.splu(pat.matrix(pat.eye - grid.dt * (pat.lap - pat.chem_data(v)))[:, pat.perm_c])
-    got = _density_factor(v, grid)
-    assert np.array_equal(got.solve(b), plain.solve(b))
-    assert np.array_equal(got.lu.perm_c, np.arange(grid.num_nodes))
-    assert np.array_equal(got.perm_c, plain.perm_c)
+    ps = [dataclasses.replace(p, eps=eps) for eps in (1.0, 0.1, 1e-3)]
+    u0, v0, c = np.full(nn, p.M1), np.full(nn, p.M2), Control.zero(grid, chi)
+    # each pattern factor against a plain splu of each of its blocks in grid order
+    for got, blocks in [
+            (_density_factor(v, grid),
+             [sp.csc_matrix((pat.eye - dt * (pat.lap - pat.chem_data(v)), pat.indices,
+                            pat.indptr))[:, pat.perm_c]]),
+            (_chemical_factor(lambda: solve_forward_pp(ps, u0, v0, [c] * 3, grid)),
+             [q.eps * I - dt * A + dt * q.b * I for q in ps]),   # the v step of a stack
+            (_chemical_factor(lambda: solve_forward_pe(p, u0, c, grid)), [p.b * I - A])]:
+        b = rng.standard_normal(len(blocks) * nn)
+        assert np.array_equal(got.lu.perm_c, np.arange(b.size))
+        x, perm = (a.reshape(len(blocks), nn) for a in (got.solve(b), got.perm_c))
+        for e, block in enumerate(blocks):
+            plain = spla.splu(block.tocsc())
+            assert np.array_equal(x[e], plain.solve(b[e * nn:(e + 1) * nn]))
+            assert np.array_equal(perm[e] - e * nn, plain.perm_c)
 
 
 def _control_problem(dim, n, m, eps, rng, source=0.0):
