@@ -80,7 +80,7 @@ class SolverSettings:
             (self.tol >= 0, "tol must be nonnegative"),
             (self.cg_tol >= 0, "cg_tol must be nonnegative"),
             (self.tau > 0, "tau must be positive"),
-            (self.weight_floor > 0, "weight_floor must be positive"),
+            (0.0 < self.weight_floor <= 1.0, "weight_floor must lie in (0, 1]"),
             (self.maxit >= 1, "maxit must be at least 1"),
             (self.cg_maxit >= 1, "cg_maxit must be at least 1"),
             (self.n_samples >= 1, "n_samples must be at least 1"),

@@ -9,9 +9,9 @@ conserved to solver roundoff by construction, with or without control.
 
 Both nonlinear systems, in either coupling, step a stack of runs through one
 density march that differs only in its chemical solve.  Each step fills M(v)
-= I - dt (A - N(v)) face by face into the Laplacian's CSC pattern, a block
-per run, factors it once and solves once, which is the whole lagged step;
-the implicit coupling continues by chord corrections on the same factor.
+= I - dt (A - N(v)) face by face into the one matrix on the Laplacian's CSC
+pattern, a block per run, factors it once and solves once: the whole lagged
+step; the implicit coupling continues by chord corrections on the same factor.
 The pattern, laid out once per grid in the column order of :func:`heat_factor`,
 has one factor call: M(v) per step, once per march the v step eps I - dt A +
 dt b I or the elliptic b I - A, each block as a plain ``splu`` of it alone.
@@ -161,7 +161,8 @@ class _DensityPattern(NamedTuple):
     rows sorted.  ``lap`` and ``eye`` hold the Laplacian's and the identity's
     data on it.  Face (l, r) puts 0.5 (v_r - v_l)/h into slots (l,l), (l,r) over
     +cw_l and (r,l), (r,r) over -cw_r (``cw4`` per slot); faces run axis by
-    axis in C order, so each diagonal sums in the order of the COO build."""
+    axis in C order, so each diagonal sums in the order of the COO build.
+    ``matrix`` sits on ``indices`` and ``indptr``; each factor refills its data."""
 
     faces: tuple
     indices: np.ndarray
@@ -171,13 +172,15 @@ class _DensityPattern(NamedTuple):
     cw4: np.ndarray
     slots: np.ndarray
     perm_c: np.ndarray
+    matrix: sp.csc_matrix
 
     def factor(self, data: np.ndarray) -> _OrderedFactor:
         """The one factor of a matrix with ``data`` on the pattern, on SuperLU's own
         column order from :func:`heat_factor`: each block's pivots and solves are
-        a plain splu's (COLAMD, then the etree postorder)."""
-        M = sp.csc_matrix((data, self.indices, self.indptr), shape=(self.indptr.size - 1,) * 2)
-        return _OrderedFactor(spla.splu(M, permc_spec="NATURAL"), self.perm_c)
+        a plain splu's (COLAMD, then the etree postorder).  SuperLU copies the
+        values into its own L and U, so the next factor may reuse ``matrix``."""
+        self.matrix.data[:] = data
+        return _OrderedFactor(spla.splu(self.matrix, permc_spec="NATURAL"), self.perm_c)
 
     def chem_data(self, v: np.ndarray) -> np.ndarray:
         """N(v)'s data on the pattern."""
@@ -202,12 +205,12 @@ def _density_pattern(grid: Grid, blocks: int = 1) -> _DensityPattern:
         cwl = np.concatenate([f.cw[f.left] for f in faces])
         cwr = np.concatenate([f.cw[f.right] for f in faces])
         patterns[blocks] = _DensityPattern(faces, *(_read_only(a) for a in (
-            A.indices, A.indptr, A.data, np.where(order[pos] == A.indices, 1.0, 0.0),
+            A.indices, A.indptr, A.data.copy(), np.where(order[pos] == A.indices, 1.0, 0.0),
             np.column_stack([cwl, cwl, -cwr, -cwr]).ravel(),
             np.searchsorted(pos * nn + A.indices,   # ascending keys
                             (perm_c[np.column_stack([l, r, l, r])] * nn
                              + np.column_stack([l, l, r, r])).ravel()),
-            perm_c)))
+            perm_c)), A)
     return patterns[blocks]
 
 

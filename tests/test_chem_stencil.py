@@ -1,18 +1,19 @@
-"""The grid's face table and the density step's CSC pattern against the
-code they replaced, kept as oracles, in 1D, 2D square and 2D non-square:
-the pattern is built once per grid and read-only, the chemotaxis matrix
-N(v) on it, columns back in grid order, against the COO double-loop build
-of ``oracles.chem_matrix_oracle``, the two operators
-``chemotaxis_divergence`` and ``neumann_laplacian`` against the per-dimension
-numpy slice kernels, the divergence, the Laplacian, the H1 seminorm and the
-L2 norm of many slices against one call per slice, the matrix-free M(v)u of
-the chord loop against the matrix the density step factors, the three
-density marches (both couplings and the parabolic-elliptic limit) against
-the per-step matrix build, the chord march of the implicit coupling
-against the fixed point that refactors every iterate, and a stack of runs
-in one march against its runs one at a time, failures and a non-finite
-run included, down to the eps-sweep rows.  The Laplacian's matrix apply
-keeps zero weighted sums and annihilates constants."""
+"""The grid's face table and the density step's CSC pattern against the code
+they replaced, kept as oracles, in 1D, 2D square and 2D non-square: the
+pattern is built once per grid and read-only but for its one matrix's data,
+which every factor of a march refills while a live factor keeps its solves,
+the chemotaxis matrix N(v) on it, columns back in grid order, against the
+COO double-loop build of ``oracles.chem_matrix_oracle``, the two operators
+``chemotaxis_divergence`` and ``neumann_laplacian`` against the
+per-dimension numpy slice kernels, the divergence, the Laplacian, the H1
+seminorm and the L2 norm of many slices against one call per slice, the
+matrix-free M(v)u of the chord loop against the matrix the density step
+factors, the three density marches (both couplings and the
+parabolic-elliptic limit) against the per-step matrix build, the chord march
+of the implicit coupling against the fixed point that refactors every
+iterate, and a stack of runs in one march against its runs one at a time,
+failures and a non-finite run included, down to the eps-sweep rows.  The
+Laplacian's matrix apply keeps zero weighted sums and annihilates constants."""
 
 from dataclasses import replace
 
@@ -123,9 +124,49 @@ def fields(grid, seed=0):
 def test_density_pattern_is_built_once_and_read_only(grid):
     pat = ks_model._density_pattern(grid)
     assert ks_model._density_pattern(grid) is pat
-    for a in pat[1:]:   # every array after the grid's faces
+    arrays = pat[1:-1]   # every array between the grid's faces and the matrix
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    for a in arrays:
         with pytest.raises(ValueError):
             a[0] = a[0]
+    # the one matrix sits on the pattern's own arrays: its data is the only
+    # buffer a factor writes
+    assert pat.matrix.indices is pat.indices and pat.matrix.indptr is pat.indptr
+    assert pat.matrix.data.flags.writeable
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_a_factor_keeps_its_solves_when_the_next_overwrites_the_matrix(grid, blocks):
+    # SuperLU copies the values into its own L and U: a live factor solves
+    # bit for bit as before, and as a fresh splu of its own matrix, after a
+    # later factor on the same pattern overwrote the shared buffer
+    pat = ks_model._density_pattern(grid, blocks)
+    rng = np.random.default_rng(8)
+    nn = blocks * grid.num_nodes
+    b, vs = rng.standard_normal(nn), rng.standard_normal((2, nn))
+    datas = [pat.eye - grid.dt * (pat.lap - pat.chem_data(v)) for v in vs]
+    first = pat.factor(datas[0])
+    before = first.solve(b)
+    second = pat.factor(datas[1])
+    assert np.array_equal(pat.matrix.data, datas[1])
+    assert np.array_equal(first.solve(b), before)
+    for lu, data in zip((first, second), datas):
+        own = sp.csc_matrix((data.copy(), pat.indices.copy(), pat.indptr.copy()), shape=(nn, nn))
+        fresh = spla.splu(own, permc_spec="NATURAL")
+        assert np.array_equal(lu.solve(b), fresh.solve(b)[pat.perm_c])
+
+
+@pytest.mark.parametrize("march", ["lagged", "pe"])
+def test_every_factor_of_a_march_is_on_the_one_matrix(grid, march, monkeypatch):
+    # the chemical factor and M(v) each step hand splu the pattern's matrix:
+    # no sparse matrix is built per factor
+    p, u0, v0, c = forward_data(grid)
+    pat = ks_model._density_pattern(grid)
+    factored, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda M, **kw: factored.append(M) or splu(M, **kw))
+    MARCHES[march](p, u0, v0, c, grid)
+    assert len(factored) == grid.m + 1
+    assert all(M is pat.matrix for M in factored)
 
 
 def test_chem_matrix_matches_coo_oracle(grid):

@@ -164,6 +164,9 @@ def test_config_error_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "--solver.tau=0",           # the dual solve needs a positive penalty
     "--solver.weight_floor=0",  # the weight profiles need a positive floor
+    "--solver.weight_floor=2",  # relative to a maximum of 1: a floor above it flattens
+    "--solver.weight_floor=1e300",
+    "--solver.weight_floor=inf",
     "--grid.n=[8,8]",           # two axes' worth of intervals with dim 1
     "--weights.s=-1",           # the Carleman parameter must be positive
     "--weights.s=0",            # not "derive s from sigma0"
@@ -369,6 +372,18 @@ def test_numerically_equal_configs_share_one_file(tmp_path):
     assert [f.name for f in ten.iterdir()] == ["simulate-bbaf91c89b14.csv"]
     assert (ten / "simulate-bbaf91c89b14.csv").read_bytes() \
         == (base / "simulate-bbaf91c89b14.csv").read_bytes()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "each density step's LU solve leaves a residual that carries mass: at "
+    "n = 3200 the parabolic-elliptic march drifts by 2.0e-11 and simulate exits 3"))
+def test_simulate_conserves_mass_on_a_fine_1d_grid(tmp_path):
+    # mass is conserved to roundoff on every grid, not only at n = 50
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--grid.n=3200",
+                 f"--io.outdir={tmp_path}"]) == 0
+    (record,) = tmp_path.glob("simulate-*.json")
+    summary = json.loads(record.read_text())["summary"]
+    assert max(summary["mass_drift_pp"], summary["mass_drift_pe"]) < 1e-13
 
 
 def test_weights_s_is_null_or_a_float(tmp_path):
@@ -592,14 +607,16 @@ def test_cg_cap_is_reported_not_extracted(tmp_path, capsys, command):
     assert "ExtractionError" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the dual system's infinite weights
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the dual system's zero weights
+@pytest.mark.filterwarnings("ignore:weighted blocks are")
 def test_a_non_finite_cg_residual_stops_at_once(tmp_path, capsys):
-    # an infinite weight floor makes the first residual NaN: the CG names it
-    # at that iteration instead of running to cg_maxit on NaN, and a NaN is
-    # no evidence of negative curvature (exit 2, not 3)
+    # at T = 1e10 the weight profiles underflow and the opening residual is
+    # not finite: the CG names it at that iteration instead of running to
+    # cg_maxit on NaN, and a NaN is no evidence of negative curvature (exit 2,
+    # not 3)
     path = write_cfg(tmp_path, **small_sections(tmp_path / "out"))
-    assert main(["control-linear", "--config", path, "--solver.weight_floor=inf"]) == 2
-    assert "CG residual is not finite at iteration 1" in capsys.readouterr().err
+    assert main(["control-linear", "--config", path, "--grid.T=1e10"]) == 2
+    assert "CG residual is not finite at iteration 0" in capsys.readouterr().err
     (record,) = (tmp_path / "out").glob("control-linear-*.json")
     summary = json.loads(record.read_text())["summary"]
     assert summary["cg_iterations"] <= 1 and summary["curvature_ok"]

@@ -189,7 +189,7 @@ def test_solver_settings_report_every_bad_field_at_once():
                        cg_maxit=0, weight_floor=-1e-6, n_samples=0, seed=-1)
     assert err.value.violations == [
         "tol must be nonnegative", "cg_tol must be nonnegative",
-        "tau must be positive", "weight_floor must be positive",
+        "tau must be positive", "weight_floor must lie in (0, 1]",
         "maxit must be at least 1", "cg_maxit must be at least 1",
         "n_samples must be at least 1", "damping must lie in (0, 1]",
         "seed must be nonnegative",
