@@ -19,10 +19,9 @@ constant factors that the block marches reuse: I - dt A, C and C*.  The
 density pattern's one factor call, ``_DensityPattern.factor``, makes every
 factor of a matrix with its layout, refilled into the pattern's one matrix:
 M(v) each step, and once per march the chemical solve's, the v step or the
-elliptic matrix.  The pattern is laid
-out once per grid in the column order of the cached factor of I - dt A that
-the backward heat march steps on.  Only ``Grid.factor`` and
-``_density_pattern`` read or write ``Grid._cache``.
+elliptic matrix.  The pattern is laid out once per grid in the column order
+of the cached factor of I - dt A that the backward heat march steps on.
+Only ``Grid.factor`` and ``_density_pattern`` read or write ``Grid._cache``.
 
 The Laplacian has one apply, ``grid.neumann_laplacian``: no other function
 of the package multiplies by ``laplacian_matrix``.  The factor builders
