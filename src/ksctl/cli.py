@@ -102,10 +102,7 @@ class ExperimentConfig:
 
     def initial_data(self, grid: Grid):
         ph = self.physics
-        x = grid.node_coords
-        bump = np.cos(ph["mode"] * np.pi * x[:, 0] / grid.L[0])
-        if grid.dim == 2:
-            bump = bump * np.cos(ph["mode"] * np.pi * x[:, 1] / grid.L[1])
+        bump = np.prod(np.cos(ph["mode"] * np.pi * grid.node_coords / np.asarray(grid.L)), axis=1)
         u0 = ph["M1"] + ph["delta"] * bump
         v0 = np.full(grid.num_nodes, ph["M2"])
         return u0, v0
@@ -200,21 +197,24 @@ def _domain_violations(cfg: ExperimentConfig) -> list:
     g, ph, w = cfg.grid, cfg.physics, cfg.weights
     v: list = []
 
-    def collect(section: str, build, *args, eps_key="eps"):
+    def collect(section: str, build, *args, key=("eps", "eps")):
         try:
             return build(*args)
-        except ConfigError as exc:  # an eps_list entry reports under its own key
-            v.extend(f"{section}.{x}".replace(".eps ", f".{eps_key} ", 1)
+        except ConfigError as exc:  # a list entry reports under its own key
+            v.extend(f"{section}.{x}".replace(f".{key[0]} ", f".{key[1]} ", 1)
                      for x in exc.violations)
 
     grid = collect("grid", cfg.build_grid)
     collect("physics", cfg.params, ph["eps"])
     for i, eps in enumerate(ph["eps_list"]):
-        collect("physics", cfg.params, eps, eps_key=f"eps_list[{i}]")
+        collect("physics", cfg.params, eps, key=("eps", f"eps_list[{i}]"))
     if grid is None and w["s"] is None:  # s derives from a valid T only: check lambda at s = 1
         collect("weights", weight_params, 1.0, w["lambda"], 1.0)
-    else:
-        collect("weights", cfg.carleman_params, g["T"])
+    elif base := collect("weights", cfg.carleman_params, g["T"]):
+        for i, mult in enumerate(w["s_scan"]):   # each s carleman scans; _validate names mult <= 0
+            if mult > 0:
+                collect("weights", weight_params, g["T"], w["lambda"], mult * base.s,
+                        key=("s", f"s_scan[{i}]"))
     if grid is not None:
         dim, L = grid.dim, grid.L
     else:  # check the nesting anyway; the domain only if L fits the axes
@@ -281,7 +281,9 @@ def _decimal_from_log(log_value: float) -> str:
     the double exponent range."""
     d = log_value / np.log(10.0)
     expo = int(np.floor(d))
-    mant = 10.0 ** (d - expo)
+    mant = round(10.0 ** (d - expo), 6)
+    if mant == 10.0:   # rounded up to 10: carry into the exponent
+        mant, expo = 1.0, expo + 1
     return f"{mant:.6f}e{expo:+d}"
 
 
@@ -324,9 +326,7 @@ class _Runner:
 
     def finish(self, header, rows, summary, exit_code: int) -> int:
         cfg = self.cfg
-        outdir = cfg.io["outdir"]
-        os.makedirs(outdir, exist_ok=True)
-        stem = os.path.join(outdir, f"{self.command}-{cfg.content_hash}")
+        stem = os.path.join(cfg.io["outdir"], f"{self.command}-{cfg.content_hash}")
         manifest = []
         if cfg.io["format"] in ("csv", "both"):
             _write_csv(stem + ".csv", header, rows)
@@ -548,6 +548,12 @@ def run(command: str, cfg: ExperimentConfig) -> int:
     if command not in _DISPATCH:
         print(f"ksctl: unknown command {command!r}; choose from "
               f"{', '.join(COMMANDS)}", file=sys.stderr)
+        return 1
+    try:   # before the command runs, so that a bad path costs no solve
+        os.makedirs(cfg.io["outdir"], exist_ok=True)
+    except OSError as exc:
+        print(f"ksctl: config error: io.outdir {cfg.io['outdir']!r} cannot be created: {exc}",
+              file=sys.stderr)
         return 1
     return _DISPATCH[command](cfg, _Runner(command, cfg))
 

@@ -3,12 +3,16 @@
 Fields are bare numpy arrays: a spatial field is a flat vector over the
 ``prod(n_i + 1)`` grid nodes (C order in 2D, axis 0 = x), a space-time field
 is an ``(m + 1, nodes)`` array.  The grid carries trapezoid quadrature
-weights; every differential operator below is built so that
+weights and one face table, :attr:`Grid.faces`; every differential operator
+below is built from that table so that
 
 * the Laplacian matrix is self-adjoint for the weighted inner product,
   annihilates constants and has zero weighted column sums;
 * the chemotaxis divergence has exactly zero weighted sum (discrete
   conservation): its face fluxes telescope, with no boundary faces.
+
+Each per-axis array (weights, coordinates, eigenvalues) is one tensor
+product over the axes, the same code in 1D and 2D.
 
 These identities carry all the duality bookkeeping downstream, so they are
 structural here, not accidental.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,18 +113,14 @@ class Grid:
     @cached_property
     def quad_weights(self) -> np.ndarray:
         """Flat quadrature weight per node (tensor product of axis weights)."""
-        if self.dim == 1:
-            return _read_only(self.axis_weights(0))
-        return _read_only(
-            np.multiply.outer(self.axis_weights(0), self.axis_weights(1)).ravel())
+        weights = map(self.axis_weights, range(self.dim))
+        return _read_only(reduce(np.multiply.outer, weights).ravel())
 
     @cached_property
     def node_coords(self) -> np.ndarray:
         """(num_nodes, dim) array of node coordinates, flat node order."""
-        if self.dim == 1:
-            return _read_only(self.axes[0][:, None])
-        X, Y = np.meshgrid(self.axes[0], self.axes[1], indexing="ij")
-        return _read_only(np.column_stack([X.ravel(), Y.ravel()]))
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return _read_only(np.column_stack([x.ravel() for x in mesh]))
 
     @cached_property
     def faces(self) -> tuple[_Faces, ...]:
@@ -148,26 +148,18 @@ class Grid:
             self._cache[key] = spla.splu(build().tocsc())
         return self._cache[key]
 
-    def _axis_laplacian(self, axis: int) -> sp.csr_matrix:
-        n = self.n[axis]
-        h = self.h[axis]
-        main = np.full(n + 1, -2.0)
-        off = np.ones(n)
-        A = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-        A[0, 1] = 2.0
-        A[n, n - 1] = 2.0
-        return (A / (h * h)).tocsr()
-
     @cached_property
     def laplacian_matrix(self) -> sp.csr_matrix:
-        """Sparse Neumann Laplacian on flat node vectors."""
-        if self.dim == 1:
-            return self._axis_laplacian(0)
-        Ax = self._axis_laplacian(0)
-        Ay = self._axis_laplacian(1)
-        Ix = sp.identity(self.n[0] + 1, format="csr")
-        Iy = sp.identity(self.n[1] + 1, format="csr")
-        return sp.kron(Ax, Iy, format="csr") + sp.kron(Ix, Ay, format="csr")
+        """Sparse Neumann Laplacian on flat node vectors, assembled from :attr:`faces`:
+        face (l, r) puts -1/(h cw) on the diagonal and 1/(h cw) off it, in rows l
+        and r, one CSR matrix per axis; the axes are summed, x first."""
+        per_axis = []
+        for f in self.faces:
+            row, col = np.r_[f.left, f.right], np.r_[f.right, f.left]
+            c = 1.0 / (f.h * f.cw[row])
+            per_axis.append(sp.csr_matrix((np.r_[-c, c], (np.r_[row, row], np.r_[row, col])),
+                                          shape=(self.num_nodes,) * 2))
+        return sum(per_axis[1:], per_axis[0])
 
     @cached_property
     def cosine_basis(self) -> _CosineBasis:
@@ -179,11 +171,9 @@ class Grid:
             axes.append((np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n), c / L,
                          2.0 * (np.cos(np.pi * k / n) - 1.0) / (h * h)))
         q, inv_norm_sq, lam = zip(*axes)
-        if self.dim == 2:
-            inv_norm_sq = [np.multiply.outer(*inv_norm_sq).ravel()]
-            lam = [np.add.outer(*lam).ravel()]
-        return _CosineBasis([_read_only(a) for a in q], _read_only(inv_norm_sq[0]),
-                            _read_only(lam[0]))
+        return _CosineBasis([_read_only(a) for a in q],
+                            _read_only(reduce(np.multiply.outer, inv_norm_sq).ravel()),
+                            _read_only(reduce(np.add.outer, lam).ravel()))
 
 
 def build_grid(dim, L, n, T, m) -> Grid:

@@ -22,7 +22,7 @@ the limit convention (the exponential factor wins against any power), so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -131,37 +131,19 @@ def build_eta0(grid: Grid, omega0, omega_prime, omega) -> Eta0:
     """
     b0, bp, bw = check_boxes(grid.dim, grid.L, omega0, omega_prime, omega)
     center = b0.mean(axis=1)
-    vals_ax, grads_ax = [], []
-    for ax in range(grid.dim):
-        v, dv = _axis_bump(grid.axes[ax], grid.L[ax], center[ax])
-        vals_ax.append(v)
-        grads_ax.append(dv)
-
-    if grid.dim == 1:
-        values = vals_ax[0]
-        gradient = grads_ax[0][None, :]
-    else:
-        vx, vy = vals_ax
-        dx, dy = grads_ax
-        values = np.multiply.outer(vx, vy).ravel()
-        gradient = np.stack(
-            [np.multiply.outer(dx, vy).ravel(), np.multiply.outer(vx, dy).ravel()]
-        )
+    vals, grads = zip(*map(_axis_bump, grid.axes, grid.L, center))
+    values = reduce(np.multiply.outer, vals).ravel()
+    gradient = np.stack([reduce(np.multiply.outer, vals[:k] + grads[k:k + 1] + vals[k + 1:]).ravel()
+                         for k in range(grid.dim)])
 
     # invariant scan
-    interior = np.all(
-        (grid.node_coords > 0.0) & (grid.node_coords < np.asarray(grid.L)), axis=1
-    )
-    if np.any(values[interior] <= 0.0):
+    inside = (grid.node_coords > 0.0) & (grid.node_coords < np.asarray(grid.L))
+    if np.any(values[inside.all(axis=1)] <= 0.0):
         raise Eta0ConstructionError("eta0 not positive at an interior node")
 
     outside = ~box_mask(grid, b0)
-    if grid.dim == 2:
-        corners = np.zeros(grid.num_nodes, dtype=bool)
-        nx, ny = grid.shape
-        for idx in (0, ny - 1, (nx - 1) * ny, nx * ny - 1):
-            corners[idx] = True
-        outside &= ~corners
+    if grid.dim == 2:   # the four corners lie on the boundary along every axis
+        outside &= inside.any(axis=1)
     gnorm = np.sqrt((gradient**2).sum(axis=0))
     if gnorm[outside].min() <= 0.0:
         raise Eta0ConstructionError("grad eta0 vanishes at a node outside omega0")

@@ -26,7 +26,11 @@ tests call.
   before the sparse matrix became its one apply;
 * the density march of one run, as it stood before the march took a
   stack of runs: scalar update sizes, a COLAMD factor of the v step and
-  one check after the other.
+  one check after the other;
+* the Neumann Laplacian matrix as a ``lil`` tridiagonal per axis and a
+  ``kron`` sum in 2D, and the quadrature weights, node coordinates, cosine
+  eigenvalues and bump values forked on 1D and 2D, as they stood before the
+  face table and one tensor product over the axes built them.
 """
 
 import math
@@ -42,7 +46,7 @@ from ksctl.grid import Grid, _divergence, chemotaxis_divergence, h1_seminorm_sq,
 from ksctl.hum_control import ControlProblem, SolverSettings, _DualSystem
 from ksctl.ks_model import Control, KSParams, StateTrajectory, block_step_factor
 from ksctl.nonlinear_control import _capped, e_norm, picard_solve
-from ksctl.weights import Eta0, WeightTable, _logsumexp, log_step_sum
+from ksctl.weights import Eta0, WeightTable, _axis_bump, _logsumexp, log_step_sum
 
 
 def face_flux_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -524,3 +528,45 @@ def single_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
             raise ks_model.BlowUpError(k + 1, peak, ks_model.BLOWUP_CAP)
         u[k + 1], v[k + 1] = uk1, vk1
     return StateTrajectory(u=u, v=v, params=p, grid=grid)
+
+
+def _axis_laplacian_oracle(grid: Grid, axis: int) -> sp.csr_matrix:
+    n, h = grid.n[axis], grid.h[axis]
+    A = sp.diags([np.ones(n), np.full(n + 1, -2.0), np.ones(n)], [-1, 0, 1], format="lil")
+    A[0, 1] = 2.0
+    A[n, n - 1] = 2.0
+    return (A / (h * h)).tocsr()
+
+
+def laplacian_matrix_oracle(grid: Grid) -> sp.csr_matrix:
+    """The Neumann Laplacian as a tridiagonal per axis, summed by ``kron`` in 2D."""
+    if grid.dim == 1:
+        return _axis_laplacian_oracle(grid, 0)
+    Ix = sp.identity(grid.n[0] + 1, format="csr")
+    Iy = sp.identity(grid.n[1] + 1, format="csr")
+    return (sp.kron(_axis_laplacian_oracle(grid, 0), Iy, format="csr")
+            + sp.kron(Ix, _axis_laplacian_oracle(grid, 1), format="csr"))
+
+
+def grid_arrays_oracle(grid: Grid) -> dict:
+    """``quad_weights``, ``node_coords`` and the cosine basis's
+    ``inv_norm_sq`` and ``lam``, each built by a 1D and a 2D branch."""
+    ks = [np.arange(n + 1) for n in grid.n]
+    inv_norm_sq = [np.where((k == 0) | (k == n), 1.0, 2.0) / L
+                   for k, n, L in zip(ks, grid.n, grid.L)]
+    lam = [2.0 * (np.cos(np.pi * k / n) - 1.0) / (h * h) for k, n, h in zip(ks, grid.n, grid.h)]
+    if grid.dim == 1:
+        return {"quad_weights": grid.axis_weights(0), "node_coords": grid.axes[0][:, None],
+                "inv_norm_sq": inv_norm_sq[0], "lam": lam[0]}
+    X, Y = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
+    return {"quad_weights": np.multiply.outer(grid.axis_weights(0), grid.axis_weights(1)).ravel(),
+            "node_coords": np.column_stack([X.ravel(), Y.ravel()]),
+            "inv_norm_sq": np.multiply.outer(*inv_norm_sq).ravel(),
+            "lam": np.add.outer(*lam).ravel()}
+
+
+def eta0_values_oracle(grid: Grid, omega0) -> np.ndarray:
+    """The bump's node values: one axis factor in 1D, their outer product in 2D."""
+    center = np.atleast_2d(np.asarray(omega0, dtype=float)).mean(axis=1)
+    vals = [_axis_bump(grid.axes[ax], grid.L[ax], center[ax])[0] for ax in range(grid.dim)]
+    return vals[0] if grid.dim == 1 else np.multiply.outer(vals[0], vals[1]).ravel()

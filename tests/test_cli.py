@@ -194,6 +194,7 @@ def test_config_error_exits_1(tmp_path, capsys):
     "--grid.L=[[1.0]]",
     "--physics.eps_list=[[0.5]]",
     "--weights.s_scan=[[1,2]]",
+    "--weights.s_scan=[1e308]",  # a scanned multiple of s beyond double range
     "--grid.T=1e308",           # s = sigma0 (T^4 + T^8) beyond double range
     "--grid.T=1e40",
     "--grid.m=1" + "0" * 400,   # a count beyond double range
@@ -715,3 +716,22 @@ def test_carleman_ratio_beyond_double_is_a_decimal_literal(tmp_path):
     ratios = [r.split(",")[-1] for r in rows[1:] if r.startswith("lem3.1")]
     assert all(v != "inf" for v in ratios)
     assert any("e+" in v and float(v.split("e+")[1]) > 308 for v in ratios)
+
+
+@pytest.mark.parametrize("log_value, literal", [
+    (400 * math.log(10.0) - 1e-9, "1.000000e+400"),   # the mantissa rounds up to 10
+    (400 * math.log(10.0), "1.000000e+400"),
+    (500 * math.log(10.0) + math.log(2.5), "2.500000e+500"),
+])
+def test_decimal_literal_carries_a_rounded_mantissa_into_the_exponent(log_value, literal):
+    assert cli._decimal_from_log(log_value) == literal
+
+
+def test_an_outdir_that_cannot_be_created_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = write_cfg(tmp_path, **small_sections(blocker / "out"))
+    assert main(["simulate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "config error: io.outdir" in err and str(blocker / "out") in err
+    assert "Traceback" not in err

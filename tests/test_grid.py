@@ -21,7 +21,9 @@ from ksctl.grid import (
     mass,
     neumann_laplacian,
 )
-from oracles import face_flux_laplacian
+from ksctl.weights import build_eta0
+from oracles import (eta0_values_oracle, face_flux_laplacian, grid_arrays_oracle,
+                     laplacian_matrix_oracle)
 
 
 def test_build_grid_1d_spacing():
@@ -136,6 +138,34 @@ def test_laplacian_matrix_matches_kernel():
     rng = np.random.default_rng(1)
     f = rng.standard_normal(g.num_nodes)
     assert np.abs(neumann_laplacian(f, g) - face_flux_laplacian(f, g)).max() < 1e-12
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim, L, n", [
+    (1, 1.0, 50), (1, 2.5, 9), (2, (1.0, 1.0), (32, 32)), (2, (1.0, 2.0), (8, 12)),
+    (2, (3.0, 1.0), (20, 9)),
+])
+def test_face_table_and_tensor_products_equal_the_forked_oracles(dim, L, n):
+    # the Laplacian from the face table, and each per-axis array as one
+    # tensor product, bit for bit against the lil/kron and 1D/2D builds
+    g = build_grid(dim, L, n, 1.0, 16)
+    A, ref = g.laplacian_matrix, laplacian_matrix_oracle(g)
+    assert A.format == ref.format == "csr"
+    assert A.has_canonical_format and ref.has_canonical_format
+    for part in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(A, part), getattr(ref, part)), part
+    arrays = grid_arrays_oracle(g)
+    basis = g.cosine_basis
+    got = {"quad_weights": g.quad_weights, "node_coords": g.node_coords,
+           "inv_norm_sq": basis.inv_norm_sq, "lam": basis.lam}
+    for name, want in arrays.items():
+        assert _same_bits(got[name], want), name
+    boxes = [[(lo * Li, hi * Li) for Li in g.L]
+             for lo, hi in ((0.30, 0.40), (0.25, 0.45), (0.20, 0.50))]
+    assert _same_bits(build_eta0(g, *boxes).values, eta0_values_oracle(g, boxes[0]))
 
 
 def test_chemotaxis_zero_for_constant_v():

@@ -27,6 +27,9 @@ The Laplacian has one apply, ``grid.neumann_laplacian``: no other function
 of the package multiplies by ``laplacian_matrix``.  The factor builders
 still read the matrix to assemble theirs.
 
+The face table is the Laplacian's one stencil: the package builds no
+matrix by ``kron``, ``diags`` or a ``lil`` constructor.
+
 No matrix product of the package (``@``, ``.dot``, ``np.matmul``,
 ``np.inner``, ``np.vdot``) takes ``quad_weights``: the weighted node sums
 all go through ``grid.inner``.
@@ -220,4 +223,17 @@ def test_quad_weights_enter_no_blas_product():
     # splits a long sum by its thread count, and its bits follow the split
     sites = sorted({site for path, tree in _trees(PACKAGE).items()
                     for site in _product_sites(tree, path.stem, "quad_weights")})
+    assert sites == []
+
+
+_STENCIL_BUILDERS = {"kron", "kronsum", "diags", "diags_array", "spdiags", "lil_matrix",
+                     "lil_array", "tolil"}
+
+
+def test_no_sparse_matrix_is_built_beside_the_face_table():
+    sites = _package_sites(lambda node: (
+        isinstance(node, ast.Name) and node.id in _STENCIL_BUILDERS
+        or isinstance(node, ast.Attribute) and node.attr in _STENCIL_BUILDERS
+        or isinstance(node, ast.alias) and node.name.rpartition(".")[2] in _STENCIL_BUILDERS
+        or isinstance(node, ast.Constant) and node.value == "lil"))   # format="lil"
     assert sites == []
