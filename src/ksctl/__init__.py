@@ -5,7 +5,6 @@ from .grid import Grid, build_grid, chemotaxis_divergence, mass, neumann_laplaci
 from .ks_model import (
     Control,
     KSParams,
-    solve_forward_pe,
     solve_forward_pp,
     solve_linearized,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "refined_weights",
     "solve_adjoint",
     "solve_dual",
-    "solve_forward_pe",
     "solve_forward_pp",
     "solve_linearized",
     "weight_params",

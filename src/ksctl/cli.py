@@ -29,7 +29,7 @@ import yaml
 from .carleman_check import adjoint_reports, lemmaA1_report, weight_families
 from .grid import ConfigError, Grid, build_grid, l2_norm, mass
 from .hum_control import ControlProblem, SolverSettings, extract_control, solve_dual
-from .ks_model import Control, KSParams, smooth_cutoff, solve_forward_pe, solve_forward_pp, solve_linearized
+from .ks_model import Control, KSParams, smooth_cutoff, solve_forward_pp, solve_linearized
 from .nonlinear_control import e_norm, eps_sweep, forward_residual, picard_solve
 from .weights import (Eta0, WeightParams, WeightTable, build_eta0, check_boxes,
                       refined_weights, weight_params)
@@ -361,8 +361,7 @@ def _cmd_simulate(cfg: ExperimentConfig, runner: _Runner) -> int:
     u0, v0 = cfg.initial_data(grid)
     ctl = Control.zero(grid, chi)
     runner.phase("setup")
-    pp = solve_forward_pp(p, u0, v0, ctl, grid)
-    pe = solve_forward_pe(p, u0, ctl, grid)
+    pp, pe = solve_forward_pp([p, p], u0, v0, [ctl, ctl], grid, ["lagged", "elliptic"])
     runner.phase("solves")
     cols = {
         "t": grid.times,

@@ -318,10 +318,12 @@ def l2_norm(f: np.ndarray, grid: Grid) -> np.ndarray:
     return np.sqrt(l2_sq(f, grid))
 
 
-def h1_seminorm_sq(f: np.ndarray, grid: Grid) -> np.ndarray:
+def h1_seminorm_sq(f: np.ndarray, grid: Grid, lap: np.ndarray | None = None) -> np.ndarray:
     """Discrete ``int |grad f|^2`` of one field or of each slice, computed as
-    <-Lap f, f>_W with :func:`neumann_laplacian` (summation by parts)."""
-    return np.maximum(-inner(neumann_laplacian(f, grid), f, grid), 0.0)
+    <-Lap f, f>_W with :func:`neumann_laplacian` (summation by parts), or
+    with ``lap``, that apply already made."""
+    lap = neumann_laplacian(f, grid) if lap is None else lap
+    return np.maximum(-inner(lap, f, grid), 0.0)
 
 
 def box_mask(grid: Grid, box) -> np.ndarray:

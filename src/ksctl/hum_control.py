@@ -164,14 +164,16 @@ class ControlResult:
 # ---------------------------------------------------------------------------
 
 
-def apply_L(u: np.ndarray, v: np.ndarray, p: KSParams, grid: Grid):
+def apply_L(u: np.ndarray, v: np.ndarray, p: KSParams, grid: Grid, laps=None):
     """Forward residual pair on slices 1..m:
 
         L1^k = (u^k - u^{k-1})/dt - Lap u^k + M1 Lap v^k
         L2^k = eps (v^k - v^{k-1})/dt - Lap v^k + b v^k - a u^k
+
+    ``laps``, if given, holds (Lap u[1:], Lap v[1:]) already made.
     """
     dt = grid.dt
-    Au, Av = neumann_laplacian(u[1:], grid), neumann_laplacian(v[1:], grid)
+    Au, Av = laps or (neumann_laplacian(u[1:], grid), neumann_laplacian(v[1:], grid))
     L1 = (u[1:] - u[:-1]) / dt - Au + p.M1 * Av
     L2 = p.eps * (v[1:] - v[:-1]) / dt - Av + p.b * v[1:] - p.a * u[1:]
     return L1, L2

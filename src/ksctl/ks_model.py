@@ -8,14 +8,17 @@ involved has exactly zero weighted sum, so the cell-density mass is
 conserved to solver roundoff by construction, with or without control.
 
 Both nonlinear systems, in either coupling, step a stack of runs through one
-density march that differs only in its chemical solve.  Each step fills M(v)
-= I - dt (A - N(v)) face by face into the one matrix on the Laplacian's CSC
-pattern, a block per run, factors it once and solves once: the whole lagged
-step; the implicit coupling continues by chord corrections on the same factor.
-The pattern, laid out once per grid in the column order of :func:`heat_factor`,
-has one factor call: M(v) per step, once per march the v step eps I - dt A +
-dt b I or the elliptic b I - A, each block as a plain ``splu`` of it alone.
-A non-finite u or v stops the march.
+density march, a block per run; the parabolic-elliptic limit is a block kind
+of it whose chemical step is the parabolic one with eps = 0 and a unit time
+step.  Each step fills M(v) = I - dt (A - N(v)) face by face into the one
+matrix on the Laplacian's CSC pattern, a block per run, factors it once and
+solves once: the whole lagged step; the implicit coupling continues by chord
+corrections on the same factor.  The pattern, laid out once per grid and block
+count in the column order of :func:`heat_factor`, has one factor call: M(v)
+per step, once per march the chemical step's eps I - dt A + dt b I or b I - A
+per block, each block as a plain ``splu`` of it alone.  A list of runs marches
+in consecutive stacks within the ``STACK_NNZ`` budget.  A non-finite u or v
+stops the march.
 
 The linearized stepper is the operator whose exact algebraic transpose
 drives the dual machinery; its one-step block matrix C and the adjoint C*
@@ -44,7 +47,6 @@ __all__ = [
     "InnerIterationError",
     "smooth_cutoff",
     "solve_forward_pp",
-    "solve_forward_pe",
     "solve_linearized",
 ]
 
@@ -52,6 +54,10 @@ STEADY_TOL = 1e-12
 INNER_TOL = 1e-13   # the implicit coupling's fixed-point tolerance per step
 INNER_MAXIT = 60    # its iterate cap per step
 BLOWUP_CAP = 1e6    # the density march stops once |u|_inf passes this
+# SuperLU nnz of one density stack, counted as nnz(I - dt A) per run: a stack
+# saves SuperLU's fixed per-call cost only while its factor stays in cache (a
+# pair marched in 0.63 of its two marches' time at 1D n=50, 1.14 at 2D 48x48)
+STACK_NNZ = 64_000
 
 
 class BlowUpError(RuntimeError):
@@ -140,7 +146,7 @@ class StateTrajectory:
 def heat_factor(grid: Grid):
     """The grid's one factor of I - dt A: the backward heat march steps on
     it, the density step lays its pattern out in its column order (COLAMD
-    sees only the pattern)."""
+    sees only the pattern), and its nnz sizes the density stacks."""
     return grid.factor(("heat",), lambda: (
         sp.identity(grid.num_nodes, format="csr") - grid.dt * grid.laplacian_matrix))
 
@@ -228,27 +234,46 @@ def _density_residual(rhs: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid)
     return rhs - (u - grid.dt * div)
 
 
-def _density_march(ps: list, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
-                   implicit: bool) -> list:
-    """The one density march, of the runs ``ps`` as blocks in lockstep: per step
-    one factor of M(v[k]), the lagged step u = M(v[k])^-1 u[k], v = chem(k + 1,
-    v[k])(u); if ``implicit`` the chord fixed point u += M(v[k])^-1 (u[k] - M(v) u)
-    until the update is below INNER_TOL, a block that stops iterating on zeros
-    and keeping its values while others go on, so each keeps its own bits."""
-    for name, f in (("u0", u0), ("v0", v0)):   # NaN < 0 is False: no sign check sees it
-        if not np.isfinite(f).all():
-            raise ValueError(f"initial {name} must be finite")
-    E, m, nn = len(ps), grid.m, grid.num_nodes
+def _density_march(ps: list, cs: list, kinds: list, u0: np.ndarray, v0: np.ndarray,
+                   grid: Grid) -> list:
+    """The one density march, of the runs ``ps`` under ``cs`` as blocks in
+    lockstep, each of the coupling ``kinds[e]``: per step one factor of M(v[k]),
+    the lagged step u = M(v[k])^-1 u[k], v = (eps I - tau A + tau b I)^-1 (eps
+    v[k] + tau (a u + g chi)), tau = dt, on one factor per march; an elliptic
+    block is the same v step with eps = 0 and tau = 1, and starts from the
+    elliptic solve of u0.  An implicit block iterates the chord fixed point u +=
+    M(v[k])^-1 (u[k] - M(v) u) until the update is below INNER_TOL, a block that
+    stops iterating on zeros and keeping its values while others go on, so each
+    keeps its own bits."""
+    E, m, nn, dt = len(ps), grid.m, grid.num_nodes, grid.dt
+    elliptic, implicit = ([k == kind for k in kinds] for kind in ("elliptic", "implicit"))
+    coeffs = [(0.0, 1.0, pi.b, pi.a) if ell else (pi.eps, dt, pi.b, pi.a)
+              for pi, ell in zip(ps, elliptic)]
+    pat = _density_pattern(grid, E)
+    eps_b, tau_b, b_b, _ = np.repeat(coeffs, len(pat.lap) // E, axis=0).T
+    lu_v = pat.factor(eps_b * pat.eye - tau_b * pat.lap + tau_b * b_b * pat.eye)   # once per march
+    eps, tau, _, a = np.repeat(coeffs, nn, axis=0).T
+    src = np.stack([ci.g * ci.chi for ci in cs], axis=1).reshape(m + 1, -1)
+
+    def chem(u, fixed, s):   # a step's fixed part eps v[k] is formed once for all its iterates
+        return lu_v.solve(fixed + tau * (a * u + s))
+
     u, v = np.empty((2, m + 1, E * nn))
     u[0], v[0] = np.tile(u0, E), np.tile(v0, E)
+    if True in elliptic:
+        v[0] = np.where(np.repeat(elliptic, nn), chem(u[0], 0.0, src[0]), v[0])
+    for name, f in (("u0", u[0]), ("v0", v[0])):   # NaN < 0 is False: no sign check sees it
+        if not np.isfinite(f).all():
+            raise ValueError(f"initial {name} must be finite")
     for k in range(m):
-        lu, chem_k = _density_factor(v[k], grid), chem(k + 1, v[k])
+        lu, fixed, sk = _density_factor(v[k], grid), eps * v[k], src[k + 1]
         uk1 = lu.solve(u[k])
-        vk1 = chem_k(uk1)
-        if implicit:
+        vk1 = chem(uk1, fixed, sk)
+        delta, its = [0.0] * E, [1] * E   # a lagged or elliptic block takes one solve
+        if True in implicit:
             # each block's max |du|, |dv|: np.maximum and max keep a NaN of either
-            delta = np.maximum(abs(uk1 - u[k]), abs(vk1 - v[k])).reshape(E, -1).max(1).tolist()
-            its = [1] * E
+            delta = [d if i else 0.0 for d, i in zip(np.maximum(
+                abs(uk1 - u[k]), abs(vk1 - v[k])).reshape(E, -1).max(1).tolist(), implicit)]
             while True in (go := [INNER_TOL <= d < math.inf and i < INNER_MAXIT
                                   for d, i in zip(delta, its)]):
                 u_it, v_it = uk1, vk1
@@ -256,7 +281,7 @@ def _density_march(ps: list, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
                     keep = np.repeat(go, nn)
                     u_it, v_it = np.where(keep, uk1, 0.0), np.where(keep, vk1, 0.0)
                 u_next = u_it + lu.solve(_density_residual(u[k], u_it, v_it, grid))
-                v_next = chem_k(u_next)
+                v_next = chem(u_next, fixed, sk)
                 step = np.maximum(abs(u_next - u_it), abs(v_next - v_it)).reshape(E, -1).max(1)
                 step, its = step.tolist(), [i + g for i, g in zip(its, go)]
                 if u_it is uk1:
@@ -265,13 +290,13 @@ def _density_march(ps: list, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
                     uk1, vk1 = np.where(keep, u_next, uk1), np.where(keep, v_next, vk1)
                     delta = [s if g else d for s, d, g in zip(step, delta, go)]
         failed = not (float(np.abs(uk1).max()) <= BLOWUP_CAP and np.isfinite(vk1).all()
-                      and (not implicit or all(d < INNER_TOL for d in delta)))
+                      and all(d < INNER_TOL for d in delta))
         for e in range(E if failed else 0):   # the lowest-index failed block raises
             peak, ve = float(np.abs(uk1[e * nn:(e + 1) * nn]).max()), vk1[e * nn:(e + 1) * nn]
             for name, finite in (("u", math.isfinite(peak)), ("v", np.isfinite(ve).all())):
                 if not finite:
                     raise RuntimeError(f"non-finite {name} at step {k + 1}")
-            if implicit and not delta[e] < INNER_TOL:
+            if not delta[e] < INNER_TOL:
                 raise InnerIterationError(k + 1, delta[e], its[e])
             if peak > BLOWUP_CAP:
                 raise BlowUpError(k + 1, peak, BLOWUP_CAP)
@@ -281,57 +306,42 @@ def _density_march(ps: list, u0: np.ndarray, v0: np.ndarray, grid: Grid, chem,
 
 
 def solve_forward_pp(p: KSParams | list, u0: np.ndarray, v0: np.ndarray, c: Control | list,
-                     grid: Grid, coupling: str = "lagged") -> StateTrajectory | list:
-    """March the fully parabolic system, or lists ``p``, ``c`` of runs from
-    (u0, v0) as one stack into a list of trajectories, each bit for bit its
-    own march; raises :class:`BlowUpError` if a density passes ``BLOWUP_CAP``.
+                     grid: Grid, coupling: str | list = "lagged") -> StateTrajectory | list:
+    """March one run from (u0, v0) under control ``c``, or lists ``p``, ``c`` of
+    runs into a list of trajectories in input order, each bit for bit its own
+    march; ``coupling`` names one coupling for every run or one per run.
 
-    ``coupling='lagged'`` is the default semi-implicit scheme (chemical
-    gradient one step behind, no nonlinear solve).  ``coupling='implicit'``
-    resolves each step by an inner fixed point so the chemotaxis term and
-    the density coupling sit at the new level; this is the stepper whose
-    linearization around the constant state equals the linearized block
-    stepper exactly, which is what the nonlinear control verification
-    requires (the lagged variant differs at O(dt) in the coupling).  A step
-    whose fixed point is still above ``INNER_TOL`` after ``INNER_MAXIT``
-    iterations raises :class:`InnerIterationError`.
+    ``'lagged'`` is the default semi-implicit parabolic scheme (chemical
+    gradient one step behind).  ``'implicit'`` resolves each step by an inner
+    fixed point, so its linearization around the constant state equals the
+    linearized block stepper exactly, as the nonlinear control verification
+    requires (the lagged one differs at O(dt) in the coupling).  ``'elliptic'``
+    is the lagged parabolic-elliptic limit: its chemical solves the elliptic
+    problem from u0 on, so only the parabolic runs read v0.
+
+    The runs march in consecutive stacks of at most ``STACK_NNZ`` //
+    nnz(I - dt A) runs.  A march raises :class:`BlowUpError` once a density
+    passes ``BLOWUP_CAP``, and :class:`InnerIterationError` at an implicit step
+    still above ``INNER_TOL`` after ``INNER_MAXIT`` iterates.  Within a stack,
+    the lowest-index run that fails at the earliest failing step raises its
+    own error; an earlier stack's failure raises before a later stack marches.
     """
     ps, cs = (p, c) if isinstance(p, list) else ([p], [c])
+    kinds = [coupling] * len(ps) if isinstance(coupling, str) else list(coupling)
     for name, f, rows in (("u0", u0, ()), ("v0", v0, ()),
                           *(("g", ci.g, (grid.m + 1,)) for ci in cs)):
         _check_field(f, grid, rows, name)
     if np.any(u0 < 0) or np.any(v0 < 0):
         raise ValueError("initial data must be nonnegative")
-    if coupling not in ("lagged", "implicit"):
-        raise ValueError(f"unknown coupling {coupling!r}")
-    eps, a = (np.repeat([getattr(pi, name) for pi in ps], grid.num_nodes) for name in ("eps", "a"))
-    src = np.stack([ci.g * ci.chi for ci in cs], axis=1).reshape(grid.m + 1, -1)
-    pat, dt = _density_pattern(grid, len(ps)), grid.dt
-    eps_b, b_b = np.repeat([(pi.eps, pi.b) for pi in ps], len(pat.lap) // len(ps), axis=0).T
-    lu_v = pat.factor(eps_b * pat.eye - dt * pat.lap + dt * b_b * pat.eye)   # once per march
-
-    def chem(k, v_prev):   # eps v_prev is the same for every iterate of step k
-        ev, sk = eps * v_prev, src[k]
-        return lambda u: lu_v.solve(ev + dt * (a * u + sk))
-
-    out = _density_march(ps, u0, v0, grid, chem, coupling == "implicit")
+    for kind in kinds:
+        if kind not in ("lagged", "implicit", "elliptic"):
+            raise ValueError(f"unknown coupling {kind!r}")
+    if not len(ps) == len(cs) == len(kinds):
+        raise ValueError(f"{len(ps)} runs, {len(cs)} controls and {len(kinds)} couplings")
+    size = max(1, STACK_NNZ // heat_factor(grid).nnz)
+    out = [t for i in range(0, len(ps), size) for t in _density_march(
+        ps[i:i + size], cs[i:i + size], kinds[i:i + size], u0, v0, grid)]
     return out if isinstance(p, list) else out[0]
-
-
-def solve_forward_pe(p: KSParams, u0: np.ndarray, c: Control, grid: Grid) -> StateTrajectory:
-    """March the parabolic-elliptic limit: the chemical solves the elliptic
-    problem at every step, so no initial chemical data is needed."""
-    for name, f, rows in (("u0", u0, ()), ("g", c.g, (grid.m + 1,))):
-        _check_field(f, grid, rows, name)
-    if np.any(u0 < 0):
-        raise ValueError("initial density must be nonnegative")
-    pat = _density_pattern(grid)
-    lu_e = pat.factor(p.b * pat.eye - pat.lap)   # once per march
-
-    def chem(k, v_prev):
-        return lambda u: lu_e.solve(p.a * u + c.g[k] * c.chi)
-
-    return _density_march([p], u0, chem(0, None)(u0), grid, chem, False)[0]
 
 
 def block_step_factor(p: KSParams, grid: Grid, adjoint: bool):

@@ -215,8 +215,8 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     """
     dt, cap = grid.dt, settings.weight_floor
 
-    def sq_h1(fields: np.ndarray) -> np.ndarray:
-        return l2_sq(fields, grid) + h1_seminorm_sq(fields, grid)
+    def sq_h1(fields: np.ndarray, lap: np.ndarray | None = None) -> np.ndarray:
+        return l2_sq(fields, grid) + h1_seminorm_sq(fields, grid, lap)
 
     def recip(kind: str, power: float) -> np.ndarray:
         return _capped(-log_weight_profile(weights, kind, power), cap)
@@ -225,7 +225,9 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
         # the profile's steps 0..m-1 pair with slices 1..m of the stepper output
         return log_step_sum(profile[:-1], dt * sq)
 
-    L1, L2 = apply_L(z, w, params, grid)
+    # each Laplacian product once: z over all slices, w over slices 1..m
+    lap_z, lap_w = neumann_laplacian(z, grid), neumann_laplacian(w[1:], grid)
+    L1, L2 = apply_L(z, w, params, grid, (lap_z[1:], lap_w))
     # full (x-dependent) weight for the chemical residual, H1 in space; it
     # overflows to +inf, and a NaN square (inf - inf) is dropped as -inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -238,7 +240,7 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
     with np.errstate(invalid="ignore"):
         log_c6 = 2.0 * _capped(0.25 * tsb_star - 0.5 * tsb_hat + (13.0 / 8.0) * lgh, cap)
         log_c7 = 2.0 * _capped(-(0.25 * tsb_star) - (25.0 / 8.0) * lgh, cap)
-    h1_z = sq_h1(z)   # its rows 1..m are the H1 part of z[1:]'s H2 square
+    h1_z = sq_h1(z, lap_z)   # its rows 1..m are the H1 part of z[1:]'s H2 square
     with np.errstate(divide="ignore"):
         linf_logs = log_c6 + np.log(h1_z)
     finite_linf = linf_logs[np.isfinite(linf_logs)]
@@ -250,9 +252,9 @@ def e_norm(z: np.ndarray, w: np.ndarray, g: np.ndarray,
         "residual_density": steps(recip("beta_hat", 3.0), l2_sq(L1, grid)),
         "residual_chemical_h1": float(np.log(total5)) if total5 > 0.0 else -np.inf,
         "state_u_h2": float(np.logaddexp(
-            steps(log_c6, h1_z[1:] + l2_sq(neumann_laplacian(z[1:], grid), grid)),
+            steps(log_c6, h1_z[1:] + l2_sq(lap_z[1:], grid)),
             float(finite_linf.max()) if finite_linf.size else -np.inf)),
-        "state_v_h2": steps(log_c7, sq_h1(w[1:]) + l2_sq(neumann_laplacian(w[1:], grid), grid)),
+        "state_v_h2": steps(log_c7, sq_h1(w[1:], lap_w) + l2_sq(lap_w, grid)),
         "control_g_h1": steps(log_c7, sq_h1(g[1:])),
     }
     # the log of each norm; a NaN log (inf - inf) means an overflow

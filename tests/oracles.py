@@ -27,6 +27,9 @@ tests call.
 * the density march of one run, as it stood before the march took a
   stack of runs: scalar update sizes, a COLAMD factor of the v step and
   one check after the other;
+* the parabolic-elliptic march on its own, as it stood before it became a
+  block kind of the one density march: a plain factor of b I - A and a
+  fresh M(v) per step;
 * the Neumann Laplacian matrix as a ``lil`` tridiagonal per axis and a
   ``kron`` sum in 2D, and the quadrature weights, node coordinates, cosine
   eigenvalues and bump values forked on 1D and 2D, as they stood before the
@@ -527,6 +530,22 @@ def single_march_oracle(p: KSParams, u0: np.ndarray, v0: np.ndarray, c: Control,
         if peak > ks_model.BLOWUP_CAP:
             raise ks_model.BlowUpError(k + 1, peak, ks_model.BLOWUP_CAP)
         u[k + 1], v[k + 1] = uk1, vk1
+    return StateTrajectory(u=u, v=v, params=p, grid=grid)
+
+
+def elliptic_march_oracle(p: KSParams, u0: np.ndarray, c: Control,
+                          grid: Grid) -> StateTrajectory:
+    """The parabolic-elliptic march as it stood on its own: one plain ``splu``
+    of b I - A for the chemical, v[0] its solve of a u0 + g[0] chi, and per
+    step M(v[k]) by :func:`density_matrix_oracle`, solved by ``spsolve``."""
+    m, nn = grid.m, grid.num_nodes
+    lu_e = spla.splu((p.b * sp.identity(nn, format="csr") - grid.laplacian_matrix).tocsc())
+    u = np.empty((m + 1, nn))
+    v = np.empty((m + 1, nn))
+    u[0], v[0] = u0, lu_e.solve(p.a * u0 + c.g[0] * c.chi)
+    for k in range(m):
+        u[k + 1] = spla.spsolve(density_matrix_oracle(v[k], grid), u[k])
+        v[k + 1] = lu_e.solve(p.a * u[k + 1] + c.g[k + 1] * c.chi)
     return StateTrajectory(u=u, v=v, params=p, grid=grid)
 
 

@@ -20,7 +20,6 @@ from ksctl.ks_model import (
     Control,
     KSParams,
     smooth_cutoff,
-    solve_forward_pe,
     solve_forward_pp,
     solve_linearized,
 )
@@ -92,7 +91,7 @@ def test_criterion_2_mass_conservation():
     traj = solve_forward_pp(p, u0, v0, gctl, g)
     m0 = mass(u0, g)
     drifts["nonlinear"] = max(abs(mass(traj.u[k], g) - m0) for k in range(g.m + 1))
-    traj = solve_forward_pe(p, u0, gctl, g)
+    traj = solve_forward_pp(p, u0, v0, gctl, g, coupling="elliptic")
     drifts["parabolic-elliptic"] = max(
         abs(mass(traj.u[k], g) - m0) for k in range(g.m + 1))
     h1 = lowfreq_space_time(g, rng, zero_mean=True)
@@ -120,7 +119,7 @@ def test_criterion_3_steady_state_exactness():
     u0 = np.full(g.num_nodes, M1)
     v0 = np.full(g.num_nodes, M2)
     pp = solve_forward_pp(p, u0, v0, c, g)
-    pe = solve_forward_pe(p, u0, c, g)
+    pe = solve_forward_pp(p, u0, v0, c, g, coupling="elliptic")
     dev = max(
         np.abs(pp.u - M1).max() / M1, np.abs(pp.v - M2).max() / M2,
         np.abs(pe.u - M1).max() / M1, np.abs(pe.v - M2).max() / M2,

@@ -12,7 +12,9 @@ factors, the three density marches (both couplings and the
 parabolic-elliptic limit) against the per-step matrix build, the chord march
 of the implicit coupling against the fixed point that refactors every
 iterate, and a stack of runs in one march against its runs one at a time,
-failures and a non-finite run included, down to the eps-sweep rows.  The
+failures and a non-finite run included, down to the eps-sweep rows, and
+``simulate``'s parabolic and parabolic-elliptic pair as one stack, with a
+list of runs over the stack budget split into stacks of its own runs.  The
 Laplacian's matrix apply keeps zero weighted sums and annihilates constants."""
 
 from dataclasses import replace
@@ -26,10 +28,10 @@ from ksctl import ks_model
 from ksctl.grid import (build_grid, chemotaxis_divergence, h1_seminorm_sq, inner, l2_norm,
                         l2_sq, mass, neumann_laplacian)
 from ksctl.ks_model import (BlowUpError, Control, InnerIterationError, KSParams,
-                            smooth_cutoff, solve_forward_pe, solve_forward_pp)
+                            smooth_cutoff, solve_forward_pp)
 from ksctl.nonlinear_control import eps_sweep, picard_solve
-from oracles import (chem_matrix_oracle, density_matrix_oracle, implicit_march_oracle,
-                     single_march_oracle)
+from oracles import (chem_matrix_oracle, density_matrix_oracle, elliptic_march_oracle,
+                     implicit_march_oracle, single_march_oracle)
 
 GRIDS = {
     "1d": (1, 1.0, 40, 1.0, 16),
@@ -278,7 +280,8 @@ MARCHES = {
     "lagged": lambda p, u0, v0, c, grid: solve_forward_pp(p, u0, v0, c, grid),
     "implicit": lambda p, u0, v0, c, grid: solve_forward_pp(p, u0, v0, c, grid,
                                                             coupling="implicit"),
-    "pe": lambda p, u0, v0, c, grid: solve_forward_pe(p, u0, c, grid),
+    "pe": lambda p, u0, v0, c, grid: solve_forward_pp(p, u0, v0, c, grid,
+                                                      coupling="elliptic"),
 }
 ORACLE_CASES = [(march, eps) for march in MARCHES for eps in (0.5, 1e-3)]
 
@@ -413,6 +416,79 @@ def test_a_non_finite_run_in_a_stack_raises_its_own_error(grid, coupling):
     for got, p, c in zip(rest, ps[::2], cs[::2]):
         want = solve_forward_pp(p, u0, v0, c, grid, coupling)
         assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+def _oracle_march(kind, p, u0, v0, c, grid):
+    if kind == "elliptic":
+        return elliptic_march_oracle(p, u0, c, grid)
+    return single_march_oracle(p, u0, v0, c, grid, kind == "implicit")
+
+
+@pytest.mark.parametrize("spec", [(1, 1.0, 50, 2.4, 100), (1, 2.5, 9, 1.0, 16),
+                                  (2, (1.0, 0.8), (12, 10), 1.0, 16)],
+                         ids=["1d-n50", "1d-n9-L2.5", "2d-12x10"])
+def test_simulate_pair_is_one_stack_equal_to_its_two_marches(spec):
+    # the parabolic run and its parabolic-elliptic limit share each step's
+    # factor as the two blocks of one march; each keeps its own march's bits
+    grid = build_grid(*spec)
+    p, u0, v0, c = forward_data(grid)
+    pair = solve_forward_pp([p, p], u0, v0, [c, c], grid, ["lagged", "elliptic"])
+    assert set(grid._cache["density"]) == {2}   # one stack of two, no single-run pattern
+    for got, kind in zip(pair, ("lagged", "elliptic")):
+        want = _oracle_march(kind, p, u0, v0, c, grid)
+        assert got.params is p
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+def test_runs_over_the_budget_march_in_stacks_of_their_own(monkeypatch):
+    # five runs of all three kinds at two runs per stack: stacks of 2, 2 and
+    # 1 in input order, every run bit for bit its own march
+    grid = build_grid(*GRIDS["2d-nonsquare"])
+    ps, u0, v0, cs = stack_data(grid)
+    ps, cs = ps + ps[:2], cs + cs[:2]
+    kinds = ["implicit", "lagged", "elliptic", "lagged", "implicit"]
+    monkeypatch.setattr(ks_model, "STACK_NNZ", 2 * ks_model.heat_factor(grid).nnz + 1)
+    stacks, march = [], ks_model._density_march
+    monkeypatch.setattr(ks_model, "_density_march", lambda ps, *args: stacks.append(
+        len(ps)) or march(ps, *args))
+    with pytest.raises(ValueError, match="^5 runs, 5 controls and 4 couplings$"):
+        solve_forward_pp(ps, u0, v0, cs, grid, kinds[1:])
+    with pytest.raises(ValueError, match="^unknown coupling 'pe'$"):
+        solve_forward_pp(ps, u0, v0, cs, grid, kinds[:4] + ["pe"])
+    got = solve_forward_pp(ps, u0, v0, cs, grid, kinds)
+    assert stacks == [2, 2, 1] and set(grid._cache["density"]) == {1, 2}
+    for t, kind, p, c in zip(got, kinds, ps, cs):
+        want = _oracle_march(kind, p, u0, v0, c, grid)
+        assert t.params is p
+        assert np.array_equal(t.u, want.u) and np.array_equal(t.v, want.v)
+
+
+def test_a_pair_raises_its_earliest_failure_and_a_later_stack_does_not_march(monkeypatch):
+    # the parabolic-elliptic run passes the cap at an earlier step than the
+    # parabolic one, so the pair raises its error though it is the second
+    # block; split into two stacks, the parabolic stack raises first
+    g = build_grid(1, 1.0, 32, 2.0, 64)
+    p = KSParams(a=50.0, b=1.0, eps=1.0, M1=1.0, M2=50.0)   # aggregation-dominated
+    u0 = p.M1 + 0.05 * np.cos(np.pi * g.axes[0])
+    v0 = np.full(g.num_nodes, p.M2)
+    c = Control.zero(g, smooth_cutoff(g, [[0.25, 0.45]], [[0.20, 0.50]]))
+    monkeypatch.setattr(ks_model, "BLOWUP_CAP", 2.0)
+    errors = {}
+    for kind in ("lagged", "elliptic"):
+        with pytest.raises(BlowUpError) as err:
+            solve_forward_pp(p, u0, v0, c, g, kind)
+        errors[kind] = err.value
+    assert errors["elliptic"].step < errors["lagged"].step
+    with pytest.raises(BlowUpError) as pair:
+        solve_forward_pp([p, p], u0, v0, [c, c], g, ["lagged", "elliptic"])
+    assert str(pair.value) == str(errors["elliptic"])
+    monkeypatch.setattr(ks_model, "STACK_NNZ", 1)   # one run per stack
+    stacks, march = [], ks_model._density_march
+    monkeypatch.setattr(ks_model, "_density_march", lambda ps, cs, kinds, *args: stacks.append(
+        kinds) or march(ps, cs, kinds, *args))
+    with pytest.raises(BlowUpError) as split:
+        solve_forward_pp([p, p], u0, v0, [c, c], g, ["lagged", "elliptic"])
+    assert str(split.value) == str(errors["lagged"]) and stacks == [["lagged"]]
 
 
 def test_eps_sweep_rows_are_the_picard_runs(params, grid_small, weights_small, chi_small):

@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksctl import carleman_check, cli, nonlinear_control
+from ksctl import carleman_check, cli, ks_model, nonlinear_control
 from ksctl.cli import ConfigError, main, parse_config
 from ksctl.grid import MAX_SPACE_TIME, build_grid
 from ksctl.hum_control import SolverSettings
@@ -385,6 +385,40 @@ def test_simulate_conserves_mass_on_a_fine_1d_grid(tmp_path):
     (record,) = tmp_path.glob("simulate-*.json")
     summary = json.loads(record.read_text())["summary"]
     assert max(summary["mass_drift_pp"], summary["mass_drift_pe"]) < 1e-13
+
+
+TWO_D_32 = ["--grid.dim=2", "--grid.L=[1.0,1.0]", "--grid.n=[32,32]", "--grid.m=40",
+            "--weights.omega0=[[0.30,0.40],[0.30,0.40]]",
+            "--weights.omega_prime=[[0.25,0.45],[0.25,0.45]]",
+            "--weights.omega=[[0.20,0.50],[0.20,0.50]]"]
+
+
+@pytest.mark.parametrize("overrides, blocks", [([], {2}), (TWO_D_32, {1})], ids=["1d", "2d-32"])
+def test_simulate_marches_its_pair_within_the_stack_budget(tmp_path, monkeypatch, overrides,
+                                                           blocks):
+    # at the 1D defaults the two runs are one stack of two; at 2D 32x32 a
+    # stack of two outgrows the budget and each run marches alone
+    grids, march = [], cli.solve_forward_pp
+    monkeypatch.setattr(cli, "solve_forward_pp", lambda *args: grids.append(args[4]) or march(
+        *args))
+    assert main(["simulate", "--config", DEFAULT_CONFIG, f"--io.outdir={tmp_path}",
+                 *overrides]) == 0
+    (grid,) = grids
+    assert set(grid._cache["density"]) == blocks
+
+
+def test_simulate_failures_name_their_cause(tmp_path, capsys, monkeypatch):
+    # a run past the density cap exits 2 naming the step; a negative initial
+    # density is named before either run marches
+    argv = ["simulate", "--config", DEFAULT_CONFIG, f"--io.outdir={tmp_path}"]
+    monkeypatch.setattr(ks_model, "BLOWUP_CAP", 1.005)
+    assert main(argv) == 2
+    assert "BlowUpError: |u|_inf = 1.008e+00 exceeded cap 1.005e+00 at step 1" in \
+        capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(argv + ["--physics.delta=2.0"]) == 2
+    assert "ValueError: initial data must be nonnegative" in capsys.readouterr().err
+    assert not list(tmp_path.glob("simulate-*"))
 
 
 def test_weights_s_is_null_or_a_float(tmp_path):

@@ -11,12 +11,13 @@ from ksctl.ks_model import (
     InnerIterationError,
     KSParams,
     smooth_cutoff,
-    solve_forward_pe,
     solve_forward_pp,
     solve_linearized,
 )
 
 from conftest import OMEGA, OMEGA_PRIME, lowfreq_space_time
+
+COUPLING = {"pe": "elliptic"}   # the parabolic-elliptic march's coupling
 
 
 def test_params_validation():
@@ -44,7 +45,7 @@ def test_steady_state_is_exact_fixed_point(params):
     pp = solve_forward_pp(params, u0, v0, c, g)
     assert np.abs(pp.u - params.M1).max() < 1e-12 * params.M1
     assert np.abs(pp.v - params.M2).max() < 1e-12 * params.M2
-    pe = solve_forward_pe(params, u0, c, g)
+    pe = solve_forward_pp(params, u0, v0, c, g, coupling="elliptic")
     assert np.abs(pe.u - params.M1).max() < 1e-12 * params.M1
     assert np.abs(pe.v - params.M2).max() < 1e-12 * params.M2
 
@@ -83,7 +84,7 @@ def test_pe_limit_of_pp_is_monotone_in_eps():
     errs = []
     for eps in (1.0, 0.1, 0.01):
         p = KSParams(a=10.0, b=1.0, eps=eps, M1=1.0, M2=10.0)
-        pe = solve_forward_pe(p, u0, c, g)
+        pe = solve_forward_pp(p, u0, np.zeros_like(u0), c, g, coupling="elliptic")
         pp = solve_forward_pp(p, u0, pe.v[0], c, g)
         errs.append(max(l2_norm(pp.v[k] - pe.v[k], g) for k in range(g.m + 1)))
     assert errs[0] > errs[1] > errs[2]
@@ -126,10 +127,7 @@ def test_nonfinite_initial_density_is_rejected(params, march):
     u0[5] = np.nan
     v0 = np.full(g.num_nodes, params.M2)
     with pytest.raises(ValueError, match="^initial u0 must be finite$"):
-        if march == "pe":
-            solve_forward_pe(params, u0, c, g)
-        else:
-            solve_forward_pp(params, u0, v0, c, g, coupling=march)
+        solve_forward_pp(params, u0, v0, c, g, coupling=COUPLING.get(march, march))
 
 
 def test_nonfinite_elliptic_initial_chemical_is_rejected(params):
@@ -139,7 +137,8 @@ def test_nonfinite_elliptic_initial_chemical_is_rejected(params):
     c = Control.zero(g, smooth_cutoff(g, OMEGA_PRIME, OMEGA))
     c.g[0] = np.nan
     with pytest.raises(ValueError, match="^initial v0 must be finite$"):
-        solve_forward_pe(params, np.full(g.num_nodes, params.M1), c, g)
+        solve_forward_pp(params, np.full(g.num_nodes, params.M1),
+                         np.full(g.num_nodes, params.M2), c, g, coupling="elliptic")
 
 
 @pytest.mark.parametrize("march", ["lagged", "implicit", "pe"])
@@ -152,10 +151,7 @@ def test_nonfinite_chemical_is_rejected_at_its_step(params, march):
     u0 = np.full(g.num_nodes, params.M1)
     v0 = np.full(g.num_nodes, params.M2)
     with pytest.raises(RuntimeError, match="^non-finite v at step 3$"):
-        if march == "pe":
-            solve_forward_pe(params, u0, c, g)
-        else:
-            solve_forward_pp(params, u0, v0, c, g, coupling=march)
+        solve_forward_pp(params, u0, v0, c, g, coupling=COUPLING.get(march, march))
 
 
 def test_linearized_zero_data_is_zero(params, grid_small, chi_small):
@@ -241,7 +237,8 @@ def test_length_one_datum_is_rejected_by_name(params, entry, name):
         "lagged": lambda d: solve_forward_pp(params, d["u0"], d["v0"], Control(d["g"], chi), g),
         "implicit": lambda d: solve_forward_pp(params, d["u0"], d["v0"], Control(d["g"], chi),
                                                g, coupling="implicit"),
-        "pe": lambda d: solve_forward_pe(params, d["u0"], Control(d["g"], chi), g),
+        "pe": lambda d: solve_forward_pp(params, d["u0"], d["v0"], Control(d["g"], chi), g,
+                                         coupling="elliptic"),
         "linearized": lambda d: solve_linearized(params, d["z0"], d["w0"], Control(d["g"], chi),
                                                  d["h1"], d["h2"], g),
         "adjoint": lambda d: solve_adjoint(params, d["phiT"], d["xiT"], d["f1"], d["f2"], g),

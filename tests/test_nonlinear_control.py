@@ -193,11 +193,11 @@ def test_e_norm_nan_chemical_square_is_dropped(params, grid_small, weights_small
                                                        comp["control_g_h1"]), abs=1e-12)
 
 
-def test_e_norm_makes_eight_laplacian_products(params, grid_small, weights_small,
-                                               chi_small, monkeypatch):
-    # apply_L's two, one for the chemical residual's H1 square, H1 of z over
-    # all slices (reused for z's H2 square), the H2 term of z, H1 and H2 of
-    # w, and H1 of g
+def test_e_norm_makes_four_laplacian_products(params, grid_small, weights_small,
+                                              chi_small, monkeypatch):
+    # z over all slices (apply_L's, z's H1 and H2 squares), w over slices
+    # 1..m (apply_L's, w's H1 and H2 squares), the chemical residual's H1
+    # square and g's H1 square
     calls = []
     original = grid_mod.neumann_laplacian
 
@@ -210,7 +210,7 @@ def test_e_norm_makes_eight_laplacian_products(params, grid_small, weights_small
     rng = np.random.default_rng(3)
     z, w, g = 1e-3 * rng.standard_normal((3, grid_small.m + 1, grid_small.num_nodes))
     e_norm(z, w, g, weights_small, params, chi_small, grid_small, FLOOR)
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 def test_bilinear_continuity_bounded(params, grid_small, weights_small, chi_small):

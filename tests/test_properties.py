@@ -36,7 +36,7 @@ from ksctl.grid import build_grid, mass
 from ksctl.hum_control import ControlProblem, extract_control, solve_dual
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _density_factor,
                             _density_pattern, _DensityPattern, block_step_factor, smooth_cutoff,
-                            solve_forward_pe, solve_forward_pp, solve_linearized)
+                            solve_forward_pp, solve_linearized)
 from ksctl.weights import build_eta0, refined_weights, weight_params
 
 from conftest import lowfreq_field, lowfreq_space_time
@@ -62,7 +62,7 @@ def _unit(f):
 def _nonlinear_marches(p, u0, v0, c, grid):
     return (solve_forward_pp(p, u0, v0, c, grid),
             solve_forward_pp(p, u0, v0, c, grid, coupling="implicit"),
-            solve_forward_pe(p, u0, c, grid))
+            solve_forward_pp(p, u0, v0, c, grid, coupling="elliptic"))
 
 
 @PROPERTY
@@ -156,7 +156,11 @@ def test_density_factor_on_the_grid_order_is_plain_splu(dim, n, m, log_amp, seed
                             pat.indptr))[:, pat.perm_c]]),
             (_chemical_factor(lambda: solve_forward_pp(ps, u0, v0, [c] * 3, grid)),
              [q.eps * I - dt * A + dt * q.b * I for q in ps]),   # the v step of a stack
-            (_chemical_factor(lambda: solve_forward_pe(p, u0, c, grid)), [p.b * I - A])]:
+            (_chemical_factor(lambda: solve_forward_pp(p, u0, v0, c, grid, "elliptic")),
+             [p.b * I - A]),
+            (_chemical_factor(lambda: solve_forward_pp([p, p], u0, v0, [c, c], grid,
+                                                       ["lagged", "elliptic"])),
+             [p.eps * I - dt * A + dt * p.b * I, p.b * I - A])]:   # simulate's pair
         b = rng.standard_normal(len(blocks) * nn)
         assert np.array_equal(got.lu.perm_c, np.arange(b.size))
         x, perm = (a.reshape(len(blocks), nn) for a in (got.solve(b), got.perm_c))
