@@ -31,7 +31,6 @@ from .weights import (
     WeightTable,
     _log_digest,
     _log_finish,
-    _logsumexp,
     carleman_weights,
     log_weight_profile,
     refined_weights,
@@ -123,7 +122,7 @@ def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table: WeightTable,
+def log_space_time_integral(log_w, sq: np.ndarray, table: WeightTable,
                             digests: dict | None = None, finite: np.ndarray | None = None):
     """log of  sum_k tw_k sum_p W_p exp(log_w[k,p]) sq[k,p]   (sq >= 0), or
     of each sample of a (samples, m+1, nodes) ``sq``, each as if alone.
@@ -134,30 +133,46 @@ def log_space_time_integral(log_w: np.ndarray, sq: np.ndarray, table: WeightTabl
     sum; a non-finite ``w * sq`` raises ValueError.  ``digests`` keeps this
     ``log_w``'s ``_log_digest`` per pattern of kept entries (``w * sq > 0``,
     ``log_w`` finite): a repeated pattern only sums, a shared one at once.
+
+    ``log_w`` may also be a list, one term's profiles over an s-scan of
+    tables with ``table``'s weights, with lists of ``digests`` and ``finite``:
+    each gives one row of (s, samples or 1).  The kept entries are gathered
+    once, and again only for a profile whose ``finite`` is another array.
     """
+    scan = isinstance(log_w, list)
+    if not scan:   # a scan of one
+        finite = [np.isfinite(log_w.reshape(len(log_w), -1)) if finite is None else finite]
+        log_w, digests = [log_w], [{} if digests is None else digests]
     coeff = table.space_time_weights * sq
     if not np.isfinite(coeff).all():
         raise ValueError("non-finite integrand (weights times sq) in a log-domain integral")
-    log_w = log_w.reshape(len(log_w), -1)
-    rows = coeff.reshape(-1, table.space_time_weights.size)
-    keep = ((coeff > 0.0) & (np.isfinite(log_w) if finite is None else finite)).reshape(rows.shape)
-    keys, digests = np.packbits(keep, axis=1), {} if digests is None else digests
+    rows, groups = coeff.reshape(-1, table.space_time_weights.size), {}
+    for fin in finite:
+        if id(fin) not in groups:
+            groups[id(fin)] = _kept_groups(rows, ((coeff > 0.0) & fin).reshape(rows.shape))
+    out = np.array([np.reshape([_log_rows(w, *group, store) for group in groups[id(fin)]], -1)
+                    for w, store, fin in zip(log_w, digests, finite)])
+    return out if scan else float(out[0, 0]) if sq.ndim == 2 else out[0]
+
+
+def _kept_groups(rows: np.ndarray, keep: np.ndarray) -> list:
+    """(kept mask, key, kept entries in C order) of the whole stack of
+    ``rows`` when every row keeps one pattern, else of each row alone."""
+    keys = np.packbits(keep, axis=1)
     if len(rows) > 1 and (keys == keys[0]).all():
-        return _log_rows(log_w, rows, keep[0], bytes(keys[0]), digests)
-    out = [_log_rows(log_w, *row, digests) for row in zip(rows, keep, map(bytes, keys))]
-    return float(out[0]) if sq.ndim == 2 else np.array(out)
+        return [(keep[0], bytes(keys[0]), np.take(rows, np.flatnonzero(keep[0]), axis=1))]
+    return [(kept, bytes(key), row[kept]) for row, kept, key in zip(rows, keep, keys)]
 
 
-def _log_rows(log_w: np.ndarray, rows: np.ndarray, kept: np.ndarray, key: bytes, digests: dict):
-    """The integral of one flat ``w * sq`` row, or of each of (rows, n) with
-    one kept pattern, gathered in C order: each row sums as it would alone."""
+def _log_rows(log_w: np.ndarray, kept: np.ndarray, key: bytes, rows: np.ndarray, digests: dict):
+    """The integral of one gathered row, or of each of gathered (rows, n)
+    with one kept pattern: each row sums as it would alone."""
     if not kept.any():
         return np.full(rows.shape[:-1], -np.inf)
     if key not in digests:
         mask = kept.reshape(len(log_w), -1)
-        digests[key] = _log_digest(np.broadcast_to(log_w, mask.shape)[mask])
-    return _log_finish(digests[key], rows[kept] if rows.ndim == 1 else
-                       np.take(rows, np.flatnonzero(kept), axis=1))
+        digests[key] = _log_digest(np.broadcast_to(log_w.reshape(len(mask), -1), mask.shape)[mask])
+    return _log_finish(digests[key], rows)
 
 
 def _log_l2_sq(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -228,22 +243,19 @@ class CarlemanReport:
 
     def add(self, sample_id: int, s: float, lam: float, eps: float,
             log_lhs: float, log_rhs: float) -> None:
-        if np.isneginf(log_rhs) and not np.isneginf(log_lhs):
-            self.falsifications.append(
-                {"sample_id": sample_id, "s": s, "eps": eps, "log_lhs": log_lhs}
-            )
+        if log_rhs == -np.inf and log_lhs != -np.inf:
+            self.falsifications.append(dict(sample_id=sample_id, s=s, eps=eps, log_lhs=log_lhs))
             log_ratio = float("inf")
-        elif np.isneginf(log_lhs):
+        elif log_lhs == -np.inf:
             log_ratio = float("-inf")
         else:
             log_ratio = log_lhs - log_rhs
         with np.errstate(over="ignore"):
-            ratio = 0.0 if np.isneginf(log_ratio) else float(np.exp(log_ratio))
             self.rows.append(
                 {
                     "sample_id": sample_id, "s": s, "lambda": lam, "eps": eps,
                     "lhs": float(np.exp(log_lhs)), "rhs": float(np.exp(log_rhs)),
-                    "ratio": ratio, "log_lhs": log_lhs, "log_rhs": log_rhs,
+                    "ratio": float(np.exp(log_ratio)), "log_lhs": log_lhs, "log_rhs": log_rhs,
                     "log_ratio": log_ratio,
                 }
             )
@@ -279,18 +291,17 @@ class _ScanEntry:
     kept pattern, see :func:`log_space_time_integral`); ``calls`` counts."""
 
     def __init__(self, table: WeightTable):
-        self.table, self.logs, self._profiles = table, np.log(table.params.s), {}
-        self.calls = 0
+        self.table, self.logs, self._profiles, self.calls = table, np.log(table.params.s), {}, 0
 
-    def term(self, s_power: float, kind: str, power: float, sq: np.ndarray):
-        """log of  s^s_power * integral of exp(2 s w) w2^power sq, per sample."""
+    def profile(self, kind: str, power: float, like: np.ndarray | None = None) -> tuple:
+        """The (kind, power) profile, its finite mask and its digests, for one
+        more integral; a new mask equal to ``like`` is kept as ``like``."""
         if (kind, power) not in self._profiles:
             w = log_weight_profile(self.table, kind, power)
-            self._profiles[kind, power] = w, np.isfinite(w.reshape(len(w), -1)), {}
-        profile, finite, digests = self._profiles[kind, power]
+            finite = np.isfinite(w.reshape(len(w), -1))
+            self._profiles[kind, power] = w, like if np.array_equal(finite, like) else finite, {}
         self.calls += 1
-        return s_power * self.logs + log_space_time_integral(
-            profile, sq, self.table, digests, finite)
+        return self._profiles[kind, power]
 
     @property
     def digests_built(self) -> int:
@@ -307,14 +318,20 @@ def weight_families(eta0: Eta0, s_list, lam: float) -> tuple[list[_ScanEntry], .
 
 
 def _scan(family: list, s_power: float, kind: str, power: float, sq: np.ndarray) -> np.ndarray:
-    """One stacked integrand's term at every s of ``family``, (s, samples)."""
-    return np.array([w.term(s_power, kind, power, sq) for w in family])
+    """One stacked integrand's term at every s of ``family``, (s, samples),
+    in one integral call; the first s's finite mask serves each equal one."""
+    scan = [family[0].profile(kind, power)]
+    scan += [w.profile(kind, power, scan[0][1]) for w in family[1:]]
+    log_w, finite, digests = map(list, zip(*scan))
+    return s_power * np.array([[w.logs] for w in family]) + log_space_time_integral(
+        log_w, sq, family[0].table, digests, finite)
 
 
 def _pairs(lhs: list, rhs: list) -> list:
-    """(log lhs, log rhs) per sample and s: the ``_logsumexp`` of each side's parts."""
-    lhs, rhs = np.array(lhs).T, np.array(rhs).T   # (samples, s, parts)
-    return [[(_logsumexp(a), _logsumexp(b)) for a, b in zip(*sample)] for sample in zip(lhs, rhs)]
+    """(log lhs, log rhs) per sample and s: the log-sum of each side's parts,
+    all (s, sample) rows of a side in one pass."""
+    sides = [_log_finish(_log_digest(np.stack(side, axis=-1))) for side in (lhs, rhs)]
+    return np.stack(sides, axis=-1).swapaxes(0, 1).tolist()   # (samples, s, 2)
 
 
 def _stacks(grid: Grid, n_samples: int) -> list:

@@ -305,22 +305,24 @@ def _logsumexp(a, b=None) -> float:
 
 
 def _log_digest(a) -> tuple:
-    """(max, mask at the max, exp(a - max) off it): the half that reads ``a``."""
+    """(max, entries at the max, exp(a - max) off them) per row of ``a``: the
+    half that reads ``a``.  A lone row keeps up to two such entries as indices."""
     a = np.asarray(a, dtype=float)
-    a_max = a.max()
-    if a_max == -np.inf:
-        return a_max, None, None
+    a_max = a.max(axis=-1, keepdims=True)
     at_max = a == a_max
-    x = np.where(at_max, -np.inf, a) - a_max
+    with np.errstate(invalid="ignore"):   # at an infinite max: -inf - -inf, inf - inf
+        x = np.where(at_max, -np.inf, a - a_max)
+    if a.ndim == 1 and np.count_nonzero(at_max) <= 2:
+        at_max = np.flatnonzero(at_max)
     # exp below -746 is exactly 0, so skip it there; a NaN still goes through
-    return a_max, at_max, np.exp(x, out=np.zeros_like(x), where=~(x < -746.0))
+    return a_max[..., 0], at_max, np.exp(x, out=np.zeros_like(x), where=~(x < -746.0))
 
 
 def _log_finish(digest: tuple, b=None):
-    """log(sum(b * exp(a))) from ``_log_digest(a)``, per row of a C-ordered 2-D ``b``."""
+    """log(sum(b * exp(a))) from ``_log_digest(a)``, per row of a C-ordered
+    2-D ``b``, or per row of ``a`` without ``b``; an all -inf row gives -inf."""
     a_max, at_max, e = digest
-    if at_max is None:
-        return float("-inf")
-    m = (at_max if b is None else b * at_max).sum(axis=-1, dtype=float)
-    s = (e if b is None else b * e).sum(axis=-1)
-    return np.log1p(s / m) + np.log(m) + a_max   # m > 0: b is positive at the max
+    b = np.ones_like(e) if b is None else b
+    # at most two indices: one or two addends sum alike in any order, zeros or not
+    m = (b * at_max if at_max.dtype == bool else np.take(b, at_max, axis=-1)).sum(axis=-1)
+    return np.log1p((b * e).sum(axis=-1) / m) + np.log(m) + a_max   # m > 0: b > 0 at the max

@@ -44,7 +44,7 @@ import scipy.sparse.linalg as spla
 
 from ksctl import ks_model
 from ksctl.adjoint import AdjointTrajectory
-from ksctl.carleman_check import _ScanEntry, gradient_sq, hessian_sq, time_derivative
+from ksctl.carleman_check import _scan, _ScanEntry, gradient_sq, hessian_sq, time_derivative
 from ksctl.grid import Grid, _divergence, chemotaxis_divergence, h1_seminorm_sq, inner
 from ksctl.hum_control import ControlProblem, SolverSettings, _DualSystem
 from ksctl.ks_model import Control, KSParams, StateTrajectory, block_step_factor
@@ -215,12 +215,12 @@ def i_beta(q: np.ndarray, beta_exp: float, sigma: float,
     """
     if not (0.0 < sigma <= 1.0):
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    w = _ScanEntry(table)
+    w = [_ScanEntry(table)]   # a scan of one table: each term is its [0, 0]
     return float(np.exp(_logsumexp([
-        w.term(beta_exp + 3.0, "alpha", beta_exp + 3.0, q * q),
-        w.term(beta_exp + 1.0, "alpha", beta_exp + 1.0, gradient_sq(q, grid)),
-        w.term(beta_exp - 1.0, "alpha", beta_exp - 1.0,
-               sigma**2 * time_derivative(q, grid) ** 2 + hessian_sq(q, grid)),
+        _scan(w, beta_exp + 3.0, "alpha", beta_exp + 3.0, q * q)[0, 0],
+        _scan(w, beta_exp + 1.0, "alpha", beta_exp + 1.0, gradient_sq(q, grid))[0, 0],
+        _scan(w, beta_exp - 1.0, "alpha", beta_exp - 1.0,
+              sigma**2 * time_derivative(q, grid) ** 2 + hessian_sq(q, grid))[0, 0],
     ])))
 
 

@@ -482,10 +482,12 @@ def _count_calls(monkeypatch, names, label=None) -> Counter:
 
 def _stack_len(name, args) -> int:
     """The samples one call takes: the length of a stacked ``phiT`` or
-    ``sq`` (one more axis than a single sample's), else 1."""
+    ``sq`` (one more axis than a single sample's), else 1; an integral over
+    a list of profiles (an s-scan) counts the stack once per profile."""
     field, ndim = {"solve_adjoint": ("phiT", 2), "log_space_time_integral": ("sq", 3)}.get(
         name, (None, 0))
-    return len(args[field]) if field and args[field].ndim == ndim else 1
+    n = len(args[field]) if field and args[field].ndim == ndim else 1
+    return n * len(args["log_w"]) if isinstance(args.get("log_w"), list) else n
 
 
 def _samples(calls: Counter) -> Counter:
@@ -519,7 +521,8 @@ def test_carleman_builds_each_table_once_and_integrates_sources_once(
     # one table per (family, s), shared by all three inequalities; per (sample,
     # s) the four source integrals and lemA.1's three are made once, the ten
     # trajectory integrals of thm2.2 and lem3.1 once per eps (2,220 sample
-    # integrals at the defaults), counted over stacks of 2 + 1 samples here
+    # integrals at the defaults), counted over stacks of 2 + 1 samples here,
+    # each integrated at all n_s profiles of its term's s-scan in one call
     monkeypatch.setattr(carleman_check, "STACK_BYTES", 2 * 33 * 25 * 8)
     calls = _count_calls(monkeypatch, ["carleman_weights", "refined_weights",
                                        "log_space_time_integral"],
@@ -530,26 +533,32 @@ def test_carleman_builds_each_table_once_and_integrates_sources_once(
     n_eps = len(cfg.physics["eps_list"][:3])
     assert _samples(calls) == {"carleman_weights": n_s, "refined_weights": n_s,
                                "log_space_time_integral": n * n_s * (10 * n_eps + 7)}
-    assert {k for _, k in calls} == {1, 2}
+    assert {k for name, k in calls if name == "log_space_time_integral"} == {2 * n_s, n_s}
+    assert {k for name, k in calls if name != "log_space_time_integral"} == {1}
 
 
 def test_a_carleman_run_builds_each_digest_once(tmp_path, monkeypatch):
-    # per run: one digest per distinct (profile, kept pattern), none twice;
-    # the JSON summary counts the same integrals and digests
+    # per run: one digest per distinct (profile, kept row pattern), none
+    # twice; a profile is known by its digest store, and the digests a call
+    # builds are the keys it adds to the stores of its scan's profiles; the
+    # JSON summary counts the same integrals (one per profile) and digests
     integral, digest = carleman_check.log_space_time_integral, carleman_check._log_digest
-    current, met, built, calls = [None], set(), [], [0]
+    met, built, digest_calls, calls = set(), [], [0], [0]
 
     def spy_integral(log_w, sq, table, digests=None, finite=None):
-        keep = ((table.space_time_weights * sq > 0.0)
-                & np.isfinite(log_w[:, None] if log_w.ndim == 1 else log_w))
-        current[0] = (id(log_w), np.packbits(keep).tobytes())
-        if keep.any():
-            met.add(current[0])
-        calls[0] += 1
-        return integral(log_w, sq, table, digests, finite)
+        for w, store in zip(log_w, digests):
+            keep = ((table.space_time_weights * sq > 0.0)
+                    & np.isfinite(w[:, None] if w.ndim == 1 else w)).reshape(len(sq), -1)
+            met.update((id(store), np.packbits(row).tobytes()) for row in keep if row.any())
+        calls[0] += len(log_w)
+        before = [set(store) for store in digests]
+        out = integral(log_w, sq, table, digests, finite)
+        built.extend((id(store), key) for store, old in zip(digests, before)
+                     for key in set(store) - old)
+        return out
 
     def spy_digest(a):
-        built.append(current[0])
+        digest_calls[0] += np.ndim(a) == 1   # the report sides' row digests are 3-D
         return digest(a)
 
     monkeypatch.setattr(carleman_check, "log_space_time_integral", spy_integral)
@@ -557,7 +566,7 @@ def test_a_carleman_run_builds_each_digest_once(tmp_path, monkeypatch):
     outdir = tmp_path / "out"
     cfg = parse_config(write_cfg(tmp_path, **small_sections(outdir)))
     assert cli.run("carleman", cfg) == 0
-    assert len(built) == len(set(built))
+    assert digest_calls[0] == len(built) == len(set(built))
     assert set(built) == met
     assert len(built) < calls[0]
     (record,) = outdir.glob("carleman-*.json")

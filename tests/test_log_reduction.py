@@ -7,6 +7,9 @@ and the one sampling pass must reproduce every row of the old s-outer
 loops (kept below as the oracle) exactly, in 1D and 2D.  A term served
 from a profile's digest store must equal a fresh ``_logsumexp`` over its
 kept terms, bit for bit, on a pattern's first meeting and on every later one.
+The report sides reduce all their rows at once, each row bit for bit as
+``_logsumexp`` and scipy reduce it alone, and a digest that keeps at most
+two entries at the max as indices sums them to the bits of the full mask.
 """
 
 import struct
@@ -21,6 +24,7 @@ from scipy.special import logsumexp
 from ksctl.adjoint import solve_adjoint, solve_backward_heat
 from ksctl.carleman_check import (
     CarlemanReport,
+    _scan,
     adjoint_reports,
     gradient_sq,
     hessian_sq,
@@ -34,6 +38,8 @@ from ksctl.carleman_check import (
 from ksctl.grid import box_mask, l2_norm, mass
 from ksctl.ks_model import KSParams, smooth_cutoff
 from ksctl.weights import (
+    _log_digest,
+    _log_finish,
     _logsumexp,
     build_eta0,
     log_step_sum,
@@ -45,6 +51,7 @@ from ksctl.weights import (
 
 NEG_INF = float("-inf")
 NAN = float("nan")
+SEED = st.integers(0, 2**16)
 
 
 def bits(x) -> bytes:
@@ -103,6 +110,50 @@ def test_logsumexp_takes_lists_and_large_arrays():
     b = rng.uniform(1e-12, 1e3, size=a.size)
     assert bits(_logsumexp(a, b)) == bits(logsumexp(a, b=b))
     assert bits(_logsumexp([-3.0, NEG_INF, 2.0])) == bits(logsumexp([-3.0, NEG_INF, 2.0]))
+
+
+@st.composite
+def log_rows(draw):
+    """(rows, parts) report parts: one-part rows, all -inf rows, ties at the
+    max and terms more than 746 below it (from ``_ENTRY``)."""
+    parts = draw(st.integers(1, 12))
+    row = st.lists(_ENTRY, min_size=parts, max_size=parts)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows[i] = [NEG_INF] * parts
+    return np.array(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(log_rows())
+@example(np.array([[NEG_INF]]))
+@example(np.array([[2.0], [NEG_INF], [-800.0]]))
+@example(np.array([[0.0, 0.0, -746.5, NEG_INF], [NEG_INF] * 4, [700.0, -46.0, 700.0, 1.0]]))
+def test_row_reduction_equals_logsumexp_row_by_row(a):
+    # the reports pass (s, samples, parts): a leading axis changes nothing
+    got, stacked = (_log_finish(_log_digest(x)) for x in (a, a[None]))
+    assert got.shape == (len(a),) and stacked.shape == (1, len(a))
+    for i, row in enumerate(a):
+        want = bits(logsumexp(row))
+        assert bits(got[i]) == bits(stacked[0, i]) == bits(_logsumexp(row)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(at_max=st.integers(1, 5), size=st.integers(5, 300), rows=st.integers(1, 4), seed=SEED)
+@example(at_max=3, size=9, rows=2, seed=0)
+def test_a_direct_sum_at_the_max_equals_the_full_mask_sum(at_max, size, rows, seed):
+    # weights across 40 decades, so three or more addends round by their order
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-800.0, -1e-3, size)
+    a[rng.choice(size, at_max, replace=False)] = 0.0
+    b = 10.0 ** rng.uniform(-20.0, 20.0, (rows, size))
+    a_max, kept, e = digest = _log_digest(a)
+    assert (kept.dtype == bool) == (at_max > 2)
+    full = (a_max, a == a_max, e)
+    for weights in (b, b[0], None):
+        got, want = _log_finish(digest, weights), _log_finish(full, weights)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert bits(_logsumexp(a, b[0])) == bits(logsumexp(a, b=b[0]))
 
 
 _STEP = st.tuples(st.one_of(_ENTRY, st.sampled_from([float("inf"), NAN])),
@@ -367,8 +418,9 @@ def test_every_term_equals_a_fresh_logsumexp_over_its_kept_terms(request, name, 
                     sq = sample_space_time(grid, rng) ** 2
                     sq[zeros[k % len(zeros)]] = 0.0
                     s_power = float(rng.integers(0, 4))
-                    got = entry.term(s_power, kind, power,
-                                     sq if node_mask is None else sq * node_mask)
+                    # a scan of one entry: one row, one sample
+                    (got,), = _scan([entry], s_power, kind, power,
+                                    sq if node_mask is None else sq * node_mask)
                     want, keep = fresh_term(entry, s_power, kind, power, sq, node_mask)
                     assert bits(got) == bits(want)
                     if keep.any():

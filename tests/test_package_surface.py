@@ -33,6 +33,11 @@ matrix by ``kron``, ``diags`` or a ``lil`` constructor.
 No matrix product of the package (``@``, ``.dot``, ``np.matmul``,
 ``np.inner``, ``np.vdot``) takes ``quad_weights``: the weighted node sums
 all go through ``grid.inner``.
+
+The Carleman audit integrates each term's whole s-scan in one call: the
+package calls ``log_space_time_integral`` once, in ``carleman_check._scan``,
+and ``carleman_check`` never names ``_logsumexp``, so no per-s or per-row
+reduction loop comes back.
 """
 
 import ast
@@ -237,3 +242,18 @@ def test_no_sparse_matrix_is_built_beside_the_face_table():
         or isinstance(node, ast.alias) and node.name.rpartition(".")[2] in _STENCIL_BUILDERS
         or isinstance(node, ast.Constant) and node.value == "lil"))   # format="lil"
     assert sites == []
+
+
+def test_the_audit_integrates_whole_scans_and_reduces_whole_sides():
+    def integral_call(node):
+        return isinstance(node, ast.Call) and "log_space_time_integral" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    assert sum(map(integral_call, (node for tree in _trees(PACKAGE).values()
+                                   for node in ast.walk(tree)))) == 1
+    assert _package_sites(integral_call) == ["carleman_check._scan"]
+    tree = ast.parse((PACKAGE / "carleman_check.py").read_text())
+    assert _sites(tree, "carleman_check", lambda node: (
+        isinstance(node, ast.Name) and node.id == "_logsumexp"
+        or isinstance(node, ast.Attribute) and node.attr == "_logsumexp"
+        or isinstance(node, ast.alias) and node.name == "_logsumexp")) == []

@@ -18,7 +18,11 @@ axis, 16-32 time steps and eps in [1e-3, 1]:
 * the extracted state, under its control and a mean-free source, satisfies
   the transposition identity with an independent adjoint march to 1e-10 of
   the size of its terms: an expected failure, since the extracted state
-  meets the forward march only to the CG's stopping residual.
+  meets the forward march only to the CG's stopping residual;
+* the Carleman audit's reports, at any ``STACK_BYTES`` and over an s-scan
+  of 1-4 entries, equal the reports made one sample and one s at a time,
+  bit for bit; and an s whose profile has an extra -inf step gets its own
+  kept entries in the scan, and equals its own single-profile integral.
 """
 
 import dataclasses
@@ -31,13 +35,16 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ksctl import carleman_check
 from ksctl.adjoint import solve_adjoint
+from ksctl.carleman_check import (_scan, adjoint_reports, lemmaA1_report,
+                                  log_space_time_integral, sample_space_time, weight_families)
 from ksctl.grid import build_grid, mass
 from ksctl.hum_control import ControlProblem, extract_control, solve_dual
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _density_factor,
                             _density_pattern, _DensityPattern, block_step_factor, smooth_cutoff,
                             solve_forward_pp, solve_linearized)
-from ksctl.weights import build_eta0, refined_weights, weight_params
+from ksctl.weights import build_eta0, log_weight_profile, refined_weights, weight_params
 
 from conftest import lowfreq_field, lowfreq_space_time
 from oracles import duality_terms
@@ -218,3 +225,78 @@ def test_extracted_control_satisfies_the_transposition_identity(dim, n, m, eps, 
     adj = solve_adjoint(prob.params, phiT, xiT, f1, f2, grid)
     lhs, rhs, scale = duality_terms(primal, adj, res.control, prob.h1, None, f1, f2)
     assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+def _audit(grid, p, chi, s_list, eps_list, n_samples, seed):
+    """The thm2.2 reports (one per eps), the lem3.1 and the lemA.1 report."""
+    eta = build_eta0(grid, *(((lo_hi,) * grid.dim) for lo_hi in
+                             ((0.30, 0.40), (0.25, 0.45), (0.20, 0.50))))
+    alpha, beta = weight_families(eta, s_list, 1.5)
+    thm, lem = adjoint_reports(p, alpha, beta, eta, chi, eps_list, n_samples, seed)
+    return [*thm, lem, lemmaA1_report(alpha, eta, n_samples, seed)]
+
+
+def _rows(reports) -> dict:
+    """Every row's bits, by (report, eps, s, sample); and the falsifications."""
+    return {(r, row["eps"], row["s"], row["sample_id"]):
+            np.array(list(row.values()), dtype=float).tobytes()
+            for r, rep in enumerate(reports) for row in rep.rows}, sorted(
+        (r, f["eps"], f["s"], f["sample_id"]) for r, rep in enumerate(reports)
+        for f in rep.falsifications)
+
+
+@PROPERTY
+@given(dim=CASES["dim"], n=CASES["n"], m=CASES["m"], data=st.data(),
+       s_factors=st.lists(st.sampled_from([0.02, 0.05, 0.2, 1.0]), min_size=1, max_size=4,
+                          unique=True),
+       eps_list=st.lists(st.sampled_from([1e-3, 0.1, 1.0]), min_size=1, max_size=2, unique=True),
+       n_samples=st.integers(1, 5), seed=SEED)
+def test_carleman_stacks_and_scans_equal_one_sample_and_one_s_at_a_time(
+        dim, n, m, data, s_factors, eps_list, n_samples, seed):
+    grid, p, chi = _setup(dim, n, m, 1.0)
+    s_list = [f * (grid.T**4 + grid.T**8) for f in s_factors]
+    sample_bytes = (grid.m + 1) * grid.num_nodes * 8
+    stack_bytes = data.draw(st.integers(1, 6 * sample_bytes), label="STACK_BYTES")
+    with mock.patch.object(carleman_check, "STACK_BYTES", stack_bytes):
+        got = _rows(_audit(grid, p, chi, s_list, eps_list, n_samples, seed))
+    with mock.patch.object(carleman_check, "STACK_BYTES", 1):   # stacks of one sample
+        alone = [_rows(_audit(grid, p, chi, [s], eps_list, n_samples, seed)) for s in s_list]
+    assert got[0] == {k: v for rows, _ in alone for k, v in rows.items()}
+    assert len(got[0]) == len(s_list) * n_samples * (2 * len(eps_list) + 1)
+    assert got[1] == sorted(f for _, falsified in alone for f in falsified)
+
+
+def test_an_s_with_another_finite_mask_is_gathered_on_its_own(grid_2d):
+    # the middle s's profiles lose one more step (-inf): its finite mask is
+    # its own, so the scan gathers its kept entries apart, and every s still
+    # equals its single-profile integral
+    eta = build_eta0(grid_2d, ((0.30, 0.40),) * 2, ((0.25, 0.45),) * 2, ((0.20, 0.50),) * 2)
+    s_list = [f * (grid_2d.T**4 + grid_2d.T**8) for f in (0.02, 0.05, 0.2)]
+
+    def profile(table, kind, power):
+        out = log_weight_profile(table, kind, power)
+        if table.params.s == s_list[1]:
+            out[grid_2d.m // 2] = -np.inf
+        return out
+
+    rng = np.random.default_rng(3)
+    sq = np.stack([sample_space_time(grid_2d, rng) ** 2 for _ in range(3)])
+    mixed = sq.copy()
+    mixed[rng.random(sq.shape) < 0.2] = 0.0
+    with mock.patch.object(carleman_check, "log_weight_profile", profile):
+        alpha, beta = weight_families(eta, s_list, 1.5)
+        for family, kind, power in ((alpha, "alpha", 3.0), (beta, "beta_star", 10.0)):
+            keys = [set() for _ in family]   # each s's kept patterns so far
+            for stack in (sq, mixed):
+                got = _scan(family, 3.0, kind, power, stack)
+                for row, entry, met in zip(got, family, keys):
+                    w, finite, digests = entry.profile(kind, power)
+                    want = [3.0 * entry.logs + log_space_time_integral(w, one, entry.table)
+                            for one in stack]
+                    assert row.tobytes() == np.array(want).tobytes()
+                    met |= {np.packbits((entry.table.space_time_weights * one > 0.0)
+                                        & finite).tobytes() for one in stack}
+                    assert set(digests) == met
+            first, middle, last = (entry.profile(kind, power)[1] for entry in family)
+            assert last is first and middle is not first
+            assert middle.sum() < first.sum()
