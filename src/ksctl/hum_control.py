@@ -361,13 +361,18 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     recorded energy history (values of the quadratic functional) decreases
     strictly; non-positive curvature would falsify the discrete
     scalar-product property and flags the solution.
+
+    The CG holds four (2, m+1, nodes) vectors, y, r, p and Ap, beside the
+    system's ``diag`` and ``gtg``; r starts as the right-hand side itself, and
+    Ap, read only for p.Ap, is the scratch of both scaled updates.  r, p and
+    Ap go before the closing march, which holds y, the marched modes, Z and
+    the scaled y.
     """
     sys_ = _DualSystem(problem)
     settings = problem.settings
 
-    b = sys_.rhs()
-    y, r, pdir = np.zeros_like(b), b.copy(), b.copy()
-    Ap, scaled = np.empty_like(b), np.empty_like(b)   # the vector updates' buffers
+    r = sys_.rhs()
+    y, pdir, Ap = np.zeros_like(r), r.copy(), np.empty_like(r)
     rr = rr0 = _dot(r, r)
     J, res_hist, en_hist = 0.0, [np.sqrt(rr)], [0.0]
     converged = rr0 == 0.0   # y = 0 solves a zero right-hand side
@@ -383,8 +388,8 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
             curvature_ok = False
             break
         alpha = rr / pAp
-        y += np.multiply(alpha, pdir, out=scaled)
-        r -= np.multiply(alpha, Ap, out=scaled)
+        r -= np.multiply(alpha, Ap, out=Ap)
+        y += np.multiply(alpha, pdir, out=Ap)
         J -= 0.5 * alpha * rr
         rr_new = _dot(r, r)
         res_hist.append(np.sqrt(max(rr_new, 0.0)))
@@ -393,6 +398,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
         if not converged:
             np.add(r, np.multiply(rr_new / rr, pdir, out=pdir), out=pdir)
             rr = rr_new
+    del r, pdir, Ap
     Zh = sys_.march(y)   # y is projected: r, pdir and so y keep mode 0 at exactly 0
     # the marched z^m satisfies the zero-mean constraint by construction of
     # the projected theta slot; tidy roundoff anyway

@@ -73,7 +73,14 @@ def _terminal_norm(zT: np.ndarray, wT: np.ndarray, grid: Grid) -> float:
 
 def _picard_loop(p: KSParams, u0: np.ndarray, v0: np.ndarray, weights: WeightTable,
                  chi: np.ndarray, grid: Grid, settings: SolverSettings) -> NonlinearControlResult:
-    """The Picard loop of :func:`picard_solve`, up to its verification."""
+    """The Picard loop of :func:`picard_solve`, up to its verification.
+
+    Across iterations it holds z and w, the last extracted control and its
+    g_l2h1, the two histories and the latest dual's failure and curvature
+    flag.  Each iteration's problem, h1, dual and extraction go before the
+    next dual solve, and the free march's trajectory goes once z and w are
+    replaced.
+    """
     scale = max(1.0, float(np.abs(u0).max()))
     mean = float(mass(u0, grid) / grid.volume)
     if abs(mean - p.M1) > 1e-10 * scale:
@@ -83,42 +90,44 @@ def _picard_loop(p: KSParams, u0: np.ndarray, v0: np.ndarray, weights: WeightTab
 
     free = solve_linearized(p, z0, w0, Control.zero(grid, chi), None, None, grid)
     z, w = free.u, free.v
+    del free
 
     damping = settings.damping
     term_hist: list = []
     upd_hist: list = []
-    res = None
+    control, g_l2h1 = None, np.nan
     converged = False
     best_term = np.inf
     for it in range(1, settings.maxit + 1):
-        h1 = -chemotaxis_divergence(z, w, grid)
-        prob = ControlProblem(params=p, grid=grid, weights=weights, chi=chi,
-                              z0=z0, w0=w0, h1=h1, settings=settings)
+        prob = ControlProblem(params=p, grid=grid, weights=weights, chi=chi, z0=z0, w0=w0,
+                              h1=-chemotaxis_divergence(z, w, grid), settings=settings)
         dual = solve_dual(prob)
-        if dual.failure:
+        failure, curvature_ok = dual.failure, dual.curvature_ok
+        if failure:
             break
         res = extract_control(dual, prob)
-        z_new, w_new = res.uhat, res.vhat
-        term = _terminal_norm(z_new[-1], w_new[-1], grid)
-        upd = max(float(np.abs(z_new - z).max()), float(np.abs(w_new - w).max()))
+        del prob, dual
+        control, g_l2h1 = res.control, res.g_l2h1
+        term = _terminal_norm(res.uhat[-1], res.vhat[-1], grid)
+        upd = max(float(np.abs(res.uhat - z).max()), float(np.abs(res.vhat - w).max()))
         term_hist.append(term)
         upd_hist.append(upd)
         if term > best_term * 1.5 and damping > 0.1:
             damping *= 0.5
         best_term = min(best_term, term)
-        z = (1.0 - damping) * z + damping * z_new
-        w = (1.0 - damping) * w + damping * w_new
+        z = (1.0 - damping) * z + damping * res.uhat
+        w = (1.0 - damping) * w + damping * res.vhat
+        del res
         if term < settings.tol and upd < settings.tol:
             converged = True
             break
 
-    reason = None if converged else (f"{dual.failure} in Picard iteration {it}"
-                                     if dual.failure else "no_convergence")
+    reason = None if converged else (f"{failure} in Picard iteration {it}"
+                                     if failure else "no_convergence")
     return NonlinearControlResult(
         converged=converged, iterations=it, terminal_history=term_hist,
-        update_history=upd_hist, control=res.control if res else None, z=z, w=w,
-        g_l2h1=res.g_l2h1 if res else np.nan, forward_residual=np.inf,
-        failure_reason=reason, curvature_ok=dual.curvature_ok,
+        update_history=upd_hist, control=control, z=z, w=w, g_l2h1=g_l2h1,
+        forward_residual=np.inf, failure_reason=reason, curvature_ok=curvature_ok,
     )
 
 

@@ -688,10 +688,15 @@ def test_negative_curvature_is_a_falsification(tmp_path, capsys, monkeypatch, co
     assert "ExtractionError" not in err
 
 
-def test_eps_sweep_names_a_curvature_falsification(tmp_path, capsys, monkeypatch):
-    # eps 0.5 meets negative curvature in its dual CG, eps 1 converges
+@pytest.mark.parametrize("iteration", [1, 2])
+def test_eps_sweep_names_a_curvature_falsification(tmp_path, capsys, monkeypatch, iteration):
+    # eps 0.5 meets negative curvature in the dual CG of Picard iteration
+    # ``iteration``, eps 1 converges
+    calls = Counter()
+
     def flagged(prob, _solve=nonlinear_control.solve_dual):
-        if prob.params.eps != 0.5:
+        calls[prob.params.eps] += 1
+        if prob.params.eps != 0.5 or calls[0.5] != iteration:
             return _solve(prob)
         return dataclasses.replace(_solve(_capped_cg(prob)),
                                    curvature_ok=False)
@@ -701,15 +706,19 @@ def test_eps_sweep_names_a_curvature_falsification(tmp_path, capsys, monkeypatch
     path = write_cfg(tmp_path, **small_sections(outdir, physics={"eps_list": [1.0, 0.5]}))
     assert main(["eps-sweep", "--config", path]) == 3
     reason = ("negative curvature falsifies the discrete scalar product "
-              "in Picard iteration 1")
+              f"in Picard iteration {iteration}")
     assert f"eps=0.5: {reason}" in capsys.readouterr().err
     csvs = [f for f in os.listdir(outdir) if f.endswith(".csv")]
     rows = (outdir / csvs[0]).read_text().splitlines()
     assert rows[0] == "eps,g_l2h1,iterations,terminal_residual,forward_residual,converged"
     failed = dict(zip(rows[0].split(","), rows[2].split(",")))
-    assert failed["eps"] == "0.5"
-    assert failed["terminal_residual"] == "inf"   # no iterate was measured, as forward_residual
-    assert failed["g_l2h1"] == "nan"              # and no control was extracted
+    assert failed["eps"] == "0.5" and failed["forward_residual"] == "inf"
+    if iteration == 1:
+        assert failed["terminal_residual"] == "inf"   # no iterate was measured
+        assert failed["g_l2h1"] == "nan"              # and no control was extracted
+    else:   # iteration 1's residual and control norm
+        assert 0.0 < float(failed["terminal_residual"]) < math.inf
+        assert 0.0 < float(failed["g_l2h1"]) < math.inf
     summary = json.loads(
         (outdir / csvs[0].replace(".csv", ".json")).read_text())["summary"]
     assert summary["excluded"] == [0.5]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,9 @@ from ksctl.hum_control import (
     solve_dual,
 )
 from ksctl.hum_control import _DualSystem
-from ksctl.ks_model import Control, KSParams
+from ksctl.ks_model import Control, KSParams, smooth_cutoff
+from ksctl.nonlinear_control import picard_solve
+from ksctl.weights import build_eta0, refined_weights, weight_params
 
 from conftest import lowfreq_field, lowfreq_space_time
 from oracles import (
@@ -299,6 +302,40 @@ def test_control_solve_2d(grid_2d):
     res = extract_control(dual, prob)
     assert res.crossval_rel < 1e-8
     assert res.terminal_u < 1e-9
+
+
+def _traced_peak(f) -> int:
+    """The bytes ``f()`` holds at its traced peak above those traced on entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_control_path_holds_few_dual_vectors():
+    # the dual CG runs on y, r, p and Ap beside the system's diag and gtg, and
+    # frees r, p and Ap before its closing march; the Picard loop frees each
+    # iteration's problem, dual and extraction before the next solve.  Peaks
+    # in dual vectors of 2 (m+1) nodes doubles: 8.8 and 10.9 measured (11.8
+    # and 17.8 with a copy of the right-hand side, a scratch vector and the
+    # last iteration kept)
+    g = build_grid(2, (1.0, 1.0), (16, 16), 2.4, 24)
+    p = KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0)
+    boxes = [[box] * 2 for box in ((0.30, 0.40), (0.25, 0.45), (0.20, 0.50))]
+    wt = refined_weights(build_eta0(g, *boxes), weight_params(g.T, 1.5, sigma0=0.05))
+    chi = smooth_cutoff(g, boxes[1], boxes[2])
+    x, y = g.node_coords.T
+    z0 = 0.01 * np.cos(np.pi * x) * np.cos(np.pi * y)
+    u0, v0 = p.M1 + z0, np.full(g.num_nodes, p.M2)
+    prob = ControlProblem(params=p, grid=g, weights=wt, chi=chi, z0=z0,
+                          w0=np.zeros(g.num_nodes))
+    assert picard_solve(p, u0, v0, wt, chi, g).iterations >= 2   # warms the grid's caches
+    vector = 2 * (g.m + 1) * g.num_nodes * 8
+    assert _traced_peak(lambda: solve_dual(prob)) <= 10 * vector
+    assert _traced_peak(lambda: picard_solve(p, u0, v0, wt, chi, g)) <= 13 * vector
 
 
 def test_raw_coordinate_dense_path_agrees_loosely(params, grid_small,

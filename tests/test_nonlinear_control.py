@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,41 @@ def test_a_run_that_extracts_no_control_reports_nan(params, grid_small, weights_
                     eps_list=(1.0, 0.1), settings=capped)
     assert not rep.rows and [np.isnan(row["g_l2h1"]) for row in rep.excluded] == [True, True]
     assert np.isnan(rep.uniformity_ratio)
+
+
+def test_a_dual_failure_after_the_first_iteration_reports_the_last_control(
+        params, grid_small, weights_small, chi_small, monkeypatch):
+    # each run's second dual is a capped CG flagged with negative curvature:
+    # the run reports iteration 1's control and g_l2h1, kept past that
+    # iteration's dual and extraction, and the flag of the dual that failed
+    x = grid_small.axes[0]
+    u0 = params.M1 + 0.01 * np.cos(np.pi * x)
+    v0 = np.full_like(x, params.M2)
+    eps_list = (1.0, 0.1)
+    first = {eps: picard_solve(dataclasses.replace(params, eps=eps), u0, v0, weights_small,
+                               chi_small, grid_small, SolverSettings(maxit=1))
+             for eps in eps_list}
+    calls, solve = Counter(), nonlinear_control.solve_dual
+
+    def flagged(prob):
+        calls[prob.params.eps] += 1
+        if calls[prob.params.eps] != 2:
+            return solve(prob)
+        capped = dataclasses.replace(prob.settings, cg_maxit=3)
+        return dataclasses.replace(solve(dataclasses.replace(prob, settings=capped)),
+                                   curvature_ok=False)
+
+    monkeypatch.setattr(nonlinear_control, "solve_dual", flagged)
+    r = picard_solve(params, u0, v0, weights_small, chi_small, grid_small)
+    assert not r.converged and r.iterations == 2 and not r.curvature_ok
+    assert r.failure_reason.endswith("in Picard iteration 2")
+    assert r.g_l2h1 == first[1.0].g_l2h1 > 0.0
+    assert np.array_equal(r.control.g, first[1.0].control.g)
+    calls.clear()
+    rep = eps_sweep(params, u0, v0, weights_small, chi_small, grid_small, eps_list=eps_list)
+    assert not rep.rows
+    assert [row["g_l2h1"] for row in rep.excluded] == [first[eps].g_l2h1 for eps in eps_list]
+    assert [row["curvature_ok"] for row in rep.excluded] == [False, False]
 
 
 def test_eps_sweep_small(params, grid_small, weights_small, chi_small):

@@ -19,6 +19,11 @@ axis, 16-32 time steps and eps in [1e-3, 1]:
   the transposition identity with an independent adjoint march to 1e-10 of
   the size of its terms: an expected failure, since the extracted state
   meets the forward march only to the CG's stopping residual;
+* a list of 1-5 runs, each lagged, implicit or elliptic with its own eps
+  and smooth control, marched in stacks of a drawn number of runs
+  (``STACK_NNZ``) on a 1D grid of 4-60 intervals and length 0.5-1 or a 2D
+  grid of 3-14 intervals per axis, gives each run its own single march's
+  bits;
 * the Carleman audit's reports, at any ``STACK_BYTES`` and over an s-scan
   of 1-4 entries, equal the reports made one sample and one s at a time,
   bit for bit; and an s whose profile has an extra -inf step gets its own
@@ -35,19 +40,19 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksctl import carleman_check
+from ksctl import carleman_check, ks_model
 from ksctl.adjoint import solve_adjoint
 from ksctl.carleman_check import (_scan, adjoint_reports, lemmaA1_report,
                                   log_space_time_integral, sample_space_time, weight_families)
-from ksctl.grid import build_grid, mass
+from ksctl.grid import Grid, build_grid, mass
 from ksctl.hum_control import ControlProblem, extract_control, solve_dual
 from ksctl.ks_model import (Control, KSParams, StateTrajectory, _density_factor,
-                            _density_pattern, _DensityPattern, block_step_factor, smooth_cutoff,
-                            solve_forward_pp, solve_linearized)
+                            _density_pattern, _DensityPattern, block_step_factor, heat_factor,
+                            smooth_cutoff, solve_forward_pp, solve_linearized)
 from ksctl.weights import build_eta0, log_weight_profile, refined_weights, weight_params
 
 from conftest import lowfreq_field, lowfreq_space_time
-from oracles import duality_terms
+from oracles import duality_terms, elliptic_march_oracle, single_march_oracle
 
 CASES = {"dim": st.sampled_from([1, 2]), "n": st.integers(8, 16),
          "m": st.integers(16, 32), "eps": st.floats(1e-3, 1.0)}
@@ -125,6 +130,38 @@ def test_constant_state_stays_fixed(dim, n, m, eps):
     zero = np.zeros(grid.num_nodes)
     lin = solve_linearized(p, zero, zero, c, None, None, grid)
     assert not lin.u.any() and not lin.v.any()
+
+
+@PROPERTY
+@given(data=st.data(), m=st.integers(16, 24), seed=SEED,
+       runs=st.lists(st.tuples(st.sampled_from(["lagged", "implicit", "elliptic"]),
+                               st.floats(1e-3, 1.0)), min_size=1, max_size=5))
+def test_density_stacks_equal_their_runs_one_at_a_time(data, m, seed, runs):
+    # the marches take grids coarser than build_grid's 8 intervals per axis;
+    # with L <= 1 every nonzero Laplacian eigenvalue l of these grids has
+    # a M1 <= b + l, so (M1, M2) grows no mode and no run fails on its own
+    if data.draw(st.sampled_from([1, 2]), label="dim") == 1:
+        grid = Grid(1, (data.draw(st.floats(0.5, 1.0), label="L"),),
+                    (data.draw(st.integers(4, 60), label="n"),), 1.0, m)
+    else:
+        grid = Grid(2, (1.0, 0.8), data.draw(st.tuples(*[st.integers(3, 14)] * 2),
+                                             label="n"), 1.0, m)
+    p = KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0)
+    chi = smooth_cutoff(grid, [[0.25, 0.45]] * grid.dim, [[0.20, 0.50]] * grid.dim)
+    rng = np.random.default_rng(seed)
+    u0 = p.M1 + 0.05 * _unit(lowfreq_field(grid, rng))
+    v0 = p.M2 + 0.5 * _unit(lowfreq_field(grid, rng))
+    kinds = [kind for kind, _ in runs]
+    ps = [dataclasses.replace(p, eps=eps) for _, eps in runs]
+    cs = [Control(g=0.1 * _unit(lowfreq_space_time(grid, rng)), chi=chi) for _ in runs]
+    per_stack = data.draw(st.integers(1, len(runs)), label="runs per stack")
+    with mock.patch.object(ks_model, "STACK_NNZ", per_stack * heat_factor(grid).nnz):
+        got = solve_forward_pp(ps, u0, v0, cs, grid, kinds)
+    for t, kind, q, c in zip(got, kinds, ps, cs):
+        want = (elliptic_march_oracle(q, u0, c, grid) if kind == "elliptic"
+                else single_march_oracle(q, u0, v0, c, grid, kind == "implicit"))
+        assert t.params is q
+        assert np.array_equal(t.u, want.u) and np.array_equal(t.v, want.v)
 
 
 class _Factored(Exception):
