@@ -19,6 +19,7 @@ not; none may occur for admissible samples.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -186,18 +187,23 @@ def _log_l2_sq(f: np.ndarray, grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_MODES = weakref.WeakKeyDictionary()   # per grid and axis, cos(k pi x / L) for k < N_MODES
+
+
 def sample_field(grid: Grid, rng: np.random.Generator,
                  zero_mean: bool = False) -> np.ndarray:
     """Random combination of the first N_MODES Neumann cosine modes."""
-    pts = grid.node_coords
+    if grid not in _MODES:
+        x = grid.node_coords
+        _MODES[grid] = [[np.cos(k * np.pi * x[:, a] / grid.L[a]) for k in range(N_MODES)]
+                        for a in range(grid.dim)]
+    cos = _MODES[grid]
     f = np.zeros(grid.num_nodes)
     lo = 1 if zero_mean else 0
     for _ in range(N_MODES):
-        k = int(rng.integers(lo, N_MODES))   # k >= 1 when zero_mean: no constant mode
-        mode = np.cos(k * np.pi * pts[:, 0] / grid.L[0])
+        mode = cos[0][int(rng.integers(lo, N_MODES))]   # k >= 1 when zero_mean: no constant mode
         if grid.dim == 2:
-            l = int(rng.integers(0, N_MODES))
-            mode = mode * np.cos(l * np.pi * pts[:, 1] / grid.L[1])
+            mode = mode * cos[1][int(rng.integers(0, N_MODES))]
         f += rng.standard_normal() * mode
     if zero_mean:
         f -= mass(f, grid) / grid.volume

@@ -184,10 +184,10 @@ def apply_L(u: np.ndarray, v: np.ndarray, p: KSParams, grid: Grid, laps=None):
 # ---------------------------------------------------------------------------
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
+def _dot(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> float:
     # a fixed-order reduction: BLAS ddot sums in an order that depends on
     # its thread count, and cg_tol sits close enough to roundoff to show it
-    return float(np.add.reduce((x * y).ravel()))
+    return float(np.add.reduce(np.multiply(x, y, out=out).ravel()))
 
 
 class _DualSystem:
@@ -216,6 +216,11 @@ class _DualSystem:
     merge into one diagonal, ``diag``; only G^T G = dt rho3 W chi^2 acts on
     nodes, on w; and U's mode-0 row is sqrt(W/|domain|), so the zero-mean
     constraint on theta_z is mode 0 of the terminal z slice.
+
+    It owns the CG's workspace: work arrays Z, which :meth:`march` writes, and
+    T, which :meth:`march_T` writes and which holds, while otherwise free,
+    march's scaled input, the Gramian's node-space observation and the CG's
+    dot-product terms; every sweep step's views (``scan``); one scan scratch.
     """
 
     def __init__(self, prob: ControlProblem):
@@ -247,13 +252,18 @@ class _DualSystem:
             raise RuntimeError("the adjoint block step is singular in a cosine mode")
         self.inv = np.array([[c[1][1], -c[0][1]], [-c[1][0], c[0][0]]]) / det
         self.d = np.array([1.0, p.eps])[:, None]   # D = diag(1, eps)
-        chunk = max(1, int(np.sqrt(32.0 * (self.m + 1) / self.nn)))
-        self.scan = {}   # per direction: inv, the columns of K^1..K^chunk (K = inv D)
+        self.Z, self.T = np.empty((2, 2, self.m + 1, self.nn))
+        self._prod = np.empty((2, 2, self.nn))   # one step's two products
+        B = max(1, int(np.sqrt(32.0 * (self.m + 1) / self.nn)))
+        r = (self.m - 1) % B + 1
+        scratch = np.empty((2, 2, (self.m - r) // B, B - 1, self.nn))   # empty if B = 1
+        self.scan = {}   # per direction: inv and the views of _sweep's steps
         for backward, inv in ((True, self.inv), (False, self.inv.transpose(1, 0, 2))):
             powers = [inv * self.d]
-            while len(powers) < chunk:
+            while len(powers) < B:
                 powers.append(np.einsum("ikn,kln->iln", powers[-1], powers[0]))
-            self.scan[backward] = inv, np.stack(powers, axis=2).transpose(1, 0, 2, 3).copy()
+            cols = np.stack(powers, axis=2).transpose(1, 0, 2, 3).copy()   # K^1..K^B
+            self.scan[backward] = inv, *self._plan(cols, r, scratch, backward)
 
         # yhat is laid out as Z: per component the modes of the scaled sources
         # F^0..F^{m-1}, then of the scaled terminal slice; Q (diag yhat) = (dt F, theta)
@@ -285,10 +295,28 @@ class _DualSystem:
         y[0, -1, 0] = 0.0
         return y
 
-    def _sweep(self, src, out, z, backward):
-        """out^j = inv (src^j + D z), then z = out^j, for j = m-1..0 with
-        inv = C*^-1 if ``backward``, else j = 0..m-1 with inv = C*^-T; one
-        2x2 solve per mode and step.  Returns the last z.
+    def _plan(self, cols, r, scratch, backward):
+        """One direction's sweep as views (see :meth:`_sweep`): the steps inside
+        the chunks, the single steps and chunk ends, and the fix-up."""
+        m, nn, B = self.m, self.nn, cols.shape[2]
+        out = self.Z if backward else self.T
+        seq = out[:, m - 1::-1] if backward else out[:, :-1]   # in step order
+        chunks = seq[:, r:].reshape(2, (m - r) // B, B, nn)
+        ends = seq[:, r - 1::B]   # the last step taken one by one, then each chunk's last
+        pair = scratch.reshape(-1)[:2 * chunks[:, :, 0].size].reshape(2, 2, -1, nn)
+        k, k_in, kB = cols[:, :, 0], cols[:, :, None, 0], cols[:, :, -1]   # K^1, K^B
+        inner = [(chunks[:, :, i], k_in, chunks[:, None, :, i - 1], pair) for i in range(1, B)]
+        prev = [out[:, -1] if backward else np.zeros((2, nn))] + [seq[:, j] for j in range(r)]
+        steps = [(seq[:, j], k, prev[j][:, None]) for j in range(r)]
+        steps += [(ends[:, c], kB, ends[:, c - 1, None]) for c in range(1, ends.shape[1])]
+        fix = (chunks[:, :, :-1], cols[:, :, None, :-1], ends[:, None, :-1, None], scratch)
+        return inner, steps, fix
+
+    def _sweep(self, backward):
+        """out^j = inv (src^j + D z), then z = out^j, for j = m-1..0 on Z with
+        inv = C*^-1 if ``backward`` (z from Z^m), else j = 0..m-1 on T with
+        inv = C*^-T (z from zero); one 2x2 solve per mode and step.  The
+        caller leaves inv src^j in the source slots.  Returns the last z.
 
         z_j = b^j + K z_prev (b^j = inv src^j, K = inv D) has constant
         coefficients, so it is scanned in chunks of B steps (Blelloch 1990):
@@ -298,56 +326,59 @@ class _DualSystem:
         end to step i < B of every chunk.  B = max(1, floor(sqrt(32 (m+1) / nodes)))
         balances the B + m/B Python-level steps against the fix-up's work;
         it is 1 when nodes > 8 (m+1), and B = 1 is the step-by-step loop."""
-        (inv, cols), m = self.scan[backward], self.m
-        B = cols.shape[2]
-        r = (m - 1) % B + 1
-        np.einsum("ikn,kjn->ijn", inv, src[:, :-1], out=out[:, :-1])
-        seq = out[:, m - 1::-1] if backward else out[:, :-1]   # in step order
-        (k0, k1), (p0, p1), (f0, f1) = cols[:, :, 0], cols[:, :, -1], cols[:, :, None, :-1]
-        for j in range(r):
-            z = seq[:, j] = seq[:, j] + k0 * z[0] + k1 * z[1]
-        chunks = seq[:, r:].reshape(2, (m - r) // B, B, self.nn)
-        for i in range(1, B):
-            chunks[:, :, i] += k0[:, None] * chunks[0, :, i - 1] + k1[:, None] * chunks[1, :, i - 1]
-        ends = seq[:, r - 1::B]   # the last step taken one by one, then each chunk's last
-        for c in range(1, ends.shape[1]):
-            z = ends[:, c] = ends[:, c] + p0 * z[0] + p1 * z[1]
-        chunks[:, :, :-1] += f0 * ends[0, :-1, None] + f1 * ends[1, :-1, None]
-        return z
+        mul, add, (p0, p1) = np.multiply, np.add, self._prod
+
+        def add_pair(out, c, z, s):   # out = out + (c0 z0 + c1 z1), c_l z_l in one multiply,
+            s0, s1 = mul(c, z, s)     # summed in s: a sum into strided out is buffered, slower
+            np.copyto(out, add(out, add(s0, s1, s1), s0))
+
+        _, inner, steps, fix = self.scan[backward]
+        for op in inner:   # the steps one by one are independent of the chunks
+            add_pair(*op)
+        for out, c, z in steps:   # out = (out + c0 z0) + c1 z1
+            mul(c, z, self._prod)
+            add(add(p0, out, p0), p1, out)
+        add_pair(*fix)
+        return steps[-1][0]
 
     def march(self, y: np.ndarray) -> np.ndarray:
         """The cosine modes of Z = S(dt F, theta): the backward march
-        Z^j = C*^-1 (D Z^{j+1} + dt F^j) from the modes diag * yhat."""
-        X = y * self.diag
-        Z = np.empty_like(X)
+        Z^j = C*^-1 (D Z^{j+1} + dt F^j) from the modes diag * yhat, left in T.
+        Returns the work array Z, which the next march overwrites."""
+        X, Z = np.multiply(y, self.diag, out=self.T), self.Z
         Z[:, -1] = X[:, -1]
-        self._sweep(X, Z, Z[:, -1], backward=True)
+        np.einsum("ikn,kjn->ijn", self.inv, X[:, :-1], out=Z[:, :-1])
+        self._sweep(backward=True)
         return Z
 
-    def march_T(self, V: np.ndarray) -> np.ndarray:
-        """Euclidean transpose of :meth:`march`: the same steps transposed and
-        in reverse order, T^j = C*^-T (V^j + D T^{j-1}) for j = 0..m-1."""
-        T = np.empty_like(V)
-        t = self._sweep(V, T, np.zeros((2, self.nn)), backward=False)
-        T[:, -1] = V[:, -1] + self.d * t
+    def march_T(self, V: np.ndarray, opened: bool = False) -> np.ndarray:
+        """Euclidean transpose of :meth:`march`, T^j = C*^-T (V^j + D T^{j-1})
+        for j = 0..m-1 (``opened``: T's source slots hold C*^-T V^j).  Returns
+        the work array T, which the next march or march_T overwrites."""
+        T = self.T
+        if not opened:
+            np.einsum("ikn,kjn->ijn", self.scan[False][0], V[:, :-1], out=T[:, :-1])
+        t = self._sweep(backward=False)
+        np.add(V[:, -1], np.multiply(self.d, t, out=T[:, -1]), out=T[:, -1])
         T *= self.diag
         return T
 
     def gramian_apply(self, y: np.ndarray) -> np.ndarray:
         """(G^T G) y: the backward march, the observation of w's source slices
-        on the nodes (Q, G^T G, then Q^T = Q), and the forward march."""
+        on the nodes (Q, G^T G, then Q^T = Q, in T's source slots), and the
+        forward march from w's sources alone.  Returns T (see march_T)."""
         V = self.march(y)
-        w = V[1, :-1]
-        obs = self.basis.apply(w, np.empty_like(w))
+        w, obs = V[1, :-1], self.T[1, :-1]
+        self.basis.apply(w, obs)
         obs *= self.gtg
         self.basis.apply(obs, w)
-        V[0] = 0.0
-        V[1, -1] = 0.0
-        return self.march_T(V)
+        V[:, -1] = 0.0
+        np.multiply(self.scan[False][0][:, 1, None], w, out=self.T[:, :-1])
+        return self.march_T(V, opened=True)
 
     def rhs(self) -> np.ndarray:
-        b = self.raw_rhs()
-        return self.project(self.march_T(self.basis.apply(b, np.empty_like(b))))
+        """The right-hand side, a fresh array: it outlives the next march."""
+        return self.project(self.march_T(self.basis.apply(self.raw_rhs(), self.Z))).copy()
 
 
 def solve_dual(problem: ControlProblem) -> DualSolution:
@@ -362,25 +393,27 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     strictly; non-positive curvature would falsify the discrete
     scalar-product property and flags the solution.
 
-    The CG holds four (2, m+1, nodes) vectors, y, r, p and Ap, beside the
-    system's ``diag`` and ``gtg``; r starts as the right-hand side itself, and
-    Ap, read only for p.Ap, is the scratch of both scaled updates.  r, p and
-    Ap go before the closing march, which holds y, the marched modes, Z and
-    the scaled y.
+    The working set is the CG's four (2, m+1, nodes) vectors y, r, p and Ap,
+    and the system's ``diag``, ``gtg`` (w's source slices), work arrays Z and
+    T and the time scan's scratch (1.7 vectors at the 1D defaults, none when
+    B = 1).  r starts as the right-hand side itself, Ap, read only for p.Ap,
+    is the scratch of both scaled updates, and T that of the dot products.
+    r, p and Ap go before the closing march, which marches y into Z, keeps
+    the scaled y in T for L*, and allocates only the returned Z.
     """
     sys_ = _DualSystem(problem)
     settings = problem.settings
 
     r = sys_.rhs()
     y, pdir, Ap = np.zeros_like(r), r.copy(), np.empty_like(r)
-    rr = rr0 = _dot(r, r)
+    rr = rr0 = _dot(r, r, sys_.T)
     J, res_hist, en_hist = 0.0, [np.sqrt(rr)], [0.0]
     converged = rr0 == 0.0   # y = 0 solves a zero right-hand side
     curvature_ok, it = True, 0
     while not converged and it < settings.cg_maxit and np.isfinite(res_hist[-1]):
         it += 1
         sys_.project(np.add(pdir, sys_.gramian_apply(pdir), out=Ap))
-        pAp = _dot(pdir, Ap)
+        pAp = _dot(pdir, Ap, sys_.T)
         if not np.isfinite(pAp):   # no residual follows, and a NaN is no curvature
             res_hist.append(np.nan)
             break
@@ -391,7 +424,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
         r -= np.multiply(alpha, Ap, out=Ap)
         y += np.multiply(alpha, pdir, out=Ap)
         J -= 0.5 * alpha * rr
-        rr_new = _dot(r, r)
+        rr_new = _dot(r, r, sys_.T)
         res_hist.append(np.sqrt(max(rr_new, 0.0)))
         en_hist.append(J)
         converged = rr_new <= settings.cg_tol**2 * rr0
@@ -403,7 +436,7 @@ def solve_dual(problem: ControlProblem) -> DualSolution:
     # the marched z^m satisfies the zero-mean constraint by construction of
     # the projected theta slot; tidy roundoff anyway
     Z = sys_.raw_project(sys_.basis.apply(Zh, np.empty_like(Zh)))
-    dtF = sys_.basis.apply(y * sys_.diag, Zh)[:, :-1]
+    dtF = sys_.basis.apply(sys_.T, Zh)[:, :-1]   # the scaled y the march left in T
     return DualSolution(
         zhat=Z[0], what=Z[1], value=J, iterations=it,
         residual_history=np.asarray(res_hist), energy_history=np.asarray(en_hist),

@@ -479,13 +479,15 @@ def source_terminal_march_T_oracle(sys_: _DualSystem, V: np.ndarray) -> np.ndarr
     return sys_.basis.apply(Y, np.empty_like(Y)) * sys_.diag
 
 
-def modal_sweep_oracle(sys_: _DualSystem, src: np.ndarray, out: np.ndarray,
-                       z: np.ndarray, backward: bool) -> np.ndarray:
-    """``sys_._sweep`` one time step at a time: out^j = inv (src^j + D z),
-    then z = out^j, for j = m-1..0 (inv = C*^-1) or j = 0..m-1 (inv = C*^-T)."""
+def modal_sweep_oracle(sys_: _DualSystem, backward: bool) -> np.ndarray:
+    """``sys_._sweep`` one time step at a time: out^j = out^j + inv D z, then
+    z = out^j, on out = sys_.Z for j = m-1..0 from z = Z^m (inv = C*^-1), or
+    on out = sys_.T for j = 0..m-1 from z = 0 (inv = C*^-T); the source slots
+    hold inv src^j on entry."""
+    out = sys_.Z if backward else sys_.T
     inv = sys_.inv if backward else sys_.inv.transpose(1, 0, 2)
-    np.einsum("ikn,kjn->ijn", inv, src[:, :-1], out=out[:, :-1])
     k0, k1 = (inv * sys_.d).transpose(1, 0, 2)   # the columns of inv D
+    z = out[:, -1] if backward else np.zeros((2, sys_.nn))
     for j in (range(sys_.m - 1, -1, -1) if backward else range(sys_.m)):
         z = out[:, j] = out[:, j] + k0 * z[0] + k1 * z[1]
     return z

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksctl import carleman_check, cli, ks_model, nonlinear_control
@@ -116,6 +116,7 @@ _FUZZ_VALUE = st.recursive(   # nested and ragged lists, mappings with known and
     st.sampled_from(sorted([*cli.DEFAULTS, *(f"{name}.{leaf}" for name, section in
                                              cli.DEFAULTS.items() for leaf in section)])),
     _FUZZ_VALUE, min_size=1, max_size=3))
+@example(overrides={"grid.n": [-1.4e154, -1.4e154]})   # (n+1)^2 once overflowed the count
 def test_any_override_is_a_config_or_a_config_error(overrides):
     # parse_config only: a fuzzed grid that passes would allocate in a command
     try:

@@ -164,6 +164,68 @@ def test_density_stacks_equal_their_runs_one_at_a_time(data, m, seed, runs):
         assert np.array_equal(t.u, want.u) and np.array_equal(t.v, want.v)
 
 
+@PROPERTY
+@given(data=st.data(), m=st.integers(16, 24), seed=SEED,
+       runs=st.lists(st.tuples(st.sampled_from(["lagged", "implicit"]), st.floats(1e-3, 1.0),
+                               st.floats(0.0, 3.0)), min_size=1, max_size=4),
+       maxit=st.one_of(st.just(ks_model.INNER_MAXIT), st.integers(2, 12)))
+def test_a_stack_raises_the_failure_its_runs_predict(data, m, seed, runs, maxit):
+    # BLOWUP_CAP drawn just below one of the runs' own step peaks, and
+    # INNER_MAXIT drawn low or left: each run fails on its own or not.  On
+    # domains up to twice as long as the other properties', modes grow, so
+    # the peaks rise over the steps.  Marched in stacks of a drawn number of
+    # runs, the first stack that holds a failure raises the error that its
+    # lowest-index run among those failing at its earliest failing step
+    # raised on its own: same class, step and message
+    L = data.draw(st.floats(1.0, 2.0), label="L")
+    if data.draw(st.sampled_from([1, 2]), label="dim") == 1:
+        grid = Grid(1, (L,), (data.draw(st.integers(8, 40), label="n"),), 1.0, m)
+    else:
+        grid = Grid(2, (L, 0.8 * L), data.draw(st.tuples(*[st.integers(6, 10)] * 2),
+                                               label="n"), 1.0, m)
+    p = KSParams(a=10.0, b=1.0, eps=1.0, M1=1.0, M2=10.0)
+    chi = smooth_cutoff(grid, [[0.25 * L, 0.45 * L]] * grid.dim, [[0.20 * L, 0.50 * L]] * grid.dim)
+    rng = np.random.default_rng(seed)
+    u0 = p.M1 + 0.05 * _unit(lowfreq_field(grid, rng))
+    v0 = p.M2 + 0.5 * _unit(lowfreq_field(grid, rng))
+    ps = [dataclasses.replace(p, eps=eps) for _, eps, _ in runs]
+    cs = [Control(g=amp * rng.standard_normal((m + 1, grid.num_nodes)), chi=chi)
+          for _, _, amp in runs]
+    kinds = [kind for kind, _, _ in runs]
+    failures = (ks_model.InnerIterationError, ks_model.BlowUpError)
+
+    def alone(q, c, kind):
+        return single_march_oracle(q, u0, v0, c, grid, kind == "implicit")
+
+    peaks = []   # the step peaks of the runs that stay below 2, where none overflows
+    with mock.patch.object(ks_model, "BLOWUP_CAP", 2.0):
+        for q, c, kind in zip(ps, cs, kinds):
+            try:
+                peaks += np.abs(alone(q, c, kind).u[1:]).max(axis=1).tolist()
+            except failures:
+                pass
+    cap = np.nextafter(data.draw(st.sampled_from(sorted(set(peaks)) or [2.0]), label="peak"), 0)
+    per_stack = data.draw(st.integers(1, len(runs)), label="runs per stack")
+    with mock.patch.object(ks_model, "BLOWUP_CAP", cap), \
+            mock.patch.object(ks_model, "INNER_MAXIT", maxit), \
+            mock.patch.object(ks_model, "STACK_NNZ", per_stack * heat_factor(grid).nnz):
+        errors = []
+        for q, c, kind in zip(ps, cs, kinds):
+            try:
+                alone(q, c, kind)
+                errors.append(None)
+            except failures as err:
+                errors.append(err)
+        # the cap fails at least the run whose peak it was drawn below
+        stacks = (errors[i:i + per_stack] for i in range(0, len(runs), per_stack))
+        want = next(min((e for e in stack if e), key=lambda e: e.step)
+                    for stack in stacks if any(stack))
+        with pytest.raises(RuntimeError) as got:
+            solve_forward_pp(ps, u0, v0, cs, grid, kinds)
+    assert type(got.value) is type(want)
+    assert got.value.step == want.step and str(got.value) == str(want)
+
+
 class _Factored(Exception):
     """Carries a pattern factor out of the march that made it."""
 
