@@ -4,7 +4,7 @@ Discretize-then-transpose: the backward one-step operator is the exact
 adjoint (with respect to the trapezoid inner product) of the forward
 linearized block matrix.  Writing the forward step as
 
-    C X^{k+1} = D X^k + dt F^{k+1},      D = diag(I, eps I),
+    C X^{k+1} = D X^k + dt F^{k+1}     (C, D: ks_model.linearized_step),
 
 the adjoint recursion is  C* P^k = D P^{k+1} + dt G^{k+1}  marched from the
 terminal data, and summation by parts gives the exact identity
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, _check_field, mass
-from .ks_model import KSParams, block_march, block_step_factor, heat_factor
+from .ks_model import KSParams, block_march, block_step_factor, heat_factor, linearized_step
 
 __all__ = [
     "AdjointTrajectory",
@@ -76,7 +76,7 @@ def solve_adjoint(p: KSParams, phiT: np.ndarray, xiT: np.ndarray,
     X[:, m, :nn], X[:, m, nn:] = np.reshape(phiT, (-1, nn)), np.reshape(xiT, (-1, nn))
     block_march(block_step_factor(p, grid, True), _columns(X), _columns(np.concatenate(
         [np.reshape(f, (-1, m + 1, nn)) for f in (f1, f2)], axis=2)),   # freed before the copies
-        np.repeat([1.0, p.eps], nn)[:, None], grid.dt, True)
+        np.repeat(linearized_step(p, grid.dt)[0], nn)[:, None], grid.dt, True)
     phi, xi = (np.ascontiguousarray(h).reshape(*lead, m + 1, nn) for h in np.split(X, 2, axis=2))
     return AdjointTrajectory(phi=phi, xi=xi, params=p, grid=grid)
 

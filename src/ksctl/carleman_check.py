@@ -95,21 +95,11 @@ def _axis_derivative(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
     return np.moveaxis(out, -1, ax - grid.dim).reshape(q.shape)
 
 
-def _axis_second(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
-    qs = _along(q, grid, ax)
-    out = np.empty_like(qs)
-    h2 = grid.h[ax] ** 2
-    out[..., 1:-1] = (qs[..., :-2] - 2.0 * qs[..., 1:-1] + qs[..., 2:]) / h2
-    out[..., 0] = 2.0 * (qs[..., 1] - qs[..., 0]) / h2
-    out[..., -1] = 2.0 * (qs[..., -2] - qs[..., -1]) / h2
-    return np.moveaxis(out, -1, ax - grid.dim).reshape(q.shape)
-
-
 def hessian_sq(q: np.ndarray, grid: Grid) -> np.ndarray:
     """sum_{i,j} |d2 q / dxi dxj|^2 with the mixed term counted twice in 2D."""
     total = np.zeros_like(q)
     for ax in range(grid.dim):
-        d2 = _axis_second(q, grid, ax)
+        d2 = neumann_laplacian(q.reshape(-1, grid.num_nodes), grid, ax).reshape(q.shape)
         total += d2 * d2
     if grid.dim == 2:
         dx = _axis_derivative(q, grid, 0)

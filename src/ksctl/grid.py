@@ -149,17 +149,21 @@ class Grid:
         return self._cache[key]
 
     @cached_property
-    def laplacian_matrix(self) -> sp.csr_matrix:
-        """Sparse Neumann Laplacian on flat node vectors, assembled from :attr:`faces`:
-        face (l, r) puts -1/(h cw) on the diagonal and 1/(h cw) off it, in rows l
-        and r, one CSR matrix per axis; the axes are summed, x first."""
+    def axis_laplacians(self) -> tuple[sp.csr_matrix, ...]:
+        """Per axis, x first, the Neumann second difference as a CSR matrix from
+        :attr:`faces`: face (l, r) adds (f_j - f_i)/(h cw_i) to row i of (i, j) = (l, r), (r, l)."""
         per_axis = []
         for f in self.faces:
             row, col = np.r_[f.left, f.right], np.r_[f.right, f.left]
             c = 1.0 / (f.h * f.cw[row])
             per_axis.append(sp.csr_matrix((np.r_[-c, c], (np.r_[row, row], np.r_[row, col])),
                                           shape=(self.num_nodes,) * 2))
-        return sum(per_axis[1:], per_axis[0])
+        return tuple(per_axis)
+
+    @cached_property
+    def laplacian_matrix(self) -> sp.csr_matrix:
+        """Sparse Neumann Laplacian: the sum of :attr:`axis_laplacians`, x first."""
+        return sum(self.axis_laplacians[1:], self.axis_laplacians[0])
 
     @cached_property
     def cosine_basis(self) -> _CosineBasis:
@@ -270,11 +274,13 @@ def _divergence(faces, flux) -> np.ndarray:
     return out
 
 
-def neumann_laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+def neumann_laplacian(f: np.ndarray, grid: Grid, axis: int | None = None) -> np.ndarray:
     """The Neumann Laplacian of one field or row by row of a (slices, nodes)
-    array: the package's one apply of :attr:`Grid.laplacian_matrix`."""
+    array, or its second difference along ``axis`` alone: the package's one
+    apply of :attr:`Grid.laplacian_matrix` and :attr:`Grid.axis_laplacians`."""
     _check_field(f, grid, f.shape[:-1][:1])
-    return (grid.laplacian_matrix @ f.T).T
+    A = grid.laplacian_matrix if axis is None else grid.axis_laplacians[axis]
+    return (A @ f.T).T
 
 
 def chemotaxis_divergence(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .grid import (Grid, check_all, check_zero_mass, h1_seminorm_sq, l2_norm, l2_sq,
                    neumann_laplacian)
-from .ks_model import Control, KSParams, solve_linearized
+from .ks_model import Control, KSParams, linearized_step, solve_linearized
 from .weights import WeightTable, log_step_sum, log_weight_profile
 
 __all__ = [
@@ -210,7 +210,7 @@ class _DualSystem:
 
     Every block of the adjoint step C* is a polynomial in the Neumann
     Laplacian, so S marches in its cosine eigenbasis Q, one 2x2 matrix per
-    eigenvalue l: [[1 - dt l, -dt a], [dt M1 l, eps + dt b - dt l]].  The CG
+    eigenvalue l, P0^T + P1^T l (:func:`~ksctl.ks_model.linearized_step`).  The CG
     runs on yhat = U y, U = diag(sqrt(c/L)) Q W^1/2 per slice, which is
     orthogonal, so its iterates are those on y.  The slot scaling and Q^-1
     merge into one diagonal, ``diag``; only G^T G = dt rho3 W chi^2 acts on
@@ -244,14 +244,13 @@ class _DualSystem:
                     for r in (np.exp(lp - self.log_c) for lp in log_profiles)]
 
         self.basis = grid.cosine_basis
-        lam = self.basis.lam
-        c = [[1.0 - dt * lam, np.full_like(lam, -dt * p.a)],
-             [dt * p.M1 * lam, p.eps + dt * p.b - dt * lam]]
-        det = c[0][0] * c[1][1] - c[0][1] * c[1][0]
+        D, P0, P1 = linearized_step(p, dt)
+        c = P0.T[..., None] + P1.T[..., None] * self.basis.lam   # C* per cosine mode
+        det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
         if not np.all(det != 0.0):
             raise RuntimeError("the adjoint block step is singular in a cosine mode")
-        self.inv = np.array([[c[1][1], -c[0][1]], [-c[1][0], c[0][0]]]) / det
-        self.d = np.array([1.0, p.eps])[:, None]   # D = diag(1, eps)
+        self.inv = np.array([[c[1, 1], -c[0, 1]], [-c[1, 0], c[0, 0]]]) / det
+        self.d = D[:, None]
         self.Z, self.T = np.empty((2, 2, self.m + 1, self.nn))
         self._prod = np.empty((2, 2, self.nn))   # one step's two products
         B = max(1, int(np.sqrt(32.0 * (self.m + 1) / self.nn)))
@@ -281,7 +280,7 @@ class _DualSystem:
         if prob.h1 is not None:
             b[0, :-1] += dt * W[None, :] * prob.h1[1:]
         b[0, 0] += W * prob.z0
-        b[1, 0] += prob.params.eps * W * prob.w0
+        b[1, 0] += self.d[1] * W * prob.w0
         return b
 
     def raw_project(self, Z: np.ndarray) -> np.ndarray:

@@ -21,10 +21,11 @@ in consecutive stacks within the ``STACK_NNZ`` budget.  A non-finite u or v
 stops the march.
 
 The linearized stepper is the operator whose exact algebraic transpose
-drives the dual machinery; its one-step block matrix C and the adjoint C*
-are assembled here by one builder, and the constant-coefficient marches
-(these two and the backward heat march) are one factor from
-:meth:`Grid.factor` driven by :func:`block_march`.
+drives the dual machinery.  Its coefficients have one source,
+:func:`linearized_step`: C = P0 I + P1 A blockwise and D, from which the
+sparse C and C* here and the dual CG's 2x2 block per cosine mode are built.
+The constant-coefficient marches (these two and the backward heat march)
+are one factor from :meth:`Grid.factor` driven by :func:`block_march`.
 """
 
 from __future__ import annotations
@@ -168,11 +169,9 @@ class _DensityPattern(NamedTuple):
     data on it.  Face (l, r) puts 0.5 (v_r - v_l)/h into slots (l,l), (l,r) over
     +cw_l and (r,l), (r,r) over -cw_r (``cw4`` per slot); faces run axis by
     axis in C order, so each diagonal sums in the order of the COO build.
-    ``matrix`` sits on ``indices`` and ``indptr``; each factor refills its data."""
+    ``matrix`` has read-only indices and indptr; each factor refills its data."""
 
     faces: tuple
-    indices: np.ndarray
-    indptr: np.ndarray
     lap: np.ndarray
     eye: np.ndarray
     cw4: np.ndarray
@@ -210,8 +209,9 @@ def _density_pattern(grid: Grid, blocks: int = 1) -> _DensityPattern:
         r = np.concatenate([f.right for f in faces])
         cwl = np.concatenate([f.cw[f.left] for f in faces])
         cwr = np.concatenate([f.cw[f.right] for f in faces])
+        A.indices.flags.writeable = A.indptr.flags.writeable = False   # the layout stays
         patterns[blocks] = _DensityPattern(faces, *(_read_only(a) for a in (
-            A.indices, A.indptr, A.data.copy(), np.where(order[pos] == A.indices, 1.0, 0.0),
+            A.data.copy(), np.where(order[pos] == A.indices, 1.0, 0.0),
             np.column_stack([cwl, cwl, -cwr, -cwr]).ravel(),
             np.searchsorted(pos * nn + A.indices,   # ascending keys
                             (perm_c[np.column_stack([l, r, l, r])] * nn
@@ -344,20 +344,25 @@ def solve_forward_pp(p: KSParams | list, u0: np.ndarray, v0: np.ndarray, c: Cont
     return out if isinstance(p, list) else out[0]
 
 
+def linearized_step(p: KSParams, dt: float):
+    """The one source of the linearized implicit Euler step's coefficients, (D,
+    P0, P1): C X^{k+1} = D X^k + dt F^{k+1} with C = P0 I + P1 A blockwise and D =
+    diag(1, eps); A is self-adjoint for the trapezoid weights, so C* = P0^T I + P1^T A."""
+    return (np.array([1.0, p.eps]), np.array([[1.0, 0.0], [-dt * p.a, p.eps + dt * p.b]]),
+            np.array([[-dt, dt * p.M1], [0.0, -dt]]))
+
+
 def block_step_factor(p: KSParams, grid: Grid, adjoint: bool):
-    """Factor of the one-step block matrix C of the linearized implicit Euler
-    stepper, C X^{k+1} = D X^k + dt F^{k+1} with D = diag(I, eps I), or, if
-    ``adjoint``, of its weighted-inner-product adjoint C*.  The Laplacian is
-    self-adjoint for the trapezoid weights and every other block is a scalar
-    multiple of the identity, so C* only swaps the off-diagonal pair."""
+    """Factor of the block step C of :func:`linearized_step`, or of C* if
+    ``adjoint``; a zero coefficient adds no term, so no block stores a zero."""
     def build():
-        A, I, dt = grid.laplacian_matrix, sp.identity(grid.num_nodes, format="csr"), grid.dt
-        upper, lower = dt * p.M1 * A, -dt * p.a * I
-        if adjoint:
-            upper, lower = lower, upper
-        return sp.bmat([[I - dt * A, upper],
-                        [lower, (p.eps + dt * p.b) * I - dt * A]], format="csc")
-    return grid.factor(("adj" if adjoint else "lin", p.a, p.b, p.eps, p.M1), build)
+        I, A = sp.identity(grid.num_nodes, format="csr"), grid.laplacian_matrix
+        P0, P1 = (P.T if adjoint else P for P in linearized_step(p, grid.dt)[1:])
+        def block(c0, c1):   # c0 I + c1 A without its zero terms, None if both are zero
+            terms = [c * M for c, M in ((c0, I), (c1, A)) if c != 0.0]
+            return sum(terms[1:], terms[0]) if terms else None
+        return sp.bmat([[block(P0[i, j], P1[i, j]) for j in (0, 1)] for i in (0, 1)], format="csc")
+    return grid.factor(("adj" if adjoint else "lin", p), build)
 
 
 def block_march(lu, X: np.ndarray, F: np.ndarray, d, dt: float, backward: bool) -> np.ndarray:
@@ -396,7 +401,7 @@ def solve_linearized(p: KSParams, z0: np.ndarray, w0: np.ndarray, c: Control,
     X = np.empty((m + 1, 2, nn))
     X[0] = z0, w0
     F = np.stack([h1, c.g * c.chi + h2], axis=1)
-    d = np.repeat([1.0, p.eps], nn)
+    d = np.repeat(linearized_step(p, grid.dt)[0], nn)
     block_march(block_step_factor(p, grid, False), X.reshape(m + 1, 2 * nn),
                 F.reshape(m + 1, 2 * nn), d, grid.dt, False)
     return StateTrajectory(u=X[:, 0], v=X[:, 1], params=p, grid=grid)

@@ -33,7 +33,12 @@ tests call.
 * the Neumann Laplacian matrix as a ``lil`` tridiagonal per axis and a
   ``kron`` sum in 2D, and the quadrature weights, node coordinates, cosine
   eigenvalues and bump values forked on 1D and 2D, as they stood before the
-  face table and one tensor product over the axes built them.
+  face table and one tensor product over the axes built them;
+* the linearized step's block matrix C and its adjoint C* written out by
+  hand as a ``bmat``, as they stood before ``ks_model.linearized_step``
+  became the one source of their coefficients;
+* the Carleman audit's per-axis second difference with its own ghost rule,
+  as it stood before the audit took the grid's per-axis Laplacian.
 """
 
 import math
@@ -591,3 +596,27 @@ def eta0_values_oracle(grid: Grid, omega0) -> np.ndarray:
     center = np.atleast_2d(np.asarray(omega0, dtype=float)).mean(axis=1)
     vals = [_axis_bump(grid.axes[ax], grid.L[ax], center[ax])[0] for ax in range(grid.dim)]
     return vals[0] if grid.dim == 1 else np.multiply.outer(vals[0], vals[1]).ravel()
+
+
+def block_step_oracle(p: KSParams, grid: Grid, adjoint: bool) -> sp.csc_matrix:
+    """C, or C* if ``adjoint``, block by block: [[I - dt A, dt M1 A], [-dt a I,
+    (eps + dt b) I - dt A]]; C* swaps the off-diagonal pair."""
+    A, I, dt = grid.laplacian_matrix, sp.identity(grid.num_nodes, format="csr"), grid.dt
+    upper, lower = dt * p.M1 * A, -dt * p.a * I
+    if adjoint:
+        upper, lower = lower, upper
+    return sp.bmat([[I - dt * A, upper],
+                    [lower, (p.eps + dt * p.b) * I - dt * A]], format="csc")
+
+
+def axis_second_oracle(q: np.ndarray, grid: Grid, ax: int) -> np.ndarray:
+    """The second difference of a (..., nodes) array along axis ``ax``,
+    (q_{i-1} - 2 q_i + q_{i+1})/h^2 inside and, with a reflected ghost node,
+    2 (q_1 - q_0)/h^2 and 2 (q_{n-1} - q_n)/h^2 at the two ends."""
+    qs = np.moveaxis(q.reshape(*q.shape[:-1], *grid.shape), ax - grid.dim, -1)
+    out = np.empty_like(qs)
+    h2 = grid.h[ax] ** 2
+    out[..., 1:-1] = (qs[..., :-2] - 2.0 * qs[..., 1:-1] + qs[..., 2:]) / h2
+    out[..., 0] = 2.0 * (qs[..., 1] - qs[..., 0]) / h2
+    out[..., -1] = 2.0 * (qs[..., -2] - qs[..., -1]) / h2
+    return np.moveaxis(out, -1, ax - grid.dim).reshape(q.shape)

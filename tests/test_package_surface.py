@@ -24,8 +24,16 @@ of the cached factor of I - dt A that the backward heat march steps on.
 Only ``Grid.factor`` and ``_density_pattern`` read or write ``Grid._cache``.
 
 The Laplacian has one apply, ``grid.neumann_laplacian``: no other function
-of the package multiplies by ``laplacian_matrix``.  The factor builders
-still read the matrix to assemble theirs.
+of the package multiplies by ``laplacian_matrix`` or by the per-axis
+``axis_laplacians`` it is summed from.  The factor builders still read the
+matrix to assemble theirs.
+
+The linearized step's coefficients have one source: a ``KSParams``'s ``a``
+and ``b`` are read as attributes only where they are checked
+(``KSParams.__post_init__``), by the density march, by
+``ks_model.linearized_step`` and by the matrix-free residual ``apply_L``.
+Every form of C and C* takes them from ``linearized_step``; the factor
+cache keys on the frozen params themselves.
 
 The face table is the Laplacian's one stencil: the package builds no
 matrix by ``kron``, ``diags`` or a ``lil`` constructor.
@@ -218,9 +226,17 @@ def _product_sites(tree, module, attr):
 
 
 def test_laplacian_matrix_is_applied_only_by_neumann_laplacian():
-    sites = sorted({site for path, tree in _trees(PACKAGE).items()
-                    for site in _product_sites(tree, path.stem, "laplacian_matrix")})
-    assert sites == ["grid.neumann_laplacian"]
+    for attr in ("laplacian_matrix", "axis_laplacians"):
+        sites = sorted({site for path, tree in _trees(PACKAGE).items()
+                        for site in _product_sites(tree, path.stem, attr)})
+        assert sites == ["grid.neumann_laplacian"], attr
+
+
+def test_the_step_coefficients_are_read_in_one_source():
+    sites = _package_sites(lambda node: isinstance(node, ast.Attribute)
+                           and node.attr in ("a", "b") and isinstance(node.ctx, ast.Load))
+    assert sites == ["hum_control.apply_L", "ks_model.KSParams.__post_init__",
+                     "ks_model._density_march", "ks_model.linearized_step"]
 
 
 def test_quad_weights_enter_no_blas_product():

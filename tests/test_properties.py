@@ -258,8 +258,8 @@ def test_density_factor_on_the_grid_order_is_plain_splu(dim, n, m, log_amp, seed
     # each pattern factor against a plain splu of each of its blocks in grid order
     for got, blocks in [
             (_density_factor(v, grid),
-             [sp.csc_matrix((pat.eye - dt * (pat.lap - pat.chem_data(v)), pat.indices,
-                            pat.indptr))[:, pat.perm_c]]),
+             [sp.csc_matrix((pat.eye - dt * (pat.lap - pat.chem_data(v)), pat.matrix.indices,
+                            pat.matrix.indptr))[:, pat.perm_c]]),
             (_chemical_factor(lambda: solve_forward_pp(ps, u0, v0, [c] * 3, grid)),
              [q.eps * I - dt * A + dt * q.b * I for q in ps]),   # the v step of a stack
             (_chemical_factor(lambda: solve_forward_pp(p, u0, v0, c, grid, "elliptic")),
